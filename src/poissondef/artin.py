@@ -302,9 +302,7 @@ def first_order_by_enumeration(kind: str, *,
                         for sub, c in _vec_entries(lin):
                             entries[("glue", pair, a) + sub] = c
         columns.append(entries)
-    keys = sorted({k for col in columns for k in col})
-    matrix = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
-    kernel = nullspace(matrix, ncols=len(atoms))
+    kernel = nullspace(columns)
     return {"dimension": len(kernel), "atoms": atoms, "kernel": kernel}
 
 
@@ -613,26 +611,6 @@ def _certify_class(cls: ObstructionClass, S, manifold):
 # Liftability: explicit coboundary equations
 # ----------------------------------------------------------------------
 
-def _lift_atoms(kind, S, manifold, bound, amb_bound):
-    atoms = []
-    if kind in ("hilb", "exthilb"):
-        for name in S.present_charts():
-            tang = S.tangential[name]
-            for slot in range(S.codim):
-                for e in sorted(_simplex(len(tang), bound)):
-                    atoms.append(("chi", name, slot, e))
-    if kind in ("def", "exthilb"):
-        space = manifold.space
-        for name in space.chart_names:
-            cvars = space.chart(name).vars
-            n = len(cvars)
-            for fi in range(n):
-                for fj in range(fi + 1, n):
-                    for e in sorted(_simplex(n, amb_bound)):
-                        atoms.append(("amb", name, (fi, fj), e))
-    return atoms
-
-
 def _lift_column(kind, S, manifold, atom):
     """Residual entries of the coboundary map on one monomial unknown."""
     space = manifold.space
@@ -713,19 +691,16 @@ def _lift_rhs(cls: ObstructionClass, S, manifold):
 
 
 def _decide_liftable(cls, S, manifold, bound, amb_bound):
-    atoms = _lift_atoms(cls.kind, S, manifold, bound, amb_bound)
+    atoms = _enumeration_atoms(cls.kind, manifold, S, bound, amb_bound)
     columns = [_lift_column(cls.kind, S, manifold, atom) for atom in atoms]
     rhs = _lift_rhs(cls, S, manifold)
-    reachable = {k for col in columns for k in col}
+    reachable = set().union(*columns)
     missing = sorted(k for k in rhs if k not in reachable)
     if missing:
         return False, f"no unknown reaches equation row {missing[0]}", None
-    keys = sorted(reachable)
-    matrix = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
-    vec = [rhs.get(key, Fraction(0)) for key in keys]
-    sol, witness = solve_min(matrix, vec)
+    sol, witness = solve_min(columns, rhs)
     if sol is None:
-        where = keys[witness] if witness is not None else "unknown"
+        where = witness if witness is not None else "unknown"
         return False, f"inconsistent equation row {where}", None
     solution = {atom: v for atom, v in zip(atoms, sol) if v}
     return True, None, solution

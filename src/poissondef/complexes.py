@@ -24,14 +24,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .errors import (
-    ChartMismatch,
-    InconsistentData,
-    NotInKernel,
-    UnstableAnsatz,
-)
+from .errors import InconsistentData, NotInKernel, UnstableAnsatz
 from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
-from .linalg import nullspace, rank, rref, solve_min
+# rref is not called here; perfbench's tracing tests expect this module to
+# hold it
+from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
 from .polyvector import Polyvector, restrict, schouten, wedge
 from .symbolic import LaurentPoly, _simplex
 
@@ -107,7 +104,8 @@ def cochain_vector_entries(a: dict):
 
 
 def vectorize(cochains: list) -> tuple:
-    """Common coordinatization of several cochains: (keys, columns)."""
+    """Common dense coordinatization of several cochains: (sorted keys,
+    columns). The engines hand sparse columns to `linalg` instead."""
     entry_maps = []
     keys = set()
     for c in cochains:
@@ -117,6 +115,20 @@ def vectorize(cochains: list) -> tuple:
     keys = sorted(keys)
     cols = [[m.get(k, Fraction(0)) for k in keys] for m in entry_maps]
     return keys, cols
+
+
+def coordinates(basis: list, cochain: dict):
+    """Exact coordinates of a cochain in the span of the basis cochains.
+
+    Returns (coefficients, None), or (None, position of a violated row among
+    the sorted coordinate keys) when the cochain lies outside the span.
+    """
+    cols = [dict(cochain_vector_entries(c)) for c in basis]
+    target = dict(cochain_vector_entries(cochain))
+    sol, bad = solve_min(cols, target)
+    if bad is not None:
+        bad = sorted(set(target).union(*cols)).index(bad)
+    return sol, bad
 
 
 # ----------------------------------------------------------------------
@@ -299,12 +311,7 @@ class SectionSpace:
 
     def coordinates_of(self, cochain: dict):
         """Exact coordinates of a cochain in this basis; None if outside."""
-        keys, cols = vectorize(self.basis + [cochain])
-        mat = [[cols[j][i] for j in range(len(self.basis))]
-               for i in range(len(keys))]
-        rhs = [cols[-1][i] for i in range(len(keys))]
-        sol, _ = solve_min(mat, rhs)
-        return sol
+        return coordinates(self.basis, cochain)[0]
 
 
 def suggested_bound(space) -> int:
@@ -386,9 +393,9 @@ def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int, bound: int)
     return charts, atoms, reps
 
 
-def _holomorphy_matrix(charts, reps, is_nor: bool):
-    """Rows: coefficients of negative-exponent monomials across charts."""
-    row_keys = set()
+def _holomorphy_columns(charts, reps, is_nor: bool):
+    """One column per atom: its coefficients of negative-exponent monomials
+    across charts."""
     maps = []
     for rep in reps:
         m = {}
@@ -401,16 +408,12 @@ def _holomorphy_matrix(charts, reps, is_nor: bool):
                         if min(e) < 0:
                             m[(cname, slot, idx, e)] = val
         maps.append(m)
-        row_keys.update(m)
-    row_keys = sorted(row_keys)
-    matrix = [[m.get(k, Fraction(0)) for m in maps] for k in row_keys]
-    return matrix
+    return maps
 
 
 def _sections_at_bound(descriptor, part, p, bound):
     charts, atoms, reps = _atom_sections(descriptor, part, p, bound)
-    matrix = _holomorphy_matrix(charts, reps, part == "nor")
-    kernel = nullspace(matrix, ncols=len(atoms))
+    kernel = nullspace(_holomorphy_columns(charts, reps, part == "nor"))
     sections = []
     for vec in kernel:
         if part == "nor":
@@ -513,10 +516,8 @@ def h0_complex(descriptor: ComplexDescriptor, bound: int | None = None,
     if not space.basis:
         return CohomologyReport(descriptor.kind, "atlas", 0, [],
                                 space.degree_bound, space.stable, 0)
-    images = [descriptor.differential(s, 0) for s in space.basis]
-    keys, cols = vectorize(images)
-    matrix = [[cols[j][i] for j in range(len(images))] for i in range(len(keys))]
-    kernel = nullspace(matrix, ncols=len(images))
+    kernel = nullspace([dict(cochain_vector_entries(
+        descriptor.differential(s, 0))) for s in space.basis])
     basis = [cochain_lincomb(vec, space.basis) for vec in kernel]
     return CohomologyReport(descriptor.kind, "atlas", len(basis), basis,
                             space.degree_bound, space.stable, space.dimension)
@@ -607,14 +608,15 @@ def _atom_to_cochain(descriptor, p, atom):
 
 def _weight_matrix(descriptor, p, w_in, w_out):
     """Matrix of the differential from weight w_in atoms at term p to weight
-    w_out atoms at term p+1; returns (matrix, in_atoms, out_atoms)."""
+    w_out atoms at term p+1; returns (columns keyed by out-atom position,
+    in_atoms, out_atoms)."""
     in_atoms = _weight_atoms(descriptor, p, w_in)
     out_atoms = _weight_atoms(descriptor, p + 1, w_out)
     out_index = {atom: i for i, atom in enumerate(out_atoms)}
     cols = []
     for atom in in_atoms:
         img = descriptor.differential(_atom_to_cochain(descriptor, p, atom), p)
-        col = [Fraction(0)] * len(out_atoms)
+        col = {}
         for key, val in cochain_vector_entries(img):
             if key[0] == "amb":
                 _, c, idx, e = key
@@ -623,15 +625,14 @@ def _weight_matrix(descriptor, p, w_in, w_out):
                 _, c, slot, idx, e = key
                 akey = ("nor", slot, idx, e)
             if akey in out_index:
-                col[out_index[akey]] += val
+                i = out_index[akey]
+                col[i] = col.get(i, Fraction(0)) + val
             elif val:
                 raise InconsistentData(
                     "differential left the graded window; structure is not "
                     "weight-homogeneous")
         cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(in_atoms))]
-              for i in range(len(out_atoms))]
-    return matrix, in_atoms, out_atoms
+    return cols, in_atoms, out_atoms
 
 
 def affine_hyper(descriptor: ComplexDescriptor, weights: Iterable[int],
@@ -655,7 +656,7 @@ def affine_hyper(descriptor: ComplexDescriptor, weights: Iterable[int],
     for w in weights:
         m0, in0, _ = _weight_matrix(descriptor, 0, w, w + shift)
         if 0 in degrees:
-            kern = nullspace(m0, ncols=len(in0))
+            kern = nullspace(m0)
             basis = [cochain_lincomb(vec,
                                      [_atom_to_cochain(descriptor, 0, a)
                                       for a in in0]) for vec in kern]
@@ -663,10 +664,9 @@ def affine_hyper(descriptor: ComplexDescriptor, weights: Iterable[int],
             report.weights.setdefault("H0", {})[w] = len(basis)
         if 1 in degrees:
             m1, in1, _ = _weight_matrix(descriptor, 1, w, w + shift)
-            k1 = len(in1) - rank(m1) if in1 else 0
-            mprev, inprev, _ = _weight_matrix(descriptor, 0, w - shift, w)
-            r_im = rank(mprev) if inprev else 0
-            report.weights.setdefault("H1", {})[w] = k1 - r_im
+            mprev, _, _ = _weight_matrix(descriptor, 0, w - shift, w)
+            report.weights.setdefault("H1", {})[w] = (
+                len(in1) - rank(m1) - rank(mprev))
     report.basis = h0_basis
     if "H0" in report.weights:
         report.dimension = sum(report.weights["H0"].values())
@@ -689,36 +689,53 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
     shift, _ = _structure_weight(nor_descriptor)
     # cocycles upstairs
     m1, in1, _ = _weight_matrix(lb_descriptor, 1, weight, weight + shift)
-    cocycles = nullspace(m1, ncols=len(in1))
+    cocycles = nullspace(m1)
     atoms1 = [_atom_to_cochain(lb_descriptor, 1, a) for a in in1]
-    # coordinates downstairs
-    out_atoms = _weight_atoms(nor_descriptor, 1, weight)
+    # coordinates downstairs, keyed by out-atom position like the image
+    image, _, out_atoms = _weight_matrix(nor_descriptor, 0, weight - shift,
+                                         weight)
     out_index = {a: i for i, a in enumerate(out_atoms)}
 
-    def restrict_vec(cochain):
-        vec = [Fraction(0)] * len(out_atoms)
-        pv = cochain["amb"][chart.name]
-        rest = restrict(pv, w_names)
+    def restrict_col(cochain):
+        col = {}
+        rest = restrict(cochain["amb"][chart.name], w_names)
         for idx, coeff in rest.terms.items():
             for e, val in coeff.terms.items():
-                akey = ("nor", 0, idx, e)
-                if akey in out_index:
-                    vec[out_index[akey]] += val
-        return vec
+                i = out_index.get(("nor", 0, idx, e))
+                if i is not None:
+                    col[i] = col.get(i, Fraction(0)) + val
+        return col
 
-    restricted = [restrict_vec(cochain_lincomb(vec, atoms1)) for vec in cocycles]
-    mprev, inprev, _ = _weight_matrix(nor_descriptor, 0, weight - shift, weight)
-    image_rows = []
-    for j in range(len(inprev)):
-        image_rows.append([mprev[i][j] for i in range(len(out_atoms))])
-    base = rank(image_rows) if image_rows else 0
-    total = rank(image_rows + restricted) if (image_rows or restricted) else 0
-    return total - base
+    restricted = [restrict_col(cochain_lincomb(vec, atoms1)) for vec in cocycles]
+    return rank(image + restricted) - rank(image)
 
 
 # ----------------------------------------------------------------------
 # Characteristic map
 # ----------------------------------------------------------------------
+
+def gluing_failure(descriptor: ComplexDescriptor, cochain: dict):
+    """First (part, k, i) such that the degree-zero cochain's part on chart k,
+    moved to chart i, differs from its part on chart i; None when it glues.
+    The normal part is checked before the ambient part."""
+    space = descriptor.space
+    if "nor" in cochain:
+        S = descriptor.submanifold
+        present = S.present_charts()
+        for (i, k) in space.overlap_pairs():
+            if i in present and k in present:
+                moved = transport_nor_tuple(S, cochain["nor"][k], k, i)
+                if any(not (a - b).is_zero()
+                       for a, b in zip(moved, cochain["nor"][i])):
+                    return "nor", k, i
+    if "amb" in cochain:
+        for (i, k) in space.overlap_pairs():
+            if (k, i) in space.transitions:
+                moved = space.pushforward(cochain["amb"][k], k, i)
+                if not (moved - cochain["amb"][i]).is_zero():
+                    return "amb", k, i
+    return None
+
 
 def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> list:
     """Coordinates, in the given degree-zero basis, of the first-order
@@ -755,33 +772,13 @@ def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> lis
         if not cochain_is_zero(descriptor.differential(direction, 0)):
             raise NotInKernel(
                 f"first-order direction of {pname} is not closed")
-        # gluing
-        if descriptor.kind in ("normal", "extended"):
-            S = descriptor.submanifold
-            present = S.present_charts()
-            for (i, k) in descriptor.space.overlap_pairs():
-                if i not in present or k not in present:
-                    continue
-                moved = transport_nor_tuple(S, direction["nor"][k], k, i)
-                for a, b in zip(moved, direction["nor"][i]):
-                    if not (a - b).is_zero():
-                        raise NotInKernel(
-                            f"first-order direction of {pname} does not glue "
-                            f"between {k} and {i}")
-        if descriptor.kind == "extended":
-            for (i, k) in descriptor.space.overlap_pairs():
-                if (k, i) not in descriptor.space.transitions:
-                    continue
-                moved = descriptor.space.pushforward(direction["amb"][k], k, i)
-                if not (moved - direction["amb"][i]).is_zero():
-                    raise NotInKernel(
-                        f"first-order bivector direction of {pname} does not "
-                        f"glue between {k} and {i}")
-        keys, cols = vectorize(basis + [direction])
-        mat = [[cols[j][i] for j in range(len(basis))]
-               for i in range(len(keys))]
-        rhs = [cols[-1][i] for i in range(len(keys))]
-        sol, bad = solve_min(mat, rhs)
+        failure = gluing_failure(descriptor, direction)
+        if failure is not None:
+            part, k, i = failure
+            what = "direction" if part == "nor" else "bivector direction"
+            raise NotInKernel(f"first-order {what} of {pname} does not glue "
+                              f"between {k} and {i}")
+        sol, bad = coordinates(basis, direction)
         if sol is None:
             raise InconsistentData(
                 f"direction of {pname} lies outside the provided basis "
@@ -887,31 +884,30 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
             return chunk
         return pv
 
-    target_layout = [("t", k, 0) for (_, _, k) in triples] + \
-                    [("m", k, 1) for (_, k) in pairs]
-    target_atoms = {}
-    offset = 0
-    offsets = []
-    for tag, cname, p in target_layout:
-        al = atoms(cname, p)
-        offsets.append(offset)
-        target_atoms[len(offsets) - 1] = {a: i for i, a in enumerate(al)}
-        offset += len(al)
-    nrows = offset
+    def layout(slots):
+        """(row offset, atom index) of each (chart, term degree) slot."""
+        out, offset = [], 0
+        for cname, p in slots:
+            al = atoms(cname, p)
+            out.append((offset, {a: i for i, a in enumerate(al)}))
+            offset += len(al)
+        return out
 
-    def embed(chunks):
-        vec = [Fraction(0)] * nrows
-        for slot_i, data in enumerate(chunks):
-            index = target_atoms[slot_i]
-            base = offsets[slot_i]
+    def embed(chunks, slots):
+        """Sparse column, keyed by row position, of one chunk per slot."""
+        col = {}
+        for data, (base, index) in zip(chunks, slots):
             items = (enumerate(data) if is_nor else [(None, data)])
             for a, pv in items:
                 for idx, coeff in pv.terms.items():
                     for e, val in coeff.terms.items():
-                        key = (a, idx, e)
-                        if key in index:
-                            vec[base + index[key]] += val
-        return vec
+                        i = index.get((a, idx, e))
+                        if i is not None:
+                            col[base + i] = col.get(base + i, Fraction(0)) + val
+        return col
+
+    target = layout([(k, 0) for (_, _, k) in triples] +
+                    [(k, 1) for (_, k) in pairs])
 
     def d1_vector(a_ov, b_ch):
         chunks = []
@@ -923,7 +919,7 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
             m = sub_chunk(d_chunk(a_ov[(i, k)], k, 0),
                           sub_chunk(transport(b_ch[i], i, k), b_ch[k]))
             chunks.append(m)
-        return embed(chunks)
+        return embed(chunks, target)
 
     cols = []
     for (pi, pk) in pairs:
@@ -938,36 +934,10 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
             b_ch = {c: zero_chunk(c, 1) for c in charts}
             b_ch[cn] = atom_chunk(cn, 1, atom)
             cols.append(d1_vector(a_ov, b_ch))
-    matrix = [[col[i] for col in cols] for i in range(nrows)]
-    kernel_dim = (len(cols) - rank(matrix)) if cols else 0
+    kernel_dim = len(cols) - rank(cols)
 
     # image of the degree-0 map in the SAME domain coordinates as the kernel
-    dom_layout = [("a", k, 0) for (_, k) in pairs] + [("b", c, 1) for c in charts]
-    dom_atoms = {}
-    offset = 0
-    dom_offsets = []
-    for tag, cname, p in dom_layout:
-        al = atoms(cname, p)
-        dom_offsets.append(offset)
-        dom_atoms[len(dom_offsets) - 1] = {a: i for i, a in enumerate(al)}
-        offset += len(al)
-    dom_rows = offset
-
-    def embed_dom(a_ov, b_ch):
-        vec = [Fraction(0)] * dom_rows
-        chunk_list = [a_ov[pr] for pr in pairs] + [b_ch[c] for c in charts]
-        for slot_i, data in enumerate(chunk_list):
-            index = dom_atoms[slot_i]
-            base = dom_offsets[slot_i]
-            items = (enumerate(data) if is_nor else [(None, data)])
-            for a, pv in items:
-                for idx, coeff in pv.terms.items():
-                    for e, val in coeff.terms.items():
-                        key = (a, idx, e)
-                        if key in index:
-                            vec[base + index[key]] += val
-        return vec
-
+    domain = layout([(k, 0) for (_, k) in pairs] + [(c, 1) for c in charts])
     im_cols = []
     for cn in charts:
         for atom in atoms(cn, 0):
@@ -976,9 +946,9 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
             a_ov = {(i, k): sub_chunk(transport(c_ch[i], i, k), c_ch[k])
                     for (i, k) in pairs}
             b_ch = {c: d_chunk(c_ch[c], c, 0) for c in charts}
-            im_cols.append(embed_dom(a_ov, b_ch))
-    rank_d0 = rank([[col[i] for col in im_cols]
-                    for i in range(dom_rows)]) if im_cols else 0
+            im_cols.append(embed([a_ov[pr] for pr in pairs] +
+                                 [b_ch[c] for c in charts], domain))
+    rank_d0 = rank(im_cols)
     return CohomologyReport(descriptor.kind, "atlas-truncated",
                             kernel_dim - rank_d0, [], degree_bound=bound,
                             stable=False, truncated=True,

@@ -26,18 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .complexes import (
     CohomologyReport,
-    ComplexDescriptor,
     build_complex,
     cochain_is_zero,
     characteristic_map,
+    coordinates,
     global_sections,
+    gluing_failure,
     h0_complex,
-    transport_nor_tuple,
-    vectorize,
 )
 from .errors import (
     ClosednessViolation,
@@ -541,8 +540,9 @@ def _atom_poly(problem, atom):
 def _assemble_step_matrix(problem, amb_basis):
     """Rows of the order-step system, evaluated on each unknown atom.
 
-    Returns (row_keys, columns, row_descriptions); the right-hand side for a
-    given parameter monomial is assembled separately from the cocycle.
+    Returns (atoms, columns), one sparse column {row key: value} per unknown;
+    the right-hand side for a given parameter monomial is assembled
+    separately from the cocycle.
     """
     S = problem.submanifold
     space = problem.space
@@ -613,8 +613,7 @@ def _assemble_step_matrix(problem, amb_basis):
                 for idx, coeff in img.terms.items():
                     for e, v in coeff.terms.items():
                         add(natoms + cs, ("Pi", name, idx, e), v)
-    row_keys = sorted({k for col in columns for k in col})
-    return atoms, row_keys, columns
+    return atoms, columns
 
 
 def _step_rhs(problem, cocycle, row_keys, te):
@@ -645,7 +644,7 @@ def _step_rhs(problem, cocycle, row_keys, te):
             for e, v in coeff.terms.items():
                 key = ("Pi", name, idx, e)
                 rhs_map[key] = rhs_map.get(key, Fraction(0)) + v / 2
-    missing = [k for k in rhs_map if k not in set(row_keys)]
+    missing = [k for k in rhs_map if k not in row_keys]
     return rhs_map, missing
 
 
@@ -656,12 +655,8 @@ def _solve_step(problem, cocycle, amb_basis, degree_override=None):
     prob = problem
     if degree_override is not None:
         prob = dataclasses.replace(problem, degree=degree_override)
-    atoms, row_keys, columns = _assemble_step_matrix(prob, amb_basis)
-    key_index = {k: i for i, k in enumerate(row_keys)}
-    matrix = [[Fraction(0)] * len(columns) for _ in row_keys]
-    for j, col in enumerate(columns):
-        for k, v in col.items():
-            matrix[key_index[k]][j] = v
+    atoms, columns = _assemble_step_matrix(prob, amb_basis)
+    row_keys = set().union(*columns)
     tmonos = _tmonomials(cocycle, len(prob.params))
     solutions = {}
     for te in tmonos:
@@ -669,11 +664,10 @@ def _solve_step(problem, cocycle, amb_basis, degree_override=None):
         if missing:
             return None, (f"no unknown reaches equation row {missing[0]} "
                           f"at parameter monomial {te}")
-        rhs = [rhs_map.get(k, Fraction(0)) for k in row_keys]
-        sol, bad = solve_min(matrix, rhs)
+        sol, bad = solve_min(columns, rhs_map)
         if sol is None:
             return None, (f"inconsistent at parameter monomial {te}, "
-                          f"equation row {row_keys[bad]}")
+                          f"equation row {bad}")
         solutions[te] = (atoms, sol)
     return solutions, None
 
@@ -775,12 +769,7 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
         if problem.directions is not None:
             chosen = list(problem.directions)
             for d in chosen:
-                keys, cols = vectorize(h0.basis + [d])
-                mat = [[cols[j][i] for j in range(len(h0.basis))]
-                       for i in range(len(keys))]
-                rhs = [cols[-1][i] for i in range(len(keys))]
-                sol, _ = solve_min(mat, rhs)
-                if sol is None:
+                if coordinates(h0.basis, d)[0] is None:
                     from .errors import NotInKernel
                     raise NotInKernel(
                         "a seeding direction lies outside the degree-zero "
@@ -991,30 +980,15 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
                     f"order-{step} mismatch is not tangent to the moduli "
                     f"problem (fails the kernel condition)",
                     residual=cochain, reason="not-closed")
-            present = S.present_charts()
-            for (i, k) in space.overlap_pairs():
-                if i not in present or k not in present:
-                    continue
-                moved = transport_nor_tuple(S, cochain["nor"][k], k, i)
-                if any(not (x - y).is_zero()
-                       for x, y in zip(moved, cochain["nor"][i])):
-                    raise MatchFailure(
-                        f"order-{step} mismatch does not glue between "
-                        f"{k} and {i}", residual=cochain, reason="not-glued")
-            if problem.mode == "extended":
-                for (i, k) in space.overlap_pairs():
-                    if (k, i) not in space.transitions:
-                        continue
-                    moved = space.pushforward(cochain["amb"][k], k, i)
-                    if not (moved - cochain["amb"][i]).is_zero():
-                        raise MatchFailure(
-                            f"order-{step} ambient mismatch does not glue",
-                            residual=cochain, reason="not-glued")
-            keys, cols = vectorize(basis + [cochain])
-            mat = [[cols[j][i] for j in range(len(basis))]
-                   for i in range(len(keys))]
-            rhs = [cols[-1][i] for i in range(len(keys))]
-            sol, bad = solve_min(mat, rhs)
+            failure = gluing_failure(descriptor, cochain)
+            if failure is not None:
+                part, k, i = failure
+                raise MatchFailure(
+                    f"order-{step} mismatch does not glue between {k} and {i}"
+                    if part == "nor" else
+                    f"order-{step} ambient mismatch does not glue",
+                    residual=cochain, reason="not-glued")
+            sol, bad = coordinates(basis, cochain)
             if sol is None:
                 raise MatchFailure(
                     f"order-{step} mismatch lies outside the span of the "

@@ -195,10 +195,15 @@ class ProblemFile:
         prescribed = None
         if use_mode == "prescribed":
             prescribed = self.lambda_family(order or self.order)
+        submanifold = self.submanifold()
+        use_order = order if order is not None else self.order
+        use_degree = degree if degree is not None else self.degree
+        if use_order is None or use_degree is None:
+            raise InconsistentData(
+                "problem file has no params statement, so the deformation "
+                "problem has no order and degree")
         return DeformationProblem(
-            self.submanifold(), self.params,
-            order if order is not None else self.order,
-            degree if degree is not None else self.degree,
+            submanifold, self.params, use_order, use_degree,
             mode=use_mode, prescribed=prescribed, seed=seed,
             directions=directions, bound=bound)
 
@@ -441,6 +446,9 @@ class _Parser:
             return LaurentPoly.const(allvars, Fraction(int(tok.value)))
         if tok.kind == "rational":
             num, den = tok.value.split("/")
+            if int(den) == 0:
+                raise ParseError(f"zero denominator in {tok.value!r}",
+                                 tok.line, tok.col)
             return LaurentPoly.const(allvars, Fraction(int(num), int(den)))
         if tok.kind == "name":
             if tok.value not in allvars:

@@ -11,7 +11,6 @@ normal variable, and certifies the compatibility identities they satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -378,9 +377,6 @@ class SubmanifoldData:
         """Expression of the alpha-th normal variable of chart i in chart-k
         coordinates (the defining transition component)."""
         return self.space.transitions[(i, k)][self.normal[i][alpha]]
-
-    def restrict_function(self, f: LaurentPoly, chart: str) -> LaurentPoly:
-        return f.set_zero(self.normal[chart])
 
     def substitute_tangential(self, f: LaurentPoly, src: str, dst: str) -> LaurentPoly:
         """Express a function of chart-src tangential coordinates in chart-dst

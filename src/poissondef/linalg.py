@@ -1,5 +1,14 @@
-"""Small exact linear algebra over Q used by the section-space and
-order-by-order engines. Dense row-reduction with first-nonzero pivoting keeps
+"""Small exact linear algebra over Q used by the section-space, solver and
+small-ring engines.
+
+Input format: a matrix is a list of sparse columns, one per unknown, each a
+dict {row key: Fraction}; `solve_min` takes its right-hand side as one more
+such dict. Absent keys are zero. The rows of a system are the union of the
+keys of its columns and right-hand side, in sorted order, so the keys of one
+system must be mutually comparable (tuples or ints). Only this module decides
+how a system is laid out for elimination.
+
+Elimination is dense row reduction with first-nonzero pivoting, which keeps
 every result deterministic; systems here stay small (hundreds of columns).
 """
 
@@ -7,8 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-Row = list  # list[Fraction]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]):
@@ -46,23 +53,31 @@ def rref(matrix: Sequence[Sequence[Fraction]]):
     return rows, pivots
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(matrix)[1])
+def _dense_rows(columns: Sequence[dict]):
+    """Sorted row keys, and one dense row per key that holds the columns'
+    entries in column order (zero where a column lacks the key)."""
+    keys = sorted(set().union(*columns))
+    index = {k: i for i, k in enumerate(keys)}
+    zero = Fraction(0)
+    rows = [[zero] * len(columns) for _ in keys]
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            rows[index[k]][j] = v
+    return keys, rows
 
 
-def nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int | None = None):
+def rank(columns: Sequence[dict]) -> int:
+    return len(rref(_dense_rows(columns)[1])[1])
+
+
+def nullspace(columns: Sequence[dict]):
     """Deterministic basis of the right kernel.
 
     One basis vector per free column, in column order, with that free column
     set to 1 and the other free columns to 0.
     """
-    rows = [list(r) for r in matrix]
-    if ncols is None:
-        if not rows:
-            raise ValueError("empty matrix needs an explicit column count")
-        ncols = len(rows[0])
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
+    ncols = len(columns)
+    rows = _dense_rows(columns)[1] or [[Fraction(0)] * ncols]
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -76,56 +91,28 @@ def nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int | None = None):
     return basis
 
 
-def solve_min(matrix: Sequence[Sequence[Fraction]],
-              rhs: Sequence[Fraction]):
+def solve_min(columns: Sequence[dict], rhs: dict):
     """Solve A x = b exactly.
 
-    Returns the canonical solution with every free variable equal to zero, or
-    None (plus the index of a failing row, as a pair) when inconsistent.
-    Callers order the unknown columns so that this choice is the graded-lex
-    minimal solution.
+    Returns (x, None) with x the canonical solution, every free variable
+    equal to zero; or (None, witness) when inconsistent, where witness is the
+    first row key, in sorted order, whose equation the free-variables-zero
+    attempt on the reduced system violates. Callers order the unknown columns
+    so that this choice is the graded-lex minimal solution.
     """
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
+    ncols = len(columns)
+    keys, rows = _dense_rows(list(columns) + [rhs])
     if not rows:
         return [Fraction(0)] * ncols, None
     red, pivots = rref(rows)
-    if pivots and pivots[-1] == ncols:
-        # the augmented column became a pivot: inconsistent; find a witness
-        # row in the ORIGINAL system (first row not satisfied by the
-        # free-variables-zero attempt on the reduced system).
-        return None, _witness_row(matrix, rhs, red, pivots, ncols)
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x, None
-
-
-def _witness_row(matrix, rhs, red, pivots, ncols):
-    """Index of an original row that cannot hold, for diagnostics."""
-    # build the best-effort solution ignoring the contradiction
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         if pc < ncols:
             x[pc] = red[r][ncols]
-    for i, (row, b) in enumerate(zip(matrix, rhs)):
-        if sum(a * v for a, v in zip(row, x)) != b:
-            return i
-    return None
-
-
-def column_span_rank(vectors) -> int:
-    """Rank of the span of the given vectors (as rows)."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return 0
-    return rank(vecs)
-
-
-def in_span(vectors, target) -> bool:
-    """True when target lies in the row span of vectors."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return all(not x for x in target)
-    base = column_span_rank(vecs)
-    return column_span_rank(vecs + [list(target)]) == base
+    if pivots and pivots[-1] == ncols:
+        # the augmented column became a pivot: inconsistent
+        for key, row in zip(keys, rows):
+            if sum(a * v for a, v in zip(row, x)) != row[ncols]:
+                return None, key
+        return None, None
+    return x, None

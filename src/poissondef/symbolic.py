@@ -92,20 +92,11 @@ class LaurentPoly:
         Laurent ring)."""
         return len(self.terms) == 1
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
-
     def total_degree(self):
         """Max over terms of the exponent sum; None for the zero polynomial."""
         if not self.terms:
             return None
         return max(sum(e) for e in self.terms)
-
-    def min_exponent(self, name: str) -> int:
-        i = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return min(e[i] for e in self.terms)
 
     def has_negative_exponent(self, names: Iterable[str] | None = None) -> bool:
         idx = (
@@ -266,9 +257,6 @@ class LaurentPoly:
             key = tuple(e2)
             terms[key] = terms.get(key, Fraction(0)) + c
         return LaurentPoly(newvars, terms)
-
-    def rename_vars(self, mapping: Mapping[str, str]) -> "LaurentPoly":
-        return LaurentPoly(tuple(mapping.get(v, v) for v in self.vars), self.terms)
 
     # ---- display ------------------------------------------------------
     def sorted_terms(self):
@@ -474,7 +462,6 @@ class TruncatedSeries:
         if self.params != other.params:
             return False
         keys = set(self.terms) | set(other.terms)
-        zero_like = None
         for e in keys:
             a, b = self.terms.get(e), other.terms.get(e)
             if a is None:
@@ -485,7 +472,6 @@ class TruncatedSeries:
                     return False
             elif not _coeff_is_zero(_coeff_add(a, _coeff_neg(b))):
                 return False
-            del zero_like
         return True
 
     def sorted_terms(self):
@@ -529,17 +515,6 @@ def combine(a: TruncatedSeries, b: TruncatedSeries, mul: Callable) -> TruncatedS
             elif not _coeff_is_zero(prod):
                 terms[e] = prod
     return TruncatedSeries(a.params, cutoff, terms)
-
-
-def series_equiv(a: TruncatedSeries, b: TruncatedSeries, m: int) -> bool:
-    """True when a and b agree in every total degree <= m."""
-    if a.params != b.params:
-        raise ParameterMismatch(
-            f"parameter tuples differ: {a.params} vs {b.params}")
-    if m > min(a.cutoff, b.cutoff):
-        raise ParameterMismatch(
-            f"comparison order {m} exceeds cutoff {min(a.cutoff, b.cutoff)}")
-    return (a.truncate(m) - b.truncate(m)).is_zero()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ from poissondef.complexes import (CohomologyReport, affine_hyper,
                                   atlas_hyper_truncated, build_complex,
                                   characteristic_map, cochain_add,
                                   cochain_is_zero, cochain_lincomb,
-                                  cochain_scale, global_sections, h0_complex,
+                                  cochain_scale, coordinates, global_sections,
+                                  gluing_failure, h0_complex,
                                   semiregularity_image_rank,
                                   transport_nor_tuple, vectorize)
 from poissondef.deformation import DeformationState
@@ -129,6 +130,33 @@ def test_section_space_coordinates(descriptor_family):
     outside = {"nor": {"U": (Polyvector.from_function(high),
                              Polyvector.zero(vars, 0))}}
     assert space.coordinates_of(outside) is None
+    # the violated row is the monomial no basis element reaches, reported
+    # by its position among the sorted coordinate keys
+    sol, bad = coordinates(space.basis, outside)
+    keys, _ = vectorize(space.basis + [outside])
+    assert sol is None
+    assert keys[bad] == ("nor", "U", 0, (), (0, 0, space.degree_bound + 1))
+
+
+def test_gluing_failure_names_part_and_overlap(descriptor_family, h0_reports):
+    desc = descriptor_family["p3_hyperplane_normal"]
+    basis = h0_reports["p3_hyperplane_normal"].basis
+    assert all(gluing_failure(desc, c) is None for c in basis)
+    broken = cochain_scale(basis[0], Fraction(1))
+    broken["nor"]["U1"] = [Polyvector.zero(desc.space.chart("U1").vars, 0)]
+    part, k, i = gluing_failure(desc, broken)
+    assert part == "nor" and "U1" in (k, i)
+
+    desc = descriptor_family["p2_extended"]
+    basis = h0_reports["p2_extended"].basis
+    assert all(gluing_failure(desc, c) is None for c in basis)
+    section = next(c for c in basis
+                   if any(not pv.is_zero() for pv in c["amb"].values()))
+    chart = next(n for n, pv in section["amb"].items() if not pv.is_zero())
+    broken = cochain_scale(section, Fraction(1))
+    broken["amb"][chart] = section["amb"][chart] * 2
+    part, k, i = gluing_failure(desc, broken)
+    assert part == "amb" and chart in (k, i)
 
 
 def test_unstable_ansatz_raises(descriptor_family):

@@ -479,6 +479,28 @@ def test_usage_errors(tmp_path):
     assert code == 1 and "usage error" in text
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("name", ["f0_extended.pdef", "f5_extended.pdef"])
+def test_solver_commands_need_a_params_statement(command, name):
+    for argv in ([command, corpus_path(name)],
+                 [command, corpus_path(name), "--json"]):
+        code, text = run_command(argv)
+        assert code == 1
+        assert text == ("error: InconsistentData: problem file has no params "
+                        "statement, so the deformation problem has no order "
+                        "and degree\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "h0", "solve"])
+def test_zero_denominator_is_a_parse_error(tmp_path, command):
+    text = CANONICAL_HYPERPLANE.replace("z1 * d/z1", "1/0 * z1 * d/z1")
+    path = tmp_path / "zero.pdef"
+    path.write_text(text)
+    code, out = run(command, str(path))
+    assert code == 1
+    assert out == "parse error: line 3, column 16: zero denominator in '1/0'\n"
+
+
 def test_human_readable_solve_output():
     code, text = run("solve", corpus_path("p3_hyperplane.pdef"))
     assert code == 0

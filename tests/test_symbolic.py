@@ -76,6 +76,20 @@ def test_series_arithmetic():
     assert a.min_order() == 1
 
 
+def test_series_equality_compares_every_term():
+    params = ("t1", "t2")
+    x = LaurentPoly.variable(VARS, "x")
+    a = TruncatedSeries(params, 3, {(1, 0): x, (0, 1): x * x})
+    same = TruncatedSeries(params, 3, {(0, 1): x * x, (1, 0): x})
+    other = TruncatedSeries(params, 3, {(1, 0): x, (0, 1): x * x + x})
+    assert a == same and not a != same
+    assert a != other and not a == other
+    # a stored zero coefficient equals an absent term
+    padded = TruncatedSeries(params, 3, {(1, 0): x, (0, 1): x * x,
+                                         (1, 1): LaurentPoly.zero(VARS)})
+    assert padded == a
+
+
 def test_series_parameter_mismatch():
     a = TruncatedSeries(("t",), 2, {})
     b = TruncatedSeries(("s",), 2, {})
