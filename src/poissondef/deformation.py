@@ -672,23 +672,32 @@ def _solve_step(problem, cocycle, amb_basis, degree_override=None):
     return solutions, None
 
 
-def solve_order(state: DeformationState,
-                degree: int | None = None) -> DeformationState | Obstructed:
+def _ambient_basis(problem: DeformationProblem) -> list:
+    """The degree-zero bivector sections by which an extended order step may
+    move the ambient structure; none in the other modes."""
+    if problem.mode != "extended":
+        return []
+    bdesc = build_complex("bivector", manifold=problem.submanifold.manifold,
+                          probe=False)
+    return global_sections(bdesc, 0, problem.bound).basis
+
+
+def solve_order(state: DeformationState, degree: int | None = None, *,
+                amb_basis: list | None = None
+                ) -> DeformationState | Obstructed:
     """Extend an order-m family to order m+1 or report the obstruction.
 
     The produced state is re-verified through the congruence machinery; when
     the step is infeasible at the requested polynomial degree bound but
     becomes feasible one or two degrees higher, DegreeBoundTooSmall is raised
-    instead of declaring an obstruction.
+    instead of declaring an obstruction. `amb_basis` is the problem's
+    `_ambient_basis`, computed here when not given.
     """
     problem = state.problem
     D = problem.degree if degree is None else degree
     cocycle = obstruction_cocycle(state)
-    amb_basis = []
-    if problem.mode == "extended":
-        bdesc = build_complex("bivector", manifold=problem.submanifold.manifold,
-                              probe=False)
-        amb_basis = global_sections(bdesc, 0, problem.bound).basis
+    if amb_basis is None:
+        amb_basis = _ambient_basis(problem)
     solutions, witness = _solve_step(problem, cocycle, amb_basis, D)
     if solutions is None:
         tested = {D: "infeasible"}
@@ -825,8 +834,9 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
             raise InvalidDeformation(
                 "central fibre of the prescribed family does not contain "
                 "the submanifold as a Poisson submanifold")
+    amb_basis = _ambient_basis(problem) if state.order < M else []
     while state.order < M:
-        nxt = solve_order(state)
+        nxt = solve_order(state, amb_basis=amb_basis)
         if isinstance(nxt, Obstructed):
             return SolverResult(problem, state, nxt, h0, chosen, None, None)
         state = nxt
@@ -886,6 +896,11 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
     M = problem.order if order is None else order
     S = problem.submanifold
     space = problem.space
+    seen = observed.problem.submanifold
+    if seen.present_charts() != S.present_charts() or seen.codim != S.codim:
+        raise InconsistentData(
+            "the observed family lies on other charts or in another "
+            "codimension than the model")
     s_params = observed.params
     t_params = problem.params
     basis = _first_order_cochains(problem, family_t)

@@ -1,4 +1,4 @@
-"""Small exact linear algebra over Q used by the section-space, solver and
+"""Exact linear algebra over Q used by the section-space, solver and
 small-ring engines.
 
 Input format: a matrix is a list of sparse columns, one per unknown, each a
@@ -8,8 +8,13 @@ keys of its columns and right-hand side, in sorted order, so the keys of one
 system must be mutually comparable (tuples or ints). Only this module decides
 how a system is laid out for elimination.
 
-Elimination is dense row reduction with first-nonzero pivoting, which keeps
-every result deterministic; systems here stay small (hundreds of columns).
+Elimination is a sparse reduced row echelon form over rows held as
+{column index: Fraction} that store only non-zero entries; the largest
+matrices built here have hundreds of columns and are under 1% non-zero.
+The reduced row echelon form of a matrix is unique, so which row supplies a
+pivot, and in which order the rows are reduced, changes only the work done,
+never the result: every kernel basis, solution and witness is determined by
+the matrix alone.
 """
 
 from __future__ import annotations
@@ -18,56 +23,68 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form. Returns (rows, pivot_columns).
+def _subtract(row: dict, f, other: dict) -> None:
+    """row -= f * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = -f * v
+        else:
+            x -= f * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
 
-    Pivoting is deterministic: scan columns left to right, take the first row
-    with a nonzero entry. Input is not modified.
+
+def rref(matrix: Sequence[dict]):
+    """Reduced row echelon form of sparse rows {column index: value}.
+
+    Returns (rows, pivot_columns): the non-zero reduced rows in order of
+    their pivot columns, each with a 1 at its own pivot column and no entry
+    at any other pivot column. Input is not modified.
+
+    Rows are inserted one at a time: an incoming row is cleared at the
+    existing pivot columns, pivots on its smallest remaining column, and
+    that column is then cleared from the existing pivot rows, so the rows
+    held stay fully reduced after every insertion.
     """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    by_pivot = {}
+    for source in matrix:
+        row = {c: v for c, v in source.items() if v}
+        # a pivot row is zero at every other pivot column, so clearing one
+        # pivot column brings back none that was cleared before
+        for pc in [c for c in row if c in by_pivot]:
+            _subtract(row, row[pc], by_pivot[pc])
+        if not row:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
+        col = min(row)
+        pv = row[col]
         if pv != 1:
-            rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows, pivots
+            row = {c: v / pv for c, v in row.items()}
+        for prow in by_pivot.values():
+            if col in prow:
+                _subtract(prow, prow[col], row)
+        by_pivot[col] = row
+    pivots = sorted(by_pivot)
+    return [by_pivot[c] for c in pivots], pivots
 
 
-def _dense_rows(columns: Sequence[dict]):
-    """Sorted row keys, and one dense row per key that holds the columns'
-    entries in column order (zero where a column lacks the key)."""
+def _sparse_rows(columns: Sequence[dict]):
+    """Sorted row keys, and one sparse row {column index: value} per key
+    that holds the columns' non-zero entries at that key."""
     keys = sorted(set().union(*columns))
     index = {k: i for i, k in enumerate(keys)}
-    zero = Fraction(0)
-    rows = [[zero] * len(columns) for _ in keys]
+    rows = [{} for _ in keys]
     for j, col in enumerate(columns):
         for k, v in col.items():
-            rows[index[k]][j] = v
+            if v:
+                rows[index[k]][j] = v
     return keys, rows
 
 
 def rank(columns: Sequence[dict]) -> int:
-    return len(rref(_dense_rows(columns)[1])[1])
+    return len(rref(_sparse_rows(columns)[1])[1])
 
 
 def nullspace(columns: Sequence[dict]):
@@ -77,16 +94,16 @@ def nullspace(columns: Sequence[dict]):
     set to 1 and the other free columns to 0.
     """
     ncols = len(columns)
-    rows = _dense_rows(columns)[1] or [[Fraction(0)] * ncols]
-    red, pivots = rref(rows)
+    red, pivots = rref(_sparse_rows(columns)[1])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    zero = Fraction(0)
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
+        vec = [zero] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row.get(fc, zero)
         basis.append(vec)
     return basis
 
@@ -101,18 +118,18 @@ def solve_min(columns: Sequence[dict], rhs: dict):
     so that this choice is the graded-lex minimal solution.
     """
     ncols = len(columns)
-    keys, rows = _dense_rows(list(columns) + [rhs])
-    if not rows:
-        return [Fraction(0)] * ncols, None
+    zero = Fraction(0)
+    keys, rows = _sparse_rows(list(columns) + [rhs])
     red, pivots = rref(rows)
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
+    x = [zero] * ncols
+    for row, pc in zip(red, pivots):
         if pc < ncols:
-            x[pc] = red[r][ncols]
+            x[pc] = row.get(ncols, zero)
     if pivots and pivots[-1] == ncols:
         # the augmented column became a pivot: inconsistent
         for key, row in zip(keys, rows):
-            if sum(a * v for a, v in zip(row, x)) != row[ncols]:
+            lhs = sum(v * x[c] for c, v in row.items() if c < ncols)
+            if lhs != row.get(ncols, zero):
                 return None, key
         return None, None
     return x, None

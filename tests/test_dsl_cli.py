@@ -414,6 +414,18 @@ def test_match_failure_exits_two():
     assert report["residual_zero"] is False
 
 
+@pytest.mark.parametrize("model,observed", [
+    ("p3_hyperplane.pdef", "p3_line_t.pdef"),
+    ("p3_line.pdef", "p3_hyperplane_s.pdef"),
+    ("p2_extended.pdef", "p3_hyperplane_s.pdef"),
+])
+def test_match_on_another_submanifold_is_an_error(model, observed):
+    code, text = run_command(["match", corpus_path(model),
+                              corpus_path(observed)])
+    assert code == 1
+    assert text.startswith("error: ") and text.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # frontend: obstruction calculus
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A system is a list of sparse columns {row key: Fraction} and, for
 `solve_min`, a right-hand side of the same shape; its rows are the sorted
 union of the keys.  Every answer is checked against `sympy.Matrix` on the
-dense matrix with those rows.
+dense matrix with those rows.  The sparse row reduction underneath is checked
+against the dense row reduction it replaced, kept here as `dense_rref`, and
+against `sympy.Matrix.rref`.
 """
 
 from fractions import Fraction
@@ -11,7 +13,42 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from poissondef.linalg import nullspace, rank, solve_min
+from poissondef.linalg import nullspace, rank, rref, solve_min
+
+
+def dense_rref(matrix):
+    """Reduced row echelon form. Returns (rows, pivot_columns).
+
+    Pivoting is deterministic: scan columns left to right, take the first row
+    with a nonzero entry. Input is not modified.
+    """
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pv = rows[rank][col]
+        if pv != 1:
+            rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows, pivots
 
 # tuple row keys as the engines use them; "z" keys are reached by no column
 COLUMN_KEYS = [(tag, i) for tag in ("G", "psi") for i in range(4)]
@@ -100,3 +137,48 @@ def test_empty_systems():
     assert solve_min([], {("z", 0): Fraction(1)}) == (None, ("z", 0))
     assert solve_min([{("G", 0): Fraction(2)}], {("G", 0): Fraction(1)}) == (
         [Fraction(1, 2)], None)
+
+
+# sparse rows over at most 7 columns; explicit zeros, empty rows, columns no
+# row reaches, and duplicated or rescaled rows all occur
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    base = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entries,
+                                         max_size=ncols), max_size=7))
+    rows = list(base)
+    if base:
+        for i, scale in draw(st.lists(st.tuples(
+                st.integers(0, len(base) - 1),
+                st.sampled_from([1, -1, 2, Fraction(1, 3)])), max_size=3)):
+            rows.append({c: scale * v for c, v in base[i].items()})
+    return ncols, draw(st.permutations(rows))
+
+
+def densify(rows, ncols):
+    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_matrices(), st.data())
+def test_sparse_rref_matches_dense_oracle_and_sympy(matrix, data):
+    ncols, rows = matrix
+    before = [dict(r) for r in rows]
+    red, pivots = rref(rows)
+    assert rows == before  # input untouched
+    dense = densify(red, ncols)
+
+    oracle_rows, oracle_pivots = dense_rref(densify(rows, ncols))
+    assert pivots == oracle_pivots
+    assert dense == oracle_rows[:len(pivots)]
+    assert all(not any(r) for r in oracle_rows[len(pivots):])
+    assert all(v for row in red for v in row.values())  # only non-zeros kept
+
+    if rows:
+        sym_rows, sym_pivots = sympy.Matrix(densify(rows, ncols)).rref()
+        assert pivots == list(sym_pivots)
+        assert dense == [[to_fraction(sym_rows[i, j]) for j in range(ncols)]
+                         for i in range(len(pivots))]
+
+    order = data.draw(st.permutations(range(len(rows))))
+    assert rref([rows[i] for i in order]) == (red, pivots)
