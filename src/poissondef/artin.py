@@ -2,10 +2,13 @@
 
 Given a family defined over a truncated one-parameter base, this module
 computes the canonical obstruction class blocking its extension one order
-further, certifies the exact closedness identities the class must satisfy,
-verifies that a different choice of lifting data moves the class by an exact
-coboundary, and decides liftability by solving the coboundary equations with
-bounded-degree polynomial unknowns.
+further. The class is a degree-one cochain of the Cech total complex of the
+functor's controlling complex (see `complexes.total_coboundary`): its chart
+part is ``ambient`` and ``normal``, its overlap part ``ambient_cech`` and
+``normal_cech``. Its closedness certificates are `complexes.total_closedness`.
+The class lifts when it is the total coboundary of bounded-degree polynomial
+unknowns, which is decided by one exact linear solve; a different choice of
+lifting data must move it by exactly the total coboundary of that choice.
 
 Three functors are covered:
 
@@ -36,14 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import build_complex, h0_complex
+from .complexes import (build_complex, h0_complex, total_closedness,
+                         total_coboundary)
 from .deformation import (DeformationProblem, DeformationState,
                           gluing_mismatch, ideal_residual, series_schouten)
 from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
                      ParameterMismatch)
 from .geometry import PoissonManifold, SubmanifoldData
 from .linalg import nullspace, solve_min
-from .polyvector import Polyvector, restrict, schouten, wedge
+from .polyvector import Polyvector, restrict
 from .symbolic import LaurentPoly, TruncatedSeries, _simplex
 
 FUNCTORS = ("def", "hilb", "exthilb")
@@ -83,17 +87,6 @@ def _vec_entries(obj):
         for idx, coeff in obj.terms.items():
             for e, c in coeff.terms.items():
                 yield (idx, e), c
-
-
-def _restricted_first_order(S: SubmanifoldData, i: str, k: str):
-    """Linearised transition matrix of pair (i, k), as functions on chart i.
-
-    Entry [a][b] multiplies the b-th normal generator of chart k in the
-    expansion of the a-th one of chart i; it is transported from chart k to
-    chart i along the submanifold.
-    """
-    return [[S.substitute_tangential(entry, k, i) for entry in row]
-            for row in S.first_order[(i, k)]]
 
 
 # ----------------------------------------------------------------------
@@ -169,13 +162,17 @@ def artin_first_order(kind: str, *, manifold: PoissonManifold | None = None,
     if kind == "def":
         if manifold is None:
             raise InconsistentData("ambient functor needs the manifold")
-        desc = build_complex("bivector", manifold=manifold, probe=False)
-    else:
-        if submanifold is None:
-            raise InconsistentData(f"functor {kind!r} needs the submanifold")
-        which = "normal" if kind == "hilb" else "extended"
-        desc = build_complex(which, submanifold=submanifold, probe=False)
-    return h0_complex(desc, bound=bound)
+    elif submanifold is None:
+        raise InconsistentData(f"functor {kind!r} needs the submanifold")
+    return h0_complex(_descriptor(kind, submanifold, manifold), bound=bound)
+
+
+def _descriptor(kind, S, manifold):
+    """The controlling complex of a functor."""
+    if kind == "def":
+        return build_complex("bivector", manifold=manifold, probe=False)
+    return build_complex("normal" if kind == "hilb" else "extended",
+                         submanifold=S, probe=False)
 
 
 # ----------------------------------------------------------------------
@@ -466,234 +463,63 @@ def _canonical_class(kind, S, manifold, phi, lam_map, m, perturb=None):
 
 
 # ----------------------------------------------------------------------
-# Exact closedness certificates
+# The class in the total complex: certificates and liftability
 # ----------------------------------------------------------------------
 
-def _present_pairs(S):
-    present = S.present_charts()
-    return [(i, k) for (i, k) in S.space.overlap_pairs()
-            if i in present and k in present and i != k]
-
-
-def _normal_diff_zero(S, chart, chi, lam0, extra=None):
-    """p = 0 covariant derivative of a tuple of functions, plus the bracket
-    of an optional bivector with the normal coordinates (the mixed term of
-    the extended complex)."""
-    space = S.space
-    cvars = space.chart(chart).vars
-    w = S.normal[chart]
-    Tbar = S.structure_fields_restricted(chart)
-    out = []
-    for a in range(S.codim):
-        acc = -restrict(schouten(lam0, Polyvector.from_function(
-            chi[a].with_vars(cvars))), w)
-        for b in range(S.codim):
-            acc = acc + _scale_pv(Tbar[a][b], chi[b])
-        if extra is not None:
-            w_pv = Polyvector.from_function(LaurentPoly.variable(cvars, w[a]))
-            acc = acc + restrict(schouten(extra, w_pv), w)
-        out.append(acc)
-    return out
-
-
-def _certify_class(cls: ObstructionClass, S, manifold):
-    """Exact closedness identities of the canonical class; raises when any
-    fails, returns the certificate map otherwise."""
-    space = manifold.space
-    kind = cls.kind
-    certs = {}
-    lam0 = {name: manifold.bivector(name) for name in space.chart_names}
-
-    if kind in ("def", "exthilb"):
-        ok = True
-        for name, half_pi in cls.ambient.items():
-            if not schouten(half_pi, lam0[name]).is_zero():
-                ok = False
-        certs["ambient-closed"] = ok
-        ok = True
-        for (i, k), minus_lp in cls.ambient_cech.items():
-            diff = cls.ambient[i] - space.pushforward(cls.ambient[k], k, i)
-            if diff != schouten(lam0[i], -minus_lp):
-                ok = False
-        certs["ambient-step"] = ok
-        ok = True
-        names = space.chart_names
-        for i in names:
-            for j in names:
-                for k in names:
-                    if len({i, j, k}) != 3:
-                        continue
-                    needed = [(i, j), (j, k), (i, k)]
-                    if any(p not in cls.ambient_cech for p in needed):
-                        continue
-                    tot = space.pushforward(cls.ambient_cech[(j, k)], j, i) \
-                        - cls.ambient_cech[(i, k)] + cls.ambient_cech[(i, j)]
-                    if not tot.is_zero():
-                        ok = False
-        certs["ambient-triple"] = ok
-
-    if kind in ("hilb", "exthilb"):
-        ok = True
-        for name, rows in cls.normal.items():
-            cvars = space.chart(name).vars
-            w = S.normal[name]
-            Tbar = S.structure_fields_restricted(name)
-            for a in range(S.codim):
-                acc = restrict(schouten(lam0[name], rows[a]), w)
-                for b in range(S.codim):
-                    acc = acc - wedge(rows[b], Tbar[a][b])
-                if kind == "exthilb":
-                    w_pv = Polyvector.from_function(
-                        LaurentPoly.variable(cvars, w[a]))
-                    acc = acc + restrict(
-                        schouten(cls.ambient[name], w_pv), w)
-                if not acc.is_zero():
-                    ok = False
-        certs["normal-closed"] = ok
-
-        ok = True
-        for (i, k) in _present_pairs(S):
-            rbar = _restricted_first_order(S, i, k)
-            w = S.normal[i]
-            Tbar = S.structure_fields_restricted(i)
-            cvars = space.chart(i).vars
-            h = cls.normal_cech[(i, k)]
-            for a in range(S.codim):
-                acc = -cls.normal[i][a]
-                for b in range(S.codim):
-                    acc = acc + _scale_pv(
-                        S.push_restrict(cls.normal[k][b], k, i), rbar[a][b])
-                acc = acc - restrict(schouten(
-                    lam0[i], Polyvector.from_function(
-                        h[a].with_vars(cvars))), w)
-                for b in range(S.codim):
-                    acc = acc + _scale_pv(Tbar[a][b], h[b])
-                if kind == "exthilb":
-                    w_pv = Polyvector.from_function(
-                        LaurentPoly.variable(cvars, w[a]))
-                    acc = acc + restrict(schouten(
-                        cls.ambient_cech[(i, k)], w_pv), w)
-                if not acc.is_zero():
-                    ok = False
-        certs["normal-step"] = ok
-
-        ok = True
-        present = S.present_charts()
-        for i in present:
-            for j in present:
-                for k in present:
-                    if len({i, j, k}) != 3:
-                        continue
-                    needed = [(i, j), (j, k), (i, k)]
-                    if any(p not in cls.normal_cech for p in needed):
-                        continue
-                    rbar = _restricted_first_order(S, i, j)
-                    h_jk = [S.substitute_tangential(x, j, i)
-                            for x in cls.normal_cech[(j, k)]]
-                    for a in range(S.codim):
-                        tot = cls.normal_cech[(i, j)][a] \
-                            - cls.normal_cech[(i, k)][a]
-                        for b in range(S.codim):
-                            tot = tot + rbar[a][b] * h_jk[b]
-                        if not tot.is_zero():
-                            ok = False
-        certs["normal-triple"] = ok
-
-    failed = sorted(name for name, ok in certs.items() if not ok)
-    if failed:
-        raise ClosednessViolation(
-            "obstruction class fails closedness certificates: "
-            + ", ".join(failed))
-    return certs
-
-
-# ----------------------------------------------------------------------
-# Liftability: explicit coboundary equations
-# ----------------------------------------------------------------------
-
-def _lift_column(kind, S, manifold, atom):
-    """Residual entries of the coboundary map on one monomial unknown."""
-    space = manifold.space
-    entries = {}
-    if atom[0] == "chi":
-        _, name, slot, e = atom
-        chi = [LaurentPoly.zero(space.chart(name).vars)
-               for _ in range(S.codim)]
-        chi[slot] = _atom_function(S, atom)
-        lam0 = manifold.bivector(name)
-        rows = _normal_diff_zero(S, name, chi, lam0)
-        for a, pv in enumerate(rows):
-            for sub, c in _vec_entries(pv):
-                entries[("nabla", name, a) + sub] = c
-        for (i, k) in _present_pairs(S):
-            if name not in (i, k):
-                continue
-            rbar = _restricted_first_order(S, i, k)
-            for a in range(S.codim):
-                if name == i and a == slot:
-                    val = chi[slot]
-                elif name == k:
-                    val = -(rbar[a][slot] *
-                            S.substitute_tangential(chi[slot], k, i))
-                else:
-                    continue
-                for sub, c in _vec_entries(val):
-                    entries[("cech", i, k, a) + sub] = c
-    else:
-        _, name, _, _ = atom
-        D = _atom_bivector(space, atom)
-        lam0 = manifold.bivector(name)
-        for sub, c in _vec_entries(-schouten(D, lam0)):
-            entries[("amb", name) + sub] = c
-        for (i, k) in space.overlap_pairs():
-            if (k, i) not in space.transitions:
-                continue
-            if name == i:
-                val = D
-            elif name == k:
-                val = -space.pushforward(D, k, i)
-            else:
-                continue
-            for sub, c in _vec_entries(val):
-                entries[("ambcech", i, k) + sub] = c
-        if kind == "exthilb" and S is not None and \
-                name in S.present_charts():
-            w = S.normal[name]
-            cvars = space.chart(name).vars
-            for a in range(S.codim):
-                w_pv = Polyvector.from_function(
-                    LaurentPoly.variable(cvars, w[a]))
-                pv = restrict(schouten(D, w_pv), w)
-                for sub, c in _vec_entries(pv):
-                    entries[("nabla", name, a) + sub] = c
-    return entries
-
-
-def _lift_rhs(cls: ObstructionClass, S, manifold):
-    rhs = {}
-    if cls.normal is not None:
-        for name, rows in cls.normal.items():
-            for a, pv in enumerate(rows):
-                for sub, c in _vec_entries(pv):
-                    rhs[("nabla", name, a) + sub] = c
-        for (i, k), rows in cls.normal_cech.items():
-            for a, f in enumerate(rows):
-                for sub, c in _vec_entries(f):
-                    rhs[("cech", i, k, a) + sub] = c
+def _total(cls: ObstructionClass) -> tuple:
+    """The class as a degree-one total cochain (chart part, overlap part)."""
+    chart, overlap = {}, {}
     if cls.ambient is not None:
-        for name, pv in cls.ambient.items():
-            for sub, c in _vec_entries(pv):
-                rhs[("amb", name) + sub] = c
-        for (i, k), pv in cls.ambient_cech.items():
-            for sub, c in _vec_entries(pv):
-                rhs[("ambcech", i, k) + sub] = c
-    return rhs
+        chart["amb"], overlap["amb"] = cls.ambient, cls.ambient_cech
+    if cls.normal is not None:
+        chart["nor"] = cls.normal
+        overlap["nor"] = {pair: [Polyvector.from_function(f) for f in rows]
+                          for pair, rows in cls.normal_cech.items()}
+    return chart, overlap
 
 
-def _decide_liftable(cls, S, manifold, bound, amb_bound):
+def _rows(chart: dict, overlap: dict) -> dict:
+    """Equation rows of a degree-one total cochain: ('amb', chart, ...) and
+    ('nabla', chart, a, ...) for the chart part, ('ambcech', i, k, ...) and
+    ('cech', i, k, a, ...) for the overlap part."""
+    rows = {}
+
+    def put(prefix, pv):
+        for sub, c in _vec_entries(pv):
+            rows[prefix + sub] = c
+
+    for name, pv in chart.get("amb", {}).items():
+        put(("amb", name), pv)
+    for name, tup in chart.get("nor", {}).items():
+        for a, pv in enumerate(tup):
+            put(("nabla", name, a), pv)
+    for pair, pv in overlap.get("amb", {}).items():
+        put(("ambcech",) + pair, pv)
+    for pair, tup in overlap.get("nor", {}).items():
+        for a, pv in enumerate(tup):
+            put(("cech",) + pair + (a,), pv)
+    return rows
+
+
+def _atom_cochain(S, space, atom) -> dict:
+    """A monomial unknown of the liftability equations as a degree-zero
+    cochain."""
+    if atom[0] == "chi":
+        _, name, slot, _ = atom
+        tup = [Polyvector.zero(space.chart(name).vars, 0)] * S.codim
+        tup[slot] = Polyvector.from_function(_atom_function(S, atom))
+        return {"nor": {name: tup}}
+    return {"amb": {atom[1]: _atom_bivector(space, atom)}}
+
+
+def _decide_liftable(desc, cls, bound, amb_bound):
+    """Solve total_coboundary(unknowns) = class over monomial unknowns."""
+    S, manifold = desc.submanifold, desc.manifold
+    pairs = manifold.space.overlap_pairs()
     atoms = _enumeration_atoms(cls.kind, manifold, S, bound, amb_bound)
-    columns = [_lift_column(cls.kind, S, manifold, atom) for atom in atoms]
-    rhs = _lift_rhs(cls, S, manifold)
+    columns = [_rows(*total_coboundary(
+        desc, _atom_cochain(S, manifold.space, atom), pairs)) for atom in atoms]
+    rhs = _rows(*_total(cls))
     reachable = set().union(*columns)
     missing = sorted(k for k in rhs if k not in reachable)
     if missing:
@@ -749,70 +575,6 @@ def _default_perturbation(kind, S, manifold, seed: int):
     return perturb
 
 
-def _coboundary_of_perturbation(kind, S, manifold, perturb):
-    """Image of the lifting shifts under the coboundary map; by the exact
-    lifting-difference identities this must equal (canonical class) minus
-    (perturbed class)."""
-    space = manifold.space
-    out = {}
-    D = perturb.get("D", {})
-    A = perturb.get("A", {})
-
-    def D_of(name):
-        cvars = space.chart(name).vars
-        return D.get(name, Polyvector.zero(cvars, 2))
-
-    if kind in ("def", "exthilb"):
-        amb = {}
-        ambc = {}
-        for name in space.chart_names:
-            amb[name] = -schouten(D_of(name), manifold.bivector(name))
-        for (i, k) in space.overlap_pairs():
-            if (k, i) not in space.transitions:
-                continue
-            ambc[(i, k)] = D_of(i) - space.pushforward(D_of(k), k, i)
-        out["ambient"] = amb
-        out["ambient_cech"] = ambc
-    if kind in ("hilb", "exthilb"):
-        nor = {}
-        norc = {}
-        for name in S.present_charts():
-            minus_A = [-x for x in A[name]]
-            extra = D_of(name) if kind == "exthilb" else None
-            nor[name] = _normal_diff_zero(
-                S, name, minus_A, manifold.bivector(name), extra=extra)
-        for (i, k) in _present_pairs(S):
-            rbar = _restricted_first_order(S, i, k)
-            moved = [S.substitute_tangential(x, k, i) for x in A[k]]
-            rows = []
-            for a in range(S.codim):
-                tot = -A[i][a]
-                for b in range(S.codim):
-                    tot = tot + rbar[a][b] * moved[b]
-                rows.append(tot)
-            norc[(i, k)] = rows
-        out["normal"] = nor
-        out["normal_cech"] = norc
-    return out
-
-
-def _dicts_equal(diff: dict, cob: dict) -> bool:
-    if sorted(diff) != sorted(cob):
-        return False
-    for label, block in diff.items():
-        other = cob[label]
-        if sorted(block) != sorted(other):
-            return False
-        for key, val in block.items():
-            oval = other[key]
-            if isinstance(val, (list, tuple)):
-                if any(a != b for a, b in zip(val, oval)):
-                    return False
-            elif val != oval:
-                return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Top-level entry point
 # ----------------------------------------------------------------------
@@ -837,21 +599,29 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
     if amb_bound is None:
         amb_bound = bound + 2
     S, M, phi, lam_map, m = _family_pieces(kind, state, manifold, lam, order)
+    desc = _descriptor(kind, S, M)
     cls = _canonical_class(kind, S, M, phi, lam_map, m)
-    certs = _certify_class(cls, S, M)
-    liftable, witness, solution = _decide_liftable(
-        cls, S, M, bound, amb_bound)
+    certs = total_closedness(desc, *_total(cls))
+    liftable, witness, solution = _decide_liftable(desc, cls, bound,
+                                                   amb_bound)
     invariance = None
     perturbed = None
     if perturb is not None:
         shifts = _default_perturbation(kind, S, M, int(perturb))
         perturbed = _canonical_class(kind, S, M, phi, lam_map, m,
                                      perturb=shifts)
-        pert_certs = _certify_class(perturbed, S, M)
-        diff = cls.minus(perturbed)
-        cob = _coboundary_of_perturbation(kind, S, M, shifts)
-        identities = _dicts_equal(diff, cob)
-        p_liftable, _, _ = _decide_liftable(perturbed, S, M, bound, amb_bound)
+        pert_certs = total_closedness(desc, *_total(perturbed))
+        # the liftings move by (D, -A), the class by its total coboundary
+        shift = {}
+        if "D" in shifts:
+            shift["amb"] = shifts["D"]
+        if "A" in shifts:
+            shift["nor"] = {name: [Polyvector.from_function(-f) for f in A]
+                            for name, A in shifts["A"].items()}
+        diff = ObstructionClass(kind, m, **cls.minus(perturbed))
+        identities = _rows(*_total(diff)) == _rows(*total_coboundary(
+            desc, shift, M.space.overlap_pairs()))
+        p_liftable, _, _ = _decide_liftable(desc, perturbed, bound, amb_bound)
         invariance = {
             "identities": identities,
             "certificates": pert_certs,

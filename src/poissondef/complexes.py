@@ -7,7 +7,7 @@ Four complex kinds are supported:
                 structure bracket with the structure vector fields.
 - "extended":   pairs (ambient polyvector of degree p+2, normal r-tuple of
                 degree p); the ambient part couples into the normal part via
-                brackets with the normal coordinates.
+                brackets with the normal coordinates, with the sign (-1)^p.
 - "linebundle": single-chart scalar-slot complex with the full, unrestricted
                 structure field (graded affine engine only).
 - "bivector":   ambient polyvectors of degree p+2 with the bracket against
@@ -15,6 +15,14 @@ Four complex kinds are supported:
 
 Cochains are plain dicts: {"nor": {chart: [Polyvector]*r}} and/or
 {"amb": {chart: Polyvector}}. Every linear computation is exact over Q.
+
+The Cech total complex of a descriptor is written once, here:
+`total_coboundary` maps a degree-zero cochain to its chart part d(c) and its
+overlap part c_i - (c_k moved to chart i), and `total_closedness` checks the
+closedness identities of a degree-one total cochain. The solver's order steps
+and certificates (`deformation`), the small-ring obstruction calculus
+(`artin`) and the gluing checks all go through these two functions; in that
+complex the ambient part couples into the normal part with the sign (-1)^p.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InconsistentData, NotInKernel, UnstableAnsatz
+from .errors import (ClosednessViolation, InconsistentData, NotInKernel,
+                     UnstableAnsatz)
 from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 # rref is not called here; perfbench's tracing tests expect this module to
 # hold it
@@ -150,14 +159,20 @@ class ComplexDescriptor:
     def space(self):
         return self.manifold.space
 
+    @property
+    def parts(self) -> tuple:
+        """The cochain parts of this kind: "nor" and/or "amb"."""
+        return (("nor",) if self.kind in ("normal", "extended") else ()) + (
+            ("amb",) if self.kind != "normal" else ())
+
     # ---- cochain structure --------------------------------------------
     def zero_cochain(self, p: int) -> dict:
         out = {}
-        if self.kind in ("extended", "bivector", "linebundle"):
+        if "amb" in self.parts:
             deg = p if self.kind == "linebundle" else p + 2
             out["amb"] = {c.name: Polyvector.zero(c.vars, deg)
                           for c in self.space.charts}
-        if self.kind in ("normal", "extended"):
+        if "nor" in self.parts:
             S = self.submanifold
             out["nor"] = {
                 name: [Polyvector.zero(self.space.chart(name).vars, p)
@@ -190,7 +205,9 @@ class ComplexDescriptor:
                     coupling = restrict(
                         schouten(pv, Polyvector.from_function(
                             LaurentPoly.variable(chart_vars, wv))), w)
-                    nor_out[name][a] = nor_out[name][a] + coupling
+                    nor_out[name][a] = (nor_out[name][a] + coupling
+                                        if p % 2 == 0 else
+                                        nor_out[name][a] - coupling)
             return {"amb": amb_out, "nor": nor_out}
         if self.kind == "linebundle":
             lb = self.linebundle
@@ -226,7 +243,7 @@ class ComplexDescriptor:
     # ---- probes --------------------------------------------------------
     def monomial_probes(self, p: int, degree: int):
         """Single-monomial cochains of coefficient degree <= degree."""
-        if self.kind in ("normal", "extended"):
+        if "nor" in self.parts:
             S = self.submanifold
             for name in S.present_charts():
                 chart = self.space.chart(name)
@@ -243,7 +260,7 @@ class ComplexDescriptor:
                             z = self.zero_cochain(p)
                             z["nor"][name][a] = pv
                             yield z
-        if self.kind in ("extended", "bivector", "linebundle"):
+        if "amb" in self.parts:
             deg = p if self.kind == "linebundle" else p + 2
             for chart in self.space.charts:
                 n = len(chart.vars)
@@ -338,6 +355,121 @@ def transport_nor_tuple(S: SubmanifoldData, tup, src: str, dst: str):
             acc = acc + coeff * moved[a]
         out.append(acc)
     return out
+
+
+# ----------------------------------------------------------------------
+# Cech total complex
+# ----------------------------------------------------------------------
+
+def _transport(descriptor: ComplexDescriptor, part: str, data, src: str,
+               dst: str):
+    """One part of a chart-src cochain, moved to chart dst."""
+    if part == "nor":
+        return transport_nor_tuple(descriptor.submanifold, data, src, dst)
+    return descriptor.space.pushforward(data, src, dst)
+
+
+def _minus(part: str, x, y):
+    """x - y for one part of a cochain; x None counts as zero."""
+    if part == "nor":
+        return [-b for b in y] if x is None else [a - b for a, b in zip(x, y)]
+    return -y if x is None else x - y
+
+
+def _part_is_zero(part: str, data) -> bool:
+    return all(v.is_zero() for v in (data if part == "nor" else [data]))
+
+
+def total_coboundary(descriptor: ComplexDescriptor, cochain: dict,
+                     pairs) -> tuple:
+    """Degree-one total cochain (chart part, overlap part) of a degree-zero
+    chartwise cochain c.
+
+    The chart part is d(c). The overlap part holds, per cochain part and per
+    ordered overlap (i, k) of `pairs`, c_i - (c_k moved to chart i) on chart
+    i: {"nor"|"amb": {(i, k): ...}}. A chart the cochain leaves out counts as
+    zero, and an overlap it holds neither chart of is left out. Normal parts
+    need both charts present, ambient parts a two-way transition.
+    """
+    space = descriptor.space
+    present = (descriptor.submanifold.present_charts()
+               if "nor" in descriptor.parts else ())
+    overlap = {}
+    for part in descriptor.parts:
+        if part not in cochain:
+            continue
+        data = cochain[part]
+        out = overlap[part] = {}
+        for (i, k) in pairs:
+            if i == k or (i not in data and k not in data):
+                continue
+            if (part == "nor" and (i not in present or k not in present)) or \
+                    (part == "amb" and (k, i) not in space.transitions):
+                continue
+            if k not in data:
+                out[(i, k)] = data[i]
+            else:
+                out[(i, k)] = _minus(part, data.get(i), _transport(
+                    descriptor, part, data[k], k, i))
+    return descriptor.differential(cochain, 0), overlap
+
+
+_IDENTITY_PART = {"nor": "normal", "amb": "ambient"}
+
+
+def total_closedness(descriptor: ComplexDescriptor, chart: dict,
+                     overlap: dict) -> dict:
+    """Exact closedness identities of a degree-one total cochain, given in
+    the shape `total_coboundary` returns: a degree-one cochain b per chart
+    and a degree-zero cochain a_ik per ordered overlap (i, k), on chart i.
+    Per part:
+
+    - closed: d(b) = 0 on every chart;
+    - step:   b_i - (b_k moved to chart i) = d(a_ik) on every overlap;
+    - triple: a_ik = a_ij + (a_jk moved to chart i) whenever the three
+              overlaps are given.
+
+    Returns {"normal-closed": True, ..., "ambient-triple": True} for the
+    descriptor's parts; raises ClosednessViolation naming the identities that
+    fail.
+    """
+    d_chart = descriptor.differential(chart, 1)
+    d_overlap = {pair: descriptor.differential(
+        {q: {pair[0]: given[pair]} for q, given in overlap.items()
+         if pair in given}, 0) for pair in set().union(*overlap.values())}
+    certs = {}
+    for part in descriptor.parts:
+        label = _IDENTITY_PART[part]
+        given = overlap.get(part, {})
+        certs[f"{label}-closed"] = all(
+            _part_is_zero(part, v) for v in d_chart[part].values())
+        certs[f"{label}-step"] = all(_part_is_zero(part, _minus(
+            part, _minus(part, chart[part][i], _transport(
+                descriptor, part, chart[part][k], k, i)),
+            d_overlap[(i, k)][part][i])) for (i, k) in given)
+        certs[f"{label}-triple"] = all(_part_is_zero(part, _minus(
+            part, _minus(part, given[(i, k)], given[(i, j)]),
+            _transport(descriptor, part, given[(j, k)], j, i)))
+            for (i, j) in given for (j2, k) in given
+            if j2 == j and k != i and (i, k) in given)
+    failed = [name for name, ok in certs.items() if not ok]
+    if failed:
+        raise ClosednessViolation(
+            "cocycle fails exact closedness: " + ", ".join(sorted(failed)))
+    return certs
+
+
+def gluing_failure(descriptor: ComplexDescriptor, cochain: dict):
+    """First (part, k, i), normal parts before ambient ones, at which the
+    total coboundary of a degree-zero cochain has a non-zero overlap entry;
+    None when the cochain glues."""
+    _, overlap = total_coboundary(descriptor, cochain,
+                                  descriptor.space.overlap_pairs())
+    for part in ("nor", "amb"):
+        for (i, k), val in overlap.get(part, {}).items():
+            if not _part_is_zero(part, val):
+                return part, k, i
+    return None
 
 
 def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int, bound: int):
@@ -446,14 +578,10 @@ def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
     """Basis of global sections of one term of the complex, via a root-chart
     ansatz transported along a spanning tree; certified stable when the
     dimension agrees at the bound and the bound plus one."""
+    parts = descriptor.parts
+    b = bound if bound is not None else suggested_bound(descriptor.space)
     if descriptor.kind == "linebundle" or not descriptor.space.transitions:
         # single chart: every bounded cochain is a section; enumerate directly
-        b = bound if bound is not None else suggested_bound(descriptor.space)
-        parts = []
-        if descriptor.kind in ("normal", "extended"):
-            parts.append("nor")
-        if descriptor.kind in ("extended", "bivector", "linebundle"):
-            parts.append("amb")
         basis = []
         for part in parts:
             _, atoms, reps = _atom_sections(descriptor, part, term_degree, b)
@@ -464,12 +592,6 @@ def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
                     basis.append({"amb": rep})
         return SectionSpace(descriptor.kind, term_degree, basis, b, True,
                             {b: len(basis)})
-    b = bound if bound is not None else suggested_bound(descriptor.space)
-    parts = []
-    if descriptor.kind in ("normal", "extended"):
-        parts.append("nor")
-    if descriptor.kind in ("extended", "bivector"):
-        parts.append("amb")
     while True:
         dims = {}
         per_part = {}
@@ -561,7 +683,7 @@ def _weight_atoms(descriptor: ComplexDescriptor, p: int, weight: int):
     chart = descriptor.space.charts[0]
     n = len(chart.vars)
     atoms = []
-    if descriptor.kind in ("normal", "extended"):
+    if "nor" in descriptor.parts:
         S = descriptor.submanifold
         tvars = S.tangential[chart.name]
         tidx = [chart.vars.index(v) for v in tvars]
@@ -577,7 +699,7 @@ def _weight_atoms(descriptor: ComplexDescriptor, p: int, weight: int):
                     for pos, x in zip(tidx, e_t):
                         e[pos] = x
                     atoms.append(("nor", a, idx, tuple(e)))
-    if descriptor.kind in ("extended", "bivector", "linebundle"):
+    if "amb" in descriptor.parts:
         deg = p if descriptor.kind == "linebundle" else p + 2
         if deg <= n:
             for idx in combinations(range(n), deg):
@@ -714,29 +836,6 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
 # Characteristic map
 # ----------------------------------------------------------------------
 
-def gluing_failure(descriptor: ComplexDescriptor, cochain: dict):
-    """First (part, k, i) such that the degree-zero cochain's part on chart k,
-    moved to chart i, differs from its part on chart i; None when it glues.
-    The normal part is checked before the ambient part."""
-    space = descriptor.space
-    if "nor" in cochain:
-        S = descriptor.submanifold
-        present = S.present_charts()
-        for (i, k) in space.overlap_pairs():
-            if i in present and k in present:
-                moved = transport_nor_tuple(S, cochain["nor"][k], k, i)
-                if any(not (a - b).is_zero()
-                       for a, b in zip(moved, cochain["nor"][i])):
-                    return "nor", k, i
-    if "amb" in cochain:
-        for (i, k) in space.overlap_pairs():
-            if (k, i) in space.transitions:
-                moved = space.pushforward(cochain["amb"][k], k, i)
-                if not (moved - cochain["amb"][i]).is_zero():
-                    return "amb", k, i
-    return None
-
-
 def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> list:
     """Coordinates, in the given degree-zero basis, of the first-order
     directions of a family (one coordinate vector per parameter).
@@ -749,7 +848,7 @@ def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> lis
     for rho, pname in enumerate(params):
         unit = tuple(1 if i == rho else 0 for i in range(len(params)))
         direction = {}
-        if descriptor.kind in ("normal", "extended"):
+        if "nor" in descriptor.parts:
             S = descriptor.submanifold
             direction["nor"] = {}
             for name in S.present_charts():

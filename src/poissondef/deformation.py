@@ -18,8 +18,12 @@ bivectors per chart. Three modes:
 Every order step first assembles the obstruction cocycle and certifies its
 closedness identities exactly (a failure raises ClosednessViolation and
 indicates a bug, never bad luck); then a sparse exact linear system is solved
-per parameter monomial — the matrix is shared across the monomials of one
-degree.
+per parameter monomial. Both go through the Cech total complex of the
+restricted-tuple complex, or of the paired one in extended mode
+(`complexes.total_closedness`, `complexes.total_coboundary`): the cocycle is a
+degree-one total cochain, and the system's columns are the total coboundaries
+of the unknowns. The columns depend only on the problem, the degree bound and
+the ambient sections, so `run_solver` builds them once for every step.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .complexes import (
     global_sections,
     gluing_failure,
     h0_complex,
+    total_closedness,
+    total_coboundary,
 )
 from .errors import (
-    ClosednessViolation,
     InconsistentData,
     InvalidDeformation,
     MatchFailure,
@@ -47,7 +52,7 @@ from .errors import (
 )
 from .geometry import SubmanifoldData
 from .linalg import solve_min
-from .polyvector import Polyvector, restrict, schouten, wedge
+from .polyvector import Polyvector, schouten
 from .symbolic import (
     LaurentPoly,
     TruncatedSeries,
@@ -377,7 +382,7 @@ def obstruction_cocycle(state: DeformationState) -> ObstructionCocycle:
     return cocycle
 
 
-def _tmonomials(cocycle: ObstructionCocycle, nparams: int):
+def _tmonomials(cocycle: ObstructionCocycle):
     seen = set()
     for d in cocycle.psi.values():
         seen.update(d.keys())
@@ -388,112 +393,45 @@ def _tmonomials(cocycle: ObstructionCocycle, nparams: int):
     return sorted(seen, key=lambda e: (sum(e), e))
 
 
+def _step_descriptor(problem: DeformationProblem):
+    """The complex whose total complex carries the order steps: the paired
+    complex in extended mode, the restricted-tuple one otherwise."""
+    kind = "extended" if problem.mode == "extended" else "normal"
+    return build_complex(kind, submanifold=problem.submanifold, probe=False)
+
+
 def certify_cocycle(state: DeformationState,
                     cocycle: ObstructionCocycle) -> dict:
-    """Exact closedness identities; raises ClosednessViolation on failure."""
+    """Exact closedness of the cocycle, one total cochain per parameter
+    monomial: the chart part is (Pi/2, -G), the normal overlap part on (i, k)
+    is psi_(i,k) moved to chart i with its sign flipped, and the ambient
+    overlap part is zero because the solver's bivectors glue. Raises
+    ClosednessViolation on failure."""
     problem = state.problem
     S = problem.submanifold
     space = problem.space
-    present = S.present_charts()
-    lam0 = {name: state.lam[name].order_zero() or
-            Polyvector.zero(space.chart(name).vars, 2)
-            for name in space.chart_names}
-    tmonos = _tmonomials(cocycle, len(problem.params))
-    cert = {"cech": True, "tangent": True, "overlap": True,
-            "ambient": True, "ambient_gluing": True}
-
-    def psi_at(pair, te):
-        return cocycle.psi.get(pair, {}).get(
-            te, [LaurentPoly.zero(space.chart(pair[1]).vars)
-                 for _ in range(S.codim)])
-
-    def g_at(name, te):
-        return cocycle.G.get(name, {}).get(
-            te, [Polyvector.zero(space.chart(name).vars, 1)
-                 for _ in range(S.codim)])
-
-    def pi_at(name, te):
-        return cocycle.Pi.get(name, {}).get(
-            te, Polyvector.zero(space.chart(name).vars, 3))
-
-    # triple identity for the overlap mismatches, expressed on chart k
-    for i in present:
-        for j in present:
-            for k in present:
-                if len({i, j, k}) != 3:
-                    continue
-                if not all(p in space.transitions
-                           for p in [(i, j), (j, k), (i, k)]):
-                    continue
-                F_ij = S.first_order[(i, j)]
-                for te in tmonos:
-                    lhs = psi_at((i, k), te)
-                    pij = psi_at((i, j), te)
-                    pjk = psi_at((j, k), te)
-                    for a in range(S.codim):
-                        val = S.substitute_tangential(pij[a], j, k)
-                        for b in range(S.codim):
-                            val = val + S.substitute_tangential(
-                                F_ij[a][b], j, k) * pjk[b]
-                        if not (lhs[a] - val).is_zero():
-                            cert["cech"] = False
-    # per-chart identity for the ideal obstruction
-    for name in present:
-        w = S.normal[name]
-        T0 = S.structure_fields_restricted(name)
-        for te in tmonos:
-            g = g_at(name, te)
-            for a in range(S.codim):
-                val = restrict(schouten(lam0[name], g[a]), w)
-                for b in range(S.codim):
-                    val = val - wedge(g[b], T0[a][b])
-                if problem.mode == "extended":
-                    half_pi = pi_at(name, te) * Fraction(1, 2)
-                    coupling = restrict(schouten(
-                        half_pi, Polyvector.from_function(
-                            LaurentPoly.variable(space.chart(name).vars,
-                                                 w[a]))), w)
-                    val = val - coupling
-                if not val.is_zero():
-                    cert["tangent"] = False
-    # overlap compatibility between the two pieces
-    for (i, k) in sorted(cocycle.psi):
-        wk = S.normal[k]
-        F = S.first_order[(i, k)]
-        T0i_on_k = [[S.push_restrict(entry, i, k) for entry in row]
-                    for row in S.structure_fields_restricted(i)]
-        for te in tmonos:
-            p = psi_at((i, k), te)
-            gi = [S.push_restrict(v, i, k) for v in g_at(i, te)]
-            gk = g_at(k, te)
-            for a in range(S.codim):
-                val = gi[a]
-                for b in range(S.codim):
-                    val = val - p[b] * T0i_on_k[a][b]
-                val = val + restrict(
-                    schouten(lam0[k], Polyvector.from_function(
-                        p[a].with_vars(space.chart(k).vars))), wk)
-                for b in range(S.codim):
-                    val = val - F[a][b] * gk[b]
-                if not val.is_zero():
-                    cert["overlap"] = False
-    # ambient certificates
-    if problem.mode == "extended":
-        for name in space.chart_names:
-            for te in tmonos:
-                if not schouten(pi_at(name, te), lam0[name]).is_zero():
-                    cert["ambient"] = False
-        for (i, k) in space.overlap_pairs():
-            if (k, i) not in space.transitions:
-                continue
-            for te in tmonos:
-                moved = space.pushforward(pi_at(k, te), k, i)
-                if not (moved - pi_at(i, te)).is_zero():
-                    cert["ambient_gluing"] = False
-    if not all(cert.values()):
-        raise ClosednessViolation(
-            f"obstruction cocycle failed exact closedness: "
-            f"{ {k: v for k, v in cert.items() if not v} }")
+    descriptor = _step_descriptor(problem)
+    cert = {}
+    for te in _tmonomials(cocycle):
+        chart = {"nor": {}}
+        for name, d in cocycle.G.items():
+            zero = Polyvector.zero(space.chart(name).vars, 1)
+            chart["nor"][name] = [-g for g in d.get(te, [zero] * S.codim)]
+        overlap = {"nor": {}}
+        for (i, k), d in cocycle.psi.items():
+            zero = LaurentPoly.zero(space.chart(k).vars)
+            overlap["nor"][(i, k)] = [
+                Polyvector.from_function(-S.substitute_tangential(f, k, i))
+                for f in d.get(te, [zero] * S.codim)]
+        if problem.mode == "extended":
+            chart["amb"] = {
+                name: d.get(te, Polyvector.zero(space.chart(name).vars, 3))
+                * Fraction(1, 2) for name, d in cocycle.Pi.items()}
+            overlap["amb"] = {
+                (i, k): Polyvector.zero(space.chart(i).vars, 2)
+                for (i, k) in space.overlap_pairs()
+                if (k, i) in space.transitions}
+        cert = total_closedness(descriptor, chart, overlap)
     return cert
 
 
@@ -512,15 +450,14 @@ class Obstructed:
         return False
 
 
-def _phi_atoms(problem):
+def _phi_atoms(problem, degree):
     """Unknown atoms (chart, slot, tangential exponent) for one order step."""
     S = problem.submanifold
-    space = problem.space
     atoms = []
     for name in S.present_charts():
         tvars = S.tangential[name]
         for a in range(S.codim):
-            for e_t in sorted(_simplex(len(tvars), problem.degree),
+            for e_t in sorted(_simplex(len(tvars), degree),
                               key=lambda t: (sum(t), t)):
                 atoms.append((name, a, e_t))
     return atoms
@@ -537,87 +474,66 @@ def _atom_poly(problem, atom):
     return LaurentPoly.monomial(cvars, e)
 
 
-def _assemble_step_matrix(problem, amb_basis):
-    """Rows of the order-step system, evaluated on each unknown atom.
+@dataclass
+class StepSystem:
+    """The order-step matrix at one degree bound: the unknown atoms, the
+    ambient sections, and one sparse column {row key: value} per unknown.
+    It depends only on the problem, the degree and the sections, so one
+    serves every step of a run."""
+    degree: int
+    amb_basis: list
+    atoms: list
+    columns: list
 
-    Returns (atoms, columns), one sparse column {row key: value} per unknown;
-    the right-hand side for a given parameter monomial is assembled
+
+def _assemble_step_matrix(problem, degree, amb_basis) -> StepSystem:
+    """Columns of the order-step system: the total coboundary of each unknown
+    atom and ambient section over the spanning-tree overlaps (i, k),
+    linearised on the rows ('G', chart, a, idx, e) of its normal chart part,
+    ('Pi', chart, idx, e) of its ambient chart part and ('psi', i, k, a, e)
+    of its normal overlap part, held on chart k as minus the entry moved
+    there. The sections glue, so their ambient overlap part is zero.
+
+    The right-hand side for a given parameter monomial is assembled
     separately from the cocycle.
     """
     S = problem.submanifold
     space = problem.space
     present = S.present_charts()
-    lam0 = {name: S.manifold.bivector(name) for name in space.chart_names}
-    atoms = _phi_atoms(problem)
-    natoms = len(atoms)
-    namb = len(amb_basis)
+    descriptor = _step_descriptor(problem)
     tree = space.spanning_tree(present[0], present) if len(present) > 1 else []
     edges = [(child, parent) for (parent, child) in tree]
-
-    columns = [dict() for _ in range(natoms + namb)]
-
-    def add(colidx, key, val):
-        if val:
-            columns[colidx][key] = columns[colidx].get(key, Fraction(0)) + val
-
-    # overlap equations on chart k for ordered (i, k):
-    #   sum_b F[a][b] phi_k^b  -  (phi_i^a expressed on chart k)  ==  psi_(i,k)^a
-    for (i, k) in edges:
-        F = S.first_order[(i, k)]
-        for ci, atom in enumerate(atoms):
-            name, a, e_t = atom
-            if name == k:
-                poly = _atom_poly(problem, atom)
-                for arow in range(S.codim):
-                    contrib = F[arow][a] * poly
-                    for e, val in contrib.terms.items():
-                        add(ci, ("psi", i, k, arow, e), val)
-            elif name == i:
-                moved = S.substitute_tangential(_atom_poly(problem, atom), i, k)
-                for e, val in moved.terms.items():
-                    add(ci, ("psi", i, k, a, e), -val)
-    # tangent equations on each present chart:
-    #   nabla(phi)_a + [amb, w^a]|_0 == -G_a
-    for name in present:
-        w = S.normal[name]
-        cvars = space.chart(name).vars
-        T0 = S.structure_fields_restricted(name)
-        for ci, atom in enumerate(atoms):
-            aname, a, e_t = atom
-            if aname != name:
-                continue
-            poly = _atom_poly(problem, atom)
-            pv = Polyvector.from_function(poly)
-            for arow in range(S.codim):
-                val = Polyvector.zero(cvars, 1)
-                if arow == a:
-                    val = val - restrict(schouten(lam0[name], pv), w)
-                val = val + poly * T0[arow][a]
-                for idx, coeff in val.terms.items():
+    atoms = _phi_atoms(problem, degree)
+    cochains = []
+    for atom in atoms:
+        name, a, _ = atom
+        tup = [Polyvector.zero(space.chart(name).vars, 0)] * S.codim
+        tup[a] = Polyvector.from_function(_atom_poly(problem, atom))
+        cochains.append({"nor": {name: tup}})
+    cochains += [{"amb": sec["amb"]} for sec in amb_basis]
+    columns = []
+    for cochain in cochains:
+        chart, overlap = total_coboundary(descriptor, cochain, edges)
+        col = {}
+        for name, tup in chart.get("nor", {}).items():
+            for a, pv in enumerate(tup):
+                for idx, coeff in pv.terms.items():
                     for e, v in coeff.terms.items():
-                        add(ci, ("G", name, arow, idx, e), v)
-        for cs, sec in enumerate(amb_basis):
-            pv_amb = sec["amb"][name]
-            for arow, wv in enumerate(w):
-                coupling = restrict(schouten(
-                    pv_amb, Polyvector.from_function(
-                        LaurentPoly.variable(cvars, wv))), w)
-                for idx, coeff in coupling.terms.items():
-                    for e, v in coeff.terms.items():
-                        add(natoms + cs, ("G", name, arow, idx, e), v)
-    # ambient equations on every chart: -[amb, lam0] == (1/2) Pi
-    if namb:
-        for name in space.chart_names:
-            for cs, sec in enumerate(amb_basis):
-                img = -schouten(sec["amb"][name], lam0[name])
-                for idx, coeff in img.terms.items():
-                    for e, v in coeff.terms.items():
-                        add(natoms + cs, ("Pi", name, idx, e), v)
-    return atoms, columns
+                        col[("G", name, a, idx, e)] = v
+        for name, pv in chart.get("amb", {}).items():
+            for idx, coeff in pv.terms.items():
+                for e, v in coeff.terms.items():
+                    col[("Pi", name, idx, e)] = v
+        for (i, k), tup in overlap.get("nor", {}).items():
+            for a, pv in enumerate(tup):
+                moved = S.substitute_tangential(pv.as_function(), i, k)
+                for e, v in moved.terms.items():
+                    col[("psi", i, k, a, e)] = -v
+        columns.append(col)
+    return StepSystem(degree, amb_basis, atoms, columns)
 
 
-def _step_rhs(problem, cocycle, row_keys, te):
-    S = problem.submanifold
+def _step_rhs(cocycle, row_keys, te):
     rhs_map = {}
     for (i, k), d in cocycle.psi.items():
         tup = d.get(te)
@@ -648,27 +564,21 @@ def _step_rhs(problem, cocycle, row_keys, te):
     return rhs_map, missing
 
 
-def _solve_step(problem, cocycle, amb_basis, degree_override=None):
+def _solve_step(cocycle, system: StepSystem):
     """Solve one order step; returns (per-te solutions, None) or
     (None, witness description)."""
-    import dataclasses
-    prob = problem
-    if degree_override is not None:
-        prob = dataclasses.replace(problem, degree=degree_override)
-    atoms, columns = _assemble_step_matrix(prob, amb_basis)
-    row_keys = set().union(*columns)
-    tmonos = _tmonomials(cocycle, len(prob.params))
+    row_keys = set().union(*system.columns)
     solutions = {}
-    for te in tmonos:
-        rhs_map, missing = _step_rhs(prob, cocycle, row_keys, te)
+    for te in _tmonomials(cocycle):
+        rhs_map, missing = _step_rhs(cocycle, row_keys, te)
         if missing:
             return None, (f"no unknown reaches equation row {missing[0]} "
                           f"at parameter monomial {te}")
-        sol, bad = solve_min(columns, rhs_map)
+        sol, bad = solve_min(system.columns, rhs_map)
         if sol is None:
             return None, (f"inconsistent at parameter monomial {te}, "
                           f"equation row {bad}")
-        solutions[te] = (atoms, sol)
+        solutions[te] = sol
     return solutions, None
 
 
@@ -683,26 +593,29 @@ def _ambient_basis(problem: DeformationProblem) -> list:
 
 
 def solve_order(state: DeformationState, degree: int | None = None, *,
-                amb_basis: list | None = None
+                system: StepSystem | None = None
                 ) -> DeformationState | Obstructed:
     """Extend an order-m family to order m+1 or report the obstruction.
 
     The produced state is re-verified through the congruence machinery; when
     the step is infeasible at the requested polynomial degree bound but
     becomes feasible one or two degrees higher, DegreeBoundTooSmall is raised
-    instead of declaring an obstruction. `amb_basis` is the problem's
-    `_ambient_basis`, computed here when not given.
+    instead of declaring an obstruction. `system` is the problem's
+    `_assemble_step_matrix` at that degree bound, built here when not given.
     """
     problem = state.problem
     D = problem.degree if degree is None else degree
     cocycle = obstruction_cocycle(state)
-    if amb_basis is None:
-        amb_basis = _ambient_basis(problem)
-    solutions, witness = _solve_step(problem, cocycle, amb_basis, D)
+    if system is None or system.degree != D:
+        amb_basis = (_ambient_basis(problem) if system is None
+                     else system.amb_basis)
+        system = _assemble_step_matrix(problem, D, amb_basis)
+    solutions, witness = _solve_step(cocycle, system)
     if solutions is None:
         tested = {D: "infeasible"}
         for bump in (D + 1, D + 2):
-            got, _ = _solve_step(problem, cocycle, amb_basis, bump)
+            got, _ = _solve_step(cocycle, _assemble_step_matrix(
+                problem, bump, system.amb_basis))
             tested[bump] = "feasible" if got is not None else "infeasible"
         if any(v == "feasible" for v in tested.values()):
             from .errors import DegreeBoundTooSmall
@@ -711,11 +624,12 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
                 f"feasible within two degrees: {tested}")
         return Obstructed(cocycle.order, cocycle, witness, tested)
     # accumulate the corrections
-    S = problem.submanifold
     space = problem.space
     M = problem.order
+    atoms = system.atoms
     new_phi = {name: list(tups) for name, tups in state.phi.items()}
-    for te, (atoms, sol) in solutions.items():
+    new_lam = dict(state.lam)
+    for te, sol in solutions.items():
         for val, atom in zip(sol, atoms):
             if not val:
                 continue
@@ -723,17 +637,12 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
             poly = _atom_poly(problem, atom) * val
             new_phi[name][a] = new_phi[name][a] + TruncatedSeries(
                 problem.params, M, {te: poly})
-    new_lam = dict(state.lam)
-    if problem.mode == "extended" and amb_basis:
-        for te, (atoms, sol) in solutions.items():
-            coeffs = sol[len(atoms):]
-            for cs, val in enumerate(coeffs):
-                if not val:
-                    continue
-                for name in space.chart_names:
-                    new_lam[name] = new_lam[name] + TruncatedSeries(
-                        problem.params, M,
-                        {te: amb_basis[cs]["amb"][name] * val})
+        for val, sec in zip(sol[len(atoms):], system.amb_basis):
+            if not val:
+                continue
+            for name in space.chart_names:
+                new_lam[name] = new_lam[name] + TruncatedSeries(
+                    problem.params, M, {te: sec["amb"][name] * val})
     new_state = DeformationState(problem, state.order + 1, new_phi, new_lam)
     check = verify_family(problem, new_state, new_state.order)
     if not check["pass"]:
@@ -834,9 +743,11 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
             raise InvalidDeformation(
                 "central fibre of the prescribed family does not contain "
                 "the submanifold as a Poisson submanifold")
-    amb_basis = _ambient_basis(problem) if state.order < M else []
+    system = (_assemble_step_matrix(problem, problem.degree,
+                                    _ambient_basis(problem))
+              if state.order < M else None)
     while state.order < M:
-        nxt = solve_order(state, amb_basis=amb_basis)
+        nxt = solve_order(state, system=system)
         if isinstance(nxt, Obstructed):
             return SolverResult(problem, state, nxt, h0, chosen, None, None)
         state = nxt

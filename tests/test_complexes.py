@@ -12,9 +12,11 @@ from poissondef.complexes import (CohomologyReport, affine_hyper,
                                   cochain_scale, coordinates, global_sections,
                                   gluing_failure, h0_complex,
                                   semiregularity_image_rank,
+                                  total_closedness, total_coboundary,
                                   transport_nor_tuple, vectorize)
 from poissondef.deformation import DeformationState
-from poissondef.errors import InconsistentData, NotInKernel, UnstableAnsatz
+from poissondef.errors import (ClosednessViolation, InconsistentData,
+                               NotInKernel, UnstableAnsatz)
 from poissondef.geometry import codim1_line_bundle
 from poissondef.polyvector import Polyvector
 from poissondef.symbolic import LaurentPoly, TruncatedSeries
@@ -25,6 +27,38 @@ from poissondef.symbolic import LaurentPoly, TruncatedSeries
 def test_square_zero_probe_battery(descriptor_family):
     for name, desc in sorted(descriptor_family.items()):
         desc.assert_square_zero(0, 6)
+
+
+def test_extended_coupling_has_the_graded_sign(p3_hyperplane_sub,
+                                               p3_line_sub):
+    """The extended differential couples the ambient part into the normal
+    part with the factor (-1)^p; with one sign in every degree, d∘d is not
+    zero on these complexes."""
+    for S in (p3_hyperplane_sub, p3_line_sub):
+        desc = build_complex("extended", submanifold=S, probe=False)
+        desc.assert_square_zero(0, 3)
+
+
+def test_total_coboundary_is_closed(descriptor_family):
+    """The total coboundary of any degree-zero cochain passes every
+    closedness identity; breaking its chart part on one chart breaks them."""
+    desc = descriptor_family["p2_extended"]
+    pairs = desc.space.overlap_pairs()
+    probes = list(desc.monomial_probes(0, 2))
+    for probe in probes:
+        chart, overlap = total_coboundary(desc, probe, pairs)
+        certs = total_closedness(desc, chart, overlap)
+        assert sorted(certs) == [
+            "ambient-closed", "ambient-step", "ambient-triple",
+            "normal-closed", "normal-step", "normal-triple"]
+        assert all(certs.values())
+    name = desc.submanifold.present_charts()[0]
+    chart, overlap = total_coboundary(desc, probes[0], pairs)
+    vars = desc.space.chart(name).vars
+    chart["nor"][name] = [pv + Polyvector.monomial(
+        vars, (0,), LaurentPoly.const(vars, 1)) for pv in chart["nor"][name]]
+    with pytest.raises(ClosednessViolation, match="normal-step"):
+        total_closedness(desc, chart, overlap)
 
 
 def test_build_complex_argument_checks(c3, p3_hyperplane_sub):

@@ -112,6 +112,36 @@ def test_ruled_surface_extended_family_is_linear():
         assert all(sum(te) <= 1 for te in res.state.lam[name].terms)
 
 
+# — extended order steps on the hyperplane ------------------------------------
+
+@pytest.mark.parametrize("seed", [(1, 11), (11, 15), (11, 18), (11, 21),
+                                  (11, 22)])
+def test_extended_hyperplane_seed_pairs_reach_order_two(p3_hyperplane_sub,
+                                                        seed):
+    """Two-parameter extended families whose order-two cocycle has an ambient
+    part. Its certificate must couple that part into the normal one with the
+    graded sign of the total complex; with one sign in every degree these
+    cocycles were rejected as not closed."""
+    prob = DeformationProblem(p3_hyperplane_sub, ("t1", "t2"), order=2,
+                              degree=2, mode="extended", seed=seed)
+    res = run_solver(prob)
+    assert res.ok and res.state.order == 2
+    assert res.verify["pass"] and res.char_map_identity
+
+
+def test_extended_order_step_moves_the_ambient_structure(p3_hyperplane_sub):
+    """The order-two step of this family needs a bivector correction, so it
+    exercises the ambient columns of the step matrix and the sections
+    `run_solver` passes to them."""
+    prob = DeformationProblem(p3_hyperplane_sub, ("t1", "t2"), order=2,
+                              degree=2, mode="extended", seed=(0, 14))
+    res = run_solver(prob)
+    assert res.ok and res.verify["pass"]
+    assert any(sum(te) == 2 and not pv.is_zero()
+               for ser in res.state.lam.values()
+               for te, pv in ser.terms.items())
+
+
 # — truncation soundness -----------------------------------------------------
 
 def test_partial_families_verify_and_certify(hyperplane_result, line_result):

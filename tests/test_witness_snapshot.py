@@ -1,0 +1,60 @@
+"""Witness texts pinned against a recorded snapshot.
+
+The solver and small-ring reports name the equation row that blocks a step
+(`solve --degree 0|1`, `artin --bound 0|1`); the benchmark's golden hashes
+cover only the default commands. This test reruns those commands on every
+shipped file, with and without --json, and compares exit code and full text
+with `data/witness_snapshot.json`.
+
+Record the snapshot again (only when a report is meant to change) with
+    PYTHONPATH=src python tests/test_witness_snapshot.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import poissondef
+from poissondef.cli import run_command
+
+EXAMPLES = Path(poissondef.__file__).parent / "examples"
+SNAPSHOT = Path(__file__).parent / "data" / "witness_snapshot.json"
+
+
+def _commands():
+    for name in sorted(p.name for p in EXAMPLES.glob("*.pdef")):
+        for sub, flag in (("solve", "--degree"), ("artin", "--bound")):
+            for value in ("0", "1"):
+                for fmt in ((), ("--json",)):
+                    yield [sub, name, flag, value, *fmt]
+
+
+def _run(argv):
+    resolved = [str(EXAMPLES / a) if a.endswith(".pdef") else a for a in argv]
+    return run_command(resolved)
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return {tuple(e["argv"]): (e["code"], e["text"])
+            for e in json.loads(SNAPSHOT.read_text())}
+
+
+def test_snapshot_covers_every_command(snapshot):
+    assert sorted(snapshot) == sorted(tuple(a) for a in _commands())
+
+
+@pytest.mark.parametrize("argv", list(_commands()), ids=" ".join)
+def test_witness_text_matches_snapshot(snapshot, argv):
+    assert _run(argv) == snapshot[tuple(argv)]
+
+
+if __name__ == "__main__":
+    runs = []
+    for argv in _commands():
+        code, text = _run(argv)
+        runs.append({"argv": argv, "code": code, "text": text})
+    SNAPSHOT.write_text(json.dumps(runs, indent=1) + "\n")
+    print(f"recorded {len(runs)} runs in {SNAPSHOT}", file=sys.stderr)
