@@ -6,9 +6,12 @@ further. The class is a degree-one cochain of the Cech total complex of the
 functor's controlling complex (see `complexes.total_coboundary`): its chart
 part is ``ambient`` and ``normal``, its overlap part ``ambient_cech`` and
 ``normal_cech``. Its closedness certificates are `complexes.total_closedness`.
-The class lifts when it is the total coboundary of bounded-degree polynomial
-unknowns, which is decided by one exact linear solve; a different choice of
-lifting data must move it by exactly the total coboundary of that choice.
+The class lifts when it is the total coboundary of bounded-degree monomial
+unknowns (`complexes.monomial_atoms`). That is one exact linear solve,
+`complexes.solve_total`, on the rows `complexes.total_rows` gives under
+`ARTIN_ROWS`, the same system the solver's order step solves under its own
+labels; its columns are built once per call. A different choice of lifting
+data must move the class by exactly the total coboundary of that choice.
 
 Three functors are covered:
 
@@ -39,16 +42,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (build_complex, h0_complex, total_closedness,
-                         total_coboundary)
+from .complexes import (atom_cochain, build_complex, h0_complex,
+                         monomial_atoms, solve_total, total_closedness,
+                         total_coboundary, total_rows)
 from .deformation import (DeformationProblem, DeformationState,
                           gluing_mismatch, ideal_residual, series_schouten)
 from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
                      ParameterMismatch)
 from .geometry import PoissonManifold, SubmanifoldData
-from .linalg import nullspace, solve_min
+from .linalg import nullspace
 from .polyvector import Polyvector, restrict
-from .symbolic import LaurentPoly, TruncatedSeries, _simplex
+from .symbolic import LaurentPoly, TruncatedSeries
 
 FUNCTORS = ("def", "hilb", "exthilb")
 
@@ -170,9 +174,17 @@ def artin_first_order(kind: str, *, manifold: PoissonManifold | None = None,
 def _descriptor(kind, S, manifold):
     """The controlling complex of a functor."""
     if kind == "def":
-        return build_complex("bivector", manifold=manifold, probe=False)
+        return build_complex("bivector", manifold=manifold)
     return build_complex("normal" if kind == "hilb" else "extended",
-                         submanifold=S, probe=False)
+                         submanifold=S)
+
+
+def _unknowns(desc, bound: int, amb_bound: int) -> list:
+    """Monomial unknowns of the functor's degree-zero cochains: normal ones
+    of degree <= bound, ambient bivectors of degree <= amb_bound."""
+    return [atom for part in desc.parts for atom in monomial_atoms(
+        desc, part, 0, desc.part_charts(part),
+        bound if part == "nor" else amb_bound)]
 
 
 # ----------------------------------------------------------------------
@@ -180,44 +192,6 @@ def _descriptor(kind, S, manifold):
 # ----------------------------------------------------------------------
 
 _EPS = ("_eps",)
-
-
-def _enumeration_atoms(kind, manifold, submanifold, bound, amb_bound):
-    atoms = []
-    if kind in ("hilb", "exthilb"):
-        S = submanifold
-        for name in S.present_charts():
-            tang = S.tangential[name]
-            for slot in range(S.codim):
-                for e in sorted(_simplex(len(tang), bound)):
-                    atoms.append(("chi", name, slot, e))
-    if kind in ("def", "exthilb"):
-        space = manifold.space
-        for name in space.chart_names:
-            cvars = space.chart(name).vars
-            n = len(cvars)
-            for fi in range(n):
-                for fj in range(fi + 1, n):
-                    for e in sorted(_simplex(n, amb_bound)):
-                        atoms.append(("amb", name, (fi, fj), e))
-    return atoms
-
-
-def _atom_function(S: SubmanifoldData, atom) -> LaurentPoly:
-    _, name, _, e = atom
-    cvars = S.space.chart(name).vars
-    tang = S.tangential[name]
-    full = [0] * len(cvars)
-    for v, p in zip(tang, e):
-        full[cvars.index(v)] = p
-    return LaurentPoly(cvars, {tuple(full): Fraction(1)})
-
-
-def _atom_bivector(space, atom) -> Polyvector:
-    _, name, (fi, fj), e = atom
-    cvars = space.chart(name).vars
-    return Polyvector.monomial(cvars, (fi, fj),
-                               LaurentPoly(cvars, {tuple(e): Fraction(1)}))
 
 
 def first_order_by_enumeration(kind: str, *,
@@ -243,22 +217,24 @@ def first_order_by_enumeration(kind: str, *,
     if amb_bound is None:
         amb_bound = bound + 2
     space = manifold.space
-    atoms = _enumeration_atoms(kind, manifold, submanifold, bound, amb_bound)
+    desc = _descriptor(kind, submanifold, manifold)
+    atoms = _unknowns(desc, bound, amb_bound)
     columns = []
     for atom in atoms:
         entries = {}
         phi = lam = None
-        if atom[0] == "chi":
-            phi = {name: [TruncatedSeries.zero(_EPS, 1)
-                          for _ in range(submanifold.codim)]
-                   for name in submanifold.present_charts()}
-            mono = _atom_function(submanifold, atom)
-            phi[atom[1]][atom[2]] = TruncatedSeries(_EPS, 1, {(1,): mono})
+        part, name = atom[:2]
+        entry = atom_cochain(desc, 0, atom)[part][name]
+        if part == "nor":
+            phi = {c: [TruncatedSeries.zero(_EPS, 1)
+                       for _ in range(submanifold.codim)]
+                   for c in submanifold.present_charts()}
+            phi[name][atom[2]] = TruncatedSeries(
+                _EPS, 1, {(1,): entry[atom[2]].as_function()})
         else:
-            lam = {name: TruncatedSeries.const(_EPS, 1, manifold.bivector(name))
-                   for name in space.chart_names}
-            lam[atom[1]] = lam[atom[1]] + TruncatedSeries(
-                _EPS, 1, {(1,): _atom_bivector(space, atom)})
+            lam = {c: TruncatedSeries.const(_EPS, 1, manifold.bivector(c))
+                   for c in space.chart_names}
+            lam[name] = lam[name] + TruncatedSeries(_EPS, 1, {(1,): entry})
         if kind in ("def", "exthilb"):
             full_lam = lam or {name: TruncatedSeries.const(
                 _EPS, 1, manifold.bivector(name)) for name in space.chart_names}
@@ -478,53 +454,19 @@ def _total(cls: ObstructionClass) -> tuple:
     return chart, overlap
 
 
-def _rows(chart: dict, overlap: dict) -> dict:
-    """Equation rows of a degree-one total cochain: ('amb', chart, ...) and
-    ('nabla', chart, a, ...) for the chart part, ('ambcech', i, k, ...) and
-    ('cech', i, k, a, ...) for the overlap part."""
-    rows = {}
-
-    def put(prefix, pv):
-        for sub, c in _vec_entries(pv):
-            rows[prefix + sub] = c
-
-    for name, pv in chart.get("amb", {}).items():
-        put(("amb", name), pv)
-    for name, tup in chart.get("nor", {}).items():
-        for a, pv in enumerate(tup):
-            put(("nabla", name, a), pv)
-    for pair, pv in overlap.get("amb", {}).items():
-        put(("ambcech",) + pair, pv)
-    for pair, tup in overlap.get("nor", {}).items():
-        for a, pv in enumerate(tup):
-            put(("cech",) + pair + (a,), pv)
-    return rows
+# Row labels of the liftability equations, by (cochain part, chart or
+# overlap).
+ARTIN_ROWS = {("amb", "chart"): "amb", ("nor", "chart"): "nabla",
+              ("amb", "overlap"): "ambcech", ("nor", "overlap"): "cech"}
 
 
-def _atom_cochain(S, space, atom) -> dict:
-    """A monomial unknown of the liftability equations as a degree-zero
-    cochain."""
-    if atom[0] == "chi":
-        _, name, slot, _ = atom
-        tup = [Polyvector.zero(space.chart(name).vars, 0)] * S.codim
-        tup[slot] = Polyvector.from_function(_atom_function(S, atom))
-        return {"nor": {name: tup}}
-    return {"amb": {atom[1]: _atom_bivector(space, atom)}}
-
-
-def _decide_liftable(desc, cls, bound, amb_bound):
-    """Solve total_coboundary(unknowns) = class over monomial unknowns."""
-    S, manifold = desc.submanifold, desc.manifold
-    pairs = manifold.space.overlap_pairs()
-    atoms = _enumeration_atoms(cls.kind, manifold, S, bound, amb_bound)
-    columns = [_rows(*total_coboundary(
-        desc, _atom_cochain(S, manifold.space, atom), pairs)) for atom in atoms]
-    rhs = _rows(*_total(cls))
-    reachable = set().union(*columns)
-    missing = sorted(k for k in rhs if k not in reachable)
-    if missing:
-        return False, f"no unknown reaches equation row {missing[0]}", None
-    sol, witness = solve_min(columns, rhs)
+def _decide_liftable(atoms, columns, cls):
+    """Solve total_coboundary(unknowns) = class over the monomial unknowns
+    `atoms`, whose `total_rows` are `columns`."""
+    sol, unreached, witness = solve_total(
+        columns, total_rows(*_total(cls), ARTIN_ROWS))
+    if unreached is not None:
+        return False, f"no unknown reaches equation row {unreached}", None
     if sol is None:
         where = witness if witness is not None else "unknown"
         return False, f"inconsistent equation row {where}", None
@@ -602,8 +544,12 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
     desc = _descriptor(kind, S, M)
     cls = _canonical_class(kind, S, M, phi, lam_map, m)
     certs = total_closedness(desc, *_total(cls))
-    liftable, witness, solution = _decide_liftable(desc, cls, bound,
-                                                   amb_bound)
+    pairs = M.space.overlap_pairs()
+    atoms = _unknowns(desc, bound, amb_bound)
+    columns = [total_rows(*total_coboundary(
+        desc, atom_cochain(desc, 0, atom), pairs), ARTIN_ROWS)
+        for atom in atoms]
+    liftable, witness, solution = _decide_liftable(atoms, columns, cls)
     invariance = None
     perturbed = None
     if perturb is not None:
@@ -619,9 +565,9 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
             shift["nor"] = {name: [Polyvector.from_function(-f) for f in A]
                             for name, A in shifts["A"].items()}
         diff = ObstructionClass(kind, m, **cls.minus(perturbed))
-        identities = _rows(*_total(diff)) == _rows(*total_coboundary(
-            desc, shift, M.space.overlap_pairs()))
-        p_liftable, _, _ = _decide_liftable(desc, perturbed, bound, amb_bound)
+        identities = total_rows(*_total(diff), ARTIN_ROWS) == total_rows(
+            *total_coboundary(desc, shift, pairs), ARTIN_ROWS)
+        p_liftable, _, _ = _decide_liftable(atoms, columns, perturbed)
         invariance = {
             "identities": identities,
             "certificates": pert_certs,

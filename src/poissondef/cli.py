@@ -249,9 +249,9 @@ def _load(path: str):
 
 def _descriptor(doc, kind):
     if kind in ("normal", "extended"):
-        return build_complex(kind, submanifold=doc.submanifold(), probe=False)
+        return build_complex(kind, submanifold=doc.submanifold())
     if kind == "bivector":
-        return build_complex("bivector", manifold=doc.manifold(), probe=False)
+        return build_complex("bivector", manifold=doc.manifold())
     raise _UsageError("the problem-file format does not carry line-bundle "
                       "data; build that complex through the library")
 

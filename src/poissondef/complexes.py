@@ -23,6 +23,15 @@ closedness identities of a degree-one total cochain. The solver's order steps
 and certificates (`deformation`), the small-ring obstruction calculus
 (`artin`) and the gluing checks all go through these two functions; in that
 complex the ambient part couples into the normal part with the sign (-1)^p.
+
+Bounded-degree monomial unknowns are enumerated once, by `monomial_atoms`:
+an atom is the coordinate key of the single entry of its cochain
+(`atom_cochain`), and its exponents come in graded-lex order. The section
+search, the graded engine, the square-zero probes, the solver's order step
+and the small-ring liftability all draw their unknowns from it. The last two
+ask one question, whether a degree-one total cochain is the total coboundary
+of such unknowns: `total_rows` linearises both sides under the caller's row
+labels and `solve_total` answers it.
 """
 
 from __future__ import annotations
@@ -153,7 +162,6 @@ class ComplexDescriptor:
     manifold: PoissonManifold
     submanifold: SubmanifoldData | None = None
     linebundle: PoissonLineBundle | None = None
-    probe_degree: int = 6
 
     @property
     def space(self):
@@ -165,13 +173,21 @@ class ComplexDescriptor:
         return (("nor",) if self.kind in ("normal", "extended") else ()) + (
             ("amb",) if self.kind != "normal" else ())
 
+    def term_degree(self, part: str, p: int) -> int:
+        """Polyvector degree of one part of a degree-p cochain."""
+        return p if part == "nor" or self.kind == "linebundle" else p + 2
+
+    def part_charts(self, part: str) -> tuple:
+        """The charts one part of a cochain lives on."""
+        return (self.submanifold.present_charts() if part == "nor"
+                else self.space.chart_names)
+
     # ---- cochain structure --------------------------------------------
     def zero_cochain(self, p: int) -> dict:
         out = {}
         if "amb" in self.parts:
-            deg = p if self.kind == "linebundle" else p + 2
-            out["amb"] = {c.name: Polyvector.zero(c.vars, deg)
-                          for c in self.space.charts}
+            out["amb"] = {c.name: Polyvector.zero(
+                c.vars, self.term_degree("amb", p)) for c in self.space.charts}
         if "nor" in self.parts:
             S = self.submanifold
             out["nor"] = {
@@ -242,40 +258,14 @@ class ComplexDescriptor:
 
     # ---- probes --------------------------------------------------------
     def monomial_probes(self, p: int, degree: int):
-        """Single-monomial cochains of coefficient degree <= degree."""
-        if "nor" in self.parts:
-            S = self.submanifold
-            for name in S.present_charts():
-                chart = self.space.chart(name)
-                tvars = S.tangential[name]
-                tidx = [chart.vars.index(v) for v in tvars]
-                for a in range(S.codim):
-                    for idx in combinations(range(len(chart.vars)), p):
-                        for e_t in _simplex(len(tvars), degree):
-                            e = [0] * len(chart.vars)
-                            for pos, x in zip(tidx, e_t):
-                                e[pos] = x
-                            pv = Polyvector(chart.vars, p, {
-                                idx: LaurentPoly.monomial(chart.vars, e)})
-                            z = self.zero_cochain(p)
-                            z["nor"][name][a] = pv
-                            yield z
-        if "amb" in self.parts:
-            deg = p if self.kind == "linebundle" else p + 2
-            for chart in self.space.charts:
-                n = len(chart.vars)
-                if deg > n:
-                    continue
-                for idx in combinations(range(n), deg):
-                    for e in _simplex(n, degree):
-                        pv = Polyvector(chart.vars, deg, {
-                            idx: LaurentPoly.monomial(chart.vars, e)})
-                        z = self.zero_cochain(p)
-                        z["amb"][chart.name] = pv
-                        yield z
+        """Single-monomial cochains of coefficient degree <= degree, zero on
+        every other chart, as `total_closedness` reads every chart."""
+        for part in self.parts:
+            for atom in monomial_atoms(self, part, p, self.part_charts(part),
+                                       degree):
+                yield _padded(self, p, atom)
 
-    def assert_square_zero(self, p: int = 0, degree: int | None = None):
-        degree = self.probe_degree if degree is None else degree
+    def assert_square_zero(self, p: int, degree: int):
         for probe in self.monomial_probes(p, degree):
             twice = self.differential(self.differential(probe, p), p + 1)
             if not cochain_is_zero(twice):
@@ -285,8 +275,8 @@ class ComplexDescriptor:
 
 def build_complex(kind: str, *, manifold: PoissonManifold | None = None,
                   submanifold: SubmanifoldData | None = None,
-                  linebundle: PoissonLineBundle | None = None,
-                  probe_degree: int = 6, probe: bool = True) -> ComplexDescriptor:
+                  linebundle: PoissonLineBundle | None = None
+                  ) -> ComplexDescriptor:
     if kind not in KINDS:
         raise InconsistentData(f"unknown complex kind {kind!r}")
     if kind in ("normal", "extended"):
@@ -303,10 +293,7 @@ def build_complex(kind: str, *, manifold: PoissonManifold | None = None,
                 "the scalar-slot complex runs on the single-chart engine only")
     if kind == "bivector" and manifold is None:
         raise InconsistentData("bivector complex needs a structured space")
-    desc = ComplexDescriptor(kind, manifold, submanifold, linebundle, probe_degree)
-    if probe:
-        desc.assert_square_zero(0, min(probe_degree, 6))
-    return desc
+    return ComplexDescriptor(kind, manifold, submanifold, linebundle)
 
 
 # ----------------------------------------------------------------------
@@ -459,12 +446,10 @@ def total_closedness(descriptor: ComplexDescriptor, chart: dict,
     return certs
 
 
-def gluing_failure(descriptor: ComplexDescriptor, cochain: dict):
+def gluing_failure(overlap: dict):
     """First (part, k, i), normal parts before ambient ones, at which the
-    total coboundary of a degree-zero cochain has a non-zero overlap entry;
-    None when the cochain glues."""
-    _, overlap = total_coboundary(descriptor, cochain,
-                                  descriptor.space.overlap_pairs())
+    overlap part of a total coboundary is non-zero; None when the degree-zero
+    cochain it came from glues."""
     for part in ("nor", "amb"):
         for (i, k), val in overlap.get(part, {}).items():
             if not _part_is_zero(part, val):
@@ -472,55 +457,114 @@ def gluing_failure(descriptor: ComplexDescriptor, cochain: dict):
     return None
 
 
-def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int, bound: int):
-    """Atoms (root-chart monomial candidates) and their transported chart
-    representatives, plus the holomorphy constraint matrix."""
-    space = descriptor.space
-    if part == "nor":
-        S = descriptor.submanifold
-        charts = list(S.present_charts())
-        root = charts[0]
-        tree = space.spanning_tree(root, charts)
-        chart = space.chart(root)
-        tvars = S.tangential[root]
-        tidx = [chart.vars.index(v) for v in tvars]
-        atoms = []
-        for a in range(S.codim):
-            for idx in combinations(range(len(chart.vars)), p):
-                for e_t in sorted(_simplex(len(tvars), bound),
-                                  key=lambda t: (sum(t), t)):
-                    e = [0] * len(chart.vars)
-                    for pos, x in zip(tidx, e_t):
-                        e[pos] = x
-                    atoms.append((a, idx, tuple(e)))
-        reps = []
-        for (a, idx, e) in atoms:
-            tup = [Polyvector.zero(chart.vars, p) for _ in range(S.codim)]
-            tup[a] = Polyvector(chart.vars, p,
-                                {idx: LaurentPoly.monomial(chart.vars, e)})
-            rep = {root: tup}
-            for (parent, child) in tree:
-                rep[child] = transport_nor_tuple(S, rep[parent], parent, child)
-            reps.append(rep)
-        return charts, atoms, reps
-    # ambient parts
-    deg = p if descriptor.kind == "linebundle" else p + 2
-    charts = list(space.chart_names)
-    root = charts[0]
-    tree = space.spanning_tree(root, charts) if len(charts) > 1 else []
-    chart = space.chart(root)
-    n = len(chart.vars)
+# ----------------------------------------------------------------------
+# Monomial unknowns and the total-coboundary system
+# ----------------------------------------------------------------------
+
+def monomial_atoms(descriptor: ComplexDescriptor, part: str, p: int, charts,
+                   bound: int) -> list:
+    """The one-monomial unknowns of one part of degree-p cochains on the
+    given charts, of coefficient degree <= bound.
+
+    An atom is the coordinate key that `cochain_vector_entries` gives the
+    single entry of its cochain: ("nor", chart, slot, idx, e) or
+    ("amb", chart, idx, e). Normal atoms vary only the tangential exponents.
+    Within each (chart, slot, idx) the exponents come in graded-lex order,
+    total degree first, so that `solve_min`'s solution is graded-lex minimal.
+    """
     atoms = []
-    for idx in combinations(range(n), deg):
-        for e in sorted(_simplex(n, bound), key=lambda t: (sum(t), t)):
-            atoms.append((None, idx, e))
+    for name in charts:
+        cvars = descriptor.space.chart(name).vars
+        if part == "nor":
+            S = descriptor.submanifold
+            free = S.tangential[name]
+            heads = [("nor", name, a) for a in range(S.codim)]
+        else:
+            free, heads = cvars, [("amb", name)]
+        pos = [cvars.index(v) for v in free]
+        exps = []
+        for e_free in sorted(_simplex(len(free), bound),
+                             key=lambda t: (sum(t), t)):
+            e = [0] * len(cvars)
+            for i, x in zip(pos, e_free):
+                e[i] = x
+            exps.append(tuple(e))
+        atoms += [head + (idx, e) for head in heads for idx in combinations(
+            range(len(cvars)), descriptor.term_degree(part, p)) for e in exps]
+    return atoms
+
+
+def atom_cochain(descriptor: ComplexDescriptor, p: int, atom) -> dict:
+    """The degree-p cochain whose single entry is the monomial `atom`, held
+    on the atom's chart only."""
+    part, name, idx, e = atom[0], atom[1], atom[-2], atom[-1]
+    cvars = descriptor.space.chart(name).vars
+    pv = Polyvector(cvars, descriptor.term_degree(part, p),
+                    {idx: LaurentPoly.monomial(cvars, e)})
+    if part == "amb":
+        return {"amb": {name: pv}}
+    tup = [Polyvector.zero(cvars, p)] * descriptor.submanifold.codim
+    tup[atom[2]] = pv
+    return {"nor": {name: tup}}
+
+
+def _padded(descriptor: ComplexDescriptor, p: int, atom) -> dict:
+    """`atom_cochain` with every other chart and part present as zero."""
+    z = descriptor.zero_cochain(p)
+    z[atom[0]][atom[1]] = atom_cochain(descriptor, p, atom)[atom[0]][atom[1]]
+    return z
+
+
+def total_rows(chart: dict, overlap: dict, labels: dict) -> dict:
+    """Equation rows {key: value} of a degree-one total cochain, given in the
+    shape `total_coboundary` returns. A key is (label, chart, [slot,] idx, e)
+    for the chart part and (label, i, k, [slot,] idx, e) for the overlap
+    part, with label = labels[(part, "chart" | "overlap")]."""
+    rows = {}
+    for where, data in (("chart", chart), ("overlap", overlap)):
+        for part, per in data.items():
+            label = labels[(part, where)]
+            for at, val in per.items():
+                head = (label,) + (at if where == "overlap" else (at,))
+                for slot, pv in (enumerate(val) if part == "nor"
+                                 else [(None, val)]):
+                    key = head if slot is None else head + (slot,)
+                    for idx, coeff in pv.terms.items():
+                        for e, v in coeff.terms.items():
+                            rows[key + (idx, e)] = v
+    return rows
+
+
+def solve_total(columns: list, rhs: dict) -> tuple:
+    """Solve sum_j x_j columns[j] = rhs exactly, each side linearised by
+    `total_rows`. Returns (x, None, None) with `solve_min`'s solution;
+    (None, row, None) with the smallest rhs row that no column reaches; or
+    (None, None, witness) with `solve_min`'s witness row."""
+    reached = set().union(*columns)
+    unreached = min((k for k in rhs if k not in reached), default=None)
+    if unreached is not None:
+        return None, unreached, None
+    x, witness = solve_min(columns, rhs)
+    return x, None, witness
+
+
+# ----------------------------------------------------------------------
+# Global sections from a root-chart ansatz
+# ----------------------------------------------------------------------
+
+def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int, bound: int):
+    """The part's charts, the root-chart atoms, and each atom's cochain
+    transported along a spanning tree to every chart."""
+    space = descriptor.space
+    charts = list(descriptor.part_charts(part))
+    tree = space.spanning_tree(charts[0], charts) if len(charts) > 1 else []
+    atoms = monomial_atoms(descriptor, part, p, charts[:1], bound)
     reps = []
-    for (_, idx, e) in atoms:
-        pv = Polyvector(chart.vars, deg,
-                        {idx: LaurentPoly.monomial(chart.vars, e)})
-        rep = {root: pv}
+    for atom in atoms:
+        rep = atom_cochain(descriptor, p, atom)[part]
         for (parent, child) in tree:
-            rep[child] = space.pushforward(rep[parent], parent, child)
+            rep[child] = _transport(descriptor, part, rep[parent], parent,
+                                    child)
         reps.append(rep)
     return charts, atoms, reps
 
@@ -563,8 +607,7 @@ def _sections_at_bound(descriptor, part, p, bound):
             combo = {}
             for cname in charts:
                 cvars = descriptor.space.chart(cname).vars
-                deg = p if descriptor.kind == "linebundle" else p + 2
-                pv = Polyvector.zero(cvars, deg)
+                pv = Polyvector.zero(cvars, descriptor.term_degree(part, p))
                 for coeff, rep in zip(vec, reps):
                     if coeff:
                         pv = pv + coeff * rep[cname]
@@ -582,14 +625,8 @@ def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
     b = bound if bound is not None else suggested_bound(descriptor.space)
     if descriptor.kind == "linebundle" or not descriptor.space.transitions:
         # single chart: every bounded cochain is a section; enumerate directly
-        basis = []
-        for part in parts:
-            _, atoms, reps = _atom_sections(descriptor, part, term_degree, b)
-            for rep in reps:
-                if part == "nor":
-                    basis.append({"nor": rep})
-                else:
-                    basis.append({"amb": rep})
+        basis = [{part: rep} for part in parts for rep in
+                 _atom_sections(descriptor, part, term_degree, b)[2]]
         return SectionSpace(descriptor.kind, term_degree, basis, b, True,
                             {b: len(basis)})
     while True:
@@ -680,52 +717,13 @@ def _structure_weight(descriptor: ComplexDescriptor):
 
 def _weight_atoms(descriptor: ComplexDescriptor, p: int, weight: int):
     """Monomial atoms of the given weight for term degree p (single chart)."""
-    chart = descriptor.space.charts[0]
-    n = len(chart.vars)
+    charts = descriptor.space.chart_names[:1]
     atoms = []
-    if "nor" in descriptor.parts:
-        S = descriptor.submanifold
-        tvars = S.tangential[chart.name]
-        tidx = [chart.vars.index(v) for v in tvars]
-        for a in range(S.codim):
-            for idx in combinations(range(n), p):
-                need = weight + p
-                if need < 0:
-                    continue
-                for e_t in _simplex(len(tvars), need):
-                    if sum(e_t) != need:
-                        continue
-                    e = [0] * n
-                    for pos, x in zip(tidx, e_t):
-                        e[pos] = x
-                    atoms.append(("nor", a, idx, tuple(e)))
-    if "amb" in descriptor.parts:
-        deg = p if descriptor.kind == "linebundle" else p + 2
-        if deg <= n:
-            for idx in combinations(range(n), deg):
-                need = weight + deg
-                if need < 0:
-                    continue
-                for e in _simplex(n, need):
-                    if sum(e) != need:
-                        continue
-                    atoms.append(("amb", None, idx, tuple(e)))
+    for part in descriptor.parts:
+        need = weight + descriptor.term_degree(part, p)
+        atoms += [atom for atom in monomial_atoms(descriptor, part, p, charts,
+                                                  need) if sum(atom[-1]) == need]
     return atoms
-
-
-def _atom_to_cochain(descriptor, p, atom):
-    chart = descriptor.space.charts[0]
-    part, a, idx, e = atom
-    z = descriptor.zero_cochain(p)
-    pv = Polyvector(chart.vars,
-                    (p if descriptor.kind == "linebundle" else p + 2)
-                    if part == "amb" else p,
-                    {idx: LaurentPoly.monomial(chart.vars, e)})
-    if part == "nor":
-        z["nor"][chart.name][a] = pv
-    else:
-        z["amb"][chart.name] = pv
-    return z
 
 
 def _weight_matrix(descriptor, p, w_in, w_out):
@@ -737,18 +735,12 @@ def _weight_matrix(descriptor, p, w_in, w_out):
     out_index = {atom: i for i, atom in enumerate(out_atoms)}
     cols = []
     for atom in in_atoms:
-        img = descriptor.differential(_atom_to_cochain(descriptor, p, atom), p)
+        img = descriptor.differential(atom_cochain(descriptor, p, atom), p)
         col = {}
         for key, val in cochain_vector_entries(img):
-            if key[0] == "amb":
-                _, c, idx, e = key
-                akey = ("amb", None, idx, e)
-            else:
-                _, c, slot, idx, e = key
-                akey = ("nor", slot, idx, e)
-            if akey in out_index:
-                i = out_index[akey]
-                col[i] = col.get(i, Fraction(0)) + val
+            i = out_index.get(key)
+            if i is not None:
+                col[i] = val
             elif val:
                 raise InconsistentData(
                     "differential left the graded window; structure is not "
@@ -779,9 +771,8 @@ def affine_hyper(descriptor: ComplexDescriptor, weights: Iterable[int],
         m0, in0, _ = _weight_matrix(descriptor, 0, w, w + shift)
         if 0 in degrees:
             kern = nullspace(m0)
-            basis = [cochain_lincomb(vec,
-                                     [_atom_to_cochain(descriptor, 0, a)
-                                      for a in in0]) for vec in kern]
+            basis = [cochain_lincomb(vec, [_padded(descriptor, 0, a)
+                                           for a in in0]) for vec in kern]
             h0_basis[w] = basis
             report.weights.setdefault("H0", {})[w] = len(basis)
         if 1 in degrees:
@@ -812,7 +803,7 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
     # cocycles upstairs
     m1, in1, _ = _weight_matrix(lb_descriptor, 1, weight, weight + shift)
     cocycles = nullspace(m1)
-    atoms1 = [_atom_to_cochain(lb_descriptor, 1, a) for a in in1]
+    atoms1 = [atom_cochain(lb_descriptor, 1, a) for a in in1]
     # coordinates downstairs, keyed by out-atom position like the image
     image, _, out_atoms = _weight_matrix(nor_descriptor, 0, weight - shift,
                                          weight)
@@ -823,7 +814,7 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
         rest = restrict(cochain["amb"][chart.name], w_names)
         for idx, coeff in rest.terms.items():
             for e, val in coeff.terms.items():
-                i = out_index.get(("nor", 0, idx, e))
+                i = out_index.get(("nor", chart.name, 0, idx, e))
                 if i is not None:
                     col[i] = col.get(i, Fraction(0)) + val
         return col
@@ -836,6 +827,31 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
 # Characteristic map
 # ----------------------------------------------------------------------
 
+def first_order_directions(state) -> list:
+    """The first-order directions of a family as degree-zero cochains, one
+    per parameter: the normal motions, and the bivectors in extended mode."""
+    problem = state.problem
+    S, space = problem.submanifold, problem.space
+    out = []
+    for rho in range(len(problem.params)):
+        te = tuple(1 if i == rho else 0 for i in range(len(problem.params)))
+        c = {"nor": {}}
+        for name in S.present_charts():
+            cvars = space.chart(name).vars
+            c["nor"][name] = [Polyvector.from_function(
+                LaurentPoly.zero(cvars) if coeff is None
+                else coeff.with_vars(cvars))
+                for coeff in (ser.coefficient(te) for ser in state.phi[name])]
+        if problem.mode == "extended":
+            c["amb"] = {}
+            for name in space.chart_names:
+                coeff = state.lam[name].coefficient(te)
+                c["amb"][name] = (coeff if coeff is not None
+                                  else Polyvector.zero(space.chart(name).vars, 2))
+        out.append(c)
+    return out
+
+
 def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> list:
     """Coordinates, in the given degree-zero basis, of the first-order
     directions of a family (one coordinate vector per parameter).
@@ -843,35 +859,14 @@ def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> lis
     The directions are certified to glue and to be closed before solving;
     NotInKernel otherwise.
     """
-    params = state.params
+    pairs = descriptor.space.overlap_pairs()
     out = []
-    for rho, pname in enumerate(params):
-        unit = tuple(1 if i == rho else 0 for i in range(len(params)))
-        direction = {}
-        if "nor" in descriptor.parts:
-            S = descriptor.submanifold
-            direction["nor"] = {}
-            for name in S.present_charts():
-                cvars = descriptor.space.chart(name).vars
-                tup = []
-                for a in range(S.codim):
-                    coeff = state.phi[name][a].coefficient(unit)
-                    f = (coeff.with_vars(cvars) if coeff is not None
-                         else LaurentPoly.zero(cvars))
-                    tup.append(Polyvector.from_function(f))
-                direction["nor"][name] = tup
-        if descriptor.kind == "extended":
-            direction["amb"] = {}
-            for name in descriptor.space.chart_names:
-                cvars = descriptor.space.chart(name).vars
-                coeff = state.lam[name].coefficient(unit)
-                direction["amb"][name] = (coeff if coeff is not None
-                                          else Polyvector.zero(cvars, 2))
-        # closedness
-        if not cochain_is_zero(descriptor.differential(direction, 0)):
+    for pname, direction in zip(state.params, first_order_directions(state)):
+        chart, overlap = total_coboundary(descriptor, direction, pairs)
+        if not cochain_is_zero(chart):
             raise NotInKernel(
                 f"first-order direction of {pname} is not closed")
-        failure = gluing_failure(descriptor, direction)
+        failure = gluing_failure(overlap)
         if failure is not None:
             part, k, i = failure
             what = "direction" if part == "nor" else "bivector direction"

@@ -20,10 +20,13 @@ closedness identities exactly (a failure raises ClosednessViolation and
 indicates a bug, never bad luck); then a sparse exact linear system is solved
 per parameter monomial. Both go through the Cech total complex of the
 restricted-tuple complex, or of the paired one in extended mode
-(`complexes.total_closedness`, `complexes.total_coboundary`): the cocycle is a
-degree-one total cochain, and the system's columns are the total coboundaries
-of the unknowns. The columns depend only on the problem, the degree bound and
-the ambient sections, so `run_solver` builds them once for every step.
+(`complexes.total_closedness`, `complexes.total_coboundary`): per parameter
+monomial the cocycle is one degree-one total cochain, and the step's
+right-hand side is `complexes.total_rows` of exactly the cochain the
+certificate checks. The system's columns are the total coboundaries of the
+unknowns (`complexes.monomial_atoms` and the ambient sections). They depend
+only on the problem, the degree bound and the sections, so `run_solver`
+builds them once for every step.
 """
 
 from __future__ import annotations
@@ -34,31 +37,36 @@ from typing import Mapping
 
 from .complexes import (
     CohomologyReport,
+    atom_cochain,
     build_complex,
     cochain_is_zero,
     characteristic_map,
     coordinates,
+    first_order_directions,
     global_sections,
     gluing_failure,
     h0_complex,
+    monomial_atoms,
+    solve_total,
     total_closedness,
     total_coboundary,
+    total_rows,
 )
 from .errors import (
+    DegreeBoundTooSmall,
     InconsistentData,
     InvalidDeformation,
     MatchFailure,
+    NotInKernel,
     ParameterMismatch,
 )
 from .geometry import SubmanifoldData
-from .linalg import solve_min
 from .polyvector import Polyvector, schouten
 from .symbolic import (
     LaurentPoly,
     TruncatedSeries,
     combine,
     substitute,
-    _simplex,
 )
 
 
@@ -397,41 +405,46 @@ def _step_descriptor(problem: DeformationProblem):
     """The complex whose total complex carries the order steps: the paired
     complex in extended mode, the restricted-tuple one otherwise."""
     kind = "extended" if problem.mode == "extended" else "normal"
-    return build_complex(kind, submanifold=problem.submanifold, probe=False)
+    return build_complex(kind, submanifold=problem.submanifold)
+
+
+def _cocycle_total(problem, cocycle: ObstructionCocycle, te) -> tuple:
+    """The cocycle at one parameter monomial as a degree-one total cochain:
+    the chart part is (Pi/2, -G), the normal overlap part on (i, k) is
+    psi_(i,k) moved to chart i with its sign flipped, and the ambient overlap
+    part is zero because the solver's bivectors glue."""
+    S = problem.submanifold
+    space = problem.space
+    chart = {"nor": {}}
+    for name, d in cocycle.G.items():
+        zero = Polyvector.zero(space.chart(name).vars, 1)
+        chart["nor"][name] = [-g for g in d.get(te, [zero] * S.codim)]
+    overlap = {"nor": {}}
+    for (i, k), d in cocycle.psi.items():
+        zero = LaurentPoly.zero(space.chart(k).vars)
+        overlap["nor"][(i, k)] = [
+            Polyvector.from_function(-S.substitute_tangential(f, k, i))
+            for f in d.get(te, [zero] * S.codim)]
+    if problem.mode == "extended":
+        chart["amb"] = {
+            name: d.get(te, Polyvector.zero(space.chart(name).vars, 3))
+            * Fraction(1, 2) for name, d in cocycle.Pi.items()}
+        overlap["amb"] = {
+            (i, k): Polyvector.zero(space.chart(i).vars, 2)
+            for (i, k) in space.overlap_pairs()
+            if (k, i) in space.transitions}
+    return chart, overlap
 
 
 def certify_cocycle(state: DeformationState,
                     cocycle: ObstructionCocycle) -> dict:
-    """Exact closedness of the cocycle, one total cochain per parameter
-    monomial: the chart part is (Pi/2, -G), the normal overlap part on (i, k)
-    is psi_(i,k) moved to chart i with its sign flipped, and the ambient
-    overlap part is zero because the solver's bivectors glue. Raises
-    ClosednessViolation on failure."""
-    problem = state.problem
-    S = problem.submanifold
-    space = problem.space
-    descriptor = _step_descriptor(problem)
+    """Exact closedness of the cocycle, one total cochain (`_cocycle_total`)
+    per parameter monomial. Raises ClosednessViolation on failure."""
+    descriptor = _step_descriptor(state.problem)
     cert = {}
     for te in _tmonomials(cocycle):
-        chart = {"nor": {}}
-        for name, d in cocycle.G.items():
-            zero = Polyvector.zero(space.chart(name).vars, 1)
-            chart["nor"][name] = [-g for g in d.get(te, [zero] * S.codim)]
-        overlap = {"nor": {}}
-        for (i, k), d in cocycle.psi.items():
-            zero = LaurentPoly.zero(space.chart(k).vars)
-            overlap["nor"][(i, k)] = [
-                Polyvector.from_function(-S.substitute_tangential(f, k, i))
-                for f in d.get(te, [zero] * S.codim)]
-        if problem.mode == "extended":
-            chart["amb"] = {
-                name: d.get(te, Polyvector.zero(space.chart(name).vars, 3))
-                * Fraction(1, 2) for name, d in cocycle.Pi.items()}
-            overlap["amb"] = {
-                (i, k): Polyvector.zero(space.chart(i).vars, 2)
-                for (i, k) in space.overlap_pairs()
-                if (k, i) in space.transitions}
-        cert = total_closedness(descriptor, chart, overlap)
+        cert = total_closedness(descriptor,
+                                *_cocycle_total(state.problem, cocycle, te))
     return cert
 
 
@@ -450,28 +463,9 @@ class Obstructed:
         return False
 
 
-def _phi_atoms(problem, degree):
-    """Unknown atoms (chart, slot, tangential exponent) for one order step."""
-    S = problem.submanifold
-    atoms = []
-    for name in S.present_charts():
-        tvars = S.tangential[name]
-        for a in range(S.codim):
-            for e_t in sorted(_simplex(len(tvars), degree),
-                              key=lambda t: (sum(t), t)):
-                atoms.append((name, a, e_t))
-    return atoms
-
-
-def _atom_poly(problem, atom):
-    name, a, e_t = atom
-    space = problem.space
-    cvars = space.chart(name).vars
-    S = problem.submanifold
-    e = [0] * len(cvars)
-    for v, x in zip(S.tangential[name], e_t):
-        e[cvars.index(v)] = x
-    return LaurentPoly.monomial(cvars, e)
+# Row labels of the order-step system, by (cochain part, chart or overlap).
+STEP_ROWS = {("nor", "chart"): "G", ("amb", "chart"): "Pi",
+             ("nor", "overlap"): "psi", ("amb", "overlap"): "lam"}
 
 
 @dataclass
@@ -487,94 +481,33 @@ class StepSystem:
 
 
 def _assemble_step_matrix(problem, degree, amb_basis) -> StepSystem:
-    """Columns of the order-step system: the total coboundary of each unknown
-    atom and ambient section over the spanning-tree overlaps (i, k),
-    linearised on the rows ('G', chart, a, idx, e) of its normal chart part,
-    ('Pi', chart, idx, e) of its ambient chart part and ('psi', i, k, a, e)
-    of its normal overlap part, held on chart k as minus the entry moved
-    there. The sections glue, so their ambient overlap part is zero.
-
-    The right-hand side for a given parameter monomial is assembled
-    separately from the cocycle.
-    """
-    S = problem.submanifold
-    space = problem.space
-    present = S.present_charts()
+    """Columns of the order-step system: `total_rows` of the total
+    coboundary of each unknown atom and ambient section over the
+    spanning-tree overlaps (i, k), under `STEP_ROWS`. The sections glue, so
+    their ambient overlap rows are empty."""
+    present = problem.submanifold.present_charts()
     descriptor = _step_descriptor(problem)
-    tree = space.spanning_tree(present[0], present) if len(present) > 1 else []
+    tree = (problem.space.spanning_tree(present[0], present)
+            if len(present) > 1 else [])
     edges = [(child, parent) for (parent, child) in tree]
-    atoms = _phi_atoms(problem, degree)
-    cochains = []
-    for atom in atoms:
-        name, a, _ = atom
-        tup = [Polyvector.zero(space.chart(name).vars, 0)] * S.codim
-        tup[a] = Polyvector.from_function(_atom_poly(problem, atom))
-        cochains.append({"nor": {name: tup}})
+    atoms = monomial_atoms(descriptor, "nor", 0, present, degree)
+    cochains = [atom_cochain(descriptor, 0, atom) for atom in atoms]
     cochains += [{"amb": sec["amb"]} for sec in amb_basis]
-    columns = []
-    for cochain in cochains:
-        chart, overlap = total_coboundary(descriptor, cochain, edges)
-        col = {}
-        for name, tup in chart.get("nor", {}).items():
-            for a, pv in enumerate(tup):
-                for idx, coeff in pv.terms.items():
-                    for e, v in coeff.terms.items():
-                        col[("G", name, a, idx, e)] = v
-        for name, pv in chart.get("amb", {}).items():
-            for idx, coeff in pv.terms.items():
-                for e, v in coeff.terms.items():
-                    col[("Pi", name, idx, e)] = v
-        for (i, k), tup in overlap.get("nor", {}).items():
-            for a, pv in enumerate(tup):
-                moved = S.substitute_tangential(pv.as_function(), i, k)
-                for e, v in moved.terms.items():
-                    col[("psi", i, k, a, e)] = -v
-        columns.append(col)
+    columns = [total_rows(*total_coboundary(descriptor, cochain, edges),
+                          STEP_ROWS) for cochain in cochains]
     return StepSystem(degree, amb_basis, atoms, columns)
 
 
-def _step_rhs(cocycle, row_keys, te):
-    rhs_map = {}
-    for (i, k), d in cocycle.psi.items():
-        tup = d.get(te)
-        if not tup:
-            continue
-        for a, p in enumerate(tup):
-            for e, v in p.terms.items():
-                rhs_map[("psi", i, k, a, e)] = rhs_map.get(
-                    ("psi", i, k, a, e), Fraction(0)) + v
-    for name, d in cocycle.G.items():
-        tup = d.get(te)
-        if not tup:
-            continue
-        for a, pv in enumerate(tup):
-            for idx, coeff in pv.terms.items():
-                for e, v in coeff.terms.items():
-                    key = ("G", name, a, idx, e)
-                    rhs_map[key] = rhs_map.get(key, Fraction(0)) - v
-    for name, d in cocycle.Pi.items():
-        pv = d.get(te)
-        if pv is None:
-            continue
-        for idx, coeff in pv.terms.items():
-            for e, v in coeff.terms.items():
-                key = ("Pi", name, idx, e)
-                rhs_map[key] = rhs_map.get(key, Fraction(0)) + v / 2
-    missing = [k for k in rhs_map if k not in row_keys]
-    return rhs_map, missing
-
-
-def _solve_step(cocycle, system: StepSystem):
+def _solve_step(problem, cocycle, system: StepSystem):
     """Solve one order step; returns (per-te solutions, None) or
     (None, witness description)."""
-    row_keys = set().union(*system.columns)
     solutions = {}
     for te in _tmonomials(cocycle):
-        rhs_map, missing = _step_rhs(cocycle, row_keys, te)
-        if missing:
-            return None, (f"no unknown reaches equation row {missing[0]} "
+        sol, unreached, bad = solve_total(system.columns, total_rows(
+            *_cocycle_total(problem, cocycle, te), STEP_ROWS))
+        if unreached is not None:
+            return None, (f"no unknown reaches equation row {unreached} "
                           f"at parameter monomial {te}")
-        sol, bad = solve_min(system.columns, rhs_map)
         if sol is None:
             return None, (f"inconsistent at parameter monomial {te}, "
                           f"equation row {bad}")
@@ -587,8 +520,7 @@ def _ambient_basis(problem: DeformationProblem) -> list:
     move the ambient structure; none in the other modes."""
     if problem.mode != "extended":
         return []
-    bdesc = build_complex("bivector", manifold=problem.submanifold.manifold,
-                          probe=False)
+    bdesc = build_complex("bivector", manifold=problem.submanifold.manifold)
     return global_sections(bdesc, 0, problem.bound).basis
 
 
@@ -610,15 +542,14 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
         amb_basis = (_ambient_basis(problem) if system is None
                      else system.amb_basis)
         system = _assemble_step_matrix(problem, D, amb_basis)
-    solutions, witness = _solve_step(cocycle, system)
+    solutions, witness = _solve_step(problem, cocycle, system)
     if solutions is None:
         tested = {D: "infeasible"}
         for bump in (D + 1, D + 2):
-            got, _ = _solve_step(cocycle, _assemble_step_matrix(
+            got, _ = _solve_step(problem, cocycle, _assemble_step_matrix(
                 problem, bump, system.amb_basis))
             tested[bump] = "feasible" if got is not None else "infeasible"
         if any(v == "feasible" for v in tested.values()):
-            from .errors import DegreeBoundTooSmall
             raise DegreeBoundTooSmall(
                 f"order {cocycle.order} infeasible at degree {D} but "
                 f"feasible within two degrees: {tested}")
@@ -633,8 +564,8 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
         for val, atom in zip(sol, atoms):
             if not val:
                 continue
-            name, a, e_t = atom
-            poly = _atom_poly(problem, atom) * val
+            _, name, a, _, e = atom
+            poly = LaurentPoly.monomial(space.chart(name).vars, e, val)
             new_phi[name][a] = new_phi[name][a] + TruncatedSeries(
                 problem.params, M, {te: poly})
         for val, sec in zip(sol[len(atoms):], system.amb_basis):
@@ -682,19 +613,25 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
     descriptor = None
     if problem.mode in ("fixed", "extended"):
         kind = "normal" if problem.mode == "fixed" else "extended"
-        descriptor = build_complex(kind, submanifold=S, probe=False)
+        descriptor = build_complex(kind, submanifold=S)
         h0 = h0_complex(descriptor, problem.bound)
         if problem.directions is not None:
             chosen = list(problem.directions)
             for d in chosen:
                 if coordinates(h0.basis, d)[0] is None:
-                    from .errors import NotInKernel
                     raise NotInKernel(
                         "a seeding direction lies outside the degree-zero "
                         "cohomology")
         else:
             indices = (tuple(problem.seed) if problem.seed is not None
                        else tuple(range(h0.dimension)))
+            for n, i in enumerate(indices):
+                why = ("out of range" if not 0 <= i < h0.dimension
+                       else "repeated" if i in indices[:n] else None)
+                if why:
+                    raise ParameterMismatch(
+                        f"seed index {i} is {why} for a degree-zero basis "
+                        f"of dimension {h0.dimension}")
             chosen = [h0.basis[i] for i in indices]
         if len(chosen) != len(problem.params):
             raise ParameterMismatch(
@@ -768,33 +705,6 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
 # Matching families
 # ----------------------------------------------------------------------
 
-def _first_order_cochains(problem, state):
-    """First-order directions of a family as degree-zero cochains."""
-    S = problem.submanifold
-    space = problem.space
-    out = []
-    for rho in range(len(problem.params)):
-        te = tuple(1 if i == rho else 0 for i in range(len(problem.params)))
-        c = {"nor": {}}
-        for name in S.present_charts():
-            cvars = space.chart(name).vars
-            tup = []
-            for a in range(S.codim):
-                coeff = state.phi[name][a].coefficient(te)
-                tup.append(Polyvector.from_function(
-                    coeff.with_vars(cvars) if coeff is not None
-                    else LaurentPoly.zero(cvars)))
-            c["nor"][name] = tup
-        if problem.mode == "extended":
-            c["amb"] = {}
-            for name in space.chart_names:
-                coeff = state.lam[name].coefficient(te)
-                c["amb"][name] = (coeff if coeff is not None
-                                  else Polyvector.zero(space.chart(name).vars, 2))
-        out.append(c)
-    return out
-
-
 def match_families(problem: DeformationProblem, family_t: DeformationState,
                    observed: DeformationState, order: int | None = None):
     """Find a parameter substitution making the solver family agree with an
@@ -814,10 +724,10 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
             "codimension than the model")
     s_params = observed.params
     t_params = problem.params
-    basis = _first_order_cochains(problem, family_t)
+    basis = first_order_directions(family_t)
     descriptor = build_complex(
-        "normal" if problem.mode == "fixed" else "extended",
-        submanifold=S, probe=False)
+        "normal" if problem.mode == "fixed" else "extended", submanifold=S)
+    pairs = space.overlap_pairs()
     h = [TruncatedSeries.zero(s_params, M) for _ in t_params]
     report = {"orders": {}}
 
@@ -901,12 +811,13 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
                         pv if pv is not None
                         else Polyvector.zero(space.chart(name).vars, 2))
             # closedness preconditions -> MatchFailure, never an internal error
-            if not cochain_is_zero(descriptor.differential(cochain, 0)):
+            chart, overlap = total_coboundary(descriptor, cochain, pairs)
+            if not cochain_is_zero(chart):
                 raise MatchFailure(
                     f"order-{step} mismatch is not tangent to the moduli "
                     f"problem (fails the kernel condition)",
                     residual=cochain, reason="not-closed")
-            failure = gluing_failure(descriptor, cochain)
+            failure = gluing_failure(overlap)
             if failure is not None:
                 part, k, i = failure
                 raise MatchFailure(

@@ -100,7 +100,7 @@ def test_solver_reproduces_worked_family(p2_manifold, p2_curve_sub, p2_worked):
 
 def test_ruled_surface_extended_family_is_linear():
     _, S = build_fm_section(3, structured=False)
-    desc = build_complex("extended", submanifold=S, probe=False)
+    desc = build_complex("extended", submanifold=S)
     dim = h0_complex(desc).dimension
     assert dim == 9
     prob = DeformationProblem(S, tuple(f"t{i}" for i in range(dim)),

@@ -355,6 +355,19 @@ def test_solve_line_seeded():
     assert report["family"]["U0"]["z3"] == "t2 + z2 * t1"
 
 
+@pytest.mark.parametrize("seed, index, why", [
+    ("0,9", "9", "out of range"), ("0,-1", "-1", "out of range"),
+    ("0,0", "0", "repeated")])
+def test_solve_rejects_bad_seed_index(seed, index, why):
+    """The degree-zero basis of p2_extended has 8 elements; an index outside
+    range(8), or one given twice, ends in one line naming it and the
+    dimension."""
+    code, text = run("solve", corpus_path("p2_extended.pdef"), "--seed", seed)
+    assert code == 1
+    assert text == (f"error: ParameterMismatch: seed index {index} is {why} "
+                    "for a degree-zero basis of dimension 8\n")
+
+
 @pytest.mark.parametrize("name", ["f0_instability", "f2_instability"])
 def test_solve_instability_exits_two(name):
     code, report = jrun("solve", corpus_path(f"{name}.pdef"))

@@ -3,8 +3,9 @@
 The solver and small-ring reports name the equation row that blocks a step
 (`solve --degree 0|1`, `artin --bound 0|1`); the benchmark's golden hashes
 cover only the default commands. This test reruns those commands on every
-shipped file, with and without --json, and compares exit code and full text
-with `data/witness_snapshot.json`.
+shipped file, and the graded engine (`h0|hyper --weights`) on the one
+single-chart file, with and without --json, and compares exit code and full
+text with `data/witness_snapshot.json`.
 
 Record the snapshot again (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_witness_snapshot.py
@@ -29,6 +30,11 @@ def _commands():
             for value in ("0", "1"):
                 for fmt in ((), ("--json",)):
                     yield [sub, name, flag, value, *fmt]
+    for sub in ("h0", "hyper"):
+        for kind in ("normal", "extended", "bivector"):
+            for fmt in ((), ("--json",)):
+                yield [sub, "c3_line.pdef", "--weights", "0..5", "--complex",
+                       kind, *fmt]
 
 
 def _run(argv):
