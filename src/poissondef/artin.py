@@ -46,7 +46,8 @@ from .complexes import (atom_cochain, build_complex, h0_complex,
                          monomial_atoms, solve_total, total_closedness,
                          total_coboundary, total_rows)
 from .deformation import (DeformationProblem, DeformationState,
-                          gluing_mismatch, ideal_residual, series_schouten)
+                          gluing_mismatch, ideal_residual, jacobi_residual,
+                          lambda_gluing_mismatch, series_schouten)
 from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
                      ParameterMismatch)
 from .geometry import PoissonManifold, SubmanifoldData
@@ -63,19 +64,7 @@ FUNCTORS = ("def", "hilb", "exthilb")
 
 def _recut(ser: TruncatedSeries, cutoff: int) -> TruncatedSeries:
     """Same series with a different truncation cutoff."""
-    return TruncatedSeries(ser.params, cutoff,
-                           {e: c for e, c in ser.terms.items()
-                            if sum(e) <= cutoff})
-
-
-def _coeff_pv(ser: TruncatedSeries, exp: tuple, vars, degree: int) -> Polyvector:
-    c = ser.coefficient(exp)
-    return Polyvector.zero(vars, degree) if c is None else c
-
-
-def _coeff_lp(ser: TruncatedSeries, exp: tuple, vars) -> LaurentPoly:
-    c = ser.coefficient(exp)
-    return LaurentPoly.zero(vars) if c is None else c
+    return TruncatedSeries(ser.params, cutoff, ser.terms)
 
 
 def _scale_pv(pv: Polyvector, f: LaurentPoly) -> Polyvector:
@@ -321,33 +310,30 @@ def _family_pieces(kind, state, manifold, lam, order):
 
 
 def _ambient_components(space, lam_map, m):
-    """Per-chart trivector failures and per-overlap gluing failures of the
+    """Per-chart trivector failures (half [Lambda, Lambda]) and per-overlap
+    gluing failures (minus `lambda_gluing_mismatch`) at order m + 1 of the
     canonical extension-by-zero of the bivector family."""
     exp = (m + 1,)
+    jacobi = jacobi_residual(lam_map)
     half_pi = {}
     for name in space.chart_names:
-        cvars = space.chart(name).vars
-        jac = series_schouten(lam_map[name], lam_map[name])
-        low = jac.truncate(m)
+        low = jacobi[name].truncate(m)
         if not low.is_zero():
             raise InvalidDeformation(
                 f"bivector family on chart {name} fails its square-zero "
                 f"identity at order {low.min_order()}")
-        half_pi[name] = _coeff_pv(jac, exp, cvars, 3) * Fraction(1, 2)
-    lam_prime = {}
-    for (i, k) in space.overlap_pairs():
-        if (k, i) not in space.transitions:
-            continue
-        cvars = space.chart(i).vars
-        moved = lam_map[k].map(lambda pv: space.pushforward(pv, k, i))
-        diff = lam_map[i] - moved
-        low = diff.truncate(m)
-        if not low.is_zero():
+        half_pi[name] = jacobi[name].coefficient(
+            exp, Polyvector.zero(space.chart(name).vars, 3)) * Fraction(1, 2)
+    mismatch = lambda_gluing_mismatch(space, lam_map)
+    ambient_cech = {}
+    for (k, i), ser in mismatch.items():
+        if not ser.truncate(m).is_zero():
             raise InvalidDeformation(
                 f"bivector family does not glue over the base on overlap "
                 f"({i}, {k})")
-        lam_prime[(i, k)] = _coeff_pv(diff, exp, cvars, 2)
-    return half_pi, lam_prime
+        ambient_cech[(i, k)] = ser.coefficient(
+            exp, Polyvector.zero(space.chart(i).vars, 2))
+    return half_pi, ambient_cech
 
 
 def _normal_components(S, problem, phi, lam_map, m, perturb):
@@ -367,7 +353,7 @@ def _normal_components(S, problem, phi, lam_map, m, perturb):
                 raise InvalidDeformation(
                     f"family is not a bracket-ideal family on chart {name} "
                     f"at order {low.min_order()}")
-            G = _coeff_pv(row, exp, cvars, 1)
+            G = row.coefficient(exp, Polyvector.zero(cvars, 1))
             if perturb is not None and name in perturb.get("B", {}):
                 for b in range(S.codim):
                     wb = LaurentPoly.variable(cvars, w[b])
@@ -384,7 +370,8 @@ def _normal_components(S, problem, phi, lam_map, m, perturb):
                 raise InvalidDeformation(
                     f"family ideals do not glue on overlap ({i}, {k}) at "
                     f"order {low.min_order()}")
-            h_on_k = -_coeff_lp(row, exp, space.chart(k).vars)
+            h_on_k = -row.coefficient(exp, LaurentPoly.zero(
+                space.chart(k).vars))
             out.append(S.substitute_tangential(h_on_k, k, i))
         normal_cech[(i, k)] = out
     return minus_normal, normal_cech
@@ -414,20 +401,16 @@ def _canonical_class(kind, S, manifold, phi, lam_map, m, perturb=None):
                         phi[name][a].params, cut, {(cut,): A})
     cls = ObstructionClass(kind, m)
     if kind in ("def", "exthilb"):
-        half_pi, lam_prime = _ambient_components(space, lam_map, m)
-        cls.ambient = half_pi
-        cls.ambient_cech = {pair: -lp for pair, lp in lam_prime.items()}
+        cls.ambient, cls.ambient_cech = _ambient_components(space, lam_map, m)
     if kind == "hilb":
+        jacobi = jacobi_residual(lam_map)
         for name in space.chart_names:
-            if not series_schouten(lam_map[name], lam_map[name]).is_zero():
+            if not jacobi[name].is_zero():
                 raise InvalidDeformation(
                     f"ambient bivector family on chart {name} fails its "
                     "square-zero identity")
-        for (i, k) in space.overlap_pairs():
-            if (k, i) not in space.transitions:
-                continue
-            moved = lam_map[k].map(lambda pv: space.pushforward(pv, k, i))
-            if not (lam_map[i] - moved).is_zero():
+        for (k, i), ser in lambda_gluing_mismatch(space, lam_map).items():
+            if not ser.is_zero():
                 raise InvalidDeformation(
                     f"ambient bivector family does not glue on ({i}, {k})")
     if kind in ("hilb", "exthilb"):

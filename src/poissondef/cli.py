@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    """Type of every --order, --degree and --bound: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="poissondef", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -68,28 +79,29 @@ def build_parser() -> _Parser:
     p.add_argument("--complex", default="normal", dest="complex_kind",
                    choices=("normal", "extended", "linebundle", "bivector"))
     p.add_argument("--weights", help="weight range a..b (single-chart only)")
-    p.add_argument("--bound", type=int, help="section degree bound")
+    p.add_argument("--bound", type=_count, help="section degree bound")
 
     p = add("hyper", "degree-one cohomology data")
     p.add_argument("--complex", default="normal", dest="complex_kind",
                    choices=("normal", "extended", "linebundle", "bivector"))
     p.add_argument("--weights", help="weight range a..b (single-chart only)")
-    p.add_argument("--bound", type=int, default=4,
+    p.add_argument("--bound", type=_count, default=4,
                    help="Laurent window bound for the atlas estimate")
 
     p = add("solve", "construct a family order by order")
-    p.add_argument("--order", type=int, help="target order override")
-    p.add_argument("--degree", type=int, help="degree bound override")
+    p.add_argument("--order", type=_count, help="target order override")
+    p.add_argument("--degree", type=_count, help="degree bound override")
     p.add_argument("--mode", choices=("fixed", "extended", "prescribed"),
                    help="mode override")
     p.add_argument("--seed", help="comma-separated degree-zero basis indices")
-    p.add_argument("--bound", type=int, help="section degree bound override")
+    p.add_argument("--bound", type=_count,
+                   help="section degree bound override")
 
     p = add("verify", "re-verify the family written in the file")
-    p.add_argument("--order", type=int, help="verification order override")
+    p.add_argument("--order", type=_count, help="verification order override")
 
     p = add("match", "match a model family to an observed one", files=2)
-    p.add_argument("--order", type=int, help="matching order override")
+    p.add_argument("--order", type=_count, help="matching order override")
     p.add_argument("--seed", help="comma-separated degree-zero basis indices "
                                   "for the model solve")
 
@@ -97,9 +109,9 @@ def build_parser() -> _Parser:
     p.add_argument("--functor", choices=("def", "hilb", "exthilb"),
                    help="functor override (defaults to the file's artin "
                         "statement)")
-    p.add_argument("--order", type=int, default=0,
+    p.add_argument("--order", type=_count, default=0,
                    help="extension step: class at the next order")
-    p.add_argument("--bound", type=int, default=3,
+    p.add_argument("--bound", type=_count, default=3,
                    help="degree bound for sections and lifts")
     return parser
 
@@ -440,7 +452,7 @@ def _cmd_verify(args):
     doc = _load(args.file)
     prob = doc.problem(order=args.order)
     fam = doc.family_state(prob)
-    report = verify_family(prob, fam, args.order)
+    report = verify_family(fam, args.order)
     rep = _report_header("verify", doc)
     rep["order"] = report["order"]
     for key in ("gluing", "ideal", "lambda_gluing", "jacobi"):

@@ -121,20 +121,6 @@ def cochain_vector_entries(a: dict):
                     yield ("nor", c, slot, idx, e), val
 
 
-def vectorize(cochains: list) -> tuple:
-    """Common dense coordinatization of several cochains: (sorted keys,
-    columns). The engines hand sparse columns to `linalg` instead."""
-    entry_maps = []
-    keys = set()
-    for c in cochains:
-        m = dict(cochain_vector_entries(c))
-        entry_maps.append(m)
-        keys.update(m)
-    keys = sorted(keys)
-    cols = [[m.get(k, Fraction(0)) for k in keys] for m in entry_maps]
-    return keys, cols
-
-
 def coordinates(basis: list, cochain: dict):
     """Exact coordinates of a cochain in the span of the basis cochains.
 

@@ -15,6 +15,12 @@ bivectors per chart. Three modes:
                 coefficients); only normal motions are solved, with the
                 central-fibre operators on the left-hand side.
 
+A family state is immutable, and its four residuals (the moved ideals fail
+to glue, the moved ideal is not a bracket ideal, the bivectors fail to glue,
+[Lambda, Lambda] != 0) are computed once per state, on first use
+(`DeformationState.residuals`): `verify_family` reads their vanishing
+orders and the next order step their degree-(m+1) coefficients.
+
 Every order step first assembles the obstruction cocycle and certifies its
 closedness identities exactly (a failure raises ClosednessViolation and
 indicates a bug, never bad luck); then a sparse exact linear system is solved
@@ -24,15 +30,17 @@ restricted-tuple complex, or of the paired one in extended mode
 monomial the cocycle is one degree-one total cochain, and the step's
 right-hand side is `complexes.total_rows` of exactly the cochain the
 certificate checks. The system's columns are the total coboundaries of the
-unknowns (`complexes.monomial_atoms` and the ambient sections). They depend
-only on the problem, the degree bound and the sections, so `run_solver`
-builds them once for every step.
+unknowns (`complexes.monomial_atoms` and the ambient sections) over every
+ordered overlap, the same overlaps the cocycle carries. They depend only on
+the problem, the degree bound and the sections, so `run_solver` builds them
+once for every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .complexes import (
@@ -158,7 +166,7 @@ class DeformationProblem:
         return self.submanifold.space
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeformationState:
     problem: DeformationProblem
     order: int
@@ -168,6 +176,21 @@ class DeformationState:
     @property
     def params(self):
         return self.problem.params
+
+    @cached_property
+    def residuals(self) -> dict:
+        """The failures of the family, computed on first use: "gluing" and
+        "ideal" (rows of series per overlap and per present chart), and in
+        the extended and prescribed modes "lambda_gluing" and "jacobi" (one
+        series per overlap and per chart)."""
+        problem = self.problem
+        out = {"gluing": gluing_mismatch(problem, self.phi),
+               "ideal": ideal_residual(problem, self.phi, self.lam)}
+        if problem.mode in ("extended", "prescribed"):
+            out["lambda_gluing"] = lambda_gluing_mismatch(problem.space,
+                                                          self.lam)
+            out["jacobi"] = jacobi_residual(self.lam)
+        return out
 
 
 def initial_state(problem: DeformationProblem) -> DeformationState:
@@ -272,64 +295,41 @@ def ideal_residual(problem, phi, lam) -> dict:
     return out
 
 
-def lambda_gluing_mismatch(problem, lam) -> dict:
-    space = problem.space
-    out = {}
-    for (i, k) in space.overlap_pairs():
-        if (k, i) not in space.transitions:
-            continue
-        moved = lam[k].map(lambda pv: space.pushforward(pv, k, i))
-        out[(k, i)] = moved - lam[i]
-    return out
+def lambda_gluing_mismatch(space, lam) -> dict:
+    """Per ordered overlap (k, i) with a two-way transition: the bivector
+    series of chart k moved to chart i, minus that of chart i."""
+    return {(k, i): lam[k].map(lambda pv: space.pushforward(pv, k, i)) - lam[i]
+            for (i, k) in space.overlap_pairs() if (k, i) in space.transitions}
 
 
-def jacobi_residual(problem, lam) -> dict:
-    return {name: series_schouten(lam[name], lam[name])
-            for name in problem.space.chart_names}
+def jacobi_residual(lam) -> dict:
+    """Per chart: [Lambda, Lambda] of its bivector series."""
+    return {name: series_schouten(ser, ser) for name, ser in lam.items()}
 
 
 def _vanishing_order(series_or_list, cap: int) -> int:
     """Largest m <= cap such that everything vanishes in degrees <= m."""
-    worst = cap
     items = series_or_list if isinstance(series_or_list, list) else [series_or_list]
-    for s in items:
-        o = s.min_order()
-        if o is not None:
-            worst = min(worst, o - 1)
-    return worst
+    return min([cap] + [sum(e) - 1 for s in items for e in s.terms])
 
 
-def verify_family(problem: DeformationProblem, family: DeformationState,
-                  order: int | None = None) -> dict:
+def verify_family(state: DeformationState, order: int | None = None) -> dict:
     """Exact per-identity verification of a family up to the given order.
 
-    Reports, for each identity, the largest order up to which it holds
-    (capped at the requested order); pass means every identity holds there.
+    Reports, for each residual of the state, the largest order up to which
+    it vanishes (capped at the requested order), per overlap "i|k" or chart;
+    pass means every identity holds there.
     """
-    M = problem.order if order is None else order
-    phi, lam = family.phi, family.lam
+    M = state.problem.order if order is None else order
     report = {"order": M, "gluing": {}, "ideal": {}, "lambda_gluing": {},
-              "jacobi": {}, "pass": True}
-    for pair, rows in sorted(gluing_mismatch(problem, phi).items()):
-        o = _vanishing_order(rows, M)
-        report["gluing"][f"{pair[0]}|{pair[1]}"] = o
-        report["pass"] &= o >= M
-    for name, rows in sorted(ideal_residual(problem, phi, lam).items()):
-        o = _vanishing_order(rows, M)
-        report["ideal"][name] = o
-        report["pass"] &= o >= M
-    if problem.mode in ("extended", "prescribed"):
-        for pair, ser in sorted(lambda_gluing_mismatch(problem, lam).items()):
-            o = _vanishing_order(ser, M)
-            report["lambda_gluing"][f"{pair[0]}|{pair[1]}"] = o
-            report["pass"] &= o >= M
-        for name, ser in sorted(jacobi_residual(problem, lam).items()):
-            o = _vanishing_order(ser, M)
-            report["jacobi"][name] = o
-            report["pass"] &= o >= M
-    report["verified_order"] = min(
-        [v for d in ("gluing", "ideal", "lambda_gluing", "jacobi")
-         for v in report[d].values()] or [M])
+              "jacobi": {}}
+    for key, residual in state.residuals.items():
+        for at, rows in sorted(residual.items()):
+            label = "|".join(at) if isinstance(at, tuple) else at
+            report[key][label] = _vanishing_order(rows, M)
+    orders = [o for key in state.residuals for o in report[key].values()]
+    report["pass"] = all(o >= M for o in orders)
+    report["verified_order"] = min(orders or [M])
     return report
 
 
@@ -355,49 +355,42 @@ class ObstructionCocycle:
                         for d in self.Pi.values()))
 
 
+def _degree_part(residual: dict, degree: int, zero) -> dict:
+    """Per overlap or chart of `residual`, the degree-`degree` coefficients
+    of its rows of series, per parameter monomial: {te: [coefficient]*rows},
+    with `zero(overlap or chart)` where a row has none."""
+    out = {}
+    for at, rows in residual.items():
+        per_t = {}
+        for a, ser in enumerate(rows):
+            for te, coeff in ser.homogeneous(degree).items():
+                tup = per_t.setdefault(te, [zero(at)] * len(rows))
+                tup[a] = tup[a] + coeff
+        out[at] = per_t
+    return out
+
+
 def obstruction_cocycle(state: DeformationState) -> ObstructionCocycle:
-    """Degree-(m+1) obstruction data of an order-m family, with its exact
-    closedness certificates."""
+    """Degree-(m+1) obstruction data of an order-m family, read from its
+    residuals, with its exact closedness certificates."""
     problem = state.problem
-    S = problem.submanifold
     space = problem.space
     m1 = state.order + 1
-    psi = {}
-    for pair, rows in gluing_mismatch(problem, state.phi).items():
-        per_t = {}
-        for a, ser in enumerate(rows):
-            for te, coeff in ser.homogeneous(m1).items():
-                per_t.setdefault(te, [LaurentPoly.zero(space.chart(pair[1]).vars)
-                                      for _ in range(S.codim)])
-                per_t[te][a] = per_t[te][a] + coeff
-        psi[pair] = per_t
-    G = {}
-    for name, rows in ideal_residual(problem, state.phi, state.lam).items():
-        per_t = {}
-        cvars = space.chart(name).vars
-        for a, ser in enumerate(rows):
-            for te, pv in ser.homogeneous(m1).items():
-                per_t.setdefault(te, [Polyvector.zero(cvars, 1)
-                                      for _ in range(S.codim)])
-                per_t[te][a] = per_t[te][a] + pv
-        G[name] = per_t
-    Pi = {}
-    if problem.mode == "extended":
-        for name, ser in jacobi_residual(problem, state.lam).items():
-            Pi[name] = dict(ser.homogeneous(m1))
+    res = state.residuals
+    psi = _degree_part(res["gluing"], m1, lambda pair: LaurentPoly.zero(
+        space.chart(pair[1]).vars))
+    G = _degree_part(res["ideal"], m1, lambda name: Polyvector.zero(
+        space.chart(name).vars, 1))
+    Pi = ({name: ser.homogeneous(m1) for name, ser in res["jacobi"].items()}
+          if problem.mode == "extended" else {})
     cocycle = ObstructionCocycle(m1, problem.mode, psi, G, Pi)
     cocycle.certificates = certify_cocycle(state, cocycle)
     return cocycle
 
 
 def _tmonomials(cocycle: ObstructionCocycle):
-    seen = set()
-    for d in cocycle.psi.values():
-        seen.update(d.keys())
-    for d in cocycle.G.values():
-        seen.update(d.keys())
-    for d in cocycle.Pi.values():
-        seen.update(d.keys())
+    seen = set().union(*(d for part in (cocycle.psi, cocycle.G, cocycle.Pi)
+                         for d in part.values()))
     return sorted(seen, key=lambda e: (sum(e), e))
 
 
@@ -482,18 +475,16 @@ class StepSystem:
 
 def _assemble_step_matrix(problem, degree, amb_basis) -> StepSystem:
     """Columns of the order-step system: `total_rows` of the total
-    coboundary of each unknown atom and ambient section over the
-    spanning-tree overlaps (i, k), under `STEP_ROWS`. The sections glue, so
-    their ambient overlap rows are empty."""
+    coboundary of each unknown atom and ambient section over every ordered
+    overlap (i, k), under `STEP_ROWS`. The sections glue, so their ambient
+    overlap rows are empty."""
     present = problem.submanifold.present_charts()
     descriptor = _step_descriptor(problem)
-    tree = (problem.space.spanning_tree(present[0], present)
-            if len(present) > 1 else [])
-    edges = [(child, parent) for (parent, child) in tree]
+    pairs = problem.space.overlap_pairs()
     atoms = monomial_atoms(descriptor, "nor", 0, present, degree)
     cochains = [atom_cochain(descriptor, 0, atom) for atom in atoms]
     cochains += [{"amb": sec["amb"]} for sec in amb_basis]
-    columns = [total_rows(*total_coboundary(descriptor, cochain, edges),
+    columns = [total_rows(*total_coboundary(descriptor, cochain, pairs),
                           STEP_ROWS) for cochain in cochains]
     return StepSystem(degree, amb_basis, atoms, columns)
 
@@ -529,10 +520,10 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
                 ) -> DeformationState | Obstructed:
     """Extend an order-m family to order m+1 or report the obstruction.
 
-    The produced state is re-verified through the congruence machinery; when
-    the step is infeasible at the requested polynomial degree bound but
-    becomes feasible one or two degrees higher, DegreeBoundTooSmall is raised
-    instead of declaring an obstruction. `system` is the problem's
+    The produced state is re-verified from its residuals, which the next
+    step reads as its cocycle; when the step is infeasible at the requested
+    polynomial degree bound but becomes feasible one or two degrees higher,
+    DegreeBoundTooSmall is raised instead of declaring an obstruction. `system` is the problem's
     `_assemble_step_matrix` at that degree bound, built here when not given.
     """
     problem = state.problem
@@ -575,7 +566,7 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
                 new_lam[name] = new_lam[name] + TruncatedSeries(
                     problem.params, M, {te: sec["amb"][name] * val})
     new_state = DeformationState(problem, state.order + 1, new_phi, new_lam)
-    check = verify_family(problem, new_state, new_state.order)
+    check = verify_family(new_state, new_state.order)
     if not check["pass"]:
         raise InconsistentData(
             f"order step produced an invalid family: {check}")
@@ -612,8 +603,7 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
     chosen = []
     descriptor = None
     if problem.mode in ("fixed", "extended"):
-        kind = "normal" if problem.mode == "fixed" else "extended"
-        descriptor = build_complex(kind, submanifold=S)
+        descriptor = _step_descriptor(problem)
         h0 = h0_complex(descriptor, problem.bound)
         if problem.directions is not None:
             chosen = list(problem.directions)
@@ -637,6 +627,8 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
             raise ParameterMismatch(
                 f"{len(problem.params)} parameters for {len(chosen)} chosen "
                 f"directions")
+        phi = {name: list(rows) for name, rows in state.phi.items()}
+        lam = dict(state.lam)
         for rho, sec in enumerate(chosen):
             te = tuple(1 if i == rho else 0
                        for i in range(len(problem.params)))
@@ -647,16 +639,16 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
                 for a in range(S.codim):
                     f = tup[a].as_function()
                     if not f.is_zero():
-                        state.phi[name][a] = state.phi[name][a] + \
-                            TruncatedSeries(problem.params, M, {te: f})
+                        phi[name][a] = phi[name][a] + TruncatedSeries(
+                            problem.params, M, {te: f})
             if problem.mode == "extended":
                 for name in space.chart_names:
                     pv = sec.get("amb", {}).get(name)
                     if pv is not None and not pv.is_zero():
-                        state.lam[name] = state.lam[name] + TruncatedSeries(
+                        lam[name] = lam[name] + TruncatedSeries(
                             problem.params, M, {te: pv})
-        state = DeformationState(problem, 1, state.phi, state.lam)
-        seeded = verify_family(problem, state, 1)
+        state = DeformationState(problem, 1, phi, lam)
+        seeded = verify_family(state, 1)
         if not seeded["pass"]:
             raise InconsistentData(
                 f"seeded first-order family fails its congruences: {seeded}")
@@ -670,7 +662,7 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
                 raise InvalidDeformation(
                     f"prescribed family does not start at the central "
                     f"structure on chart {name}")
-        pres = verify_family(problem, state, M)
+        pres = verify_family(state, M)
         if (any(v < M for v in pres["lambda_gluing"].values())
                 or any(v < M for v in pres["jacobi"].values())):
             raise InvalidDeformation(
@@ -688,7 +680,7 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
         if isinstance(nxt, Obstructed):
             return SolverResult(problem, state, nxt, h0, chosen, None, None)
         state = nxt
-    final = verify_family(problem, state, M)
+    final = verify_family(state, M)
     char_ok = None
     if problem.mode in ("fixed", "extended") and chosen:
         coords = characteristic_map(descriptor, chosen, state)

@@ -208,7 +208,7 @@ def p2_worked(p2_manifold, p2_curve_sub):
     prob = DeformationProblem(p2_curve_sub, params, order=3, degree=2,
                               mode="extended")
     fam = DeformationState(prob, 3, phi, lam)
-    report = verify_family(prob, fam, 3)
+    report = verify_family(fam, 3)
     return {"problem": prob, "family": fam, "report": report,
             "directions": (dir1, dir2)}
 
@@ -259,14 +259,14 @@ def oracle_dim(descriptor, bound=None):
     differential on them."""
     import sympy
 
-    from poissondef.complexes import global_sections, vectorize
+    from poissondef.complexes import cochain_vector_entries, global_sections
     space = global_sections(descriptor, 0, bound)
     if not space.basis:
         return 0
-    images = [descriptor.differential(s, 0) for s in space.basis]
-    keys, cols = vectorize(images)
+    images = [dict(cochain_vector_entries(descriptor.differential(s, 0)))
+              for s in space.basis]
+    keys = sorted(set().union(*images))
     if not keys:
         return len(images)
-    mat = sympy.Matrix([[cols[j][i] for j in range(len(images))]
-                        for i in range(len(keys))])
+    mat = sympy.Matrix([[col.get(k, 0) for col in images] for k in keys])
     return len(images) - mat.rank()

@@ -81,7 +81,7 @@ def test_trivial_extension_lifts(transverse_line):
                                  {(1,): LaurentPoly.variable(vars, "z")})]}
     lam = {"U": TruncatedSeries.const(("t",), 2, M.bivector("U"))}
     state = DeformationState(prob, 1, phi, lam)
-    assert verify_family(prob, state, 1)["pass"]
+    assert verify_family(state, 1)["pass"]
     report = artin_obstruction("hilb", state=state, bound=3, perturb=7)
     assert report.kind == "hilb"
     assert report.cls.is_zero()
@@ -149,7 +149,7 @@ def _order_one_curve_state(M, S):
 def test_coupled_functor_on_worked_curve(plane_curve):
     M, S = plane_curve
     prob, state = _order_one_curve_state(M, S)
-    assert verify_family(prob, state, 1)["pass"]
+    assert verify_family(state, 1)["pass"]
     report = artin_obstruction("exthilb", state=state, bound=2, perturb=3)
     assert sorted(report.certificates) == [
         "ambient-closed", "ambient-step", "ambient-triple",

@@ -9,11 +9,12 @@ from poissondef.complexes import (CohomologyReport, affine_hyper,
                                   atlas_hyper_truncated, build_complex,
                                   characteristic_map, cochain_add,
                                   cochain_is_zero, cochain_lincomb,
-                                  cochain_scale, coordinates, global_sections,
+                                  cochain_scale, cochain_vector_entries,
+                                  coordinates, global_sections,
                                   gluing_failure, h0_complex,
                                   semiregularity_image_rank,
                                   total_closedness, total_coboundary,
-                                  transport_nor_tuple, vectorize)
+                                  transport_nor_tuple)
 from poissondef.deformation import DeformationState
 from poissondef.errors import (ClosednessViolation, InconsistentData,
                                NotInKernel, UnstableAnsatz)
@@ -80,10 +81,9 @@ def test_cochain_arithmetic(h0_reports):
     combo = cochain_lincomb([Fraction(2), Fraction(-1)], [a, b])
     same = cochain_add(cochain_scale(a, Fraction(2)), cochain_scale(b, Fraction(-1)))
     assert cochain_is_zero(cochain_add(combo, cochain_scale(same, Fraction(-1))))
-    keys, cols = vectorize([a, b, combo])
-    assert len(cols) == 3
-    for i in range(len(keys)):
-        assert cols[2][i] == 2 * cols[0][i] - cols[1][i]
+    ea, eb, ecombo = (dict(cochain_vector_entries(c)) for c in (a, b, combo))
+    for key in set(ea) | set(eb) | set(ecombo):
+        assert ecombo.get(key, 0) == 2 * ea.get(key, 0) - eb.get(key, 0)
 
 
 # — affine graded engine -----------------------------------------------------
@@ -167,7 +167,8 @@ def test_section_space_coordinates(descriptor_family):
     # the violated row is the monomial no basis element reaches, reported
     # by its position among the sorted coordinate keys
     sol, bad = coordinates(space.basis, outside)
-    keys, _ = vectorize(space.basis + [outside])
+    keys = sorted(set().union(*(dict(cochain_vector_entries(c))
+                                for c in space.basis + [outside])))
     assert sol is None
     assert keys[bad] == ("nor", "U", 0, (), (0, 0, space.degree_bound + 1))
 

@@ -1,16 +1,21 @@
 """Order-by-order solver, family verification, obstructions, and matching."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import poissondef
 from conftest import build_fm_section, prescribed_instability, truncate_state
+from poissondef import deformation
+from poissondef.cli import run_command
 from poissondef.complexes import (build_complex, cochain_is_zero, h0_complex,
                                   transport_nor_tuple)
 from poissondef.deformation import (DeformationProblem, DeformationState,
                                     certify_cocycle, initial_state,
                                     match_families, obstruction_cocycle,
-                                    run_solver, verify_family)
+                                    run_solver, solve_order, verify_family)
+from poissondef.dsl import parse
 from poissondef.errors import DegreeBoundTooSmall, MatchFailure
 from poissondef.geometry import (PoissonManifold, affine_space,
                                  extract_submanifold)
@@ -149,7 +154,7 @@ def test_partial_families_verify_and_certify(hyperplane_result, line_result):
         prob = res.problem
         for k in range(1, prob.order):
             partial = truncate_state(res.state, k)
-            assert verify_family(prob, partial, k)["pass"]
+            assert verify_family(partial, k)["pass"]
             cocycle = obstruction_cocycle(partial)
             assert cocycle.is_zero()
             cert = certify_cocycle(partial, cocycle)
@@ -310,9 +315,65 @@ def test_verify_family_detects_broken_gluing(hyperplane_result):
     phi["U0"] = [TruncatedSeries(("t",), 4,
                                  {(1,): LaurentPoly.const(vars0, 2)})]
     bad = DeformationState(prob, 4, phi, state.lam)
-    report = verify_family(prob, bad, 4)
+    report = verify_family(bad, 4)
     assert not report["pass"]
     assert min(report["gluing"].values()) == 0
+
+
+def test_order_step_cancels_a_normal_gluing_failure(hyperplane_result):
+    # z3 -> z3 + t^2 z1 on U0 alone: the order-2 cocycle has psi != 0 on the
+    # overlaps of U0 in both directions, and -t^2 z1 on U0 cancels it
+    prob = hyperplane_result.problem
+    cut = truncate_state(hyperplane_result.state, 1)
+    vars0 = prob.space.chart("U0").vars
+    phi = dict(cut.phi)
+    phi["U0"] = [cut.phi["U0"][0] + TruncatedSeries(
+        ("t",), prob.order, {(2,): LaurentPoly.variable(vars0, "z1")})]
+    state = DeformationState(prob, 1, phi, cut.lam)
+    psi = obstruction_cocycle(state).psi
+    assert psi[("U0", "U1")] and psi[("U1", "U0")]
+    step = solve_order(state)
+    assert isinstance(step, DeformationState) and step.order == 2
+    assert verify_family(step, 2)["pass"]
+    for name, rows in step.phi.items():
+        assert all((s - c).is_zero() for s, c in zip(rows, cut.phi[name]))
+
+
+# — residuals: once per state ------------------------------------------------
+
+EXAMPLES = Path(poissondef.__file__).parent / "examples"
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("p3_hyperplane", None), ("p3_hyperplane_s2", None), ("p3_line", None),
+    ("p2_extended", (0, 1)), ("p2_extended_t", (0,))])
+def test_solver_verify_matches_a_fresh_state(name, seed):
+    """The report `run_solver` reads from the residuals it kept is the one a
+    newly built state with the same series computes from nothing."""
+    doc = parse((EXAMPLES / f"{name}.pdef").read_text())
+    prob = doc.problem(order=3, seed=seed)
+    res = run_solver(prob)
+    assert res.ok
+    fresh = DeformationState(prob, res.state.order, dict(res.state.phi),
+                             dict(res.state.lam))
+    assert "residuals" not in vars(fresh)
+    assert res.verify == verify_family(fresh, prob.order)
+
+
+def test_solve_computes_residuals_once_per_order(monkeypatch):
+    calls = {"gluing_mismatch": 0, "ideal_residual": 0}
+    for fname in calls:
+        original = getattr(deformation, fname)
+
+        def counted(*args, _original=original, _name=fname):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(deformation, fname, counted)
+    code, _ = run_command(["solve", str(EXAMPLES / "p3_hyperplane.pdef"),
+                           "--order", "10"])
+    assert code == 0
+    # one state per order 1..10: the seeded family and nine steps
+    assert calls == {"gluing_mismatch": 10, "ideal_residual": 10}
 
 
 def test_initial_state_shape(p3_hyperplane_sub):

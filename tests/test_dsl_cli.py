@@ -133,7 +133,7 @@ def test_hyperplane_solver_matches_file_family():
     result = run_solver(problem)
     assert result.ok and result.verify["pass"]
     family = doc.family_state(problem)
-    report = verify_family(problem, family, 4)
+    report = verify_family(family, 4)
     assert report["pass"], report
     for name in doc.submanifold().present_charts():
         diff = result.state.phi[name][0] - family.phi[name][0]
@@ -161,7 +161,7 @@ def test_extended_family_document_verifies():
     doc = parse(P2_EXTENDED)
     problem = doc.problem()
     family = doc.family_state(problem)
-    report = verify_family(problem, family, 3)
+    report = verify_family(family, 3)
     assert report["pass"], report
 
 
@@ -502,6 +502,34 @@ def test_usage_errors(tmp_path):
     assert code == 1, text
     code, text = run("h0", corpus_path("c3_line.pdef"), "--weights", "3..0")
     assert code == 1 and "usage error" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["artin", "p3_hyperplane.pdef", "--order", "-1"],
+    ["artin", "p3_hyperplane.pdef", "--bound", "-1"],
+    ["match", "p3_hyperplane.pdef", "p3_hyperplane.pdef", "--order", "-1"],
+    ["solve", "p3_hyperplane.pdef", "--order", "-1"],
+    ["solve", "p3_hyperplane.pdef", "--degree", "-1"],
+    ["solve", "p3_hyperplane.pdef", "--bound", "-1"],
+    ["verify", "p3_hyperplane.pdef", "--order", "-1"],
+    ["h0", "p3_hyperplane.pdef", "--bound", "-1"],
+    ["hyper", "p3_hyperplane.pdef", "--bound", "-1"],
+], ids=" ".join)
+def test_negative_overrides_are_usage_errors(argv):
+    """The problem language has no negative numbers; neither do the
+    --order, --degree and --bound overrides of any subcommand."""
+    resolved = [corpus_path(a) if a.endswith(".pdef") else a for a in argv]
+    for fmt in ((), ("--json",)):
+        code, text = run(*resolved, *fmt)
+        assert code == 1
+        assert text == (f"usage error: argument {argv[-2]}: must be "
+                        "non-negative, got -1\n")
+
+
+def test_non_integer_override_keeps_the_int_message():
+    code, text = run("solve", corpus_path("p3_hyperplane.pdef"), "--order", "x")
+    assert (code, text) == (1, "usage error: argument --order: invalid int "
+                               "value: 'x'\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

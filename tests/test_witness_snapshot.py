@@ -4,7 +4,9 @@ The solver and small-ring reports name the equation row that blocks a step
 (`solve --degree 0|1`, `artin --bound 0|1`); the benchmark's golden hashes
 cover only the default commands. This test reruns those commands on every
 shipped file, and the graded engine (`h0|hyper --weights`) on the one
-single-chart file, with and without --json, and compares exit code and full
+single-chart file, with and without --json, plus the class of each functor
+one order up (`artin --order 1 --functor hilb|exthilb|def --bound 1`, human
+text) on the files that carry a family, and compares exit code and full
 text with `data/witness_snapshot.json`.
 
 Record the snapshot again (only when a report is meant to change) with
@@ -22,6 +24,9 @@ from poissondef.cli import run_command
 
 EXAMPLES = Path(poissondef.__file__).parent / "examples"
 SNAPSHOT = Path(__file__).parent / "data" / "witness_snapshot.json"
+FAMILY_FILES = ("c3_line.pdef", "f0_instability.pdef", "f2_instability.pdef",
+                "p2_def.pdef", "p2_extended_t.pdef", "p3_hyperplane.pdef",
+                "p3_line_bad.pdef")
 
 
 def _commands():
@@ -35,6 +40,10 @@ def _commands():
             for fmt in ((), ("--json",)):
                 yield [sub, "c3_line.pdef", "--weights", "0..5", "--complex",
                        kind, *fmt]
+    for name in FAMILY_FILES:
+        for functor in ("hilb", "exthilb", "def"):
+            yield ["artin", name, "--order", "1", "--functor", functor,
+                   "--bound", "1"]
 
 
 def _run(argv):
