@@ -46,8 +46,9 @@ from .complexes import (atom_cochain, build_complex, h0_complex,
                          monomial_atoms, solve_total, total_closedness,
                          total_coboundary, total_rows)
 from .deformation import (DeformationProblem, DeformationState,
-                          gluing_mismatch, ideal_residual, jacobi_residual,
-                          lambda_gluing_mismatch, series_schouten)
+                          add_direction, gluing_mismatch, ideal_residual,
+                          jacobi_residual, lambda_gluing_mismatch,
+                          series_schouten)
 from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
                      ParameterMismatch)
 from .geometry import PoissonManifold, SubmanifoldData
@@ -306,7 +307,7 @@ def _family_pieces(kind, state, manifold, lam, order):
                 f"family on chart {name} does not start at the ambient "
                 "bivector")
     lam_map = {name: _recut(s, order + 1) for name, s in lam.items()}
-    return None, manifold, None, lam_map, order
+    return None, manifold, {}, lam_map, order
 
 
 def _ambient_components(space, lam_map, m):
@@ -336,9 +337,10 @@ def _ambient_components(space, lam_map, m):
     return half_pi, ambient_cech
 
 
-def _normal_components(S, problem, phi, lam_map, m, perturb):
+def _normal_components(S, problem, phi, lam_map, m, B):
     """Per-chart vector-field failures (minus, restricted) and per-overlap
-    ideal mismatches of the canonical liftings-by-zero of the family."""
+    ideal mismatches of the canonical liftings-by-zero of the family, with
+    the structure-field shifts ``B`` when given."""
     space = S.space
     exp = (m + 1,)
     res = ideal_residual(problem, phi, lam_map)
@@ -354,10 +356,10 @@ def _normal_components(S, problem, phi, lam_map, m, perturb):
                     f"family is not a bracket-ideal family on chart {name} "
                     f"at order {low.min_order()}")
             G = row.coefficient(exp, Polyvector.zero(cvars, 1))
-            if perturb is not None and name in perturb.get("B", {}):
+            if B is not None and name in B:
                 for b in range(S.codim):
                     wb = LaurentPoly.variable(cvars, w[b])
-                    G = G - _scale_pv(perturb["B"][name][a][b], wb)
+                    G = G - _scale_pv(B[name][a][b], wb)
             out.append(restrict(-G, w))
         minus_normal[name] = out
     mism = gluing_mismatch(problem, phi)
@@ -377,28 +379,13 @@ def _normal_components(S, problem, phi, lam_map, m, perturb):
     return minus_normal, normal_cech
 
 
-def _canonical_class(kind, S, manifold, phi, lam_map, m, perturb=None):
+def _canonical_class(kind, S, manifold, phi, lam_map, m, B=None):
     """Obstruction class of the canonical liftings of a degree-m family,
-    optionally shifted by explicit lifting perturbations.
-
-    ``perturb`` may carry per-chart ideal-generator shifts ``A`` (functions),
-    structure-field shifts ``B`` (matrices of vector fields) and bivector
-    shifts ``D``; each enters the liftings at the new order only.
-    """
+    optionally with per-chart structure-field shifts ``B`` (matrices of
+    vector fields) at the new order. The family itself carries any shift of
+    the ideal generators or bivectors (`artin_obstruction`)."""
     space = manifold.space
     cut = m + 1
-    if perturb is not None:
-        if "D" in perturb and kind in ("def", "exthilb"):
-            lam_map = dict(lam_map)
-            for name, D in perturb["D"].items():
-                lam_map[name] = lam_map[name] + TruncatedSeries(
-                    lam_map[name].params, cut, {(cut,): D})
-        if "A" in perturb and kind in ("hilb", "exthilb"):
-            phi = {name: list(rows) for name, rows in phi.items()}
-            for name, shift in perturb["A"].items():
-                for a, A in enumerate(shift):
-                    phi[name][a] = phi[name][a] - TruncatedSeries(
-                        phi[name][a].params, cut, {(cut,): A})
     cls = ObstructionClass(kind, m)
     if kind in ("def", "exthilb"):
         cls.ambient, cls.ambient_cech = _ambient_components(space, lam_map, m)
@@ -417,7 +404,7 @@ def _canonical_class(kind, S, manifold, phi, lam_map, m, perturb=None):
         params = next(iter(lam_map.values())).params
         problem = DeformationProblem(S, params, cut, 0, mode="fixed")
         cls.normal, cls.normal_cech = _normal_components(
-            S, problem, phi, lam_map, m, perturb)
+            S, problem, phi, lam_map, m, B)
     return cls
 
 
@@ -537,9 +524,6 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
     perturbed = None
     if perturb is not None:
         shifts = _default_perturbation(kind, S, M, int(perturb))
-        perturbed = _canonical_class(kind, S, M, phi, lam_map, m,
-                                     perturb=shifts)
-        pert_certs = total_closedness(desc, *_total(perturbed))
         # the liftings move by (D, -A), the class by its total coboundary
         shift = {}
         if "D" in shifts:
@@ -547,6 +531,10 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
         if "A" in shifts:
             shift["nor"] = {name: [Polyvector.from_function(-f) for f in A]
                             for name, A in shifts["A"].items()}
+        perturbed = _canonical_class(
+            kind, S, M, *add_direction(phi, lam_map, (m + 1,), shift), m,
+            B=shifts.get("B"))
+        pert_certs = total_closedness(desc, *_total(perturbed))
         diff = ObstructionClass(kind, m, **cls.minus(perturbed))
         identities = total_rows(*_total(diff), ARTIN_ROWS) == total_rows(
             *total_coboundary(desc, shift, pairs), ARTIN_ROWS)

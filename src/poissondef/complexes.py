@@ -813,29 +813,32 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
 # Characteristic map
 # ----------------------------------------------------------------------
 
+def family_direction(problem, phi, lam, te) -> dict:
+    """The coefficient at parameter monomial `te` of a family given by its
+    normal motions `phi` and bivectors `lam`, as a degree-zero cochain: the
+    "nor" part on the present charts and, whenever the ambient structure
+    varies (every mode but "fixed"), the "amb" part on every chart."""
+    S, space = problem.submanifold, problem.space
+    out = {"nor": {}}
+    for name in S.present_charts():
+        cvars = space.chart(name).vars
+        out["nor"][name] = [Polyvector.from_function(
+            ser.coefficient(te, LaurentPoly.zero(cvars)).with_vars(cvars))
+            for ser in phi[name]]
+    if problem.ambient_varies:
+        out["amb"] = {name: lam[name].coefficient(
+            te, Polyvector.zero(space.chart(name).vars, 2))
+            for name in space.chart_names}
+    return out
+
+
 def first_order_directions(state) -> list:
     """The first-order directions of a family as degree-zero cochains, one
-    per parameter: the normal motions, and the bivectors in extended mode."""
-    problem = state.problem
-    S, space = problem.submanifold, problem.space
-    out = []
-    for rho in range(len(problem.params)):
-        te = tuple(1 if i == rho else 0 for i in range(len(problem.params)))
-        c = {"nor": {}}
-        for name in S.present_charts():
-            cvars = space.chart(name).vars
-            c["nor"][name] = [Polyvector.from_function(
-                LaurentPoly.zero(cvars) if coeff is None
-                else coeff.with_vars(cvars))
-                for coeff in (ser.coefficient(te) for ser in state.phi[name])]
-        if problem.mode == "extended":
-            c["amb"] = {}
-            for name in space.chart_names:
-                coeff = state.lam[name].coefficient(te)
-                c["amb"][name] = (coeff if coeff is not None
-                                  else Polyvector.zero(space.chart(name).vars, 2))
-        out.append(c)
-    return out
+    per parameter (`family_direction` at each unit monomial)."""
+    n = len(state.params)
+    return [family_direction(state.problem, state.phi, state.lam,
+                             tuple(int(i == rho) for i in range(n)))
+            for rho in range(n)]
 
 
 def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> list:

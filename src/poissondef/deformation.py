@@ -15,6 +15,11 @@ bivectors per chart. Three modes:
                 coefficients); only normal motions are solved, with the
                 central-fibre operators on the left-hand side.
 
+A family's coefficient at a parameter monomial is a degree-zero cochain of
+the controlling complex: `complexes.family_direction` reads it and
+`add_direction` writes it. Seeding, the order steps, matching and the
+small-ring lifting shifts all go through these two.
+
 A family state is immutable, and its four residuals (the moved ideals fail
 to glue, the moved ideal is not a bracket ideal, the bivectors fail to glue,
 [Lambda, Lambda] != 0) are computed once per state, on first use
@@ -48,8 +53,10 @@ from .complexes import (
     atom_cochain,
     build_complex,
     cochain_is_zero,
+    cochain_lincomb,
     characteristic_map,
     coordinates,
+    family_direction,
     first_order_directions,
     global_sections,
     gluing_failure,
@@ -131,6 +138,35 @@ def subs_normal_pv_series(X: TruncatedSeries, assign: Mapping[str, object],
     return TruncatedSeries(params, cutoff, out_terms)
 
 
+def add_direction(phi: dict, lam: dict, te: tuple, cochain: dict) -> tuple:
+    """Fresh (phi, lam) with te * cochain added: its "nor" part to the
+    normal motions, its "amb" part to the bivectors, each term taking the
+    parameters and cutoff of the series it is added to."""
+    def plus(ser, coeff):
+        return ser + TruncatedSeries(ser.params, ser.cutoff, {te: coeff})
+    phi = {name: list(rows) for name, rows in phi.items()}
+    lam = dict(lam)
+    for name, tup in cochain.get("nor", {}).items():
+        phi[name] = [plus(ser, pv.as_function())
+                     for ser, pv in zip(phi[name], tup)]
+    for name, pv in cochain.get("amb", {}).items():
+        lam[name] = plus(lam[name], pv)
+    return phi, lam
+
+
+def _reparametrise(ser: TruncatedSeries, h, params, cutoff) -> TruncatedSeries:
+    """The series `ser` with its parameters replaced by the scalar series
+    `h`, one per parameter, in `params`, the parameters of `h`."""
+    out = TruncatedSeries.zero(params, cutoff)
+    for te, coeff in ser.terms.items():
+        piece = TruncatedSeries.const(params, cutoff, coeff)
+        for rho, power in enumerate(te):
+            for _ in range(power):
+                piece = piece * h[rho]
+        out = out + piece
+    return out
+
+
 def _identity_assign(vars, exclude=()):
     return {v: LaurentPoly.variable(vars, v) for v in vars if v not in exclude}
 
@@ -165,6 +201,11 @@ class DeformationProblem:
     def space(self):
         return self.submanifold.space
 
+    @property
+    def ambient_varies(self) -> bool:
+        """Whether the family moves the ambient bivector too."""
+        return self.mode != "fixed"
+
 
 @dataclass(frozen=True)
 class DeformationState:
@@ -186,7 +227,7 @@ class DeformationState:
         problem = self.problem
         out = {"gluing": gluing_mismatch(problem, self.phi),
                "ideal": ideal_residual(problem, self.phi, self.lam)}
-        if problem.mode in ("extended", "prescribed"):
+        if problem.ambient_varies:
             out["lambda_gluing"] = lambda_gluing_mismatch(problem.space,
                                                           self.lam)
             out["jacobi"] = jacobi_residual(self.lam)
@@ -463,13 +504,14 @@ STEP_ROWS = {("nor", "chart"): "G", ("amb", "chart"): "Pi",
 
 @dataclass
 class StepSystem:
-    """The order-step matrix at one degree bound: the unknown atoms, the
-    ambient sections, and one sparse column {row key: value} per unknown.
-    It depends only on the problem, the degree and the sections, so one
-    serves every step of a run."""
+    """The order-step matrix at one degree bound: the ambient sections, the
+    unknowns' degree-zero cochains (monomial atoms, then ambient sections)
+    and one sparse column {row key: value} per unknown. It depends only on
+    the problem, the degree and the sections, so one serves every step of a
+    run."""
     degree: int
     amb_basis: list
-    atoms: list
+    cochains: list
     columns: list
 
 
@@ -486,7 +528,7 @@ def _assemble_step_matrix(problem, degree, amb_basis) -> StepSystem:
     cochains += [{"amb": sec["amb"]} for sec in amb_basis]
     columns = [total_rows(*total_coboundary(descriptor, cochain, pairs),
                           STEP_ROWS) for cochain in cochains]
-    return StepSystem(degree, amb_basis, atoms, columns)
+    return StepSystem(degree, amb_basis, cochains, columns)
 
 
 def _solve_step(problem, cocycle, system: StepSystem):
@@ -545,27 +587,11 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
                 f"order {cocycle.order} infeasible at degree {D} but "
                 f"feasible within two degrees: {tested}")
         return Obstructed(cocycle.order, cocycle, witness, tested)
-    # accumulate the corrections
-    space = problem.space
-    M = problem.order
-    atoms = system.atoms
-    new_phi = {name: list(tups) for name, tups in state.phi.items()}
-    new_lam = dict(state.lam)
+    phi, lam = state.phi, state.lam
     for te, sol in solutions.items():
-        for val, atom in zip(sol, atoms):
-            if not val:
-                continue
-            _, name, a, _, e = atom
-            poly = LaurentPoly.monomial(space.chart(name).vars, e, val)
-            new_phi[name][a] = new_phi[name][a] + TruncatedSeries(
-                problem.params, M, {te: poly})
-        for val, sec in zip(sol[len(atoms):], system.amb_basis):
-            if not val:
-                continue
-            for name in space.chart_names:
-                new_lam[name] = new_lam[name] + TruncatedSeries(
-                    problem.params, M, {te: sec["amb"][name] * val})
-    new_state = DeformationState(problem, state.order + 1, new_phi, new_lam)
+        phi, lam = add_direction(phi, lam, te,
+                                 cochain_lincomb(sol, system.cochains))
+    new_state = DeformationState(problem, state.order + 1, phi, lam)
     check = verify_family(new_state, new_state.order)
     if not check["pass"]:
         raise InconsistentData(
@@ -627,26 +653,10 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
             raise ParameterMismatch(
                 f"{len(problem.params)} parameters for {len(chosen)} chosen "
                 f"directions")
-        phi = {name: list(rows) for name, rows in state.phi.items()}
-        lam = dict(state.lam)
+        phi, lam = state.phi, state.lam
         for rho, sec in enumerate(chosen):
-            te = tuple(1 if i == rho else 0
-                       for i in range(len(problem.params)))
-            for name in S.present_charts():
-                tup = sec.get("nor", {}).get(name)
-                if tup is None:
-                    continue
-                for a in range(S.codim):
-                    f = tup[a].as_function()
-                    if not f.is_zero():
-                        phi[name][a] = phi[name][a] + TruncatedSeries(
-                            problem.params, M, {te: f})
-            if problem.mode == "extended":
-                for name in space.chart_names:
-                    pv = sec.get("amb", {}).get(name)
-                    if pv is not None and not pv.is_zero():
-                        lam[name] = lam[name] + TruncatedSeries(
-                            problem.params, M, {te: pv})
+            phi, lam = add_direction(phi, lam, tuple(
+                int(i == rho) for i in range(len(problem.params))), sec)
         state = DeformationState(problem, 1, phi, lam)
         seeded = verify_family(state, 1)
         if not seeded["pass"]:
@@ -715,93 +725,33 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
             "the observed family lies on other charts or in another "
             "codimension than the model")
     s_params = observed.params
-    t_params = problem.params
     basis = first_order_directions(family_t)
     descriptor = build_complex(
-        "normal" if problem.mode == "fixed" else "extended", submanifold=S)
+        "extended" if problem.ambient_varies else "normal", submanifold=S)
     pairs = space.overlap_pairs()
-    h = [TruncatedSeries.zero(s_params, M) for _ in t_params]
+    h = [TruncatedSeries.zero(s_params, M) for _ in problem.params]
     report = {"orders": {}}
 
-    def compose_phi(hcur):
-        out = {}
-        for name in S.present_charts():
-            cvars = space.chart(name).vars
-            tup = []
-            for a in range(S.codim):
-                ser = family_t.phi[name][a]
-                acc = TruncatedSeries.zero(s_params, M)
-                for te, coeff in ser.terms.items():
-                    piece = TruncatedSeries.const(
-                        s_params, M, coeff.with_vars(cvars))
-                    for rho, power in enumerate(te):
-                        for _ in range(power):
-                            piece = combine(piece, hcur[rho],
-                                            lambda x, y: x * _embed(y, cvars))
-                    acc = acc + piece
-                tup.append(acc)
-            out[name] = tup
-        return out
-
-    def _embed(fr, cvars):
-        return LaurentPoly.const(cvars, fr) if isinstance(fr, Fraction) else fr
-
-    def compose_lam(hcur):
-        out = {}
-        for name in space.chart_names:
-            cvars = space.chart(name).vars
-            ser = family_t.lam[name]
-            acc = TruncatedSeries.zero(s_params, M)
-            for te, pv in ser.terms.items():
-                piece = TruncatedSeries.const(s_params, M, pv)
-                for rho, power in enumerate(te):
-                    for _ in range(power):
-                        piece = combine(piece, hcur[rho],
-                                        lambda x, y: x * y)
-                acc = acc + piece
-            out[name] = acc
-        return out
+    def mismatch():
+        """observed - model(h) as (phi, lam), with lam only where the
+        ambient structure varies."""
+        phi = {name: [obs - _reparametrise(ser, h, s_params, M)
+                      for obs, ser in zip(observed.phi[name],
+                                          family_t.phi[name])]
+               for name in S.present_charts()}
+        lam = {name: observed.lam[name] - _reparametrise(
+            family_t.lam[name], h, s_params, M)
+            for name in space.chart_names} if problem.ambient_varies else {}
+        return phi, lam
 
     for step in range(1, M + 1):
-        comp_phi = compose_phi(h)
-        comp_lam = compose_lam(h) if problem.mode == "extended" else None
-        omegas = {}
-        for name in S.present_charts():
-            cvars = space.chart(name).vars
-            tup = []
-            for a in range(S.codim):
-                diff = observed.phi[name][a] - comp_phi[name][a]
-                tup.append(diff.homogeneous(step))
-            omegas[name] = tup
-        bs = None
-        if problem.mode == "extended":
-            bs = {}
-            for name in space.chart_names:
-                diff = observed.lam[name] - comp_lam[name]
-                bs[name] = diff.homogeneous(step)
-        smonos = sorted({te for d in omegas.values() for slot in d
-                         for te in slot} |
-                        ({te for d in bs.values() for te in d} if bs else set()),
+        phi, lam = mismatch()
+        smonos = sorted({te for ser in sum(phi.values(), []) + list(
+                         lam.values()) for te in ser.homogeneous(step)},
                         key=lambda e: (sum(e), e))
         coeffs_per_mono = {}
         for te in smonos:
-            cochain = {"nor": {}}
-            for name in S.present_charts():
-                cvars = space.chart(name).vars
-                tup = []
-                for a in range(S.codim):
-                    coeff = omegas[name][a].get(te)
-                    tup.append(Polyvector.from_function(
-                        coeff.with_vars(cvars) if coeff is not None
-                        else LaurentPoly.zero(cvars)))
-                cochain["nor"][name] = tup
-            if problem.mode == "extended":
-                cochain["amb"] = {}
-                for name in space.chart_names:
-                    pv = bs[name].get(te)
-                    cochain["amb"][name] = (
-                        pv if pv is not None
-                        else Polyvector.zero(space.chart(name).vars, 2))
+            cochain = family_direction(problem, phi, lam, te)
             # closedness preconditions -> MatchFailure, never an internal error
             chart, overlap = total_coboundary(descriptor, cochain, pairs)
             if not cochain_is_zero(chart):
@@ -830,20 +780,12 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
                     h[rho] = h[rho] + TruncatedSeries(s_params, M, {te: val})
         report["orders"][step] = {str(te): [str(v) for v in sol]
                                   for te, sol in coeffs_per_mono.items()}
-    # final agreement check
-    comp_phi = compose_phi(h)
-    for name in S.present_charts():
-        for a in range(S.codim):
-            if not (observed.phi[name][a] - comp_phi[name][a]).truncate(M).is_zero():
-                raise MatchFailure(
-                    "substituted family still disagrees after matching",
-                    residual=None, reason="internal")
-    if problem.mode == "extended":
-        comp_lam = compose_lam(h)
-        for name in space.chart_names:
-            if not (observed.lam[name] - comp_lam[name]).truncate(M).is_zero():
-                raise MatchFailure(
-                    "substituted ambient family still disagrees",
-                    residual=None, reason="internal")
+    phi, lam = mismatch()
+    for rows, message in (
+            (sum(phi.values(), []),
+             "substituted family still disagrees after matching"),
+            (lam.values(), "substituted ambient family still disagrees")):
+        if any(not ser.truncate(M).is_zero() for ser in rows):
+            raise MatchFailure(message, residual=None, reason="internal")
     report["pass"] = True
     return tuple(h), report

@@ -33,10 +33,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InconsistentData, ParseError
+from .errors import InconsistentData, NonInvertibleSubstitution, ParseError
 from .geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
                        builtin_space, extract_submanifold)
-from .polyvector import Polyvector
+from .polyvector import Polyvector, _sort_sign
 from .symbolic import LaurentPoly, TruncatedSeries
 
 _TOKEN_RE = re.compile(r"""
@@ -437,7 +437,11 @@ class _Parser:
             power = int(tok.value)
             if neg:
                 power = -power
-            base = self._power(base, power, tok)
+            try:
+                base = base ** power
+            except NonInvertibleSubstitution:
+                raise ParseError("negative power of a non-monomial",
+                                 tok.line, tok.col) from None
         return base
 
     def _primary(self, allvars) -> LaurentPoly:
@@ -460,22 +464,6 @@ class _Parser:
             self.expect("sym", ")")
             return value
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
-
-    @staticmethod
-    def _power(base: LaurentPoly, power: int, tok: _Token) -> LaurentPoly:
-        if power >= 0:
-            out = LaurentPoly.const(base.vars, 1)
-            for _ in range(power):
-                out = out * base
-            return out
-        if not base.is_monomial_unit():
-            raise ParseError("negative power of a non-monomial",
-                             tok.line, tok.col)
-        inv = base.inverse()
-        out = LaurentPoly.const(base.vars, 1)
-        for _ in range(-power):
-            out = out * inv
-        return out
 
     def _polyvector_expr(self, cvars, degree: int,
                          extra=()) -> "object":
@@ -553,24 +541,7 @@ class _Parser:
         allvars = cvars + tuple(extra)
         terms = {}
         for names, coeff in acc.items():
-            idx = []
-            sign = 1
-            pairs = sorted(range(len(names)), key=lambda j: cvars.index(names[j]))
-            # parity of the sorting permutation
-            perm = list(pairs)
-            visited = [False] * len(perm)
-            for s in range(len(perm)):
-                if visited[s]:
-                    continue
-                length = 0
-                j = s
-                while not visited[j]:
-                    visited[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            idx = tuple(cvars.index(names[j]) for j in pairs)
+            idx, sign = _sort_sign(cvars.index(v) for v in names)
             signed = coeff * LaurentPoly.const(allvars, Fraction(sign))
             if idx in terms:
                 terms[idx] = terms[idx] + signed

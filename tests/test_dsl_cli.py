@@ -217,6 +217,23 @@ def expect_parse_error(text, needle):
     return message
 
 
+def test_unsorted_wedges_take_the_permutation_sign():
+    doc = parse("chart U vars a b c;\n"
+                "poisson on U: a * d/c ^ d/a + d/b ^ d/a;\n")
+    assert render(doc).splitlines()[1] == (
+        "poisson on U: -d/a ^ d/b - a * d/a ^ d/c;")
+
+
+def test_negative_power_of_a_non_monomial(tmp_path):
+    path = tmp_path / "power.pdef"
+    path.write_text("builtin P2;\n"
+                    "poisson on U0: (z1 + 1)^-2 * d/z1 ^ d/z2;\n")
+    code, out = run("validate", str(path))
+    assert code == 1
+    assert out == ("parse error: line 2, column 26: negative power of a "
+                   "non-monomial\n")
+
+
 def test_parse_error_positions():
     message = expect_parse_error("manifold x\nbuiltin P2;", "expected ';'")
     assert "line 2" in message
@@ -425,6 +442,34 @@ def test_match_failure_exits_two():
     assert code == 2
     assert report["pass"] is False
     assert report["residual_zero"] is False
+
+
+PRESCRIBED_HYPERPLANE = """
+builtin P3;
+poisson on U0: z1 * d/z1 ^ d/z2;
+submanifold normal U0: [z3];
+submanifold normal U1: [z3];
+submanifold normal U2: [z3];
+submanifold normal U3: absent;
+params t order 3 degree 2;
+mode prescribed;
+lambda U0: z1 * d/z1 ^ d/z2 + t * d/z1 ^ d/z2;
+"""
+
+
+def test_prescribed_match_reads_the_ambient_family(tmp_path):
+    """Two prescribed ambient families with no normal motion: the model at
+    t = 0 is the central structure, which is not the observed family."""
+    model = tmp_path / "model.pdef"
+    model.write_text(PRESCRIBED_HYPERPLANE)
+    observed = tmp_path / "observed.pdef"
+    observed.write_text(PRESCRIBED_HYPERPLANE.replace("params t", "params s")
+                        .replace("+ t * d/z1", "- s * d/z1"))
+    for path in (model, observed):
+        assert run("verify", str(path))[0] == 0
+    code, report = jrun("match", str(model), str(observed))
+    assert code == 0
+    assert report["substitution"] == {"t": "-s"}
 
 
 @pytest.mark.parametrize("model,observed", [

@@ -6,8 +6,9 @@ cover only the default commands. This test reruns those commands on every
 shipped file, and the graded engine (`h0|hyper --weights`) on the one
 single-chart file, with and without --json, plus the class of each functor
 one order up (`artin --order 1 --functor hilb|exthilb|def --bound 1`, human
-text) on the files that carry a family, and compares exit code and full
-text with `data/witness_snapshot.json`.
+text) on the files that carry a family, and the matching of every pair of
+shipped files that gets past its inputs (`match A B --order 2`, human text),
+and compares exit code and full text with `data/witness_snapshot.json`.
 
 Record the snapshot again (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_witness_snapshot.py
@@ -27,6 +28,18 @@ SNAPSHOT = Path(__file__).parent / "data" / "witness_snapshot.json"
 FAMILY_FILES = ("c3_line.pdef", "f0_instability.pdef", "f2_instability.pdef",
                 "p2_def.pdef", "p2_extended_t.pdef", "p3_hyperplane.pdef",
                 "p3_line_bad.pdef")
+# (model, observed) pairs whose `match` ends with a substitution or with a
+# MatchFailure; the instability files, which fail `verify`, are left out.
+MATCH_PAIRS = (
+    ("c3_line", "c3_line"), ("p2_extended", "p2_extended"),
+    ("p2_extended", "p2_extended_t"), ("p2_extended_t", "p2_extended"),
+    ("p2_extended_t", "p2_extended_t"),
+    *((a, b) for a in ("p3_hyperplane", "p3_hyperplane_s", "p3_hyperplane_s2")
+      for b in ("p3_hyperplane", "p3_hyperplane_s", "p3_hyperplane_s2")),
+    ("p3_line", "p3_line"), ("p3_line", "p3_line_bad"), ("p3_line", "p3_line_t"),
+    ("p3_line_bad", "p3_line"), ("p3_line_bad", "p3_line_bad"),
+    ("p3_line_bad", "p3_line_t"),
+)
 
 
 def _commands():
@@ -44,6 +57,8 @@ def _commands():
         for functor in ("hilb", "exthilb", "def"):
             yield ["artin", name, "--order", "1", "--functor", functor,
                    "--bound", "1"]
+    for model, observed in MATCH_PAIRS:
+        yield ["match", f"{model}.pdef", f"{observed}.pdef", "--order", "2"]
 
 
 def _run(argv):
