@@ -5,7 +5,12 @@ computes the canonical obstruction class blocking its extension one order
 further. The class is a degree-one cochain of the Cech total complex of the
 functor's controlling complex (see `complexes.total_coboundary`): its chart
 part is ``ambient`` and ``normal``, its overlap part ``ambient_cech`` and
-``normal_cech``. Its closedness certificates are `complexes.total_closedness`.
+``normal_cech``. It is the order-(m+1) part of the family's residuals, read
+by `deformation.residual_total`, the reader of the solver's step cocycle:
+the residuals of a `DeformationState` in the prescribed mode (hilb) or the
+extended mode (exthilb), and the Jacobi and bivector gluing residuals (def).
+Below the new order the residuals must vanish; `_BELOW_ORDER` names each
+failure. Its closedness certificates are `complexes.total_closedness`.
 The class lifts when it is the total coboundary of bounded-degree monomial
 unknowns (`complexes.monomial_atoms`). That is one exact linear solve,
 `complexes.solve_total`, on the rows `complexes.total_rows` gives under
@@ -46,9 +51,8 @@ from .complexes import (atom_cochain, build_complex, h0_complex,
                          monomial_atoms, solve_total, total_closedness,
                          total_coboundary, total_rows)
 from .deformation import (DeformationProblem, DeformationState,
-                          add_direction, gluing_mismatch, ideal_residual,
-                          jacobi_residual, lambda_gluing_mismatch,
-                          series_schouten)
+                          add_direction, jacobi_residual,
+                          lambda_gluing_mismatch, residual_total)
 from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
                      ParameterMismatch)
 from .geometry import PoissonManifold, SubmanifoldData
@@ -63,24 +67,22 @@ FUNCTORS = ("def", "hilb", "exthilb")
 # Small helpers
 # ----------------------------------------------------------------------
 
-def _recut(ser: TruncatedSeries, cutoff: int) -> TruncatedSeries:
-    """Same series with a different truncation cutoff."""
-    return TruncatedSeries(ser.params, cutoff, ser.terms)
-
-
-def _scale_pv(pv: Polyvector, f: LaurentPoly) -> Polyvector:
-    return pv.map_coefficients(lambda c: c * f)
+def _series(residual: dict):
+    """(overlap or chart, row, series) of one residual of a family, whose
+    values are series or lists of them."""
+    for at, rows in residual.items():
+        for a, ser in enumerate(rows if isinstance(rows, list) else [rows]):
+            yield at, a, ser
 
 
 def _vec_entries(obj):
-    """Flatten a function or polyvector into ((frame, exponent), value)."""
+    """Flatten a function or polyvector into ((frame, exponent), value);
+    None counts as zero."""
     if isinstance(obj, LaurentPoly):
-        for e, c in obj.terms.items():
-            yield ((), e), c
-    else:
-        for idx, coeff in obj.terms.items():
-            for e, c in coeff.terms.items():
-                yield (idx, e), c
+        obj = Polyvector.from_function(obj)
+    for idx, coeff in (obj.terms.items() if obj is not None else ()):
+        for e, c in coeff.terms.items():
+            yield (idx, e), c
 
 
 # ----------------------------------------------------------------------
@@ -97,36 +99,11 @@ class ObstructionClass:
     ambient_cech: dict | None = None   # (i, k) -> Polyvector (degree 2)
     normal_cech: dict | None = None    # (i, k) -> [LaurentPoly]*r on chart i
 
-    def components(self):
-        out = {}
-        for label in ("ambient", "normal", "ambient_cech", "normal_cech"):
-            val = getattr(self, label)
-            if val is not None:
-                out[label] = val
-        return out
-
     def is_zero(self) -> bool:
-        for label, data in self.components().items():
-            for val in data.values():
-                items = val if isinstance(val, (list, tuple)) else [val]
-                if any(not x.is_zero() for x in items):
-                    return False
-        return True
-
-    def minus(self, other: "ObstructionClass") -> dict:
-        """Componentwise difference self - other (same-shape dictionaries)."""
-        diff = {}
-        for label, data in self.components().items():
-            odata = getattr(other, label)
-            block = {}
-            for key, val in data.items():
-                oval = odata[key]
-                if isinstance(val, (list, tuple)):
-                    block[key] = [a - b for a, b in zip(val, oval)]
-                else:
-                    block[key] = val - oval
-            diff[label] = block
-        return diff
+        return all(x.is_zero() for data in (
+            self.ambient, self.normal, self.ambient_cech, self.normal_cech)
+            if data for val in data.values()
+            for x in (val if isinstance(val, (list, tuple)) else [val]))
 
 
 @dataclass
@@ -190,7 +167,9 @@ def first_order_by_enumeration(kind: str, *,
                                bound: int = 2, amb_bound: int | None = None):
     """Tangent space by brute linearisation, independent of the cohomology
     engines: enumerate bounded-degree monomial directions, impose first-order
-    validity of the perturbed family, and return the kernel.
+    validity of the perturbed family, and return the kernel. Each
+    direction's family is built with `add_direction`, and its equations are
+    the order-one coefficients of the family's residuals, read directly.
 
     Works coefficient-exactly with a nilpotent square-zero parameter; the
     reported dimension equals the engine's once the degree bound covers the
@@ -206,65 +185,21 @@ def first_order_by_enumeration(kind: str, *,
         manifold = submanifold.manifold
     if amb_bound is None:
         amb_bound = bound + 2
-    space = manifold.space
     desc = _descriptor(kind, submanifold, manifold)
     atoms = _unknowns(desc, bound, amb_bound)
+    phi = {} if submanifold is None else {
+        name: [TruncatedSeries.zero(_EPS, 1)] * submanifold.codim
+        for name in submanifold.present_charts()}
+    lam = {name: TruncatedSeries.const(_EPS, 1, manifold.bivector(name))
+           for name in manifold.space.chart_names}
     columns = []
     for atom in atoms:
-        entries = {}
-        phi = lam = None
-        part, name = atom[:2]
-        entry = atom_cochain(desc, 0, atom)[part][name]
-        if part == "nor":
-            phi = {c: [TruncatedSeries.zero(_EPS, 1)
-                       for _ in range(submanifold.codim)]
-                   for c in submanifold.present_charts()}
-            phi[name][atom[2]] = TruncatedSeries(
-                _EPS, 1, {(1,): entry[atom[2]].as_function()})
-        else:
-            lam = {c: TruncatedSeries.const(_EPS, 1, manifold.bivector(c))
-                   for c in space.chart_names}
-            lam[name] = lam[name] + TruncatedSeries(_EPS, 1, {(1,): entry})
-        if kind in ("def", "exthilb"):
-            full_lam = lam or {name: TruncatedSeries.const(
-                _EPS, 1, manifold.bivector(name)) for name in space.chart_names}
-            for name in space.chart_names:
-                jac = series_schouten(full_lam[name], full_lam[name])
-                lin = jac.coefficient((1,))
-                if lin is not None:
-                    for sub, c in _vec_entries(lin):
-                        entries[("jac", name) + sub] = c
-            for (i, k) in space.overlap_pairs():
-                if (k, i) not in space.transitions:
-                    continue
-                moved = full_lam[k].map(lambda pv: space.pushforward(pv, k, i))
-                lin = (full_lam[i] - moved).coefficient((1,))
-                if lin is not None:
-                    for sub, c in _vec_entries(lin):
-                        entries[("biglue", i, k) + sub] = c
-        if kind in ("hilb", "exthilb"):
-            S = submanifold
-            problem = DeformationProblem(S, _EPS, 1, bound, mode="fixed")
-            full_phi = phi or {name: [TruncatedSeries.zero(_EPS, 1)
-                                      for _ in range(S.codim)]
-                               for name in S.present_charts()}
-            full_lam = lam or {name: TruncatedSeries.const(
-                _EPS, 1, manifold.bivector(name)) for name in space.chart_names}
-            res = ideal_residual(problem, full_phi, full_lam)
-            for name, rows in res.items():
-                for a, row in enumerate(rows):
-                    lin = row.coefficient((1,))
-                    if lin is not None:
-                        for sub, c in _vec_entries(lin):
-                            entries[("ideal", name, a) + sub] = c
-            mism = gluing_mismatch(problem, full_phi)
-            for pair, rows in mism.items():
-                for a, row in enumerate(rows):
-                    lin = row.coefficient((1,))
-                    if lin is not None:
-                        for sub, c in _vec_entries(lin):
-                            entries[("glue", pair, a) + sub] = c
-        columns.append(entries)
+        residuals = _residuals(kind, submanifold, manifold, *add_direction(
+            phi, lam, (1,), atom_cochain(desc, 0, atom)), 0)
+        columns.append({(key, at, a) + sub: c
+                        for key, per in residuals.items()
+                        for at, a, ser in _series(per)
+                        for sub, c in _vec_entries(ser.coefficient((1,)))})
     kernel = nullspace(columns)
     return {"dimension": len(kernel), "atoms": atoms, "kernel": kernel}
 
@@ -274,155 +209,114 @@ def first_order_by_enumeration(kind: str, *,
 # ----------------------------------------------------------------------
 
 def _family_pieces(kind, state, manifold, lam, order):
-    """Normalise input: return (S, manifold, phi, lam, m) with single-parameter
-    series recut to cutoff m + 1."""
+    """Normalise input: return (S, manifold, phi, lam, m) with the family's
+    series cut at m + 1 and its bivectors in chart order."""
     if kind in ("hilb", "exthilb"):
         if state is None:
             raise InconsistentData(f"functor {kind!r} needs a family state")
         S = state.problem.submanifold
-        M = S.manifold
-        if len(state.params) != 1:
-            raise ParameterMismatch(
-                "obstruction calculus works over a one-parameter base")
+        manifold, params = S.manifold, state.params
+        phi, lam = state.phi, state.lam
         m = state.order if order is None else order
-        cut = m + 1
-        phi = {name: [_recut(s, cut) for s in rows]
-               for name, rows in state.phi.items()}
-        lam_map = {name: _recut(s, cut) for name, s in state.lam.items()}
-        return S, M, phi, lam_map, m
-    if manifold is None or lam is None:
-        raise InconsistentData(
-            "ambient functor needs the manifold and the bivector family")
-    if order is None:
-        raise InconsistentData("ambient functor needs the family order")
-    params = next(iter(lam.values())).params
+    else:
+        if manifold is None or lam is None:
+            raise InconsistentData(
+                "ambient functor needs the manifold and the bivector family")
+        if order is None:
+            raise InconsistentData("ambient functor needs the family order")
+        S, phi, params, m = None, {}, next(iter(lam.values())).params, order
     if len(params) != 1:
         raise ParameterMismatch(
             "obstruction calculus works over a one-parameter base")
-    for name in manifold.space.chart_names:
-        if name not in lam:
-            raise InconsistentData(f"no bivector family on chart {name}")
-        if lam[name].order_zero() != manifold.bivector(name):
-            raise InvalidDeformation(
-                f"family on chart {name} does not start at the ambient "
-                "bivector")
-    lam_map = {name: _recut(s, order + 1) for name, s in lam.items()}
-    return None, manifold, {}, lam_map, order
-
-
-def _ambient_components(space, lam_map, m):
-    """Per-chart trivector failures (half [Lambda, Lambda]) and per-overlap
-    gluing failures (minus `lambda_gluing_mismatch`) at order m + 1 of the
-    canonical extension-by-zero of the bivector family."""
-    exp = (m + 1,)
-    jacobi = jacobi_residual(lam_map)
-    half_pi = {}
-    for name in space.chart_names:
-        low = jacobi[name].truncate(m)
-        if not low.is_zero():
-            raise InvalidDeformation(
-                f"bivector family on chart {name} fails its square-zero "
-                f"identity at order {low.min_order()}")
-        half_pi[name] = jacobi[name].coefficient(
-            exp, Polyvector.zero(space.chart(name).vars, 3)) * Fraction(1, 2)
-    mismatch = lambda_gluing_mismatch(space, lam_map)
-    ambient_cech = {}
-    for (k, i), ser in mismatch.items():
-        if not ser.truncate(m).is_zero():
-            raise InvalidDeformation(
-                f"bivector family does not glue over the base on overlap "
-                f"({i}, {k})")
-        ambient_cech[(i, k)] = ser.coefficient(
-            exp, Polyvector.zero(space.chart(i).vars, 2))
-    return half_pi, ambient_cech
-
-
-def _normal_components(S, problem, phi, lam_map, m, B):
-    """Per-chart vector-field failures (minus, restricted) and per-overlap
-    ideal mismatches of the canonical liftings-by-zero of the family, with
-    the structure-field shifts ``B`` when given."""
-    space = S.space
-    exp = (m + 1,)
-    res = ideal_residual(problem, phi, lam_map)
-    minus_normal = {}
-    for name, rows in res.items():
-        cvars = space.chart(name).vars
-        w = S.normal[name]
-        out = []
-        for a, row in enumerate(rows):
-            low = row.truncate(m)
-            if not low.is_zero():
+    if S is None:
+        for name in manifold.space.chart_names:
+            if name not in lam:
+                raise InconsistentData(f"no bivector family on chart {name}")
+            if lam[name].order_zero() != manifold.bivector(name):
                 raise InvalidDeformation(
-                    f"family is not a bracket-ideal family on chart {name} "
-                    f"at order {low.min_order()}")
-            G = row.coefficient(exp, Polyvector.zero(cvars, 1))
-            if B is not None and name in B:
-                for b in range(S.codim):
-                    wb = LaurentPoly.variable(cvars, w[b])
-                    G = G - _scale_pv(B[name][a][b], wb)
-            out.append(restrict(-G, w))
-        minus_normal[name] = out
-    mism = gluing_mismatch(problem, phi)
-    normal_cech = {}
-    for (i, k), rows in mism.items():
-        out = []
-        for a, row in enumerate(rows):
-            low = row.truncate(m)
-            if not low.is_zero():
-                raise InvalidDeformation(
-                    f"family ideals do not glue on overlap ({i}, {k}) at "
-                    f"order {low.min_order()}")
-            h_on_k = -row.coefficient(exp, LaurentPoly.zero(
-                space.chart(k).vars))
-            out.append(S.substitute_tangential(h_on_k, k, i))
-        normal_cech[(i, k)] = out
-    return minus_normal, normal_cech
+                    f"family on chart {name} does not start at the ambient "
+                    "bivector")
+    phi = {name: [TruncatedSeries(params, m + 1, s.terms) for s in rows]
+           for name, rows in phi.items()}
+    lam = {name: TruncatedSeries(params, m + 1, lam[name].terms)
+           for name in manifold.space.chart_names}
+    return S, manifold, phi, lam, m
 
 
-def _canonical_class(kind, S, manifold, phi, lam_map, m, B=None):
-    """Obstruction class of the canonical liftings of a degree-m family,
-    optionally with per-chart structure-field shifts ``B`` (matrices of
-    vector fields) at the new order. The family itself carries any shift of
+def _residuals(kind, S, manifold, phi, lam, m) -> dict:
+    """The residuals of an order-m family of the functor: those of a
+    `DeformationState` whose ambient family is given (hilb) or moves with
+    it (exthilb); for def, the Jacobi and bivector gluing residuals."""
+    if kind == "def":
+        return {"jacobi": jacobi_residual(lam),
+                "lambda_gluing": lambda_gluing_mismatch(manifold.space, lam)}
+    params = next(iter(lam.values())).params
+    problem = DeformationProblem(
+        S, params, m + 1, 0, mode="prescribed" if kind == "hilb" else
+        "extended", prescribed=lam)
+    return DeformationState(problem, m, phi, lam).residuals
+
+
+# The residuals that must vanish below the new order, in the order they are
+# checked: (functors, residual, orders checked beyond m, message). The hilb
+# functor takes its ambient family as given, so that family must be a
+# deformation through the new order too.
+_BELOW_ORDER = (
+    (("def", "exthilb"), "jacobi", 0, "bivector family on chart {at} fails "
+     "its square-zero identity at order {order}"),
+    (("def", "exthilb"), "lambda_gluing", 0, "bivector family does not glue "
+     "over the base on overlap ({at[1]}, {at[0]})"),
+    (("hilb",), "jacobi", 1, "ambient bivector family on chart {at} fails "
+     "its square-zero identity"),
+    (("hilb",), "lambda_gluing", 1, "ambient bivector family does not glue "
+     "on ({at[1]}, {at[0]})"),
+    (("hilb", "exthilb"), "ideal", 0, "family is not a bracket-ideal family "
+     "on chart {at} at order {order}"),
+    (("hilb", "exthilb"), "gluing", 0, "family ideals do not glue on overlap "
+     "({at[0]}, {at[1]}) at order {order}"),
+)
+
+
+def _canonical_class(kind, desc, phi, lam, m, B=None):
+    """Obstruction class of the canonical liftings of a degree-m family and
+    its degree-one total cochain: `residual_total` of the family's
+    residuals at order m + 1, the normal chart part restricted to the
+    submanifold after the per-chart structure-field shifts ``B`` (matrices
+    of vector fields) when given. The family itself carries any shift of
     the ideal generators or bivectors (`artin_obstruction`)."""
-    space = manifold.space
-    cut = m + 1
+    S = desc.submanifold
+    residuals = _residuals(kind, S, desc.manifold, phi, lam, m)
+    for kinds, key, extra, message in _BELOW_ORDER:
+        if kind not in kinds:
+            continue
+        for at, _, ser in _series(residuals[key]):
+            low = ser.truncate(m + extra)
+            if not low.is_zero():
+                raise InvalidDeformation(message.format(
+                    at=at, order=low.min_order()))
+    chart, overlap = residual_total(desc, residuals, (m + 1,))
     cls = ObstructionClass(kind, m)
-    if kind in ("def", "exthilb"):
-        cls.ambient, cls.ambient_cech = _ambient_components(space, lam_map, m)
-    if kind == "hilb":
-        jacobi = jacobi_residual(lam_map)
-        for name in space.chart_names:
-            if not jacobi[name].is_zero():
-                raise InvalidDeformation(
-                    f"ambient bivector family on chart {name} fails its "
-                    "square-zero identity")
-        for (k, i), ser in lambda_gluing_mismatch(space, lam_map).items():
-            if not ser.is_zero():
-                raise InvalidDeformation(
-                    f"ambient bivector family does not glue on ({i}, {k})")
-    if kind in ("hilb", "exthilb"):
-        params = next(iter(lam_map.values())).params
-        problem = DeformationProblem(S, params, cut, 0, mode="fixed")
-        cls.normal, cls.normal_cech = _normal_components(
-            S, problem, phi, lam_map, m, B)
-    return cls
+    if "amb" in chart:
+        cls.ambient, cls.ambient_cech = chart["amb"], overlap["amb"]
+    if "nor" in chart:
+        for name, rows in chart["nor"].items():
+            w = S.normal[name]
+            cvars = desc.space.chart(name).vars
+            for a, fields in enumerate(B[name] if B and name in B else ()):
+                for field, wv in zip(fields, w):
+                    wb = LaurentPoly.variable(cvars, wv)
+                    rows[a] = rows[a] + field.map_coefficients(
+                        lambda c: c * wb)
+            rows[:] = [restrict(g, w) for g in rows]
+        cls.normal = chart["nor"]
+        cls.normal_cech = {pair: [pv.as_function() for pv in rows]
+                           for pair, rows in overlap["nor"].items()}
+    return cls, chart, overlap
 
 
 # ----------------------------------------------------------------------
-# The class in the total complex: certificates and liftability
+# Liftability
 # ----------------------------------------------------------------------
-
-def _total(cls: ObstructionClass) -> tuple:
-    """The class as a degree-one total cochain (chart part, overlap part)."""
-    chart, overlap = {}, {}
-    if cls.ambient is not None:
-        chart["amb"], overlap["amb"] = cls.ambient, cls.ambient_cech
-    if cls.normal is not None:
-        chart["nor"] = cls.normal
-        overlap["nor"] = {pair: [Polyvector.from_function(f) for f in rows]
-                          for pair, rows in cls.normal_cech.items()}
-    return chart, overlap
-
 
 # Row labels of the liftability equations, by (cochain part, chart or
 # overlap).
@@ -430,11 +324,10 @@ ARTIN_ROWS = {("amb", "chart"): "amb", ("nor", "chart"): "nabla",
               ("amb", "overlap"): "ambcech", ("nor", "overlap"): "cech"}
 
 
-def _decide_liftable(atoms, columns, cls):
+def _decide_liftable(atoms, columns, rows):
     """Solve total_coboundary(unknowns) = class over the monomial unknowns
-    `atoms`, whose `total_rows` are `columns`."""
-    sol, unreached, witness = solve_total(
-        columns, total_rows(*_total(cls), ARTIN_ROWS))
+    `atoms`, whose `total_rows` are `columns`; `rows` are the class's."""
+    sol, unreached, witness = solve_total(columns, rows)
     if unreached is not None:
         return False, f"no unknown reaches equation row {unreached}", None
     if sol is None:
@@ -512,14 +405,15 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
         amb_bound = bound + 2
     S, M, phi, lam_map, m = _family_pieces(kind, state, manifold, lam, order)
     desc = _descriptor(kind, S, M)
-    cls = _canonical_class(kind, S, M, phi, lam_map, m)
-    certs = total_closedness(desc, *_total(cls))
+    cls, chart, overlap = _canonical_class(kind, desc, phi, lam_map, m)
+    certs = total_closedness(desc, chart, overlap)
+    rows = total_rows(chart, overlap, ARTIN_ROWS)
     pairs = M.space.overlap_pairs()
     atoms = _unknowns(desc, bound, amb_bound)
     columns = [total_rows(*total_coboundary(
         desc, atom_cochain(desc, 0, atom), pairs), ARTIN_ROWS)
         for atom in atoms]
-    liftable, witness, solution = _decide_liftable(atoms, columns, cls)
+    liftable, witness, solution = _decide_liftable(atoms, columns, rows)
     invariance = None
     perturbed = None
     if perturb is not None:
@@ -531,14 +425,16 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
         if "A" in shifts:
             shift["nor"] = {name: [Polyvector.from_function(-f) for f in A]
                             for name, A in shifts["A"].items()}
-        perturbed = _canonical_class(
-            kind, S, M, *add_direction(phi, lam_map, (m + 1,), shift), m,
+        perturbed, p_chart, p_overlap = _canonical_class(
+            kind, desc, *add_direction(phi, lam_map, (m + 1,), shift), m,
             B=shifts.get("B"))
-        pert_certs = total_closedness(desc, *_total(perturbed))
-        diff = ObstructionClass(kind, m, **cls.minus(perturbed))
-        identities = total_rows(*_total(diff), ARTIN_ROWS) == total_rows(
+        pert_certs = total_closedness(desc, p_chart, p_overlap)
+        p_rows = total_rows(p_chart, p_overlap, ARTIN_ROWS)
+        moved = {key: v for key in rows.keys() | p_rows.keys()
+                 if (v := rows.get(key, 0) - p_rows.get(key, 0))}
+        identities = moved == total_rows(
             *total_coboundary(desc, shift, pairs), ARTIN_ROWS)
-        p_liftable, _, _ = _decide_liftable(atoms, columns, perturbed)
+        p_liftable, _, _ = _decide_liftable(atoms, columns, p_rows)
         invariance = {
             "identities": identities,
             "certificates": pert_certs,

@@ -32,13 +32,15 @@ indicates a bug, never bad luck); then a sparse exact linear system is solved
 per parameter monomial. Both go through the Cech total complex of the
 restricted-tuple complex, or of the paired one in extended mode
 (`complexes.total_closedness`, `complexes.total_coboundary`): per parameter
-monomial the cocycle is one degree-one total cochain, and the step's
-right-hand side is `complexes.total_rows` of exactly the cochain the
-certificate checks. The system's columns are the total coboundaries of the
-unknowns (`complexes.monomial_atoms` and the ambient sections) over every
-ordered overlap, the same overlaps the cocycle carries. They depend only on
-the problem, the degree bound and the sections, so `run_solver` builds them
-once for every step.
+monomial the cocycle is one degree-one total cochain, `residual_total` of the
+state's residuals, and the step's right-hand side is `complexes.total_rows`
+of exactly the cochain the certificate checks. The small-ring obstruction
+class (`artin`) is `residual_total` of the same residuals at order m+1. The
+system's columns are the total coboundaries of the unknowns
+(`complexes.monomial_atoms` and the ambient sections) over every ordered
+overlap, the same overlaps the cocycle carries. They depend only on the
+problem, the degree bound and the sections, so `run_solver` builds them once
+for every step.
 """
 
 from __future__ import annotations
@@ -442,43 +444,44 @@ def _step_descriptor(problem: DeformationProblem):
     return build_complex(kind, submanifold=problem.submanifold)
 
 
-def _cocycle_total(problem, cocycle: ObstructionCocycle, te) -> tuple:
-    """The cocycle at one parameter monomial as a degree-one total cochain:
-    the chart part is (Pi/2, -G), the normal overlap part on (i, k) is
-    psi_(i,k) moved to chart i with its sign flipped, and the ambient overlap
-    part is zero because the solver's bivectors glue."""
-    S = problem.submanifold
-    space = problem.space
-    chart = {"nor": {}}
-    for name, d in cocycle.G.items():
-        zero = Polyvector.zero(space.chart(name).vars, 1)
-        chart["nor"][name] = [-g for g in d.get(te, [zero] * S.codim)]
-    overlap = {"nor": {}}
-    for (i, k), d in cocycle.psi.items():
-        zero = LaurentPoly.zero(space.chart(k).vars)
-        overlap["nor"][(i, k)] = [
-            Polyvector.from_function(-S.substitute_tangential(f, k, i))
-            for f in d.get(te, [zero] * S.codim)]
-    if problem.mode == "extended":
-        chart["amb"] = {
-            name: d.get(te, Polyvector.zero(space.chart(name).vars, 3))
-            * Fraction(1, 2) for name, d in cocycle.Pi.items()}
-        overlap["amb"] = {
-            (i, k): Polyvector.zero(space.chart(i).vars, 2)
-            for (i, k) in space.overlap_pairs()
-            if (k, i) in space.transitions}
+def residual_total(descriptor, residuals: dict, te) -> tuple:
+    """The coefficient at parameter monomial `te` of a family's residuals
+    (`DeformationState.residuals`) as a degree-one total cochain (chart
+    part, overlap part), for the descriptor's parts: the normal chart part
+    is minus "ideal", the normal overlap part on (i, k) is minus "gluing"
+    moved to chart i, the ambient chart part is half "jacobi" and the
+    ambient overlap part on (i, k) is "lambda_gluing" at (k, i)."""
+    space = descriptor.space
+    chart, overlap = {}, {}
+    if "nor" in descriptor.parts:
+        S = descriptor.submanifold
+        chart["nor"] = {name: [-ser.coefficient(te, Polyvector.zero(
+            space.chart(name).vars, 1)) for ser in rows]
+            for name, rows in residuals["ideal"].items()}
+        overlap["nor"] = {(i, k): [Polyvector.from_function(
+            -S.substitute_tangential(ser.coefficient(te, LaurentPoly.zero(
+                space.chart(k).vars)), k, i)) for ser in rows]
+            for (i, k), rows in residuals["gluing"].items()}
+    if "amb" in descriptor.parts:
+        chart["amb"] = {name: ser.coefficient(te, Polyvector.zero(
+            space.chart(name).vars, 3)) * Fraction(1, 2)
+            for name, ser in residuals["jacobi"].items()}
+        overlap["amb"] = {(i, k): ser.coefficient(te, Polyvector.zero(
+            space.chart(i).vars, 2))
+            for (k, i), ser in residuals["lambda_gluing"].items()}
     return chart, overlap
 
 
 def certify_cocycle(state: DeformationState,
                     cocycle: ObstructionCocycle) -> dict:
-    """Exact closedness of the cocycle, one total cochain (`_cocycle_total`)
-    per parameter monomial. Raises ClosednessViolation on failure."""
+    """Exact closedness of the cocycle, one total cochain per parameter
+    monomial (`residual_total` of the state's residuals). Raises
+    ClosednessViolation on failure."""
     descriptor = _step_descriptor(state.problem)
     cert = {}
     for te in _tmonomials(cocycle):
-        cert = total_closedness(descriptor,
-                                *_cocycle_total(state.problem, cocycle, te))
+        cert = total_closedness(descriptor, *residual_total(
+            descriptor, state.residuals, te))
     return cert
 
 
@@ -531,13 +534,14 @@ def _assemble_step_matrix(problem, degree, amb_basis) -> StepSystem:
     return StepSystem(degree, amb_basis, cochains, columns)
 
 
-def _solve_step(problem, cocycle, system: StepSystem):
+def _solve_step(state, cocycle, system: StepSystem):
     """Solve one order step; returns (per-te solutions, None) or
     (None, witness description)."""
+    descriptor = _step_descriptor(state.problem)
     solutions = {}
     for te in _tmonomials(cocycle):
         sol, unreached, bad = solve_total(system.columns, total_rows(
-            *_cocycle_total(problem, cocycle, te), STEP_ROWS))
+            *residual_total(descriptor, state.residuals, te), STEP_ROWS))
         if unreached is not None:
             return None, (f"no unknown reaches equation row {unreached} "
                           f"at parameter monomial {te}")
@@ -575,11 +579,11 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
         amb_basis = (_ambient_basis(problem) if system is None
                      else system.amb_basis)
         system = _assemble_step_matrix(problem, D, amb_basis)
-    solutions, witness = _solve_step(problem, cocycle, system)
+    solutions, witness = _solve_step(state, cocycle, system)
     if solutions is None:
         tested = {D: "infeasible"}
         for bump in (D + 1, D + 2):
-            got, _ = _solve_step(problem, cocycle, _assemble_step_matrix(
+            got, _ = _solve_step(state, cocycle, _assemble_step_matrix(
                 problem, bump, system.amb_basis))
             tested[bump] = "feasible" if got is not None else "infeasible"
         if any(v == "feasible" for v in tested.values()):

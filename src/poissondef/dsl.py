@@ -143,17 +143,9 @@ class ProblemFile:
         out = {}
         seed = next(iter(self.lam))
         for name in space.chart_names:
-            if name in self.lam:
-                out[name] = TruncatedSeries(
-                    self.params, cutoff,
-                    {e: c for e, c in self.lam[name].terms.items()
-                     if sum(e) <= cutoff})
-            else:
-                out[name] = self.lam[seed].map(
-                    lambda pv: space.pushforward(pv, seed, name)).truncate(
-                        cutoff)
-                out[name] = TruncatedSeries(self.params, cutoff,
-                                            dict(out[name].terms))
+            ser = self.lam[name] if name in self.lam else self.lam[seed].map(
+                lambda pv: space.pushforward(pv, seed, name))
+            out[name] = TruncatedSeries(self.params, cutoff, ser.terms)
         return out
 
     def family_state(self, problem):
@@ -163,17 +155,10 @@ class ProblemFile:
         M = problem.order
         phi = {}
         for name in S.present_charts():
-            rows = []
             given = self.family.get(name, {})
-            for v in S.normal[name]:
-                ser = given.get(v)
-                if ser is None:
-                    rows.append(TruncatedSeries.zero(self.params, M))
-                else:
-                    rows.append(TruncatedSeries(
-                        self.params, M,
-                        {e: c for e, c in ser.terms.items() if sum(e) <= M}))
-            phi[name] = rows
+            phi[name] = [TruncatedSeries(self.params, M, given[v].terms
+                                         if v in given else {})
+                         for v in S.normal[name]]
         if self.lam:
             lam = self.lambda_family(M)
         else:
@@ -484,7 +469,7 @@ class _Parser:
             elif not first:
                 break
             first = False
-            coeff, frame = self._pv_term(allvars, degree)
+            coeff, frame = self._pv_term(allvars, cvars, degree)
             coeff = coeff * LaurentPoly.const(allvars, sign)
             if frame is None:
                 continue
@@ -496,8 +481,9 @@ class _Parser:
                 break
         return self._assemble_pv(acc, cvars, extra, degree)
 
-    def _pv_term(self, allvars, degree: int):
-        """One bivector term: scalar factors then a frame block."""
+    def _pv_term(self, allvars, cvars, degree: int):
+        """One bivector term: scalar factors over `allvars`, then a frame
+        block over the chart variables `cvars`."""
         coeff = LaurentPoly.const(allvars, 1)
         while self.peek().kind != "frame":
             coeff = coeff * self._factor(allvars)
@@ -524,7 +510,7 @@ class _Parser:
                              frames[-1][1].line, frames[-1][1].col)
         names = [f[0] for f in frames]
         for vname, ftok in frames:
-            if vname not in allvars:
+            if vname not in cvars:
                 raise ParseError(f"unknown variable {vname!r}",
                                  ftok.line, ftok.col)
         if len(set(names)) != len(names):

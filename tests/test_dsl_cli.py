@@ -264,6 +264,14 @@ family U0: z2 = t;
 """,
         "family assigns non-normal variable 'z2' on chart 'U0'",
     )
+    expect_parse_error(
+        """builtin P2;
+params t order 2 degree 1;
+mode prescribed;
+lambda U0: z1 * d/z1 ^ d/t;
+""",
+        "line 4, column 24: unknown variable 't'",
+    )
 
 
 # ---------------------------------------------------------------------------
