@@ -316,16 +316,14 @@ def suggested_bound(space) -> int:
 def transport_nor_tuple(S: SubmanifoldData, tup, src: str, dst: str):
     """Identify a chart-src normal tuple on chart dst (first-order matrix
     times the pushed-forward components)."""
-    r = S.codim
-    F = S.first_order[(dst, src)]
+    F = S.moved_first_order(dst, src)
     moved = [S.push_restrict(pv, src, dst) for pv in tup]
     chart_vars = S.space.chart(dst).vars
     out = []
-    for g in range(r):
+    for row in F:
         acc = Polyvector.zero(chart_vars, moved[0].degree)
-        for a in range(r):
-            coeff = S.substitute_tangential(F[g][a], src, dst)
-            acc = acc + coeff * moved[a]
+        for coeff, pv in zip(row, moved):
+            acc = acc + coeff * pv
         out.append(acc)
     return out
 
@@ -538,19 +536,25 @@ def solve_total(columns: list, rhs: dict) -> tuple:
 # Global sections from a root-chart ansatz
 # ----------------------------------------------------------------------
 
-def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int, bound: int):
+def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int,
+                   bound: int, kept: dict | None = None):
     """The part's charts, the root-chart atoms, and each atom's cochain
-    transported along a spanning tree to every chart."""
+    transported along a spanning tree to every chart. `kept` maps atoms to
+    cochains transported before; the new ones are added to it."""
     space = descriptor.space
     charts = list(descriptor.part_charts(part))
     tree = space.spanning_tree(charts[0], charts) if len(charts) > 1 else []
     atoms = monomial_atoms(descriptor, part, p, charts[:1], bound)
+    kept = {} if kept is None else kept
     reps = []
     for atom in atoms:
-        rep = atom_cochain(descriptor, p, atom)[part]
-        for (parent, child) in tree:
-            rep[child] = _transport(descriptor, part, rep[parent], parent,
-                                    child)
+        rep = kept.get(atom)
+        if rep is None:
+            rep = atom_cochain(descriptor, p, atom)[part]
+            for (parent, child) in tree:
+                rep[child] = _transport(descriptor, part, rep[parent], parent,
+                                        child)
+            kept[atom] = rep
         reps.append(rep)
     return charts, atoms, reps
 
@@ -573,9 +577,20 @@ def _holomorphy_columns(charts, reps, is_nor: bool):
     return maps
 
 
-def _sections_at_bound(descriptor, part, p, bound):
-    charts, atoms, reps = _atom_sections(descriptor, part, p, bound)
-    kernel = nullspace(_holomorphy_columns(charts, reps, part == "nor"))
+def _sections_and_next_dimension(descriptor, part, p, bound, kept):
+    """The part's sections at coefficient degree <= bound, and the dimension
+    of its sections at bound + 1.
+
+    The atoms are transported once, at bound + 1; those of degree <= bound
+    come first within each (chart, slot, idx), in the same order, so their
+    columns are the system at the bound and only a rank is taken at bound + 1.
+    """
+    charts, atoms, reps = _atom_sections(descriptor, part, p, bound + 1, kept)
+    columns = _holomorphy_columns(charts, reps, part == "nor")
+    below = [j for j, atom in enumerate(atoms) if sum(atom[-1]) <= bound]
+    reps = [reps[j] for j in below]
+    kernel = nullspace([columns[j] for j in below])
+    next_dimension = len(columns) - rank(columns)
     sections = []
     for vec in kernel:
         if part == "nor":
@@ -599,7 +614,7 @@ def _sections_at_bound(descriptor, part, p, bound):
                         pv = pv + coeff * rep[cname]
                 combo[cname] = pv
             sections.append({"amb": combo})
-    return sections
+    return sections, next_dimension
 
 
 def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
@@ -615,14 +630,16 @@ def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
                  _atom_sections(descriptor, part, term_degree, b)[2]]
         return SectionSpace(descriptor.kind, term_degree, basis, b, True,
                             {b: len(basis)})
+    kept = {part: {} for part in parts}
     while True:
         dims = {}
         per_part = {}
+        d_next = 0
         for part in parts:
-            per_part[part] = _sections_at_bound(descriptor, part, term_degree, b)
+            per_part[part], d = _sections_and_next_dimension(
+                descriptor, part, term_degree, b, kept[part])
+            d_next += d
         d_b = sum(len(v) for v in per_part.values())
-        d_next = sum(len(_sections_at_bound(descriptor, part, term_degree, b + 1))
-                     for part in parts)
         dims[b], dims[b + 1] = d_b, d_next
         if d_b == d_next:
             basis = []

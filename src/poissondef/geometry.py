@@ -20,7 +20,8 @@ from .errors import (
     NotPoissonSubmanifold,
     WrongCodimension,
 )
-from .polyvector import Polyvector, pushforward, restrict, schouten, wedge
+from .polyvector import (Polyvector, jacobian_columns, pushforward, restrict,
+                         schouten, wedge)
 from .symbolic import LaurentPoly, substitute
 
 
@@ -31,7 +32,10 @@ class Chart:
 
 
 class ChartedSpace:
-    """An atlas with explicit Laurent transition maps."""
+    """An atlas with explicit Laurent transition maps.
+
+    The transitions are fixed at construction; the Jacobian of each ordered
+    pair is computed on its first pushforward and kept on the atlas."""
 
     def __init__(self, name: str, charts: Iterable[Chart],
                  transitions: Mapping[tuple, Mapping[str, LaurentPoly]]):
@@ -54,6 +58,7 @@ class ChartedSpace:
                 raise InconsistentData(
                     f"transition {i}->{k} misses variables {missing}")
             self.transitions[(i, k)] = fixed
+        self._jacobians = {}
 
     def chart(self, name: str) -> Chart:
         try:
@@ -86,9 +91,15 @@ class ChartedSpace:
             return a
         if (dst, src) not in self.transitions or (src, dst) not in self.transitions:
             raise ChartMismatch(f"no two-way transition between {src} and {dst}")
+        src_vars, dst_vars = self.chart(src).vars, self.chart(dst).vars
+        columns = None
+        if a.vars == src_vars:
+            columns = self._jacobians.get((src, dst))
+            if columns is None:
+                columns = self._jacobians[(src, dst)] = jacobian_columns(
+                    self.transitions[(dst, src)], src_vars, dst_vars)
         return pushforward(a, self.transitions[(dst, src)],
-                           self.transitions[(src, dst)],
-                           self.chart(dst).vars)
+                           self.transitions[(src, dst)], dst_vars, columns)
 
     def spanning_tree(self, root: str, subset: Iterable[str] | None = None):
         """BFS tree edges (parent, child) over declared overlaps."""
@@ -360,6 +371,9 @@ class SubmanifoldData:
     first_order: dict = field(default_factory=dict)   # (i,k) -> r x r LaurentPoly
     structure_fields: dict = field(default_factory=dict)  # chart -> r x r Polyvector
     checks: dict = field(default_factory=dict)
+    # (dst, src) -> first_order[(dst, src)] moved to chart dst, on first use
+    _moved_first_order: dict = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     @property
     def space(self) -> ChartedSpace:
@@ -384,6 +398,17 @@ class SubmanifoldData:
         full = f.with_vars(self.space.chart(src).vars)
         out = self.space.substitute_chart(full, src, dst)
         return out.set_zero(self.normal[dst])
+
+    def moved_first_order(self, dst: str, src: str) -> list:
+        """The first-order matrix F = first_order[(dst, src)] with entries
+        expressed in chart-dst tangential coordinates: the matrix that
+        identifies a chart-src normal tuple on chart dst."""
+        moved = self._moved_first_order.get((dst, src))
+        if moved is None:
+            moved = self._moved_first_order[(dst, src)] = [
+                [self.substitute_tangential(f, src, dst) for f in row]
+                for row in self.first_order[(dst, src)]]
+        return moved
 
     def push_restrict(self, a: Polyvector, src: str, dst: str) -> Polyvector:
         """Pushforward a chart-src polyvector with coefficients along the

@@ -298,46 +298,60 @@ def restrict(a: Polyvector, names: Iterable[str]) -> Polyvector:
                       {i: c.set_zero(names) for i, c in a.terms.items()})
 
 
+def jacobian_columns(target_in_source: Mapping[str, LaurentPoly],
+                     source_vars: Iterable[str],
+                     target_vars: Iterable[str]) -> list:
+    """The non-zero entries of the Jacobian d(target)/d(source), one list per
+    source index s of pairs (b, d(target_b)/d(source_s)) in target order."""
+    source_vars = tuple(source_vars)
+    exprs = []
+    for tv in target_vars:
+        expr = target_in_source[tv]
+        if expr.vars != source_vars:
+            expr = expr.with_vars(source_vars)
+        exprs.append(expr)
+    columns = []
+    for sv in source_vars:
+        column = []
+        for b, expr in enumerate(exprs):
+            entry = expr.derivative(sv)
+            if not entry.is_zero():
+                column.append((b, entry))
+        columns.append(column)
+    return columns
+
+
 def pushforward(a: Polyvector,
                 target_in_source: Mapping[str, LaurentPoly],
                 source_in_target: Mapping[str, LaurentPoly],
-                target_vars: Iterable[str]) -> Polyvector:
+                target_vars: Iterable[str],
+                columns: list | None = None) -> Polyvector:
     """Re-express a polyvector in another chart's coordinates and frame.
 
     target_in_source: each target variable as a Laurent expression of the
     source variables (used for the Jacobian d(target)/d(source));
     source_in_target: each source variable as a Laurent expression of the
-    target variables (used to convert coefficients at the end).
+    target variables (used to convert coefficients at the end);
+    columns: `jacobian_columns(target_in_source, a.vars, target_vars)`,
+    computed here when not given.
     """
     target_vars = tuple(target_vars)
-    src_vars = a.vars
-    # Jacobian over the source chart: J[b][s] = d(target_b)/d(source_s)
-    jac = []
-    for tv in target_vars:
-        expr = target_in_source[tv]
-        if expr.vars != src_vars:
-            expr = expr.with_vars(src_vars)
-        jac.append([expr.derivative(sv) for sv in src_vars])
+    if columns is None:
+        columns = jacobian_columns(target_in_source, a.vars, target_vars)
     subs_map = dict(source_in_target)
     collected: dict = {}
     for idx, coeff in a.terms.items():
         if a.degree == 0:
             _acc(collected, (), coeff)
             continue
-        for targets in _cartesian(range(len(target_vars)), repeat=a.degree):
-            prod = coeff
-            ok = True
-            for t_i, s_i in zip(targets, idx):
-                entry = jac[t_i][s_i]
-                if entry.is_zero():
-                    ok = False
-                    break
-                prod = prod * entry
-            if not ok:
-                continue
-            sidx, sign = _sort_sign(targets)
+        # only the non-zero entries J[b][s] of each source index s
+        for choice in _cartesian(*(columns[s] for s in idx)):
+            sidx, sign = _sort_sign(b for b, _ in choice)
             if sign == 0:
                 continue
+            prod = coeff
+            for _, entry in choice:
+                prod = prod * entry
             _acc(collected, sidx, prod * Fraction(sign))
     out_terms = {}
     for idx, coeff in collected.items():

@@ -555,6 +555,35 @@ def _series_pow(s: TruncatedSeries, n: int, one: LaurentPoly) -> TruncatedSeries
     return result
 
 
+def _substitute_monomials(p: LaurentPoly, vals: dict, target_vars: tuple):
+    """`substitute` when every value is a single term c_v * x^(a_v): the term
+    c * prod v^(e_v) goes to c * prod c_v^(e_v) * x^(sum e_v a_v). Terms are
+    summed in p's order, as the general path sums them."""
+    images = []
+    for i, v in enumerate(p.vars):
+        if v in vals:
+            ((a, cv),) = vals[v].terms.items()
+            images.append((i, a, None if cv == 1 else cv))
+    zero = (0,) * len(target_vars)
+    terms: dict = {}
+    for e, c in p.terms.items():
+        exps = zero
+        for i, a, cv in images:
+            k = e[i]
+            if k:
+                exps = tuple(x + k * y for x, y in zip(exps, a))
+                if cv is not None:
+                    c = c * cv ** k
+        s = terms.get(exps, 0) + c
+        if s:
+            terms[exps] = s
+        elif exps in terms:
+            del terms[exps]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.vars, out.terms = target_vars, terms
+    return out
+
+
 def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
     """Substitute expressions for the variables of p.
 
@@ -607,6 +636,8 @@ def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
             if isinstance(val, (int, Fraction)):
                 val = LaurentPoly.const(target_vars, val)
             vals[v] = val
+        if all(len(val.terms) == 1 for val in vals.values()):
+            return _substitute_monomials(p, vals, target_vars)
         out = LaurentPoly.zero(target_vars)
         for e, c in p.terms.items():
             term = LaurentPoly.const(target_vars, c)

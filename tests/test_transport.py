@@ -1,0 +1,339 @@
+"""Chart transport against the paths it replaced.
+
+`symbolic.substitute` sends a Laurent polynomial through single-term values
+by mapping exponent vectors; `_substitute_oracle` below is the general
+path it bypasses, kept verbatim as the oracle. `ChartedSpace.pushforward`
+keeps each ordered pair's Jacobian on the atlas; it must agree, term for
+term and in the same order, with `polyvector.pushforward` given the raw
+transition maps and with `_pushforward_oracle`, the loop over every target
+index tuple that the sparse Jacobian columns replaced. A kept table lives on
+its atlas, so two atlases with the same chart names never share one.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from itertools import product as _cartesian
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import poissondef
+from poissondef.cli import run_command
+from poissondef.dsl import parse
+from poissondef.errors import (ChartMismatch, NonInvertibleSubstitution,
+                               ParameterMismatch)
+from poissondef.geometry import (Chart, ChartedSpace, hirzebruch, product,
+                                 projective_space)
+from poissondef.polyvector import Polyvector, _acc, _sort_sign, pushforward
+from poissondef.symbolic import (LaurentPoly, TruncatedSeries, _series_pow,
+                                 substitute)
+
+EXAMPLES = Path(poissondef.__file__).parent / "examples"
+
+
+# ----------------------------------------------------------------------
+# Oracles: the general paths, as they were before the fast paths
+# ----------------------------------------------------------------------
+
+def _substitute_oracle(p: LaurentPoly, assignment):
+    used = [v for i, v in enumerate(p.vars)
+            if any(e[i] for e in p.terms)]
+    missing = [v for v in used if v not in assignment]
+    if missing:
+        raise ChartMismatch(f"no substitution value for {missing}")
+
+    target_vars = None
+    series_sig = None
+    for v in used:
+        val = assignment[v]
+        if isinstance(val, LaurentPoly):
+            tv = val.vars
+        elif isinstance(val, TruncatedSeries):
+            series_sig = (val.params, val.cutoff) if series_sig is None else series_sig
+            if (val.params, val.cutoff) != series_sig:
+                raise ParameterMismatch(
+                    "substitution series disagree on parameters or cutoff")
+            lead = next(iter(val.terms.values()), None)
+            tv = lead.vars if isinstance(lead, LaurentPoly) else None
+        elif isinstance(val, (int, Fraction)):
+            tv = None
+        else:
+            raise TypeError(f"bad substitution value for {v!r}")
+        if tv is not None:
+            if target_vars is None:
+                target_vars = tv
+            elif target_vars != tv:
+                raise ChartMismatch(
+                    f"substitution values live on different charts: "
+                    f"{target_vars} vs {tv}")
+    if target_vars is None:
+        target_vars = ()
+
+    one = LaurentPoly.const(target_vars, 1)
+
+    if series_sig is None:
+        # plain Laurent substitution
+        vals = {}
+        for v in used:
+            val = assignment[v]
+            if isinstance(val, (int, Fraction)):
+                val = LaurentPoly.const(target_vars, val)
+            vals[v] = val
+        out = LaurentPoly.zero(target_vars)
+        for e, c in p.terms.items():
+            term = LaurentPoly.const(target_vars, c)
+            for i, v in enumerate(p.vars):
+                if e[i]:
+                    term = term * (vals[v] ** e[i])
+            out = out + term
+        return out
+
+    params, cutoff = series_sig
+    svals = {}
+    for v in used:
+        val = assignment[v]
+        if isinstance(val, (int, Fraction)):
+            val = LaurentPoly.const(target_vars, val)
+        if isinstance(val, LaurentPoly):
+            val = TruncatedSeries.const(params, cutoff, val)
+        svals[v] = val
+    out = TruncatedSeries.zero(params, cutoff)
+    for e, c in p.terms.items():
+        term = TruncatedSeries.const(params, cutoff,
+                                     LaurentPoly.const(target_vars, c))
+        for i, v in enumerate(p.vars):
+            if e[i]:
+                term = term * _series_pow(svals[v], e[i], one)
+        out = out + term
+    return out
+
+
+def _pushforward_oracle(a, target_in_source, source_in_target, target_vars):
+    target_vars = tuple(target_vars)
+    src_vars = a.vars
+    jac = []
+    for tv in target_vars:
+        expr = target_in_source[tv]
+        if expr.vars != src_vars:
+            expr = expr.with_vars(src_vars)
+        jac.append([expr.derivative(sv) for sv in src_vars])
+    subs_map = dict(source_in_target)
+    collected: dict = {}
+    for idx, coeff in a.terms.items():
+        if a.degree == 0:
+            _acc(collected, (), coeff)
+            continue
+        for targets in _cartesian(range(len(target_vars)), repeat=a.degree):
+            prod = coeff
+            ok = True
+            for t_i, s_i in zip(targets, idx):
+                entry = jac[t_i][s_i]
+                if entry.is_zero():
+                    ok = False
+                    break
+                prod = prod * entry
+            if not ok:
+                continue
+            sidx, sign = _sort_sign(targets)
+            if sign == 0:
+                continue
+            _acc(collected, sidx, prod * Fraction(sign))
+    out_terms = {}
+    for idx, coeff in collected.items():
+        conv = substitute(coeff, subs_map)
+        if conv.vars != target_vars:
+            conv = conv.with_vars(target_vars)
+        if not conv.is_zero():
+            out_terms[idx] = conv
+    return Polyvector(target_vars, a.degree, out_terms)
+
+
+def _layout(x):
+    """Everything that can reach a report: values and insertion orders."""
+    if isinstance(x, LaurentPoly):
+        return (x.vars, list(x.terms.items()))
+    return (x.vars, x.degree,
+            [(idx, _layout(c)) for idx, c in x.terms.items()])
+
+
+def _outcome(f, *args):
+    try:
+        return _layout(f(*args))
+    except NonInvertibleSubstitution as e:
+        return ("NonInvertibleSubstitution", str(e))
+
+
+# ----------------------------------------------------------------------
+# Monomial substitution
+# ----------------------------------------------------------------------
+
+SOURCE = ("a", "b", "c")
+TARGET = ("x", "y")
+
+fractions = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                      st.integers(1, 4))
+source_polys = st.dictionaries(
+    st.tuples(*(st.integers(-3, 3) for _ in SOURCE)), fractions,
+    max_size=5).map(lambda d: LaurentPoly(SOURCE, d))
+# a small pool of target monomials, so that two variables often share one
+monomials = st.builds(
+    lambda e, c: LaurentPoly(TARGET, {e: c}),
+    st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (1, -1), (2, 1)]),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]))
+values = st.one_of(monomials, st.integers(-2, 2),
+                   st.just(LaurentPoly.zero(TARGET)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(source_polys, st.tuples(*(values for _ in SOURCE)))
+def test_monomial_substitution_matches_general_path(p, vals):
+    assignment = dict(zip(SOURCE, vals))
+    assert _outcome(substitute, p, assignment) == \
+        _outcome(_substitute_oracle, p, assignment)
+
+
+def test_monomial_substitution_merges_cancels_and_raises():
+    x = LaurentPoly.variable(TARGET, "x")
+    y = LaurentPoly.variable(TARGET, "y")
+    a, b, c = (LaurentPoly.variable(SOURCE, v) for v in SOURCE)
+    p = a * a - b * b + Fraction(1, 2) * a * c - c * b + 3 * c
+    # a and b to the same monomial: the first two terms cancel and the two
+    # mixed terms merge into one
+    assignment = {"a": x * y, "b": -(x * y), "c": x * y}
+    got = substitute(p, assignment)
+    assert _layout(got) == _layout(_substitute_oracle(p, assignment))
+    assert got == (Fraction(3, 2) * x * x * y * y + 3 * x * y)
+    # an int value, and a Fraction value
+    for value in (2, Fraction(-2, 3)):
+        assignment = {"a": x.inverse(), "b": value, "c": y}
+        assert _layout(substitute(p, assignment)) == \
+            _layout(_substitute_oracle(p, assignment))
+    # a zero value under a negative power
+    q = a.inverse() * b
+    for zero in (0, LaurentPoly.zero(TARGET)):
+        with pytest.raises(NonInvertibleSubstitution):
+            substitute(q, {"a": zero, "b": y})
+        with pytest.raises(NonInvertibleSubstitution):
+            _substitute_oracle(q, {"a": zero, "b": y})
+
+
+# ----------------------------------------------------------------------
+# Kept Jacobians
+# ----------------------------------------------------------------------
+
+NON_MONOMIAL = """
+manifold shear;
+chart U0 vars x y;
+chart U1 vars u v;
+transition U0 -> U1: x = u, y = v - u^2;
+transition U1 -> U0: u = x, v = y + x^2;
+poisson on U0: x * d/x ^ d/y;
+submanifold normal U0: [x];
+submanifold normal U1: [u];
+"""
+
+
+def _random_pv(rng, vars, degree, low):
+    terms = {}
+    for idx in combinations(range(len(vars)), degree):
+        if rng.random() < 0.8:
+            coeff = {}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(low, 2) for _ in vars)
+                coeff[e] = Fraction(rng.choice([-3, -1, 1, 2]),
+                                    rng.choice([1, 2]))
+            terms[idx] = LaurentPoly(vars, coeff)
+    return Polyvector(vars, degree, terms)
+
+
+def _check_atlas(space, rng, low, per_degree=2):
+    """Every ordered pair, degrees 0..min(3, dim): the atlas's pushforward,
+    the raw-map pushforward and the oracle give the same layout."""
+    checked = 0
+    for (src, dst) in space.overlap_pairs():
+        src_vars = space.chart(src).vars
+        dst_vars = space.chart(dst).vars
+        raw = (space.transitions[(dst, src)], space.transitions[(src, dst)],
+               dst_vars)
+        for degree in range(min(3, len(src_vars)) + 1):
+            for _ in range(per_degree):
+                a = _random_pv(rng, src_vars, degree, low)
+                got = _layout(space.pushforward(a, src, dst))
+                assert got == _layout(pushforward(a, *raw)), (src, dst, a)
+                assert got == _layout(_pushforward_oracle(a, *raw)), \
+                    (src, dst, a)
+                checked += 1
+    return checked
+
+
+def _second_line():
+    """P1 with charts V0, V1 and variable w, to multiply with `Pn(1)`."""
+    w_inv = LaurentPoly.monomial(("w",), (-1,))
+    return ChartedSpace("P1w", [Chart("V0", ("w",)), Chart("V1", ("w",))],
+                        {("V0", "V1"): {"w": w_inv},
+                         ("V1", "V0"): {"w": w_inv}})
+
+
+@pytest.mark.parametrize("space", [
+    *(projective_space(n) for n in (1, 2, 3)),
+    *(hirzebruch(m) for m in range(4)),
+    product(projective_space(1), _second_line()),
+], ids=lambda s: s.name)
+def test_kept_jacobian_matches_raw_maps(space):
+    rng = random.Random(sum(map(ord, space.name)))
+    assert _check_atlas(space, rng, low=-1) > 0
+    # the second pass reads the kept Jacobians
+    assert _check_atlas(space, rng, low=-1) > 0
+
+
+def test_kept_jacobian_on_a_non_monomial_atlas():
+    space = parse(NON_MONOMIAL).space
+    rng = random.Random(5)
+    for _ in range(2):
+        assert _check_atlas(space, rng, low=0, per_degree=4) > 0
+
+
+# ----------------------------------------------------------------------
+# No table is shared between atlases
+# ----------------------------------------------------------------------
+
+def _twisted(power):
+    return f"""
+manifold twisted_line;
+chart U0 vars z w;
+chart U1 vars y u;
+transition U0 -> U1: z = y^-1, w = y^{power} * u;
+transition U1 -> U0: y = z^-1, u = z^{power} * w;
+"""
+
+
+def test_atlases_with_the_same_charts_keep_their_own_tables():
+    """Two atlases with the same chart names and variables but different
+    transitions, each deleted and rebuilt in turn: a rebuilt atlas tends to
+    get the address of the one just freed, so a table keyed by object
+    identity would hand it the other atlas's Jacobian."""
+    rng = random.Random(11)
+    probes = [_random_pv(rng, ("z", "w"), d, -1) for d in (0, 1, 2, 1, 2)]
+    docs = {power: parse(_twisted(power)) for power in (2, 3)}
+    results = {}
+    for _ in range(3):
+        for power, doc in docs.items():
+            space = ChartedSpace(doc.name, doc.charts, doc.transitions)
+            raw = (space.transitions[("U1", "U0")],
+                   space.transitions[("U0", "U1")], ("y", "u"))
+            moved = [_layout(space.pushforward(a, "U0", "U1")) for a in probes]
+            assert moved == [_layout(pushforward(a, *raw)) for a in probes]
+            assert results.setdefault(power, moved) == moved
+            del space, raw
+    assert results[2] != results[3]
+
+
+def test_alternating_section_searches_agree():
+    runs = {}
+    for _ in range(2):
+        for name in ("p3_hyperplane", "p3_line"):
+            out = run_command(["h0", f"{EXAMPLES}/{name}.pdef"])
+            assert runs.setdefault(name, out) == out
+    assert runs["p3_hyperplane"] != runs["p3_line"]

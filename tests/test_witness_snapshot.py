@@ -6,9 +6,12 @@ cover only the default commands. This test reruns those commands on every
 shipped file, and the graded engine (`h0|hyper --weights`) on the one
 single-chart file, with and without --json, plus the class of each functor
 one order up (`artin --order 1 --functor hilb|exthilb|def --bound 1`, human
-text) on the files that carry a family, and the matching of every pair of
+text) on the files that carry a family, the matching of every pair of
 shipped files that gets past its inputs (`match A B --order 2`, human text),
-and compares exit code and full text with `data/witness_snapshot.json`.
+and the section search from bound 0 on every shipped file and complex kind
+(`h0 --bound 0`, whose stability loop advances past its first bound, e.g. to
+6 on `f2_instability --complex extended`), with and without --json, and
+compares exit code and full text with `data/witness_snapshot.json`.
 
 Record the snapshot again (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_witness_snapshot.py
@@ -59,6 +62,10 @@ def _commands():
                    "--bound", "1"]
     for model, observed in MATCH_PAIRS:
         yield ["match", f"{model}.pdef", f"{observed}.pdef", "--order", "2"]
+    for name in sorted(p.name for p in EXAMPLES.glob("*.pdef")):
+        for kind in ("normal", "extended", "bivector"):
+            for fmt in ((), ("--json",)):
+                yield ["h0", name, "--complex", kind, "--bound", "0", *fmt]
 
 
 def _run(argv):
