@@ -45,7 +45,6 @@ linearisation is provided for cross-checking the cohomology engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import (atom_cochain, build_complex, h0_complex,
                          monomial_atoms, solve_total, total_closedness,
@@ -277,13 +276,12 @@ _BELOW_ORDER = (
 )
 
 
-def _canonical_class(kind, desc, phi, lam, m, B=None):
+def _canonical_class(kind, desc, phi, lam, m):
     """Obstruction class of the canonical liftings of a degree-m family and
     its degree-one total cochain: `residual_total` of the family's
     residuals at order m + 1, the normal chart part restricted to the
-    submanifold after the per-chart structure-field shifts ``B`` (matrices
-    of vector fields) when given. The family itself carries any shift of
-    the ideal generators or bivectors (`artin_obstruction`)."""
+    submanifold. The family itself carries any shift of the ideal
+    generators or bivectors (`artin_obstruction`)."""
     S = desc.submanifold
     residuals = _residuals(kind, S, desc.manifold, phi, lam, m)
     for kinds, key, extra, message in _BELOW_ORDER:
@@ -300,14 +298,7 @@ def _canonical_class(kind, desc, phi, lam, m, B=None):
         cls.ambient, cls.ambient_cech = chart["amb"], overlap["amb"]
     if "nor" in chart:
         for name, rows in chart["nor"].items():
-            w = S.normal[name]
-            cvars = desc.space.chart(name).vars
-            for a, fields in enumerate(B[name] if B and name in B else ()):
-                for field, wv in zip(fields, w):
-                    wb = LaurentPoly.variable(cvars, wv)
-                    rows[a] = rows[a] + field.map_coefficients(
-                        lambda c: c * wb)
-            rows[:] = [restrict(g, w) for g in rows]
+            rows[:] = [restrict(g, S.normal[name]) for g in rows]
         cls.normal = chart["nor"]
         cls.normal_cech = {pair: [pv.as_function() for pv in rows]
                            for pair, rows in overlap["nor"].items()}
@@ -347,33 +338,26 @@ def _default_perturbation(kind, S, manifold, seed: int):
     perturb = {}
     if kind in ("hilb", "exthilb"):
         A = {}
-        B = {}
         for ci, name in enumerate(S.present_charts()):
             cvars = space.chart(name).vars
             tang = S.tangential[name]
             rows_A = []
-            rows_B = []
             for a in range(S.codim):
-                c = Fraction(seed + 2 * ci + 3 * a + 1)
+                c = seed + 2 * ci + 3 * a + 1
                 if tang:
                     base = LaurentPoly.variable(cvars, tang[0])
                 else:
                     base = LaurentPoly.const(cvars, 1)
                 rows_A.append(base * LaurentPoly.const(cvars, c))
-                rows_B.append([Polyvector.monomial(
-                    cvars, (0,), LaurentPoly.const(cvars, c + b + 1))
-                    for b in range(S.codim)])
             A[name] = rows_A
-            B[name] = rows_B
         perturb["A"] = A
-        perturb["B"] = B
     if kind in ("def", "exthilb"):
         D = {}
         for ci, name in enumerate(space.chart_names):
             cvars = space.chart(name).vars
             if len(cvars) < 2:
                 continue
-            c = Fraction(seed + ci + 2)
+            c = seed + ci + 2
             D[name] = Polyvector.monomial(
                 cvars, (0, 1), LaurentPoly.const(cvars, c))
         perturb["D"] = D
@@ -426,8 +410,7 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
             shift["nor"] = {name: [Polyvector.from_function(-f) for f in A]
                             for name, A in shifts["A"].items()}
         perturbed, p_chart, p_overlap = _canonical_class(
-            kind, desc, *add_direction(phi, lam_map, (m + 1,), shift), m,
-            B=shifts.get("B"))
+            kind, desc, *add_direction(phi, lam_map, (m + 1,), shift), m)
         pert_certs = total_closedness(desc, p_chart, p_overlap)
         p_rows = total_rows(p_chart, p_overlap, ARTIN_ROWS)
         moved = {key: v for key in rows.keys() | p_rows.keys()

@@ -94,7 +94,7 @@ def cochain_lincomb(coeffs: Iterable[Fraction], cochains: Iterable[dict]) -> dic
     if acc is not None:
         return acc
     first = next(iter(cochains), None)
-    return cochain_scale(first, Fraction(0)) if first else {}
+    return cochain_scale(first, 0) if first else {}
 
 
 def cochain_is_zero(a: dict) -> bool:
@@ -819,7 +819,7 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
             for e, val in coeff.terms.items():
                 i = out_index.get(("nor", chart.name, 0, idx, e))
                 if i is not None:
-                    col[i] = col.get(i, Fraction(0)) + val
+                    col[i] = col.get(i, 0) + val
         return col
 
     restricted = [restrict_col(cochain_lincomb(vec, atoms1)) for vec in cocycles]
@@ -1003,7 +1003,7 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
                     for e, val in coeff.terms.items():
                         i = index.get((a, idx, e))
                         if i is not None:
-                            col[base + i] = col.get(base + i, Fraction(0)) + val
+                            col[base + i] = col.get(base + i, 0) + val
         return col
 
     target = layout([(k, 0) for (_, _, k) in triples] +

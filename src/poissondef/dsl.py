@@ -432,7 +432,7 @@ class _Parser:
     def _primary(self, allvars) -> LaurentPoly:
         tok = self.next()
         if tok.kind == "number":
-            return LaurentPoly.const(allvars, Fraction(int(tok.value)))
+            return LaurentPoly.const(allvars, int(tok.value))
         if tok.kind == "rational":
             num, den = tok.value.split("/")
             if int(den) == 0:
@@ -460,10 +460,10 @@ class _Parser:
         acc: dict = {}
         first = True
         while True:
-            sign = Fraction(1)
+            sign = 1
             if self.at_sym("-"):
                 self.next()
-                sign = Fraction(-1)
+                sign = -1
             elif self.at_sym("+"):
                 self.next()
             elif not first:
@@ -528,7 +528,7 @@ class _Parser:
         terms = {}
         for names, coeff in acc.items():
             idx, sign = _sort_sign(cvars.index(v) for v in names)
-            signed = coeff * LaurentPoly.const(allvars, Fraction(sign))
+            signed = coeff * LaurentPoly.const(allvars, sign)
             if idx in terms:
                 terms[idx] = terms[idx] + signed
             else:
@@ -559,7 +559,7 @@ class _Parser:
                                  f"the declared order {M}",
                                  where.line, where.col)
             base = terms.setdefault(tuple(pe), {})
-            base[ce] = base.get(ce, Fraction(0)) + c
+            base[ce] = base.get(ce, 0) + c
         out = {}
         for pe, mono in terms.items():
             poly = LaurentPoly(cvars, mono)

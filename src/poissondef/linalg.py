@@ -2,25 +2,31 @@
 small-ring engines.
 
 Input format: a matrix is a list of sparse columns, one per unknown, each a
-dict {row key: Fraction}; `solve_min` takes its right-hand side as one more
+dict {row key: value}; `solve_min` takes its right-hand side as one more
 such dict. Absent keys are zero. The rows of a system are the union of the
 keys of its columns and right-hand side, in sorted order, so the keys of one
 system must be mutually comparable (tuples or ints). Only this module decides
 how a system is laid out for elimination.
 
 Elimination is a sparse reduced row echelon form over rows held as
-{column index: Fraction} that store only non-zero entries; the largest
+{column index: value} that store only non-zero entries; the largest
 matrices built here have hundreds of columns and are under 1% non-zero.
 The reduced row echelon form of a matrix is unique, so which row supplies a
 pivot, and in which order the rows are reduced, changes only the work done,
 never the result: every kernel basis, solution and witness is determined by
 the matrix alone.
+
+Values are exact: ints where integral, Fractions otherwise. The one
+division, by a pivot, goes through Fraction, and a quotient that is
+integral is stored as an int again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .symbolic import _as_scalar
 
 
 def _subtract(row: dict, f, other: dict) -> None:
@@ -61,7 +67,8 @@ def rref(matrix: Sequence[dict]):
         col = min(row)
         pv = row[col]
         if pv != 1:
-            row = {c: v / pv for c, v in row.items()}
+            pv = Fraction(pv)
+            row = {c: _as_scalar(v / pv) for c, v in row.items()}
         for prow in by_pivot.values():
             if col in prow:
                 _subtract(prow, prow[col], row)
@@ -97,13 +104,12 @@ def nullspace(columns: Sequence[dict]):
     red, pivots = rref(_sparse_rows(columns)[1])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    zero = Fraction(0)
     basis = []
     for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = 1
         for row, pc in zip(red, pivots):
-            vec[pc] = -row.get(fc, zero)
+            vec[pc] = -row.get(fc, 0)
         basis.append(vec)
     return basis
 
@@ -118,18 +124,17 @@ def solve_min(columns: Sequence[dict], rhs: dict):
     so that this choice is the graded-lex minimal solution.
     """
     ncols = len(columns)
-    zero = Fraction(0)
     keys, rows = _sparse_rows(list(columns) + [rhs])
     red, pivots = rref(rows)
-    x = [zero] * ncols
+    x = [0] * ncols
     for row, pc in zip(red, pivots):
         if pc < ncols:
-            x[pc] = row.get(ncols, zero)
+            x[pc] = row.get(ncols, 0)
     if pivots and pivots[-1] == ncols:
         # the augmented column became a pivot: inconsistent
         for key, row in zip(keys, rows):
             lhs = sum(v * x[c] for c, v in row.items() if c < ncols)
-            if lhs != row.get(ncols, zero):
+            if lhs != row.get(ncols, 0):
                 return None, key
         return None, None
     return x, None

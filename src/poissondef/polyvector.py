@@ -92,7 +92,7 @@ class Polyvector:
         vars = tuple(vars)
         if sign == 0:
             return cls(vars, len(tuple(indices)))
-        return cls(vars, len(idx), {idx: coeff * Fraction(sign)})
+        return cls(vars, len(idx), {idx: coeff * sign})
 
     # ---- predicates / access ------------------------------------------
     def is_zero(self) -> bool:
@@ -165,11 +165,7 @@ class Polyvector:
         return hash((self.vars, self.degree,
                      frozenset((i, hash(c)) for i, c in self.terms.items())))
 
-    # ---- coefficient-wise operations ----------------------------------
-    def map_coefficients(self, f) -> "Polyvector":
-        return Polyvector(self.vars, self.degree,
-                          {i: f(c) for i, c in self.terms.items()})
-
+    # ---- display ------------------------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -200,7 +196,7 @@ def wedge(a: Polyvector, b: Polyvector) -> Polyvector:
             idx, sign = _sort_sign(ia + ib)
             if sign == 0:
                 continue
-            coeff = ca * cb * Fraction(sign)
+            coeff = ca * cb * sign
             if idx in out_terms:
                 s = out_terms[idx] + coeff
                 if s.is_zero():
@@ -262,7 +258,7 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                 if sign == 0:
                     continue
                 s = pref * sign * (-1 if kpos % 2 else 1)
-                _acc(out_terms, idx, f * dg * Fraction(s))
+                _acc(out_terms, idx, f * dg * s)
             for lpos, jl in enumerate(ib):
                 df = f.derivative(vars[jl])
                 if df.is_zero():
@@ -271,7 +267,7 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                 if sign == 0:
                     continue
                 s = sign * (1 if lpos % 2 else -1)
-                _acc(out_terms, idx, g * df * Fraction(s))
+                _acc(out_terms, idx, g * df * s)
     return Polyvector(vars, p + q - 1, out_terms)
 
 
@@ -352,7 +348,7 @@ def pushforward(a: Polyvector,
             prod = coeff
             for _, entry in choice:
                 prod = prod * entry
-            _acc(collected, sidx, prod * Fraction(sign))
+            _acc(collected, sidx, prod * sign)
     out_terms = {}
     for idx, coeff in collected.items():
         conv = substitute(coeff, subs_map)

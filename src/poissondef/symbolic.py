@@ -2,7 +2,12 @@
 multi-parameter series with pluggable coefficient carriers, and comparison
 (majorant) series for convergence-style domination checks.
 
-All arithmetic is exact (fractions.Fraction); nothing here floats.
+All arithmetic is exact. A coefficient is an int when it is integral and a
+fractions.Fraction otherwise, never a float or a bool. Constructors
+normalise through `_as_scalar`; sums and products need no normalising, as
+int with int stays int, and a Fraction result that happens to be integral
+compares, hashes and prints like the int. Every division and negative
+power goes through Fraction.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from .errors import (
     ParameterMismatch,
 )
 
-Scalar = Fraction
 
-
-def _as_scalar(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _as_scalar(c):
+    """An exact scalar as stored: an int when integral, else a Fraction."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # a bool, stored as the int it equals
+        return int(c)
     raise TypeError(f"expected exact scalar, got {type(c).__name__}")
 
 
@@ -37,7 +43,8 @@ def grlex_key(exps: tuple) -> tuple:
 class LaurentPoly:
     """Sparse Laurent polynomial over Q in a fixed ordered variable tuple.
 
-    terms maps exponent tuples (ints, possibly negative) to nonzero Fractions.
+    terms maps exponent tuples (ints, possibly negative) to nonzero exact
+    scalars: ints where integral, Fractions otherwise.
     Instances are treated as immutable; all operations return new objects.
     """
 
@@ -55,7 +62,7 @@ class LaurentPoly:
                         f"exponent tuple {e} does not fit variables {self.vars}")
                 c = _as_scalar(c)
                 if c:
-                    clean[e] = clean.get(e, Fraction(0)) + c
+                    clean[e] = clean.get(e, 0) + c
                     if not clean[e]:
                         del clean[e]
         self.terms = clean
@@ -77,7 +84,7 @@ class LaurentPoly:
         if name not in vars:
             raise ChartMismatch(f"variable {name!r} not among {vars}")
         e = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {e: Fraction(1)})
+        return cls(vars, {e: 1})
 
     @classmethod
     def monomial(cls, vars: Iterable[str], exps: Iterable[int], coeff=1) -> "LaurentPoly":
@@ -120,7 +127,7 @@ class LaurentPoly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             elif e in terms:
@@ -161,7 +168,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 elif e in terms:
@@ -189,7 +196,7 @@ class LaurentPoly:
             raise NonInvertibleSubstitution(
                 f"cannot invert {self}: not a monomial times a unit")
         ((e, c),) = self.terms.items()
-        return LaurentPoly(self.vars, {tuple(-x for x in e): 1 / c})
+        return LaurentPoly(self.vars, {tuple(-x for x in e): 1 / Fraction(c)})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -255,7 +262,7 @@ class LaurentPoly:
                         f"variable {v!r} occurs but is absent from {newvars}")
                 e2[pos[v]] += e[i]
             key = tuple(e2)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return LaurentPoly(newvars, terms)
 
     # ---- display ------------------------------------------------------
@@ -323,9 +330,9 @@ def _coeff_scale(a, s: Fraction):
 class TruncatedSeries:
     """Series in parameters, truncated at a total-degree cutoff.
 
-    Coefficients may be Fractions, LaurentPoly, polyvectors, or same-shape
-    tuples thereof — anything supporting +, unary -, scaling by Fraction and
-    an is_zero test. Multiplication is only defined when the carriers support
+    Coefficients may be exact scalars, LaurentPoly, polyvectors, or
+    same-shape tuples thereof — anything supporting +, unary -, scaling by
+    an exact scalar and an is_zero test. Multiplication is only defined when the carriers support
     `*` themselves; heterogeneous bilinear combinations go through `combine`.
     """
 
@@ -573,7 +580,7 @@ def _substitute_monomials(p: LaurentPoly, vals: dict, target_vars: tuple):
             if k:
                 exps = tuple(x + k * y for x, y in zip(exps, a))
                 if cv is not None:
-                    c = c * cv ** k
+                    c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
         s = terms.get(exps, 0) + c
         if s:
             terms[exps] = s
@@ -700,7 +707,7 @@ class MajorantSeries:
         multi = math.factorial(n)
         for h in exps:
             multi //= math.factorial(h)
-        return (self.a / (16 * self.b)) * self.b ** n * Fraction(multi, n * n)
+        return (Fraction(self.a) / (16 * self.b)) * self.b ** n * Fraction(multi, n * n)
 
     def as_series(self, params: Iterable[str], cutoff: int) -> TruncatedSeries:
         params = tuple(params)
@@ -737,7 +744,7 @@ def dominates(p: TruncatedSeries, major: MajorantSeries, c=1) -> bool:
     for e in _simplex(len(p.params), p.cutoff):
         if sum(e) == 0:
             continue
-        coeff = p.terms.get(e, Fraction(0))
+        coeff = p.terms.get(e, 0)
         if not isinstance(coeff, (int, Fraction)):
             raise TypeError("domination applies to scalar-coefficient series")
         if not abs(coeff) < c * major.coefficient(e):

@@ -182,3 +182,47 @@ def test_sparse_rref_matches_dense_oracle_and_sympy(matrix, data):
 
     order = data.draw(st.permutations(range(len(rows))))
     assert rref([rows[i] for i in order]) == (red, pivots)
+
+
+# all-int systems: the pivot division must give Fractions, never floats
+int_entries = st.integers(min_value=-3, max_value=3)
+int_columns = st.lists(st.dictionaries(st.sampled_from(COLUMN_KEYS),
+                                       int_entries, max_size=4), max_size=6)
+int_rhs_maps = st.dictionaries(st.sampled_from(RHS_KEYS), int_entries,
+                               max_size=4)
+int_rows = st.lists(st.dictionaries(st.integers(0, 6), int_entries,
+                                    max_size=7), max_size=7)
+
+
+def exact_entries(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+def as_fractions(cols):
+    return [{k: Fraction(v) for k, v in col.items()} for col in cols]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(int_rows, int_columns, int_rhs_maps)
+def test_int_systems_give_exact_entries(rows, cols, rhs):
+    red, pivots = rref(rows)
+    assert all(exact_entries(row.values()) for row in red)
+    assert (red, pivots) == rref(as_fractions(rows))
+
+    basis = nullspace(cols)
+    assert all(exact_entries(v) for v in basis)
+    assert basis == nullspace(as_fractions(cols))
+
+    x, witness = solve_min(cols, rhs)
+    assert x is None or exact_entries(x)
+    assert (x, witness) == solve_min(as_fractions(cols), as_fractions([rhs])[0])
+
+
+def test_int_pivot_division():
+    red, pivots = rref([{0: 2, 1: 3}, {0: 4, 1: 1}])
+    assert (red, pivots) == ([{0: 1}, {1: 1}], [0, 1])
+    red, _ = rref([{0: 2, 1: 3}])
+    assert red == [{0: 1, 1: Fraction(3, 2)}]
+    assert type(red[0][0]) is int and type(red[0][1]) is Fraction
+    x, _ = solve_min([{("G", 0): 2}], {("G", 0): 4})
+    assert x == [2] and type(x[0]) is int

@@ -1,15 +1,17 @@
 """Ring laws, series arithmetic, and the comparison-series machinery."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poissondef import symbolic
 from poissondef.errors import (NegativePowerAtZero, NonInvertibleSubstitution,
                                ParameterMismatch)
 from poissondef.symbolic import (LaurentPoly, MajorantSeries, TruncatedSeries,
-                                 dominates)
+                                 dominates, substitute)
 
 VARS = ("x", "y")
 
@@ -139,3 +141,250 @@ def test_negative_power_at_zero_guard():
     p = LaurentPoly.monomial(space_vars, (-1,))
     with pytest.raises(NegativePowerAtZero):
         p.set_zero(["x"])
+
+
+# ----------------------------------------------------------------------
+# Integral coefficients are stored as ints: the Fraction-only oracle
+# ----------------------------------------------------------------------
+#
+# The core stores a coefficient as an int when it is integral and as a
+# Fraction otherwise. The oracle is the same core with its three storage
+# sites put back to their Fraction-only versions, kept here verbatim:
+# `_as_scalar`, `LaurentPoly.__mul__` and `_substitute_monomials`. Every
+# operation must give the same value and the same text in both, and the
+# int core must store only ints and Fractions, never a float or a bool.
+
+def _as_scalar(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"expected exact scalar, got {type(c).__name__}")
+
+
+class _FractionOnlyLaurentPoly:
+    """Holder of the Fraction-only `LaurentPoly.__mul__`."""
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = _as_scalar(other)
+            if not c:
+                return LaurentPoly.zero(self.vars)
+            out = LaurentPoly.__new__(LaurentPoly)
+            out.vars = self.vars
+            out.terms = {e: c * v for e, v in self.terms.items()}
+            return out
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        self._check(other)
+        terms: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                s = terms.get(e, Fraction(0)) + c1 * c2
+                if s:
+                    terms[e] = s
+                elif e in terms:
+                    del terms[e]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.vars, out.terms = self.vars, terms
+        return out
+
+
+def _substitute_monomials(p: LaurentPoly, vals: dict, target_vars: tuple):
+    """`substitute` when every value is a single term c_v * x^(a_v): the term
+    c * prod v^(e_v) goes to c * prod c_v^(e_v) * x^(sum e_v a_v). Terms are
+    summed in p's order, as the general path sums them."""
+    images = []
+    for i, v in enumerate(p.vars):
+        if v in vals:
+            ((a, cv),) = vals[v].terms.items()
+            images.append((i, a, None if cv == 1 else cv))
+    zero = (0,) * len(target_vars)
+    terms: dict = {}
+    for e, c in p.terms.items():
+        exps = zero
+        for i, a, cv in images:
+            k = e[i]
+            if k:
+                exps = tuple(x + k * y for x, y in zip(exps, a))
+                if cv is not None:
+                    c = c * cv ** k
+        s = terms.get(exps, 0) + c
+        if s:
+            terms[exps] = s
+        elif exps in terms:
+            del terms[exps]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.vars, out.terms = target_vars, terms
+    return out
+
+
+@contextmanager
+def fraction_only():
+    """Run the core with its Fraction-only storage sites."""
+    saved = (symbolic._as_scalar, symbolic._substitute_monomials,
+             LaurentPoly.__mul__, LaurentPoly.__rmul__)
+    symbolic._as_scalar = _as_scalar
+    symbolic._substitute_monomials = _substitute_monomials
+    LaurentPoly.__mul__ = LaurentPoly.__rmul__ = _FractionOnlyLaurentPoly.__mul__
+    try:
+        yield
+    finally:
+        (symbolic._as_scalar, symbolic._substitute_monomials,
+         LaurentPoly.__mul__, LaurentPoly.__rmul__) = saved
+
+
+def scalars(obj):
+    """Every stored scalar coefficient of a polynomial, series or scalar."""
+    if isinstance(obj, LaurentPoly):
+        yield from obj.terms.values()
+    elif isinstance(obj, TruncatedSeries):
+        for c in obj.terms.values():
+            yield from scalars(c)
+    else:
+        yield obj
+
+
+def outcome(build):
+    """The value `build()` returns, or the type of the error it raises."""
+    try:
+        return build()
+    except NonInvertibleSubstitution as e:
+        return type(e)
+
+
+def assert_matches_oracle(build):
+    """`build()` in the int core against the same call in the oracle."""
+    got = outcome(build)
+    with fraction_only():
+        want = outcome(build)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got == want
+    assert str(got) == str(want)
+    assert all(type(c) is Fraction for c in scalars(want))
+    assert all(type(c) in (int, Fraction) for c in scalars(got)), got
+
+
+exact = st.one_of(st.integers(min_value=-4, max_value=4),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=3))
+nonzero_exact = exact.filter(bool)
+raw_polys = st.dictionaries(exps, exact, max_size=3)
+TARGET = ("u", "v")
+raw_monomials = st.tuples(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), nonzero_exact)
+
+
+def _monomial_value(raw):
+    e, c = raw
+    return LaurentPoly.monomial(TARGET, e, c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw_polys, raw_polys, exact, st.integers(min_value=1, max_value=3))
+def test_ring_operations_match_fraction_oracle(da, db, s, n):
+    def poly(d):
+        return LaurentPoly(VARS, d)
+
+    for build in (
+            lambda: poly(da) + poly(db),
+            lambda: poly(da) * poly(db),
+            lambda: poly(da) - poly(db),
+            lambda: -poly(da),
+            lambda: poly(da) * s,
+            lambda: s * poly(da),
+            lambda: poly(da) + s,
+            lambda: poly(da).inverse(),
+            lambda: poly(da) ** -n,
+            lambda: poly(da) ** n,
+            lambda: poly(da).derivative("x"),
+            lambda: poly(da).with_vars(("y", "z", "x")),
+    ):
+        assert_matches_oracle(build)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw_polys, raw_monomials, raw_monomials, raw_polys, exact, exact)
+def test_substitute_matches_fraction_oracle(dp, mx, my, dq, sx, sy):
+    def poly(d):
+        return LaurentPoly(VARS, d)
+
+    def general():
+        return LaurentPoly(TARGET, dq) + _monomial_value(mx)
+
+    for build in (
+            # monomial path: value coefficients such as 2 or -1 under a
+            # negative exponent must become Fractions, not floats
+            lambda: substitute(poly(dp), {"x": _monomial_value(mx),
+                                          "y": _monomial_value(my)}),
+            # general path, which needs a single term under negative powers
+            lambda: substitute(poly(dp), {"x": general(),
+                                          "y": _monomial_value(my)}),
+            # scalar values
+            lambda: substitute(poly(dp), {"x": sx, "y": sy}),
+    ):
+        assert_matches_oracle(build)
+
+
+def test_substitute_int_value_under_negative_power():
+    p = LaurentPoly.monomial(VARS, (-2, 1), 3)
+    got = substitute(p, {"x": LaurentPoly.monomial(TARGET, (1, 0), 2),
+                         "y": LaurentPoly.monomial(TARGET, (0, 1), -1)})
+    assert got == LaurentPoly.monomial(TARGET, (-2, 1), Fraction(-3, 4))
+    assert all(type(c) in (int, Fraction) for c in got.terms.values())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(raw_polys, raw_monomials, raw_polys)
+def test_series_substitute_matches_fraction_oracle(dp, mx, dq):
+    params = ("t",)
+
+    def build():
+        x = TruncatedSeries(params, 2, {(0,): _monomial_value(mx),
+                                        (1,): LaurentPoly(TARGET, dq)})
+        y = TruncatedSeries.const(params, 2, LaurentPoly.variable(TARGET, "v"))
+        return substitute(LaurentPoly(VARS, dp), {"x": x, "y": y})
+
+    assert_matches_oracle(build)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       exact, max_size=4),
+       raw_polys, st.one_of(exact, st.booleans()))
+def test_series_scale_matches_fraction_oracle(dser, dp, s):
+    params = ("t1", "t2")
+    assert_matches_oracle(
+        lambda: TruncatedSeries(params, 3, dser).scale(s))
+    assert_matches_oracle(
+        lambda: TruncatedSeries(params, 3, {(1, 0): LaurentPoly(VARS, dp),
+                                            (0, 1): LaurentPoly(VARS, dser)})
+        .scale(s))
+
+
+positive_exact = st.one_of(st.integers(min_value=1, max_value=5),
+                           st.fractions(min_value=Fraction(1, 3), max_value=4,
+                                        max_denominator=3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(positive_exact, positive_exact)
+def test_majorant_coefficients_match_fraction_oracle(a, b):
+    for e in _simplex(2, 4):
+        assert_matches_oracle(lambda: MajorantSeries(a, b, 2).coefficient(e))
+
+
+def test_bool_is_stored_as_int():
+    one = (0, 0)
+    for p in (LaurentPoly.const(VARS, True), LaurentPoly(VARS, {one: True}),
+              LaurentPoly.monomial(VARS, one, True)):
+        assert p.terms == {one: 1}
+        assert type(p.terms[one]) is int
+    scaled = LaurentPoly.const(VARS, 2) * True
+    assert scaled.terms == {one: 2} and type(scaled.terms[one]) is int
+    series = TruncatedSeries(("t",), 1, {(1,): 3}).scale(True)
+    assert series.terms == {(1,): 3} and type(series.terms[(1,)]) is int
+    major = MajorantSeries(True, True, 1)
+    assert type(major.a) is int and type(major.b) is int
