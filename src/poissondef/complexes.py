@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -897,15 +898,34 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
     Uses an overlap double complex with all Laurent exponents clipped to
     |e|_1 <= bound. NOT exact; the report is flagged truncated. Supported for
     the restricted-tuple and ambient-polyvector kinds.
+
+    The estimate is dim ker d1 - rank d0. Each column of either map is the
+    image of one monomial atom, a cochain with one non-zero chunk. The maps
+    are linear, so a column is assembled from the pieces that chunk enters,
+    each embedded in its slot with its sign:
+    - an overlap atom a on (i, k) enters each triple that holds the pair, as
+      +a, -a or a moved to the triple's third chart, and its own pair slot
+      as d(a);
+    - a degree-one chart atom b enters each pair that holds its chart, as
+      -(b moved to the pair's second chart) or +b;
+    - a degree-zero chart atom c of the image enters each pair that holds
+      its chart, as c moved there or -c, and its own chart slot as d(c).
+    Every other piece is a transport or differential of a zero chunk, zero
+    after clipping, and is never formed. Each transport and differential is
+    clipped to the window as it is made, and made once per atom and
+    destination chart. Clipping keeps the coordinates inside the window and
+    so is linear: the sum of the clipped pieces is exactly the column that
+    clipping the transports of the whole cochain gives.
     """
     if descriptor.kind not in ("normal", "bivector"):
         raise InconsistentData(
             "truncated atlas estimate supports the restricted-tuple and "
             "ambient-polyvector kinds only")
     is_nor = descriptor.kind == "normal"
+    part = "nor" if is_nor else "amb"
     space = descriptor.space
     S = descriptor.submanifold
-    charts = list(S.present_charts()) if is_nor else list(space.chart_names)
+    charts = list(descriptor.part_charts(part))
     pairs = [(i, k) for i in charts for k in charts
              if i < k and (i, k) in space.transitions and (k, i) in space.transitions]
     triples = [(i, j, k) for i in charts for j in charts for k in charts
@@ -927,39 +947,10 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
                 if sum(abs(x) for x in e) <= bound})
             for idx, coeff in pv.terms.items()})
 
-    def clip_chunk(data):
-        return [clip(x) for x in data] if is_nor else clip(data)
-
-    def zero_chunk(cname, p):
-        cvars = space.chart(cname).vars
-        if is_nor:
-            return [Polyvector.zero(cvars, p) for _ in range(S.codim)]
-        return Polyvector.zero(cvars, p + 2)
-
-    def sub_chunk(x, y):
-        if is_nor:
-            return [a - b for a, b in zip(x, y)]
-        return x - y
-
-    def add_chunk(x, y):
-        if is_nor:
-            return [a + b for a, b in zip(x, y)]
-        return x + y
-
-    def transport(data, src, dst):
-        if is_nor:
-            return clip_chunk(transport_nor_tuple(S, data, src, dst))
-        return clip(space.pushforward(data, src, dst))
-
-    def d_chunk(data, cname, p):
-        if is_nor:
-            return clip_chunk(descriptor._d_normal({cname: data}, p)[cname])
-        return clip(-schouten(data, descriptor.manifold.bivector(cname)))
-
     def atoms(cname, p):
         chart = space.chart(cname)
         n = len(chart.vars)
-        deg = p if is_nor else p + 2
+        deg = descriptor.term_degree(part, p)
         tvars = S.tangential[cname] if is_nor else chart.vars
         tpos = [chart.vars.index(v) for v in tvars]
         slots = range(S.codim) if is_nor else [None]
@@ -973,81 +964,105 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
                     out.append((a, idx, tuple(e)))
         return out
 
+    def clip_chunk(data):
+        return [clip(x) for x in data] if is_nor else clip(data)
+
+    # each atom recurs in the kernel and the image: build, move and
+    # differentiate it once per call
+    @cache
     def atom_chunk(cname, p, atom):
-        chart = space.chart(cname)
+        cvars = space.chart(cname).vars
         a, idx, e = atom
-        pv = Polyvector(chart.vars, p if is_nor else p + 2,
-                        {idx: LaurentPoly.monomial(chart.vars, e)})
-        chunk = zero_chunk(cname, p)
-        if is_nor:
-            chunk[a] = pv
-            return chunk
-        return pv
+        pv = Polyvector(cvars, descriptor.term_degree(part, p),
+                        {idx: LaurentPoly.monomial(cvars, e)})
+        if not is_nor:
+            return pv
+        chunk = [Polyvector.zero(cvars, p)] * S.codim
+        chunk[a] = pv
+        return chunk
+
+    @cache
+    def transport(cname, p, atom, dst):
+        """A chart-cname atom moved to chart dst, clipped."""
+        return clip_chunk(_transport(descriptor, part,
+                                     atom_chunk(cname, p, atom), cname, dst))
+
+    @cache
+    def d_chunk(cname, atom):
+        """The differential of a degree-0 chart-cname atom, clipped."""
+        cochain = {part: {cname: atom_chunk(cname, 0, atom)}}
+        return clip_chunk(descriptor.differential(cochain, 0)[part][cname])
 
     def layout(slots):
-        """(row offset, atom index) of each (chart, term degree) slot."""
-        out, offset = [], 0
-        for cname, p in slots:
+        """(row offset, atom index) of each (chart, term degree) slot, by
+        the slot's key."""
+        out, offset = {}, 0
+        for key, cname, p in slots:
             al = atoms(cname, p)
-            out.append((offset, {a: i for i, a in enumerate(al)}))
+            out[key] = (offset, {a: i for i, a in enumerate(al)})
             offset += len(al)
         return out
 
-    def embed(chunks, slots):
-        """Sparse column, keyed by row position, of one chunk per slot."""
+    def embed(pieces, slots):
+        """Sparse column, keyed by row position, of the signed chunks
+        (sign, chunk, slot key); entries that cancel are dropped."""
         col = {}
-        for data, (base, index) in zip(chunks, slots):
-            items = (enumerate(data) if is_nor else [(None, data)])
-            for a, pv in items:
+        for sign, data, key in pieces:
+            base, index = slots[key]
+            for a, pv in (enumerate(data) if is_nor else [(None, data)]):
                 for idx, coeff in pv.terms.items():
                     for e, val in coeff.terms.items():
                         i = index.get((a, idx, e))
-                        if i is not None:
-                            col[base + i] = col.get(base + i, 0) + val
+                        if i is None:
+                            continue
+                        v = col.get(base + i, 0) + sign * val
+                        if v:
+                            col[base + i] = v
+                        else:
+                            col.pop(base + i, None)
         return col
 
-    target = layout([(k, 0) for (_, _, k) in triples] +
-                    [(k, 1) for (_, k) in pairs])
-
-    def d1_vector(a_ov, b_ch):
-        chunks = []
-        for (i, j, k) in triples:
-            t = add_chunk(sub_chunk(a_ov[(j, k)], a_ov[(i, k)]),
-                          transport(a_ov[(i, j)], j, k))
-            chunks.append(t)
+    def on_pairs(cn, p, atom, sign):
+        """sign * (c_i moved to chart k - c_k) on each pair (i, k) that
+        holds cn, for the chart-cn atom c."""
+        pieces = []
         for (i, k) in pairs:
-            m = sub_chunk(d_chunk(a_ov[(i, k)], k, 0),
-                          sub_chunk(transport(b_ch[i], i, k), b_ch[k]))
-            chunks.append(m)
-        return embed(chunks, target)
+            if i == cn:
+                pieces.append((sign, transport(cn, p, atom, k), (i, k)))
+            elif k == cn:
+                pieces.append((-sign, atom_chunk(cn, p, atom), (i, k)))
+        return pieces
 
+    # degree-1 cochains: overlap chunks of degree 0 and chart chunks of
+    # degree 1; d1 lands on triples (degree 0) and pairs (degree 1)
+    target = layout([(t, t[2], 0) for t in triples] +
+                    [(pr, pr[1], 1) for pr in pairs])
     cols = []
     for (pi, pk) in pairs:
         for atom in atoms(pk, 0):
-            a_ov = {pr: zero_chunk(pr[1], 0) for pr in pairs}
-            a_ov[(pi, pk)] = atom_chunk(pk, 0, atom)
-            b_ch = {c: zero_chunk(c, 1) for c in charts}
-            cols.append(d1_vector(a_ov, b_ch))
+            pieces = []
+            for t in triples:
+                if t[1:] == (pi, pk):
+                    pieces.append((1, atom_chunk(pk, 0, atom), t))
+                elif (t[0], t[2]) == (pi, pk):
+                    pieces.append((-1, atom_chunk(pk, 0, atom), t))
+                elif t[:2] == (pi, pk):
+                    pieces.append((1, transport(pk, 0, atom, t[2]), t))
+            pieces.append((1, d_chunk(pk, atom), (pi, pk)))
+            cols.append(embed(pieces, target))
     for cn in charts:
         for atom in atoms(cn, 1):
-            a_ov = {pr: zero_chunk(pr[1], 0) for pr in pairs}
-            b_ch = {c: zero_chunk(c, 1) for c in charts}
-            b_ch[cn] = atom_chunk(cn, 1, atom)
-            cols.append(d1_vector(a_ov, b_ch))
+            cols.append(embed(on_pairs(cn, 1, atom, -1), target))
     kernel_dim = len(cols) - rank(cols)
 
     # image of the degree-0 map in the SAME domain coordinates as the kernel
-    domain = layout([(k, 0) for (_, k) in pairs] + [(c, 1) for c in charts])
+    domain = layout([(pr, pr[1], 0) for pr in pairs] +
+                    [(c, c, 1) for c in charts])
     im_cols = []
     for cn in charts:
         for atom in atoms(cn, 0):
-            c_ch = {c: zero_chunk(c, 0) for c in charts}
-            c_ch[cn] = atom_chunk(cn, 0, atom)
-            a_ov = {(i, k): sub_chunk(transport(c_ch[i], i, k), c_ch[k])
-                    for (i, k) in pairs}
-            b_ch = {c: d_chunk(c_ch[c], c, 0) for c in charts}
-            im_cols.append(embed([a_ov[pr] for pr in pairs] +
-                                 [b_ch[c] for c in charts], domain))
+            pieces = on_pairs(cn, 0, atom, 1) + [(1, d_chunk(cn, atom), cn)]
+            im_cols.append(embed(pieces, domain))
     rank_d0 = rank(im_cols)
     return CohomologyReport(descriptor.kind, "atlas-truncated",
                             kernel_dim - rank_d0, [], degree_bound=bound,

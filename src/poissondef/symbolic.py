@@ -120,10 +120,10 @@ class LaurentPoly:
                 f"variable tuples differ: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.vars, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(self.vars, other)
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -145,7 +145,8 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if (not isinstance(other, LaurentPoly)
+                and isinstance(other, (int, Fraction))):
             other = LaurentPoly.const(self.vars, other)
         return self + (-other)
 
@@ -153,7 +154,9 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _as_scalar(other)
             if not c:
                 return LaurentPoly.zero(self.vars)
@@ -161,8 +164,6 @@ class LaurentPoly:
             out.vars = self.vars
             out.terms = {e: c * v for e, v in self.terms.items()}
             return out
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         self._check(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
@@ -199,10 +200,10 @@ class LaurentPoly:
         return LaurentPoly(self.vars, {tuple(-x for x in e): 1 / Fraction(c)})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.vars, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(self.vars, other)
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
@@ -300,12 +301,14 @@ class LaurentPoly:
 # ----------------------------------------------------------------------
 
 def _coeff_is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
+    if type(c) is int or type(c) is Fraction:
         return not c
     if hasattr(c, "is_zero"):
         return c.is_zero()
     if isinstance(c, tuple):
         return all(_coeff_is_zero(x) for x in c)
+    if isinstance(c, (int, Fraction)):  # a bool or a scalar subclass
+        return not c
     raise TypeError(f"unsupported series coefficient {type(c).__name__}")
 
 
@@ -360,6 +363,16 @@ class TruncatedSeries:
         self.terms = clean
 
     # ---- constructors -------------------------------------------------
+    @staticmethod
+    def _valid(params: tuple, cutoff: int, terms: dict) -> "TruncatedSeries":
+        """A series of terms that are valid as they are, as the results of
+        its own operations are: exponents that fit the parameters, are
+        non-negative and lie within the cutoff, and non-zero coefficients.
+        Nothing is checked or copied."""
+        out = TruncatedSeries.__new__(TruncatedSeries)
+        out.params, out.cutoff, out.terms = params, cutoff, terms
+        return out
+
     @classmethod
     def zero(cls, params, cutoff):
         return cls(params, cutoff)
@@ -398,13 +411,17 @@ class TruncatedSeries:
         return self.terms.get((0,) * len(self.params))
 
     def truncate(self, m: int) -> "TruncatedSeries":
-        return TruncatedSeries(
+        return TruncatedSeries._valid(
             self.params, min(self.cutoff, m),
             {e: c for e, c in self.terms.items() if sum(e) <= m})
 
     def map(self, f: Callable) -> "TruncatedSeries":
-        return TruncatedSeries(self.params, self.cutoff,
-                               {e: f(c) for e, c in self.terms.items()})
+        terms = {}
+        for e, c in self.terms.items():
+            v = f(c)  # may vanish
+            if not _coeff_is_zero(v):
+                terms[e] = v
+        return TruncatedSeries._valid(self.params, self.cutoff, terms)
 
     def min_order(self):
         """Lowest total degree with a nonzero coefficient; None if zero."""
@@ -428,11 +445,12 @@ class TruncatedSeries:
                     terms[e] = s
             else:
                 terms[e] = c
-        return TruncatedSeries(self.params, cutoff, terms)
+        return TruncatedSeries._valid(self.params, cutoff, terms)
 
     def __neg__(self):
-        return TruncatedSeries(self.params, self.cutoff,
-                               {e: _coeff_neg(c) for e, c in self.terms.items()})
+        return TruncatedSeries._valid(
+            self.params, self.cutoff,
+            {e: _coeff_neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -440,9 +458,10 @@ class TruncatedSeries:
     def scale(self, s) -> "TruncatedSeries":
         s = _as_scalar(s)
         if not s:
-            return TruncatedSeries(self.params, self.cutoff)
-        return TruncatedSeries(self.params, self.cutoff,
-                               {e: _coeff_scale(c, s) for e, c in self.terms.items()})
+            return TruncatedSeries._valid(self.params, self.cutoff, {})
+        return TruncatedSeries._valid(
+            self.params, self.cutoff,
+            {e: _coeff_scale(c, s) for e, c in self.terms.items()})
 
     # ---- multiplicative structure -------------------------------------
     def __mul__(self, other):
@@ -521,7 +540,7 @@ def combine(a: TruncatedSeries, b: TruncatedSeries, mul: Callable) -> TruncatedS
                     terms[e] = s
             elif not _coeff_is_zero(prod):
                 terms[e] = prod
-    return TruncatedSeries(a.params, cutoff, terms)
+    return TruncatedSeries._valid(a.params, cutoff, terms)
 
 
 # ----------------------------------------------------------------------

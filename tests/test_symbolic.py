@@ -11,7 +11,7 @@ from poissondef import symbolic
 from poissondef.errors import (NegativePowerAtZero, NonInvertibleSubstitution,
                                ParameterMismatch)
 from poissondef.symbolic import (LaurentPoly, MajorantSeries, TruncatedSeries,
-                                 dominates, substitute)
+                                 combine, dominates, substitute)
 
 VARS = ("x", "y")
 
@@ -388,3 +388,43 @@ def test_bool_is_stored_as_int():
     assert series.terms == {(1,): 3} and type(series.terms[(1,)]) is int
     major = MajorantSeries(True, True, 1)
     assert type(major.a) is int and type(major.b) is int
+
+
+# ----------------------------------------------------------------------
+# A series' own operations build their results unchecked
+# ----------------------------------------------------------------------
+#
+# `__add__`, `__neg__`, `scale`, `truncate`, `map` and `combine` hand their
+# terms to the series as they are. Passed through the checking constructor,
+# the same terms must come out unchanged: exponents that fit, none above
+# the cutoff, no zero coefficient.
+
+PARAMS = ("t1", "t2")
+poly_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    raw_polys.map(lambda d: LaurentPoly(VARS, d)), max_size=4)
+
+
+def _checked(series):
+    """The series' terms, passed through the checking constructor."""
+    return TruncatedSeries(series.params, series.cutoff, series.terms)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(poly_terms, poly_terms, st.integers(0, 4), st.integers(0, 4), exact,
+       st.integers(0, 4))
+def test_series_operations_build_valid_series(da, db, ca, cb, s, m):
+    a, b = TruncatedSeries(PARAMS, ca, da), TruncatedSeries(PARAMS, cb, db)
+    # tuple carriers, as the normal rows of a family are held
+    ta = a.map(lambda c: (c, c.derivative("x")))
+    tb = b.map(lambda c: (c.derivative("y"), c))
+    for got in (a + b, a - b, a - a, -a, a.scale(s), a.scale(0),
+                a.truncate(m), a.map(lambda c: c.derivative("x")),
+                a.map(lambda c: c - c), a * b,
+                combine(a, b, lambda x, y: x * y - y * x),
+                ta, ta + tb, ta - ta, -ta, ta.scale(s), ta.truncate(m),
+                combine(a, tb, lambda x, y: (x * y[0], x * y[1]))):
+        want = _checked(got)
+        assert type(got.cutoff) is int
+        assert (got.params, got.cutoff, got.terms) == (
+            want.params, want.cutoff, want.terms)
