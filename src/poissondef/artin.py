@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (atom_cochain, build_complex, h0_complex,
-                         monomial_atoms, solve_total, total_closedness,
-                         total_coboundary, total_rows)
+from .complexes import (_part_is_zero, atom_cochain, build_complex,
+                         h0_complex, monomial_atoms, solve_total,
+                         total_closedness, total_coboundary, total_rows)
 from .deformation import (DeformationProblem, DeformationState,
                           add_direction, jacobi_residual,
                           lambda_gluing_mismatch, residual_total)
@@ -99,10 +99,10 @@ class ObstructionClass:
     normal_cech: dict | None = None    # (i, k) -> [LaurentPoly]*r on chart i
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for data in (
-            self.ambient, self.normal, self.ambient_cech, self.normal_cech)
-            if data for val in data.values()
-            for x in (val if isinstance(val, (list, tuple)) else [val]))
+        return all(_part_is_zero(part, val) for part, data in (
+            ("amb", self.ambient), ("nor", self.normal),
+            ("amb", self.ambient_cech), ("nor", self.normal_cech))
+            if data for val in data.values())
 
 
 @dataclass

@@ -24,14 +24,15 @@ import json
 import sys
 
 from .artin import artin_first_order, artin_obstruction
-from .complexes import (affine_hyper, atlas_hyper_truncated, build_complex,
-                        cochain_is_zero, h0_complex)
+from .complexes import (PART_LABELS, _chunk_map, affine_hyper,
+                        atlas_hyper_truncated, build_complex, cochain_is_zero,
+                        h0_complex)
 from .deformation import DeformationState, match_families, run_solver, verify_family
-from .dsl import (format_poly, format_polyvector, format_pv_series,
-                  format_series, parse)
+from .dsl import (format_param_monomial, format_param_series, format_poly,
+                  format_polyvector, format_pv_series, format_series, parse)
 from .errors import (MatchFailure, NotPoissonSubmanifold, ParseError,
                      ToolkitError)
-from .polyvector import schouten
+from .geometry import check_poisson_manifold
 
 SCHEMA = 1
 
@@ -158,77 +159,31 @@ def _emit(report: dict, as_json: bool) -> str:
     return "\n".join(_human_lines(report)) + "\n"
 
 
-def _mono_name(params, exps) -> str:
-    parts = []
-    for p, e in zip(params, exps):
-        if e == 1:
-            parts.append(p)
-        elif e:
-            parts.append(f"{p}^{e}")
-    return "*".join(parts) or "1"
-
-
 def _render_cochain(c) -> dict:
-    out = {}
-    if "nor" in c:
-        out["normal"] = {
-            name: [format_polyvector(pv) for pv in tup]
-            for name, tup in sorted(c["nor"].items())}
-    if "amb" in c:
-        out["ambient"] = {name: format_polyvector(pv)
-                          for name, pv in sorted(c["amb"].items())}
-    for key in sorted(c):
-        if key not in ("nor", "amb"):
-            out[key] = str(c[key])
-    return out
+    return {label: {name: _chunk_map(part, format_polyvector, chunk)
+                    for name, chunk in sorted(c[part].items())}
+            for part, label in PART_LABELS.items() if part in c}
 
 
 def _render_cocycle(cocycle, params) -> dict:
     psi = {}
     for (i, k), rows in sorted(cocycle.psi.items()):
         psi[f"{i}|{k}"] = {
-            _mono_name(params, texp): [format_poly(p) for p in tup]
+            format_param_monomial(params, texp): [format_poly(p) for p in tup]
             for texp, tup in sorted(rows.items())}
     G = {}
     for name, rows in sorted(cocycle.G.items()):
-        G[name] = {_mono_name(params, texp): [format_polyvector(v)
-                                              for v in tup]
+        G[name] = {format_param_monomial(params, texp):
+                   [format_polyvector(v) for v in tup]
                    for texp, tup in sorted(rows.items())}
     out = {"order": cocycle.order, "mode": cocycle.mode,
            "overlap_part": psi, "tangent_part": G}
     if cocycle.Pi:
         out["ambient_part"] = {
-            name: {_mono_name(params, texp): format_polyvector(v)
+            name: {format_param_monomial(params, texp): format_polyvector(v)
                    for texp, v in sorted(rows.items())}
             for name, rows in sorted(cocycle.Pi.items())}
     return out
-
-
-def _param_series(ser) -> str:
-    """Render a series whose coefficients are plain rationals."""
-    parts = []
-    for pe in sorted(ser.terms):
-        c = ser.terms[pe]
-        if not c:
-            continue
-        mono = _mono_name(ser.params, pe)
-        if mono == "1":
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{c}*{mono}")
-    out = ""
-    for piece in parts:
-        if not out:
-            out = piece
-        elif piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out or "0"
 
 
 def _parse_weights(text: str):
@@ -288,25 +243,12 @@ def _cmd_validate(args):
     rep = _report_header("validate", doc)
     if doc.warnings:
         rep["warnings"] = _warn_list(doc)
-    ok = True
-    space = doc.space
-    atlas = space.validate()
+    atlas = doc.space.validate()
     rep["atlas"] = {"inverses": atlas["inverses"], "cocycles": atlas["cocycles"]}
-    ok &= atlas["pass"]
-    man = doc.manifold()
-    jacobi = {}
-    for name in space.chart_names:
-        b = man.bivector(name)
-        jacobi[name] = schouten(b, b).is_zero()
-        ok &= jacobi[name]
-    rep["jacobi"] = jacobi
-    gluing = {}
-    for (i, k) in space.overlap_pairs():
-        same = (space.pushforward(man.bivector(i), i, k)
-                - man.bivector(k)).is_zero()
-        gluing[f"{i}|{k}"] = same
-        ok &= same
-    rep["structure_gluing"] = gluing
+    poisson = check_poisson_manifold(doc.manifold())
+    rep["jacobi"] = poisson["jacobi"]
+    rep["structure_gluing"] = poisson["gluing"]
+    ok = atlas["pass"] and poisson["pass"]
     if doc.normal_spec:
         try:
             doc.submanifold()
@@ -493,7 +435,7 @@ def _cmd_match(args):
         if e.residual is not None:
             rep["residual_zero"] = cochain_is_zero(e.residual)
         return rep, 2
-    rep["substitution"] = {prob.params[j]: _param_series(h[j])
+    rep["substitution"] = {prob.params[j]: format_param_series(h[j])
                            for j in range(len(prob.params))}
     rep["orders"] = {str(k): str(v) for k, v in sorted(mrep["orders"].items())}
     rep["pass"] = True

@@ -16,6 +16,16 @@ Four complex kinds are supported:
 Cochains are plain dicts: {"nor": {chart: [Polyvector]*r}} and/or
 {"amb": {chart: Polyvector}}. Every linear computation is exact over Q.
 
+One chart's entry of a part is its chunk: r polyvectors for the normal part,
+one for the ambient part. `zero_chunk` and `atom_cochain` build chunks;
+every other function reads them through three helpers and never asks which
+layout it holds. `_slots` gives a chunk's (slot, polyvector) pairs, slot None
+for an ambient chunk; `_chunk_map` applies a function slot by slot and keeps
+the shape; `chunk_entries` yields each entry as ((slot,) idx, e), value.
+Sums, scalings and zero tests of cochains, their linearisations
+(`cochain_vector_entries`, `total_rows`), the section search's columns and
+the truncated estimate's columns all go through them.
+
 The Cech total complex of a descriptor is written once, here:
 `total_coboundary` maps a degree-zero cochain to its chart part d(c) and its
 overlap part c_i - (c_k moved to chart i), and `total_closedness` checks the
@@ -40,6 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import add, neg, sub
 from typing import Iterable
 
 from .errors import (ClosednessViolation, InconsistentData, NotInKernel,
@@ -56,33 +67,52 @@ from .symbolic import LaurentPoly, _simplex
 # Cochain helpers
 # ----------------------------------------------------------------------
 
+# the name of each cochain part in identities and reports, normal first
+PART_LABELS = {"nor": "normal", "amb": "ambient"}
+
+
+def _slots(part: str, chunk):
+    """(slot, polyvector) pairs of one chart's chunk of a cochain part: the
+    r slots of a normal tuple, or the one ambient polyvector under slot
+    None."""
+    return enumerate(chunk) if part == "nor" else ((None, chunk),)
+
+
+def _chunk_map(part: str, f, *chunks):
+    """f applied slot by slot to chunks of one part, in the chunks' shape."""
+    return [f(*pvs) for pvs in zip(*chunks)] if part == "nor" else f(*chunks)
+
+
+def chunk_entries(part: str, chunk):
+    """The entries ((slot,) idx, e), value of one chart's chunk of a part:
+    the slot leads for a normal tuple and is left out for an ambient chunk."""
+    for slot, pv in _slots(part, chunk):
+        head = () if slot is None else (slot,)
+        for idx, coeff in pv.terms.items():
+            for e, val in coeff.terms.items():
+                yield head + (idx, e), val
+
+
+def _same(pv):
+    return pv
+
+
 def cochain_add(a: dict, b: dict) -> dict:
     out = {}
-    if "amb" in a or "amb" in b:
-        out["amb"] = {}
-        for c in set(a.get("amb", {})) | set(b.get("amb", {})):
-            x, y = a.get("amb", {}).get(c), b.get("amb", {}).get(c)
-            out["amb"][c] = x + y if (x is not None and y is not None) else (x if y is None else y)
-    if "nor" in a or "nor" in b:
-        out["nor"] = {}
-        for c in set(a.get("nor", {})) | set(b.get("nor", {})):
-            x, y = a.get("nor", {}).get(c), b.get("nor", {}).get(c)
-            if x is None:
-                out["nor"][c] = list(y)
-            elif y is None:
-                out["nor"][c] = list(x)
-            else:
-                out["nor"][c] = [u + v for u, v in zip(x, y)]
+    for part in ("amb", "nor"):
+        if part in a or part in b:
+            x, y = a.get(part, {}), b.get(part, {})
+            out[part] = {c: _chunk_map(part, add, x[c], y[c])
+                         if c in x and c in y else
+                         _chunk_map(part, _same, x[c] if c in x else y[c])
+                         for c in {**x, **y}}
     return out
 
 
 def cochain_scale(a: dict, s) -> dict:
-    out = {}
-    if "amb" in a:
-        out["amb"] = {c: v * s for c, v in a["amb"].items()}
-    if "nor" in a:
-        out["nor"] = {c: [v * s for v in tup] for c, tup in a["nor"].items()}
-    return out
+    return {part: {c: _chunk_map(part, lambda v: v * s, chunk)
+                   for c, chunk in a[part].items()}
+            for part in ("amb", "nor") if part in a}
 
 
 def cochain_lincomb(coeffs: Iterable[Fraction], cochains: Iterable[dict]) -> dict:
@@ -99,27 +129,17 @@ def cochain_lincomb(coeffs: Iterable[Fraction], cochains: Iterable[dict]) -> dic
 
 
 def cochain_is_zero(a: dict) -> bool:
-    for v in a.get("amb", {}).values():
-        if not v.is_zero():
-            return False
-    for tup in a.get("nor", {}).values():
-        if any(not v.is_zero() for v in tup):
-            return False
-    return True
+    return all(_part_is_zero(part, chunk) for part in ("amb", "nor")
+               for chunk in a.get(part, {}).values())
 
 
 def cochain_vector_entries(a: dict):
-    """Deterministic (key, Fraction) stream for linearization."""
-    for c in sorted(a.get("amb", {})):
-        pv = a["amb"][c]
-        for idx, coeff in pv.sorted_terms():
-            for e, val in coeff.sorted_terms():
-                yield ("amb", c, idx, e), val
-    for c in sorted(a.get("nor", {})):
-        for slot, pv in enumerate(a["nor"][c]):
-            for idx, coeff in pv.sorted_terms():
-                for e, val in coeff.sorted_terms():
-                    yield ("nor", c, slot, idx, e), val
+    """(key, value) stream for linearization, chart by chart in sorted order:
+    key (part, chart) followed by the entry's `chunk_entries` key."""
+    for part in ("amb", "nor"):
+        for c in sorted(a.get(part, {})):
+            for key, val in chunk_entries(part, a[part][c]):
+                yield (part, c) + key, val
 
 
 def coordinates(basis: list, cochain: dict):
@@ -170,18 +190,17 @@ class ComplexDescriptor:
                 else self.space.chart_names)
 
     # ---- cochain structure --------------------------------------------
+    def zero_chunk(self, part: str, name: str, p: int):
+        """The zero chunk of one part of a degree-p cochain on one chart: r
+        zero polyvectors for the normal part, one for the ambient part."""
+        zero = Polyvector.zero(self.space.chart(name).vars,
+                               self.term_degree(part, p))
+        return [zero] * self.submanifold.codim if part == "nor" else zero
+
     def zero_cochain(self, p: int) -> dict:
-        out = {}
-        if "amb" in self.parts:
-            out["amb"] = {c.name: Polyvector.zero(
-                c.vars, self.term_degree("amb", p)) for c in self.space.charts}
-        if "nor" in self.parts:
-            S = self.submanifold
-            out["nor"] = {
-                name: [Polyvector.zero(self.space.chart(name).vars, p)
-                       for _ in range(S.codim)]
-                for name in S.present_charts()}
-        return out
+        return {part: {name: self.zero_chunk(part, name, p)
+                       for name in self.part_charts(part)}
+                for part in self.parts}
 
     # ---- differential --------------------------------------------------
     def differential(self, cochain: dict, p: int) -> dict:
@@ -290,7 +309,6 @@ def build_complex(kind: str, *, manifold: PoissonManifold | None = None,
 @dataclass
 class SectionSpace:
     kind: str
-    term_degree: int
     basis: list
     degree_bound: int
     stable: bool
@@ -343,13 +361,13 @@ def _transport(descriptor: ComplexDescriptor, part: str, data, src: str,
 
 def _minus(part: str, x, y):
     """x - y for one part of a cochain; x None counts as zero."""
-    if part == "nor":
-        return [-b for b in y] if x is None else [a - b for a, b in zip(x, y)]
-    return -y if x is None else x - y
+    if x is None:
+        return _chunk_map(part, neg, y)
+    return _chunk_map(part, sub, x, y)
 
 
-def _part_is_zero(part: str, data) -> bool:
-    return all(v.is_zero() for v in (data if part == "nor" else [data]))
+def _part_is_zero(part: str, chunk) -> bool:
+    return all(pv.is_zero() for _, pv in _slots(part, chunk))
 
 
 def total_coboundary(descriptor: ComplexDescriptor, cochain: dict,
@@ -386,9 +404,6 @@ def total_coboundary(descriptor: ComplexDescriptor, cochain: dict,
     return descriptor.differential(cochain, 0), overlap
 
 
-_IDENTITY_PART = {"nor": "normal", "amb": "ambient"}
-
-
 def total_closedness(descriptor: ComplexDescriptor, chart: dict,
                      overlap: dict) -> dict:
     """Exact closedness identities of a degree-one total cochain, given in
@@ -411,7 +426,7 @@ def total_closedness(descriptor: ComplexDescriptor, chart: dict,
          if pair in given}, 0) for pair in set().union(*overlap.values())}
     certs = {}
     for part in descriptor.parts:
-        label = _IDENTITY_PART[part]
+        label = PART_LABELS[part]
         given = overlap.get(part, {})
         certs[f"{label}-closed"] = all(
             _part_is_zero(part, v) for v in d_chart[part].values())
@@ -488,7 +503,7 @@ def atom_cochain(descriptor: ComplexDescriptor, p: int, atom) -> dict:
                     {idx: LaurentPoly.monomial(cvars, e)})
     if part == "amb":
         return {"amb": {name: pv}}
-    tup = [Polyvector.zero(cvars, p)] * descriptor.submanifold.codim
+    tup = descriptor.zero_chunk(part, name, p)
     tup[atom[2]] = pv
     return {"nor": {name: tup}}
 
@@ -511,12 +526,8 @@ def total_rows(chart: dict, overlap: dict, labels: dict) -> dict:
             label = labels[(part, where)]
             for at, val in per.items():
                 head = (label,) + (at if where == "overlap" else (at,))
-                for slot, pv in (enumerate(val) if part == "nor"
-                                 else [(None, val)]):
-                    key = head if slot is None else head + (slot,)
-                    for idx, coeff in pv.terms.items():
-                        for e, v in coeff.terms.items():
-                            rows[key + (idx, e)] = v
+                for key, v in chunk_entries(part, val):
+                    rows[head + key] = v
     return rows
 
 
@@ -560,77 +571,38 @@ def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int,
     return charts, atoms, reps
 
 
-def _holomorphy_columns(charts, reps, is_nor: bool):
-    """One column per atom: its coefficients of negative-exponent monomials
-    across charts."""
-    maps = []
-    for rep in reps:
-        m = {}
-        for cname in charts:
-            data = rep[cname]
-            items = (enumerate(data) if is_nor else [(0, data)])
-            for slot, pv in items:
-                for idx, coeff in pv.terms.items():
-                    for e, val in coeff.terms.items():
-                        if min(e) < 0:
-                            m[(cname, slot, idx, e)] = val
-        maps.append(m)
-    return maps
-
-
-def _sections_and_next_dimension(descriptor, part, p, bound, kept):
-    """The part's sections at coefficient degree <= bound, and the dimension
-    of its sections at bound + 1.
+def _sections_and_next_dimension(descriptor, part, bound, kept):
+    """The part's degree-zero sections at coefficient degree <= bound, and
+    the dimension of its sections at bound + 1.
 
     The atoms are transported once, at bound + 1; those of degree <= bound
     come first within each (chart, slot, idx), in the same order, so their
     columns are the system at the bound and only a rank is taken at bound + 1.
     """
-    charts, atoms, reps = _atom_sections(descriptor, part, p, bound + 1, kept)
-    columns = _holomorphy_columns(charts, reps, part == "nor")
+    charts, atoms, reps = _atom_sections(descriptor, part, 0, bound + 1, kept)
+    # one column per atom: its negative-exponent entries across charts
+    columns = [{(cname,) + key: val for cname in charts
+                for key, val in chunk_entries(part, rep[cname])
+                if min(key[-1]) < 0} for rep in reps]
     below = [j for j, atom in enumerate(atoms) if sum(atom[-1]) <= bound]
-    reps = [reps[j] for j in below]
+    reps = [{part: reps[j]} for j in below]
     kernel = nullspace([columns[j] for j in below])
     next_dimension = len(columns) - rank(columns)
-    sections = []
-    for vec in kernel:
-        if part == "nor":
-            S = descriptor.submanifold
-            combo = {}
-            for cname in charts:
-                cvars = descriptor.space.chart(cname).vars
-                tup = [Polyvector.zero(cvars, p) for _ in range(S.codim)]
-                for coeff, rep in zip(vec, reps):
-                    if coeff:
-                        tup = [u + coeff * v for u, v in zip(tup, rep[cname])]
-                combo[cname] = tup
-            sections.append({"nor": combo})
-        else:
-            combo = {}
-            for cname in charts:
-                cvars = descriptor.space.chart(cname).vars
-                pv = Polyvector.zero(cvars, descriptor.term_degree(part, p))
-                for coeff, rep in zip(vec, reps):
-                    if coeff:
-                        pv = pv + coeff * rep[cname]
-                combo[cname] = pv
-            sections.append({"amb": combo})
-    return sections, next_dimension
+    return [cochain_lincomb(vec, reps) for vec in kernel], next_dimension
 
 
-def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
-                    bound: int | None = None, max_bound: int = 12) -> SectionSpace:
-    """Basis of global sections of one term of the complex, via a root-chart
-    ansatz transported along a spanning tree; certified stable when the
-    dimension agrees at the bound and the bound plus one."""
+def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
+                    max_bound: int = 12) -> SectionSpace:
+    """Basis of global sections of the degree-zero term of the complex, via a
+    root-chart ansatz transported along a spanning tree; certified stable
+    when the dimension agrees at the bound and the bound plus one."""
     parts = descriptor.parts
     b = bound if bound is not None else suggested_bound(descriptor.space)
     if descriptor.kind == "linebundle" or not descriptor.space.transitions:
         # single chart: every bounded cochain is a section; enumerate directly
         basis = [{part: rep} for part in parts for rep in
-                 _atom_sections(descriptor, part, term_degree, b)[2]]
-        return SectionSpace(descriptor.kind, term_degree, basis, b, True,
-                            {b: len(basis)})
+                 _atom_sections(descriptor, part, 0, b)[2]]
+        return SectionSpace(descriptor.kind, basis, b, True, {b: len(basis)})
     kept = {part: {} for part in parts}
     while True:
         dims = {}
@@ -638,7 +610,7 @@ def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
         d_next = 0
         for part in parts:
             per_part[part], d = _sections_and_next_dimension(
-                descriptor, part, term_degree, b, kept[part])
+                descriptor, part, b, kept[part])
             d_next += d
         d_b = sum(len(v) for v in per_part.values())
         dims[b], dims[b + 1] = d_b, d_next
@@ -646,7 +618,7 @@ def global_sections(descriptor: ComplexDescriptor, term_degree: int = 0,
             basis = []
             for part in parts:
                 basis.extend(per_part[part])
-            return SectionSpace(descriptor.kind, term_degree, basis, b, True, dims)
+            return SectionSpace(descriptor.kind, basis, b, True, dims)
         if b + 1 >= max_bound:
             raise UnstableAnsatz(
                 f"section dimension still changing at degree bound {b + 1}: "
@@ -675,7 +647,7 @@ class CohomologyReport:
 def h0_complex(descriptor: ComplexDescriptor, bound: int | None = None,
                max_bound: int = 12) -> CohomologyReport:
     """Kernel of the first differential on global sections."""
-    space = global_sections(descriptor, 0, bound, max_bound)
+    space = global_sections(descriptor, bound, max_bound)
     if not space.basis:
         return CohomologyReport(descriptor.kind, "atlas", 0, [],
                                 space.degree_bound, space.stable, 0)
@@ -895,9 +867,10 @@ def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> lis
 def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> CohomologyReport:
     """Window-truncated degree-1 dimension estimate over a multi-chart atlas.
 
-    Uses an overlap double complex with all Laurent exponents clipped to
-    |e|_1 <= bound. NOT exact; the report is flagged truncated. Supported for
-    the restricted-tuple and ambient-polyvector kinds.
+    Uses an overlap double complex whose coordinates are the monomials with
+    Laurent exponents |e|_1 <= bound, the window. NOT exact; the report is
+    flagged truncated. Supported for the restricted-tuple and
+    ambient-polyvector kinds.
 
     The estimate is dim ker d1 - rank d0. Each column of either map is the
     image of one monomial atom, a cochain with one non-zero chunk. The maps
@@ -910,12 +883,11 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
       -(b moved to the pair's second chart) or +b;
     - a degree-zero chart atom c of the image enters each pair that holds
       its chart, as c moved there or -c, and its own chart slot as d(c).
-    Every other piece is a transport or differential of a zero chunk, zero
-    after clipping, and is never formed. Each transport and differential is
-    clipped to the window as it is made, and made once per atom and
-    destination chart. Clipping keeps the coordinates inside the window and
-    so is linear: the sum of the clipped pieces is exactly the column that
-    clipping the transports of the whole cochain gives.
+    Every other piece is a transport or differential of a zero chunk, zero,
+    and is never formed. Each transport and differential is made once per
+    atom and destination chart. Nothing is clipped: `embed` indexes only the
+    window's atoms and so drops every entry outside it, and summing the
+    pieces before or after that projection gives the same column.
     """
     if descriptor.kind not in ("normal", "bivector"):
         raise InconsistentData(
@@ -940,58 +912,42 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
             for t in window(nv - 1, b - abs(h)):
                 yield (h,) + t
 
-    def clip(pv):
-        return Polyvector(pv.vars, pv.degree, {
-            idx: LaurentPoly(pv.vars, {
-                e: v for e, v in coeff.terms.items()
-                if sum(abs(x) for x in e) <= bound})
-            for idx, coeff in pv.terms.items()})
-
     def atoms(cname, p):
+        """The window's atoms of a degree-p chunk on chart cname, keyed as
+        `chunk_entries` keys their entries."""
         chart = space.chart(cname)
         n = len(chart.vars)
         deg = descriptor.term_degree(part, p)
         tvars = S.tangential[cname] if is_nor else chart.vars
         tpos = [chart.vars.index(v) for v in tvars]
-        slots = range(S.codim) if is_nor else [None]
+        heads = [(a,) for a in range(S.codim)] if is_nor else [()]
         out = []
-        for a in slots:
+        for head in heads:
             for idx in combinations(range(n), deg):
                 for e_t in window(len(tvars), bound):
                     e = [0] * n
                     for pos, x in zip(tpos, e_t):
                         e[pos] = x
-                    out.append((a, idx, tuple(e)))
+                    out.append(head + (idx, tuple(e)))
         return out
-
-    def clip_chunk(data):
-        return [clip(x) for x in data] if is_nor else clip(data)
 
     # each atom recurs in the kernel and the image: build, move and
     # differentiate it once per call
     @cache
     def atom_chunk(cname, p, atom):
-        cvars = space.chart(cname).vars
-        a, idx, e = atom
-        pv = Polyvector(cvars, descriptor.term_degree(part, p),
-                        {idx: LaurentPoly.monomial(cvars, e)})
-        if not is_nor:
-            return pv
-        chunk = [Polyvector.zero(cvars, p)] * S.codim
-        chunk[a] = pv
-        return chunk
+        return atom_cochain(descriptor, p, (part, cname) + atom)[part][cname]
 
     @cache
     def transport(cname, p, atom, dst):
-        """A chart-cname atom moved to chart dst, clipped."""
-        return clip_chunk(_transport(descriptor, part,
-                                     atom_chunk(cname, p, atom), cname, dst))
+        """A chart-cname atom moved to chart dst."""
+        return _transport(descriptor, part, atom_chunk(cname, p, atom), cname,
+                          dst)
 
     @cache
     def d_chunk(cname, atom):
-        """The differential of a degree-0 chart-cname atom, clipped."""
+        """The differential of a degree-0 chart-cname atom."""
         cochain = {part: {cname: atom_chunk(cname, 0, atom)}}
-        return clip_chunk(descriptor.differential(cochain, 0)[part][cname])
+        return descriptor.differential(cochain, 0)[part][cname]
 
     def layout(slots):
         """(row offset, atom index) of each (chart, term degree) slot, by
@@ -1005,21 +961,20 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
 
     def embed(pieces, slots):
         """Sparse column, keyed by row position, of the signed chunks
-        (sign, chunk, slot key); entries that cancel are dropped."""
+        (sign, chunk, slot key); entries outside the window and entries that
+        cancel are dropped."""
         col = {}
         for sign, data, key in pieces:
             base, index = slots[key]
-            for a, pv in (enumerate(data) if is_nor else [(None, data)]):
-                for idx, coeff in pv.terms.items():
-                    for e, val in coeff.terms.items():
-                        i = index.get((a, idx, e))
-                        if i is None:
-                            continue
-                        v = col.get(base + i, 0) + sign * val
-                        if v:
-                            col[base + i] = v
-                        else:
-                            col.pop(base + i, None)
+            for entry, val in chunk_entries(part, data):
+                i = index.get(entry)
+                if i is None:
+                    continue
+                v = col.get(base + i, 0) + sign * val
+                if v:
+                    col[base + i] = v
+                else:
+                    col.pop(base + i, None)
         return col
 
     def on_pairs(cn, p, atom, sign):

@@ -558,7 +558,7 @@ def _ambient_basis(problem: DeformationProblem) -> list:
     if problem.mode != "extended":
         return []
     bdesc = build_complex("bivector", manifold=problem.submanifold.manifold)
-    return global_sections(bdesc, 0, problem.bound).basis
+    return global_sections(bdesc, problem.bound).basis
 
 
 def solve_order(state: DeformationState, degree: int | None = None, *,

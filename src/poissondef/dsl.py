@@ -122,7 +122,7 @@ class ProblemFile:
             return PoissonManifold(self.space, {})
         return PoissonManifold.from_chart_data(self.space, dict(self.poisson))
 
-    def submanifold(self, verify: bool = True):
+    def submanifold(self):
         if not self.normal_spec:
             raise InconsistentData("problem file declares no submanifold")
         spec = {}
@@ -131,7 +131,7 @@ class ProblemFile:
                 raise InconsistentData(
                     f"no submanifold statement for chart {name}")
             spec[name] = self.normal_spec[name]
-        return extract_submanifold(self.manifold(), spec, verify=verify)
+        return extract_submanifold(self.manifold(), spec)
 
     def lambda_family(self, cutoff: int | None = None) -> dict:
         """Per-chart ambient family; charts without a statement receive the
@@ -542,8 +542,8 @@ class _Parser:
         lp = self._scalar_expr(cvars, extra=self.doc.params)
         return self._split_series(lp, cvars, where)
 
-    def _split_series(self, lp: LaurentPoly, cvars, where: _Token,
-                      carrier=None) -> TruncatedSeries:
+    def _split_series(self, lp: LaurentPoly, cvars,
+                      where: _Token) -> TruncatedSeries:
         params = self.doc.params
         M = self.doc.order
         cvars = tuple(cvars)
@@ -649,10 +649,6 @@ def _validate_semantics(doc: ProblemFile):
 # Canonical rendering
 # ----------------------------------------------------------------------
 
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def _fmt_monomial(vars, e, c: Fraction, frames=None) -> str:
     parts = []
     for v, p in zip(vars, e):
@@ -662,12 +658,12 @@ def _fmt_monomial(vars, e, c: Fraction, frames=None) -> str:
     if frames:
         parts.append(" ^ ".join(f"d/{v}" for v in frames))
     if not parts:
-        return _fmt_coeff(c)
+        return str(c)
     if c == 1:
         return " * ".join(parts)
     if c == -1:
         return "-" + " * ".join(parts)
-    return " * ".join([_fmt_coeff(c)] + parts)
+    return " * ".join([str(c)] + parts)
 
 
 def _join_terms(rendered) -> str:
@@ -682,12 +678,14 @@ def _join_terms(rendered) -> str:
     return out or "0"
 
 
-def _fmt_poly(lp: LaurentPoly) -> str:
+def format_poly(lp: LaurentPoly) -> str:
+    """Human form of a Laurent polynomial, matching the file grammar."""
     return _join_terms(_fmt_monomial(lp.vars, e, c)
                        for e, c in sorted(lp.terms.items()))
 
 
-def _fmt_series(ser: TruncatedSeries, cvars) -> str:
+def format_series(ser: TruncatedSeries, cvars) -> str:
+    """Human form of a truncated scalar series over the given chart."""
     rendered = []
     allvars = tuple(cvars) + ser.params
     for pe in sorted(ser.terms):
@@ -698,7 +696,8 @@ def _fmt_series(ser: TruncatedSeries, cvars) -> str:
     return _join_terms(rendered)
 
 
-def _fmt_pv_series(ser: TruncatedSeries, cvars, params) -> str:
+def format_pv_series(ser: TruncatedSeries, cvars, params) -> str:
+    """Human form of a truncated polyvector series over the given chart."""
     rendered = []
     allvars = tuple(cvars) + tuple(params)
     entries = []
@@ -715,35 +714,46 @@ def _fmt_pv_series(ser: TruncatedSeries, cvars, params) -> str:
     return _join_terms(rendered)
 
 
-def _fmt_pv(pv: Polyvector, cvars) -> str:
+def format_polyvector(pv: Polyvector) -> str:
+    """Human form of a polyvector (scalars fall back to plain polynomials)."""
     rendered = []
     for idx in sorted(pv.terms):
         poly = pv.terms[idx]
-        frames = [cvars[j] for j in idx]
+        frames = [pv.vars[j] for j in idx]
         for ce in sorted(poly.terms):
-            rendered.append(_fmt_monomial(cvars, ce, poly.terms[ce],
+            rendered.append(_fmt_monomial(pv.vars, ce, poly.terms[ce],
                                           frames=frames))
     return _join_terms(rendered)
 
 
-def format_poly(lp: LaurentPoly) -> str:
-    """Human form of a Laurent polynomial, matching the file grammar."""
-    return _fmt_poly(lp)
+def format_param_monomial(params, exps) -> str:
+    """Human form of a monomial in the parameters, "1" for the unit."""
+    parts = []
+    for p, e in zip(params, exps):
+        if e == 1:
+            parts.append(p)
+        elif e:
+            parts.append(f"{p}^{e}")
+    return "*".join(parts) or "1"
 
 
-def format_polyvector(pv: Polyvector) -> str:
-    """Human form of a polyvector (scalars fall back to plain polynomials)."""
-    return _fmt_pv(pv, pv.vars)
-
-
-def format_series(ser: TruncatedSeries, cvars) -> str:
-    """Human form of a truncated scalar series over the given chart."""
-    return _fmt_series(ser, cvars)
-
-
-def format_pv_series(ser: TruncatedSeries, cvars, params) -> str:
-    """Human form of a truncated polyvector series over the given chart."""
-    return _fmt_pv_series(ser, cvars, params)
+def format_param_series(ser: TruncatedSeries) -> str:
+    """Human form of a series whose coefficients are plain rationals."""
+    parts = []
+    for pe in sorted(ser.terms):
+        c = ser.terms[pe]
+        if not c:
+            continue
+        mono = format_param_monomial(ser.params, pe)
+        if mono == "1":
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return _join_terms(parts)
 
 
 def render(doc: ProblemFile) -> str:
@@ -762,14 +772,14 @@ def render(doc: ProblemFile) -> str:
             lines.append(f"chart {chart.name} vars {' '.join(chart.vars)};")
         for (i, k) in sorted(doc.transitions):
             tmap = doc.transitions[(i, k)]
-            body = ", ".join(f"{v} = {_fmt_poly(tmap[v])}"
+            body = ", ".join(f"{v} = {format_poly(tmap[v])}"
                              for v in doc.space.chart(i).vars if v in tmap)
             lines.append(f"transition {i} -> {k}: {body};")
     space = doc.space if (doc.builtin or doc.charts) else None
     for name in (space.chart_names if space else []):
         if name in doc.poisson:
             lines.append(f"poisson on {name}: "
-                         f"{_fmt_pv(doc.poisson[name], space.chart(name).vars)};")
+                         f"{format_polyvector(doc.poisson[name])};")
     for name in (space.chart_names if space else []):
         if name in doc.normal_spec:
             spec = doc.normal_spec[name]
@@ -787,14 +797,14 @@ def render(doc: ProblemFile) -> str:
         if name in doc.family:
             cvars = space.chart(name).vars
             block = doc.family[name]
-            body = ", ".join(f"{v} = {_fmt_series(block[v], cvars)}"
+            body = ", ".join(f"{v} = {format_series(block[v], cvars)}"
                              for v in cvars if v in block)
             lines.append(f"family {name}: {body};")
     for name in (space.chart_names if space else []):
         if name in doc.lam:
-            cvars = space.chart(name).vars
-            lines.append(f"lambda {name}: "
-                         f"{_fmt_pv_series(doc.lam[name], cvars, doc.params)};")
+            body = format_pv_series(doc.lam[name], space.chart(name).vars,
+                                    doc.params)
+            lines.append(f"lambda {name}: {body};")
     if doc.artin:
         lines.append(f"artin {doc.artin};")
     return "\n".join(lines) + "\n"

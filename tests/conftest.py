@@ -260,7 +260,7 @@ def oracle_dim(descriptor, bound=None):
     import sympy
 
     from poissondef.complexes import cochain_vector_entries, global_sections
-    space = global_sections(descriptor, 0, bound)
+    space = global_sections(descriptor, bound)
     if not space.basis:
         return 0
     images = [dict(cochain_vector_entries(descriptor.differential(s, 0)))

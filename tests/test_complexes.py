@@ -155,7 +155,7 @@ def test_kernel_elements_are_closed(descriptor_family, h0_reports):
 
 def test_section_space_coordinates(descriptor_family):
     desc = descriptor_family["c3_normal"]
-    space = global_sections(desc, 0)
+    space = global_sections(desc)
     e0 = space.coordinates_of(space.basis[0])
     assert e0 is not None
     assert e0[0] == 1 and all(x == 0 for x in e0[1:])
@@ -201,8 +201,8 @@ def test_gluing_failure_names_part_and_overlap(descriptor_family, h0_reports):
 
 def test_unstable_ansatz_raises(descriptor_family):
     with pytest.raises(UnstableAnsatz):
-        global_sections(descriptor_family["p3_hyperplane_normal"], 0,
-                        bound=0, max_bound=1)
+        global_sections(descriptor_family["p3_hyperplane_normal"], bound=0,
+                        max_bound=1)
 
 
 def test_truncated_atlas_estimate(descriptor_family):
