@@ -4,16 +4,16 @@ existence and obstruction analysis, family verification and matching, and
 small-extension obstruction calculus — all over exact rational arithmetic.
 """
 
-from .artin import (ArtinReport, ObstructionClass, artin_first_order,
-                    artin_obstruction, first_order_by_enumeration)
+from .artin import (ArtinReport, artin_first_order, artin_obstruction,
+                    first_order_by_enumeration)
 from .complexes import (CohomologyReport, PoissonLineBundle, affine_hyper,
                         atlas_hyper_truncated, build_complex,
                         characteristic_map, h0_complex,
                         semiregularity_image_rank)
 from .deformation import (DeformationProblem, DeformationState, Obstructed,
-                          SolverResult, initial_state, match_families,
-                          obstruction_cocycle, run_solver, solve_order,
-                          verify_family)
+                          ObstructionCocycle, SolverResult, initial_state,
+                          match_families, obstruction_cocycle, run_solver,
+                          solve_order, verify_family)
 from .dsl import ProblemFile, parse, render
 from .errors import (ChartMismatch, ClosednessViolation, DegreeBoundTooSmall,
                      InconsistentData, InvalidDeformation, MatchFailure,
@@ -37,7 +37,7 @@ __all__ = [
     "DeformationState", "DegreeBoundTooSmall", "InconsistentData",
     "InvalidDeformation", "LaurentPoly", "MajorantSeries", "MatchFailure",
     "NegativePowerAtZero", "NonAdaptedTransition", "NonInvertibleSubstitution",
-    "NotInKernel", "NotPoissonSubmanifold", "Obstructed", "ObstructionClass",
+    "NotInKernel", "NotPoissonSubmanifold", "Obstructed", "ObstructionCocycle",
     "ParameterMismatch", "ParseError", "PoissonLineBundle", "PoissonManifold",
     "Polyvector", "ProblemFile", "SolverResult", "SubmanifoldData",
     "ToolkitError", "TruncatedSeries", "UnstableAnsatz", "WrongCodimension",

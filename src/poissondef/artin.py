@@ -2,15 +2,16 @@
 
 Given a family defined over a truncated one-parameter base, this module
 computes the canonical obstruction class blocking its extension one order
-further. The class is a degree-one cochain of the Cech total complex of the
-functor's controlling complex (see `complexes.total_coboundary`): its chart
-part is ``ambient`` and ``normal``, its overlap part ``ambient_cech`` and
-``normal_cech``. It is the order-(m+1) part of the family's residuals, read
-by `deformation.residual_total`, the reader of the solver's step cocycle:
-the residuals of a `DeformationState` in the prescribed mode (hilb) or the
-extended mode (exthilb), and the Jacobi and bivector gluing residuals (def).
-Below the new order the residuals must vanish; `_BELOW_ORDER` names each
-failure. Its closedness certificates are `complexes.total_closedness`.
+further. The class is the solver's obstruction at that order, a
+`deformation.ObstructionCocycle` built and certified by
+`deformation.certify_cocycle`: one degree-one total cochain of the Cech
+total complex of the functor's controlling complex (see
+`complexes.total_coboundary`), the order-(m+1) part of the family's
+residuals read by `deformation.residual_total`. The residuals are those of
+a `DeformationState` in the prescribed mode (hilb) or the extended mode
+(exthilb), and the Jacobi and bivector gluing residuals (def). Below the
+new order they must vanish; `_BELOW_ORDER` names each failure. The class's
+closedness certificates are `complexes.total_closedness`.
 The class lifts when it is the total coboundary of bounded-degree monomial
 unknowns (`complexes.monomial_atoms`). That is one exact linear solve,
 `complexes.solve_total`, on the rows `complexes.total_rows` gives under
@@ -25,18 +26,21 @@ Three functors are covered:
                   parameter-dependent) ambient Poisson structure;
 * ``"exthilb"`` — simultaneous deformations of the pair.
 
-The class has up to four components, stored chartwise:
+The total cochain has a chart part and an overlap part, each holding the
+cochain parts of the complex: ambient for def, normal for hilb, both for
+exthilb.
 
-* ``ambient``       — per chart, half the failure of the extended bivector to
-                      square to zero (a trivector);
-* ``normal``        — per present chart, minus the restricted failure of the
-                      moved ideal to be a bracket ideal (a tuple of vector
-                      fields along the submanifold);
-* ``ambient_cech``  — per ordered overlap, minus the failure of the extended
-                      bivectors to glue (a bivector on the first chart);
-* ``normal_cech``   — per ordered overlap, the failure of the moved ideals to
-                      agree (a tuple of functions, expressed on the first
-                      chart along the submanifold).
+* chart, ambient   — per chart, half the failure of the extended bivector
+                     to square to zero (a trivector);
+* chart, normal    — per present chart, minus the failure of the moved
+                     ideal to be a bracket ideal, restricted to the
+                     submanifold (a tuple of vector fields along it);
+* overlap, ambient — per ordered overlap (i, k), the bivector of chart k
+                     moved to chart i minus that of chart i;
+* overlap, normal  — per ordered overlap (i, k), minus the failure of the
+                     moved ideals to agree, moved to chart i (a tuple of
+                     functions along the submanifold, as degree-zero
+                     polyvectors).
 
 An independent first-order tangent-space computation by direct epsilon
 linearisation is provided for cross-checking the cohomology engines.
@@ -46,76 +50,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (_part_is_zero, atom_cochain, build_complex,
+from .complexes import (atom_cochain, build_complex, chunk_entries,
                          h0_complex, monomial_atoms, solve_total,
-                         total_closedness, total_coboundary, total_rows)
+                         total_coboundary, total_rows)
 from .deformation import (DeformationProblem, DeformationState,
-                          add_direction, jacobi_residual,
-                          lambda_gluing_mismatch, residual_total)
+                          ObstructionCocycle, add_direction, certify_cocycle,
+                          jacobi_residual, lambda_gluing_mismatch,
+                          residual_series)
 from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
                      ParameterMismatch)
 from .geometry import PoissonManifold, SubmanifoldData
 from .linalg import nullspace
-from .polyvector import Polyvector, restrict
+from .polyvector import Polyvector
 from .symbolic import LaurentPoly, TruncatedSeries
 
 FUNCTORS = ("def", "hilb", "exthilb")
-
-
-# ----------------------------------------------------------------------
-# Small helpers
-# ----------------------------------------------------------------------
-
-def _series(residual: dict):
-    """(overlap or chart, row, series) of one residual of a family, whose
-    values are series or lists of them."""
-    for at, rows in residual.items():
-        for a, ser in enumerate(rows if isinstance(rows, list) else [rows]):
-            yield at, a, ser
-
-
-def _vec_entries(obj):
-    """Flatten a function or polyvector into ((frame, exponent), value);
-    None counts as zero."""
-    if isinstance(obj, LaurentPoly):
-        obj = Polyvector.from_function(obj)
-    for idx, coeff in (obj.terms.items() if obj is not None else ()):
-        for e, c in coeff.terms.items():
-            yield (idx, e), c
-
-
-# ----------------------------------------------------------------------
-# Class container
-# ----------------------------------------------------------------------
-
-@dataclass
-class ObstructionClass:
-    """Canonical obstruction class of a family at one extension step."""
-    kind: str
-    order: int
-    ambient: dict | None = None        # chart -> Polyvector (degree 3)
-    normal: dict | None = None         # chart -> [Polyvector deg 1]*r
-    ambient_cech: dict | None = None   # (i, k) -> Polyvector (degree 2)
-    normal_cech: dict | None = None    # (i, k) -> [LaurentPoly]*r on chart i
-
-    def is_zero(self) -> bool:
-        return all(_part_is_zero(part, val) for part, data in (
-            ("amb", self.ambient), ("nor", self.normal),
-            ("amb", self.ambient_cech), ("nor", self.normal_cech))
-            if data for val in data.values())
 
 
 @dataclass
 class ArtinReport:
     kind: str
     order: int
-    cls: ObstructionClass
-    certificates: dict
+    cls: ObstructionCocycle
     liftable: bool
     witness: str | None
     solution: dict | None
     invariance: dict | None = None
-    perturbed: ObstructionClass | None = None
+    perturbed: ObstructionCocycle | None = None
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +158,11 @@ def first_order_by_enumeration(kind: str, *,
             phi, lam, (1,), atom_cochain(desc, 0, atom)), 0)
         columns.append({(key, at, a) + sub: c
                         for key, per in residuals.items()
-                        for at, a, ser in _series(per)
-                        for sub, c in _vec_entries(ser.coefficient((1,)))})
+                        for at, a, ser in residual_series(per)
+                        for coeff in ser.homogeneous(1).values()
+                        for sub, c in chunk_entries("amb", coeff if isinstance(
+                            coeff, Polyvector) else Polyvector.from_function(
+                                coeff))})
     kernel = nullspace(columns)
     return {"dimension": len(kernel), "atoms": atoms, "kernel": kernel}
 
@@ -277,32 +241,20 @@ _BELOW_ORDER = (
 
 
 def _canonical_class(kind, desc, phi, lam, m):
-    """Obstruction class of the canonical liftings of a degree-m family and
-    its degree-one total cochain: `residual_total` of the family's
-    residuals at order m + 1, the normal chart part restricted to the
-    submanifold. The family itself carries any shift of the ideal
-    generators or bivectors (`artin_obstruction`)."""
-    S = desc.submanifold
-    residuals = _residuals(kind, S, desc.manifold, phi, lam, m)
+    """Obstruction class of the canonical liftings of a degree-m family: the
+    certified total cochain of the family's residuals at order m + 1
+    (`deformation.certify_cocycle`). The family itself carries any shift of
+    the ideal generators or bivectors (`artin_obstruction`)."""
+    residuals = _residuals(kind, desc.submanifold, desc.manifold, phi, lam, m)
     for kinds, key, extra, message in _BELOW_ORDER:
         if kind not in kinds:
             continue
-        for at, _, ser in _series(residuals[key]):
+        for at, _, ser in residual_series(residuals[key]):
             low = ser.truncate(m + extra)
             if not low.is_zero():
                 raise InvalidDeformation(message.format(
                     at=at, order=low.min_order()))
-    chart, overlap = residual_total(desc, residuals, (m + 1,))
-    cls = ObstructionClass(kind, m)
-    if "amb" in chart:
-        cls.ambient, cls.ambient_cech = chart["amb"], overlap["amb"]
-    if "nor" in chart:
-        for name, rows in chart["nor"].items():
-            rows[:] = [restrict(g, S.normal[name]) for g in rows]
-        cls.normal = chart["nor"]
-        cls.normal_cech = {pair: [pv.as_function() for pv in rows]
-                           for pair, rows in overlap["nor"].items()}
-    return cls, chart, overlap
+    return certify_cocycle(desc, residuals, m + 1, [(m + 1,)])
 
 
 # ----------------------------------------------------------------------
@@ -389,9 +341,8 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
         amb_bound = bound + 2
     S, M, phi, lam_map, m = _family_pieces(kind, state, manifold, lam, order)
     desc = _descriptor(kind, S, M)
-    cls, chart, overlap = _canonical_class(kind, desc, phi, lam_map, m)
-    certs = total_closedness(desc, chart, overlap)
-    rows = total_rows(chart, overlap, ARTIN_ROWS)
+    cls = _canonical_class(kind, desc, phi, lam_map, m)
+    rows = total_rows(*cls.totals[(m + 1,)], ARTIN_ROWS)
     pairs = M.space.overlap_pairs()
     atoms = _unknowns(desc, bound, amb_bound)
     columns = [total_rows(*total_coboundary(
@@ -409,10 +360,9 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
         if "A" in shifts:
             shift["nor"] = {name: [Polyvector.from_function(-f) for f in A]
                             for name, A in shifts["A"].items()}
-        perturbed, p_chart, p_overlap = _canonical_class(
+        perturbed = _canonical_class(
             kind, desc, *add_direction(phi, lam_map, (m + 1,), shift), m)
-        pert_certs = total_closedness(desc, p_chart, p_overlap)
-        p_rows = total_rows(p_chart, p_overlap, ARTIN_ROWS)
+        p_rows = total_rows(*perturbed.totals[(m + 1,)], ARTIN_ROWS)
         moved = {key: v for key in rows.keys() | p_rows.keys()
                  if (v := rows.get(key, 0) - p_rows.get(key, 0))}
         identities = moved == total_rows(
@@ -420,7 +370,7 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
         p_liftable, _, _ = _decide_liftable(atoms, columns, p_rows)
         invariance = {
             "identities": identities,
-            "certificates": pert_certs,
+            "certificates": perturbed.certificates,
             "same_verdict": p_liftable == liftable,
         }
         if not identities:
@@ -429,5 +379,5 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
         if p_liftable != liftable:
             raise InconsistentData(
                 "perturbed liftings changed the liftability verdict")
-    return ArtinReport(kind, m, cls, certs, liftable, witness, solution,
-                       invariance, perturbed)
+    return ArtinReport(kind, m, cls, liftable, witness, solution, invariance,
+                       perturbed)

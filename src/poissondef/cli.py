@@ -24,7 +24,7 @@ import json
 import sys
 
 from .artin import artin_first_order, artin_obstruction
-from .complexes import (PART_LABELS, _chunk_map, affine_hyper,
+from .complexes import (PART_LABELS, _chunk_map, _slots, affine_hyper,
                         atlas_hyper_truncated, build_complex, cochain_is_zero,
                         h0_complex)
 from .deformation import DeformationState, match_families, run_solver, verify_family
@@ -165,24 +165,28 @@ def _render_cochain(c) -> dict:
             for part, label in PART_LABELS.items() if part in c}
 
 
-def _render_cocycle(cocycle, params) -> dict:
-    psi = {}
-    for (i, k), rows in sorted(cocycle.psi.items()):
-        psi[f"{i}|{k}"] = {
-            format_param_monomial(params, texp): [format_poly(p) for p in tup]
-            for texp, tup in sorted(rows.items())}
-    G = {}
-    for name, rows in sorted(cocycle.G.items()):
-        G[name] = {format_param_monomial(params, texp):
-                   [format_polyvector(v) for v in tup]
-                   for texp, tup in sorted(rows.items())}
-    out = {"order": cocycle.order, "mode": cocycle.mode,
-           "overlap_part": psi, "tangent_part": G}
-    if cocycle.Pi:
-        out["ambient_part"] = {
-            name: {format_param_monomial(params, texp): format_polyvector(v)
-                   for texp, v in sorted(rows.items())}
-            for name, rows in sorted(cocycle.Pi.items())}
+def _render_cocycle(state) -> dict:
+    """The obstruction of an order-m family as the solve report shows it:
+    per overlap or chart and parameter monomial, the degree-(m+1)
+    coefficients of the residuals "gluing" (on chart k), "ideal" and, in
+    extended mode, "jacobi", with 0 for a row that has none."""
+    problem = state.problem
+    m1 = state.order + 1
+    blocks = [("overlap_part", "gluing", "nor", format_poly),
+              ("tangent_part", "ideal", "nor", format_polyvector)]
+    if problem.mode == "extended":
+        blocks.append(("ambient_part", "jacobi", "amb", format_polyvector))
+    out = {"order": m1, "mode": problem.mode}
+    for label, key, shape, fmt in blocks:
+        block = out[label] = {}
+        for at, rows in sorted(state.residuals[key].items()):
+            monomials = set().union(*(ser.homogeneous(m1)
+                                      for _, ser in _slots(shape, rows)))
+            block["|".join(at) if isinstance(at, tuple) else at] = {
+                format_param_monomial(problem.params, te): _chunk_map(
+                    shape, lambda ser: fmt(ser.terms[te])
+                    if te in ser.terms else "0", rows)
+                for te in sorted(monomials)}
     return out
 
 
@@ -386,7 +390,7 @@ def _cmd_solve(args):
         "tested_degree_bounds": {str(d): str(v) for d, v in
                                  sorted(obs.tested_degrees.items())},
     }
-    rep["cocycle"] = _render_cocycle(obs.cocycle, prob.params)
+    rep["cocycle"] = _render_cocycle(res.state)
     return rep, 2
 
 
@@ -443,19 +447,17 @@ def _cmd_match(args):
 
 
 def _render_class(cls) -> dict:
-    out = {"order": cls.order, "zero": cls.is_zero()}
-    if cls.ambient is not None:
-        out["ambient"] = {name: format_polyvector(v)
-                          for name, v in sorted(cls.ambient.items())}
-    if cls.normal is not None:
-        out["normal"] = {name: [format_polyvector(v) for v in tup]
-                         for name, tup in sorted(cls.normal.items())}
-    if cls.ambient_cech is not None:
-        out["ambient_cech"] = {f"{i}|{k}": format_polyvector(v)
-                               for (i, k), v in sorted(cls.ambient_cech.items())}
-    if cls.normal_cech is not None:
-        out["normal_cech"] = {f"{i}|{k}": [format_poly(p) for p in tup]
-                              for (i, k), tup in sorted(cls.normal_cech.items())}
+    """An artin class, under the order m of the family it obstructs: its
+    chart parts, then its overlap parts ("_cech"), ambient before normal."""
+    chart, overlap = cls.totals[(cls.order,)]
+    out = {"order": cls.order - 1, "zero": cls.is_zero()}
+    for where, suffix, label in ((chart, "", str),
+                                 (overlap, "_cech", "|".join)):
+        for part in ("amb", "nor"):
+            if part in where:
+                out[PART_LABELS[part] + suffix] = {
+                    label(at): _chunk_map(part, format_polyvector, chunk)
+                    for at, chunk in sorted(where[part].items())}
     return out
 
 
@@ -488,7 +490,7 @@ def _cmd_artin(args):
         report = artin_obstruction(kind, state=state, bound=args.bound)
     rep["order"] = report.order
     rep["class"] = _render_class(report.cls)
-    rep["certificates"] = dict(sorted(report.certificates.items()))
+    rep["certificates"] = dict(sorted(report.cls.certificates.items()))
     rep["liftable"] = report.liftable
     if report.witness:
         rep["witness"] = report.witness

@@ -312,7 +312,6 @@ class SectionSpace:
     basis: list
     degree_bound: int
     stable: bool
-    dims_checked: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -602,7 +601,7 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
         # single chart: every bounded cochain is a section; enumerate directly
         basis = [{part: rep} for part in parts for rep in
                  _atom_sections(descriptor, part, 0, b)[2]]
-        return SectionSpace(descriptor.kind, basis, b, True, {b: len(basis)})
+        return SectionSpace(descriptor.kind, basis, b, True)
     kept = {part: {} for part in parts}
     while True:
         dims = {}
@@ -618,7 +617,7 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
             basis = []
             for part in parts:
                 basis.extend(per_part[part])
-            return SectionSpace(descriptor.kind, basis, b, True, dims)
+            return SectionSpace(descriptor.kind, basis, b, True)
         if b + 1 >= max_bound:
             raise UnstableAnsatz(
                 f"section dimension still changing at degree bound {b + 1}: "

@@ -31,21 +31,25 @@ closedness identities exactly (a failure raises ClosednessViolation and
 indicates a bug, never bad luck); then a sparse exact linear system is solved
 per parameter monomial. Both go through the Cech total complex of the
 restricted-tuple complex, or of the paired one in extended mode
-(`complexes.total_closedness`, `complexes.total_coboundary`): per parameter
-monomial the cocycle is one degree-one total cochain, `residual_total` of the
-state's residuals, and the step's right-hand side is `complexes.total_rows`
-of exactly the cochain the certificate checks. The small-ring obstruction
-class (`artin`) is `residual_total` of the same residuals at order m+1. The
-system's columns are the total coboundaries of the unknowns
-(`complexes.monomial_atoms` and the ambient sections) over every ordered
-overlap, the same overlaps the cocycle carries. They depend only on the
-problem, the degree bound and the sections, so `run_solver` builds them once
-for every step.
+(`complexes.total_closedness`, `complexes.total_coboundary`). The cocycle is
+one `ObstructionCocycle`: per parameter monomial one degree-one total
+cochain, `residual_total` of the state's residuals, computed once and
+certified by `certify_cocycle`; the step's right-hand side is
+`complexes.total_rows` of exactly the cochain the certificate checks. The
+small-ring obstruction class (`artin`) is `certify_cocycle` of the same
+residuals at order m+1, so the two share one container. `residual_total`
+restricts the normal chart part to the submanifold, where a cochain of the
+normal complex lives; on the solver's states that changes nothing, since
+their ideal residual carries no normal variable. The system's columns are
+the total coboundaries of the unknowns (`complexes.monomial_atoms` and the
+ambient sections) over every ordered overlap, the same overlaps the cocycle
+carries. They depend only on the problem, the degree bound and the
+sections, so `run_solver` builds them once for every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -78,7 +82,7 @@ from .errors import (
     ParameterMismatch,
 )
 from .geometry import SubmanifoldData
-from .polyvector import Polyvector, schouten
+from .polyvector import Polyvector, restrict, schouten
 from .symbolic import (
     LaurentPoly,
     TruncatedSeries,
@@ -95,32 +99,13 @@ def series_schouten(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return combine(a, b, schouten)
 
 
-def compose_scalar_series(phi: TruncatedSeries, assign: Mapping[str, object],
-                          params, cutoff, target_vars) -> TruncatedSeries:
-    """Evaluate a scalar-coefficient series at series/polynomial arguments.
-
-    Each coefficient is substituted, the result re-expanded in the target
-    parameters and multiplied by its original parameter monomial; carriers
-    are coerced onto the target variable tuple.
-    """
-    out = TruncatedSeries.zero(params, cutoff)
-    for te, coeff in phi.terms.items():
-        sub = substitute(coeff, assign)
-        if isinstance(sub, LaurentPoly):
-            sub = TruncatedSeries.const(params, cutoff, sub.with_vars(target_vars))
-        shifted = {}
-        for e2, c2 in sub.terms.items():
-            tot = tuple(x + y for x, y in zip(te, e2))
-            if sum(tot) <= cutoff:
-                shifted[tot] = c2.with_vars(target_vars)
-        out = out + TruncatedSeries(params, cutoff, shifted)
-    return out
-
-
 def subs_normal_pv_series(X: TruncatedSeries, assign: Mapping[str, object],
                           chart_vars, params, cutoff) -> TruncatedSeries:
-    """Substitute series values for (normal) variables inside the Laurent
-    coefficients of a polyvector series, keeping the frame unchanged."""
+    """Substitute series or polynomial values, on the chart of `chart_vars`,
+    for variables inside the Laurent coefficients of a polyvector series,
+    keeping the frame indices unchanged: the normal motions in the ideal
+    residual, and the moved chart's coordinates in a motion composed with a
+    transition (a degree-zero series)."""
     out_terms: dict = {}
     for te, pv in X.terms.items():
         for idx, coeff in pv.terms.items():
@@ -307,7 +292,9 @@ def gluing_mismatch(problem, phi) -> dict:
                 lhs = TruncatedSeries.const(problem.params, M, lhs.with_vars(kvars))
             else:
                 lhs = lhs.map(lambda c: c.with_vars(kvars))
-            rhs = compose_scalar_series(phi[i][a], arg, problem.params, M, kvars)
+            rhs = subs_normal_pv_series(
+                phi[i][a].map(Polyvector.from_function), arg, kvars,
+                problem.params, M).map(Polyvector.as_function)
             rows.append(rhs - lhs)
         out[(i, k)] = rows
     return out
@@ -382,59 +369,40 @@ def verify_family(state: DeformationState, order: int | None = None) -> dict:
 
 @dataclass
 class ObstructionCocycle:
+    """The obstruction at one order: per parameter monomial, the degree-one
+    total cochain (chart part, overlap part) that `residual_total` reads
+    from a family's residuals, with its exact closedness certificates."""
     order: int                     # the order being obstructed (m+1)
-    mode: str
-    psi: dict                      # (i,k) -> {texp: [LaurentPoly]*r} on chart k
-    G: dict                        # chart -> {texp: [Polyvector deg 1]*r}
-    Pi: dict = field(default_factory=dict)   # chart -> {texp: Polyvector deg 3}
-    certificates: dict = field(default_factory=dict)
+    totals: dict                   # te -> (chart part, overlap part)
+    certificates: dict
 
     def is_zero(self) -> bool:
-        return (all(all(p.is_zero() for tup in d.values() for p in tup)
-                    for d in self.psi.values())
-                and all(all(v.is_zero() for tup in d.values() for v in tup)
-                        for d in self.G.values())
-                and all(all(v.is_zero() for v in d.values())
-                        for d in self.Pi.values()))
+        return all(cochain_is_zero(chart) and cochain_is_zero(overlap)
+                   for chart, overlap in self.totals.values())
 
 
-def _degree_part(residual: dict, degree: int, zero) -> dict:
-    """Per overlap or chart of `residual`, the degree-`degree` coefficients
-    of its rows of series, per parameter monomial: {te: [coefficient]*rows},
-    with `zero(overlap or chart)` where a row has none."""
-    out = {}
+def residual_series(residual: dict):
+    """(overlap or chart, row, series) of one residual of a family
+    (`DeformationState.residuals`), whose values are rows of series or one
+    series."""
     for at, rows in residual.items():
-        per_t = {}
-        for a, ser in enumerate(rows):
-            for te, coeff in ser.homogeneous(degree).items():
-                tup = per_t.setdefault(te, [zero(at)] * len(rows))
-                tup[a] = tup[a] + coeff
-        out[at] = per_t
-    return out
+        for a, ser in enumerate(rows if isinstance(rows, list) else [rows]):
+            yield at, a, ser
 
 
 def obstruction_cocycle(state: DeformationState) -> ObstructionCocycle:
-    """Degree-(m+1) obstruction data of an order-m family, read from its
-    residuals, with its exact closedness certificates."""
+    """The certified degree-(m+1) obstruction of an order-m family, at the
+    parameter monomials where "gluing", "ideal" or, in extended mode,
+    "jacobi" has a degree-(m+1) coefficient."""
     problem = state.problem
-    space = problem.space
     m1 = state.order + 1
     res = state.residuals
-    psi = _degree_part(res["gluing"], m1, lambda pair: LaurentPoly.zero(
-        space.chart(pair[1]).vars))
-    G = _degree_part(res["ideal"], m1, lambda name: Polyvector.zero(
-        space.chart(name).vars, 1))
-    Pi = ({name: ser.homogeneous(m1) for name, ser in res["jacobi"].items()}
-          if problem.mode == "extended" else {})
-    cocycle = ObstructionCocycle(m1, problem.mode, psi, G, Pi)
-    cocycle.certificates = certify_cocycle(state, cocycle)
-    return cocycle
-
-
-def _tmonomials(cocycle: ObstructionCocycle):
-    seen = set().union(*(d for part in (cocycle.psi, cocycle.G, cocycle.Pi)
-                         for d in part.values()))
-    return sorted(seen, key=lambda e: (sum(e), e))
+    keys = ("gluing", "ideal") + (
+        ("jacobi",) if problem.mode == "extended" else ())
+    monomials = sorted({te for key in keys
+                        for _, _, ser in residual_series(res[key])
+                        for te in ser.homogeneous(m1)})
+    return certify_cocycle(_step_descriptor(problem), res, m1, monomials)
 
 
 def _step_descriptor(problem: DeformationProblem):
@@ -448,15 +416,23 @@ def residual_total(descriptor, residuals: dict, te) -> tuple:
     """The coefficient at parameter monomial `te` of a family's residuals
     (`DeformationState.residuals`) as a degree-one total cochain (chart
     part, overlap part), for the descriptor's parts: the normal chart part
-    is minus "ideal", the normal overlap part on (i, k) is minus "gluing"
-    moved to chart i, the ambient chart part is half "jacobi" and the
-    ambient overlap part on (i, k) is "lambda_gluing" at (k, i)."""
+    is minus "ideal" restricted to the submanifold, the normal overlap part
+    on (i, k) is minus "gluing" moved to chart i, the ambient chart part is
+    half "jacobi" and the ambient overlap part on (i, k) is "lambda_gluing"
+    at (k, i).
+
+    A cochain of the normal complex lives along the submanifold, hence the
+    restriction. On the solver's states it changes nothing: "ideal"
+    substitutes every normal variable by its motion, and the solver's
+    motions vary only the tangential exponents (`monomial_atoms`), so no
+    normal variable is left to set to zero. A family the caller gives
+    (`artin`) may hold normal variables in its motions."""
     space = descriptor.space
     chart, overlap = {}, {}
     if "nor" in descriptor.parts:
         S = descriptor.submanifold
-        chart["nor"] = {name: [-ser.coefficient(te, Polyvector.zero(
-            space.chart(name).vars, 1)) for ser in rows]
+        chart["nor"] = {name: [restrict(-ser.coefficient(te, Polyvector.zero(
+            space.chart(name).vars, 1)), S.normal[name]) for ser in rows]
             for name, rows in residuals["ideal"].items()}
         overlap["nor"] = {(i, k): [Polyvector.from_function(
             -S.substitute_tangential(ser.coefficient(te, LaurentPoly.zero(
@@ -472,17 +448,16 @@ def residual_total(descriptor, residuals: dict, te) -> tuple:
     return chart, overlap
 
 
-def certify_cocycle(state: DeformationState,
-                    cocycle: ObstructionCocycle) -> dict:
-    """Exact closedness of the cocycle, one total cochain per parameter
-    monomial (`residual_total` of the state's residuals). Raises
-    ClosednessViolation on failure."""
-    descriptor = _step_descriptor(state.problem)
-    cert = {}
-    for te in _tmonomials(cocycle):
-        cert = total_closedness(descriptor, *residual_total(
-            descriptor, state.residuals, te))
-    return cert
+def certify_cocycle(descriptor, residuals: dict, order: int,
+                    monomials) -> ObstructionCocycle:
+    """The order-`order` obstruction of a family with these residuals: per
+    parameter monomial of `monomials`, `residual_total` once, certified
+    closed by `total_closedness`. Raises ClosednessViolation on failure."""
+    totals, certificates = {}, {}
+    for te in monomials:
+        totals[te] = residual_total(descriptor, residuals, te)
+        certificates.update(total_closedness(descriptor, *totals[te]))
+    return ObstructionCocycle(order, totals, certificates)
 
 
 # ----------------------------------------------------------------------
@@ -534,14 +509,13 @@ def _assemble_step_matrix(problem, degree, amb_basis) -> StepSystem:
     return StepSystem(degree, amb_basis, cochains, columns)
 
 
-def _solve_step(state, cocycle, system: StepSystem):
-    """Solve one order step; returns (per-te solutions, None) or
-    (None, witness description)."""
-    descriptor = _step_descriptor(state.problem)
+def _solve_step(cocycle, system: StepSystem):
+    """Solve one order step on the cocycle's total cochains; returns
+    (per-te solutions, None) or (None, witness description)."""
     solutions = {}
-    for te in _tmonomials(cocycle):
-        sol, unreached, bad = solve_total(system.columns, total_rows(
-            *residual_total(descriptor, state.residuals, te), STEP_ROWS))
+    for te, total in cocycle.totals.items():
+        sol, unreached, bad = solve_total(system.columns,
+                                          total_rows(*total, STEP_ROWS))
         if unreached is not None:
             return None, (f"no unknown reaches equation row {unreached} "
                           f"at parameter monomial {te}")
@@ -579,11 +553,11 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
         amb_basis = (_ambient_basis(problem) if system is None
                      else system.amb_basis)
         system = _assemble_step_matrix(problem, D, amb_basis)
-    solutions, witness = _solve_step(state, cocycle, system)
+    solutions, witness = _solve_step(cocycle, system)
     if solutions is None:
         tested = {D: "infeasible"}
         for bump in (D + 1, D + 2):
-            got, _ = _solve_step(state, cocycle, _assemble_step_matrix(
+            got, _ = _solve_step(cocycle, _assemble_step_matrix(
                 problem, bump, system.amb_basis))
             tested[bump] = "feasible" if got is not None else "infeasible"
         if any(v == "feasible" for v in tested.values()):

@@ -99,12 +99,6 @@ class LaurentPoly:
         Laurent ring)."""
         return len(self.terms) == 1
 
-    def total_degree(self):
-        """Max over terms of the exponent sum; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def has_negative_exponent(self, names: Iterable[str] | None = None) -> bool:
         idx = (
             range(len(self.vars))
@@ -232,17 +226,6 @@ class LaurentPoly:
             if any(e[i] > 0 for i in idx):
                 continue
             terms[e] = c
-        return LaurentPoly(self.vars, terms)
-
-    def coefficient_of(self, name: str, power: int) -> "LaurentPoly":
-        """Coefficient of name**power (variable tuple unchanged; that slot 0)."""
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                e2 = list(e)
-                e2[i] = 0
-                terms[tuple(e2)] = c
         return LaurentPoly(self.vars, terms)
 
     # ---- variable plumbing --------------------------------------------
@@ -381,15 +364,6 @@ class TruncatedSeries:
     def const(cls, params, cutoff, c):
         params = tuple(params)
         return cls(params, cutoff, {(0,) * len(params): c})
-
-    @classmethod
-    def parameter(cls, params, cutoff, name: str, one):
-        """The series `name * one` where `one` is the carrier's unit."""
-        params = tuple(params)
-        if name not in params:
-            raise ParameterMismatch(f"{name!r} not among parameters {params}")
-        e = tuple(1 if p == name else 0 for p in params)
-        return cls(params, cutoff, {e: one})
 
     # ---- helpers ------------------------------------------------------
     def _check(self, other: "TruncatedSeries"):

@@ -12,9 +12,9 @@ from poissondef.cli import run_command
 from poissondef.complexes import (build_complex, cochain_is_zero, h0_complex,
                                   transport_nor_tuple)
 from poissondef.deformation import (DeformationProblem, DeformationState,
-                                    certify_cocycle, initial_state,
-                                    match_families, obstruction_cocycle,
-                                    run_solver, solve_order, verify_family)
+                                    initial_state, match_families,
+                                    obstruction_cocycle, run_solver,
+                                    solve_order, verify_family)
 from poissondef.dsl import parse
 from poissondef.errors import DegreeBoundTooSmall, MatchFailure
 from poissondef.geometry import (PoissonManifold, affine_space,
@@ -157,8 +157,7 @@ def test_partial_families_verify_and_certify(hyperplane_result, line_result):
             assert verify_family(partial, k)["pass"]
             cocycle = obstruction_cocycle(partial)
             assert cocycle.is_zero()
-            cert = certify_cocycle(partial, cocycle)
-            assert all(cert.values())
+            assert all(cocycle.certificates.values())
 
 
 # — obstructed problems ------------------------------------------------------
@@ -186,8 +185,7 @@ def test_instability_cocycle_certified():
         state = initial_state(prob)
         cocycle = obstruction_cocycle(state)
         assert not cocycle.is_zero()
-        cert = certify_cocycle(state, cocycle)
-        assert all(cert.values())
+        assert all(cocycle.certificates.values())
 
 
 # — degree-bound escalation --------------------------------------------------
@@ -330,8 +328,9 @@ def test_order_step_cancels_a_normal_gluing_failure(hyperplane_result):
     phi["U0"] = [cut.phi["U0"][0] + TruncatedSeries(
         ("t",), prob.order, {(2,): LaurentPoly.variable(vars0, "z1")})]
     state = DeformationState(prob, 1, phi, cut.lam)
-    psi = obstruction_cocycle(state).psi
-    assert psi[("U0", "U1")] and psi[("U1", "U0")]
+    _, overlap = obstruction_cocycle(state).totals[(2,)]
+    for pair in (("U0", "U1"), ("U1", "U0")):
+        assert any(not pv.is_zero() for pv in overlap["nor"][pair])
     step = solve_order(state)
     assert isinstance(step, DeformationState) and step.order == 2
     assert verify_family(step, 2)["pass"]
