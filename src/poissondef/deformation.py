@@ -393,12 +393,12 @@ def residual_series(residual: dict):
 def obstruction_cocycle(state: DeformationState) -> ObstructionCocycle:
     """The certified degree-(m+1) obstruction of an order-m family, at the
     parameter monomials where "gluing", "ideal" or, in extended mode,
-    "jacobi" has a degree-(m+1) coefficient."""
+    "jacobi" or "lambda_gluing" has a degree-(m+1) coefficient."""
     problem = state.problem
     m1 = state.order + 1
     res = state.residuals
     keys = ("gluing", "ideal") + (
-        ("jacobi",) if problem.mode == "extended" else ())
+        ("jacobi", "lambda_gluing") if problem.mode == "extended" else ())
     monomials = sorted({te for key in keys
                         for _, _, ser in residual_series(res[key])
                         for te in ser.homogeneous(m1)})

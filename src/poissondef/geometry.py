@@ -20,7 +20,7 @@ from .errors import (
     NotPoissonSubmanifold,
     WrongCodimension,
 )
-from .polyvector import (Polyvector, jacobian_columns, pushforward, restrict,
+from .polyvector import (FrameImages, Polyvector, pushforward, restrict,
                          schouten, wedge)
 from .symbolic import LaurentPoly, substitute
 
@@ -34,8 +34,9 @@ class Chart:
 class ChartedSpace:
     """An atlas with explicit Laurent transition maps.
 
-    The transitions are fixed at construction; the Jacobian of each ordered
-    pair is computed on its first pushforward and kept on the atlas."""
+    The transitions are fixed at construction. Each ordered pair keeps the
+    images of its source frame (`polyvector.FrameImages`) on the atlas, each
+    built on the first pushforward that needs it."""
 
     def __init__(self, name: str, charts: Iterable[Chart],
                  transitions: Mapping[tuple, Mapping[str, LaurentPoly]]):
@@ -58,7 +59,7 @@ class ChartedSpace:
                 raise InconsistentData(
                     f"transition {i}->{k} misses variables {missing}")
             self.transitions[(i, k)] = fixed
-        self._jacobians = {}
+        self._frames = {}
 
     def chart(self, name: str) -> Chart:
         try:
@@ -92,14 +93,16 @@ class ChartedSpace:
         if (dst, src) not in self.transitions or (src, dst) not in self.transitions:
             raise ChartMismatch(f"no two-way transition between {src} and {dst}")
         src_vars, dst_vars = self.chart(src).vars, self.chart(dst).vars
-        columns = None
-        if a.vars == src_vars:
-            columns = self._jacobians.get((src, dst))
-            if columns is None:
-                columns = self._jacobians[(src, dst)] = jacobian_columns(
-                    self.transitions[(dst, src)], src_vars, dst_vars)
-        return pushforward(a, self.transitions[(dst, src)],
-                           self.transitions[(src, dst)], dst_vars, columns)
+        if a.vars != src_vars:
+            a = a.with_vars(src_vars)
+        target_in_source = self.transitions[(dst, src)]
+        source_in_target = self.transitions[(src, dst)]
+        images = self._frames.get((src, dst))
+        if images is None:
+            images = self._frames[(src, dst)] = FrameImages(
+                target_in_source, source_in_target, src_vars, dst_vars)
+        return pushforward(a, target_in_source, source_in_target, dst_vars,
+                           images)
 
     def spanning_tree(self, root: str, subset: Iterable[str] | None = None):
         """BFS tree edges (parent, child) over declared overlaps."""

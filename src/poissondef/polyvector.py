@@ -106,6 +106,22 @@ class Polyvector:
             raise ChartMismatch("only a degree-0 polyvector is a function")
         return self.terms.get((), LaurentPoly.zero(self.vars))
 
+    def with_vars(self, vars: Iterable[str]) -> "Polyvector":
+        """Re-express over another variable tuple (matching by name): the
+        frame indices follow their variables, and no frame or coefficient
+        may use a variable absent from the new tuple."""
+        vars = tuple(vars)
+        pos = {v: j for j, v in enumerate(vars)}
+        terms = {}
+        for idx, c in self.terms.items():
+            absent = [self.vars[i] for i in idx if self.vars[i] not in pos]
+            if absent:
+                raise ChartMismatch(
+                    f"frame along {absent} is absent from {vars}")
+            new_idx, sign = _sort_sign(pos[self.vars[i]] for i in idx)
+            terms[new_idx] = c.with_vars(vars) * sign
+        return Polyvector(vars, self.degree, terms)
+
     def _check(self, other: "Polyvector", same_degree=True):
         if self.vars != other.vars:
             raise ChartMismatch(
@@ -317,43 +333,87 @@ def jacobian_columns(target_in_source: Mapping[str, LaurentPoly],
     return columns
 
 
+class FrameImages:
+    """The images of a source chart's frame under one transition map.
+
+    Pushforward is linear over functions: phi_*(f d_I) = (f o phi^-1) *
+    phi_*(d_I). For a source index tuple I, `self[I]` lists the terms of
+    phi_*(d_I): per non-zero choice of Jacobian entries
+    d(target_b)/d(source_s), one for each s in I, taken in
+    `itertools.product` order, the sorted target index tuple of the b's and
+    the signed product of the entries in target coordinates. Each list is
+    built on its first use and kept; `convert` moves a coefficient.
+    """
+
+    __slots__ = ("source_vars", "target_vars", "columns", "subs_map", "images")
+
+    def __init__(self, target_in_source: Mapping[str, LaurentPoly],
+                 source_in_target: Mapping[str, LaurentPoly],
+                 source_vars: Iterable[str], target_vars: Iterable[str]):
+        self.source_vars = tuple(source_vars)
+        self.target_vars = tuple(target_vars)
+        self.columns = jacobian_columns(target_in_source, self.source_vars,
+                                        self.target_vars)
+        self.subs_map = dict(source_in_target)
+        self.images: dict = {}
+
+    def convert(self, f: LaurentPoly) -> LaurentPoly:
+        """A function of the source variables in target coordinates."""
+        out = substitute(f, self.subs_map)
+        if out.vars != self.target_vars:
+            out = out.with_vars(self.target_vars)
+        return out
+
+    def __getitem__(self, idx: tuple) -> list:
+        images = self.images.get(idx)
+        if images is None:
+            images = self.images[idx] = self._build(idx)
+        return images
+
+    def _build(self, idx: tuple) -> list:
+        images = []
+        for choice in _cartesian(*(self.columns[s] for s in idx)):
+            tidx, sign = _sort_sign(b for b, _ in choice)
+            if sign == 0:
+                continue
+            prod = LaurentPoly.const(self.source_vars, sign)
+            for _, entry in choice:
+                prod = prod * entry
+            # a function's empty frame goes to 1, with nothing to substitute
+            image = (self.convert(prod) if choice
+                     else LaurentPoly.const(self.target_vars, sign))
+            if not image.is_zero():
+                images.append((tidx, image))
+        return images
+
+
 def pushforward(a: Polyvector,
                 target_in_source: Mapping[str, LaurentPoly],
                 source_in_target: Mapping[str, LaurentPoly],
                 target_vars: Iterable[str],
-                columns: list | None = None) -> Polyvector:
+                images: FrameImages | None = None) -> Polyvector:
     """Re-express a polyvector in another chart's coordinates and frame.
 
     target_in_source: each target variable as a Laurent expression of the
     source variables (used for the Jacobian d(target)/d(source));
     source_in_target: each source variable as a Laurent expression of the
-    target variables (used to convert coefficients at the end);
-    columns: `jacobian_columns(target_in_source, a.vars, target_vars)`,
-    computed here when not given.
+    target variables (used to convert coefficients);
+    images: the `FrameImages` of these maps from `a.vars` to `target_vars`,
+    built here, and dropped after the call, when not given.
+
+    Each coefficient is converted once and multiplied by each image of its
+    frame, in order. The terms are valid as they are: sorted indices,
+    non-zero coefficients on the target variables.
     """
     target_vars = tuple(target_vars)
-    if columns is None:
-        columns = jacobian_columns(target_in_source, a.vars, target_vars)
-    subs_map = dict(source_in_target)
-    collected: dict = {}
+    if images is None:
+        images = FrameImages(target_in_source, source_in_target, a.vars,
+                             target_vars)
+    terms: dict = {}
     for idx, coeff in a.terms.items():
-        if a.degree == 0:
-            _acc(collected, (), coeff)
-            continue
-        # only the non-zero entries J[b][s] of each source index s
-        for choice in _cartesian(*(columns[s] for s in idx)):
-            sidx, sign = _sort_sign(b for b, _ in choice)
-            if sign == 0:
-                continue
-            prod = coeff
-            for _, entry in choice:
-                prod = prod * entry
-            _acc(collected, sidx, prod * sign)
-    out_terms = {}
-    for idx, coeff in collected.items():
-        conv = substitute(coeff, subs_map)
-        if conv.vars != target_vars:
-            conv = conv.with_vars(target_vars)
-        if not conv.is_zero():
-            out_terms[idx] = conv
-    return Polyvector(target_vars, a.degree, out_terms)
+        moved = images.convert(coeff)
+        for tidx, image in images[idx]:
+            _acc(terms, tidx, moved * image)
+    out = Polyvector.__new__(Polyvector)
+    out.vars, out.degree, out.terms = target_vars, a.degree, terms
+    return out

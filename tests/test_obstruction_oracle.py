@@ -326,12 +326,10 @@ def test_a_gluing_only_order_step_matches(line_result):
     assert_cocycle_matches(state)
 
 
-@pytest.fixture(scope="module")
-def extended_obstruction():
-    """An order-one extended family on the hyperplane of P3 whose bivectors
-    gain t1^2 z3 d/z1^d/z2 on the chart U3 alone: its order-two Jacobi
-    coefficient is non-zero there and its bivectors do not glue, so the
-    order step is obstructed."""
+def _extended_state(extra):
+    """The P3 hyperplane's order-one extended family (seed 0,14) cut to
+    cutoff 2, whose bivectors gain t1^2 times `extra(M, U3 vars)` on the
+    chart U3 alone."""
     M = build_p3()
     S = extract_submanifold(M, {"U0": ["z3"], "U1": ["z3"],
                                     "U2": ["z3"], "U3": ABSENT})
@@ -344,8 +342,17 @@ def extended_obstruction():
            for name, s in seeded.lam.items()}
     v = M.space.chart("U3").vars
     lam["U3"] = lam["U3"] + TruncatedSeries(("t1", "t2"), 2, {
-        (2, 0): Polyvector.monomial(v, (0, 1), LaurentPoly.variable(v, "z3"))})
+        (2, 0): extra(M, v)})
     return DeformationState(prob, 1, phi, lam)
+
+
+@pytest.fixture(scope="module")
+def extended_obstruction():
+    """Bivectors that gain t1^2 z3 d/z1^d/z2 on U3: the order-two Jacobi
+    coefficient is non-zero there and the bivectors do not glue, so the
+    order step is obstructed."""
+    return _extended_state(lambda M, v: Polyvector.monomial(
+        v, (0, 1), LaurentPoly.variable(v, "z3")))
 
 
 def test_extended_obstruction_renders_its_ambient_part(extended_obstruction):
@@ -359,6 +366,21 @@ def test_extended_obstruction_renders_its_ambient_part(extended_obstruction):
         old_obstruction_cocycle(state), state.params)["ambient_part"])
     assert ambient == {"U0": {}, "U1": {}, "U2": {},
                        "U3": {"t1^2": "2 * z1 * z3 * d/z1 ^ d/z2 ^ d/z3"}}
+
+
+def test_a_bivector_gluing_only_obstruction_is_seen():
+    """Bivectors that gain t1^2 times U3's own structure on U3: Jacobi stays
+    zero through order two, so only the bivector gluing fails, and the
+    order step must report that obstruction instead of building an invalid
+    family."""
+    state = _extended_state(lambda M, v: M.bivector("U3"))
+    res = state.residuals
+    assert not any(ser.homogeneous(2) for ser in res["jacobi"].values())
+    assert any(ser.homogeneous(2) for ser in res["lambda_gluing"].values())
+    assert not obstruction_cocycle(state).is_zero()
+    step = solve_order(state)
+    assert isinstance(step, Obstructed)
+    assert "('lam', 'U0', 'U3'," in step.witness
 
 
 # ----------------------------------------------------------------------

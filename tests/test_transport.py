@@ -2,19 +2,25 @@
 
 `symbolic.substitute` sends a Laurent polynomial through single-term values
 by mapping exponent vectors; `_substitute_oracle` below is the general
-path it bypasses, kept verbatim as the oracle. `ChartedSpace.pushforward`
-keeps each ordered pair's Jacobian on the atlas; it must agree, term for
-term and in the same order, with `polyvector.pushforward` given the raw
-transition maps and with `_pushforward_oracle`, the loop over every target
-index tuple that the sparse Jacobian columns replaced. A kept table lives on
-its atlas, so two atlases with the same chart names never share one.
-"""
+path it bypasses, kept verbatim as the oracle.
 
+`polyvector.pushforward` converts each coefficient once and multiplies it
+by the kept images of its frame (`polyvector.FrameImages`), which
+`ChartedSpace.pushforward` keeps per ordered pair on the atlas. It must
+agree, term for term and in the same order, with `_parent_pushforward`,
+the path it replaced (the signed Jacobian products of every coefficient,
+then one substitution per target index tuple), and with
+`_pushforward_oracle`, the loop over every target index tuple that the
+sparse Jacobian columns replaced before that. A kept table lives on its
+atlas, so two atlases with the same chart names never share one, and a
+section search builds each frame image once.
+"""
 import random
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as _cartesian
 from pathlib import Path
+from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +30,11 @@ from poissondef.cli import run_command
 from poissondef.dsl import parse
 from poissondef.errors import (ChartMismatch, NonInvertibleSubstitution,
                                ParameterMismatch)
+from poissondef import polyvector
 from poissondef.geometry import (Chart, ChartedSpace, hirzebruch, product,
                                  projective_space)
-from poissondef.polyvector import Polyvector, _acc, _sort_sign, pushforward
+from poissondef.polyvector import (FrameImages, Polyvector, _acc, _sort_sign,
+                                   pushforward)
 from poissondef.symbolic import (LaurentPoly, TruncatedSeries, _series_pow,
                                  substitute)
 
@@ -150,6 +158,71 @@ def _pushforward_oracle(a, target_in_source, source_in_target, target_vars):
     return Polyvector(target_vars, a.degree, out_terms)
 
 
+def _parent_jacobian_columns(target_in_source: Mapping[str, LaurentPoly],
+                             source_vars: Iterable[str],
+                             target_vars: Iterable[str]) -> list:
+    """The non-zero entries of the Jacobian d(target)/d(source), one list per
+    source index s of pairs (b, d(target_b)/d(source_s)) in target order."""
+    source_vars = tuple(source_vars)
+    exprs = []
+    for tv in target_vars:
+        expr = target_in_source[tv]
+        if expr.vars != source_vars:
+            expr = expr.with_vars(source_vars)
+        exprs.append(expr)
+    columns = []
+    for sv in source_vars:
+        column = []
+        for b, expr in enumerate(exprs):
+            entry = expr.derivative(sv)
+            if not entry.is_zero():
+                column.append((b, entry))
+        columns.append(column)
+    return columns
+
+
+def _parent_pushforward(a: Polyvector,
+                        target_in_source: Mapping[str, LaurentPoly],
+                        source_in_target: Mapping[str, LaurentPoly],
+                        target_vars: Iterable[str],
+                        columns: list | None = None) -> Polyvector:
+    """Re-express a polyvector in another chart's coordinates and frame.
+
+    target_in_source: each target variable as a Laurent expression of the
+    source variables (used for the Jacobian d(target)/d(source));
+    source_in_target: each source variable as a Laurent expression of the
+    target variables (used to convert coefficients at the end);
+    columns: `_parent_jacobian_columns(target_in_source, a.vars, target_vars)`,
+    computed here when not given.
+    """
+    target_vars = tuple(target_vars)
+    if columns is None:
+        columns = _parent_jacobian_columns(target_in_source, a.vars, target_vars)
+    subs_map = dict(source_in_target)
+    collected: dict = {}
+    for idx, coeff in a.terms.items():
+        if a.degree == 0:
+            _acc(collected, (), coeff)
+            continue
+        # only the non-zero entries J[b][s] of each source index s
+        for choice in _cartesian(*(columns[s] for s in idx)):
+            sidx, sign = _sort_sign(b for b, _ in choice)
+            if sign == 0:
+                continue
+            prod = coeff
+            for _, entry in choice:
+                prod = prod * entry
+            _acc(collected, sidx, prod * sign)
+    out_terms = {}
+    for idx, coeff in collected.items():
+        conv = substitute(coeff, subs_map)
+        if conv.vars != target_vars:
+            conv = conv.with_vars(target_vars)
+        if not conv.is_zero():
+            out_terms[idx] = conv
+    return Polyvector(target_vars, a.degree, out_terms)
+
+
 def _layout(x):
     """Everything that can reach a report: values and insertion orders."""
     if isinstance(x, LaurentPoly):
@@ -220,7 +293,7 @@ def test_monomial_substitution_merges_cancels_and_raises():
 
 
 # ----------------------------------------------------------------------
-# Kept Jacobians
+# Kept frame images
 # ----------------------------------------------------------------------
 
 NON_MONOMIAL = """
@@ -250,7 +323,8 @@ def _random_pv(rng, vars, degree, low):
 
 def _check_atlas(space, rng, low, per_degree=2):
     """Every ordered pair, degrees 0..min(3, dim): the atlas's pushforward,
-    the raw-map pushforward and the oracle give the same layout."""
+    the raw-map pushforward, the parent path and the oracle give the same
+    layout."""
     checked = 0
     for (src, dst) in space.overlap_pairs():
         src_vars = space.chart(src).vars
@@ -262,6 +336,8 @@ def _check_atlas(space, rng, low, per_degree=2):
                 a = _random_pv(rng, src_vars, degree, low)
                 got = _layout(space.pushforward(a, src, dst))
                 assert got == _layout(pushforward(a, *raw)), (src, dst, a)
+                assert got == _layout(_parent_pushforward(a, *raw)), \
+                    (src, dst, a)
                 assert got == _layout(_pushforward_oracle(a, *raw)), \
                     (src, dst, a)
                 checked += 1
@@ -281,14 +357,14 @@ def _second_line():
     *(hirzebruch(m) for m in range(4)),
     product(projective_space(1), _second_line()),
 ], ids=lambda s: s.name)
-def test_kept_jacobian_matches_raw_maps(space):
+def test_kept_frame_images_match_raw_maps(space):
     rng = random.Random(sum(map(ord, space.name)))
     assert _check_atlas(space, rng, low=-1) > 0
-    # the second pass reads the kept Jacobians
+    # the second pass reads the kept frame images
     assert _check_atlas(space, rng, low=-1) > 0
 
 
-def test_kept_jacobian_on_a_non_monomial_atlas():
+def test_kept_frame_images_on_a_non_monomial_atlas():
     space = parse(NON_MONOMIAL).space
     rng = random.Random(5)
     for _ in range(2):
@@ -313,7 +389,7 @@ def test_atlases_with_the_same_charts_keep_their_own_tables():
     """Two atlases with the same chart names and variables but different
     transitions, each deleted and rebuilt in turn: a rebuilt atlas tends to
     get the address of the one just freed, so a table keyed by object
-    identity would hand it the other atlas's Jacobian."""
+    identity would hand it the other atlas's frame images."""
     rng = random.Random(11)
     probes = [_random_pv(rng, ("z", "w"), d, -1) for d in (0, 1, 2, 1, 2)]
     docs = {power: parse(_twisted(power)) for power in (2, 3)}
@@ -328,6 +404,122 @@ def test_atlases_with_the_same_charts_keep_their_own_tables():
             assert results.setdefault(power, moved) == moved
             del space, raw
     assert results[2] != results[3]
+
+
+# ----------------------------------------------------------------------
+# Random polyvectors on every atlas
+# ----------------------------------------------------------------------
+
+ATLASES = {
+    **{f"P{n}": (lambda n=n: projective_space(n)) for n in (1, 2, 3)},
+    **{f"F{m}": (lambda m=m: hirzebruch(m)) for m in range(4)},
+    "P1xP1": lambda: product(projective_space(1), _second_line()),
+    "shear": lambda: parse(NON_MONOMIAL).space,
+    **{f"twisted{p}": (lambda p=p: parse(_twisted(p)).space) for p in (2, 3)},
+}
+
+
+@st.composite
+def transports(draw, space):
+    """An ordered pair of the atlas and a polyvector of degree 0..3 on its
+    source chart, with exponents from -2 (-1 on a variable whose value on
+    the target is not a single term, so that most draws can be moved)."""
+    src, dst = draw(st.sampled_from(space.overlap_pairs()))
+    vars = space.chart(src).vars
+    lows = [-2 if len(space.transitions[(src, dst)][v].terms) == 1 else -1
+            for v in vars]
+    degree = draw(st.integers(0, min(3, len(vars))))
+    coeffs = st.dictionaries(
+        st.tuples(*(st.integers(low, 2) for low in lows)),
+        st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                  st.integers(1, 2)),
+        min_size=1, max_size=3).map(lambda d: LaurentPoly(vars, d))
+    terms = draw(st.dictionaries(
+        st.sampled_from(list(combinations(range(len(vars)), degree))),
+        coeffs, min_size=1, max_size=4))
+    return src, dst, Polyvector(vars, degree, terms)
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pushforward_matches_the_parent_path(name, data):
+    """The atlas's kept table and a throwaway raw-map table give the parent
+    path's values and insertion orders, or raise as it does; the result is
+    one the public constructor takes unchanged."""
+    space = ATLASES[name]()
+    for _ in range(3):  # later draws read images the first ones built
+        src, dst, a = data.draw(transports(space))
+        raw = (space.transitions[(dst, src)], space.transitions[(src, dst)],
+               space.chart(dst).vars)
+        want = _outcome(_parent_pushforward, a, *raw)
+        assert _outcome(space.pushforward, a, src, dst) == want
+        assert _outcome(pushforward, a, *raw) == want
+        if want[0] == "NonInvertibleSubstitution":
+            continue
+        got = space.pushforward(a, src, dst)
+        assert got.vars == space.chart(dst).vars
+        assert all(list(idx) == sorted(set(idx)) and not c.is_zero()
+                   and c.vars == got.vars for idx, c in got.terms.items())
+        assert _layout(Polyvector(got.vars, got.degree, got.terms)) == \
+            _layout(got)
+
+
+def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
+    """A polyvector whose variable tuple orders the chart's names otherwise
+    is brought to the chart's tuple first: same result, no new table."""
+    space = projective_space(2)
+    rng = random.Random(3)
+    a = _random_pv(rng, ("z1", "z2"), 1, -1)
+    swapped = a.with_vars(("z2", "z1"))
+    assert swapped.with_vars(("z1", "z2")) == a
+    want = _layout(space.pushforward(a, "U0", "U1"))
+    tables = dict(space._frames)
+    assert _layout(space.pushforward(swapped, "U0", "U1")) == want
+    assert space._frames == tables
+    with pytest.raises(ChartMismatch):
+        Polyvector.monomial(("z1", "q"), (1,), LaurentPoly.const(
+            ("z1", "q"), 1)).with_vars(("z1", "z2"))
+
+
+# ----------------------------------------------------------------------
+# Work done by a section search
+# ----------------------------------------------------------------------
+
+def test_section_search_builds_each_frame_image_once(monkeypatch):
+    """`h0 p3_hyperplane --complex extended --bound 6` moves about a
+    thousand polyvectors. Every frame image it needs is built once, on a
+    table its atlas keeps, and polyvector's substitutions stay at one per
+    moved coefficient plus one per image: 1,182 (1,885 when each target
+    index tuple was substituted on every call)."""
+    atlases, builds, calls = [], [], []
+    init, build = ChartedSpace.__init__, FrameImages._build
+    substitute_ = polyvector.substitute
+
+    def record_atlas(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        atlases.append(self)
+
+    def record_build(self, idx):
+        builds.append((self, idx))
+        return build(self, idx)
+
+    def count_substitute(*args, **kwargs):
+        calls.append(None)
+        return substitute_(*args, **kwargs)
+
+    monkeypatch.setattr(ChartedSpace, "__init__", record_atlas)
+    monkeypatch.setattr(FrameImages, "_build", record_build)
+    monkeypatch.setattr(polyvector, "substitute", count_substitute)
+    run_command(["h0", f"{EXAMPLES}/p3_hyperplane.pdef",
+                 "--complex", "extended", "--bound", "6"])
+    kept = {id(table) for space in atlases
+            for table in space._frames.values()}
+    assert builds
+    assert all(id(table) in kept for table, _ in builds)
+    keys = [(id(table), idx) for table, idx in builds]
+    assert len(keys) == len(set(keys))
+    assert len(calls) <= 1182
 
 
 def test_alternating_section_searches_agree():
