@@ -22,9 +22,11 @@ small-ring lifting shifts all go through these two.
 
 A family state is immutable, and its four residuals (the moved ideals fail
 to glue, the moved ideal is not a bracket ideal, the bivectors fail to glue,
-[Lambda, Lambda] != 0) are computed once per state, on first use
+[Lambda, Lambda] != 0) are computed once per distinct family, on first use
 (`DeformationState.residuals`): `verify_family` reads their vanishing
-orders and the next order step their degree-(m+1) coefficients.
+orders and the next order step their degree-(m+1) coefficients. They depend
+on the problem and the series alone, so an order step that adds nothing
+hands them on to the next state (`DeformationState.next_order`).
 
 Every order step first assembles the obstruction cocycle and certifies its
 closedness identities exactly (a failure raises ClosednessViolation and
@@ -210,7 +212,10 @@ class DeformationState:
         """The failures of the family, computed on first use: "gluing" and
         "ideal" (rows of series per overlap and per present chart), and in
         the extended and prescribed modes "lambda_gluing" and "jacobi" (one
-        series per overlap and per chart)."""
+        series per overlap and per chart). They are a function of the
+        problem, `phi` and `lam` alone, so a state that `next_order` makes
+        from the same series takes them over and they are computed once per
+        distinct family."""
         problem = self.problem
         out = {"gluing": gluing_mismatch(problem, self.phi),
                "ideal": ideal_residual(problem, self.phi, self.lam)}
@@ -219,6 +224,15 @@ class DeformationState:
                                                           self.lam)
             out["jacobi"] = jacobi_residual(self.lam)
         return out
+
+    def next_order(self, phi: dict, lam: dict) -> DeformationState:
+        """The family (phi, lam) at order m+1. When phi and lam are this
+        state's own series, the family is unchanged and the new state
+        shares this state's residuals instead of computing them again."""
+        new = DeformationState(self.problem, self.order + 1, phi, lam)
+        if phi is self.phi and lam is self.lam:
+            vars(new)["residuals"] = self.residuals
+        return new
 
 
 def initial_state(problem: DeformationProblem) -> DeformationState:
@@ -540,10 +554,14 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
                 ) -> DeformationState | Obstructed:
     """Extend an order-m family to order m+1 or report the obstruction.
 
-    The produced state is re-verified from its residuals, which the next
-    step reads as its cocycle; when the step is infeasible at the requested
-    polynomial degree bound but becomes feasible one or two degrees higher,
-    DegreeBoundTooSmall is raised instead of declaring an obstruction. `system` is the problem's
+    Only the parameter monomials with a non-zero solution correct the
+    family. When none does, the family is unchanged and the new state takes
+    over its residuals (`DeformationState.next_order`); otherwise they are
+    computed afresh. Either way the produced state is re-verified from its
+    residuals, which the next step reads as its cocycle. When the step is
+    infeasible at the requested polynomial degree bound but becomes
+    feasible one or two degrees higher, DegreeBoundTooSmall is raised
+    instead of declaring an obstruction. `system` is the problem's
     `_assemble_step_matrix` at that degree bound, built here when not given.
     """
     problem = state.problem
@@ -567,9 +585,10 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
         return Obstructed(cocycle.order, cocycle, witness, tested)
     phi, lam = state.phi, state.lam
     for te, sol in solutions.items():
-        phi, lam = add_direction(phi, lam, te,
-                                 cochain_lincomb(sol, system.cochains))
-    new_state = DeformationState(problem, state.order + 1, phi, lam)
+        if any(sol):
+            phi, lam = add_direction(phi, lam, te,
+                                     cochain_lincomb(sol, system.cochains))
+    new_state = state.next_order(phi, lam)
     check = verify_family(new_state, new_state.order)
     if not check["pass"]:
         raise InconsistentData(

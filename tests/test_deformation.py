@@ -338,19 +338,89 @@ def test_order_step_cancels_a_normal_gluing_failure(hyperplane_result):
         assert all((s - c).is_zero() for s, c in zip(rows, cut.phi[name]))
 
 
-# — residuals: once per state ------------------------------------------------
+# — residuals: once per distinct family ---------------------------------------
 
 EXAMPLES = Path(poissondef.__file__).parent / "examples"
 
+# The `solve` commands of the `solver` benchmark workload: file, seed, order.
+SOLVER_RUNS = [("p3_hyperplane", None, 40), ("p3_hyperplane_s2", None, 24),
+               ("p3_line", None, 40), ("p2_extended", (0, 1), 24),
+               ("p2_extended_t", (0,), 20)]
 
-@pytest.mark.parametrize("name, seed", [
-    ("p3_hyperplane", None), ("p3_hyperplane_s2", None), ("p3_line", None),
-    ("p2_extended", (0, 1)), ("p2_extended_t", (0,))])
-def test_solver_verify_matches_a_fresh_state(name, seed):
+# Extended hyperplane families whose order-two step makes a non-zero
+# correction; every later step adds nothing.
+CORRECTED_SEEDS = [(0, 14), (1, 11)]
+
+
+def _file_problem(name, seed, order):
+    doc = parse((EXAMPLES / f"{name}.pdef").read_text())
+    return doc.problem(order=order, seed=seed)
+
+
+def _extended_hyperplane(sub, seed, order):
+    return DeformationProblem(sub, ("t1", "t2"), order=order, degree=2,
+                              mode="extended", seed=seed)
+
+
+def _structure(x):
+    """Residuals as nested lists and tuples, every dict as its (key, value)
+    pairs in insertion order, down to the exact coefficients."""
+    if isinstance(x, dict):
+        return [(k, _structure(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return [_structure(v) for v in x]
+    if isinstance(x, TruncatedSeries):
+        return (x.params, x.cutoff, _structure(x.terms))
+    if isinstance(x, Polyvector):
+        return (x.vars, x.degree, _structure(x.terms))
+    if isinstance(x, LaurentPoly):
+        return (x.vars, _structure(x.terms))
+    return x
+
+
+def _solve_checking_residuals(monkeypatch, prob):
+    """Run the solver with every order step checked: the new state's
+    residuals equal, value for value and in the same order, those a state
+    built from copies of its series computes from nothing. Returns the
+    solver result and, per step, whether the step handed the residuals on."""
+    carried = []
+    original = deformation.solve_order
+
+    def checked(state, *args, **kwargs):
+        new = original(state, *args, **kwargs)
+        if isinstance(new, DeformationState):
+            fresh = DeformationState(new.problem, new.order, dict(new.phi),
+                                     dict(new.lam))
+            assert _structure(new.residuals) == _structure(fresh.residuals)
+            carried.append(new.residuals is state.residuals)
+        return new
+    monkeypatch.setattr(deformation, "solve_order", checked)
+    return run_solver(prob), carried
+
+
+@pytest.mark.parametrize("name, seed, order", SOLVER_RUNS)
+def test_carried_residuals_equal_fresh_ones(monkeypatch, name, seed, order):
+    res, carried = _solve_checking_residuals(
+        monkeypatch, _file_problem(name, seed, order))
+    assert res.ok and res.state.order == order
+    assert carried == [True] * (order - 1)
+
+
+@pytest.mark.parametrize("seed", CORRECTED_SEEDS)
+def test_carried_residuals_equal_fresh_ones_after_a_correction(
+        monkeypatch, p3_hyperplane_sub, seed):
+    res, carried = _solve_checking_residuals(
+        monkeypatch, _extended_hyperplane(p3_hyperplane_sub, seed, 6))
+    assert res.ok and res.state.order == 6
+    assert res.verify["pass"] and res.char_map_identity
+    assert carried == [False, True, True, True, True]
+
+
+@pytest.mark.parametrize("name, seed, order", SOLVER_RUNS)
+def test_solver_verify_matches_a_fresh_state(name, seed, order):
     """The report `run_solver` reads from the residuals it kept is the one a
     newly built state with the same series computes from nothing."""
-    doc = parse((EXAMPLES / f"{name}.pdef").read_text())
-    prob = doc.problem(order=3, seed=seed)
+    prob = _file_problem(name, seed, order)
     res = run_solver(prob)
     assert res.ok
     fresh = DeformationState(prob, res.state.order, dict(res.state.phi),
@@ -359,7 +429,7 @@ def test_solver_verify_matches_a_fresh_state(name, seed):
     assert res.verify == verify_family(fresh, prob.order)
 
 
-def test_solve_computes_residuals_once_per_order(monkeypatch):
+def _count_residual_calls(monkeypatch):
     calls = {"gluing_mismatch": 0, "ideal_residual": 0}
     for fname in calls:
         original = getattr(deformation, fname)
@@ -368,11 +438,25 @@ def test_solve_computes_residuals_once_per_order(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(deformation, fname, counted)
+    return calls
+
+
+def test_solve_computes_residuals_once_per_family(monkeypatch):
+    calls = _count_residual_calls(monkeypatch)
     code, _ = run_command(["solve", str(EXAMPLES / "p3_hyperplane.pdef"),
                            "--order", "10"])
     assert code == 0
-    # one state per order 1..10: the seeded family and nine steps
-    assert calls == {"gluing_mismatch": 10, "ideal_residual": 10}
+    # the seeded family; its nine order steps add nothing
+    assert calls == {"gluing_mismatch": 1, "ideal_residual": 1}
+
+
+def test_a_corrected_family_computes_its_residuals_again(monkeypatch,
+                                                         p3_hyperplane_sub):
+    calls = _count_residual_calls(monkeypatch)
+    res = run_solver(_extended_hyperplane(p3_hyperplane_sub, (0, 14), 4))
+    assert res.ok and res.state.order == 4
+    # the seeded family and the one the order-two step corrects
+    assert calls == {"gluing_mismatch": 2, "ideal_residual": 2}
 
 
 def test_initial_state_shape(p3_hyperplane_sub):
