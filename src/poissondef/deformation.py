@@ -23,10 +23,12 @@ small-ring lifting shifts all go through these two.
 A family state is immutable, and its four residuals (the moved ideals fail
 to glue, the moved ideal is not a bracket ideal, the bivectors fail to glue,
 [Lambda, Lambda] != 0) are computed once per distinct family, on first use
-(`DeformationState.residuals`): `verify_family` reads their vanishing
-orders and the next order step their degree-(m+1) coefficients. They depend
-on the problem and the series alone, so an order step that adds nothing
-hands them on to the next state (`DeformationState.next_order`).
+(`DeformationState.residuals`), with the vanishing order of each series
+(`DeformationState.residual_orders`): `verify_family` caps those orders at
+the order it checks, and the next order step reads the degree-(m+1)
+coefficients of the series that have any. They depend on the problem and
+the series alone, so an order step that adds nothing hands them on to the
+next state (`DeformationState.next_order`).
 
 Every order step first assembles the obstruction cocycle and certifies its
 closedness identities exactly (a failure raises ClosednessViolation and
@@ -225,13 +227,29 @@ class DeformationState:
             out["jacobi"] = jacobi_residual(self.lam)
         return out
 
+    @cached_property
+    def residual_orders(self) -> dict:
+        """Per residual and overlap or chart, the uncapped vanishing order
+        of each of its series, in `residual_series` order: the largest m
+        such that the series vanishes in degrees <= m, or None when it is
+        zero. Computed once per distinct family, like the residuals."""
+        orders = {}
+        for key, residual in self.residuals.items():
+            orders[key] = per = {at: [] for at in residual}
+            for at, _, ser in residual_series(residual):
+                low = ser.min_order()
+                per[at].append(None if low is None else low - 1)
+        return orders
+
     def next_order(self, phi: dict, lam: dict) -> DeformationState:
         """The family (phi, lam) at order m+1. When phi and lam are this
         state's own series, the family is unchanged and the new state
-        shares this state's residuals instead of computing them again."""
+        shares this state's residuals and their vanishing orders instead of
+        computing them again."""
         new = DeformationState(self.problem, self.order + 1, phi, lam)
         if phi is self.phi and lam is self.lam:
             vars(new)["residuals"] = self.residuals
+            vars(new)["residual_orders"] = self.residual_orders
         return new
 
 
@@ -351,26 +369,21 @@ def jacobi_residual(lam) -> dict:
     return {name: series_schouten(ser, ser) for name, ser in lam.items()}
 
 
-def _vanishing_order(series_or_list, cap: int) -> int:
-    """Largest m <= cap such that everything vanishes in degrees <= m."""
-    items = series_or_list if isinstance(series_or_list, list) else [series_or_list]
-    return min([cap] + [sum(e) - 1 for s in items for e in s.terms])
-
-
 def verify_family(state: DeformationState, order: int | None = None) -> dict:
     """Exact per-identity verification of a family up to the given order.
 
     Reports, for each residual of the state, the largest order up to which
-    it vanishes (capped at the requested order), per overlap "i|k" or chart;
-    pass means every identity holds there.
+    it vanishes (its `residual_orders` capped at the requested order), per
+    overlap "i|k" or chart; pass means every identity holds there.
     """
     M = state.problem.order if order is None else order
     report = {"order": M, "gluing": {}, "ideal": {}, "lambda_gluing": {},
               "jacobi": {}}
-    for key, residual in state.residuals.items():
-        for at, rows in sorted(residual.items()):
+    for key, residual in state.residual_orders.items():
+        for at, orders in sorted(residual.items()):
             label = "|".join(at) if isinstance(at, tuple) else at
-            report[key][label] = _vanishing_order(rows, M)
+            report[key][label] = min([M] + [o for o in orders
+                                            if o is not None])
     orders = [o for key in state.residuals for o in report[key].values()]
     report["pass"] = all(o >= M for o in orders)
     report["verified_order"] = min(orders or [M])
@@ -407,14 +420,17 @@ def residual_series(residual: dict):
 def obstruction_cocycle(state: DeformationState) -> ObstructionCocycle:
     """The certified degree-(m+1) obstruction of an order-m family, at the
     parameter monomials where "gluing", "ideal" or, in extended mode,
-    "jacobi" or "lambda_gluing" has a degree-(m+1) coefficient."""
+    "jacobi" or "lambda_gluing" has a degree-(m+1) coefficient. Only the
+    series that do not vanish through degree m+1 (`residual_orders`) are
+    scanned."""
     problem = state.problem
     m1 = state.order + 1
-    res = state.residuals
+    res, orders = state.residuals, state.residual_orders
     keys = ("gluing", "ideal") + (
         ("jacobi", "lambda_gluing") if problem.mode == "extended" else ())
     monomials = sorted({te for key in keys
-                        for _, _, ser in residual_series(res[key])
+                        for at, a, ser in residual_series(res[key])
+                        if (o := orders[key][at][a]) is not None and o < m1
                         for te in ser.homogeneous(m1)})
     return certify_cocycle(_step_descriptor(problem), res, m1, monomials)
 

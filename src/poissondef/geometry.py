@@ -2,10 +2,13 @@
 
 A ChartedSpace stores, for each ordered chart pair (i, k) that overlaps, the
 expression of every chart-i variable in chart-k coordinates (Laurent, since
-the standard atlases invert coordinates). Submanifold extraction computes the
-restriction tensors: the first-order normal transition matrices and the
-structure vector fields appearing in the bracket of the structure with each
-normal variable, and certifies the compatibility identities they satisfy.
+the standard atlases invert coordinates). A transition sending every
+variable to one term c * y^a, as all of the builtin atlases' do, is compiled
+once per ordered pair into a `symbolic.MonomialMap`; any other goes through
+`symbolic.substitute`. Submanifold extraction computes the restriction
+tensors: the first-order normal transition matrices and the structure vector
+fields appearing in the bracket of the structure with each normal variable,
+and certifies the compatibility identities they satisfy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
 )
 from .polyvector import (FrameImages, Polyvector, pushforward, restrict,
                          schouten, wedge)
-from .symbolic import LaurentPoly, substitute
+from .symbolic import LaurentPoly, monomial_map, substitute
 
 
 @dataclass(frozen=True)
@@ -34,9 +37,12 @@ class Chart:
 class ChartedSpace:
     """An atlas with explicit Laurent transition maps.
 
-    The transitions are fixed at construction. Each ordered pair keeps the
-    images of its source frame (`polyvector.FrameImages`) on the atlas, each
-    built on the first pushforward that needs it."""
+    The transitions are fixed at construction, and each ordered pair's is
+    compiled there once into a `symbolic.MonomialMap` when every value is a
+    single term (`_monomial`, None for a pair that is not monomial). Each
+    ordered pair keeps the images of its source frame
+    (`polyvector.FrameImages`) on the atlas, each built on the first
+    pushforward that needs it."""
 
     def __init__(self, name: str, charts: Iterable[Chart],
                  transitions: Mapping[tuple, Mapping[str, LaurentPoly]]):
@@ -59,6 +65,9 @@ class ChartedSpace:
                 raise InconsistentData(
                     f"transition {i}->{k} misses variables {missing}")
             self.transitions[(i, k)] = fixed
+        self._monomial = {
+            (i, k): monomial_map(tmap, self.chart(i).vars, self.chart(k).vars)
+            for (i, k), tmap in self.transitions.items()}
         self._frames = {}
 
     def chart(self, name: str) -> Chart:
@@ -81,6 +90,9 @@ class ChartedSpace:
             raise ChartMismatch(f"no transition {src}->{dst}")
         if f.vars != self.chart(src).vars:
             f = f.with_vars(self.chart(src).vars)
+        mono = self._monomial[(src, dst)]
+        if mono is not None:
+            return mono(f)
         out = substitute(f, self.transitions[(src, dst)])
         if out.vars != self.chart(dst).vars:
             out = out.with_vars(self.chart(dst).vars)
@@ -100,7 +112,8 @@ class ChartedSpace:
         images = self._frames.get((src, dst))
         if images is None:
             images = self._frames[(src, dst)] = FrameImages(
-                target_in_source, source_in_target, src_vars, dst_vars)
+                target_in_source, source_in_target, src_vars, dst_vars,
+                self._monomial[(src, dst)])
         return pushforward(a, target_in_source, source_in_target, dst_vars,
                            images)
 

@@ -21,7 +21,7 @@ from itertools import product as _cartesian
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import LaurentPoly, substitute
+from .symbolic import LaurentPoly, MonomialMap, monomial_map, substitute
 
 
 def _sort_sign(indices: Iterable[int]):
@@ -342,23 +342,32 @@ class FrameImages:
     d(target_b)/d(source_s), one for each s in I, taken in
     `itertools.product` order, the sorted target index tuple of the b's and
     the signed product of the entries in target coordinates. Each list is
-    built on its first use and kept; `convert` moves a coefficient.
+    built on its first use and kept.
+
+    `convert` moves a coefficient: through `mono`, the transition's compiled
+    `symbolic.MonomialMap`, when one is given and the coefficient lies on
+    the source variables, and through `symbolic.substitute` otherwise.
     """
 
-    __slots__ = ("source_vars", "target_vars", "columns", "subs_map", "images")
+    __slots__ = ("source_vars", "target_vars", "columns", "subs_map", "mono",
+                 "images")
 
     def __init__(self, target_in_source: Mapping[str, LaurentPoly],
                  source_in_target: Mapping[str, LaurentPoly],
-                 source_vars: Iterable[str], target_vars: Iterable[str]):
+                 source_vars: Iterable[str], target_vars: Iterable[str],
+                 mono: MonomialMap | None = None):
         self.source_vars = tuple(source_vars)
         self.target_vars = tuple(target_vars)
         self.columns = jacobian_columns(target_in_source, self.source_vars,
                                         self.target_vars)
         self.subs_map = dict(source_in_target)
+        self.mono = mono
         self.images: dict = {}
 
     def convert(self, f: LaurentPoly) -> LaurentPoly:
         """A function of the source variables in target coordinates."""
+        if self.mono is not None and f.vars == self.source_vars:
+            return self.mono(f)
         out = substitute(f, self.subs_map)
         if out.vars != self.target_vars:
             out = out.with_vars(self.target_vars)
@@ -399,7 +408,8 @@ def pushforward(a: Polyvector,
     source_in_target: each source variable as a Laurent expression of the
     target variables (used to convert coefficients);
     images: the `FrameImages` of these maps from `a.vars` to `target_vars`,
-    built here, and dropped after the call, when not given.
+    built here, with the `symbolic.monomial_map` of source_in_target when
+    it is monomial, and dropped after the call, when not given.
 
     Each coefficient is converted once and multiplied by each image of its
     frame, in order. The terms are valid as they are: sorted indices,
@@ -408,7 +418,8 @@ def pushforward(a: Polyvector,
     target_vars = tuple(target_vars)
     if images is None:
         images = FrameImages(target_in_source, source_in_target, a.vars,
-                             target_vars)
+                             target_vars, monomial_map(
+                                 source_in_target, a.vars, target_vars))
     terms: dict = {}
     for idx, coeff in a.terms.items():
         moved = images.convert(coeff)

@@ -555,33 +555,61 @@ def _series_pow(s: TruncatedSeries, n: int, one: LaurentPoly) -> TruncatedSeries
     return result
 
 
-def _substitute_monomials(p: LaurentPoly, vals: dict, target_vars: tuple):
-    """`substitute` when every value is a single term c_v * x^(a_v): the term
-    c * prod v^(e_v) goes to c * prod c_v^(e_v) * x^(sum e_v a_v). Terms are
-    summed in p's order, as the general path sums them."""
-    images = []
-    for i, v in enumerate(p.vars):
-        if v in vals:
-            ((a, cv),) = vals[v].terms.items()
-            images.append((i, a, None if cv == 1 else cv))
-    zero = (0,) * len(target_vars)
-    terms: dict = {}
-    for e, c in p.terms.items():
-        exps = zero
-        for i, a, cv in images:
-            k = e[i]
-            if k:
-                exps = tuple(x + k * y for x, y in zip(exps, a))
-                if cv is not None:
-                    c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
-        s = terms.get(exps, 0) + c
-        if s:
-            terms[exps] = s
-        elif exps in terms:
-            del terms[exps]
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.vars, out.terms = target_vars, terms
-    return out
+class MonomialMap:
+    """A substitution whose every value is a single term c_v * y^(a_v) over
+    one target variable tuple, compiled once: per assigned source variable
+    its index, its exponent vector a_v in the target variables and its
+    coefficient c_v (None when it is 1). Calling it on a LaurentPoly over
+    the source variables substitutes: the term c * prod v^(e_v) goes to
+    c * prod c_v^(e_v) * y^(sum e_v a_v). Terms are summed in p's order, as
+    the general path of `substitute` sums them."""
+
+    __slots__ = ("images", "target_vars")
+
+    def __init__(self, vals: Mapping[str, LaurentPoly], source_vars: tuple,
+                 target_vars: tuple):
+        images = []
+        for i, v in enumerate(source_vars):
+            if v in vals:
+                ((a, cv),) = vals[v].terms.items()
+                images.append((i, a, None if cv == 1 else cv))
+        self.images = tuple(images)
+        self.target_vars = target_vars
+
+    def __call__(self, p: LaurentPoly) -> LaurentPoly:
+        images = self.images
+        zero = (0,) * len(self.target_vars)
+        terms: dict = {}
+        for e, c in p.terms.items():
+            exps = zero
+            for i, a, cv in images:
+                k = e[i]
+                if k:
+                    exps = tuple(x + k * y for x, y in zip(exps, a))
+                    if cv is not None:
+                        c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
+            s = terms.get(exps, 0) + c
+            if s:
+                terms[exps] = s
+            elif exps in terms:
+                del terms[exps]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.vars, out.terms = self.target_vars, terms
+        return out
+
+
+def monomial_map(assignment: Mapping[str, object], source_vars: Iterable[str],
+                 target_vars: Iterable[str]) -> MonomialMap | None:
+    """The compiled `MonomialMap` of an assignment to every source variable,
+    or None when a value is missing, is not a single term, or is not a
+    LaurentPoly over exactly `target_vars`."""
+    source_vars, target_vars = tuple(source_vars), tuple(target_vars)
+    for v in source_vars:
+        val = assignment.get(v)
+        if (not isinstance(val, LaurentPoly) or val.vars != target_vars
+                or len(val.terms) != 1):
+            return None
+    return MonomialMap(assignment, source_vars, target_vars)
 
 
 def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
@@ -592,6 +620,9 @@ def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
     a TruncatedSeries). Variables of p carrying nonzero exponent must all be
     assigned. Negative exponents require the value to be invertible: a single
     monomial, or a series whose order-zero part is one.
+
+    Single-term values go through a `MonomialMap` compiled for the call; a
+    caller reusing one assignment compiles it once with `monomial_map`.
     """
     used = [v for i, v in enumerate(p.vars)
             if any(e[i] for e in p.terms)]
@@ -626,8 +657,6 @@ def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
     if target_vars is None:
         target_vars = ()
 
-    one = LaurentPoly.const(target_vars, 1)
-
     if series_sig is None:
         # plain Laurent substitution
         vals = {}
@@ -637,7 +666,7 @@ def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
                 val = LaurentPoly.const(target_vars, val)
             vals[v] = val
         if all(len(val.terms) == 1 for val in vals.values()):
-            return _substitute_monomials(p, vals, target_vars)
+            return MonomialMap(vals, p.vars, target_vars)(p)
         out = LaurentPoly.zero(target_vars)
         for e, c in p.terms.items():
             term = LaurentPoly.const(target_vars, c)
@@ -648,6 +677,7 @@ def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
         return out
 
     params, cutoff = series_sig
+    one = LaurentPoly.const(target_vars, 1)
     svals = {}
     for v in used:
         val = assignment[v]

@@ -429,6 +429,86 @@ def test_solver_verify_matches_a_fresh_state(name, seed, order):
     assert res.verify == verify_family(fresh, prob.order)
 
 
+def _vanishing_order(series_or_list, cap: int) -> int:
+    """Largest m <= cap such that everything vanishes in degrees <= m."""
+    items = series_or_list if isinstance(series_or_list, list) else [series_or_list]
+    return min([cap] + [sum(e) - 1 for s in items for e in s.terms])
+
+
+def _verify_from_scratch(state, order):
+    """`verify_family` as it was before the vanishing orders were kept:
+    every term of every residual series scanned for the report."""
+    M = order
+    report = {"order": M, "gluing": {}, "ideal": {}, "lambda_gluing": {},
+              "jacobi": {}}
+    for key, residual in state.residuals.items():
+        for at, rows in sorted(residual.items()):
+            label = "|".join(at) if isinstance(at, tuple) else at
+            report[key][label] = _vanishing_order(rows, M)
+    orders = [o for key in state.residuals for o in report[key].values()]
+    report["pass"] = all(o >= M for o in orders)
+    report["verified_order"] = min(orders or [M])
+    return report
+
+
+def _cocycle_monomials(state):
+    """The parameter monomials of the order step's cocycle, every residual
+    series scanned for degree m+1."""
+    keys = ("gluing", "ideal") + (("jacobi", "lambda_gluing")
+                                  if state.problem.mode == "extended" else ())
+    return sorted({te for key in keys
+                   for rows in state.residuals[key].values()
+                   for ser in (rows if isinstance(rows, list) else [rows])
+                   for te in ser.homogeneous(state.order + 1)})
+
+
+def _solve_checking_verify(monkeypatch, prob):
+    """Run the solver with every state an order step reads or makes
+    checked: `verify_family` at the state's order and at the target order,
+    and the step's cocycle monomials, equal those computed from nothing on
+    a state built from copies of its series. Returns the solver result and,
+    per step, whether the new state took over the vanishing orders."""
+    carried = []
+    original = deformation.solve_order
+
+    def fresh(state):
+        return DeformationState(state.problem, state.order, dict(state.phi),
+                                dict(state.lam))
+
+    def checked(state, *args, **kwargs):
+        assert sorted(obstruction_cocycle(state).totals) == \
+            _cocycle_monomials(fresh(state))
+        new = original(state, *args, **kwargs)
+        if isinstance(new, DeformationState):
+            for cap in (new.order, prob.order):
+                assert verify_family(new, cap) == \
+                    _verify_from_scratch(fresh(new), cap)
+            carried.append(new.residual_orders is state.residual_orders)
+        return new
+    monkeypatch.setattr(deformation, "solve_order", checked)
+    return run_solver(prob), carried
+
+
+@pytest.mark.parametrize("name, seed, order", SOLVER_RUNS)
+def test_kept_vanishing_orders_verify_as_a_fresh_scan(monkeypatch, name,
+                                                      seed, order):
+    prob = _file_problem(name, seed, order)
+    res, carried = _solve_checking_verify(monkeypatch, prob)
+    assert res.ok and carried == [True] * (order - 1)
+    assert res.verify == _verify_from_scratch(
+        DeformationState(prob, order, dict(res.state.phi),
+                         dict(res.state.lam)), order)
+
+
+@pytest.mark.parametrize("seed", CORRECTED_SEEDS)
+def test_kept_vanishing_orders_verify_as_a_fresh_scan_after_a_correction(
+        monkeypatch, p3_hyperplane_sub, seed):
+    res, carried = _solve_checking_verify(
+        monkeypatch, _extended_hyperplane(p3_hyperplane_sub, seed, 6))
+    assert res.ok and res.verify["pass"]
+    assert carried == [False, True, True, True, True]
+
+
 def _count_residual_calls(monkeypatch):
     calls = {"gluing_mismatch": 0, "ideal_residual": 0}
     for fname in calls:

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from poissondef import symbolic
 from poissondef.errors import (NegativePowerAtZero, NonInvertibleSubstitution,
                                ParameterMismatch)
-from poissondef.symbolic import (LaurentPoly, MajorantSeries, TruncatedSeries,
-                                 combine, dominates, substitute)
+from poissondef.symbolic import (LaurentPoly, MajorantSeries, MonomialMap,
+                                 TruncatedSeries, combine, dominates,
+                                 substitute)
 
 VARS = ("x", "y")
 
@@ -147,9 +148,10 @@ def test_negative_power_at_zero_guard():
 # The core stores a coefficient as an int when it is integral and as a
 # Fraction otherwise. The oracle is the same core with its three storage
 # sites put back to their Fraction-only versions, kept here verbatim:
-# `_as_scalar`, `LaurentPoly.__mul__` and `_substitute_monomials`. Every
-# operation must give the same value and the same text in both, and the
-# int core must store only ints and Fractions, never a float or a bool.
+# `_as_scalar`, `LaurentPoly.__mul__` and `MonomialMap.__call__`, the term
+# loop of the monomial substitution. Every operation must give the same
+# value and the same text in both, and the int core must store only ints
+# and Fractions, never a float or a bool.
 
 def _as_scalar(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -188,47 +190,42 @@ class _FractionOnlyLaurentPoly:
         return out
 
 
-def _substitute_monomials(p: LaurentPoly, vals: dict, target_vars: tuple):
-    """`substitute` when every value is a single term c_v * x^(a_v): the term
-    c * prod v^(e_v) goes to c * prod c_v^(e_v) * x^(sum e_v a_v). Terms are
-    summed in p's order, as the general path sums them."""
-    images = []
-    for i, v in enumerate(p.vars):
-        if v in vals:
-            ((a, cv),) = vals[v].terms.items()
-            images.append((i, a, None if cv == 1 else cv))
-    zero = (0,) * len(target_vars)
-    terms: dict = {}
-    for e, c in p.terms.items():
-        exps = zero
-        for i, a, cv in images:
-            k = e[i]
-            if k:
-                exps = tuple(x + k * y for x, y in zip(exps, a))
-                if cv is not None:
-                    c = c * cv ** k
-        s = terms.get(exps, 0) + c
-        if s:
-            terms[exps] = s
-        elif exps in terms:
-            del terms[exps]
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.vars, out.terms = target_vars, terms
-    return out
+class _FractionOnlyMonomialMap:
+    """Holder of the Fraction-only `MonomialMap.__call__`."""
+
+    def __call__(self, p: LaurentPoly) -> LaurentPoly:
+        zero = (0,) * len(self.target_vars)
+        terms: dict = {}
+        for e, c in p.terms.items():
+            exps = zero
+            for i, a, cv in self.images:
+                k = e[i]
+                if k:
+                    exps = tuple(x + k * y for x, y in zip(exps, a))
+                    if cv is not None:
+                        c = c * cv ** k
+            s = terms.get(exps, 0) + c
+            if s:
+                terms[exps] = s
+            elif exps in terms:
+                del terms[exps]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.vars, out.terms = self.target_vars, terms
+        return out
 
 
 @contextmanager
 def fraction_only():
     """Run the core with its Fraction-only storage sites."""
-    saved = (symbolic._as_scalar, symbolic._substitute_monomials,
+    saved = (symbolic._as_scalar, MonomialMap.__call__,
              LaurentPoly.__mul__, LaurentPoly.__rmul__)
     symbolic._as_scalar = _as_scalar
-    symbolic._substitute_monomials = _substitute_monomials
+    MonomialMap.__call__ = _FractionOnlyMonomialMap.__call__
     LaurentPoly.__mul__ = LaurentPoly.__rmul__ = _FractionOnlyLaurentPoly.__mul__
     try:
         yield
     finally:
-        (symbolic._as_scalar, symbolic._substitute_monomials,
+        (symbolic._as_scalar, MonomialMap.__call__,
          LaurentPoly.__mul__, LaurentPoly.__rmul__) = saved
 
 

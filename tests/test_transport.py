@@ -2,7 +2,11 @@
 
 `symbolic.substitute` sends a Laurent polynomial through single-term values
 by mapping exponent vectors; `_substitute_oracle` below is the general
-path it bypasses, kept verbatim as the oracle.
+path it bypasses, kept verbatim as the oracle. The exponent maps are
+compiled (`symbolic.MonomialMap`), once per ordered pair on an atlas whose
+transitions are monomial; they must agree with `_substitute_monomials`,
+the uncompiled body they replaced, kept verbatim, down to the int or
+Fraction type of every coefficient.
 
 `polyvector.pushforward` converts each coefficient once and multiplies it
 by the kept images of its frame (`polyvector.FrameImages`), which
@@ -35,8 +39,8 @@ from poissondef.geometry import (Chart, ChartedSpace, hirzebruch, product,
                                  projective_space)
 from poissondef.polyvector import (FrameImages, Polyvector, _acc, _sort_sign,
                                    pushforward)
-from poissondef.symbolic import (LaurentPoly, TruncatedSeries, _series_pow,
-                                 substitute)
+from poissondef.symbolic import (LaurentPoly, MonomialMap, TruncatedSeries,
+                                 _series_pow, monomial_map, substitute)
 
 EXAMPLES = Path(poissondef.__file__).parent / "examples"
 
@@ -115,6 +119,35 @@ def _substitute_oracle(p: LaurentPoly, assignment):
             if e[i]:
                 term = term * _series_pow(svals[v], e[i], one)
         out = out + term
+    return out
+
+
+def _substitute_monomials(p: LaurentPoly, vals: dict, target_vars: tuple):
+    """`substitute` when every value is a single term c_v * x^(a_v): the term
+    c * prod v^(e_v) goes to c * prod c_v^(e_v) * x^(sum e_v a_v). Terms are
+    summed in p's order, as the general path sums them."""
+    images = []
+    for i, v in enumerate(p.vars):
+        if v in vals:
+            ((a, cv),) = vals[v].terms.items()
+            images.append((i, a, None if cv == 1 else cv))
+    zero = (0,) * len(target_vars)
+    terms: dict = {}
+    for e, c in p.terms.items():
+        exps = zero
+        for i, a, cv in images:
+            k = e[i]
+            if k:
+                exps = tuple(x + k * y for x, y in zip(exps, a))
+                if cv is not None:
+                    c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
+        s = terms.get(exps, 0) + c
+        if s:
+            terms[exps] = s
+        elif exps in terms:
+            del terms[exps]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.vars, out.terms = target_vars, terms
     return out
 
 
@@ -293,6 +326,137 @@ def test_monomial_substitution_merges_cancels_and_raises():
 
 
 # ----------------------------------------------------------------------
+# Compiled monomial maps
+# ----------------------------------------------------------------------
+
+def _second_line():
+    """P1 with charts V0, V1 and variable w, to multiply with `Pn(1)`."""
+    w_inv = LaurentPoly.monomial(("w",), (-1,))
+    return ChartedSpace("P1w", [Chart("V0", ("w",)), Chart("V1", ("w",))],
+                        {("V0", "V1"): {"w": w_inv},
+                         ("V1", "V0"): {"w": w_inv}})
+
+
+BUILTIN = {
+    **{f"P{n}": (lambda n=n: projective_space(n)) for n in (1, 2, 3)},
+    **{f"F{m}": (lambda m=m: hirzebruch(m)) for m in range(6)},
+    "P1xP1": lambda: product(projective_space(1), _second_line()),
+}
+
+NON_UNIT = {"a": LaurentPoly(TARGET, {(0, -1): 2}),
+            "b": LaurentPoly(TARGET, {(2, 1): -1}),
+            "c": LaurentPoly(TARGET, {(-1, 2): Fraction(-1, 3)})}
+
+
+def _typed(x: LaurentPoly):
+    """Values, insertion order and the int or Fraction type of each
+    coefficient."""
+    return (x.vars, [(e, c, type(c)) for e, c in x.terms.items()])
+
+
+def _check_compiled(mono, assignment, p, target_vars):
+    """The compiled map against the uncompiled body (values, order and
+    types) and against the general expansion loop (values and order; that
+    loop normalises each term's coefficient through `LaurentPoly.const`,
+    so an integral product may be stored there as an int where the
+    monomial body has always kept a Fraction)."""
+    got = mono(p)
+    assert _typed(got) == _typed(
+        _substitute_monomials(p, assignment, target_vars))
+    general = _substitute_oracle(p, assignment)
+    if general.vars != target_vars:
+        general = general.with_vars(target_vars)
+    assert _layout(got) == _layout(general)
+    assert all(type(c) in (int, Fraction) for c in got.terms.values())
+    return got
+
+
+def _lands_on(p, target_vars):
+    """The variables of `substitute`'s result: those of the values of the
+    variables p uses, none when it uses none."""
+    return target_vars if any(any(e) for e in p.terms) else ()
+
+
+@st.composite
+def laurent_on(draw, vars):
+    return LaurentPoly(vars, draw(st.dictionaries(
+        st.tuples(*(st.integers(-3, 3) for _ in vars)),
+        st.one_of(st.integers(-4, 4), fractions), max_size=6)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_compiled_transitions_match_the_oracles(name, data):
+    """Every ordered pair of a builtin atlas: its compiled map, the chart
+    substitution that reads it and `substitute` on the raw transition give
+    the oracles' values, orders and coefficient types."""
+    space = BUILTIN[name]()
+    for (src, dst) in space.overlap_pairs():
+        p = data.draw(laurent_on(space.chart(src).vars))
+        tmap = space.transitions[(src, dst)]
+        dst_vars = space.chart(dst).vars
+        got = _check_compiled(space._monomial[(src, dst)], tmap, p, dst_vars)
+        assert _typed(space.substitute_chart(p, src, dst)) == _typed(got)
+        assert _typed(substitute(p, tmap)) == _typed(
+            _substitute_monomials(p, tmap, _lands_on(p, dst_vars)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(laurent_on(SOURCE))
+def test_compiled_non_unit_map_matches_the_oracles(p):
+    """Non-unit coefficients, such as a -> 2*y^-1, under negative powers
+    become Fractions, as in the uncompiled body."""
+    mono = monomial_map(NON_UNIT, SOURCE, TARGET)
+    _check_compiled(mono, NON_UNIT, p, TARGET)
+    assert _typed(substitute(p, NON_UNIT)) == _typed(
+        _substitute_monomials(p, NON_UNIT, _lands_on(p, TARGET)))
+
+
+def test_monomial_map_refuses_what_is_not_monomial():
+    x = LaurentPoly.variable(TARGET, "x")
+    y = LaurentPoly.variable(TARGET, "y")
+    assert isinstance(monomial_map(NON_UNIT, SOURCE, TARGET), MonomialMap)
+    for bad in ({"a": x, "b": y},                             # missing
+                {**NON_UNIT, "c": x + y},                     # two terms
+                {**NON_UNIT, "c": LaurentPoly.zero(TARGET)},  # no term
+                {**NON_UNIT, "c": 2},                         # not a poly
+                {**NON_UNIT, "c": y.with_vars(("y", "x"))}):  # other tuple
+        assert monomial_map(bad, SOURCE, TARGET) is None
+    # `substitute` still takes the values the compiled maps refuse
+    assert substitute(LaurentPoly.variable(SOURCE, "c"),
+                      {**NON_UNIT, "c": 2}) == LaurentPoly.const((), 2)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_builtin_atlases_compile_every_transition(name):
+    space = BUILTIN[name]()
+    assert set(space._monomial) == set(space.transitions)
+    assert all(isinstance(m, MonomialMap) for m in space._monomial.values())
+    assert all(m.target_vars == space.chart(dst).vars
+               for (_, dst), m in space._monomial.items())
+
+
+def test_a_non_monomial_atlas_compiles_nothing(monkeypatch):
+    """`shear` keeps the general path: no pair compiles, its frame images
+    carry no map, and its pushforward still substitutes as before."""
+    space = parse(NON_MONOMIAL).space
+    assert set(space._monomial) == set(space.transitions)
+    assert all(m is None for m in space._monomial.values())
+    calls = []
+    substitute_ = polyvector.substitute
+
+    def count_substitute(*args, **kwargs):
+        calls.append(None)
+        return substitute_(*args, **kwargs)
+
+    monkeypatch.setattr(polyvector, "substitute", count_substitute)
+    assert _check_atlas(space, random.Random(7), low=0) > 0
+    assert calls
+    assert all(table.mono is None for table in space._frames.values())
+
+
+# ----------------------------------------------------------------------
 # Kept frame images
 # ----------------------------------------------------------------------
 
@@ -342,14 +506,6 @@ def _check_atlas(space, rng, low, per_degree=2):
                     (src, dst, a)
                 checked += 1
     return checked
-
-
-def _second_line():
-    """P1 with charts V0, V1 and variable w, to multiply with `Pn(1)`."""
-    w_inv = LaurentPoly.monomial(("w",), (-1,))
-    return ChartedSpace("P1w", [Chart("V0", ("w",)), Chart("V1", ("w",))],
-                        {("V0", "V1"): {"w": w_inv},
-                         ("V1", "V0"): {"w": w_inv}})
 
 
 @pytest.mark.parametrize("space", [
@@ -520,6 +676,30 @@ def test_section_search_builds_each_frame_image_once(monkeypatch):
     keys = [(id(table), idx) for table, idx in builds]
     assert len(keys) == len(set(keys))
     assert len(calls) <= 1182
+
+
+def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
+    """Every transition of `p3_hyperplane`'s atlas is monomial, so
+    `h0 p3_hyperplane --complex extended --bound 6` moves each coefficient
+    through a compiled map and never through the general `substitute`."""
+    calls, mapped = [], []
+    substitute_, call = polyvector.substitute, MonomialMap.__call__
+
+    def count_substitute(*args, **kwargs):
+        calls.append(None)
+        return substitute_(*args, **kwargs)
+
+    def count_mapped(self, p):
+        mapped.append(None)
+        return call(self, p)
+
+    monkeypatch.setattr(polyvector, "substitute", count_substitute)
+    monkeypatch.setattr(MonomialMap, "__call__", count_mapped)
+    code, _ = run_command(["h0", f"{EXAMPLES}/p3_hyperplane.pdef",
+                           "--complex", "extended", "--bound", "6"])
+    assert code == 0
+    assert calls == []
+    assert len(mapped) >= 1000
 
 
 def test_alternating_section_searches_agree():
