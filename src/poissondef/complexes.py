@@ -378,9 +378,8 @@ def total_coboundary(descriptor: ComplexDescriptor, cochain: dict,
     ordered overlap (i, k) of `pairs`, c_i - (c_k moved to chart i) on chart
     i: {"nor"|"amb": {(i, k): ...}}. A chart the cochain leaves out counts as
     zero, and an overlap it holds neither chart of is left out. Normal parts
-    need both charts present, ambient parts a two-way transition.
+    need both charts present.
     """
-    space = descriptor.space
     present = (descriptor.submanifold.present_charts()
                if "nor" in descriptor.parts else ())
     overlap = {}
@@ -392,8 +391,7 @@ def total_coboundary(descriptor: ComplexDescriptor, cochain: dict,
         for (i, k) in pairs:
             if i == k or (i not in data and k not in data):
                 continue
-            if (part == "nor" and (i not in present or k not in present)) or \
-                    (part == "amb" and (k, i) not in space.transitions):
+            if part == "nor" and (i not in present or k not in present):
                 continue
             if k not in data:
                 out[(i, k)] = data[i]
@@ -898,7 +896,7 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
     S = descriptor.submanifold
     charts = list(descriptor.part_charts(part))
     pairs = [(i, k) for i in charts for k in charts
-             if i < k and (i, k) in space.transitions and (k, i) in space.transitions]
+             if i < k and (i, k) in space.transitions]
     triples = [(i, j, k) for i in charts for j in charts for k in charts
                if i < j < k and all(p in space.transitions
                                     for p in [(i, j), (j, k), (i, k)])]

@@ -358,10 +358,10 @@ def ideal_residual(problem, phi, lam) -> dict:
 
 
 def lambda_gluing_mismatch(space, lam) -> dict:
-    """Per ordered overlap (k, i) with a two-way transition: the bivector
-    series of chart k moved to chart i, minus that of chart i."""
+    """Per ordered overlap (k, i): the bivector series of chart k moved to
+    chart i, minus that of chart i."""
     return {(k, i): lam[k].map(lambda pv: space.pushforward(pv, k, i)) - lam[i]
-            for (i, k) in space.overlap_pairs() if (k, i) in space.transitions}
+            for (i, k) in space.overlap_pairs()}
 
 
 def jacobi_residual(lam) -> dict:

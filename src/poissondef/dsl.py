@@ -18,6 +18,9 @@ Statements end with ``;`` and ``#`` starts a line comment:
   (charts without a statement receive the pushforward of the first one);
 * ``artin def|hilb|exthilb;`` — functor selector for obstruction reports.
 
+The atlas statements (``builtin``, ``chart``, ``transition``) come before
+any statement that names a chart; a later one is a parse error.
+
 Scalar expressions use rationals, chart variables, parameters and
 ``+ - * ^`` with integer (possibly negative) exponents; bivector terms
 multiply a scalar prefix into a wedge of frame atoms written ``d/v ^ d/w``.
@@ -33,7 +36,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InconsistentData, NonInvertibleSubstitution, ParseError
+from .errors import (ChartMismatch, InconsistentData,
+                     NonInvertibleSubstitution, ParseError)
 from .geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
                        builtin_space, extract_submanifold)
 from .polyvector import Polyvector, _sort_sign
@@ -241,6 +245,11 @@ class _Parser:
             if handler is None:
                 raise ParseError(f"unknown statement {tok.value!r}",
                                  tok.line, tok.col)
+            # the atlas is built at its first use and never changes after
+            if (tok.value in ("builtin", "chart", "transition")
+                    and self.doc._space is not None):
+                raise ParseError(f"{tok.value!r} statement after the atlas "
+                                 "is in use", tok.line, tok.col)
             handler()
             self.expect("sym", ";")
         return self.doc
@@ -282,7 +291,7 @@ class _Parser:
     def _chart_vars(self, name: str, tok: _Token):
         try:
             return self.doc.space.chart(name).vars
-        except Exception:
+        except ChartMismatch:
             raise ParseError(f"unknown chart {name!r}", tok.line, tok.col)
 
     def _stmt_transition(self):
@@ -451,11 +460,9 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
     def _polyvector_expr(self, cvars, degree: int,
-                         extra=()) -> "object":
-        """Sum of terms `scalar-prefix * d/v ^ d/w ...`; returns a LaurentPoly
-        tagged mapping frame-index tuples when extra parameters are present,
-        else a Polyvector. Internally accumulates (frame -> LP over
-        cvars+extra)."""
+                         extra=()) -> "_PVAccum":
+        """Sum of terms `scalar-prefix * d/v ^ d/w ...`, as a `_PVAccum`:
+        frame-index tuples mapped to LaurentPolys over cvars + extra."""
         allvars = tuple(cvars) + tuple(extra)
         acc: dict = {}
         first = True

@@ -2,9 +2,11 @@
 
 A ChartedSpace stores, for each ordered chart pair (i, k) that overlaps, the
 expression of every chart-i variable in chart-k coordinates (Laurent, since
-the standard atlases invert coordinates). A transition sending every
+the standard atlases invert coordinates). Atlases are two-way: every pair's
+inverse is declared too. Each ordered pair is one `polyvector.Transition`,
+which moves functions and polyvectors along it; a transition sending every
 variable to one term c * y^a, as all of the builtin atlases' do, is compiled
-once per ordered pair into a `symbolic.MonomialMap`; any other goes through
+there into a `symbolic.MonomialMap`, and any other goes through
 `symbolic.substitute`. Submanifold extraction computes the restriction
 tensors: the first-order normal transition matrices and the structure vector
 fields appearing in the bracket of the structure with each normal variable,
@@ -23,9 +25,9 @@ from .errors import (
     NotPoissonSubmanifold,
     WrongCodimension,
 )
-from .polyvector import (FrameImages, Polyvector, pushforward, restrict,
+from .polyvector import (Polyvector, Transition, pushforward, restrict,
                          schouten, wedge)
-from .symbolic import LaurentPoly, monomial_map, substitute
+from .symbolic import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -37,12 +39,11 @@ class Chart:
 class ChartedSpace:
     """An atlas with explicit Laurent transition maps.
 
-    The transitions are fixed at construction, and each ordered pair's is
-    compiled there once into a `symbolic.MonomialMap` when every value is a
-    single term (`_monomial`, None for a pair that is not monomial). Each
-    ordered pair keeps the images of its source frame
-    (`polyvector.FrameImages`) on the atlas, each built on the first
-    pushforward that needs it."""
+    The transitions are fixed at construction, which rejects a transition
+    whose inverse is missing. Each ordered pair (i, k) is then one
+    `polyvector.Transition` (`_moves[(i, k)]`): the map, its inverse, its
+    compiled `symbolic.MonomialMap` or None, and the Jacobian and frame
+    images, built on the first pushforward that needs them."""
 
     def __init__(self, name: str, charts: Iterable[Chart],
                  transitions: Mapping[tuple, Mapping[str, LaurentPoly]]):
@@ -65,10 +66,14 @@ class ChartedSpace:
                 raise InconsistentData(
                     f"transition {i}->{k} misses variables {missing}")
             self.transitions[(i, k)] = fixed
-        self._monomial = {
-            (i, k): monomial_map(tmap, self.chart(i).vars, self.chart(k).vars)
-            for (i, k), tmap in self.transitions.items()}
-        self._frames = {}
+        self._moves = {}
+        for (i, k), tmap in self.transitions.items():
+            if (k, i) not in self.transitions:
+                raise InconsistentData(
+                    f"transition {i}->{k} has no inverse {k}->{i}")
+            self._moves[(i, k)] = Transition(
+                tmap, self.transitions[(k, i)], self.chart(i).vars,
+                self.chart(k).vars)
 
     def chart(self, name: str) -> Chart:
         try:
@@ -86,36 +91,21 @@ class ChartedSpace:
     # ---- transport ----------------------------------------------------
     def substitute_chart(self, f: LaurentPoly, src: str, dst: str) -> LaurentPoly:
         """Express a function of chart-src coordinates in chart-dst ones."""
-        if (src, dst) not in self.transitions:
+        move = self._moves.get((src, dst))
+        if move is None:
             raise ChartMismatch(f"no transition {src}->{dst}")
-        if f.vars != self.chart(src).vars:
-            f = f.with_vars(self.chart(src).vars)
-        mono = self._monomial[(src, dst)]
-        if mono is not None:
-            return mono(f)
-        out = substitute(f, self.transitions[(src, dst)])
-        if out.vars != self.chart(dst).vars:
-            out = out.with_vars(self.chart(dst).vars)
-        return out
+        if f.vars != move.source_vars:
+            f = f.with_vars(move.source_vars)
+        return move.convert(f)
 
     def pushforward(self, a: Polyvector, src: str, dst: str) -> Polyvector:
         """Re-express a chart-src polyvector on chart dst."""
         if src == dst:
             return a
-        if (dst, src) not in self.transitions or (src, dst) not in self.transitions:
+        move = self._moves.get((src, dst))
+        if move is None:
             raise ChartMismatch(f"no two-way transition between {src} and {dst}")
-        src_vars, dst_vars = self.chart(src).vars, self.chart(dst).vars
-        if a.vars != src_vars:
-            a = a.with_vars(src_vars)
-        target_in_source = self.transitions[(dst, src)]
-        source_in_target = self.transitions[(src, dst)]
-        images = self._frames.get((src, dst))
-        if images is None:
-            images = self._frames[(src, dst)] = FrameImages(
-                target_in_source, source_in_target, src_vars, dst_vars,
-                self._monomial[(src, dst)])
-        return pushforward(a, target_in_source, source_in_target, dst_vars,
-                           images)
+        return pushforward(a, move)
 
     def spanning_tree(self, root: str, subset: Iterable[str] | None = None):
         """BFS tree edges (parent, child) over declared overlaps."""
@@ -131,7 +121,7 @@ class ChartedSpace:
             for nxt in names:
                 if nxt in seen:
                     continue
-                if (cur, nxt) in self.transitions and (nxt, cur) in self.transitions:
+                if (cur, nxt) in self.transitions:
                     seen.add(nxt)
                     edges.append((cur, nxt))
                     order.append(nxt)
@@ -146,8 +136,6 @@ class ChartedSpace:
         """Check two-way compositions and triple cocycle identities."""
         report = {"inverses": {}, "cocycles": {}, "pass": True}
         for (i, k) in self.overlap_pairs():
-            if (k, i) not in self.transitions:
-                continue
             ok = True
             for v in self.chart(i).vars:
                 expr = self.substitute_chart(self.transitions[(i, k)][v], k, i)
@@ -165,10 +153,9 @@ class ChartedSpace:
                             and (i, k) in self.transitions):
                         ok = True
                         for v in self.chart(i).vars:
-                            via_j = substitute(self.transitions[(i, j)][v],
-                                               self.transitions[(j, k)])
-                            direct = self.transitions[(i, k)][v]
-                            if via_j.with_vars(direct.vars) != direct:
+                            via_j = self.substitute_chart(
+                                self.transitions[(i, j)][v], j, k)
+                            if via_j != self.transitions[(i, k)][v]:
                                 ok = False
                         report["cocycles"][f"{i}->{j}->{k}"] = ok
                         report["pass"] &= ok
@@ -286,19 +273,14 @@ def product(a: ChartedSpace, b: ChartedSpace, name: str | None = None) -> Charte
 
 def builtin_space(name: str, args: tuple = ()) -> ChartedSpace:
     key = name.lower()
-    if key == "p3":
-        return projective_space(3)
-    if key == "p2":
-        return projective_space(2)
-    if key == "p1":
-        return projective_space(1)
-    if key == "pn":
-        return projective_space(int(args[0]))
-    if key == "fm":
-        return hirzebruch(int(args[0]))
-    if key == "affine":
-        return affine_space(int(args[0]))
-    raise InconsistentData(f"unknown builtin atlas {name!r}")
+    if key in ("p1", "p2", "p3"):
+        return projective_space(int(key[1]))
+    sized = {"pn": projective_space, "fm": hirzebruch, "affine": affine_space}
+    if key not in sized:
+        raise InconsistentData(f"unknown builtin atlas {name!r}")
+    if not args or type(args[0]) is not int:
+        raise InconsistentData(f"builtin atlas {name} needs an integer argument")
+    return sized[key](args[0])
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +336,7 @@ class PoissonManifold:
 def check_poisson_manifold(M: PoissonManifold) -> dict:
     """Exact integrability ([.,.] with itself vanishes) per chart, and chart
     agreement per overlap pair (i, k), labelled "i|k": chart i's bivector
-    pushed to chart k is chart k's. ChartMismatch on a one-way transition."""
+    pushed to chart k is chart k's."""
     space = M.space
     jacobi = {name: schouten(b, b).is_zero()
               for name, b in M.bivectors.items()}

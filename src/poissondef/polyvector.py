@@ -21,7 +21,7 @@ from itertools import product as _cartesian
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import LaurentPoly, MonomialMap, monomial_map, substitute
+from .symbolic import LaurentPoly, monomial_map, substitute
 
 
 def _sort_sign(indices: Iterable[int]):
@@ -310,78 +310,79 @@ def restrict(a: Polyvector, names: Iterable[str]) -> Polyvector:
                       {i: c.set_zero(names) for i, c in a.terms.items()})
 
 
-def jacobian_columns(target_in_source: Mapping[str, LaurentPoly],
-                     source_vars: Iterable[str],
-                     target_vars: Iterable[str]) -> list:
-    """The non-zero entries of the Jacobian d(target)/d(source), one list per
-    source index s of pairs (b, d(target_b)/d(source_s)) in target order."""
-    source_vars = tuple(source_vars)
-    exprs = []
-    for tv in target_vars:
-        expr = target_in_source[tv]
-        if expr.vars != source_vars:
-            expr = expr.with_vars(source_vars)
-        exprs.append(expr)
-    columns = []
-    for sv in source_vars:
-        column = []
-        for b, expr in enumerate(exprs):
-            entry = expr.derivative(sv)
-            if not entry.is_zero():
-                column.append((b, entry))
-        columns.append(column)
-    return columns
+class Transition:
+    """The transition of one ordered chart pair (source, target), kept on
+    its atlas.
 
-
-class FrameImages:
-    """The images of a source chart's frame under one transition map.
+    `forward` gives each source variable in target coordinates, `inverse`
+    each target variable in source coordinates, and `mono` is the compiled
+    `symbolic.MonomialMap` of `forward`, or None when a value is not a
+    single term. `convert` moves a function of the source variables to the
+    target ones: through `mono` when there is one and the function lies on
+    the source variables, through `symbolic.substitute` otherwise.
 
     Pushforward is linear over functions: phi_*(f d_I) = (f o phi^-1) *
     phi_*(d_I). For a source index tuple I, `self[I]` lists the terms of
     phi_*(d_I): per non-zero choice of Jacobian entries
-    d(target_b)/d(source_s), one for each s in I, taken in
+    d(target_b)/d(source_s) (from `inverse`), one for each s in I, taken in
     `itertools.product` order, the sorted target index tuple of the b's and
-    the signed product of the entries in target coordinates. Each list is
-    built on its first use and kept.
-
-    `convert` moves a coefficient: through `mono`, the transition's compiled
-    `symbolic.MonomialMap`, when one is given and the coefficient lies on
-    the source variables, and through `symbolic.substitute` otherwise.
+    the signed product of the entries in target coordinates. The Jacobian
+    and each list are built on their first use and kept.
     """
 
-    __slots__ = ("source_vars", "target_vars", "columns", "subs_map", "mono",
-                 "images")
+    __slots__ = ("source_vars", "target_vars", "forward", "inverse", "mono",
+                 "_columns", "_images")
 
-    def __init__(self, target_in_source: Mapping[str, LaurentPoly],
-                 source_in_target: Mapping[str, LaurentPoly],
-                 source_vars: Iterable[str], target_vars: Iterable[str],
-                 mono: MonomialMap | None = None):
+    def __init__(self, forward: Mapping[str, LaurentPoly],
+                 inverse: Mapping[str, LaurentPoly],
+                 source_vars: Iterable[str], target_vars: Iterable[str]):
         self.source_vars = tuple(source_vars)
         self.target_vars = tuple(target_vars)
-        self.columns = jacobian_columns(target_in_source, self.source_vars,
-                                        self.target_vars)
-        self.subs_map = dict(source_in_target)
-        self.mono = mono
-        self.images: dict = {}
+        self.forward = forward
+        self.inverse = inverse
+        self.mono = monomial_map(forward, self.source_vars, self.target_vars)
+        self._columns = None
+        self._images: dict = {}
 
     def convert(self, f: LaurentPoly) -> LaurentPoly:
         """A function of the source variables in target coordinates."""
         if self.mono is not None and f.vars == self.source_vars:
             return self.mono(f)
-        out = substitute(f, self.subs_map)
+        out = substitute(f, self.forward)
         if out.vars != self.target_vars:
             out = out.with_vars(self.target_vars)
         return out
 
     def __getitem__(self, idx: tuple) -> list:
-        images = self.images.get(idx)
+        images = self._images.get(idx)
         if images is None:
-            images = self.images[idx] = self._build(idx)
+            images = self._images[idx] = self._build(idx)
         return images
 
+    def _jacobian(self) -> list:
+        """The non-zero entries of d(target)/d(source), one list per source
+        index s of pairs (b, d(target_b)/d(source_s)) in target order."""
+        exprs = []
+        for tv in self.target_vars:
+            expr = self.inverse[tv]
+            if expr.vars != self.source_vars:
+                expr = expr.with_vars(self.source_vars)
+            exprs.append(expr)
+        columns = []
+        for sv in self.source_vars:
+            column = []
+            for b, expr in enumerate(exprs):
+                entry = expr.derivative(sv)
+                if not entry.is_zero():
+                    column.append((b, entry))
+            columns.append(column)
+        return columns
+
     def _build(self, idx: tuple) -> list:
+        if self._columns is None:
+            self._columns = self._jacobian()
         images = []
-        for choice in _cartesian(*(self.columns[s] for s in idx)):
+        for choice in _cartesian(*(self._columns[s] for s in idx)):
             tidx, sign = _sort_sign(b for b, _ in choice)
             if sign == 0:
                 continue
@@ -396,35 +397,21 @@ class FrameImages:
         return images
 
 
-def pushforward(a: Polyvector,
-                target_in_source: Mapping[str, LaurentPoly],
-                source_in_target: Mapping[str, LaurentPoly],
-                target_vars: Iterable[str],
-                images: FrameImages | None = None) -> Polyvector:
-    """Re-express a polyvector in another chart's coordinates and frame.
-
-    target_in_source: each target variable as a Laurent expression of the
-    source variables (used for the Jacobian d(target)/d(source));
-    source_in_target: each source variable as a Laurent expression of the
-    target variables (used to convert coefficients);
-    images: the `FrameImages` of these maps from `a.vars` to `target_vars`,
-    built here, with the `symbolic.monomial_map` of source_in_target when
-    it is monomial, and dropped after the call, when not given.
+def pushforward(a: Polyvector, move: Transition) -> Polyvector:
+    """Re-express a polyvector on the target chart of `move`, in its
+    coordinates and frame; `a` is first brought to the source variables.
 
     Each coefficient is converted once and multiplied by each image of its
     frame, in order. The terms are valid as they are: sorted indices,
     non-zero coefficients on the target variables.
     """
-    target_vars = tuple(target_vars)
-    if images is None:
-        images = FrameImages(target_in_source, source_in_target, a.vars,
-                             target_vars, monomial_map(
-                                 source_in_target, a.vars, target_vars))
+    if a.vars != move.source_vars:
+        a = a.with_vars(move.source_vars)
     terms: dict = {}
     for idx, coeff in a.terms.items():
-        moved = images.convert(coeff)
-        for tidx, image in images[idx]:
+        moved = move.convert(coeff)
+        for tidx, image in move[idx]:
             _acc(terms, tidx, moved * image)
     out = Polyvector.__new__(Polyvector)
-    out.vars, out.degree, out.terms = target_vars, a.degree, terms
+    out.vars, out.degree, out.terms = move.target_vars, a.degree, terms
     return out

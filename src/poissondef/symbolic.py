@@ -288,37 +288,17 @@ def _coeff_is_zero(c) -> bool:
         return not c
     if hasattr(c, "is_zero"):
         return c.is_zero()
-    if isinstance(c, tuple):
-        return all(_coeff_is_zero(x) for x in c)
     if isinstance(c, (int, Fraction)):  # a bool or a scalar subclass
         return not c
     raise TypeError(f"unsupported series coefficient {type(c).__name__}")
 
 
-def _coeff_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(_coeff_add(x, y) for x, y in zip(a, b))
-    return a + b
-
-
-def _coeff_neg(a):
-    if isinstance(a, tuple):
-        return tuple(_coeff_neg(x) for x in a)
-    return -a
-
-
-def _coeff_scale(a, s: Fraction):
-    if isinstance(a, tuple):
-        return tuple(_coeff_scale(x, s) for x in a)
-    return a * s
-
-
 class TruncatedSeries:
     """Series in parameters, truncated at a total-degree cutoff.
 
-    Coefficients may be exact scalars, LaurentPoly, polyvectors, or
-    same-shape tuples thereof — anything supporting +, unary -, scaling by
-    an exact scalar and an is_zero test. Multiplication is only defined when the carriers support
+    Coefficients may be exact scalars, LaurentPoly or polyvectors:
+    anything supporting +, unary -, scaling by an exact scalar and an
+    is_zero test. Multiplication is only defined when the carriers support
     `*` themselves; heterogeneous bilinear combinations go through `combine`.
     """
 
@@ -412,7 +392,7 @@ class TruncatedSeries:
             if sum(e) > cutoff:
                 continue
             if e in terms:
-                s = _coeff_add(terms[e], c)
+                s = terms[e] + c
                 if _coeff_is_zero(s):
                     del terms[e]
                 else:
@@ -424,7 +404,7 @@ class TruncatedSeries:
     def __neg__(self):
         return TruncatedSeries._valid(
             self.params, self.cutoff,
-            {e: _coeff_neg(c) for e, c in self.terms.items()})
+            {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -435,7 +415,7 @@ class TruncatedSeries:
             return TruncatedSeries._valid(self.params, self.cutoff, {})
         return TruncatedSeries._valid(
             self.params, self.cutoff,
-            {e: _coeff_scale(c, s) for e, c in self.terms.items()})
+            {e: c * s for e, c in self.terms.items()})
 
     # ---- multiplicative structure -------------------------------------
     def __mul__(self, other):
@@ -470,7 +450,7 @@ class TruncatedSeries:
             elif b is None:
                 if not _coeff_is_zero(a):
                     return False
-            elif not _coeff_is_zero(_coeff_add(a, _coeff_neg(b))):
+            elif not _coeff_is_zero(a + (-b)):
                 return False
         return True
 
@@ -507,7 +487,7 @@ def combine(a: TruncatedSeries, b: TruncatedSeries, mul: Callable) -> TruncatedS
             e = tuple(x + y for x, y in zip(e1, e2))
             prod = mul(c1, c2)
             if e in terms:
-                s = _coeff_add(terms[e], prod)
+                s = terms[e] + prod
                 if _coeff_is_zero(s):
                     del terms[e]
                 else:

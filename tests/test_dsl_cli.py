@@ -23,7 +23,8 @@ from poissondef.cli import run_command
 from poissondef.deformation import run_solver, verify_family
 from poissondef.dsl import (format_param_monomial, format_param_series,
                             parse, render)
-from poissondef.errors import ParseError
+from poissondef.errors import InconsistentData, ParseError
+from poissondef.geometry import ChartedSpace
 from poissondef.symbolic import LaurentPoly, TruncatedSeries
 
 EXAMPLES = Path(poissondef.__file__).parent / "examples"
@@ -292,21 +293,69 @@ def test_validate_corpus(name):
 
 
 def test_validate_one_way_transition(tmp_path):
-    # A -> C is declared but C -> A is not: the structure cannot be pushed
-    # between the two charts, so the gluing check stops
+    # A -> C is declared but C -> A is not: the atlas is rejected when it is
+    # built, before any command runs on it
+    text = ("chart A vars x y;\n"
+            "chart B vars u v;\n"
+            "chart C vars p q;\n"
+            "transition A -> B: x = u, y = v;\n"
+            "transition B -> A: u = x, v = y;\n"
+            "transition B -> C: u = p, v = q;\n"
+            "transition C -> B: p = u, q = v;\n"
+            "transition A -> C: x = p, y = q;\n")
+    message = "error: InconsistentData: transition A->C has no inverse C->A\n"
     path = tmp_path / "one_way.pdef"
+    path.write_text(text + "poisson on A: d/x ^ d/y;\n")
+    for command in ("validate", "tensors", "h0", "solve"):
+        for argv in ([command, str(path)], [command, str(path), "--json"]):
+            assert run_command(argv) == (1, message)
+    doc = parse(text + "transition C -> A: p = x, q = y;\n")
+    del doc.transitions[("C", "A")]
+    with pytest.raises(InconsistentData, match="has no inverse C->A"):
+        ChartedSpace(doc.name, doc.charts, doc.transitions)
+
+
+def test_an_invalid_atlas_is_not_reported_as_an_unknown_chart(tmp_path):
+    atlas = ("chart A vars x y;\n"
+             "chart B vars u v;\n"
+             "transition A -> B: x = u;\n"
+             "transition B -> A: u = x, v = y;\n")
+    message = "error: InconsistentData: transition A->B misses variables ['y']\n"
+    for text in (atlas, atlas + "poisson on A: d/x ^ d/y;\n"):
+        path = tmp_path / "missing.pdef"
+        path.write_text(text)
+        assert run("validate", str(path)) == (1, message)
+
+
+def test_atlas_statements_after_the_atlas_is_in_use(tmp_path):
+    path = tmp_path / "late.pdef"
     path.write_text("chart A vars x y;\n"
                     "chart B vars u v;\n"
-                    "chart C vars p q;\n"
+                    "poisson on A: d/x ^ d/y;\n"
                     "transition A -> B: x = u, y = v;\n"
-                    "transition B -> A: u = x, v = y;\n"
-                    "transition B -> C: u = p, v = q;\n"
-                    "transition C -> B: p = u, q = v;\n"
-                    "transition A -> C: x = p, y = q;\n"
-                    "poisson on A: d/x ^ d/y;\n")
-    for argv in (["validate", str(path)], ["validate", str(path), "--json"]):
-        assert run_command(argv) == (
-            1, "error: ChartMismatch: no two-way transition between A and C\n")
+                    "transition B -> A: u = x, v = y;\n")
+    assert run("validate", str(path)) == (
+        1, "parse error: line 4, column 1: 'transition' statement after "
+           "the atlas is in use\n")
+    for late in ("chart C vars p q;", "builtin P2;"):
+        expect_parse_error("builtin P1;\nsubmanifold normal U0: [z1];\n"
+                           + late, "statement after the atlas is in use")
+    # the same statements in `render`'s order pass
+    path.write_text(render(parse(path.read_text().replace(
+        "poisson on A: d/x ^ d/y;\n", ""))) + "poisson on A: d/x ^ d/y;\n")
+    assert run("validate", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("text", ["builtin Pn(x);\n",
+                                  "builtin Pn;\npoisson on U0: d/z1 ^ d/z1;\n",
+                                  "builtin Fm(m);\nsubmanifold normal U1: [xi];\n"])
+def test_builtin_without_an_integer_argument(tmp_path, text):
+    path = tmp_path / "builtin.pdef"
+    path.write_text(text)
+    code, out = run("validate", str(path))
+    assert code == 1
+    assert re.fullmatch(r"error: InconsistentData: builtin atlas (Pn|Fm) "
+                        r"needs an integer argument\n", out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from poissondef.errors import ChartMismatch
 from poissondef.geometry import projective_space
-from poissondef.polyvector import (Polyvector, hamiltonian, pushforward,
-                                   restrict, schouten, wedge)
+from poissondef.polyvector import (Polyvector, Transition, hamiltonian,
+                                   pushforward, restrict, schouten, wedge)
 from poissondef.symbolic import LaurentPoly
 
 VARS = ("x", "y", "z")
@@ -378,4 +378,4 @@ def test_pushforward_identity_map_fixes_polyvector():
     ident = {v: LaurentPoly(VARS, {tuple(int(w == v) for w in VARS): Fraction(1)})
              for v in VARS}
     a = _random_pv(rng, 2)
-    assert pushforward(a, ident, ident, VARS) == a
+    assert pushforward(a, Transition(ident, ident, VARS, VARS)) == a

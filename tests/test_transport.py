@@ -9,8 +9,8 @@ the uncompiled body they replaced, kept verbatim, down to the int or
 Fraction type of every coefficient.
 
 `polyvector.pushforward` converts each coefficient once and multiplies it
-by the kept images of its frame (`polyvector.FrameImages`), which
-`ChartedSpace.pushforward` keeps per ordered pair on the atlas. It must
+by the kept images of its frame, which each ordered pair's
+`polyvector.Transition` keeps on the atlas (`ChartedSpace._moves`). It must
 agree, term for term and in the same order, with `_parent_pushforward`,
 the path it replaced (the signed Jacobian products of every coefficient,
 then one substitution per target index tuple), and with
@@ -20,6 +20,7 @@ atlas, so two atlases with the same chart names never share one, and a
 section search builds each frame image once.
 """
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as _cartesian
@@ -37,7 +38,7 @@ from poissondef.errors import (ChartMismatch, NonInvertibleSubstitution,
 from poissondef import polyvector
 from poissondef.geometry import (Chart, ChartedSpace, hirzebruch, product,
                                  projective_space)
-from poissondef.polyvector import (FrameImages, Polyvector, _acc, _sort_sign,
+from poissondef.polyvector import (Polyvector, Transition, _acc, _sort_sign,
                                    pushforward)
 from poissondef.symbolic import (LaurentPoly, MonomialMap, TruncatedSeries,
                                  _series_pow, monomial_map, substitute)
@@ -256,6 +257,13 @@ def _parent_pushforward(a: Polyvector,
     return Polyvector(target_vars, a.degree, out_terms)
 
 
+def _throwaway(space, src, dst):
+    """A new `Transition` of the atlas's raw maps, sharing nothing kept."""
+    return Transition(space.transitions[(src, dst)],
+                      space.transitions[(dst, src)], space.chart(src).vars,
+                      space.chart(dst).vars)
+
+
 def _layout(x):
     """Everything that can reach a report: values and insertion orders."""
     if isinstance(x, LaurentPoly):
@@ -396,7 +404,8 @@ def test_compiled_transitions_match_the_oracles(name, data):
         p = data.draw(laurent_on(space.chart(src).vars))
         tmap = space.transitions[(src, dst)]
         dst_vars = space.chart(dst).vars
-        got = _check_compiled(space._monomial[(src, dst)], tmap, p, dst_vars)
+        got = _check_compiled(space._moves[(src, dst)].mono, tmap, p,
+                              dst_vars)
         assert _typed(space.substitute_chart(p, src, dst)) == _typed(got)
         assert _typed(substitute(p, tmap)) == _typed(
             _substitute_monomials(p, tmap, _lands_on(p, dst_vars)))
@@ -431,18 +440,18 @@ def test_monomial_map_refuses_what_is_not_monomial():
 @pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_builtin_atlases_compile_every_transition(name):
     space = BUILTIN[name]()
-    assert set(space._monomial) == set(space.transitions)
-    assert all(isinstance(m, MonomialMap) for m in space._monomial.values())
-    assert all(m.target_vars == space.chart(dst).vars
-               for (_, dst), m in space._monomial.items())
+    assert set(space._moves) == set(space.transitions)
+    assert all(isinstance(m.mono, MonomialMap) for m in space._moves.values())
+    assert all(m.mono.target_vars == space.chart(dst).vars
+               for (_, dst), m in space._moves.items())
 
 
 def test_a_non_monomial_atlas_compiles_nothing(monkeypatch):
-    """`shear` keeps the general path: no pair compiles, its frame images
-    carry no map, and its pushforward still substitutes as before."""
+    """`shear` keeps the general path: no pair compiles, and its
+    pushforward still substitutes as before."""
     space = parse(NON_MONOMIAL).space
-    assert set(space._monomial) == set(space.transitions)
-    assert all(m is None for m in space._monomial.values())
+    assert set(space._moves) == set(space.transitions)
+    assert all(m.mono is None for m in space._moves.values())
     calls = []
     substitute_ = polyvector.substitute
 
@@ -453,7 +462,6 @@ def test_a_non_monomial_atlas_compiles_nothing(monkeypatch):
     monkeypatch.setattr(polyvector, "substitute", count_substitute)
     assert _check_atlas(space, random.Random(7), low=0) > 0
     assert calls
-    assert all(table.mono is None for table in space._frames.values())
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +495,7 @@ def _random_pv(rng, vars, degree, low):
 
 def _check_atlas(space, rng, low, per_degree=2):
     """Every ordered pair, degrees 0..min(3, dim): the atlas's pushforward,
-    the raw-map pushforward, the parent path and the oracle give the same
+    a throwaway transition's, the parent path and the oracle give the same
     layout."""
     checked = 0
     for (src, dst) in space.overlap_pairs():
@@ -499,7 +507,8 @@ def _check_atlas(space, rng, low, per_degree=2):
             for _ in range(per_degree):
                 a = _random_pv(rng, src_vars, degree, low)
                 got = _layout(space.pushforward(a, src, dst))
-                assert got == _layout(pushforward(a, *raw)), (src, dst, a)
+                assert got == _layout(pushforward(
+                    a, _throwaway(space, src, dst))), (src, dst, a)
                 assert got == _layout(_parent_pushforward(a, *raw)), \
                     (src, dst, a)
                 assert got == _layout(_pushforward_oracle(a, *raw)), \
@@ -553,12 +562,11 @@ def test_atlases_with_the_same_charts_keep_their_own_tables():
     for _ in range(3):
         for power, doc in docs.items():
             space = ChartedSpace(doc.name, doc.charts, doc.transitions)
-            raw = (space.transitions[("U1", "U0")],
-                   space.transitions[("U0", "U1")], ("y", "u"))
+            move = _throwaway(space, "U0", "U1")
             moved = [_layout(space.pushforward(a, "U0", "U1")) for a in probes]
-            assert moved == [_layout(pushforward(a, *raw)) for a in probes]
+            assert moved == [_layout(pushforward(a, move)) for a in probes]
             assert results.setdefault(power, moved) == moved
-            del space, raw
+            del space, move
     assert results[2] != results[3]
 
 
@@ -600,7 +608,7 @@ def transports(draw, space):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pushforward_matches_the_parent_path(name, data):
-    """The atlas's kept table and a throwaway raw-map table give the parent
+    """The atlas's kept transition and a throwaway one give the parent
     path's values and insertion orders, or raise as it does; the result is
     one the public constructor takes unchanged."""
     space = ATLASES[name]()
@@ -610,7 +618,7 @@ def test_pushforward_matches_the_parent_path(name, data):
                space.chart(dst).vars)
         want = _outcome(_parent_pushforward, a, *raw)
         assert _outcome(space.pushforward, a, src, dst) == want
-        assert _outcome(pushforward, a, *raw) == want
+        assert _outcome(pushforward, a, _throwaway(space, src, dst)) == want
         if want[0] == "NonInvertibleSubstitution":
             continue
         got = space.pushforward(a, src, dst)
@@ -623,16 +631,16 @@ def test_pushforward_matches_the_parent_path(name, data):
 
 def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
     """A polyvector whose variable tuple orders the chart's names otherwise
-    is brought to the chart's tuple first: same result, no new table."""
+    is brought to the chart's tuple first: same result, no new image."""
     space = projective_space(2)
     rng = random.Random(3)
     a = _random_pv(rng, ("z1", "z2"), 1, -1)
     swapped = a.with_vars(("z2", "z1"))
     assert swapped.with_vars(("z1", "z2")) == a
     want = _layout(space.pushforward(a, "U0", "U1"))
-    tables = dict(space._frames)
+    kept = {pair: dict(m._images) for pair, m in space._moves.items()}
     assert _layout(space.pushforward(swapped, "U0", "U1")) == want
-    assert space._frames == tables
+    assert {pair: m._images for pair, m in space._moves.items()} == kept
     with pytest.raises(ChartMismatch):
         Polyvector.monomial(("z1", "q"), (1,), LaurentPoly.const(
             ("z1", "q"), 1)).with_vars(("z1", "z2"))
@@ -649,7 +657,7 @@ def test_section_search_builds_each_frame_image_once(monkeypatch):
     moved coefficient plus one per image: 1,182 (1,885 when each target
     index tuple was substituted on every call)."""
     atlases, builds, calls = [], [], []
-    init, build = ChartedSpace.__init__, FrameImages._build
+    init, build = ChartedSpace.__init__, Transition._build
     substitute_ = polyvector.substitute
 
     def record_atlas(self, *args, **kwargs):
@@ -665,12 +673,12 @@ def test_section_search_builds_each_frame_image_once(monkeypatch):
         return substitute_(*args, **kwargs)
 
     monkeypatch.setattr(ChartedSpace, "__init__", record_atlas)
-    monkeypatch.setattr(FrameImages, "_build", record_build)
+    monkeypatch.setattr(Transition, "_build", record_build)
     monkeypatch.setattr(polyvector, "substitute", count_substitute)
     run_command(["h0", f"{EXAMPLES}/p3_hyperplane.pdef",
                  "--complex", "extended", "--bound", "6"])
     kept = {id(table) for space in atlases
-            for table in space._frames.values()}
+            for table in space._moves.values()}
     assert builds
     assert all(id(table) in kept for table, _ in builds)
     keys = [(id(table), idx) for table, idx in builds]
@@ -709,3 +717,26 @@ def test_alternating_section_searches_agree():
             out = run_command(["h0", f"{EXAMPLES}/{name}.pdef"])
             assert runs.setdefault(name, out) == out
     assert runs["p3_hyperplane"] != runs["p3_line"]
+
+
+def test_validate_makes_no_substitute_call(monkeypatch):
+    """Every transition of these atlases is monomial, so `validate`'s
+    inverse and cocycle checks, the structure's gluing and the submanifold
+    checks move everything through compiled maps."""
+    calls = []
+    substitute_ = poissondef.symbolic.substitute
+
+    def count_substitute(*args, **kwargs):
+        calls.append(None)
+        return substitute_(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("poissondef")
+                and getattr(module, "substitute", None) is substitute_):
+            monkeypatch.setattr(module, "substitute", count_substitute)
+    for name in ("p3_hyperplane", "f2_bivector"):
+        code, _ = run_command(["validate", f"{EXAMPLES}/{name}.pdef"])
+        assert code == 0
+    report = product(projective_space(1), _second_line()).validate()
+    assert report["pass"] and report["cocycles"]
+    assert calls == []
