@@ -3,18 +3,28 @@
 Four complex kinds are supported:
 
 - "normal":     chartwise r-tuples of polyvectors with coefficients constant
-                along the normal directions; the differential combines the
-                structure bracket with the structure vector fields.
+                along the normal directions.
 - "extended":   pairs (ambient polyvector of degree p+2, normal r-tuple of
-                degree p); the ambient part couples into the normal part via
-                brackets with the normal coordinates, with the sign (-1)^p.
-- "linebundle": single-chart scalar-slot complex with the full, unrestricted
-                structure field (graded affine engine only).
-- "bivector":   ambient polyvectors of degree p+2 with the bracket against
-                the structure as differential.
+                degree p).
+- "linebundle": single-chart scalar-slot complex (graded affine engine only).
+- "bivector":   ambient polyvectors of degree p+2.
 
 Cochains are plain dicts: {"nor": {chart: [Polyvector]*r}} and/or
 {"amb": {chart: Polyvector}}. Every linear computation is exact over Q.
+
+All four share one differential, the bracket with the structure Λ twisted
+by structure fields. Slot a of a degree-p chunk x on a chart becomes
+
+    -[x_a, Λ] + (-1)^p Σ_b x_b ∧ twist[a][b] + (-1)^p restrict([amb, w_a]),
+
+the bracket restricted to the submanifold in the normal part, and the last
+term, the coupling of the ambient part through the normal coordinates w_a,
+in the extended kind's normal part only. `twist(part, chart)` gives:
+
+    part  kind               twist[a][b]
+    nor   normal, extended   T0[a][b] restricted to the submanifold
+    amb   linebundle         the unrestricted structure field (one slot)
+    amb   bivector, extended none
 
 One chart's entry of a part is its chunk: r polyvectors for the normal part,
 one for the ambient part. `zero_chunk` and `atom_cochain` build chunks;
@@ -203,63 +213,54 @@ class ComplexDescriptor:
                 for part in self.parts}
 
     # ---- differential --------------------------------------------------
-    def differential(self, cochain: dict, p: int) -> dict:
-        if self.kind == "normal":
-            return {"nor": self._d_normal(cochain["nor"], p)}
-        if self.kind == "extended":
-            amb = cochain.get("amb", {})
-            nor_in = cochain.get("nor", {})
-            S = self.submanifold
-            amb_out = {}
-            for name, pv in amb.items():
-                amb_out[name] = -schouten(pv, self.manifold.bivector(name))
-            nor_out = self._d_normal(nor_in, p) if nor_in else {
-                name: [Polyvector.zero(self.space.chart(name).vars, p + 1)
-                       for _ in range(S.codim)]
-                for name in S.present_charts()}
-            for name in S.present_charts():
-                pv = amb.get(name)
-                if pv is None:
-                    continue
-                w = S.normal[name]
-                chart_vars = self.space.chart(name).vars
-                for a, wv in enumerate(w):
-                    coupling = restrict(
-                        schouten(pv, Polyvector.from_function(
-                            LaurentPoly.variable(chart_vars, wv))), w)
-                    nor_out[name][a] = (nor_out[name][a] + coupling
-                                        if p % 2 == 0 else
-                                        nor_out[name][a] - coupling)
-            return {"amb": amb_out, "nor": nor_out}
+    def twist(self, part: str, name: str):
+        """The rows twist[a][b] of one part on one chart, as in the table of
+        the module docstring; None where the part has no twist."""
+        if part == "nor":
+            return self.submanifold.structure_fields_restricted(name)
         if self.kind == "linebundle":
-            lb = self.linebundle
-            out = {}
-            for name, pv in cochain["amb"].items():
-                t_full = lb.fields[name]
-                term = -schouten(pv, self.manifold.bivector(name))
-                tw = wedge(pv, t_full)
-                out[name] = term + tw if p % 2 == 0 else term - tw
-            return {"amb": out}
-        if self.kind == "bivector":
-            return {"amb": {name: -schouten(pv, self.manifold.bivector(name))
-                            for name, pv in cochain["amb"].items()}}
-        raise InconsistentData(f"unknown complex kind {self.kind!r}")
+            return ((self.linebundle.fields[name],),)
+        return None
 
-    def _d_normal(self, nor: dict, p: int) -> dict:
-        S = self.submanifold
+    def differential(self, cochain: dict, p: int) -> dict:
+        """d of a degree-p cochain, by the one formula of the module
+        docstring. A cochain with no normal part starts from zero normal
+        outputs on every present chart."""
+        if self.kind not in KINDS:
+            raise InconsistentData(f"unknown complex kind {self.kind!r}")
+        S, even, parts = self.submanifold, p % 2 == 0, self.parts
         out = {}
-        for name, tup in nor.items():
-            w = S.normal[name]
-            T0 = S.structure_fields_restricted(name)
-            lam = self.manifold.bivector(name)
-            row = []
-            for a in range(S.codim):
-                val = -restrict(schouten(tup[a], lam), w)
-                for b in range(S.codim):
-                    tw = wedge(tup[b], T0[a][b])
-                    val = val + tw if p % 2 == 0 else val - tw
-                row.append(val)
-            out[name] = row
+        for part in ("amb", "nor"):
+            if part not in parts:
+                continue
+            given = cochain.get(part, {})
+            res = out[part] = {} if given or part == "amb" else {
+                name: self.zero_chunk(part, name, p + 1)
+                for name in S.present_charts()}
+            for name, chunk in given.items():
+                lam = self.manifold.bivector(name)
+                twist = self.twist(part, name)
+                pvs = chunk if part == "nor" else (chunk,)
+                vals = []
+                for a, pv in enumerate(pvs):
+                    val = schouten(pv, lam)
+                    val = -(restrict(val, S.normal[name]) if part == "nor"
+                            else val)
+                    if twist:
+                        for b, pb in enumerate(pvs):
+                            tw = wedge(pb, twist[a][b])
+                            val = val + tw if even else val - tw
+                    vals.append(val)
+                res[name] = vals if part == "nor" else vals[0]
+            if part == "nor" and "amb" in parts:
+                for name, pv in cochain.get("amb", {}).items():
+                    w = S.normal[name]
+                    for a, wv in enumerate(w or ()):
+                        wa = Polyvector.from_function(
+                            LaurentPoly.variable(pv.vars, wv))
+                        coupling = restrict(schouten(pv, wa), w)
+                        res[name][a] = (res[name][a] + coupling if even
+                                        else res[name][a] - coupling)
         return out
 
     # ---- probes --------------------------------------------------------
@@ -665,22 +666,14 @@ def _structure_weight(descriptor: ComplexDescriptor):
     weights = set()
     for name in descriptor.space.chart_names:
         pv = descriptor.manifold.bivector(name)
-        for idx, coeff in pv.terms.items():
-            for e in coeff.terms:
-                weights.add(sum(e) - 2)
-    if descriptor.kind == "linebundle":
-        for pv in descriptor.linebundle.fields.values():
-            for idx, coeff in pv.terms.items():
-                for e in coeff.terms:
-                    weights.add(sum(e) - 1)
-    if descriptor.kind in ("normal", "extended"):
-        S = descriptor.submanifold
-        for name in S.present_charts():
-            for row in S.structure_fields_restricted(name):
+        for coeff in pv.terms.values():
+            weights.update(sum(e) - 2 for e in coeff.terms)
+    for part in descriptor.parts:
+        for name in descriptor.part_charts(part):
+            for row in descriptor.twist(part, name) or ():
                 for pv in row:
-                    for idx, coeff in pv.terms.items():
-                        for e in coeff.terms:
-                            weights.add(sum(e) - 1)
+                    for coeff in pv.terms.values():
+                        weights.update(sum(e) - 1 for e in coeff.terms)
     if not weights:
         return 0, True
     if len(weights) == 1:

@@ -15,7 +15,8 @@ Statements end with ``;`` and ``#`` starts a line comment:
 * ``mode fixed|extended|prescribed;``
 * ``family <chart>: v = <series-expr>, ...;`` — normal-variable motions;
 * ``lambda <chart>: <series-bivector-expr>;`` — ambient bivector family
-  (charts without a statement receive the pushforward of the first one);
+  (charts without a statement receive it by pushforward along the overlap
+  graph from the first one);
 * ``artin def|hilb|exthilb;`` — functor selector for obstruction reports.
 
 The atlas statements (``builtin``, ``chart``, ``transition``) come before
@@ -138,19 +139,18 @@ class ProblemFile:
         return extract_submanifold(self.manifold(), spec)
 
     def lambda_family(self, cutoff: int | None = None) -> dict:
-        """Per-chart ambient family; charts without a statement receive the
-        pushforward of the first declared one."""
+        """Per-chart ambient family; charts without a statement receive it
+        by pushforward along the spanning tree rooted at the first declared
+        one."""
         space = self.space
         if not self.lam:
             raise InconsistentData("problem file declares no ambient family")
         cutoff = self.order if cutoff is None else cutoff
-        out = {}
-        seed = next(iter(self.lam))
-        for name in space.chart_names:
-            ser = self.lam[name] if name in self.lam else self.lam[seed].map(
-                lambda pv: space.pushforward(pv, seed, name))
-            out[name] = TruncatedSeries(self.params, cutoff, ser.terms)
-        return out
+        given = space.spread(
+            self.lam, next(iter(self.lam)), lambda ser, src, dst: ser.map(
+                lambda pv: space.pushforward(pv, src, dst)))
+        return {name: TruncatedSeries(self.params, cutoff, given[name].terms)
+                for name in space.chart_names}
 
     def family_state(self, problem):
         """Deformation state built from the family/lambda statements."""
@@ -325,8 +325,8 @@ class _Parser:
         tok = self.expect("name")
         cvars = self._chart_vars(tok.value, tok)
         self.expect("sym", ":")
-        pv = self._polyvector_expr(cvars, degree=2)
-        self.doc.poisson[tok.value] = pv
+        self.doc.poisson[tok.value] = Polyvector(
+            cvars, 2, self._polyvector_expr(cvars, degree=2))
 
     def _stmt_submanifold(self):
         self.expect_name("normal")
@@ -459,10 +459,9 @@ class _Parser:
             return value
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
-    def _polyvector_expr(self, cvars, degree: int,
-                         extra=()) -> "_PVAccum":
-        """Sum of terms `scalar-prefix * d/v ^ d/w ...`, as a `_PVAccum`:
-        frame-index tuples mapped to LaurentPolys over cvars + extra."""
+    def _polyvector_expr(self, cvars, degree: int, extra=()) -> dict:
+        """Sum of terms `scalar-prefix * d/v ^ d/w ...`, as a dict from
+        sorted frame-index tuples to LaurentPolys over cvars + extra."""
         allvars = tuple(cvars) + tuple(extra)
         acc: dict = {}
         first = True
@@ -486,7 +485,16 @@ class _Parser:
                 acc[frame] = coeff
             if not (self.at_sym("+") or self.at_sym("-")):
                 break
-        return self._assemble_pv(acc, cvars, extra, degree)
+        cvars = tuple(cvars)
+        terms = {}
+        for names, coeff in acc.items():
+            idx, sign = _sort_sign(cvars.index(v) for v in names)
+            signed = coeff * LaurentPoly.const(allvars, sign)
+            if idx in terms:
+                terms[idx] = terms[idx] + signed
+            else:
+                terms[idx] = signed
+        return terms
 
     def _pv_term(self, allvars, cvars, degree: int):
         """One bivector term: scalar factors over `allvars`, then a frame
@@ -528,19 +536,6 @@ class _Parser:
                  "collapses to zero"))
             return LaurentPoly.zero(allvars), None
         return coeff, tuple(names)
-
-    def _assemble_pv(self, acc, cvars, extra, degree):
-        cvars = tuple(cvars)
-        allvars = cvars + tuple(extra)
-        terms = {}
-        for names, coeff in acc.items():
-            idx, sign = _sort_sign(cvars.index(v) for v in names)
-            signed = coeff * LaurentPoly.const(allvars, sign)
-            if idx in terms:
-                terms[idx] = terms[idx] + signed
-            else:
-                terms[idx] = signed
-        return _PVAccum(cvars, tuple(extra), degree, terms)
 
     def _series_expr(self, cvars, where: _Token) -> TruncatedSeries:
         if not self.doc.params:
@@ -584,7 +579,7 @@ class _Parser:
         M = self.doc.order
         cvars = tuple(cvars)
         series_terms: dict = {}
-        for idx, lp in accum.terms.items():
+        for idx, lp in accum.items():
             ser = self._split_series(lp, cvars, where)
             for pe, poly in ser.terms.items():
                 pvterms = series_terms.setdefault(pe, {})
@@ -597,37 +592,10 @@ class _Parser:
         return TruncatedSeries(params, M, out)
 
 
-@dataclass
-class _PVAccum:
-    """Polyvector whose coefficients may still involve parameters."""
-    cvars: tuple
-    extra: tuple
-    degree: int
-    terms: dict       # index tuple -> LaurentPoly over cvars+extra
-
-    def as_polyvector(self) -> Polyvector:
-        out = {}
-        n = len(self.cvars)
-        for idx, lp in self.terms.items():
-            mono = {}
-            for e, c in lp.terms.items():
-                if any(p != 0 for p in e[n:]):
-                    raise InconsistentData(
-                        "parameters are not allowed in this expression")
-                mono[e[:n]] = c
-            poly = LaurentPoly(self.cvars, mono)
-            if not poly.is_zero():
-                out[idx] = poly
-        return Polyvector(self.cvars, self.degree, out)
-
-
 def parse(text: str) -> ProblemFile:
     """Parse problem-file text; raises ParseError with position data."""
     parser = _Parser(text)
     doc = parser.parse_document()
-    # poisson statements carry no parameters: collapse accumulators
-    doc.poisson = {name: acc.as_polyvector() if isinstance(acc, _PVAccum)
-                   else acc for name, acc in doc.poisson.items()}
     _validate_semantics(doc)
     return doc
 

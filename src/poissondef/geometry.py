@@ -131,6 +131,16 @@ class ChartedSpace:
                 f"overlap graph not connected over {names}")
         return edges
 
+    def spread(self, given: Mapping, root: str, move) -> dict:
+        """`given` completed to every chart along the spanning tree rooted at
+        `root`: a chart without a value receives move(value, parent, chart)
+        of its tree parent's value."""
+        out = dict(given)
+        for (parent, child) in self.spanning_tree(root):
+            if child not in out:
+                out[child] = move(out[parent], parent, child)
+        return out
+
     # ---- validation ---------------------------------------------------
     def validate(self) -> dict:
         """Check two-way compositions and triple cocycle identities."""
@@ -315,22 +325,20 @@ class PoissonManifold:
         """Build a structure from bivectors on some charts, propagating to the
         remaining charts by pushforward along a spanning tree. Raises when a
         propagated representative fails to be holomorphic on its chart."""
-        given = dict(bivectors)
-        if not given:
+        if not bivectors:
             raise InconsistentData("no chart carries a bivector")
-        root = next(n for n in space.chart_names if n in given)
-        for (parent, child) in space.spanning_tree(root):
-            if child in given:
-                continue
-            donor = parent if parent in given else root
-            moved = space.pushforward(given[donor], donor, child)
-            for idx, coeff in moved.terms.items():
+
+        def move(b, parent, child):
+            moved = space.pushforward(b, parent, child)
+            for coeff in moved.terms.values():
                 if coeff.has_negative_exponent():
                     raise InconsistentData(
                         f"structure propagated to chart {child} is singular: "
                         f"{moved}")
-            given[child] = moved
-        return cls(space, given)
+            return moved
+
+        root = next(n for n in space.chart_names if n in bivectors)
+        return cls(space, space.spread(bivectors, root, move))
 
 
 def check_poisson_manifold(M: PoissonManifold) -> dict:
@@ -357,7 +365,13 @@ ABSENT = "absent"
 @dataclass
 class SubmanifoldData:
     """A submanifold cut out chartwise by normal coordinates, plus the
-    tensors extracted from the Poisson structure along it."""
+    tensors extracted from the Poisson structure along it.
+
+    Two derived tables are built on first use and kept: each present chart's
+    structure fields restricted to the submanifold (immutable rows, read by
+    the complexes' differential, the tensor certificates and the `tensors`
+    report), and each overlap's first-order matrix moved to its target
+    chart."""
 
     manifold: PoissonManifold
     normal: dict          # chart -> tuple of normal variable names, or None
@@ -369,6 +383,10 @@ class SubmanifoldData:
     # (dst, src) -> first_order[(dst, src)] moved to chart dst, on first use
     _moved_first_order: dict = field(default_factory=dict, init=False,
                                      repr=False, compare=False)
+    # chart -> structure_fields[chart] restricted to the submanifold, on
+    # first use
+    _restricted_fields: dict = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     @property
     def space(self) -> ChartedSpace:
@@ -377,10 +395,17 @@ class SubmanifoldData:
     def present_charts(self):
         return tuple(n for n in self.space.chart_names if self.normal[n] is not None)
 
-    def structure_fields_restricted(self, chart: str):
-        w = self.normal[chart]
-        return [[restrict(entry, w) for entry in row]
-                for row in self.structure_fields[chart]]
+    def structure_fields_restricted(self, chart: str) -> tuple:
+        """The rows T0[a][b] of one present chart's structure fields with
+        the normal variables set to zero, built on first use and kept, as a
+        tuple of tuples."""
+        rows = self._restricted_fields.get(chart)
+        if rows is None:
+            w = self.normal[chart]
+            rows = self._restricted_fields[chart] = tuple(
+                tuple(restrict(entry, w) for entry in row)
+                for row in self.structure_fields[chart])
+        return rows
 
     def normal_transition(self, i: str, k: str, alpha: int) -> LaurentPoly:
         """Expression of the alpha-th normal variable of chart i in chart-k

@@ -248,6 +248,20 @@ def descriptor_family(c3, p3_hyperplane_sub, p3_line_sub, p2_curve_sub):
 
 
 @pytest.fixture(scope="session")
+def square_zero_family(descriptor_family, c3, p3_hyperplane_sub,
+                       p3_line_sub):
+    """`descriptor_family` plus the extended complexes of the P3 hyperplane,
+    the P3 line and the C3 line (c3_normal is the C3 line's normal
+    complex)."""
+    from poissondef.complexes import build_complex
+    fam = dict(descriptor_family)
+    for name, S in (("p3_hyperplane", p3_hyperplane_sub),
+                    ("p3_line", p3_line_sub), ("c3_line", c3[1])):
+        fam[f"{name}_extended"] = build_complex("extended", submanifold=S)
+    return fam
+
+
+@pytest.fixture(scope="session")
 def h0_reports(descriptor_family):
     from poissondef.complexes import h0_complex
     return {name: h0_complex(desc) for name, desc in descriptor_family.items()}

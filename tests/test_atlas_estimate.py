@@ -93,7 +93,8 @@ def old_atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Coho
 
     def d_chunk(data, cname, p):
         if is_nor:
-            return clip_chunk(descriptor._d_normal({cname: data}, p)[cname])
+            return clip_chunk(descriptor.differential(
+                {"nor": {cname: data}}, p)["nor"][cname])
         return clip(-schouten(data, descriptor.manifold.bivector(cname)))
 
     def atoms(cname, p):
@@ -268,18 +269,21 @@ def test_each_atom_is_moved_and_differentiated_once(descriptor_family,
                                                     monkeypatch):
     desc = descriptor_family["p3_hyperplane_normal"]
     moves, diffs = [], []
-    transport, d_normal = transport_nor_tuple, ComplexDescriptor._d_normal
+    transport = transport_nor_tuple
+    differential = ComplexDescriptor.differential
 
     def counted_transport(S, tup, src, dst):
         moves.append((src, dst, _key(tup)))
         return transport(S, tup, src, dst)
 
-    def counted_d_normal(self, nor, p):
-        diffs.extend((name, p, _key(tup)) for name, tup in nor.items())
-        return d_normal(self, nor, p)
+    def counted_differential(self, cochain, p):
+        diffs.extend((name, p, _key(tup))
+                     for name, tup in cochain["nor"].items())
+        return differential(self, cochain, p)
 
     monkeypatch.setattr(complexes, "transport_nor_tuple", counted_transport)
-    monkeypatch.setattr(ComplexDescriptor, "_d_normal", counted_d_normal)
+    monkeypatch.setattr(ComplexDescriptor, "differential",
+                        counted_differential)
     rep = atlas_hyper_truncated(desc, 5)
     assert rep.dimension == 97
     # every call moves or differentiates one non-zero atom, at most once

@@ -30,6 +30,35 @@ def test_square_zero_probe_battery(descriptor_family):
         desc.assert_square_zero(0, 6)
 
 
+# the names of `square_zero_family`
+SQUARE_ZERO_SET = (
+    "c3_normal", "p3_hyperplane_normal", "p3_line_normal", "p2_extended",
+    *(f"f{m}_bivector" for m in range(6)),
+    *(f"f{m}_extended" for m in (0, 1, 3, 4, 5)),
+    "p3_hyperplane_extended", "p3_line_extended", "c3_line_extended")
+
+# d∘d ≠ 0 at p = 1 on these: the sign defect of ROADMAP item 1
+P1_DEFECT = pytest.mark.xfail(
+    strict=True, raises=InconsistentData,
+    reason="ROADMAP item 1: d∘d ≠ 0 at p = 1 on the C3 line and the P3 "
+           "hyperplane")
+P1_FAILS = ("c3_normal", "c3_line_extended", "p3_hyperplane_normal",
+            "p3_hyperplane_extended")
+
+
+@pytest.mark.parametrize("name", SQUARE_ZERO_SET)
+def test_square_zero_at_p2(square_zero_family, name):
+    assert sorted(square_zero_family) == sorted(SQUARE_ZERO_SET)
+    square_zero_family[name].assert_square_zero(2, 3)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=P1_DEFECT) if name in P1_FAILS else name
+    for name in SQUARE_ZERO_SET])
+def test_square_zero_at_p1(square_zero_family, name):
+    square_zero_family[name].assert_square_zero(1, 3)
+
+
 def test_extended_coupling_has_the_graded_sign(p3_hyperplane_sub,
                                                p3_line_sub):
     """The extended differential couples the ambient part into the normal

@@ -22,7 +22,7 @@ import poissondef
 from poissondef.cli import run_command
 from poissondef.deformation import run_solver, verify_family
 from poissondef.dsl import (format_param_monomial, format_param_series,
-                            parse, render)
+                            format_pv_series, parse, render)
 from poissondef.errors import InconsistentData, ParseError
 from poissondef.geometry import ChartedSpace
 from poissondef.symbolic import LaurentPoly, TruncatedSeries
@@ -275,6 +275,12 @@ lambda U0: z1 * d/z1 ^ d/t;
 """,
         "line 4, column 24: unknown variable 't'",
     )
+    # a parameter in a poisson statement is a parse error at its position
+    expect_parse_error(
+        "builtin P2;\nparams t order 2 degree 1;\n"
+        "poisson on U0: t * z1 * d/z1 ^ d/z2;\n",
+        "line 3, column 16: unknown variable 't'",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +319,32 @@ def test_validate_one_way_transition(tmp_path):
     del doc.transitions[("C", "A")]
     with pytest.raises(InconsistentData, match="has no inverse C->A"):
         ChartedSpace(doc.name, doc.charts, doc.transitions)
+
+
+def test_lambda_family_spreads_along_the_overlap_graph(tmp_path):
+    # A and C do not overlap: the family declared on A reaches C through B
+    path = tmp_path / "chain.pdef"
+    path.write_text("chart A vars x y;\n"
+                    "chart B vars u v;\n"
+                    "chart C vars p q;\n"
+                    "transition A -> B: x = u, y = v;\n"
+                    "transition B -> A: u = x, v = y;\n"
+                    "transition B -> C: u = p, v = q;\n"
+                    "transition C -> B: p = u, q = v;\n"
+                    "poisson on A: x * d/x ^ d/y;\n"
+                    "submanifold normal A: [x];\n"
+                    "submanifold normal B: [u];\n"
+                    "submanifold normal C: [p];\n"
+                    "params t order 2 degree 1;\n"
+                    "mode prescribed;\n"
+                    "lambda A: x * d/x ^ d/y + t * x * d/x ^ d/y;\n")
+    for command in ("validate", "verify", "solve"):
+        code, text = run(command, str(path))
+        assert code == 0, (command, text)
+        assert text.endswith("pass: yes\n"), (command, text)
+    lam = parse(path.read_text()).lambda_family()
+    assert format_pv_series(lam["C"], ("p", "q"), ("t",)) == (
+        "p * d/p ^ d/q + p * t * d/p ^ d/q")
 
 
 def test_an_invalid_atlas_is_not_reported_as_an_unknown_chart(tmp_path):

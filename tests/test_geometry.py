@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import example
+from poissondef import geometry
+from poissondef.cli import run_command
 from poissondef.errors import (ChartMismatch, InconsistentData,
                                NonAdaptedTransition, NotPoissonSubmanifold,
                                WrongCodimension)
-from poissondef.geometry import (PoissonManifold, affine_space, builtin_space,
+from poissondef.geometry import (PoissonManifold, SubmanifoldData,
+                                 affine_space, builtin_space,
                                  check_poisson_manifold, codim1_line_bundle,
                                  extract_submanifold, hirzebruch, product,
                                  projective_space, verify_submanifold_tensors)
@@ -149,6 +153,38 @@ def test_structure_fields_shape(c3):
     for row in T:
         for entry in row:
             assert entry.degree == 1
+
+
+def test_section_search_restricts_each_structure_field_once(monkeypatch):
+    """`h0 p3_hyperplane --complex extended --bound 6` differentiates every
+    section, and the tensor certificates and the differential all read the
+    restricted structure rows: each present chart's rows are built once, so
+    each structure field is restricted exactly once."""
+    subs, restricted = [], []
+    restrict_ = geometry.restrict
+    rows_ = SubmanifoldData.structure_fields_restricted
+
+    def record_restrict(a, names):
+        restricted.append(a)
+        return restrict_(a, names)
+
+    def record_rows(self, chart):
+        subs.append(self)
+        return rows_(self, chart)
+
+    monkeypatch.setattr(geometry, "restrict", record_restrict)
+    monkeypatch.setattr(SubmanifoldData, "structure_fields_restricted",
+                        record_rows)
+    code, _ = run_command(["h0", example("p3_hyperplane.pdef"), "--complex",
+                           "extended", "--bound", "6"])
+    assert code == 0
+    entries = {id(S): [entry for name in S.present_charts()
+                       for row in S.structure_fields[name] for entry in row]
+               for S in subs}
+    assert sum(map(len, entries.values())) >= 3
+    for field_entries in entries.values():
+        for entry in field_entries:
+            assert sum(a is entry for a in restricted) == 1
 
 
 def test_not_poisson_submanifold_raises():
