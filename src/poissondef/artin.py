@@ -13,11 +13,11 @@ a `DeformationState` in the prescribed mode (hilb) or the extended mode
 new order they must vanish; `_BELOW_ORDER` names each failure. The class's
 closedness certificates are `complexes.total_closedness`.
 The class lifts when it is the total coboundary of bounded-degree monomial
-unknowns (`complexes.monomial_atoms`). That is one exact linear solve,
-`complexes.solve_total`, on the rows `complexes.total_rows` gives under
-`ARTIN_ROWS`, the same system the solver's order step solves under its own
-labels; its columns are built once per call. A different choice of lifting
-data must move the class by exactly the total coboundary of that choice.
+unknowns (`complexes.monomial_atoms`). That is one exact linear solve of a
+`complexes.CoboundarySystem` under `ARTIN_ROWS`, the system the solver's
+order step solves under its own labels; its columns are built once per
+call. A different choice of lifting data must move the class by exactly the
+total coboundary of that choice, linearised by the same system.
 
 Three functors are covered:
 
@@ -50,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (atom_cochain, build_complex, chunk_entries,
-                         h0_complex, monomial_atoms, solve_total,
-                         total_coboundary, total_rows)
+from .complexes import (CoboundarySystem, atom_cochain, build_complex,
+                         chunk_entries, h0_complex, monomial_atoms,
+                         total_coboundary)
 from .deformation import (DeformationProblem, DeformationState,
                           ObstructionCocycle, add_direction, certify_cocycle,
                           jacobi_residual, lambda_gluing_mismatch,
@@ -267,10 +267,10 @@ ARTIN_ROWS = {("amb", "chart"): "amb", ("nor", "chart"): "nabla",
               ("amb", "overlap"): "ambcech", ("nor", "overlap"): "cech"}
 
 
-def _decide_liftable(atoms, columns, rows):
-    """Solve total_coboundary(unknowns) = class over the monomial unknowns
-    `atoms`, whose `total_rows` are `columns`; `rows` are the class's."""
-    sol, unreached, witness = solve_total(columns, rows)
+def _decide_liftable(atoms, system, total):
+    """Solve total_coboundary(unknowns) = total over the monomial unknowns
+    `atoms`, whose cochains are the unknowns of `system`."""
+    sol, unreached, witness = system.solve(total)
     if unreached is not None:
         return False, f"no unknown reaches equation row {unreached}", None
     if sol is None:
@@ -342,13 +342,11 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
     S, M, phi, lam_map, m = _family_pieces(kind, state, manifold, lam, order)
     desc = _descriptor(kind, S, M)
     cls = _canonical_class(kind, desc, phi, lam_map, m)
-    rows = total_rows(*cls.totals[(m + 1,)], ARTIN_ROWS)
-    pairs = M.space.overlap_pairs()
     atoms = _unknowns(desc, bound, amb_bound)
-    columns = [total_rows(*total_coboundary(
-        desc, atom_cochain(desc, 0, atom), pairs), ARTIN_ROWS)
-        for atom in atoms]
-    liftable, witness, solution = _decide_liftable(atoms, columns, rows)
+    system = CoboundarySystem(
+        desc, [atom_cochain(desc, 0, atom) for atom in atoms], ARTIN_ROWS)
+    liftable, witness, solution = _decide_liftable(atoms, system,
+                                                   cls.totals[(m + 1,)])
     invariance = None
     perturbed = None
     if perturb is not None:
@@ -362,12 +360,13 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
                             for name, A in shifts["A"].items()}
         perturbed = _canonical_class(
             kind, desc, *add_direction(phi, lam_map, (m + 1,), shift), m)
-        p_rows = total_rows(*perturbed.totals[(m + 1,)], ARTIN_ROWS)
+        rows = system.rows(cls.totals[(m + 1,)])
+        p_rows = system.rows(perturbed.totals[(m + 1,)])
         moved = {key: v for key in rows.keys() | p_rows.keys()
                  if (v := rows.get(key, 0) - p_rows.get(key, 0))}
-        identities = moved == total_rows(
-            *total_coboundary(desc, shift, pairs), ARTIN_ROWS)
-        p_liftable, _, _ = _decide_liftable(atoms, columns, p_rows)
+        identities = moved == system.rows(total_coboundary(desc, shift))
+        p_liftable, _, _ = _decide_liftable(atoms, system,
+                                            perturbed.totals[(m + 1,)])
         invariance = {
             "identities": identities,
             "certificates": perturbed.certificates,

@@ -38,11 +38,12 @@ the truncated estimate's columns all go through them.
 
 The Cech total complex of a descriptor is written once, here:
 `total_coboundary` maps a degree-zero cochain to its chart part d(c) and its
-overlap part c_i - (c_k moved to chart i), and `total_closedness` checks the
-closedness identities of a degree-one total cochain. The solver's order steps
-and certificates (`deformation`), the small-ring obstruction calculus
-(`artin`) and the gluing checks all go through these two functions; in that
-complex the ambient part couples into the normal part with the sign (-1)^p.
+overlap part c_i - (c_k moved to chart i) over every ordered overlap of the
+atlas, and `total_closedness` checks the closedness identities of a
+degree-one total cochain. The solver's order steps and certificates
+(`deformation`), the small-ring obstruction calculus (`artin`) and the
+gluing checks all go through these two functions; in that complex the
+ambient part couples into the normal part with the sign (-1)^p.
 
 Bounded-degree monomial unknowns are enumerated once, by `monomial_atoms`:
 an atom is the coordinate key of the single entry of its cochain
@@ -50,8 +51,11 @@ an atom is the coordinate key of the single entry of its cochain
 search, the graded engine, the square-zero probes, the solver's order step
 and the small-ring liftability all draw their unknowns from it. The last two
 ask one question, whether a degree-one total cochain is the total coboundary
-of such unknowns: `total_rows` linearises both sides under the caller's row
-labels and `solve_total` answers it.
+of such unknowns, and one `CoboundarySystem` answers it for both: it builds
+each unknown's column once, `total_rows` of its total coboundary under the
+caller's row labels, and solves for any total cochain linearised the same
+way. The graded engine's columns are the same linearisation,
+`cochain_vector_entries` of an atom's image, keyed by the out-atoms.
 """
 
 from __future__ import annotations
@@ -225,7 +229,9 @@ class ComplexDescriptor:
     def differential(self, cochain: dict, p: int) -> dict:
         """d of a degree-p cochain, by the one formula of the module
         docstring. A cochain with no normal part starts from zero normal
-        outputs on every present chart."""
+        outputs on every present chart; one whose normal part leaves out a
+        present chart that its ambient part holds starts that chart from
+        zero before the coupling."""
         if self.kind not in KINDS:
             raise InconsistentData(f"unknown complex kind {self.kind!r}")
         S, even, parts = self.submanifold, p % 2 == 0, self.parts
@@ -255,6 +261,8 @@ class ComplexDescriptor:
             if part == "nor" and "amb" in parts:
                 for name, pv in cochain.get("amb", {}).items():
                     w = S.normal[name]
+                    if w and name not in res:
+                        res[name] = self.zero_chunk(part, name, p + 1)
                     for a, wv in enumerate(w or ()):
                         wa = Polyvector.from_function(
                             LaurentPoly.variable(pv.vars, wv))
@@ -370,16 +378,15 @@ def _part_is_zero(part: str, chunk) -> bool:
     return all(pv.is_zero() for _, pv in _slots(part, chunk))
 
 
-def total_coboundary(descriptor: ComplexDescriptor, cochain: dict,
-                     pairs) -> tuple:
+def total_coboundary(descriptor: ComplexDescriptor, cochain: dict) -> tuple:
     """Degree-one total cochain (chart part, overlap part) of a degree-zero
     chartwise cochain c.
 
     The chart part is d(c). The overlap part holds, per cochain part and per
-    ordered overlap (i, k) of `pairs`, c_i - (c_k moved to chart i) on chart
-    i: {"nor"|"amb": {(i, k): ...}}. A chart the cochain leaves out counts as
-    zero, and an overlap it holds neither chart of is left out. Normal parts
-    need both charts present.
+    ordered overlap (i, k) of the atlas, c_i - (c_k moved to chart i) on
+    chart i: {"nor"|"amb": {(i, k): ...}}. A chart the cochain leaves out
+    counts as zero, and an overlap it holds neither chart of is left out.
+    Normal parts need both charts present.
     """
     present = (descriptor.submanifold.present_charts()
                if "nor" in descriptor.parts else ())
@@ -389,7 +396,7 @@ def total_coboundary(descriptor: ComplexDescriptor, cochain: dict,
             continue
         data = cochain[part]
         out = overlap[part] = {}
-        for (i, k) in pairs:
+        for (i, k) in descriptor.space.overlap_pairs():
             if i == k or (i not in data and k not in data):
                 continue
             if part == "nor" and (i not in present or k not in present):
@@ -529,17 +536,39 @@ def total_rows(chart: dict, overlap: dict, labels: dict) -> dict:
     return rows
 
 
-def solve_total(columns: list, rhs: dict) -> tuple:
-    """Solve sum_j x_j columns[j] = rhs exactly, each side linearised by
-    `total_rows`. Returns (x, None, None) with `solve_min`'s solution;
-    (None, row, None) with the smallest rhs row that no column reaches; or
-    (None, None, witness) with `solve_min`'s witness row."""
-    reached = set().union(*columns)
-    unreached = min((k for k in rhs if k not in reached), default=None)
-    if unreached is not None:
-        return None, unreached, None
-    x, witness = solve_min(columns, rhs)
-    return x, None, witness
+class CoboundarySystem:
+    """Whether a degree-one total cochain is the total coboundary of a
+    combination of fixed degree-zero unknowns.
+
+    Each unknown's column, `total_rows` of its total coboundary under the
+    row labels `labels`, is built once, here; `rows` linearises any total
+    cochain under the same labels and `solve` answers the question for one.
+    """
+
+    def __init__(self, descriptor: ComplexDescriptor, unknowns: list,
+                 labels: dict):
+        self.unknowns = unknowns
+        self.labels = labels
+        self.columns = [self.rows(total_coboundary(descriptor, cochain))
+                        for cochain in unknowns]
+        self._reached = set().union(*self.columns)
+
+    def rows(self, total: tuple) -> dict:
+        """`total_rows` of a total cochain (chart part, overlap part)."""
+        return total_rows(*total, self.labels)
+
+    def solve(self, total: tuple) -> tuple:
+        """Solve sum_j x_j columns[j] = rows(total) exactly. Returns (x, None,
+        None) with `solve_min`'s solution; (None, row, None) with the
+        smallest row that no column reaches; or (None, None, witness) with
+        `solve_min`'s witness row."""
+        rhs = self.rows(total)
+        unreached = min((k for k in rhs if k not in self._reached),
+                        default=None)
+        if unreached is not None:
+            return None, unreached, None
+        x, witness = solve_min(self.columns, rhs)
+        return x, None, witness
 
 
 # ----------------------------------------------------------------------
@@ -694,23 +723,19 @@ def _weight_atoms(descriptor: ComplexDescriptor, p: int, weight: int):
 
 def _weight_matrix(descriptor, p, w_in, w_out):
     """Matrix of the differential from weight w_in atoms at term p to weight
-    w_out atoms at term p+1; returns (columns keyed by out-atom position,
-    in_atoms, out_atoms)."""
+    w_out atoms at term p+1; returns (columns keyed by out-atom, in_atoms,
+    the set of out_atoms). An atom is the `cochain_vector_entries` key of
+    its entry, so a column is the linearised image itself."""
     in_atoms = _weight_atoms(descriptor, p, w_in)
-    out_atoms = _weight_atoms(descriptor, p + 1, w_out)
-    out_index = {atom: i for i, atom in enumerate(out_atoms)}
+    out_atoms = set(_weight_atoms(descriptor, p + 1, w_out))
     cols = []
     for atom in in_atoms:
-        img = descriptor.differential(atom_cochain(descriptor, p, atom), p)
-        col = {}
-        for key, val in cochain_vector_entries(img):
-            i = out_index.get(key)
-            if i is not None:
-                col[i] = val
-            elif val:
-                raise InconsistentData(
-                    "differential left the graded window; structure is not "
-                    "weight-homogeneous")
+        col = dict(cochain_vector_entries(descriptor.differential(
+            atom_cochain(descriptor, p, atom), p)))
+        if any(val and key not in out_atoms for key, val in col.items()):
+            raise InconsistentData(
+                "differential left the graded window; structure is not "
+                "weight-homogeneous")
         cols.append(col)
     return cols, in_atoms, out_atoms
 
@@ -770,20 +795,14 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
     m1, in1, _ = _weight_matrix(lb_descriptor, 1, weight, weight + shift)
     cocycles = nullspace(m1)
     atoms1 = [atom_cochain(lb_descriptor, 1, a) for a in in1]
-    # coordinates downstairs, keyed by out-atom position like the image
+    # coordinates downstairs, keyed by out-atom like the image
     image, _, out_atoms = _weight_matrix(nor_descriptor, 0, weight - shift,
                                          weight)
-    out_index = {a: i for i, a in enumerate(out_atoms)}
 
     def restrict_col(cochain):
-        col = {}
         rest = restrict(cochain["amb"][chart.name], w_names)
-        for idx, coeff in rest.terms.items():
-            for e, val in coeff.terms.items():
-                i = out_index.get(("nor", chart.name, 0, idx, e))
-                if i is not None:
-                    col[i] = col.get(i, 0) + val
-        return col
+        return {key: val for key, val in cochain_vector_entries(
+            {"nor": {chart.name: [rest]}}) if key in out_atoms}
 
     restricted = [restrict_col(cochain_lincomb(vec, atoms1)) for vec in cocycles]
     return rank(image + restricted) - rank(image)
@@ -828,10 +847,9 @@ def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> lis
     The directions are certified to glue and to be closed before solving;
     NotInKernel otherwise.
     """
-    pairs = descriptor.space.overlap_pairs()
     out = []
     for pname, direction in zip(state.params, first_order_directions(state)):
-        chart, overlap = total_coboundary(descriptor, direction, pairs)
+        chart, overlap = total_coboundary(descriptor, direction)
         if not cochain_is_zero(chart):
             raise NotInKernel(
                 f"first-order direction of {pname} is not closed")
@@ -890,9 +908,7 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
     charts = list(descriptor.part_charts(part))
     pairs = [(i, k) for i in charts for k in charts
              if i < k and (i, k) in space.transitions]
-    triples = [(i, j, k) for i in charts for j in charts for k in charts
-               if i < j < k and all(p in space.transitions
-                                    for p in [(i, j), (j, k), (i, k)])]
+    triples = [t for t in space.triples(charts) if t[0] < t[1] < t[2]]
 
     def window(nv, b):
         if nv == 0:

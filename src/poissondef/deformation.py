@@ -38,17 +38,19 @@ restricted-tuple complex, or of the paired one in extended mode
 (`complexes.total_closedness`, `complexes.total_coboundary`). The cocycle is
 one `ObstructionCocycle`: per parameter monomial one degree-one total
 cochain, `residual_total` of the state's residuals, computed once and
-certified by `certify_cocycle`; the step's right-hand side is
-`complexes.total_rows` of exactly the cochain the certificate checks. The
-small-ring obstruction class (`artin`) is `certify_cocycle` of the same
-residuals at order m+1, so the two share one container. `residual_total`
-restricts the normal chart part to the submanifold, where a cochain of the
-normal complex lives; on the solver's states that changes nothing, since
-their ideal residual carries no normal variable. The system's columns are
-the total coboundaries of the unknowns (`complexes.monomial_atoms` and the
-ambient sections) over every ordered overlap, the same overlaps the cocycle
-carries. They depend only on the problem, the degree bound and the
-sections, so `run_solver` builds them once for every step.
+certified by `certify_cocycle`; the step solves for exactly the cochain
+the certificate checks. The small-ring obstruction class (`artin`) is
+`certify_cocycle` of the same residuals at order m+1, so the two share one
+container. `residual_total` restricts the normal chart part to the
+submanifold, where a cochain of the normal complex lives; on the solver's
+states that changes nothing, since their ideal residual carries no normal
+variable. The step's system is a `complexes.CoboundarySystem`, the one the
+small-ring liftability solves too, under its own row labels: its unknowns
+are the monomial atoms (`complexes.monomial_atoms`), then the ambient
+sections, and each column is `complexes.total_rows` of an unknown's total
+coboundary over every ordered overlap, the same overlaps the cocycle
+carries. The columns depend only on the problem, the degree bound and the
+sections, so `run_solver` builds the system once for every step.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .complexes import (
+    CoboundarySystem,
     CohomologyReport,
     atom_cochain,
     build_complex,
@@ -72,10 +75,8 @@ from .complexes import (
     gluing_failure,
     h0_complex,
     monomial_atoms,
-    solve_total,
     total_closedness,
     total_coboundary,
-    total_rows,
 )
 from .errors import (
     DegreeBoundTooSmall,
@@ -510,42 +511,26 @@ STEP_ROWS = {("nor", "chart"): "G", ("amb", "chart"): "Pi",
              ("nor", "overlap"): "psi", ("amb", "overlap"): "lam"}
 
 
-@dataclass
-class StepSystem:
-    """The order-step matrix at one degree bound: the ambient sections, the
-    unknowns' degree-zero cochains (monomial atoms, then ambient sections)
-    and one sparse column {row key: value} per unknown. It depends only on
-    the problem, the degree and the sections, so one serves every step of a
-    run."""
-    degree: int
-    amb_basis: list
-    cochains: list
-    columns: list
-
-
-def _assemble_step_matrix(problem, degree, amb_basis) -> StepSystem:
-    """Columns of the order-step system: `total_rows` of the total
-    coboundary of each unknown atom and ambient section over every ordered
-    overlap (i, k), under `STEP_ROWS`. The sections glue, so their ambient
-    overlap rows are empty."""
+def _step_system(problem, degree, amb_basis) -> CoboundarySystem:
+    """The order-step system at one degree bound: a `CoboundarySystem` over
+    the unknown atoms of degree <= `degree`, then the ambient sections,
+    under `STEP_ROWS`. It depends only on the problem, the degree and the
+    sections, so one serves every step of a run. The sections glue, so their
+    ambient overlap rows are empty."""
     present = problem.submanifold.present_charts()
     descriptor = _step_descriptor(problem)
-    pairs = problem.space.overlap_pairs()
     atoms = monomial_atoms(descriptor, "nor", 0, present, degree)
-    cochains = [atom_cochain(descriptor, 0, atom) for atom in atoms]
-    cochains += [{"amb": sec["amb"]} for sec in amb_basis]
-    columns = [total_rows(*total_coboundary(descriptor, cochain, pairs),
-                          STEP_ROWS) for cochain in cochains]
-    return StepSystem(degree, amb_basis, cochains, columns)
+    unknowns = [atom_cochain(descriptor, 0, atom) for atom in atoms]
+    unknowns += [{"amb": sec["amb"]} for sec in amb_basis]
+    return CoboundarySystem(descriptor, unknowns, STEP_ROWS)
 
 
-def _solve_step(cocycle, system: StepSystem):
+def _solve_step(cocycle, system: CoboundarySystem):
     """Solve one order step on the cocycle's total cochains; returns
     (per-te solutions, None) or (None, witness description)."""
     solutions = {}
     for te, total in cocycle.totals.items():
-        sol, unreached, bad = solve_total(system.columns,
-                                          total_rows(*total, STEP_ROWS))
+        sol, unreached, bad = system.solve(total)
         if unreached is not None:
             return None, (f"no unknown reaches equation row {unreached} "
                           f"at parameter monomial {te}")
@@ -565,8 +550,8 @@ def _ambient_basis(problem: DeformationProblem) -> list:
     return global_sections(bdesc, problem.bound).basis
 
 
-def solve_order(state: DeformationState, degree: int | None = None, *,
-                system: StepSystem | None = None
+def solve_order(state: DeformationState, *,
+                system: CoboundarySystem | None = None
                 ) -> DeformationState | Obstructed:
     """Extend an order-m family to order m+1 or report the obstruction.
 
@@ -577,22 +562,23 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
     residuals, which the next step reads as its cocycle. When the step is
     infeasible at the requested polynomial degree bound but becomes
     feasible one or two degrees higher, DegreeBoundTooSmall is raised
-    instead of declaring an obstruction. `system` is the problem's
-    `_assemble_step_matrix` at that degree bound, built here when not given.
+    instead of declaring an obstruction; those retries read the ambient
+    sections back from the system's unknowns (the ones with an "amb" part).
+    `system` is the problem's `_step_system` at its degree bound, built here
+    when not given.
     """
     problem = state.problem
-    D = problem.degree if degree is None else degree
+    D = problem.degree
     cocycle = obstruction_cocycle(state)
-    if system is None or system.degree != D:
-        amb_basis = (_ambient_basis(problem) if system is None
-                     else system.amb_basis)
-        system = _assemble_step_matrix(problem, D, amb_basis)
+    if system is None:
+        system = _step_system(problem, D, _ambient_basis(problem))
     solutions, witness = _solve_step(cocycle, system)
     if solutions is None:
         tested = {D: "infeasible"}
+        amb_basis = [c for c in system.unknowns if "amb" in c]
         for bump in (D + 1, D + 2):
-            got, _ = _solve_step(cocycle, _assemble_step_matrix(
-                problem, bump, system.amb_basis))
+            got, _ = _solve_step(cocycle, _step_system(problem, bump,
+                                                       amb_basis))
             tested[bump] = "feasible" if got is not None else "infeasible"
         if any(v == "feasible" for v in tested.values()):
             raise DegreeBoundTooSmall(
@@ -603,7 +589,7 @@ def solve_order(state: DeformationState, degree: int | None = None, *,
     for te, sol in solutions.items():
         if any(sol):
             phi, lam = add_direction(phi, lam, te,
-                                     cochain_lincomb(sol, system.cochains))
+                                     cochain_lincomb(sol, system.unknowns))
     new_state = state.next_order(phi, lam)
     check = verify_family(new_state, new_state.order)
     if not check["pass"]:
@@ -695,8 +681,7 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
             raise InvalidDeformation(
                 "central fibre of the prescribed family does not contain "
                 "the submanifold as a Poisson submanifold")
-    system = (_assemble_step_matrix(problem, problem.degree,
-                                    _ambient_basis(problem))
+    system = (_step_system(problem, problem.degree, _ambient_basis(problem))
               if state.order < M else None)
     while state.order < M:
         nxt = solve_order(state, system=system)
@@ -741,7 +726,6 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
     basis = first_order_directions(family_t)
     descriptor = build_complex(
         "extended" if problem.ambient_varies else "normal", submanifold=S)
-    pairs = space.overlap_pairs()
     h = [TruncatedSeries.zero(s_params, M) for _ in problem.params]
     report = {"orders": {}}
 
@@ -766,7 +750,7 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
         for te in smonos:
             cochain = family_direction(problem, phi, lam, te)
             # closedness preconditions -> MatchFailure, never an internal error
-            chart, overlap = total_coboundary(descriptor, cochain, pairs)
+            chart, overlap = total_coboundary(descriptor, cochain)
             if not cochain_is_zero(chart):
                 raise MatchFailure(
                     f"order-{step} mismatch is not tangent to the moduli "

@@ -88,6 +88,17 @@ class ChartedSpace:
     def overlap_pairs(self):
         return sorted(self.transitions.keys())
 
+    def triples(self, names):
+        """The distinct (i, j, k) of `names`, in nested order, whose
+        overlaps (i, j), (j, k) and (i, k) are all declared."""
+        t = self.transitions
+        for i in names:
+            for j in names:
+                for k in names:
+                    if (len({i, j, k}) == 3 and (i, j) in t and (j, k) in t
+                            and (i, k) in t):
+                        yield i, j, k
+
     # ---- transport ----------------------------------------------------
     def substitute_chart(self, f: LaurentPoly, src: str, dst: str) -> LaurentPoly:
         """Express a function of chart-src coordinates in chart-dst ones."""
@@ -113,7 +124,6 @@ class ChartedSpace:
         if root not in names:
             raise ChartMismatch(f"root {root!r} not in chart subset")
         seen = {root}
-        order = [root]
         edges = []
         queue = [root]
         while queue:
@@ -124,7 +134,6 @@ class ChartedSpace:
                 if (cur, nxt) in self.transitions:
                     seen.add(nxt)
                     edges.append((cur, nxt))
-                    order.append(nxt)
                     queue.append(nxt)
         if len(seen) != len(names):
             raise InconsistentData(
@@ -153,22 +162,14 @@ class ChartedSpace:
                     ok = False
             report["inverses"][f"{i}->{k}->{i}"] = ok
             report["pass"] &= ok
-        names = self.chart_names
-        for i in names:
-            for j in names:
-                for k in names:
-                    if len({i, j, k}) != 3:
-                        continue
-                    if ((i, j) in self.transitions and (j, k) in self.transitions
-                            and (i, k) in self.transitions):
-                        ok = True
-                        for v in self.chart(i).vars:
-                            via_j = self.substitute_chart(
-                                self.transitions[(i, j)][v], j, k)
-                            if via_j != self.transitions[(i, k)][v]:
-                                ok = False
-                        report["cocycles"][f"{i}->{j}->{k}"] = ok
-                        report["pass"] &= ok
+        for i, j, k in self.triples(self.chart_names):
+            ok = True
+            for v in self.chart(i).vars:
+                via_j = self.substitute_chart(self.transitions[(i, j)][v], j, k)
+                if via_j != self.transitions[(i, k)][v]:
+                    ok = False
+            report["cocycles"][f"{i}->{j}->{k}"] = ok
+            report["pass"] &= ok
         return report
 
 
@@ -625,14 +626,10 @@ def codim1_line_bundle(data: SubmanifoldData) -> PoissonLineBundle:
     inv = {"cocycle": {}, "field_closed": dict(data.checks["chart_identity"]),
            "field_compat": dict(data.checks["overlap_identity"]),
            "pass": data.checks["pass"]}
-    for i in present:
-        for j in present:
-            for k in present:
-                if len({i, j, k}) != 3:
-                    continue
-                if ((i, j) in factors and (j, k) in factors and (i, k) in factors):
-                    fij_on_k = data.substitute_tangential(factors[(i, j)], j, k)
-                    ok = factors[(i, k)] == fij_on_k * factors[(j, k)]
-                    inv["cocycle"][f"{i}->{j}->{k}"] = ok
-                    inv["pass"] &= ok
+    # factors holds every overlap of present charts
+    for i, j, k in data.space.triples(present):
+        fij_on_k = data.substitute_tangential(factors[(i, j)], j, k)
+        ok = factors[(i, k)] == fij_on_k * factors[(j, k)]
+        inv["cocycle"][f"{i}->{j}->{k}"] = ok
+        inv["pass"] &= ok
     return PoissonLineBundle(data, factors, fields, inv)

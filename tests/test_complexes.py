@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_dim
-from poissondef.complexes import (CohomologyReport, affine_hyper,
-                                  atlas_hyper_truncated, build_complex,
+from poissondef.complexes import (CohomologyReport, _padded, affine_hyper,
+                                  atlas_hyper_truncated, atom_cochain,
+                                  build_complex,
                                   characteristic_map, cochain_add,
                                   cochain_is_zero, cochain_lincomb,
                                   cochain_scale, cochain_vector_entries,
                                   coordinates, global_sections,
-                                  gluing_failure, h0_complex,
+                                  gluing_failure, h0_complex, monomial_atoms,
                                   semiregularity_image_rank,
                                   total_closedness, total_coboundary,
                                   transport_nor_tuple)
@@ -69,21 +70,39 @@ def test_extended_coupling_has_the_graded_sign(p3_hyperplane_sub,
         desc.assert_square_zero(0, 3)
 
 
+def test_differential_couples_into_a_chart_the_normal_part_leaves_out(
+        p3_hyperplane_sub):
+    """An extended cochain whose normal part holds U0 only, and whose
+    ambient part holds one atom on U1, has the differential of the cochain
+    padded with zeros on every chart: the coupling starts U1 from zero."""
+    desc = build_complex("extended", submanifold=p3_hyperplane_sub)
+    atoms = monomial_atoms(desc, "amb", 0, ["U1"], 2)
+    assert len(atoms) == 30
+    for atom in atoms:
+        cochain = atom_cochain(desc, 0, atom)
+        cochain["nor"] = {"U0": desc.zero_chunk("nor", "U0", 0)}
+        got = desc.differential(cochain, 0)["nor"]
+        want = desc.differential(_padded(desc, 0, atom), 0)["nor"]
+        assert set(got) == {"U0", "U1"}
+        for name in desc.part_charts("nor"):
+            assert got.get(name, desc.zero_chunk("nor", name, 1)) == \
+                want[name]
+
+
 def test_total_coboundary_is_closed(descriptor_family):
     """The total coboundary of any degree-zero cochain passes every
     closedness identity; breaking its chart part on one chart breaks them."""
     desc = descriptor_family["p2_extended"]
-    pairs = desc.space.overlap_pairs()
     probes = list(desc.monomial_probes(0, 2))
     for probe in probes:
-        chart, overlap = total_coboundary(desc, probe, pairs)
+        chart, overlap = total_coboundary(desc, probe)
         certs = total_closedness(desc, chart, overlap)
         assert sorted(certs) == [
             "ambient-closed", "ambient-step", "ambient-triple",
             "normal-closed", "normal-step", "normal-triple"]
         assert all(certs.values())
     name = desc.submanifold.present_charts()[0]
-    chart, overlap = total_coboundary(desc, probes[0], pairs)
+    chart, overlap = total_coboundary(desc, probes[0])
     vars = desc.space.chart(name).vars
     chart["nor"][name] = [pv + Polyvector.monomial(
         vars, (0,), LaurentPoly.const(vars, 1)) for pv in chart["nor"][name]]
@@ -203,8 +222,7 @@ def test_section_space_coordinates(descriptor_family):
 
 
 def _gluing_failure(desc, cochain):
-    pairs = desc.space.overlap_pairs()
-    return gluing_failure(total_coboundary(desc, cochain, pairs)[1])
+    return gluing_failure(total_coboundary(desc, cochain)[1])
 
 
 def test_gluing_failure_names_part_and_overlap(descriptor_family, h0_reports):

@@ -10,8 +10,8 @@ from poissondef.cli import run_command
 from poissondef.errors import (ChartMismatch, InconsistentData,
                                NonAdaptedTransition, NotPoissonSubmanifold,
                                WrongCodimension)
-from poissondef.geometry import (PoissonManifold, SubmanifoldData,
-                                 affine_space, builtin_space,
+from poissondef.geometry import (Chart, ChartedSpace, PoissonManifold,
+                                 SubmanifoldData, affine_space, builtin_space,
                                  check_poisson_manifold, codim1_line_bundle,
                                  extract_submanifold, hirzebruch, product,
                                  projective_space, verify_submanifold_tensors)
@@ -41,6 +41,46 @@ def test_builtin_atlas_validates(space):
     assert report["pass"]
     assert all(report["inverses"].values())
     assert all(report["cocycles"].values())
+
+
+def _nested_triples(space, names):
+    """The triple loops `validate` and `codim1_line_bundle` used to write."""
+    out = []
+    for i in names:
+        for j in names:
+            for k in names:
+                if len({i, j, k}) != 3:
+                    continue
+                if ((i, j) in space.transitions and (j, k) in space.transitions
+                        and (i, k) in space.transitions):
+                    out.append((i, j, k))
+    return out
+
+
+def _chain_atlas():
+    """Three affine lines glued A-B and B-C by w -> w + 1 and its inverse,
+    with no overlap declared between A and C."""
+    charts = [Chart(name, ("w",)) for name in "ABC"]
+    w = LaurentPoly.variable(("w",), "w")
+    one = LaurentPoly.const(("w",), 1)
+    return ChartedSpace("chain", charts, {
+        ("A", "B"): {"w": w + one}, ("B", "A"): {"w": w - one},
+        ("B", "C"): {"w": w + one}, ("C", "B"): {"w": w - one}})
+
+
+@pytest.mark.parametrize("space", [
+    projective_space(3),
+    hirzebruch(0),
+    _chain_atlas(),
+], ids=lambda s: s.name)
+def test_triples_match_the_nested_loops(space):
+    """On P3, on F0 = P1 x P1 and on an atlas with a missing overlap."""
+    names = space.chart_names
+    for subset in (names, names[1:], names[:2], names[::-1]):
+        assert list(space.triples(subset)) == _nested_triples(space, subset)
+    if space.name == "chain":
+        assert list(space.triples(names)) == []
+        assert space.validate()["cocycles"] == {}
 
 
 def test_projective_space_shape():
