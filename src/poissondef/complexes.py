@@ -33,8 +33,8 @@ layout it holds. `_slots` gives a chunk's (slot, polyvector) pairs, slot None
 for an ambient chunk; `_chunk_map` applies a function slot by slot and keeps
 the shape; `chunk_entries` yields each entry as ((slot,) idx, e), value.
 Sums, scalings and zero tests of cochains, their linearisations
-(`cochain_vector_entries`, `total_rows`), the section search's columns and
-the truncated estimate's columns all go through them.
+(`cochain_vector_entries`, `total_rows`), the section search's normal
+columns and the truncated estimate's columns all go through them.
 
 The Cech total complex of a descriptor is written once, here:
 `total_coboundary` maps a degree-zero cochain to its chart part d(c) and its
@@ -56,6 +56,13 @@ each unknown's column once, `total_rows` of its total coboundary under the
 caller's row labels, and solves for any total cochain linearised the same
 way. The graded engine's columns are the same linearisation,
 `cochain_vector_entries` of an atom's image, keyed by the out-atoms.
+
+The section search takes its columns from moved exponents: each root-chart
+ambient atom is moved along a spanning tree as raw terms by the edges'
+`Transition.move`, and its column is the negative-exponent entries of the
+moved terms. Cochain representatives are built on demand, only for the
+atoms in the support of a kernel vector; normal atoms, whose columns are
+read off `transport_nor_tuple`, have theirs from the start.
 """
 
 from __future__ import annotations
@@ -575,47 +582,104 @@ class CoboundarySystem:
 # Global sections from a root-chart ansatz
 # ----------------------------------------------------------------------
 
-def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int,
-                   bound: int, kept: dict | None = None):
-    """The part's charts, the root-chart atoms, and each atom's cochain
-    transported along a spanning tree to every chart. `kept` maps atoms to
-    cochains transported before; the new ones are added to it."""
-    space = descriptor.space
+def _section_tree(descriptor: ComplexDescriptor, part: str):
+    """The part's charts and the spanning tree, rooted at the first chart,
+    along which the section search moves its atoms."""
     charts = list(descriptor.part_charts(part))
-    tree = space.spanning_tree(charts[0], charts) if len(charts) > 1 else []
+    tree = (descriptor.space.spanning_tree(charts[0], charts)
+            if len(charts) > 1 else [])
+    return charts, tree
+
+
+def _representative(descriptor: ComplexDescriptor, part: str, p: int, atom,
+                    tree) -> dict:
+    """The atom's chunk, transported along the tree to every chart:
+    {chart: chunk}."""
+    rep = atom_cochain(descriptor, p, atom)[part]
+    for (parent, child) in tree:
+        rep[child] = _transport(descriptor, part, rep[parent], parent, child)
+    return rep
+
+
+def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int,
+                   bound: int):
+    """The part's charts, the root-chart atoms, and each atom's
+    representative on every chart."""
+    charts, tree = _section_tree(descriptor, part)
     atoms = monomial_atoms(descriptor, part, p, charts[:1], bound)
-    kept = {} if kept is None else kept
-    reps = []
-    for atom in atoms:
-        rep = kept.get(atom)
-        if rep is None:
-            rep = atom_cochain(descriptor, p, atom)[part]
-            for (parent, child) in tree:
-                rep[child] = _transport(descriptor, part, rep[parent], parent,
-                                        child)
-            kept[atom] = rep
-        reps.append(rep)
-    return charts, atoms, reps
+    return charts, atoms, [_representative(descriptor, part, p, atom, tree)
+                           for atom in atoms]
 
 
-def _sections_and_next_dimension(descriptor, part, bound, kept):
+def _moved_terms(space, atom, tree) -> dict:
+    """A degree-zero ambient atom's terms on every chart, {chart: {(idx, e):
+    value}}: the atom on its own chart, then each tree child's terms moved
+    from its parent's, term by term, by the edge's `Transition.move`."""
+    moved = {atom[1]: {atom[-2:]: 1}}
+    for (parent, child) in tree:
+        move = space._moves[(parent, child)]
+        out = moved[child] = {}
+        for (idx, e), c in moved[parent].items():
+            for tidx, piece in move.move(idx, {e: c}):
+                for e2, c2 in piece.items():
+                    key = (tidx, e2)
+                    s = out.get(key, 0) + c2
+                    if s:
+                        out[key] = s
+                    elif key in out:
+                        del out[key]
+    return moved
+
+
+def _column(descriptor: ComplexDescriptor, part: str, atom, tree,
+            kept: dict) -> dict:
+    """An atom's column: its negative-exponent entries across the charts,
+    keyed (chart,) + `chunk_entries` key. An ambient atom's entries are its
+    moved terms; a normal atom's are read off its representative, which
+    `transport_nor_tuple` builds and `kept` keeps."""
+    if part == "amb":
+        moved = _moved_terms(descriptor.space, atom, tree)
+    else:
+        rep = kept[atom] = _representative(descriptor, part, 0, atom, tree)
+        moved = {cname: dict(chunk_entries(part, chunk))
+                 for cname, chunk in rep.items()}
+    return {(cname,) + key: val for cname, entries in moved.items()
+            for key, val in entries.items() if min(key[-1]) < 0}
+
+
+def _sections_and_next_dimension(descriptor, part, bound, columns, kept):
     """The part's degree-zero sections at coefficient degree <= bound, and
     the dimension of its sections at bound + 1.
 
-    The atoms are transported once, at bound + 1; those of degree <= bound
+    The root-chart atoms are taken at bound + 1; those of degree <= bound
     come first within each (chart, slot, idx), in the same order, so their
-    columns are the system at the bound and only a rank is taken at bound + 1.
+    columns are the system at the bound and only a rank is taken at
+    bound + 1. A column comes from moved exponents: the atom's terms moved
+    along the spanning tree, of which it keeps the negative-exponent
+    entries. A section is a combination of the atoms in its kernel vector's
+    support, so only those atoms' representatives are transported as
+    cochains, on demand. `columns` (atom to column) and `kept` (atom to
+    representative) carry what is built from one bound to the next.
     """
-    charts, atoms, reps = _atom_sections(descriptor, part, 0, bound + 1, kept)
-    # one column per atom: its negative-exponent entries across charts
-    columns = [{(cname,) + key: val for cname in charts
-                for key, val in chunk_entries(part, rep[cname])
-                if min(key[-1]) < 0} for rep in reps]
-    below = [j for j, atom in enumerate(atoms) if sum(atom[-1]) <= bound]
-    reps = [{part: reps[j]} for j in below]
-    kernel = nullspace([columns[j] for j in below])
-    next_dimension = len(columns) - rank(columns)
-    return [cochain_lincomb(vec, reps) for vec in kernel], next_dimension
+    charts, tree = _section_tree(descriptor, part)
+    atoms = monomial_atoms(descriptor, part, 0, charts[:1], bound + 1)
+    for atom in atoms:
+        if atom not in columns:
+            columns[atom] = _column(descriptor, part, atom, tree, kept)
+    below = [atom for atom in atoms if sum(atom[-1]) <= bound]
+    sections = []
+    for vec in nullspace([columns[atom] for atom in below]):
+        coeffs, reps = [], []
+        for x, atom in zip(vec, below):
+            if x:
+                if atom not in kept:
+                    kept[atom] = _representative(descriptor, part, 0, atom,
+                                                 tree)
+                coeffs.append(x)
+                reps.append({part: kept[atom]})
+        sections.append(cochain_lincomb(coeffs, reps))
+    next_dimension = len(atoms) - rank([columns[atom] for atom in atoms])
+    return sections, next_dimension
 
 
 def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
@@ -630,6 +694,7 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
         basis = [{part: rep} for part in parts for rep in
                  _atom_sections(descriptor, part, 0, b)[2]]
         return SectionSpace(descriptor.kind, basis, b, True)
+    columns = {part: {} for part in parts}
     kept = {part: {} for part in parts}
     while True:
         dims = {}
@@ -637,7 +702,7 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
         d_next = 0
         for part in parts:
             per_part[part], d = _sections_and_next_dimension(
-                descriptor, part, b, kept[part])
+                descriptor, part, b, columns[part], kept[part])
             d_next += d
         d_b = sum(len(v) for v in per_part.values())
         dims[b], dims[b + 1] = d_b, d_next

@@ -21,7 +21,7 @@ from itertools import product as _cartesian
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import LaurentPoly, monomial_map, substitute
+from .symbolic import LaurentPoly, _product, monomial_map, substitute
 
 
 def _sort_sign(indices: Iterable[int]):
@@ -77,6 +77,16 @@ class Polyvector:
         self.terms = clean
 
     # ---- constructors -------------------------------------------------
+    @staticmethod
+    def _valid(vars: tuple, degree: int, terms: dict) -> "Polyvector":
+        """A polyvector of terms that are valid as they are, as the results
+        of the core's own operations are: strictly increasing index tuples
+        of length `degree` within `vars`, each once, with non-zero
+        coefficients on `vars`. Nothing is checked or copied."""
+        out = Polyvector.__new__(Polyvector)
+        out.vars, out.degree, out.terms = vars, degree, terms
+        return out
+
     @classmethod
     def zero(cls, vars, degree: int) -> "Polyvector":
         return cls(vars, degree)
@@ -143,15 +153,11 @@ class Polyvector:
                     terms[idx] = s
             else:
                 terms[idx] = c
-        out = Polyvector.__new__(Polyvector)
-        out.vars, out.degree, out.terms = self.vars, self.degree, terms
-        return out
+        return Polyvector._valid(self.vars, self.degree, terms)
 
     def __neg__(self) -> "Polyvector":
-        out = Polyvector.__new__(Polyvector)
-        out.vars, out.degree = self.vars, self.degree
-        out.terms = {i: -c for i, c in self.terms.items()}
-        return out
+        return Polyvector._valid(self.vars, self.degree,
+                                 {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "Polyvector") -> "Polyvector":
         return self + (-other)
@@ -165,9 +171,7 @@ class Polyvector:
             prod = c * factor
             if not prod.is_zero():
                 terms[idx] = prod
-        out = Polyvector.__new__(Polyvector)
-        out.vars, out.degree, out.terms = self.vars, self.degree, terms
-        return out
+        return Polyvector._valid(self.vars, self.degree, terms)
 
     __rmul__ = __mul__
 
@@ -262,7 +266,7 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                 if kpos % 2:
                     coeff = -coeff
                 _acc(out_terms, ia[:kpos] + ia[kpos + 1:], coeff)
-        return Polyvector(vars, p - 1, out_terms)
+        return Polyvector._valid(vars, p - 1, out_terms)
     pref = -1 if (p - 1) % 2 else 1
     for ia, f in a.terms.items():
         for ib, g in b.terms.items():
@@ -284,7 +288,7 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                     continue
                 s = sign * (1 if lpos % 2 else -1)
                 _acc(out_terms, idx, g * df * s)
-    return Polyvector(vars, p + q - 1, out_terms)
+    return Polyvector._valid(vars, p + q - 1, out_terms)
 
 
 def hamiltonian(bivector: Polyvector, f) -> Polyvector:
@@ -306,8 +310,12 @@ def restrict(a: Polyvector, names: Iterable[str]) -> Polyvector:
     """Evaluate the listed variables at zero in every coefficient, keeping all
     frame components (including those along the zeroed directions)."""
     names = tuple(names)
-    return Polyvector(a.vars, a.degree,
-                      {i: c.set_zero(names) for i, c in a.terms.items()})
+    terms = {}
+    for i, c in a.terms.items():
+        c = c.set_zero(names)
+        if c.terms:
+            terms[i] = c
+    return Polyvector._valid(a.vars, a.degree, terms)
 
 
 class Transition:
@@ -327,7 +335,9 @@ class Transition:
     d(target_b)/d(source_s) (from `inverse`), one for each s in I, taken in
     `itertools.product` order, the sorted target index tuple of the b's and
     the signed product of the entries in target coordinates. The Jacobian
-    and each list are built on their first use and kept.
+    and each list are built on their first use and kept. `move` moves one
+    term f d_I, given by f's terms alone; it is the one transport loop,
+    which `pushforward` and the section search share.
     """
 
     __slots__ = ("source_vars", "target_vars", "forward", "inverse", "mono",
@@ -352,6 +362,21 @@ class Transition:
         if out.vars != self.target_vars:
             out = out.with_vars(self.target_vars)
         return out
+
+    def move(self, idx: tuple, f_terms: Mapping) -> list:
+        """phi_*(f d_idx) for the function f on the source variables with
+        terms `f_terms` {exponent tuple: coefficient}: per image of d_idx,
+        in order, its target index tuple and the terms of f moved to the
+        target variables times the image. A compiled `mono` moves f's
+        exponent vectors through its images; otherwise f goes through
+        `convert`."""
+        if self.mono is None:
+            moved = self.convert(
+                LaurentPoly._valid(self.source_vars, f_terms)).terms
+        else:
+            moved = self.mono.terms(f_terms)
+        return [(tidx, _product(moved, image.terms))
+                for tidx, image in self[idx]]
 
     def __getitem__(self, idx: tuple) -> list:
         images = self._images.get(idx)
@@ -401,17 +426,13 @@ def pushforward(a: Polyvector, move: Transition) -> Polyvector:
     """Re-express a polyvector on the target chart of `move`, in its
     coordinates and frame; `a` is first brought to the source variables.
 
-    Each coefficient is converted once and multiplied by each image of its
-    frame, in order. The terms are valid as they are: sorted indices,
-    non-zero coefficients on the target variables.
+    Each term is moved by `move.move` and its pieces are summed in order.
     """
     if a.vars != move.source_vars:
         a = a.with_vars(move.source_vars)
+    target_vars = move.target_vars
     terms: dict = {}
     for idx, coeff in a.terms.items():
-        moved = move.convert(coeff)
-        for tidx, image in move[idx]:
-            _acc(terms, tidx, moved * image)
-    out = Polyvector.__new__(Polyvector)
-    out.vars, out.degree, out.terms = move.target_vars, a.degree, terms
-    return out
+        for tidx, piece in move.move(idx, coeff.terms):
+            _acc(terms, tidx, LaurentPoly._valid(target_vars, piece))
+    return Polyvector._valid(target_vars, a.degree, terms)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -33,6 +34,22 @@ def _as_scalar(c):
     if isinstance(c, int):  # a bool, stored as the int it equals
         return int(c)
     raise TypeError(f"expected exact scalar, got {type(c).__name__}")
+
+
+def _product(a: Mapping, b: Mapping) -> dict:
+    """The terms of the product of two polynomials given by their terms
+    {exponent tuple: coefficient}: a's terms outer, b's inner, each sum
+    kept in place and a sum that cancels dropped."""
+    terms: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s:
+                terms[e] = s
+            elif e in terms:
+                del terms[e]
+    return terms
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -68,6 +85,16 @@ class LaurentPoly:
         self.terms = clean
 
     # ---- constructors -------------------------------------------------
+    @staticmethod
+    def _valid(vars: tuple, terms: dict) -> "LaurentPoly":
+        """A polynomial of terms that are valid as they are, as the results
+        of the core's own operations are: exponent tuples that fit `vars`,
+        each once, with non-zero exact scalars. Nothing is checked or
+        copied."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.vars, out.terms = vars, terms
+        return out
+
     @classmethod
     def zero(cls, vars: Iterable[str]) -> "LaurentPoly":
         return cls(vars)
@@ -126,17 +153,13 @@ class LaurentPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars, out.terms = self.vars, terms
-        return out
+        return LaurentPoly._valid(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._valid(self.vars,
+                                  {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if (not isinstance(other, LaurentPoly)
@@ -154,23 +177,11 @@ class LaurentPoly:
             c = _as_scalar(other)
             if not c:
                 return LaurentPoly.zero(self.vars)
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.vars = self.vars
-            out.terms = {e: c * v for e, v in self.terms.items()}
-            return out
+            return LaurentPoly._valid(
+                self.vars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars, out.terms = self.vars, terms
-        return out
+        return LaurentPoly._valid(self.vars,
+                                  _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -213,20 +224,23 @@ class LaurentPoly:
             e2 = list(e)
             e2[i] -= 1
             terms[tuple(e2)] = c * e[i]
-        return LaurentPoly(self.vars, terms)
+        return LaurentPoly._valid(self.vars, terms)
 
     def set_zero(self, names: Iterable[str]) -> "LaurentPoly":
         """Evaluate the given variables at 0 (variable tuple unchanged)."""
         idx = [self.vars.index(n) for n in names]
         terms = {}
         for e, c in self.terms.items():
-            if any(e[i] < 0 for i in idx):
-                raise NegativePowerAtZero(
-                    f"cannot set {names} to zero in {self}")
-            if any(e[i] > 0 for i in idx):
-                continue
-            terms[e] = c
-        return LaurentPoly(self.vars, terms)
+            kept = True
+            for i in idx:
+                if e[i] < 0:
+                    raise NegativePowerAtZero(
+                        f"cannot set {names} to zero in {self}")
+                if e[i]:
+                    kept = False
+            if kept:
+                terms[e] = c
+        return LaurentPoly._valid(self.vars, terms)
 
     # ---- variable plumbing --------------------------------------------
     def with_vars(self, newvars: Iterable[str]) -> "LaurentPoly":
@@ -542,7 +556,8 @@ class MonomialMap:
     coefficient c_v (None when it is 1). Calling it on a LaurentPoly over
     the source variables substitutes: the term c * prod v^(e_v) goes to
     c * prod c_v^(e_v) * y^(sum e_v a_v). Terms are summed in p's order, as
-    the general path of `substitute` sums them."""
+    the general path of `substitute` sums them; `terms` does the same on a
+    polynomial given by its terms alone."""
 
     __slots__ = ("images", "target_vars")
 
@@ -557,10 +572,15 @@ class MonomialMap:
         self.target_vars = target_vars
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
+        return LaurentPoly._valid(self.target_vars, self.terms(p.terms))
+
+    def terms(self, p_terms: Mapping) -> dict:
+        """The substituted terms of the polynomial with terms `p_terms`
+        {exponent tuple: coefficient} on the source variables."""
         images = self.images
         zero = (0,) * len(self.target_vars)
         terms: dict = {}
-        for e, c in p.terms.items():
+        for e, c in p_terms.items():
             exps = zero
             for i, a, cv in images:
                 k = e[i]
@@ -573,9 +593,7 @@ class MonomialMap:
                 terms[exps] = s
             elif exps in terms:
                 del terms[exps]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars, out.terms = self.target_vars, terms
-        return out
+        return terms
 
 
 def monomial_map(assignment: Mapping[str, object], source_vars: Iterable[str],

@@ -35,7 +35,7 @@ from poissondef.cli import run_command
 from poissondef.dsl import parse
 from poissondef.errors import (ChartMismatch, NonInvertibleSubstitution,
                                ParameterMismatch)
-from poissondef import polyvector
+from poissondef import complexes, polyvector
 from poissondef.geometry import (Chart, ChartedSpace, hirzebruch, product,
                                  projective_space)
 from poissondef.polyvector import (Polyvector, Transition, _acc, _sort_sign,
@@ -651,11 +651,12 @@ def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
 # ----------------------------------------------------------------------
 
 def test_section_search_builds_each_frame_image_once(monkeypatch):
-    """`h0 p3_hyperplane --complex extended --bound 6` moves about a
-    thousand polyvectors. Every frame image it needs is built once, on a
-    table its atlas keeps, and polyvector's substitutions stay at one per
-    moved coefficient plus one per image: 1,182 (1,885 when each target
-    index tuple was substituted on every call)."""
+    """`h0 p3_hyperplane --complex extended --bound 6` moves about 1,300
+    terms. Every frame image it needs is built once, on a table its atlas
+    keeps, and polyvector's substitutions stay at one per moved coefficient
+    plus one per image: at most 1,182 (1,885 when each target index tuple
+    was substituted on every call; none since the atlas's maps are
+    compiled)."""
     atlases, builds, calls = [], [], []
     init, build = ChartedSpace.__init__, Transition._build
     substitute_ = polyvector.substitute
@@ -688,26 +689,49 @@ def test_section_search_builds_each_frame_image_once(monkeypatch):
 
 def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     """Every transition of `p3_hyperplane`'s atlas is monomial, so
-    `h0 p3_hyperplane --complex extended --bound 6` moves each coefficient
-    through a compiled map and never through the general `substitute`."""
-    calls, mapped = [], []
-    substitute_, call = polyvector.substitute, MonomialMap.__call__
+    `h0 p3_hyperplane --complex extended --bound 6` moves every term through
+    a compiled map and never through the general `substitute`.
+
+    The section search moves exactly what its basis needs. Each of the 360
+    ambient root atoms (bound 7: 120 exponents for each of 3 index pairs)
+    is moved along the 3 tree edges as raw terms, one move per edge. A
+    representative is transported only for an atom in the support of a
+    kernel vector: the 57 such ambient atoms along the 3 edges, and the 36
+    normal atoms, whose columns are read off their representatives, along
+    the 2 edges between the charts the hyperplane meets; every such
+    representative is one term on each chart it is moved from. That is
+    360 * 3 + 57 * 3 + 36 * 2 = 1,323 moves (1,152 transported
+    representatives and no raw moves when every atom was transported)."""
+    calls, moves, kept = [], [], {}
+    substitute_, move = polyvector.substitute, Transition.move
+    search = complexes._sections_and_next_dimension
 
     def count_substitute(*args, **kwargs):
         calls.append(None)
         return substitute_(*args, **kwargs)
 
-    def count_mapped(self, p):
-        mapped.append(None)
-        return call(self, p)
+    def count_move(self, idx, f_terms):
+        moves.append(self.mono is not None)
+        return move(self, idx, f_terms)
+
+    def count_search(descriptor, part, bound, columns, reps):
+        start = len(moves)
+        out = search(descriptor, part, bound, columns, reps)
+        kept[part] = (len(moves) - start, len(columns), len(reps))
+        return out
 
     monkeypatch.setattr(polyvector, "substitute", count_substitute)
-    monkeypatch.setattr(MonomialMap, "__call__", count_mapped)
+    monkeypatch.setattr(Transition, "move", count_move)
+    monkeypatch.setattr(complexes, "_sections_and_next_dimension",
+                        count_search)
     code, _ = run_command(["h0", f"{EXAMPLES}/p3_hyperplane.pdef",
                            "--complex", "extended", "--bound", "6"])
     assert code == 0
     assert calls == []
-    assert len(mapped) >= 1000
+    assert moves and all(moves)
+    # (moves, atoms with a column, atoms with a representative) per part
+    assert kept == {"amb": (360 * 3 + 57 * 3, 360, 57),
+                    "nor": (36 * 2, 36, 36)}
 
 
 def test_alternating_section_searches_agree():
