@@ -23,6 +23,8 @@ from poissondef.errors import ChartMismatch, NegativePowerAtZero
 from poissondef.polyvector import Polyvector, _acc, _sort_sign
 from poissondef.symbolic import LaurentPoly
 
+from test_transport import _layout
+
 
 # ----------------------------------------------------------------------
 # The checked bodies, verbatim
@@ -124,14 +126,6 @@ def checked_core():
         yield
     finally:
         LaurentPoly.derivative, LaurentPoly.set_zero = saved
-
-
-def _layout(x):
-    """Everything that can reach a report: values and insertion orders."""
-    if isinstance(x, LaurentPoly):
-        return (x.vars, list(x.terms.items()))
-    return (x.vars, x.degree,
-            [(idx, _layout(c)) for idx, c in x.terms.items()])
 
 
 def _outcome(f, *args):

@@ -702,7 +702,7 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     representative is one term on each chart it is moved from. That is
     360 * 3 + 57 * 3 + 36 * 2 = 1,323 moves (1,152 transported
     representatives and no raw moves when every atom was transported)."""
-    calls, moves, kept = [], [], {}
+    calls, moves, work = [], [], {}
     substitute_, move = polyvector.substitute, Transition.move
     search = complexes._sections_and_next_dimension
 
@@ -717,7 +717,7 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     def count_search(descriptor, part, bound, columns, reps):
         start = len(moves)
         out = search(descriptor, part, bound, columns, reps)
-        kept[part] = (len(moves) - start, len(columns), len(reps))
+        work[part] = (len(moves) - start, len(columns), len(reps))
         return out
 
     monkeypatch.setattr(polyvector, "substitute", count_substitute)
@@ -730,7 +730,7 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     assert calls == []
     assert moves and all(moves)
     # (moves, atoms with a column, atoms with a representative) per part
-    assert kept == {"amb": (360 * 3 + 57 * 3, 360, 57),
+    assert work == {"amb": (360 * 3 + 57 * 3, 360, 57),
                     "nor": (36 * 2, 36, 36)}
 
 
