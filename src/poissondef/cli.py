@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .artin import artin_first_order, artin_obstruction
 from .complexes import (PART_LABELS, _chunk_map, _slots, affine_hyper,
@@ -57,7 +58,12 @@ def _count(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later call in the process. Sharing leaves no state behind: `parse_args`
+    returns a fresh namespace and `_Parser.error` raises instead of exiting.
+    Tests that need a fresh parser call `build_parser.cache_clear()`."""
     parser = _Parser(prog="poissondef", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -511,7 +517,14 @@ _COMMANDS = {
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Run one command; returns (exit code, report text)."""
+    """Run one command; returns (exit code, report text).
+
+    Two things are built once per process and shared by every later command:
+    the argument parser (`build_parser`) and each builtin atlas with its
+    compiled transitions (`geometry.builtin_space`). Both are read-only
+    after construction, so a command's report does not depend on what ran
+    before it; `build_parser.cache_clear()` and
+    `builtin_space.cache_clear()` give a fresh state."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

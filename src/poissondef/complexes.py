@@ -651,15 +651,19 @@ def _sections_and_next_dimension(descriptor, part, bound, columns, kept):
     """The part's degree-zero sections at coefficient degree <= bound, and
     the dimension of its sections at bound + 1.
 
-    The root-chart atoms are taken at bound + 1; those of degree <= bound
-    come first within each (chart, slot, idx), in the same order, so their
-    columns are the system at the bound and only a rank is taken at
-    bound + 1. A column comes from moved exponents: the atom's terms moved
-    along the spanning tree, of which it keeps the negative-exponent
-    entries. A section is a combination of the atoms in its kernel vector's
-    support, so only those atoms' representatives are transported as
-    cochains, on demand. `columns` (atom to column) and `kept` (atom to
-    representative) carry what is built from one bound to the next.
+    The root-chart atoms are taken at bound + 1, the k of degree <= bound
+    first in their order, and one kernel is taken of all their columns; its
+    length is the dimension at bound + 1. Its vectors that are zero past
+    the first k entries come first, and cut to k entries they are the
+    kernel of the first k columns alone, entry for entry: the reduced rows
+    that pivot on the first k columns, cut to them, are the reduced form of
+    those columns, and the other reduced rows are zero there. A column
+    comes from moved exponents: the atom's terms moved along the spanning
+    tree, of which it keeps the negative-exponent entries. A section is a
+    combination of the atoms in its kernel vector's support, so only those
+    atoms' representatives are transported as cochains, on demand.
+    `columns` (atom to column) and `kept` (atom to representative) carry
+    what is built from one bound to the next.
     """
     charts, tree = _section_tree(descriptor, part)
     atoms = monomial_atoms(descriptor, part, 0, charts[:1], bound + 1)
@@ -667,8 +671,12 @@ def _sections_and_next_dimension(descriptor, part, bound, columns, kept):
         if atom not in columns:
             columns[atom] = _column(descriptor, part, atom, tree, kept)
     below = [atom for atom in atoms if sum(atom[-1]) <= bound]
+    above = [atom for atom in atoms if sum(atom[-1]) > bound]
+    kernel = nullspace([columns[atom] for atom in below + above])
     sections = []
-    for vec in nullspace([columns[atom] for atom in below]):
+    for vec in kernel:
+        if any(vec[len(below):]):
+            break
         coeffs, reps = [], []
         for x, atom in zip(vec, below):
             if x:
@@ -678,8 +686,7 @@ def _sections_and_next_dimension(descriptor, part, bound, columns, kept):
                 coeffs.append(x)
                 reps.append({part: kept[atom]})
         sections.append(cochain_lincomb(coeffs, reps))
-    next_dimension = len(atoms) - rank([columns[atom] for atom in atoms])
-    return sections, next_dimension
+    return sections, len(kernel)
 
 
 def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,

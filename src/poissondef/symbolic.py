@@ -557,9 +557,10 @@ class MonomialMap:
     the source variables substitutes: the term c * prod v^(e_v) goes to
     c * prod c_v^(e_v) * y^(sum e_v a_v). Terms are summed in p's order, as
     the general path of `substitute` sums them; `terms` does the same on a
-    polynomial given by its terms alone."""
+    polynomial given by its terms alone, adding each e_v a_v through the
+    non-zero entries (j, a_v[j]) of a_v kept in `_steps`."""
 
-    __slots__ = ("images", "target_vars")
+    __slots__ = ("images", "target_vars", "_steps")
 
     def __init__(self, vals: Mapping[str, LaurentPoly], source_vars: tuple,
                  target_vars: tuple):
@@ -570,6 +571,9 @@ class MonomialMap:
                 images.append((i, a, None if cv == 1 else cv))
         self.images = tuple(images)
         self.target_vars = target_vars
+        self._steps = tuple(
+            (i, tuple((j, y) for j, y in enumerate(a) if y), cv)
+            for i, a, cv in self.images)
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._valid(self.target_vars, self.terms(p.terms))
@@ -577,17 +581,19 @@ class MonomialMap:
     def terms(self, p_terms: Mapping) -> dict:
         """The substituted terms of the polynomial with terms `p_terms`
         {exponent tuple: coefficient} on the source variables."""
-        images = self.images
-        zero = (0,) * len(self.target_vars)
+        steps = self._steps
+        n = len(self.target_vars)
         terms: dict = {}
         for e, c in p_terms.items():
-            exps = zero
-            for i, a, cv in images:
+            moved = [0] * n
+            for i, entries, cv in steps:
                 k = e[i]
                 if k:
-                    exps = tuple(x + k * y for x, y in zip(exps, a))
+                    for j, y in entries:
+                        moved[j] += k * y
                     if cv is not None:
                         c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
+            exps = tuple(moved)
             s = terms.get(exps, 0) + c
             if s:
                 terms[exps] = s

@@ -194,6 +194,34 @@ int_rows = st.lists(st.dictionaries(st.integers(0, 6), int_entries,
                                     max_size=7), max_size=7)
 
 
+# columns marked for the head of a system or for its tail, with int and
+# Fraction entries mixed
+marked_columns = st.lists(st.tuples(st.booleans(), st.dictionaries(
+    st.sampled_from(COLUMN_KEYS), st.one_of(entries, int_entries),
+    max_size=4)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(marked_columns)
+def test_the_head_kernel_is_read_off_one_kernel_of_head_then_tail(marked):
+    """The head's columns, in their order, go first and the others after.
+    One kernel gives the rank of every column in the interleaved order
+    drawn, and its vectors that are zero past the head come first and are,
+    cut to the head, `nullspace` of the head alone, down to the int or
+    Fraction type of every entry."""
+    cols = [col for _, col in marked]
+    head = [col for first, col in marked if first]
+    tail = [col for first, col in marked if not first]
+    kernel = nullspace(head + tail)
+    assert len(kernel) == len(cols) - rank(cols)
+    k = len(head)
+    leading = [v for v in kernel if not any(v[k:])]
+    assert kernel[:len(leading)] == leading
+    want = nullspace(head)
+    assert [[(x, type(x)) for x in v[:k]] for v in leading] == \
+        [[(x, type(x)) for x in v] for v in want]
+
+
 def exact_entries(values):
     return all(type(v) in (int, Fraction) for v in values)
 
