@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 
 from .artin import artin_first_order, artin_obstruction
 from .complexes import (PART_LABELS, _chunk_map, _slots, affine_hyper,
@@ -47,6 +46,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Subcommand:
+    """A subcommand's parser as argparse's subparser action uses it:
+    `add_argument` records each call, and the first parse builds the
+    `_Parser` and adds them in their order. A command line reaches one
+    subcommand, so the parsers of the others are never built."""
+
+    def __init__(self, **kwargs):
+        self._kwargs, self._calls, self._parser = kwargs, [], None
+
+    def add_argument(self, *args, **kwargs):
+        self._calls.append((args, kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._parser is None:
+            self._parser = _Parser(**self._kwargs)
+            for a, kw in self._calls:
+                self._parser.add_argument(*a, **kw)
+        return self._parser.parse_known_args(args, namespace)
+
+
 def _count(text: str) -> int:
     """Type of every --order, --degree and --bound: an integer >= 0."""
     try:
@@ -58,15 +77,11 @@ def _count(text: str) -> int:
     return value
 
 
-@cache
 def build_parser() -> _Parser:
-    """The argument parser, built on the first call and shared by every
-    later call in the process. Sharing leaves no state behind: `parse_args`
-    returns a fresh namespace and `_Parser.error` raises instead of exiting.
-    Tests that need a fresh parser call `build_parser.cache_clear()`."""
     parser = _Parser(prog="poissondef", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
 
     def add(name, help, files=1):
         p = sub.add_parser(name, help=help)
@@ -517,14 +532,7 @@ _COMMANDS = {
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Run one command; returns (exit code, report text).
-
-    Two things are built once per process and shared by every later command:
-    the argument parser (`build_parser`) and each builtin atlas with its
-    compiled transitions (`geometry.builtin_space`). Both are read-only
-    after construction, so a command's report does not depend on what ran
-    before it; `build_parser.cache_clear()` and
-    `builtin_space.cache_clear()` give a fresh state."""
+    """Run one command; returns (exit code, report text)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

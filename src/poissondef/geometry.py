@@ -16,7 +16,6 @@ and certifies the compatibility identities they satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -283,15 +282,7 @@ def product(a: ChartedSpace, b: ChartedSpace, name: str | None = None) -> Charte
     return ChartedSpace(name or f"{a.name}x{b.name}", charts, transitions)
 
 
-@cache
 def builtin_space(name: str, args: tuple = ()) -> ChartedSpace:
-    """The builtin atlas `name` with integer arguments `args`, built on the
-    first call for that (name, args) and shared by every later one in the
-    process, together with its transitions' compiled maps, Jacobians and
-    frame images. Nothing writes to a `ChartedSpace` after construction
-    except those lazily built tables, which depend on the atlas alone, so
-    sharing changes no result. `builtin_space.cache_clear()` gives a fresh
-    atlas to the next call."""
     key = name.lower()
     if key in ("p1", "p2", "p3"):
         return projective_space(int(key[1]))

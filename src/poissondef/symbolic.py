@@ -552,15 +552,14 @@ def _series_pow(s: TruncatedSeries, n: int, one: LaurentPoly) -> TruncatedSeries
 class MonomialMap:
     """A substitution whose every value is a single term c_v * y^(a_v) over
     one target variable tuple, compiled once: per assigned source variable
-    its index, its exponent vector a_v in the target variables and its
-    coefficient c_v (None when it is 1). Calling it on a LaurentPoly over
-    the source variables substitutes: the term c * prod v^(e_v) goes to
-    c * prod c_v^(e_v) * y^(sum e_v a_v). Terms are summed in p's order, as
-    the general path of `substitute` sums them; `terms` does the same on a
-    polynomial given by its terms alone, adding each e_v a_v through the
-    non-zero entries (j, a_v[j]) of a_v kept in `_steps`."""
+    its index, the non-zero entries (j, a_v[j]) of its exponent vector a_v
+    in the target variables and its coefficient c_v (None when it is 1).
+    Calling it on a LaurentPoly over the source variables substitutes: the
+    term c * prod v^(e_v) goes to c * prod c_v^(e_v) * y^(sum e_v a_v).
+    Terms are summed in p's order, as the general path of `substitute` sums
+    them; `terms` does the same on a polynomial given by its terms alone."""
 
-    __slots__ = ("images", "target_vars", "_steps")
+    __slots__ = ("images", "target_vars")
 
     def __init__(self, vals: Mapping[str, LaurentPoly], source_vars: tuple,
                  target_vars: tuple):
@@ -568,12 +567,10 @@ class MonomialMap:
         for i, v in enumerate(source_vars):
             if v in vals:
                 ((a, cv),) = vals[v].terms.items()
-                images.append((i, a, None if cv == 1 else cv))
+                entries = tuple((j, y) for j, y in enumerate(a) if y)
+                images.append((i, entries, None if cv == 1 else cv))
         self.images = tuple(images)
         self.target_vars = target_vars
-        self._steps = tuple(
-            (i, tuple((j, y) for j, y in enumerate(a) if y), cv)
-            for i, a, cv in self.images)
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._valid(self.target_vars, self.terms(p.terms))
@@ -581,12 +578,12 @@ class MonomialMap:
     def terms(self, p_terms: Mapping) -> dict:
         """The substituted terms of the polynomial with terms `p_terms`
         {exponent tuple: coefficient} on the source variables."""
-        steps = self._steps
+        images = self.images
         n = len(self.target_vars)
         terms: dict = {}
         for e, c in p_terms.items():
             moved = [0] * n
-            for i, entries, cv in steps:
+            for i, entries, cv in images:
                 k = e[i]
                 if k:
                     for j, y in entries:

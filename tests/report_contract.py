@@ -32,8 +32,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import poissondef
-from poissondef.cli import build_parser, run_command
-from poissondef.geometry import builtin_space
+from poissondef.cli import run_command
 
 from test_witness_snapshot import MATCH_PAIRS
 
@@ -161,13 +160,6 @@ def scratch_directory():
             yield
         finally:
             os.chdir(cwd)
-
-
-def clear_caches():
-    """Drop the parser and the builtin atlases the process shares, so the
-    next command builds them as a shell invocation does."""
-    build_parser.cache_clear()
-    builtin_space.cache_clear()
 
 
 def run(argv) -> dict:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poissondef
+from poissondef import cli
 from poissondef.cli import run_command
 from poissondef.deformation import run_solver, verify_family
 from poissondef.dsl import (format_param_monomial, format_param_series,
@@ -684,6 +685,55 @@ def test_non_integer_override_keeps_the_int_message():
     code, text = run("solve", corpus_path("p3_hyperplane.pdef"), "--order", "x")
     assert (code, text) == (1, "usage error: argument --order: invalid int "
                                "value: 'x'\n")
+
+
+SUBCOMMANDS = ("validate", "tensors", "h0", "hyper", "solve", "verify",
+               "match", "artin")
+PARSER_ARGVS = (
+    [[], ["nonsense"], ["--help"], ["-h"], ["--he"], ["--json", "h0", "f"],
+     ["h0", "f", "--complex", "bogus"], ["h0", "f", "--bo", "3"],
+     ["h0", "f", "--bound", "-1"], ["solve", "f", "--order", "x"],
+     ["solve", "f", "--mode", "extended", "--seed", "0,1", "--json"],
+     ["artin", "f", "--functor", "def", "--order", "2"], ["match", "a"],
+     ["validate", "f", "extra"], ["verify", "--order", "3", "f"]]
+    + [[name, "--help"] for name in SUBCOMMANDS]
+    + [[name, "f", "g"][:3 if name == "match" else 2] for name in SUBCOMMANDS])
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        return "args", vars(parser.parse_args(argv))
+    except cli._UsageError as e:
+        return "usage error", str(e)
+    except SystemExit as e:
+        return "exit", e.code, capsys.readouterr()
+    finally:
+        assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_subcommand_parsers_built_on_first_parse_parse_as_eager_ones(
+        argv, capsys, monkeypatch):
+    """Each subcommand's parser is built when the command line reaches it.
+    The namespace, usage error or help text is the one a parser with every
+    subcommand built up front gives."""
+    outcome = _parse_outcome(cli.build_parser(), argv, capsys)
+    monkeypatch.setattr(cli, "_Subcommand", cli._Parser)
+    assert outcome == _parse_outcome(cli.build_parser(), argv, capsys)
+
+
+def test_a_command_builds_the_parser_of_its_subcommand_alone(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def record(self, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", record)
+    code, _ = run_command(["validate", corpus_path("p3_line.pdef")])
+    assert code == 0
+    assert built == ["poissondef", "poissondef validate"]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

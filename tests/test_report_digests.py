@@ -1,28 +1,12 @@
 """Every report of the behaviour contract (`report_contract.py`) has the
 exit code, byte count and SHA-256 recorded in `data/report_digests.json`.
 
-A command that raises fails the test. The sweep runs twice: with the
-parser and the builtin atlases shared by every command of the process, and
-with both dropped before each argv, as a shell invocation starts. On a
-mismatch the test names every argv whose report moved;
-`PYTHONPATH=src python tests/report_contract.py` records the file again
-when a change means to move them.
+A command that raises fails the test. On a mismatch the test names every
+argv whose report moved; `PYTHONPATH=src python tests/report_contract.py`
+records the file again when a change means to move them.
 """
 
-from report_contract import (clear_caches, commands, recorded, run,
-                             scratch_directory)
-
-
-def moved_reports(fresh: bool) -> list:
-    want = recorded()
-    moved = []
-    with scratch_directory():
-        for argv in commands():
-            if fresh:
-                clear_caches()
-            if run(argv) != want[tuple(argv)]:
-                moved.append(" ".join(argv))
-    return moved
+from report_contract import commands, recorded, run, scratch_directory
 
 
 def test_the_recorded_matrix_is_the_contract():
@@ -30,10 +14,8 @@ def test_the_recorded_matrix_is_the_contract():
 
 
 def test_every_report_matches_its_digest():
-    moved = moved_reports(fresh=False)
-    assert not moved, f"{len(moved)} reports moved: " + "; ".join(moved)
-
-
-def test_every_report_matches_its_digest_from_fresh_caches():
-    moved = moved_reports(fresh=True)
+    want = recorded()
+    with scratch_directory():
+        moved = [" ".join(argv) for argv in commands()
+                 if run(argv) != want[tuple(argv)]]
     assert not moved, f"{len(moved)} reports moved: " + "; ".join(moved)

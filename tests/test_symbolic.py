@@ -194,16 +194,18 @@ class _FractionOnlyMonomialMap:
     """Holder of the Fraction-only `MonomialMap.__call__`."""
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
-        zero = (0,) * len(self.target_vars)
+        n = len(self.target_vars)
         terms: dict = {}
         for e, c in p.terms.items():
-            exps = zero
-            for i, a, cv in self.images:
+            moved = [0] * n
+            for i, entries, cv in self.images:
                 k = e[i]
                 if k:
-                    exps = tuple(x + k * y for x, y in zip(exps, a))
+                    for j, y in entries:
+                        moved[j] += k * y
                     if cv is not None:
                         c = c * cv ** k
+            exps = tuple(moved)
             s = terms.get(exps, 0) + c
             if s:
                 terms[exps] = s
