@@ -70,9 +70,13 @@ VARIANTS = (
 ONE_FILE = (
     ("h0", "c3_line.pdef", "--complex", "linebundle"),
     ("hyper", "c3_line.pdef", "--complex", "linebundle"),
+    ("h0", "c3_line.pdef", "--complex", "bogus"),
+    ("solve", "c3_line.pdef", "--mode", "bogus"),
+    ("artin", "c3_line.pdef", "--functor", "bogus"),
 )
 
-# the malformed problem files of test_dsl_cli, by file name
+# the malformed problem files of test_dsl_cli, then one input per
+# statement-level parse error, by file name
 MALFORMED = {
     "power.pdef": "builtin P2;\npoisson on U0: (z1 + 1)^-2 * d/z1 ^ d/z2;\n",
     "broken.pdef": "manifold x\nbuiltin P2;\n",
@@ -118,6 +122,19 @@ MALFORMED = {
     "builtin_pn.pdef": "builtin Pn(x);\n",
     "builtin_pn_bare.pdef": "builtin Pn;\npoisson on U0: d/z1 ^ d/z1;\n",
     "builtin_fm.pdef": "builtin Fm(m);\nsubmanifold normal U1: [xi];\n",
+    "transition_variable.pdef":
+        "chart A vars x y;\nchart B vars u v;\n"
+        "transition A -> B: x = u, v = v;\n",
+    "submanifold_variable.pdef":
+        "builtin Fm(1);\nsubmanifold normal U1: [zp];\n",
+    "submanifold_comma.pdef":
+        "builtin P2;\nsubmanifold normal U0: [z1 z2];\n",
+    "family_equals.pdef":
+        "builtin P2;\nsubmanifold normal U0: [z1];\n"
+        "params t order 2 degree 2;\nfamily U0: z1 t;\n",
+    "builtin_fm_negative.pdef": "builtin Fm(-1);\n",
+    "mode_bogus.pdef": "builtin P2;\nmode bogus;\n",
+    "artin_bogus.pdef": "builtin P2;\nartin bogus;\n",
 }
 # read by the commands below, but never written
 ABSENT = "absent.pdef"
