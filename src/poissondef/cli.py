@@ -23,11 +23,12 @@ import argparse
 import json
 import sys
 
-from .artin import artin_first_order, artin_obstruction
-from .complexes import (PART_LABELS, _chunk_map, _slots, affine_hyper,
+from .artin import FUNCTORS, artin_first_order, artin_obstruction
+from .complexes import (KINDS, PART_LABELS, _chunk_map, _slots, affine_hyper,
                         atlas_hyper_truncated, build_complex, cochain_is_zero,
                         h0_complex)
-from .deformation import DeformationState, match_families, run_solver, verify_family
+from .deformation import (MODES, DeformationState, match_families, run_solver,
+                          verify_family)
 from .dsl import (format_param_monomial, format_param_series, format_poly,
                   format_polyvector, format_pv_series, format_series, parse)
 from .errors import (MatchFailure, NotPoissonSubmanifold, ParseError,
@@ -99,13 +100,13 @@ def build_parser() -> _Parser:
 
     p = add("h0", "degree-zero cohomology of a controlling complex")
     p.add_argument("--complex", default="normal", dest="complex_kind",
-                   choices=("normal", "extended", "linebundle", "bivector"))
+                   choices=KINDS)
     p.add_argument("--weights", help="weight range a..b (single-chart only)")
     p.add_argument("--bound", type=_count, help="section degree bound")
 
     p = add("hyper", "degree-one cohomology data")
     p.add_argument("--complex", default="normal", dest="complex_kind",
-                   choices=("normal", "extended", "linebundle", "bivector"))
+                   choices=KINDS)
     p.add_argument("--weights", help="weight range a..b (single-chart only)")
     p.add_argument("--bound", type=_count, default=4,
                    help="Laurent window bound for the atlas estimate")
@@ -113,8 +114,7 @@ def build_parser() -> _Parser:
     p = add("solve", "construct a family order by order")
     p.add_argument("--order", type=_count, help="target order override")
     p.add_argument("--degree", type=_count, help="degree bound override")
-    p.add_argument("--mode", choices=("fixed", "extended", "prescribed"),
-                   help="mode override")
+    p.add_argument("--mode", choices=MODES, help="mode override")
     p.add_argument("--seed", help="comma-separated degree-zero basis indices")
     p.add_argument("--bound", type=_count,
                    help="section degree bound override")
@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
                                   "for the model solve")
 
     p = add("artin", "small-extension obstruction report")
-    p.add_argument("--functor", choices=("def", "hilb", "exthilb"),
+    p.add_argument("--functor", choices=FUNCTORS,
                    help="functor override (defaults to the file's artin "
                         "statement)")
     p.add_argument("--order", type=_count, default=0,
@@ -180,10 +180,13 @@ def _emit(report: dict, as_json: bool) -> str:
     return "\n".join(_human_lines(report)) + "\n"
 
 
-def _render_cochain(c) -> dict:
-    return {label: {name: _chunk_map(part, format_polyvector, chunk)
-                    for name, chunk in sorted(c[part].items())}
-            for part, label in PART_LABELS.items() if part in c}
+def _render_cochain(c, parts=PART_LABELS, suffix="", label=str) -> dict:
+    """The given parts of a cochain, in that order, each under its label
+    plus `suffix` and then per chart, or per overlap with `label="|".join`."""
+    return {PART_LABELS[part] + suffix: {
+                label(at): _chunk_map(part, format_polyvector, chunk)
+                for at, chunk in sorted(c[part].items())}
+            for part in parts if part in c}
 
 
 def _render_cocycle(state) -> dict:
@@ -471,15 +474,9 @@ def _render_class(cls) -> dict:
     """An artin class, under the order m of the family it obstructs: its
     chart parts, then its overlap parts ("_cech"), ambient before normal."""
     chart, overlap = cls.totals[(cls.order,)]
-    out = {"order": cls.order - 1, "zero": cls.is_zero()}
-    for where, suffix, label in ((chart, "", str),
-                                 (overlap, "_cech", "|".join)):
-        for part in ("amb", "nor"):
-            if part in where:
-                out[PART_LABELS[part] + suffix] = {
-                    label(at): _chunk_map(part, format_polyvector, chunk)
-                    for at, chunk in sorted(where[part].items())}
-    return out
+    return {"order": cls.order - 1, "zero": cls.is_zero(),
+            **_render_cochain(chart, ("amb", "nor")),
+            **_render_cochain(overlap, ("amb", "nor"), "_cech", "|".join)}
 
 
 def _cmd_artin(args):

@@ -696,7 +696,7 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
     when the dimension agrees at the bound and the bound plus one."""
     parts = descriptor.parts
     b = bound if bound is not None else suggested_bound(descriptor.space)
-    if descriptor.kind == "linebundle" or not descriptor.space.transitions:
+    if not descriptor.space.transitions:
         # single chart: every bounded cochain is a section; enumerate directly
         basis = [{part: rep} for part in parts for rep in
                  _atom_sections(descriptor, part, 0, b)[2]]
@@ -743,10 +743,10 @@ class CohomologyReport:
     notes: tuple = ()
 
 
-def h0_complex(descriptor: ComplexDescriptor, bound: int | None = None,
-               max_bound: int = 12) -> CohomologyReport:
+def h0_complex(descriptor: ComplexDescriptor,
+               bound: int | None = None) -> CohomologyReport:
     """Kernel of the first differential on global sections."""
-    space = global_sections(descriptor, bound, max_bound)
+    space = global_sections(descriptor, bound)
     if not space.basis:
         return CohomologyReport(descriptor.kind, "atlas", 0, [],
                                 space.degree_bound, space.stable, 0)

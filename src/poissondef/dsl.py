@@ -37,6 +37,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .artin import FUNCTORS
+from .deformation import MODES, DeformationProblem, DeformationState
 from .errors import (ChartMismatch, InconsistentData,
                      NonInvertibleSubstitution, ParseError)
 from .geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
@@ -154,7 +156,6 @@ class ProblemFile:
 
     def family_state(self, problem):
         """Deformation state built from the family/lambda statements."""
-        from .deformation import DeformationState
         S = problem.submanifold
         M = problem.order
         phi = {}
@@ -178,8 +179,7 @@ class ProblemFile:
         return DeformationState(problem, order, phi, lam)
 
     def problem(self, *, order=None, degree=None, mode=None, seed=None,
-                directions=None, bound=None):
-        from .deformation import DeformationProblem
+                bound=None):
         use_mode = mode or self.mode
         prescribed = None
         if use_mode == "prescribed":
@@ -193,8 +193,7 @@ class ProblemFile:
                 "problem has no order and degree")
         return DeformationProblem(
             submanifold, self.params, use_order, use_degree,
-            mode=use_mode, prescribed=prescribed, seed=seed,
-            directions=directions, bound=bound)
+            mode=use_mode, prescribed=prescribed, seed=seed, bound=bound)
 
 
 # ----------------------------------------------------------------------
@@ -260,21 +259,16 @@ class _Parser:
 
     def _stmt_builtin(self):
         tok = self.expect("name")
-        args = []
-        if self.eat_sym("("):
-            while not self.at_sym(")"):
-                arg = self.next()
-                if arg.kind == "number":
-                    args.append(int(arg.value))
-                elif arg.kind == "name":
-                    args.append(arg.value)
-                else:
-                    raise ParseError("bad builtin argument",
-                                     arg.line, arg.col)
-                if not self.at_sym(")"):
-                    self.expect("sym", ",")
-            self.next()
+        args = self._items(")", self._builtin_arg) if self.eat_sym("(") else ()
         self.doc.builtin = (tok.value, tuple(args))
+
+    def _builtin_arg(self):
+        arg = self.next()
+        if arg.kind == "number":
+            return int(arg.value)
+        if arg.kind == "name":
+            return arg.value
+        raise ParseError("bad builtin argument", arg.line, arg.col)
 
     def _stmt_chart(self):
         name = self.expect("name").value
@@ -288,11 +282,47 @@ class _Parser:
                              tok.line, tok.col)
         self.doc.charts.append(Chart(name, tuple(vars)))
 
-    def _chart_vars(self, name: str, tok: _Token):
+    # ---- shared statement parts --------------------------------------
+    def _chart_head(self):
+        """`<chart>:`, returning the chart's name token and variables."""
+        tok = self.expect("name")
         try:
-            return self.doc.space.chart(name).vars
+            cvars = self.doc.space.chart(tok.value).vars
         except ChartMismatch:
-            raise ParseError(f"unknown chart {name!r}", tok.line, tok.col)
+            raise ParseError(f"unknown chart {tok.value!r}",
+                             tok.line, tok.col)
+        self.expect("sym", ":")
+        return tok, cvars
+
+    def _chart_var(self, chart: str, cvars) -> _Token:
+        """A name token that must be one of the chart's variables."""
+        v = self.expect("name")
+        if v.value not in cvars:
+            raise ParseError(f"{v.value!r} is not a variable of chart "
+                             f"{chart!r}", v.line, v.col)
+        return v
+
+    def _assignments(self, chart: str, cvars, value) -> dict:
+        """`v = <value>, ...` over the chart's variables; `value(v)` parses
+        the right side of variable token v."""
+        out = {}
+        while True:
+            v = self._chart_var(chart, cvars)
+            self.expect("sym", "=")
+            out[v.value] = value(v)
+            if not self.eat_sym(","):
+                return out
+
+    def _items(self, close: str, item) -> list:
+        """Comma-separated `item()`s up to and including the `close`
+        symbol."""
+        out = []
+        while not self.at_sym(close):
+            out.append(item())
+            if not self.at_sym(close):
+                self.expect("sym", ",")
+        self.next()
+        return out
 
     def _stmt_transition(self):
         if self.doc.builtin is not None:
@@ -308,47 +338,25 @@ class _Parser:
             tok = self.peek()
             raise ParseError(f"transition between undeclared charts "
                              f"{i!r}, {k!r}", tok.line, tok.col)
-        tmap = {}
-        while True:
-            v = self.expect("name")
-            if v.value not in by_name[i].vars:
-                raise ParseError(f"{v.value!r} is not a variable of chart "
-                                 f"{i!r}", v.line, v.col)
-            self.expect("sym", "=")
-            tmap[v.value] = self._scalar_expr(by_name[k].vars)
-            if not self.eat_sym(","):
-                break
-        self.doc.transitions[(i, k)] = tmap
+        self.doc.transitions[(i, k)] = self._assignments(
+            i, by_name[i].vars, lambda v: self._scalar_expr(by_name[k].vars))
 
     def _stmt_poisson(self):
         self.expect_name("on")
-        tok = self.expect("name")
-        cvars = self._chart_vars(tok.value, tok)
-        self.expect("sym", ":")
+        tok, cvars = self._chart_head()
         self.doc.poisson[tok.value] = Polyvector(
             cvars, 2, self._polyvector_expr(cvars, degree=2))
 
     def _stmt_submanifold(self):
         self.expect_name("normal")
-        tok = self.expect("name")
-        cvars = self._chart_vars(tok.value, tok)
-        self.expect("sym", ":")
+        tok, cvars = self._chart_head()
         if self.peek().kind == "name" and self.peek().value == "absent":
             self.next()
             self.doc.normal_spec[tok.value] = ABSENT
             return
         self.expect("sym", "[")
-        names = []
-        while not self.at_sym("]"):
-            v = self.expect("name")
-            if v.value not in cvars:
-                raise ParseError(f"{v.value!r} is not a variable of chart "
-                                 f"{tok.value!r}", v.line, v.col)
-            names.append(v.value)
-            if not self.at_sym("]"):
-                self.expect("sym", ",")
-        self.next()
-        self.doc.normal_spec[tok.value] = names
+        self.doc.normal_spec[tok.value] = self._items(
+            "]", lambda: self._chart_var(tok.value, cvars).value)
 
     def _stmt_params(self):
         names = []
@@ -366,44 +374,30 @@ class _Parser:
 
     def _stmt_mode(self):
         tok = self.expect("name")
-        if tok.value not in ("fixed", "extended", "prescribed"):
+        if tok.value not in MODES:
             raise ParseError(f"unknown mode {tok.value!r}", tok.line, tok.col)
         self.doc.mode = tok.value
 
     def _stmt_family(self):
-        tok = self.expect("name")
-        cvars = self._chart_vars(tok.value, tok)
-        self.expect("sym", ":")
-        block = self.doc.family.setdefault(tok.value, {})
-        while True:
-            v = self.expect("name")
-            if v.value not in cvars:
-                raise ParseError(f"{v.value!r} is not a variable of chart "
-                                 f"{tok.value!r}", v.line, v.col)
-            self.expect("sym", "=")
-            block[v.value] = self._series_expr(cvars, v)
-            if not self.eat_sym(","):
-                break
+        tok, cvars = self._chart_head()
+        self.doc.family.setdefault(tok.value, {}).update(self._assignments(
+            tok.value, cvars, lambda v: self._series_expr(cvars, v)))
 
     def _stmt_lambda(self):
-        tok = self.expect("name")
-        cvars = self._chart_vars(tok.value, tok)
-        self.expect("sym", ":")
+        tok, cvars = self._chart_head()
         self.doc.lam[tok.value] = self._series_polyvector(cvars, tok,
                                                           degree=2)
 
     def _stmt_artin(self):
         tok = self.expect("name")
-        if tok.value not in ("def", "hilb", "exthilb"):
+        if tok.value not in FUNCTORS:
             raise ParseError(f"unknown functor {tok.value!r}",
                              tok.line, tok.col)
         self.doc.artin = tok.value
 
     # ---- expressions --------------------------------------------------
     def _scalar_expr(self, cvars, extra=()) -> LaurentPoly:
-        allvars = tuple(cvars) + tuple(extra)
-        value = self._sum(allvars)
-        return value
+        return self._sum(tuple(cvars) + tuple(extra))
 
     def _sum(self, allvars) -> LaurentPoly:
         value = self._term(allvars)
@@ -466,35 +460,17 @@ class _Parser:
         acc: dict = {}
         first = True
         while True:
-            sign = 1
-            if self.at_sym("-"):
-                self.next()
+            if self.eat_sym("-"):
                 sign = -1
-            elif self.at_sym("+"):
-                self.next()
-            elif not first:
-                break
+            elif self.eat_sym("+") or first:
+                sign = 1
+            else:
+                return acc
             first = False
-            coeff, frame = self._pv_term(allvars, cvars, degree)
-            coeff = coeff * LaurentPoly.const(allvars, sign)
-            if frame is None:
-                continue
-            if frame in acc:
-                acc[frame] = acc[frame] + coeff
-            else:
-                acc[frame] = coeff
-            if not (self.at_sym("+") or self.at_sym("-")):
-                break
-        cvars = tuple(cvars)
-        terms = {}
-        for names, coeff in acc.items():
-            idx, sign = _sort_sign(cvars.index(v) for v in names)
-            signed = coeff * LaurentPoly.const(allvars, sign)
-            if idx in terms:
-                terms[idx] = terms[idx] + signed
-            else:
-                terms[idx] = signed
-        return terms
+            coeff, idx = self._pv_term(allvars, cvars, degree)
+            if idx is not None:
+                coeff = coeff * sign
+                acc[idx] = acc[idx] + coeff if idx in acc else coeff
 
     def _pv_term(self, allvars, cvars, degree: int):
         """One bivector term: scalar factors over `allvars`, then a frame
@@ -528,14 +504,15 @@ class _Parser:
             if vname not in cvars:
                 raise ParseError(f"unknown variable {vname!r}",
                                  ftok.line, ftok.col)
-        if len(set(names)) != len(names):
+        idx, sign = _sort_sign(tuple(cvars).index(v) for v in names)
+        if idx is None:
             ftok = frames[0][1]
             self.doc.warnings.append(
                 (ftok.line, ftok.col,
                  f"degenerate wedge {' ^ '.join('d/' + n for n in names)} "
                  "collapses to zero"))
-            return LaurentPoly.zero(allvars), None
-        return coeff, tuple(names)
+            return None, None
+        return coeff * sign, idx
 
     def _series_expr(self, cvars, where: _Token) -> TruncatedSeries:
         if not self.doc.params:
@@ -653,52 +630,42 @@ def _join_terms(rendered) -> str:
     return out or "0"
 
 
+def _render_terms(cvars, params, terms) -> str:
+    """The one term renderer. A term is (idx, chart exponents, parameter
+    exponents, coefficient): the coefficient times the monomial over
+    cvars + params, wedged with d/cvars[j] for j in idx. Terms are written
+    in (idx, parameter exponents, chart exponents) order."""
+    allvars = tuple(cvars) + tuple(params)
+    return _join_terms(
+        _fmt_monomial(allvars, ce + pe, c, [cvars[j] for j in idx])
+        for idx, ce, pe, c in sorted(terms, key=lambda t: (t[0], t[2], t[1])))
+
+
 def format_poly(lp: LaurentPoly) -> str:
     """Human form of a Laurent polynomial, matching the file grammar."""
-    return _join_terms(_fmt_monomial(lp.vars, e, c)
-                       for e, c in sorted(lp.terms.items()))
+    return _render_terms(lp.vars, (),
+                         (((), e, (), c) for e, c in lp.terms.items()))
 
 
 def format_series(ser: TruncatedSeries, cvars) -> str:
     """Human form of a truncated scalar series over the given chart."""
-    rendered = []
-    allvars = tuple(cvars) + ser.params
-    for pe in sorted(ser.terms):
-        poly = ser.terms[pe]
-        for ce in sorted(poly.terms):
-            rendered.append(_fmt_monomial(allvars, tuple(ce) + tuple(pe),
-                                          poly.terms[ce]))
-    return _join_terms(rendered)
+    return _render_terms(cvars, ser.params, (
+        ((), ce, pe, c) for pe, poly in ser.terms.items()
+        for ce, c in poly.terms.items()))
 
 
 def format_pv_series(ser: TruncatedSeries, cvars, params) -> str:
     """Human form of a truncated polyvector series over the given chart."""
-    rendered = []
-    allvars = tuple(cvars) + tuple(params)
-    entries = []
-    for pe in sorted(ser.terms):
-        pv = ser.terms[pe]
-        for idx in sorted(pv.terms):
-            poly = pv.terms[idx]
-            for ce in sorted(poly.terms):
-                entries.append((idx, tuple(ce), tuple(pe), poly.terms[ce]))
-    entries.sort(key=lambda t: (t[0], t[2], t[1]))
-    for idx, ce, pe, c in entries:
-        frames = [cvars[j] for j in idx]
-        rendered.append(_fmt_monomial(allvars, ce + pe, c, frames=frames))
-    return _join_terms(rendered)
+    return _render_terms(cvars, params, (
+        (idx, ce, pe, c) for pe, pv in ser.terms.items()
+        for idx, poly in pv.terms.items() for ce, c in poly.terms.items()))
 
 
 def format_polyvector(pv: Polyvector) -> str:
     """Human form of a polyvector (scalars fall back to plain polynomials)."""
-    rendered = []
-    for idx in sorted(pv.terms):
-        poly = pv.terms[idx]
-        frames = [pv.vars[j] for j in idx]
-        for ce in sorted(poly.terms):
-            rendered.append(_fmt_monomial(pv.vars, ce, poly.terms[ce],
-                                          frames=frames))
-    return _join_terms(rendered)
+    return _render_terms(pv.vars, (), (
+        (idx, ce, (), c) for idx, poly in pv.terms.items()
+        for ce, c in poly.terms.items()))
 
 
 def format_param_monomial(params, exps) -> str:

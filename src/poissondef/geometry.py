@@ -200,17 +200,15 @@ def projective_space(n: int) -> ChartedSpace:
         for k in range(n + 1):
             if i == k:
                 continue
-            kvars = charts[k].vars
-
-            def ratio(a):  # homogeneous a over homogeneous k, in Uk coords
-                if a == k:
-                    return LaurentPoly.const(kvars, 1)
-                return LaurentPoly.variable(kvars, f"z{hom[k].index(a)+1}")
-
-            den = ratio(i)  # xi_i / xi_k, a single variable (invertible)
             tmap = {}
             for j, a in enumerate(hom[i]):
-                tmap[f"z{j+1}"] = ratio(a) * den.inverse()
+                # a/i = (a/k) / (i/k): the variable of a on Uk (none when
+                # a = k) over the variable of i
+                e = [0] * n
+                e[hom[k].index(i)] = -1
+                if a != k:
+                    e[hom[k].index(a)] = 1
+                tmap[f"z{j+1}"] = LaurentPoly.monomial(charts[k].vars, e)
             transitions[(f"U{i}", f"U{k}")] = tmap
     return ChartedSpace(f"P{n}", charts, transitions)
 
