@@ -27,14 +27,20 @@ in the extended kind's normal part only. `twist(part, chart)` gives:
     amb   bivector, extended none
 
 One chart's entry of a part is its chunk: r polyvectors for the normal part,
-one for the ambient part. `zero_chunk` and `atom_cochain` build chunks;
-every other function reads them through three helpers and never asks which
-layout it holds. `_slots` gives a chunk's (slot, polyvector) pairs, slot None
-for an ambient chunk; `_chunk_map` applies a function slot by slot and keeps
-the shape; `chunk_entries` yields each entry as ((slot,) idx, e), value.
-Sums, scalings and zero tests of cochains, their linearisations
-(`cochain_vector_entries`, `total_rows`), the section search's normal
-columns and the truncated estimate's columns all go through them.
+one for the ambient part. `ComplexDescriptor.chunk` builds a chunk from its
+entries, and `zero_chunk` and `atom_cochain` build through it; every other
+function reads chunks through three helpers and never asks which layout it
+holds. `_slots` gives a chunk's (slot, polyvector) pairs, slot None for an
+ambient chunk; `_chunk_map` applies a function slot by slot and keeps the
+shape; `chunk_entries` yields each entry as ((slot,) idx, e), value, and
+`chunk` is its inverse. Sums, scalings and zero tests of cochains and their
+linearisations (`cochain_vector_entries`, `total_rows`) go through them.
+
+`_move_entries` moves a chunk's entries across one chart edge, term by term,
+by the edge's `Transition.move`. A normal tuple is then restricted to the
+submanifold and multiplied by the first-order normal transition matrix; that
+rule is written there only. `transport_nor_tuple`, the section search and the
+truncated estimate all move normal chunks through it.
 
 The Cech total complex of a descriptor is written once, here:
 `total_coboundary` maps a degree-zero cochain to its chart part d(c) and its
@@ -57,12 +63,10 @@ caller's row labels, and solves for any total cochain linearised the same
 way. The graded engine's columns are the same linearisation,
 `cochain_vector_entries` of an atom's image, keyed by the out-atoms.
 
-The section search takes its columns from moved exponents: each root-chart
-ambient atom is moved along a spanning tree as raw terms by the edges'
-`Transition.move`, and its column is the negative-exponent entries of the
-moved terms. Cochain representatives are built on demand, only for the
-atoms in the support of a kernel vector; normal atoms, whose columns are
-read off `transport_nor_tuple`, have theirs from the start.
+The section search moves each root-chart atom of either part along a
+spanning tree once, as entries, by `_move_entries`. An atom's column is its
+negative-exponent entries on every chart, and a section is the sum of its
+kernel vector's atoms' entries, built into chunks by `chunk`.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 # hold it
 from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
 from .polyvector import Polyvector, restrict, schouten, wedge
-from .symbolic import LaurentPoly, _simplex
+from .symbolic import LaurentPoly, _product, _simplex
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +116,60 @@ def chunk_entries(part: str, chunk):
         for idx, coeff in pv.terms.items():
             for e, val in coeff.terms.items():
                 yield head + (idx, e), val
+
+
+def _chunk(cvars: tuple, degree: int, codim: int | None, entries: dict):
+    """The chunk whose `chunk_entries` are `entries`, on the chart variables
+    cvars: codim polyvectors of the given degree, or one when codim is None.
+    The values must be non-zero, as `chunk_entries` and `_move_entries` give
+    them."""
+    pvs = [{} for _ in range(1 if codim is None else codim)]
+    for key, val in entries.items():
+        pvs[0 if codim is None else key[0]].setdefault(
+            key[-2], {})[key[-1]] = val
+    out = [Polyvector._valid(cvars, degree, {
+        idx: LaurentPoly._valid(cvars, terms) for idx, terms in pv.items()})
+        for pv in pvs]
+    return out[0] if codim is None else out
+
+
+def _add_into(acc: dict, items, s=1):
+    """acc += s * the (key, value) pairs `items`, in place, dropping the
+    entries that cancel."""
+    for key, val in items:
+        v = acc.get(key, 0) + s * val
+        if v:
+            acc[key] = v
+        elif key in acc:
+            del acc[key]
+
+
+def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
+                  dst: str) -> dict:
+    """The `chunk_entries` entries of a chart-src chunk, moved to chart dst.
+
+    Each entry moves by the edge's `Transition.move`. An ambient chunk's
+    moved terms are its entries. A normal tuple's are summed per slot b and
+    index tuple, restricted to the submanifold by `set_zero`, which raises
+    NegativePowerAtZero on a negative normal power, and multiplied by the
+    first-order matrix F = S.moved_first_order(dst, src): slot a on dst is
+    sum_b F[a][b] times slot b moved."""
+    move = space._moves[(src, dst)]
+    moved = {}
+    for key, val in entries.items():
+        for tidx, piece in move.move(key[-2], {key[-1]: val}):
+            _add_into(moved.setdefault(key[:-2] + (tidx,), {}), piece.items())
+    if not moved or len(next(iter(moved))) == 1:
+        return {(tidx, e): c for (tidx,), terms in moved.items()
+                for e, c in terms.items()}
+    w, F, out = S.normal[dst], S.moved_first_order(dst, src), {}
+    for (b, tidx), terms in moved.items():
+        restricted = LaurentPoly._valid(move.target_vars,
+                                        terms).set_zero(w).terms
+        for a, row in enumerate(F):
+            _add_into(out, (((a, tidx, e), c) for e, c in
+                            _product(row[b].terms, restricted).items()))
+    return out
 
 
 def _same(pv):
@@ -211,12 +269,17 @@ class ComplexDescriptor:
                 else self.space.chart_names)
 
     # ---- cochain structure --------------------------------------------
+    def chunk(self, part: str, name: str, p: int, entries: dict):
+        """The chunk of one part of a degree-p cochain on one chart whose
+        `chunk_entries` are `entries`: r polyvectors for the normal part,
+        one for the ambient part."""
+        return _chunk(self.space.chart(name).vars, self.term_degree(part, p),
+                      self.submanifold.codim if part == "nor" else None,
+                      entries)
+
     def zero_chunk(self, part: str, name: str, p: int):
-        """The zero chunk of one part of a degree-p cochain on one chart: r
-        zero polyvectors for the normal part, one for the ambient part."""
-        zero = Polyvector.zero(self.space.chart(name).vars,
-                               self.term_degree(part, p))
-        return [zero] * self.submanifold.codim if part == "nor" else zero
+        """The zero chunk of one part of a degree-p cochain on one chart."""
+        return self.chunk(part, name, p, {})
 
     def zero_cochain(self, p: int) -> dict:
         return {part: {name: self.zero_chunk(part, name, p)
@@ -324,10 +387,8 @@ def build_complex(kind: str, *, manifold: PoissonManifold | None = None,
 
 @dataclass
 class SectionSpace:
-    kind: str
     basis: list
     degree_bound: int
-    stable: bool
 
     @property
     def dimension(self) -> int:
@@ -348,18 +409,11 @@ def suggested_bound(space) -> int:
 
 
 def transport_nor_tuple(S: SubmanifoldData, tup, src: str, dst: str):
-    """Identify a chart-src normal tuple on chart dst (first-order matrix
-    times the pushed-forward components)."""
-    F = S.moved_first_order(dst, src)
-    moved = [S.push_restrict(pv, src, dst) for pv in tup]
-    chart_vars = S.space.chart(dst).vars
-    out = []
-    for row in F:
-        acc = Polyvector.zero(chart_vars, moved[0].degree)
-        for coeff, pv in zip(row, moved):
-            acc = acc + coeff * pv
-        out.append(acc)
-    return out
+    """Identify a chart-src normal tuple on chart dst: its entries moved by
+    `_move_entries`, gathered into a tuple again."""
+    moved = _move_entries(S.space, S, dict(chunk_entries("nor", tup)), src,
+                          dst)
+    return _chunk(S.space.chart(dst).vars, tup[0].degree, S.codim, moved)
 
 
 # ----------------------------------------------------------------------
@@ -509,15 +563,8 @@ def monomial_atoms(descriptor: ComplexDescriptor, part: str, p: int, charts,
 def atom_cochain(descriptor: ComplexDescriptor, p: int, atom) -> dict:
     """The degree-p cochain whose single entry is the monomial `atom`, held
     on the atom's chart only."""
-    part, name, idx, e = atom[0], atom[1], atom[-2], atom[-1]
-    cvars = descriptor.space.chart(name).vars
-    pv = Polyvector(cvars, descriptor.term_degree(part, p),
-                    {idx: LaurentPoly.monomial(cvars, e)})
-    if part == "amb":
-        return {"amb": {name: pv}}
-    tup = descriptor.zero_chunk(part, name, p)
-    tup[atom[2]] = pv
-    return {"nor": {name: tup}}
+    part, name = atom[:2]
+    return {part: {name: descriptor.chunk(part, name, p, {atom[2:]: 1})}}
 
 
 def _padded(descriptor: ComplexDescriptor, p: int, atom) -> dict:
@@ -591,63 +638,7 @@ def _section_tree(descriptor: ComplexDescriptor, part: str):
     return charts, tree
 
 
-def _representative(descriptor: ComplexDescriptor, part: str, p: int, atom,
-                    tree) -> dict:
-    """The atom's chunk, transported along the tree to every chart:
-    {chart: chunk}."""
-    rep = atom_cochain(descriptor, p, atom)[part]
-    for (parent, child) in tree:
-        rep[child] = _transport(descriptor, part, rep[parent], parent, child)
-    return rep
-
-
-def _atom_sections(descriptor: ComplexDescriptor, part: str, p: int,
-                   bound: int):
-    """The part's charts, the root-chart atoms, and each atom's
-    representative on every chart."""
-    charts, tree = _section_tree(descriptor, part)
-    atoms = monomial_atoms(descriptor, part, p, charts[:1], bound)
-    return charts, atoms, [_representative(descriptor, part, p, atom, tree)
-                           for atom in atoms]
-
-
-def _moved_terms(space, atom, tree) -> dict:
-    """A degree-zero ambient atom's terms on every chart, {chart: {(idx, e):
-    value}}: the atom on its own chart, then each tree child's terms moved
-    from its parent's, term by term, by the edge's `Transition.move`."""
-    moved = {atom[1]: {atom[-2:]: 1}}
-    for (parent, child) in tree:
-        move = space._moves[(parent, child)]
-        out = moved[child] = {}
-        for (idx, e), c in moved[parent].items():
-            for tidx, piece in move.move(idx, {e: c}):
-                for e2, c2 in piece.items():
-                    key = (tidx, e2)
-                    s = out.get(key, 0) + c2
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-    return moved
-
-
-def _column(descriptor: ComplexDescriptor, part: str, atom, tree,
-            kept: dict) -> dict:
-    """An atom's column: its negative-exponent entries across the charts,
-    keyed (chart,) + `chunk_entries` key. An ambient atom's entries are its
-    moved terms; a normal atom's are read off its representative, which
-    `transport_nor_tuple` builds and `kept` keeps."""
-    if part == "amb":
-        moved = _moved_terms(descriptor.space, atom, tree)
-    else:
-        rep = kept[atom] = _representative(descriptor, part, 0, atom, tree)
-        moved = {cname: dict(chunk_entries(part, chunk))
-                 for cname, chunk in rep.items()}
-    return {(cname,) + key: val for cname, entries in moved.items()
-            for key, val in entries.items() if min(key[-1]) < 0}
-
-
-def _sections_and_next_dimension(descriptor, part, bound, columns, kept):
+def _sections_and_next_dimension(descriptor, part, bound, moved):
     """The part's degree-zero sections at coefficient degree <= bound, and
     the dimension of its sections at bound + 1.
 
@@ -657,35 +648,38 @@ def _sections_and_next_dimension(descriptor, part, bound, columns, kept):
     the first k entries come first, and cut to k entries they are the
     kernel of the first k columns alone, entry for entry: the reduced rows
     that pivot on the first k columns, cut to them, are the reduced form of
-    those columns, and the other reduced rows are zero there. A column
-    comes from moved exponents: the atom's terms moved along the spanning
-    tree, of which it keeps the negative-exponent entries. A section is a
-    combination of the atoms in its kernel vector's support, so only those
-    atoms' representatives are transported as cochains, on demand.
-    `columns` (atom to column) and `kept` (atom to representative) carry
-    what is built from one bound to the next.
+    those columns, and the other reduced rows are zero there. Each atom is
+    moved along the spanning tree once, as entries, and `moved` (atom to
+    {chart: entries}) carries them from one bound to the next. A column is
+    an atom's negative-exponent entries, and a section the sum of its
+    kernel vector's atoms' entries.
     """
     charts, tree = _section_tree(descriptor, part)
+    space, S = descriptor.space, descriptor.submanifold
     atoms = monomial_atoms(descriptor, part, 0, charts[:1], bound + 1)
     for atom in atoms:
-        if atom not in columns:
-            columns[atom] = _column(descriptor, part, atom, tree, kept)
+        if atom not in moved:
+            on = moved[atom] = {charts[0]: {atom[2:]: 1}}
+            for (parent, child) in tree:
+                on[child] = _move_entries(space, S, on[parent], parent, child)
     below = [atom for atom in atoms if sum(atom[-1]) <= bound]
     above = [atom for atom in atoms if sum(atom[-1]) > bound]
-    kernel = nullspace([columns[atom] for atom in below + above])
+    kernel = nullspace([{(cname,) + key: val
+                         for cname, entries in moved[atom].items()
+                         for key, val in entries.items() if min(key[-1]) < 0}
+                        for atom in below + above])
     sections = []
     for vec in kernel:
         if any(vec[len(below):]):
             break
-        coeffs, reps = [], []
+        total = {cname: {} for cname in charts}
         for x, atom in zip(vec, below):
             if x:
-                if atom not in kept:
-                    kept[atom] = _representative(descriptor, part, 0, atom,
-                                                 tree)
-                coeffs.append(x)
-                reps.append({part: kept[atom]})
-        sections.append(cochain_lincomb(coeffs, reps))
+                for cname, entries in moved[atom].items():
+                    _add_into(total[cname], entries.items(), x)
+        sections.append({part: {
+            cname: descriptor.chunk(part, cname, 0, entries)
+            for cname, entries in total.items()}})
     return sections, len(kernel)
 
 
@@ -698,18 +692,18 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
     b = bound if bound is not None else suggested_bound(descriptor.space)
     if not descriptor.space.transitions:
         # single chart: every bounded cochain is a section; enumerate directly
-        basis = [{part: rep} for part in parts for rep in
-                 _atom_sections(descriptor, part, 0, b)[2]]
-        return SectionSpace(descriptor.kind, basis, b, True)
-    columns = {part: {} for part in parts}
-    kept = {part: {} for part in parts}
+        return SectionSpace([atom_cochain(descriptor, 0, atom)
+                             for part in parts for atom in monomial_atoms(
+                                 descriptor, part, 0,
+                                 descriptor.part_charts(part), b)], b)
+    moved = {part: {} for part in parts}
     while True:
         dims = {}
         per_part = {}
         d_next = 0
         for part in parts:
             per_part[part], d = _sections_and_next_dimension(
-                descriptor, part, b, columns[part], kept[part])
+                descriptor, part, b, moved[part])
             d_next += d
         d_b = sum(len(v) for v in per_part.values())
         dims[b], dims[b + 1] = d_b, d_next
@@ -717,7 +711,7 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
             basis = []
             for part in parts:
                 basis.extend(per_part[part])
-            return SectionSpace(descriptor.kind, basis, b, True)
+            return SectionSpace(basis, b)
         if b + 1 >= max_bound:
             raise UnstableAnsatz(
                 f"section dimension still changing at degree bound {b + 1}: "
@@ -749,12 +743,12 @@ def h0_complex(descriptor: ComplexDescriptor,
     space = global_sections(descriptor, bound)
     if not space.basis:
         return CohomologyReport(descriptor.kind, "atlas", 0, [],
-                                space.degree_bound, space.stable, 0)
+                                space.degree_bound, True, 0)
     kernel = nullspace([dict(cochain_vector_entries(
         descriptor.differential(s, 0))) for s in space.basis])
     basis = [cochain_lincomb(vec, space.basis) for vec in kernel]
     return CohomologyReport(descriptor.kind, "atlas", len(basis), basis,
-                            space.degree_bound, space.stable, space.dimension)
+                            space.degree_bound, True, space.dimension)
 
 
 # ----------------------------------------------------------------------
@@ -1009,23 +1003,19 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
                     out.append(head + (idx, tuple(e)))
         return out
 
-    # each atom recurs in the kernel and the image: build, move and
-    # differentiate it once per call
+    # each atom recurs in the kernel and the image: move and differentiate
+    # it once per call. A piece's chunk is given by its entries
     @cache
-    def atom_chunk(cname, p, atom):
-        return atom_cochain(descriptor, p, (part, cname) + atom)[part][cname]
-
-    @cache
-    def transport(cname, p, atom, dst):
-        """A chart-cname atom moved to chart dst."""
-        return _transport(descriptor, part, atom_chunk(cname, p, atom), cname,
-                          dst)
+    def transport(cname, atom, dst):
+        """The entries of a chart-cname atom moved to chart dst."""
+        return _move_entries(space, S, {atom: 1}, cname, dst)
 
     @cache
     def d_chunk(cname, atom):
-        """The differential of a degree-0 chart-cname atom."""
-        cochain = {part: {cname: atom_chunk(cname, 0, atom)}}
-        return descriptor.differential(cochain, 0)[part][cname]
+        """The entries of the differential of a degree-0 chart-cname atom."""
+        d = descriptor.differential(
+            atom_cochain(descriptor, 0, (part, cname) + atom), 0)
+        return dict(chunk_entries(part, d[part][cname]))
 
     def layout(slots):
         """(row offset, atom index) of each (chart, term degree) slot, by
@@ -1039,12 +1029,12 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
 
     def embed(pieces, slots):
         """Sparse column, keyed by row position, of the signed chunks
-        (sign, chunk, slot key); entries outside the window and entries that
-        cancel are dropped."""
+        (sign, entries, slot key); entries outside the window and entries
+        that cancel are dropped."""
         col = {}
-        for sign, data, key in pieces:
+        for sign, entries, key in pieces:
             base, index = slots[key]
-            for entry, val in chunk_entries(part, data):
+            for entry, val in entries.items():
                 i = index.get(entry)
                 if i is None:
                     continue
@@ -1055,15 +1045,15 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
                     col.pop(base + i, None)
         return col
 
-    def on_pairs(cn, p, atom, sign):
+    def on_pairs(cn, atom, sign):
         """sign * (c_i moved to chart k - c_k) on each pair (i, k) that
         holds cn, for the chart-cn atom c."""
         pieces = []
         for (i, k) in pairs:
             if i == cn:
-                pieces.append((sign, transport(cn, p, atom, k), (i, k)))
+                pieces.append((sign, transport(cn, atom, k), (i, k)))
             elif k == cn:
-                pieces.append((-sign, atom_chunk(cn, p, atom), (i, k)))
+                pieces.append((-sign, {atom: 1}, (i, k)))
         return pieces
 
     # degree-1 cochains: overlap chunks of degree 0 and chart chunks of
@@ -1076,16 +1066,16 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
             pieces = []
             for t in triples:
                 if t[1:] == (pi, pk):
-                    pieces.append((1, atom_chunk(pk, 0, atom), t))
+                    pieces.append((1, {atom: 1}, t))
                 elif (t[0], t[2]) == (pi, pk):
-                    pieces.append((-1, atom_chunk(pk, 0, atom), t))
+                    pieces.append((-1, {atom: 1}, t))
                 elif t[:2] == (pi, pk):
-                    pieces.append((1, transport(pk, 0, atom, t[2]), t))
+                    pieces.append((1, transport(pk, atom, t[2]), t))
             pieces.append((1, d_chunk(pk, atom), (pi, pk)))
             cols.append(embed(pieces, target))
     for cn in charts:
         for atom in atoms(cn, 1):
-            cols.append(embed(on_pairs(cn, 1, atom, -1), target))
+            cols.append(embed(on_pairs(cn, atom, -1), target))
     kernel_dim = len(cols) - rank(cols)
 
     # image of the degree-0 map in the SAME domain coordinates as the kernel
@@ -1094,7 +1084,7 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
     im_cols = []
     for cn in charts:
         for atom in atoms(cn, 0):
-            pieces = on_pairs(cn, 0, atom, 1) + [(1, d_chunk(cn, atom), cn)]
+            pieces = on_pairs(cn, atom, 1) + [(1, d_chunk(cn, atom), cn)]
             im_cols.append(embed(pieces, domain))
     rank_d0 = rank(im_cols)
     return CohomologyReport(descriptor.kind, "atlas-truncated",

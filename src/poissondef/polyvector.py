@@ -337,7 +337,7 @@ class Transition:
     the signed product of the entries in target coordinates. The Jacobian
     and each list are built on their first use and kept. `move` moves one
     term f d_I, given by f's terms alone; it is the one transport loop,
-    which `pushforward` and the section search share.
+    which `pushforward` and `complexes._move_entries` share.
     """
 
     __slots__ = ("source_vars", "target_vars", "forward", "inverse", "mono",

@@ -17,8 +17,8 @@ import pytest
 from conftest import EXAMPLES
 from poissondef import complexes
 from poissondef.complexes import (CohomologyReport, ComplexDescriptor,
-                                  atlas_hyper_truncated, build_complex,
-                                  transport_nor_tuple)
+                                  _move_entries, atlas_hyper_truncated,
+                                  build_complex, transport_nor_tuple)
 from poissondef.dsl import parse
 from poissondef.errors import InconsistentData
 from poissondef.geometry import codim1_line_bundle
@@ -269,19 +269,18 @@ def test_each_atom_is_moved_and_differentiated_once(descriptor_family,
                                                     monkeypatch):
     desc = descriptor_family["p3_hyperplane_normal"]
     moves, diffs = [], []
-    transport = transport_nor_tuple
     differential = ComplexDescriptor.differential
 
-    def counted_transport(S, tup, src, dst):
-        moves.append((src, dst, _key(tup)))
-        return transport(S, tup, src, dst)
+    def counted_move(space, S, entries, src, dst):
+        moves.append((src, dst, tuple(entries.items())))
+        return _move_entries(space, S, entries, src, dst)
 
     def counted_differential(self, cochain, p):
         diffs.extend((name, p, _key(tup))
                      for name, tup in cochain["nor"].items())
         return differential(self, cochain, p)
 
-    monkeypatch.setattr(complexes, "transport_nor_tuple", counted_transport)
+    monkeypatch.setattr(complexes, "_move_entries", counted_move)
     monkeypatch.setattr(ComplexDescriptor, "differential",
                         counted_differential)
     rep = atlas_hyper_truncated(desc, 5)
@@ -290,9 +289,12 @@ def test_each_atom_is_moved_and_differentiated_once(descriptor_family,
     # per destination chart
     for calls in (moves, diffs):
         assert len(set(calls)) == len(calls)
-        for *_, chunk in calls:
-            (terms,) = [slot for slot in chunk if slot]
-            assert len(terms) == 1
+    for *_, entries in moves:
+        ((_, value),) = entries
+        assert value == 1
+    for *_, chunk in diffs:
+        (terms,) = [slot for slot in chunk if slot]
+        assert len(terms) == 1
     # at bound 5 a chart holds 61 degree-0 and 183 degree-1 atoms. Moved
     # along the pairs (U0, U1), (U0, U2), (U1, U2): the degree-1 atoms of U0
     # and U1 (3 * 183) and their degree-0 atoms (3 * 61), which the image and

@@ -8,6 +8,11 @@ the way `test_symbolic` keeps the Fraction-only core, and compared with
 the new ones on random cochains of every descriptor kind.
 `cochain_vector_entries` is compared as a dict: its stream order within a
 chunk may change, its keys and values may not.
+
+Normal tuples used to move by pushing each slot forward, restricting it and
+summing Polyvectors against the first-order matrix; they now move as
+entries through `_move_entries` and are rebuilt by `chunk`. The replaced
+`transport_nor_tuple` is kept verbatim too.
 """
 
 from fractions import Fraction
@@ -17,16 +22,19 @@ from typing import Iterable
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from poissondef.complexes import (_atom_sections,
-                                  _sections_and_next_dimension, build_complex,
+from conftest import build_fm_section
+from poissondef.complexes import (_sections_and_next_dimension, build_complex,
                                   chunk_entries, cochain_add,
                                   cochain_is_zero, cochain_lincomb,
-                                  cochain_scale, cochain_vector_entries)
+                                  cochain_scale, cochain_vector_entries,
+                                  transport_nor_tuple)
 from poissondef.dsl import parse
+from poissondef.errors import NegativePowerAtZero, NonInvertibleSubstitution
 from poissondef.geometry import codim1_line_bundle
 from poissondef.linalg import nullspace, rank
 from poissondef.polyvector import Polyvector
 from poissondef.symbolic import LaurentPoly
+from test_monomial_atoms import _atom_sections
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +105,21 @@ def old_cochain_vector_entries(a: dict):
             for idx, coeff in pv.sorted_terms():
                 for e, val in coeff.sorted_terms():
                     yield ("nor", c, slot, idx, e), val
+
+
+def old_transport_nor_tuple(S, tup, src: str, dst: str):
+    """Identify a chart-src normal tuple on chart dst (first-order matrix
+    times the pushed-forward components)."""
+    F = S.moved_first_order(dst, src)
+    moved = [S.push_restrict(pv, src, dst) for pv in tup]
+    chart_vars = S.space.chart(dst).vars
+    out = []
+    for row in F:
+        acc = Polyvector.zero(chart_vars, moved[0].degree)
+        for coeff, pv in zip(row, moved):
+            acc = acc + coeff * pv
+        out.append(acc)
+    return out
 
 
 def old_holomorphy_columns(charts, reps, is_nor: bool):
@@ -271,9 +294,9 @@ def section_descriptors(square_zero_family):
 
 @pytest.mark.parametrize("name", sorted(SECTION_BOUNDS))
 def test_sections_match_the_replaced_columns(section_descriptors, name):
-    """The sections from moved exponents, with representatives built on
-    demand, are the ones of the eager search that transports every atom's
-    representative and reads its columns off them."""
+    """The sections summed from moved entries are the ones of the eager
+    search, kept verbatim in `test_monomial_atoms`, that transports every
+    atom's representative and reads its columns off them."""
     desc = section_descriptors[name]
     for part in desc.parts:
         for bound in SECTION_BOUNDS[name]:
@@ -285,6 +308,89 @@ def test_sections_match_the_replaced_columns(section_descriptors, name):
             old = [old_cochain_lincomb(vec, [{part: reps[j]} for j in below])
                    for vec in kernel]
             new, next_dimension = _sections_and_next_dimension(
-                desc, part, bound, {}, {})
+                desc, part, bound, {})
             assert new == old
             assert next_dimension == len(columns) - rank(columns)
+
+
+# ----------------------------------------------------------------------
+# Normal transport as entries, and the chunk builder
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def transport_subs(p2_curve_sub, p3_hyperplane_sub, p3_line_sub):
+    """Submanifolds of P2, P3 (codimension one and two), F1, F2 and the
+    sheared atlas, whose transitions compile no monomial map."""
+    return {"p2_curve": p2_curve_sub, "p3_hyperplane": p3_hyperplane_sub,
+            "p3_line": p3_line_sub,
+            "f1_section": build_fm_section(1, structured=True)[1],
+            "f2_section": build_fm_section(2, structured=False)[1],
+            "sheared": parse(SHEARED).submanifold()}
+
+
+def _normal_tuple(data, S, name):
+    """A random degree 0-2 normal tuple on chart name: tangential exponents
+    from -2 to 2, normal ones mostly 0, sometimes 1, 2 or -1."""
+    cvars = S.space.chart(name).vars
+    degree = data.draw(st.integers(min_value=0, max_value=2))
+    exps = st.tuples(*[
+        st.sampled_from((0, 0, 0, 0, 1, 2, -1)) if v in S.normal[name]
+        else st.integers(min_value=-2, max_value=2) for v in cvars])
+    frames = list(combinations(range(len(cvars)), degree))
+    tup = []
+    for _ in range(S.codim):
+        terms = data.draw(st.dictionaries(
+            st.sampled_from(frames),
+            st.dictionaries(exps, coeffs, max_size=3), max_size=2))
+        tup.append(Polyvector(cvars, degree, {
+            idx: LaurentPoly(cvars, mono) for idx, mono in terms.items()}))
+    return tup
+
+
+def _outcome(transport, *args):
+    """The moved tuple, or the type and message of the error it raised: a
+    negative normal power left on the submanifold, or, on the sheared
+    atlas, a negative power of a sum."""
+    try:
+        return transport(*args)
+    except (NegativePowerAtZero, NonInvertibleSubstitution) as e:
+        return type(e).__name__, str(e)
+
+
+# fewer examples: these two tests stay under 2 s together
+SHORT = settings(SETTINGS, max_examples=80)
+
+
+@SHORT
+@given(st.data())
+def test_normal_transport_matches_the_replaced_one(transport_subs, data):
+    S = transport_subs[data.draw(st.sampled_from(sorted(transport_subs)))]
+    src, dst = data.draw(st.sampled_from(sorted(S.first_order)))
+    tup = _normal_tuple(data, S, src)
+    assert (_outcome(transport_nor_tuple, S, tup, src, dst)
+            == _outcome(old_transport_nor_tuple, S, tup, src, dst))
+
+
+def test_normal_transport_raises_as_the_replaced_one(transport_subs):
+    """A negative normal power that survives the move is refused alike."""
+    S = transport_subs["p3_line"]
+    src, dst = min(S.first_order)
+    cvars = S.space.chart(src).vars
+    e = [1] * len(cvars)
+    e[cvars.index(S.normal[src][0])] = -1
+    tup = [Polyvector.from_function(LaurentPoly.monomial(cvars, e)),
+           Polyvector.zero(cvars, 0)]
+    new = _outcome(transport_nor_tuple, S, tup, src, dst)
+    assert new[0] == "NegativePowerAtZero"
+    assert new == _outcome(old_transport_nor_tuple, S, tup, src, dst)
+
+
+@SHORT
+@given(st.data())
+def test_chunk_rebuilds_its_entries(descriptors, data):
+    desc = descriptors[data.draw(st.sampled_from(sorted(descriptors)))]
+    p = data.draw(st.sampled_from((0, 1)))
+    for part, chunks in _cochain(data, desc, p).items():
+        for name, chunk in chunks.items():
+            entries = dict(chunk_entries(part, chunk))
+            assert desc.chunk(part, name, p, entries) == chunk

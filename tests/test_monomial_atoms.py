@@ -251,7 +251,9 @@ def _atoms(desc, p, bound, amb_bound=None):
 # ----------------------------------------------------------------------
 
 def test_section_atoms_match_the_section_search(subs):
-    """Same sequence, and the same transported representatives."""
+    """Same sequence, and at p = 0, the degree of the section search, the
+    same transported representatives: `chunk` of the search's moved
+    entries."""
     for S in subs.values():
         for desc in _descriptors(S):
             for part in desc.parts:
@@ -259,12 +261,18 @@ def test_section_atoms_match_the_section_search(subs):
                     for bound in BOUNDS:
                         charts, atoms, reps = _atom_sections(desc, part, p,
                                                              bound)
-                        new = complexes._atom_sections(desc, part, p, bound)
-                        assert new[0] == charts
-                        assert new[1] == _section_keys(part, charts[0], atoms)
-                        assert monomial_atoms(desc, part, p, charts[:1],
-                                              bound) == new[1]
-                        assert new[2] == reps
+                        assert complexes._section_tree(desc,
+                                                       part)[0] == charts
+                        new = monomial_atoms(desc, part, p, charts[:1], bound)
+                        assert new == _section_keys(part, charts[0], atoms)
+                        if p:
+                            continue
+                        moved = {}
+                        complexes._sections_and_next_dimension(
+                            desc, part, bound, moved)
+                        assert [{c: desc.chunk(part, c, 0, entries)
+                                 for c, entries in moved[atom].items()}
+                                for atom in new] == reps
 
 
 def test_step_atoms_match_the_solver_step(subs):

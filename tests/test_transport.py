@@ -692,19 +692,21 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     `h0 p3_hyperplane --complex extended --bound 6` moves every term through
     a compiled map and never through the general `substitute`.
 
-    The section search moves exactly what its basis needs. Each of the 360
-    ambient root atoms (bound 7: 120 exponents for each of 3 index pairs)
-    is moved along the 3 tree edges as raw terms, one move per edge. A
-    representative is transported only for an atom in the support of a
-    kernel vector: the 57 such ambient atoms along the 3 edges, and the 36
-    normal atoms, whose columns are read off their representatives, along
-    the 2 edges between the charts the hyperplane meets; every such
-    representative is one term on each chart it is moved from. That is
-    360 * 3 + 57 * 3 + 36 * 2 = 1,323 moves (1,152 transported
-    representatives and no raw moves when every atom was transported)."""
-    calls, moves, work = [], [], {}
+    The section search moves each root atom along the spanning tree once, as
+    entries, and builds its sections from them. Each of the 360 ambient root
+    atoms (bound 7: 120 exponents for each of 3 index pairs) is moved along
+    the 3 tree edges, and each of the 36 normal root atoms along the 2 edges
+    between the charts the hyperplane meets. Every edge leaves the root
+    chart, where an atom is one term, so each edge is one move: 360 * 3 +
+    36 * 2 = 1,152 moves, and no representative is transported on top (1,323
+    when the 57 ambient atoms in a kernel vector's support were transported
+    again as cochains). Outside the search the command pushes forward at
+    most 9 ambient chunks (252 when every section atom went through
+    `pushforward`)."""
+    calls, moves, work, pushes = [], [], {}, []
     substitute_, move = polyvector.substitute, Transition.move
     search = complexes._sections_and_next_dimension
+    pushforward = ChartedSpace.pushforward
 
     def count_substitute(*args, **kwargs):
         calls.append(None)
@@ -714,24 +716,29 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
         moves.append(self.mono is not None)
         return move(self, idx, f_terms)
 
-    def count_search(descriptor, part, bound, columns, reps):
+    def count_search(descriptor, part, bound, moved):
         start = len(moves)
-        out = search(descriptor, part, bound, columns, reps)
-        work[part] = (len(moves) - start, len(columns), len(reps))
+        out = search(descriptor, part, bound, moved)
+        work[part] = (len(moves) - start, len(moved))
         return out
+
+    def count_pushforward(self, a, src, dst):
+        pushes.append(None)
+        return pushforward(self, a, src, dst)
 
     monkeypatch.setattr(polyvector, "substitute", count_substitute)
     monkeypatch.setattr(Transition, "move", count_move)
     monkeypatch.setattr(complexes, "_sections_and_next_dimension",
                         count_search)
+    monkeypatch.setattr(ChartedSpace, "pushforward", count_pushforward)
     code, _ = run_command(["h0", f"{EXAMPLES}/p3_hyperplane.pdef",
                            "--complex", "extended", "--bound", "6"])
     assert code == 0
     assert calls == []
     assert moves and all(moves)
-    # (moves, atoms with a column, atoms with a representative) per part
-    assert work == {"amb": (360 * 3 + 57 * 3, 360, 57),
-                    "nor": (36 * 2, 36, 36)}
+    # (moves, moved atoms) per part
+    assert work == {"amb": (360 * 3, 360), "nor": (36 * 2, 36)}
+    assert len(pushes) <= 9
 
 
 def test_alternating_section_searches_agree():
