@@ -302,12 +302,16 @@ class _Parser:
                              f"{chart!r}", v.line, v.col)
         return v
 
-    def _assignments(self, chart: str, cvars, value) -> dict:
-        """`v = <value>, ...` over the chart's variables; `value(v)` parses
-        the right side of variable token v."""
-        out = {}
+    def _assignments(self, chart: str, cvars, value, out=None) -> dict:
+        """`v = <value>, ...` over the chart's variables, added to `out` (a
+        new dict by default); `value(v)` parses the right side of variable
+        token v. A variable `out` already holds is an error at its token."""
+        out = {} if out is None else out
         while True:
             v = self._chart_var(chart, cvars)
+            if v.value in out:
+                raise ParseError(f"{v.value!r} is assigned twice on chart "
+                                 f"{chart!r}", v.line, v.col)
             self.expect("sym", "=")
             out[v.value] = value(v)
             if not self.eat_sym(","):
@@ -380,8 +384,9 @@ class _Parser:
 
     def _stmt_family(self):
         tok, cvars = self._chart_head()
-        self.doc.family.setdefault(tok.value, {}).update(self._assignments(
-            tok.value, cvars, lambda v: self._series_expr(cvars, v)))
+        self._assignments(tok.value, cvars,
+                          lambda v: self._series_expr(cvars, v),
+                          self.doc.family.setdefault(tok.value, {}))
 
     def _stmt_lambda(self):
         tok, cvars = self._chart_head()

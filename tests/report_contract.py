@@ -135,6 +135,14 @@ MALFORMED = {
     "builtin_fm_negative.pdef": "builtin Fm(-1);\n",
     "mode_bogus.pdef": "builtin P2;\nmode bogus;\n",
     "artin_bogus.pdef": "builtin P2;\nartin bogus;\n",
+    "family_repeated.pdef":
+        "builtin P2;\nsubmanifold normal U0: [z1];\n"
+        "submanifold normal U1: absent;\nsubmanifold normal U2: [z2];\n"
+        "params t order 2 degree 2;\nfamily U0: z1 = t;\n"
+        "family U0: z1 = t^2;\n",
+    "transition_repeated.pdef":
+        "chart A vars x y;\nchart B vars u v;\n"
+        "transition A -> B: x = u, x = v;\n",
 }
 # read by the commands below, but never written
 ABSENT = "absent.pdef"

@@ -288,6 +288,26 @@ lambda U0: z1 * d/z1 ^ d/t;
     )
 
 
+def test_a_repeated_left_side_is_a_parse_error():
+    """A variable assigned twice on one chart, in one list or by a second
+    `family` statement, is an error at its second token; two `family`
+    statements may assign different variables of one chart."""
+    family = ("builtin P3;\nsubmanifold normal U0: [z1, z2];\n"
+              "params t order 2 degree 2;\nfamily U0: z1 = t;\n")
+    expect_parse_error(
+        "chart A vars x y;\nchart B vars u v;\n"
+        "transition A -> B: x = u, x = v;\n",
+        "line 3, column 27: 'x' is assigned twice on chart 'A'")
+    expect_parse_error(family + "family U0: z2 = t, z2 = t^2;\n",
+                       "line 5, column 20: 'z2' is assigned twice on chart "
+                       "'U0'")
+    expect_parse_error(family + "family U0: z1 = t^2;\n",
+                       "line 5, column 12: 'z1' is assigned twice on chart "
+                       "'U0'")
+    doc = parse(family + "family U0: z2 = t^2;\n")
+    assert sorted(doc.family["U0"]) == ["z1", "z2"]
+
+
 # ---------------------------------------------------------------------------
 # frontend: corpus validation
 # ---------------------------------------------------------------------------
