@@ -159,7 +159,7 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
     for key, val in entries.items():
         for tidx, piece in move.move(key[-2], {key[-1]: val}):
             _add_into(moved.setdefault(key[:-2] + (tidx,), {}), piece.items())
-    if not moved or len(next(iter(moved))) == 1:
+    if not moved or len(next(iter(moved))) == 1:  # ambient keys (tidx,)
         return {(tidx, e): c for (tidx,), terms in moved.items()
                 for e, c in terms.items()}
     w, F, out = S.normal[dst], S.moved_first_order(dst, src), {}
@@ -1034,15 +1034,9 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
         col = {}
         for sign, entries, key in pieces:
             base, index = slots[key]
-            for entry, val in entries.items():
-                i = index.get(entry)
-                if i is None:
-                    continue
-                v = col.get(base + i, 0) + sign * val
-                if v:
-                    col[base + i] = v
-                else:
-                    col.pop(base + i, None)
+            _add_into(col, ((base + index[entry], val)
+                            for entry, val in entries.items()
+                            if entry in index), sign)
         return col
 
     def on_pairs(cn, atom, sign):

@@ -317,15 +317,30 @@ def test_sections_match_the_replaced_columns(section_descriptors, name):
 # Normal transport as entries, and the chunk builder
 # ----------------------------------------------------------------------
 
+# A plane bundle over P1 whose second normal coordinate is sheared by the
+# first: its first-order matrices [[1, 0], [y^-1, 1]] and [[1, 0], [-x, 1]]
+# are not symmetric.
+SHEARED_PLANE = """
+manifold sheared_plane_bundle;
+chart A vars x p q;
+chart B vars y u v;
+transition A -> B: x = y^-1, p = u, q = y^-1 * u + v;
+transition B -> A: y = x^-1, u = p, v = q - x * p;
+submanifold normal A: [p, q];
+submanifold normal B: [u, v];
+"""
+
+
 @pytest.fixture(scope="module")
 def transport_subs(p2_curve_sub, p3_hyperplane_sub, p3_line_sub):
-    """Submanifolds of P2, P3 (codimension one and two), F1, F2 and the
-    sheared atlas, whose transitions compile no monomial map."""
+    """Submanifolds of P2, P3 (codimension one and two), F1, F2 and the two
+    sheared atlases, whose transitions compile no monomial map."""
     return {"p2_curve": p2_curve_sub, "p3_hyperplane": p3_hyperplane_sub,
             "p3_line": p3_line_sub,
             "f1_section": build_fm_section(1, structured=True)[1],
             "f2_section": build_fm_section(2, structured=False)[1],
-            "sheared": parse(SHEARED).submanifold()}
+            "sheared": parse(SHEARED).submanifold(),
+            "sheared_plane": parse(SHEARED_PLANE).submanifold()}
 
 
 def _normal_tuple(data, S, name):
