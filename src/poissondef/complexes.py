@@ -984,9 +984,11 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
             for t in window(nv - 1, b - abs(h)):
                 yield (h,) + t
 
+    @cache
     def atoms(cname, p):
         """The window's atoms of a degree-p chunk on chart cname, keyed as
-        `chunk_entries` keys their entries."""
+        `chunk_entries` keys their entries, listed once per chart and
+        degree."""
         chart = space.chart(cname)
         n = len(chart.vars)
         deg = descriptor.term_degree(part, p)

@@ -2,10 +2,11 @@
 
 Coefficients are stored as ints when integral and as Fractions otherwise.
 This test runs every command of the `solver` and `corpus` workloads of
-`perfbench/workloads.py` in-process, with `rref` and `substitute` wrapped in
-every loaded `poissondef.*` namespace that binds them, and walks every
-argument and result of those calls: each scalar must be an int or a
-Fraction.
+`perfbench/workloads.py` in-process, with `rref`, `rank`, `nullspace`,
+`solve_min` and `substitute` wrapped in every loaded `poissondef.*`
+namespace that binds them, and walks every argument and result of those
+calls: each scalar must be an int or a Fraction. `rank` does not reach
+`rref`, so it is wrapped on its own.
 """
 
 import os
@@ -38,7 +39,10 @@ def inexact(obj):
 
 def test_workloads_keep_scalars_exact(monkeypatch):
     monkeypatch.chdir(ROOT)
-    calls = {"rref": 0, "substitute": 0}
+    wrapped = {"rref": linalg.rref, "rank": linalg.rank,
+               "nullspace": linalg.nullspace, "solve_min": linalg.solve_min,
+               "substitute": symbolic.substitute}
+    calls = dict.fromkeys(wrapped, 0)
     bad = []
 
     def checked(name, fn):
@@ -54,8 +58,7 @@ def test_workloads_keep_scalars_exact(monkeypatch):
     # importing cli has loaded every poissondef module
     namespaces = [m for n, m in list(sys.modules.items())
                   if m is not None and n.startswith("poissondef.")]
-    for name, original in (("rref", linalg.rref),
-                           ("substitute", symbolic.substitute)):
+    for name, original in wrapped.items():
         wrapper = checked(name, original)
         for ns in namespaces:
             for attr, value in list(vars(ns).items()):
@@ -65,4 +68,4 @@ def test_workloads_keep_scalars_exact(monkeypatch):
     for argv in commands("solver") + commands("corpus"):
         cli.run_command(list(argv))
         assert not bad, (argv, bad)
-    assert calls["rref"] and calls["substitute"]
+    assert all(calls.values()), calls

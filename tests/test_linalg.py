@@ -5,7 +5,8 @@ A system is a list of sparse columns {row key: Fraction} and, for
 union of the keys.  Every answer is checked against `sympy.Matrix` on the
 dense matrix with those rows.  The sparse row reduction underneath is checked
 against the dense row reduction it replaced, kept here as `dense_rref`, and
-against `sympy.Matrix.rref`.
+against `sympy.Matrix.rref`.  The four entry points are checked against
+their parent forms, kept here verbatim, on int and tuple keys.
 """
 
 from fractions import Fraction
@@ -13,7 +14,8 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from poissondef.linalg import nullspace, rank, rref, solve_min
+from poissondef.linalg import _divided, nullspace, rank, rref, solve_min
+from poissondef.symbolic import _as_scalar
 
 
 def dense_rref(matrix):
@@ -254,3 +256,167 @@ def test_int_pivot_division():
     assert type(red[0][0]) is int and type(red[0][1]) is Fraction
     x, _ = solve_min([{("G", 0): 2}], {("G", 0): 4})
     assert x == [2] and type(x[0]) is int
+
+
+# The parent forms of the four entry points, verbatim but for their names:
+# `rank` and `nullspace` eliminated sorted rows through a fully reduced
+# `rref` that back-substituted on every insertion, and `solve_min` searched
+# the rows for its witness.
+
+def parent_subtract(row: dict, f, other: dict) -> None:
+    """row -= f * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = -f * v
+        else:
+            x -= f * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+
+def parent_rref(matrix):
+    by_pivot = {}
+    for source in matrix:
+        row = {c: v for c, v in source.items() if v}
+        # a pivot row is zero at every other pivot column, so clearing one
+        # pivot column brings back none that was cleared before
+        for pc in [c for c in row if c in by_pivot]:
+            parent_subtract(row, row[pc], by_pivot[pc])
+        if not row:
+            continue
+        col = min(row)
+        pv = row[col]
+        if pv != 1:
+            pv = Fraction(pv)
+            row = {c: _as_scalar(v / pv) for c, v in row.items()}
+        for prow in by_pivot.values():
+            if col in prow:
+                parent_subtract(prow, prow[col], row)
+        by_pivot[col] = row
+    pivots = sorted(by_pivot)
+    return [by_pivot[c] for c in pivots], pivots
+
+
+def parent_sparse_rows(columns):
+    keys = sorted(set().union(*columns))
+    index = {k: i for i, k in enumerate(keys)}
+    rows = [{} for _ in keys]
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            if v:
+                rows[index[k]][j] = v
+    return keys, rows
+
+
+def parent_rank(columns) -> int:
+    return len(parent_rref(parent_sparse_rows(columns)[1])[1])
+
+
+def parent_nullspace(columns):
+    ncols = len(columns)
+    red, pivots = parent_rref(parent_sparse_rows(columns)[1])
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row.get(fc, 0)
+        basis.append(vec)
+    return basis
+
+
+def parent_solve_min(columns, rhs):
+    ncols = len(columns)
+    keys, rows = parent_sparse_rows(list(columns) + [rhs])
+    red, pivots = parent_rref(rows)
+    x = [0] * ncols
+    for row, pc in zip(red, pivots):
+        if pc < ncols:
+            x[pc] = row.get(ncols, 0)
+    if pivots and pivots[-1] == ncols:
+        # the augmented column became a pivot: inconsistent
+        for key, row in zip(keys, rows):
+            lhs = sum(v * x[c] for c, v in row.items() if c < ncols)
+            if lhs != row.get(ncols, 0):
+                return None, key
+        return None, None
+    return x, None
+
+
+# pivots of -1 and of other ints, Fractions, integral Fractions and zeros
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2, 3, Fraction(0), Fraction(1),
+                     Fraction(-1), Fraction(2), Fraction(-3)]),
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def keyed_systems(draw):
+    """Columns over int or tuple keys, some empty and some repeated, and a
+    right-hand side that may reach keys no column does."""
+    keys = draw(st.sampled_from([
+        st.integers(0, 6),
+        st.tuples(st.sampled_from("Gz"), st.integers(0, 3))]))
+    column = st.dictionaries(keys, scalars, max_size=5)
+    cols = draw(st.lists(column, max_size=7))
+    if cols:
+        for i in draw(st.lists(st.integers(0, len(cols) - 1), max_size=3)):
+            cols.insert(draw(st.integers(0, len(cols))), dict(cols[i]))
+    return cols, draw(column)
+
+
+def exact_equal(got, want):
+    """Equal values, and every scalar of got an int or a Fraction."""
+    def scalars_of(obj):
+        if isinstance(obj, dict):
+            return [s for v in obj.values() for s in scalars_of(v)]
+        if isinstance(obj, (list, tuple)):
+            return [s for v in obj for s in scalars_of(v)]
+        return [obj] if isinstance(obj, (int, Fraction)) else []
+    return got == want and all(type(s) in (int, Fraction)
+                               for s in scalars_of(got))
+
+
+def transpose(cols):
+    out = {}
+    for j, col in enumerate(cols):
+        for k, v in col.items():
+            out.setdefault(k, {})[j] = v
+    return list(out.values())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(keyed_systems())
+def test_entry_points_match_their_parent_forms(system):
+    cols, rhs = system
+    before = [dict(c) for c in cols], dict(rhs)
+    assert exact_equal(rref(cols), parent_rref(cols))
+    assert rank(cols) == parent_rank(cols) == rank(transpose(cols))
+    assert exact_equal(nullspace(cols), parent_nullspace(cols))
+    assert exact_equal(solve_min(cols, rhs), parent_solve_min(cols, rhs))
+    assert ([dict(c) for c in cols], dict(rhs)) == before  # input untouched
+
+
+def test_the_empty_matrix_matches_its_parent_form():
+    assert rref([]) == parent_rref([]) == ([], [])
+    assert rank([]) == parent_rank([]) == 0
+    assert nullspace([]) == parent_nullspace([]) == []
+    assert solve_min([], {}) == parent_solve_min([], {}) == ([], None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 4), scalars, max_size=4),
+       scalars.filter(bool))
+def test_division_by_a_pivot_keeps_the_stored_type(row, pv):
+    """Negation, exact int division and Fraction division all give what
+    `_as_scalar(v / Fraction(pv))` gives, in value and in type."""
+    want = {c: _as_scalar(v / Fraction(pv)) for c, v in row.items()}
+    got = _divided(row, pv)
+    assert [(k, v, type(v)) for k, v in got.items()] == \
+        [(k, v, type(v)) for k, v in want.items()]
