@@ -20,7 +20,6 @@ parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .artin import FUNCTORS, artin_first_order, artin_obstruction
@@ -176,6 +175,7 @@ def _scalar(v):
 
 def _emit(report: dict, as_json: bool) -> str:
     if as_json:
+        import json  # only a --json report pays for this import
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     return "\n".join(_human_lines(report)) + "\n"
 

@@ -19,7 +19,13 @@ by structure fields. Slot a of a degree-p chunk x on a chart becomes
 
 the bracket restricted to the submanifold in the normal part, and the last
 term, the coupling of the ambient part through the normal coordinates w_a,
-in the extended kind's normal part only. `twist(part, chart)` gives:
+in the extended kind's normal part only. d is applied to a chunk's raw term
+dicts through index rules compiled once per (part, chart, p) and kept on the
+descriptor: per input index tuple, the output index, sign and Λ terms of
+each product of the bracket, and the output index, sign and twist terms of
+each wedge. The rules add their products in the order in which `schouten`,
+`restrict` and `wedge` would, so every result equals theirs term by term.
+`twist(part, chart)` gives:
 
     part  kind               twist[a][b]
     nor   normal, extended   T0[a][b] restricted to the submanifold
@@ -84,8 +90,8 @@ from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 # rref is not called here; perfbench's tracing tests expect this module to
 # hold it
 from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
-from .polyvector import Polyvector, restrict, schouten, wedge
-from .symbolic import LaurentPoly, _product, _simplex
+from .polyvector import Polyvector, _sort_sign, restrict
+from .symbolic import LaurentPoly, _derivative, _product, _simplex
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +178,78 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
     return out
 
 
+def _sum_into(acc: dict, idx: tuple, terms: dict):
+    """acc[idx] += terms, for {index tuple: terms} dicts, as
+    `polyvector._acc` adds a coefficient: a zero addend is skipped, a sum is
+    kept in place and an index whose sum cancels is deleted."""
+    if terms:
+        old = acc.get(idx)
+        if old is None:
+            acc[idx] = terms
+        else:
+            _add_into(old, terms.items())
+            if not old:
+                del acc[idx]
+
+
+def _ruled(pv: Polyvector, rules: dict, key, build) -> dict:
+    """{index tuple: terms} of an index rule applied to pv's terms, in their
+    order. The rule of (key, idx), built by build(idx) on first use and
+    kept in rules, lists (output index, None, terms) for the product of the
+    term's coefficient f with terms, and (output index, j, terms) for terms
+    times d f / d v_j. The products are summed in the rule's order."""
+    acc = {}
+    for idx, f in pv.terms.items():
+        rule = rules.get((key, idx))
+        if rule is None:
+            rule = rules[(key, idx)] = build(idx)
+        for oidx, j, g in rule:
+            _sum_into(acc, oidx, _product(f.terms, g) if j is None
+                      else _product(g, _derivative(f.terms, j)))
+    return acc
+
+
+def _restricted(cvars: tuple, w: tuple, acc: dict, s) -> dict:
+    """s times the {index tuple: terms} dict acc with the normal variables w
+    set to zero by `set_zero`, as `restrict` gives it."""
+    out = {}
+    for idx, terms in acc.items():
+        kept = LaurentPoly._valid(cvars, terms).set_zero(w).terms
+        if kept:
+            out[idx] = {e: c * s for e, c in kept.items()}
+    return out
+
+
+def _bracket_rule(lam: Polyvector, idx: tuple, s) -> list:
+    """The index rule of s * [f d_idx, lam] for `_ruled`, in the order in
+    which `schouten` adds its products, each sign folded into its terms. At
+    degree 0 `schouten` takes [lam, f]: the l-terms with the other sign."""
+    rule, t = [], s if idx else -s
+    for J, g in lam.terms.items():
+        # the bracket with a function has no prefactor (-1)^(p-1)
+        pref = s if len(idx) % 2 or not J else -s
+        for k, j in enumerate(idx):
+            dg = _derivative(g.terms, j)
+            out, sign = _sort_sign(idx[:k] + idx[k + 1:] + J)
+            if dg and sign:
+                sign *= -pref if k % 2 else pref
+                rule.append((out, None, {e: c * sign for e, c in dg.items()}))
+        for k, j in enumerate(J):
+            out, sign = _sort_sign(idx + J[:k] + J[k + 1:])
+            if sign:
+                sign *= t if k % 2 else -t
+                rule.append((out, j, {e: c * sign for e, c in g.terms.items()}))
+    return rule
+
+
+def _wedge_rule(idx: tuple, t: Polyvector, s) -> list:
+    """The index rule of s * (f d_idx) ^ t for `_ruled`, in `wedge`'s
+    order."""
+    return [(out, None, {e: c * sign * s for e, c in g.terms.items()})
+            for J, g in t.terms.items()
+            for out, sign in (_sort_sign(idx + J),) if sign]
+
+
 def _same(pv):
     return pv
 
@@ -248,6 +326,9 @@ class ComplexDescriptor:
     manifold: PoissonManifold
     submanifold: SubmanifoldData | None = None
     linebundle: PoissonLineBundle | None = None
+    # (part, chart, p) -> the index rules of `_rules`, on first use
+    _compiled: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def space(self):
@@ -296,49 +377,75 @@ class ComplexDescriptor:
             return ((self.linebundle.fields[name],),)
         return None
 
+    def _rules(self, part: str, name: str, p: int) -> tuple:
+        """The index rules of d on one part of a degree-p cochain on one
+        chart, kept per (part, chart, p): the chart variables, the normal
+        variables (normal part only), the sign (-1)^p, the twist rows, and
+        the rules of `_ruled` under key None for the bracket, (a, b) for the
+        wedge with twist[a][b] and a for the coupling through w_a."""
+        rules = self._compiled.get((part, name, p))
+        if rules is None:
+            cvars = self.space.chart(name).vars
+            w = self.submanifold.normal[name] if part == "nor" else ()
+            rules = self._compiled[(part, name, p)] = (
+                cvars, w, -1 if p % 2 else 1, self.twist(part, name), {})
+        return rules
+
     def differential(self, cochain: dict, p: int) -> dict:
         """d of a degree-p cochain, by the one formula of the module
-        docstring. A cochain with no normal part starts from zero normal
-        outputs on every present chart; one whose normal part leaves out a
-        present chart that its ambient part holds starts that chart from
-        zero before the coupling."""
+        docstring, applied through the index rules of `_rules` in the term
+        order of `schouten`, `restrict` and `wedge`. A cochain with no
+        normal part starts from zero normal outputs on every present chart;
+        one whose normal part leaves out a present chart that its ambient
+        part holds starts that chart from zero before the coupling."""
         if self.kind not in KINDS:
             raise InconsistentData(f"unknown complex kind {self.kind!r}")
-        S, even, parts = self.submanifold, p % 2 == 0, self.parts
+        S, parts = self.submanifold, self.parts
         out = {}
         for part in ("amb", "nor"):
             if part not in parts:
                 continue
             given = cochain.get(part, {})
-            res = out[part] = {} if given or part == "amb" else {
-                name: self.zero_chunk(part, name, p + 1)
+            res = {} if given or part == "amb" else {
+                name: [{} for _ in range(S.codim)]
                 for name in S.present_charts()}
             for name, chunk in given.items():
+                cvars, w, sign, twist, rules = self._rules(part, name, p)
                 lam = self.manifold.bivector(name)
-                twist = self.twist(part, name)
                 pvs = chunk if part == "nor" else (chunk,)
-                vals = []
+                res[name] = vals = []
                 for a, pv in enumerate(pvs):
-                    val = schouten(pv, lam)
-                    val = -(restrict(val, S.normal[name]) if part == "nor"
-                            else val)
-                    if twist:
-                        for b, pb in enumerate(pvs):
-                            tw = wedge(pb, twist[a][b])
-                            val = val + tw if even else val - tw
+                    val = _ruled(pv, rules, None, lambda idx: _bracket_rule(
+                        lam, idx, 1 if part == "nor" else -1))
+                    if part == "nor":
+                        val = _restricted(cvars, w, val, -1)
+                    for b, pb in enumerate(pvs if twist else ()):
+                        for oidx, terms in _ruled(
+                                pb, rules, (a, b), lambda idx: _wedge_rule(
+                                    idx, twist[a][b], sign)).items():
+                            _sum_into(val, oidx, terms)
                     vals.append(val)
-                res[name] = vals if part == "nor" else vals[0]
             if part == "nor" and "amb" in parts:
                 for name, pv in cochain.get("amb", {}).items():
-                    w = S.normal[name]
-                    if w and name not in res:
-                        res[name] = self.zero_chunk(part, name, p + 1)
-                    for a, wv in enumerate(w or ()):
-                        wa = Polyvector.from_function(
-                            LaurentPoly.variable(pv.vars, wv))
-                        coupling = restrict(schouten(pv, wa), w)
-                        res[name][a] = (res[name][a] + coupling if even
-                                        else res[name][a] - coupling)
+                    if not S.normal[name]:
+                        continue
+                    cvars, w, sign, _, rules = self._rules(part, name, p)
+                    vals = res.setdefault(name, [{} for _ in range(S.codim)])
+                    for a, wv in enumerate(w):
+                        coupling = _ruled(pv, rules, a, lambda idx: (
+                            _bracket_rule(Polyvector.from_function(
+                                LaurentPoly.variable(cvars, wv)), idx, 1)))
+                        for oidx, terms in _restricted(cvars, w, coupling,
+                                                       sign).items():
+                            _sum_into(vals[a], oidx, terms)
+            degree = self.term_degree(part, p) + 1
+            out[part] = {}
+            for name, vals in res.items():
+                cvars = self.space.chart(name).vars
+                pvs = [Polyvector._valid(cvars, degree, {
+                    idx: LaurentPoly._valid(cvars, terms)
+                    for idx, terms in val.items()}) for val in vals]
+                out[part][name] = pvs if part == "nor" else pvs[0]
         return out
 
     # ---- probes --------------------------------------------------------

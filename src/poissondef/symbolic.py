@@ -52,6 +52,18 @@ def _product(a: Mapping, b: Mapping) -> dict:
     return terms
 
 
+def _derivative(terms: Mapping, i: int) -> dict:
+    """The terms of the derivative along the i-th variable of the
+    polynomial with terms {exponent tuple: coefficient}, in their order."""
+    out = {}
+    for e, c in terms.items():
+        if e[i]:
+            e2 = list(e)
+            e2[i] -= 1
+            out[tuple(e2)] = c * e[i]
+    return out
+
+
 def grlex_key(exps: tuple) -> tuple:
     """Graded-lexicographic sort key for an exponent tuple."""
     return (sum(exps), exps)
@@ -216,15 +228,8 @@ class LaurentPoly:
 
     # ---- calculus -----------------------------------------------------
     def derivative(self, name: str) -> "LaurentPoly":
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            terms[tuple(e2)] = c * e[i]
-        return LaurentPoly._valid(self.vars, terms)
+        return LaurentPoly._valid(
+            self.vars, _derivative(self.terms, self.vars.index(name)))
 
     def set_zero(self, names: Iterable[str]) -> "LaurentPoly":
         """Evaluate the given variables at 0 (variable tuple unchanged)."""

@@ -829,6 +829,24 @@ def test_console_script_matches_in_process():
         assert completed.stdout == text.encode()
 
 
+def test_only_a_json_report_imports_json():
+    pythonpath = os.pathsep.join(
+        p for p in (str(SOURCES), os.environ.get("PYTHONPATH")) if p)
+    argv = ["validate", corpus_path("p2_def.pdef")]
+    script = ("import sys\n"
+              "from poissondef.cli import run_command\n"
+              "print('json' in sys.modules)\n"
+              f"run_command({argv!r})\n"
+              "print('json' in sys.modules)\n"
+              f"run_command({argv + ['--json']!r})\n"
+              "print('json' in sys.modules)\n")
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, cwd=SOURCES)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == [b"False", b"False", b"True"]
+
+
 HASH_SEED_COMMANDS = [
     ["h0", "p3_hyperplane.pdef", "--complex", "extended"],
     ["h0", "p2_extended.pdef", "--complex", "extended", "--json"],
