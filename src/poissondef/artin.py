@@ -48,8 +48,6 @@ linearisation is provided for cross-checking the cohomology engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import (CoboundarySystem, atom_cochain, build_complex,
                          chunk_entries, h0_complex, monomial_atoms,
                          total_coboundary)
@@ -67,16 +65,23 @@ from .symbolic import LaurentPoly, TruncatedSeries
 FUNCTORS = ("def", "hilb", "exthilb")
 
 
-@dataclass
 class ArtinReport:
-    kind: str
-    order: int
-    cls: ObstructionCocycle
-    liftable: bool
-    witness: str | None
-    solution: dict | None
-    invariance: dict | None = None
-    perturbed: ObstructionCocycle | None = None
+    # a plain class on purpose: `dataclasses` costs about 14 ms a launch
+    __slots__ = ("kind", "order", "cls", "liftable", "witness", "solution",
+                 "invariance", "perturbed")
+
+    def __init__(self, kind: str, order: int, cls: ObstructionCocycle,
+                 liftable: bool, witness: str | None, solution: dict | None,
+                 invariance: dict | None = None,
+                 perturbed: ObstructionCocycle | None = None):
+        self.kind = kind
+        self.order = order
+        self.cls = cls
+        self.liftable = liftable
+        self.witness = witness
+        self.solution = solution
+        self.invariance = invariance
+        self.perturbed = perturbed
 
 
 # ----------------------------------------------------------------------

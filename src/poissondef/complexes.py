@@ -77,7 +77,6 @@ kernel vector's atoms' entries, built into chunks by `chunk`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -320,15 +319,19 @@ def coordinates(basis: list, cochain: dict):
 KINDS = ("normal", "extended", "linebundle", "bivector")
 
 
-@dataclass
 class ComplexDescriptor:
-    kind: str
-    manifold: PoissonManifold
-    submanifold: SubmanifoldData | None = None
-    linebundle: PoissonLineBundle | None = None
-    # (part, chart, p) -> the index rules of `_rules`, on first use
-    _compiled: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    # plain classes on purpose: `dataclasses` costs about 14 ms a launch
+    __slots__ = ("kind", "manifold", "submanifold", "linebundle", "_compiled")
+
+    def __init__(self, kind: str, manifold: PoissonManifold,
+                 submanifold: SubmanifoldData | None = None,
+                 linebundle: PoissonLineBundle | None = None):
+        self.kind = kind
+        self.manifold = manifold
+        self.submanifold = submanifold
+        self.linebundle = linebundle
+        # (part, chart, p) -> the index rules of `_rules`, on first use
+        self._compiled = {}
 
     @property
     def space(self):
@@ -492,10 +495,12 @@ def build_complex(kind: str, *, manifold: PoissonManifold | None = None,
 # Global sections over an atlas
 # ----------------------------------------------------------------------
 
-@dataclass
 class SectionSpace:
-    basis: list
-    degree_bound: int
+    __slots__ = ("basis", "degree_bound")
+
+    def __init__(self, basis: list, degree_bound: int):
+        self.basis = basis
+        self.degree_bound = degree_bound
 
     @property
     def dimension(self) -> int:
@@ -830,18 +835,26 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
 # Degree-zero hypercohomology over the atlas
 # ----------------------------------------------------------------------
 
-@dataclass
 class CohomologyReport:
-    kind: str
-    engine: str
-    dimension: int | None
-    basis: list
-    degree_bound: int | None = None
-    stable: bool = True
-    section_dimension: int | None = None
-    weights: dict = field(default_factory=dict)
-    truncated: bool = False
-    notes: tuple = ()
+    __slots__ = ("kind", "engine", "dimension", "basis", "degree_bound",
+                 "stable", "section_dimension", "weights", "truncated",
+                 "notes")
+
+    def __init__(self, kind: str, engine: str, dimension: int | None,
+                 basis: list, degree_bound: int | None = None,
+                 stable: bool = True, section_dimension: int | None = None,
+                 weights: dict = None, truncated: bool = False,
+                 notes: tuple = ()):
+        self.kind = kind
+        self.engine = engine
+        self.dimension = dimension
+        self.basis = basis
+        self.degree_bound = degree_bound
+        self.stable = stable
+        self.section_dimension = section_dimension
+        self.weights = {} if weights is None else weights
+        self.truncated = truncated
+        self.notes = notes
 
 
 def h0_complex(descriptor: ComplexDescriptor,

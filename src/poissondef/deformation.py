@@ -55,7 +55,6 @@ sections, so `run_solver` builds the system once for every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -170,24 +169,28 @@ def _identity_assign(vars, exclude=()):
 MODES = ("fixed", "extended", "prescribed")
 
 
-@dataclass
 class DeformationProblem:
-    submanifold: SubmanifoldData
-    params: tuple
-    order: int                    # target order M
-    degree: int                   # polynomial degree bound for normal motions
-    mode: str = "fixed"
-    prescribed: dict | None = None  # chart -> TruncatedSeries of bivectors
-    seed: tuple | None = None       # indices into the degree-zero basis
-    directions: list | None = None  # explicit degree-zero cochains instead
-    bound: int | None = None        # section degree bound override
+    # plain classes on purpose: `dataclasses` costs about 14 ms a launch
+    __slots__ = ("submanifold", "params", "order", "degree", "mode",
+                 "prescribed", "seed", "directions", "bound")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InconsistentData(f"unknown mode {self.mode!r}")
-        self.params = tuple(self.params)
-        if self.mode == "prescribed" and self.prescribed is None:
+    def __init__(self, submanifold: SubmanifoldData, params: tuple,
+                 order: int, degree: int, mode: str = "fixed",
+                 prescribed: dict | None = None, seed: tuple | None = None,
+                 directions: list | None = None, bound: int | None = None):
+        if mode not in MODES:
+            raise InconsistentData(f"unknown mode {mode!r}")
+        if mode == "prescribed" and prescribed is None:
             raise InconsistentData("prescribed mode needs the ambient family")
+        self.submanifold = submanifold
+        self.params = tuple(params)
+        self.order = order            # target order M
+        self.degree = degree          # polynomial degree bound for motions
+        self.mode = mode
+        self.prescribed = prescribed  # chart -> TruncatedSeries of bivectors
+        self.seed = seed              # indices into the degree-zero basis
+        self.directions = directions  # explicit degree-zero cochains instead
+        self.bound = bound            # section degree bound override
 
     @property
     def space(self):
@@ -199,12 +202,13 @@ class DeformationProblem:
         return self.mode != "fixed"
 
 
-@dataclass(frozen=True)
 class DeformationState:
-    problem: DeformationProblem
-    order: int
-    phi: dict                      # chart -> [TruncatedSeries(LaurentPoly)]*r
-    lam: dict                      # chart -> TruncatedSeries(Polyvector)
+    def __init__(self, problem: DeformationProblem, order: int, phi: dict,
+                 lam: dict):
+        self.problem = problem
+        self.order = order
+        self.phi = phi      # chart -> [TruncatedSeries(LaurentPoly)]*r
+        self.lam = lam      # chart -> TruncatedSeries(Polyvector)
 
     @property
     def params(self):
@@ -395,14 +399,16 @@ def verify_family(state: DeformationState, order: int | None = None) -> dict:
 # Obstruction cocycle
 # ----------------------------------------------------------------------
 
-@dataclass
 class ObstructionCocycle:
     """The obstruction at one order: per parameter monomial, the degree-one
     total cochain (chart part, overlap part) that `residual_total` reads
     from a family's residuals, with its exact closedness certificates."""
-    order: int                     # the order being obstructed (m+1)
-    totals: dict                   # te -> (chart part, overlap part)
-    certificates: dict
+    __slots__ = ("order", "totals", "certificates")
+
+    def __init__(self, order: int, totals: dict, certificates: dict):
+        self.order = order                # the order being obstructed (m+1)
+        self.totals = totals              # te -> (chart part, overlap part)
+        self.certificates = certificates
 
     def is_zero(self) -> bool:
         return all(cochain_is_zero(chart) and cochain_is_zero(overlap)
@@ -495,12 +501,15 @@ def certify_cocycle(descriptor, residuals: dict, order: int,
 # Order step
 # ----------------------------------------------------------------------
 
-@dataclass
 class Obstructed:
-    order: int
-    cocycle: ObstructionCocycle
-    witness: str
-    tested_degrees: dict
+    __slots__ = ("order", "cocycle", "witness", "tested_degrees")
+
+    def __init__(self, order: int, cocycle: ObstructionCocycle, witness: str,
+                 tested_degrees: dict):
+        self.order = order
+        self.cocycle = cocycle
+        self.witness = witness
+        self.tested_degrees = tested_degrees
 
     def __bool__(self):
         return False
@@ -602,15 +611,22 @@ def solve_order(state: DeformationState, *,
 # Full solver
 # ----------------------------------------------------------------------
 
-@dataclass
 class SolverResult:
-    problem: DeformationProblem
-    state: DeformationState | None
-    obstructed: Obstructed | None
-    h0: CohomologyReport | None
-    chosen_basis: list
-    verify: dict | None
-    char_map_identity: bool | None
+    __slots__ = ("problem", "state", "obstructed", "h0", "chosen_basis",
+                 "verify", "char_map_identity")
+
+    def __init__(self, problem: DeformationProblem,
+                 state: DeformationState | None,
+                 obstructed: Obstructed | None, h0: CohomologyReport | None,
+                 chosen_basis: list, verify: dict | None,
+                 char_map_identity: bool | None):
+        self.problem = problem
+        self.state = state
+        self.obstructed = obstructed
+        self.h0 = h0
+        self.chosen_basis = chosen_basis
+        self.verify = verify
+        self.char_map_identity = char_map_identity
 
     @property
     def ok(self) -> bool:

@@ -34,7 +34,6 @@ parse-render round trips are the identity on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .artin import FUNCTORS
@@ -58,12 +57,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
 class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str):
@@ -93,25 +94,37 @@ def _tokenize(text: str):
 # Document object
 # ----------------------------------------------------------------------
 
-@dataclass
 class ProblemFile:
-    """Parsed problem description plus builders for the engine objects."""
-    name: str | None = None
-    builtin: tuple | None = None           # (name, args)
-    charts: list = field(default_factory=list)          # Chart, declared order
-    transitions: dict = field(default_factory=dict)     # (i, k) -> {v: LP}
-    poisson: dict = field(default_factory=dict)         # chart -> Polyvector
-    normal_spec: dict = field(default_factory=dict)     # chart -> list | ABSENT
-    params: tuple = ()
-    order: int | None = None
-    degree: int | None = None
-    mode: str = "fixed"
-    family: dict = field(default_factory=dict)          # chart -> {v: TS}
-    lam: dict = field(default_factory=dict)             # chart -> TS(Polyvector)
-    artin: str | None = None
-    warnings: list = field(default_factory=list)
+    """Parsed problem description plus builders for the engine objects.
+    A plain class on purpose: `dataclasses` costs about 14 ms a launch."""
+    __slots__ = ("name", "builtin", "charts", "transitions", "poisson",
+                 "normal_spec", "params", "order", "degree", "mode", "family",
+                 "lam", "artin", "warnings", "_space")
 
-    _space: ChartedSpace | None = None
+    def __init__(self, name: str | None = None, builtin: tuple | None = None,
+                 charts: list = None, transitions: dict = None,
+                 poisson: dict = None, normal_spec: dict = None,
+                 params: tuple = (), order: int | None = None,
+                 degree: int | None = None, mode: str = "fixed",
+                 family: dict = None, lam: dict = None,
+                 artin: str | None = None, warnings: list = None,
+                 _space: ChartedSpace | None = None):
+        self.name = name
+        self.builtin = builtin                # (name, args)
+        self.charts = [] if charts is None else charts  # declared order
+        # (i, k) -> {v: LP}; per chart a Polyvector, a list or ABSENT
+        self.transitions = {} if transitions is None else transitions
+        self.poisson = {} if poisson is None else poisson
+        self.normal_spec = {} if normal_spec is None else normal_spec
+        self.params = params
+        self.order = order
+        self.degree = degree
+        self.mode = mode
+        self.family = {} if family is None else family  # chart -> {v: TS}
+        self.lam = {} if lam is None else lam  # chart -> TS(Polyvector)
+        self.artin = artin
+        self.warnings = [] if warnings is None else warnings
+        self._space = _space
 
     # ---- engine builders ----------------------------------------------
     @property

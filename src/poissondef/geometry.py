@@ -11,11 +11,13 @@ there into a `symbolic.MonomialMap`, and any other goes through
 tensors: the first-order normal transition matrices and the structure vector
 fields appearing in the bracket of the structure with each normal variable,
 and certifies the compatibility identities they satisfy.
+
+The records here are plain classes on purpose, as in `complexes`,
+`deformation`, `dsl` and `artin`: `dataclasses` costs about 14 ms a launch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -30,10 +32,21 @@ from .polyvector import (Polyvector, Transition, pushforward, restrict,
 from .symbolic import LaurentPoly
 
 
-@dataclass(frozen=True)
 class Chart:
-    name: str
-    vars: tuple
+    """A chart's name and its coordinate names; equal and hashed as the
+    value (name, vars)."""
+    __slots__ = ("name", "vars")
+
+    def __init__(self, name: str, vars: tuple):
+        self.name = name
+        self.vars = vars
+
+    def __eq__(self, other):
+        return (isinstance(other, Chart) and self.name == other.name
+                and self.vars == other.vars)
+
+    def __hash__(self):
+        return hash((self.name, self.vars))
 
 
 class ChartedSpace:
@@ -361,7 +374,6 @@ def check_poisson_manifold(M: PoissonManifold) -> dict:
 ABSENT = "absent"
 
 
-@dataclass
 class SubmanifoldData:
     """A submanifold cut out chartwise by normal coordinates, plus the
     tensors extracted from the Poisson structure along it.
@@ -372,20 +384,26 @@ class SubmanifoldData:
     report), and each overlap's first-order matrix moved to its target
     chart."""
 
-    manifold: PoissonManifold
-    normal: dict          # chart -> tuple of normal variable names, or None
-    tangential: dict      # chart -> tuple of remaining variable names
-    codim: int
-    first_order: dict = field(default_factory=dict)   # (i,k) -> r x r LaurentPoly
-    structure_fields: dict = field(default_factory=dict)  # chart -> r x r Polyvector
-    checks: dict = field(default_factory=dict)
-    # (dst, src) -> first_order[(dst, src)] moved to chart dst, on first use
-    _moved_first_order: dict = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
-    # chart -> structure_fields[chart] restricted to the submanifold, on
-    # first use
-    _restricted_fields: dict = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
+    __slots__ = ("manifold", "normal", "tangential", "codim", "first_order",
+                 "structure_fields", "checks", "_moved_first_order",
+                 "_restricted_fields")
+
+    def __init__(self, manifold: PoissonManifold, normal: dict,
+                 tangential: dict, codim: int, first_order: dict = None,
+                 structure_fields: dict = None, checks: dict = None):
+        self.manifold = manifold
+        self.normal = normal          # chart -> normal variable names, or None
+        self.tangential = tangential  # chart -> remaining variable names
+        self.codim = codim
+        # (i,k) -> r x r LaurentPoly, and chart -> r x r Polyvector
+        self.first_order = {} if first_order is None else first_order
+        self.structure_fields = ({} if structure_fields is None
+                                 else structure_fields)
+        self.checks = {} if checks is None else checks
+        # (dst, src) -> first_order[(dst, src)] moved to chart dst, and
+        # chart -> structure_fields[chart] restricted, both on first use
+        self._moved_first_order = {}
+        self._restricted_fields = {}
 
     @property
     def space(self) -> ChartedSpace:
@@ -600,12 +618,15 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
 # Codimension-one line bundle
 # ----------------------------------------------------------------------
 
-@dataclass
 class PoissonLineBundle:
-    submanifold: SubmanifoldData
-    factors: dict        # (i,k) -> LaurentPoly transition factor along V
-    fields: dict         # chart -> Polyvector (full, unrestricted)
-    invariants: dict
+    __slots__ = ("submanifold", "factors", "fields", "invariants")
+
+    def __init__(self, submanifold: SubmanifoldData, factors: dict,
+                 fields: dict, invariants: dict):
+        self.submanifold = submanifold
+        self.factors = factors    # (i,k) -> LaurentPoly transition factor
+        self.fields = fields      # chart -> Polyvector (full, unrestricted)
+        self.invariants = invariants
 
 
 def codim1_line_bundle(data: SubmanifoldData) -> PoissonLineBundle:

@@ -829,9 +829,19 @@ def test_console_script_matches_in_process():
         assert completed.stdout == text.encode()
 
 
-def test_only_a_json_report_imports_json():
+def _run_script(script):
+    """The stdout lines of `script` run in a new interpreter on the
+    package's sources."""
     pythonpath = os.pathsep.join(
         p for p in (str(SOURCES), os.environ.get("PYTHONPATH")) if p)
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, cwd=SOURCES)
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout.decode().splitlines()
+
+
+def test_only_a_json_report_imports_json():
     argv = ["validate", corpus_path("p2_def.pdef")]
     script = ("import sys\n"
               "from poissondef.cli import run_command\n"
@@ -840,11 +850,42 @@ def test_only_a_json_report_imports_json():
               "print('json' in sys.modules)\n"
               f"run_command({argv + ['--json']!r})\n"
               "print('json' in sys.modules)\n")
-    completed = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True,
-        env={**os.environ, "PYTHONPATH": pythonpath}, cwd=SOURCES)
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.split() == [b"False", b"False", b"True"]
+    assert _run_script(script) == ["False", "False", "True"]
+
+
+# `dataclasses` and the modules it pulls in cost about 14 ms of every
+# launch; no command needs them
+START_COSTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
+
+
+def test_the_import_and_its_commands_leave_dataclasses_out():
+    path = corpus_path("p3_hyperplane.pdef")
+    script = ("import sys\n"
+              "from poissondef.cli import run_command\n"
+              f"costs = {START_COSTS!r}\n"
+              "print([m for m in costs if m in sys.modules])\n"
+              f"run_command(['validate', {path!r}])\n"
+              f"run_command(['h0', {path!r}, '--complex', 'extended'])\n"
+              "print([m for m in costs if m in sys.modules])\n")
+    assert _run_script(script) == ["[]", "[]"]
+
+
+def test_the_package_needs_only_the_standard_library():
+    names = sorted(f"poissondef.{p.stem}" for p in
+                   (SOURCES / "poissondef").glob("*.py")
+                   if p.stem not in ("__init__", "__main__"))
+    script = ("import importlib, sys\n"
+              "before = set(sys.modules)\n"
+              f"for name in ['poissondef'] + {names!r}:\n"
+              "    importlib.import_module(name)\n"
+              "for name in sorted(set(sys.modules) - before):\n"
+              "    print(name)\n")
+    loaded = _run_script(script)
+    assert "poissondef.cli" in loaded
+    outside = [n for n in loaded if n.split(".")[0] != "poissondef"]
+    assert outside
+    assert [n for n in outside if n.split(".")[0]
+            not in sys.stdlib_module_names] == []
 
 
 HASH_SEED_COMMANDS = [

@@ -14,7 +14,7 @@ obstruction built by hand, and by hypothesis on random series.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -335,7 +335,9 @@ def _extended_state(extra):
                                     "U2": ["z3"], "U3": ABSENT})
     prob = DeformationProblem(S, ("t1", "t2"), order=2, degree=2,
                               mode="extended", seed=(0, 14))
-    seeded = run_solver(replace(prob, order=1)).state
+    seeded = run_solver(DeformationProblem(
+        S, ("t1", "t2"), order=1, degree=2, mode="extended",
+        seed=(0, 14))).state
     phi = {name: [TruncatedSeries(s.params, 2, s.terms) for s in rows]
            for name, rows in seeded.phi.items()}
     lam = {name: TruncatedSeries(s.params, 2, s.terms)
