@@ -42,10 +42,10 @@ shape; `chunk_entries` yields each entry as ((slot,) idx, e), value, and
 `chunk` is its inverse. Sums, scalings and zero tests of cochains and their
 linearisations (`cochain_vector_entries`, `total_rows`) go through them.
 
-`_move_entries` moves a chunk's entries across one chart edge, term by term,
-by the edge's `Transition.move`. A normal tuple is then restricted to the
-submanifold and multiplied by the first-order normal transition matrix; that
-rule is written there only. `transport_nor_tuple`, the section search and the
+`_move_entries` moves a chunk's entries across one chart edge by one call of
+the edge's `Transition.move`, the one transport loop. A normal tuple is then
+restricted to the submanifold and multiplied by the first-order normal
+transition matrix; that rule is written there only. `transport_nor_tuple`, the section search and the
 truncated estimate all move normal chunks through it.
 
 The Cech total complex of a descriptor is written once, here:
@@ -90,7 +90,8 @@ from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 # hold it
 from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
 from .polyvector import Polyvector, _sort_sign, restrict
-from .symbolic import LaurentPoly, _derivative, _product, _simplex
+from .symbolic import (LaurentPoly, _add_product, _derivative, _product,
+                       _set_zero, _simplex)
 
 
 # ----------------------------------------------------------------------
@@ -153,28 +154,36 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
                   dst: str) -> dict:
     """The `chunk_entries` entries of a chart-src chunk, moved to chart dst.
 
-    Each entry moves by the edge's `Transition.move`. An ambient chunk's
-    moved terms are its entries. A normal tuple's are summed per slot b and
-    index tuple, restricted to the submanifold by `set_zero`, which raises
-    NegativePowerAtZero on a negative normal power, and multiplied by the
-    first-order matrix F = S.moved_first_order(dst, src): slot a on dst is
-    sum_b F[a][b] times slot b moved."""
+    The entries move by one call of the edge's `Transition.move`. An
+    ambient chunk's moved terms are its entries. A normal tuple's come per
+    slot b and index tuple; each is restricted to the submanifold by
+    `_zeroed`, which raises NegativePowerAtZero on a negative normal power,
+    and multiplied by the first-order matrix F = S.moved_first_order(dst,
+    src): slot a on dst is sum_b F[a][b] times slot b moved."""
     move = space._moves[(src, dst)]
-    moved = {}
-    for key, val in entries.items():
-        for tidx, piece in move.move(key[-2], {key[-1]: val}):
-            _add_into(moved.setdefault(key[:-2] + (tidx,), {}), piece.items())
+    moved = move.move(entries)
     if not moved or len(next(iter(moved))) == 1:  # ambient keys (tidx,)
         return {(tidx, e): c for (tidx,), terms in moved.items()
                 for e, c in terms.items()}
-    w, F, out = S.normal[dst], S.moved_first_order(dst, src), {}
+    cvars, w, out = move.target_vars, S.normal[dst], {}
+    F, pos = S.moved_first_order(dst, src), [cvars.index(v) for v in w]
     for (b, tidx), terms in moved.items():
-        restricted = LaurentPoly._valid(move.target_vars,
-                                        terms).set_zero(w).terms
+        restricted = _zeroed(cvars, w, pos, terms)
         for a, row in enumerate(F):
             _add_into(out, (((a, tidx, e), c) for e, c in
                             _product(row[b].terms, restricted).items()))
     return out
+
+
+def _zeroed(cvars: tuple, w: tuple, pos: list, terms: dict) -> dict:
+    """The terms of a polynomial on cvars with the normal variables w, at
+    positions pos, set to zero by `_set_zero`. A negative normal power
+    raises NegativePowerAtZero through `LaurentPoly.set_zero`, with its
+    message."""
+    kept = _set_zero(terms, pos)
+    if kept is None:
+        LaurentPoly._valid(cvars, terms).set_zero(w)
+    return kept
 
 
 def _sum_into(acc: dict, idx: tuple, terms: dict):
@@ -196,24 +205,33 @@ def _ruled(pv: Polyvector, rules: dict, key, build) -> dict:
     order. The rule of (key, idx), built by build(idx) on first use and
     kept in rules, lists (output index, None, terms) for the product of the
     term's coefficient f with terms, and (output index, j, terms) for terms
-    times d f / d v_j. The products are summed in the rule's order."""
+    times d f / d v_j. Each product is added where it lands, by
+    `_add_product`, in the rule's order, and an index whose terms cancel is
+    deleted, as `polyvector._acc` deletes it."""
     acc = {}
     for idx, f in pv.terms.items():
         rule = rules.get((key, idx))
         if rule is None:
             rule = rules[(key, idx)] = build(idx)
         for oidx, j, g in rule:
-            _sum_into(acc, oidx, _product(f.terms, g) if j is None
-                      else _product(g, _derivative(f.terms, j)))
+            terms = acc.get(oidx)
+            if terms is None:
+                terms = acc[oidx] = {}
+            if j is None:
+                _add_product(terms, f.terms, g)
+            else:
+                _add_product(terms, g, _derivative(f.terms, j))
+            if not terms:
+                del acc[oidx]
     return acc
 
 
 def _restricted(cvars: tuple, w: tuple, acc: dict, s) -> dict:
     """s times the {index tuple: terms} dict acc with the normal variables w
-    set to zero by `set_zero`, as `restrict` gives it."""
-    out = {}
+    set to zero by `_zeroed`, as `restrict` gives it."""
+    out, pos = {}, [cvars.index(v) for v in w]
     for idx, terms in acc.items():
-        kept = LaurentPoly._valid(cvars, terms).set_zero(w).terms
+        kept = _zeroed(cvars, w, pos, terms)
         if kept:
             out[idx] = {e: c * s for e, c in kept.items()}
     return out

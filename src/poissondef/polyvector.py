@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import LaurentPoly, _product, monomial_map, substitute
+from .symbolic import LaurentPoly, _add_product, monomial_map, substitute
 
 
 def _sort_sign(indices: Iterable[int]):
@@ -335,9 +336,12 @@ class Transition:
     d(target_b)/d(source_s) (from `inverse`), one for each s in I, taken in
     `itertools.product` order, the sorted target index tuple of the b's and
     the signed product of the entries in target coordinates. The Jacobian
-    and each list are built on their first use and kept. `move` moves one
-    term f d_I, given by f's terms alone; it is the one transport loop,
-    which `pushforward` and `complexes._move_entries` share.
+    and each list are built on their first use and kept.
+
+    `move` is the one transport loop: it moves a chunk's entries, the terms
+    c * x^e d_I keyed by (I, e) under a head, and adds every term of every
+    image where it lands. `pushforward` and `complexes._move_entries` each
+    call it once per chunk.
     """
 
     __slots__ = ("source_vars", "target_vars", "forward", "inverse", "mono",
@@ -363,20 +367,38 @@ class Transition:
             out = out.with_vars(self.target_vars)
         return out
 
-    def move(self, idx: tuple, f_terms: Mapping) -> list:
-        """phi_*(f d_idx) for the function f on the source variables with
-        terms `f_terms` {exponent tuple: coefficient}: per image of d_idx,
-        in order, its target index tuple and the terms of f moved to the
-        target variables times the image. A compiled `mono` moves f's
-        exponent vectors through its images; otherwise f goes through
-        `convert`."""
-        if self.mono is None:
-            moved = self.convert(
-                LaurentPoly._valid(self.source_vars, f_terms)).terms
-        else:
-            moved = self.mono.terms(f_terms)
-        return [(tidx, _product(moved, image.terms))
-                for tidx, image in self[idx]]
+    def move(self, entries: Mapping) -> dict:
+        """phi_* of a chunk's entries {head + (idx, e): c}, each the term
+        c * x^e d_idx, as {head + (tidx,): terms}. Each entry, in order, is
+        moved to the target variables once (by `MonomialMap.image`, or by
+        `convert` when there is no `mono`), and each term of its product
+        with each image of d_idx, in order, is added where it lands: a sum
+        is kept in place and a sum that cancels is dropped. A target index
+        whose terms all cancel keeps its place, with no terms."""
+        mono = self.mono
+        out: dict = {}
+        for key, c in entries.items():
+            head = key[:-2]
+            if mono is None:
+                moved = self.convert(LaurentPoly._valid(
+                    self.source_vars, {key[-1]: c})).terms
+            else:
+                e, c = mono.image(key[-1], c)
+            for tidx, image in self[key[-2]]:
+                terms = out.get(head + (tidx,))
+                if terms is None:
+                    terms = out[head + (tidx,)] = {}
+                if mono is None:
+                    _add_product(terms, moved, image.terms)
+                else:
+                    for ei, ci in image.terms.items():
+                        k = tuple(map(add, e, ei))
+                        s = terms.get(k, 0) + c * ci
+                        if s:
+                            terms[k] = s
+                        elif k in terms:
+                            del terms[k]
+        return out
 
     def __getitem__(self, idx: tuple) -> list:
         images = self._images.get(idx)
@@ -426,13 +448,14 @@ def pushforward(a: Polyvector, move: Transition) -> Polyvector:
     """Re-express a polyvector on the target chart of `move`, in its
     coordinates and frame; `a` is first brought to the source variables.
 
-    Each term is moved by `move.move` and its pieces are summed in order.
+    Its terms are moved as entries, by one `move.move` call; a target
+    index whose terms cancel is left out.
     """
     if a.vars != move.source_vars:
         a = a.with_vars(move.source_vars)
     target_vars = move.target_vars
-    terms: dict = {}
-    for idx, coeff in a.terms.items():
-        for tidx, piece in move.move(idx, coeff.terms):
-            _acc(terms, tidx, LaurentPoly._valid(target_vars, piece))
-    return Polyvector._valid(target_vars, a.degree, terms)
+    moved = move.move({(idx, e): c for idx, coeff in a.terms.items()
+                       for e, c in coeff.terms.items()})
+    return Polyvector._valid(target_vars, a.degree, {
+        tidx: LaurentPoly._valid(target_vars, terms)
+        for (tidx,), terms in moved.items() if terms})

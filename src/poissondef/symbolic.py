@@ -52,6 +52,30 @@ def _product(a: Mapping, b: Mapping) -> dict:
     return terms
 
 
+def _add_product(acc: dict, a: Mapping, b: Mapping):
+    """acc += the product of the polynomials with terms a and b, in place,
+    as adding `_product(a, b)` term by term would leave it: each sum kept
+    where it is and a sum that cancels dropped. With a one-term factor
+    every product term has its own exponent, so each is added where it
+    lands, without building the product."""
+    if len(a) != 1 and len(b) != 1:
+        for e, c in _product(a, b).items():
+            s = acc.get(e, 0) + c
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+        return
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+
+
 def _derivative(terms: Mapping, i: int) -> dict:
     """The terms of the derivative along the i-th variable of the
     polynomial with terms {exponent tuple: coefficient}, in their order."""
@@ -61,6 +85,23 @@ def _derivative(terms: Mapping, i: int) -> dict:
             e2 = list(e)
             e2[i] -= 1
             out[tuple(e2)] = c * e[i]
+    return out
+
+
+def _set_zero(terms: Mapping, positions) -> dict | None:
+    """The terms, in their order, of the polynomial with terms {exponent
+    tuple: coefficient} with the variables at `positions` set to zero, or
+    None when a term has a negative power of one of them."""
+    out = {}
+    for e, c in terms.items():
+        kept = True
+        for i in positions:
+            if e[i]:
+                if e[i] < 0:
+                    return None
+                kept = False
+        if kept:
+            out[e] = c
     return out
 
 
@@ -233,18 +274,9 @@ class LaurentPoly:
 
     def set_zero(self, names: Iterable[str]) -> "LaurentPoly":
         """Evaluate the given variables at 0 (variable tuple unchanged)."""
-        idx = [self.vars.index(n) for n in names]
-        terms = {}
-        for e, c in self.terms.items():
-            kept = True
-            for i in idx:
-                if e[i] < 0:
-                    raise NegativePowerAtZero(
-                        f"cannot set {names} to zero in {self}")
-                if e[i]:
-                    kept = False
-            if kept:
-                terms[e] = c
+        terms = _set_zero(self.terms, [self.vars.index(n) for n in names])
+        if terms is None:
+            raise NegativePowerAtZero(f"cannot set {names} to zero in {self}")
         return LaurentPoly._valid(self.vars, terms)
 
     # ---- variable plumbing --------------------------------------------
@@ -559,10 +591,13 @@ class MonomialMap:
     one target variable tuple, compiled once: per assigned source variable
     its index, the non-zero entries (j, a_v[j]) of its exponent vector a_v
     in the target variables and its coefficient c_v (None when it is 1).
-    Calling it on a LaurentPoly over the source variables substitutes: the
-    term c * prod v^(e_v) goes to c * prod c_v^(e_v) * y^(sum e_v a_v).
-    Terms are summed in p's order, as the general path of `substitute` sums
-    them; `terms` does the same on a polynomial given by its terms alone."""
+    `image` sends one term c * prod v^(e_v) to c * prod c_v^(e_v) *
+    y^(sum e_v a_v); it is the one place that exponent arithmetic is
+    written, and `polyvector.Transition.move` calls it per moved entry.
+    Calling the map on a LaurentPoly over the source variables substitutes,
+    summing the images in p's order, as the general path of `substitute`
+    sums them; `terms` does the same on a polynomial given by its terms
+    alone."""
 
     __slots__ = ("images", "target_vars")
 
@@ -580,22 +615,25 @@ class MonomialMap:
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._valid(self.target_vars, self.terms(p.terms))
 
+    def image(self, e: tuple, c) -> tuple:
+        """The target exponent tuple and coefficient of the term c * x^e."""
+        moved = [0] * len(self.target_vars)
+        for i, entries, cv in self.images:
+            k = e[i]
+            if k:
+                for j, y in entries:
+                    moved[j] += k * y
+                if cv is not None:
+                    c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
+        return tuple(moved), c
+
     def terms(self, p_terms: Mapping) -> dict:
         """The substituted terms of the polynomial with terms `p_terms`
         {exponent tuple: coefficient} on the source variables."""
-        images = self.images
-        n = len(self.target_vars)
+        image = self.image
         terms: dict = {}
         for e, c in p_terms.items():
-            moved = [0] * n
-            for i, entries, cv in images:
-                k = e[i]
-                if k:
-                    for j, y in entries:
-                        moved[j] += k * y
-                    if cv is not None:
-                        c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
-            exps = tuple(moved)
+            exps, c = image(e, c)
             s = terms.get(exps, 0) + c
             if s:
                 terms[exps] = s

@@ -8,9 +8,10 @@ transitions are monomial; they must agree with `_substitute_monomials`,
 the uncompiled body they replaced, kept verbatim, down to the int or
 Fraction type of every coefficient.
 
-`polyvector.pushforward` converts each coefficient once and multiplies it
-by the kept images of its frame, which each ordered pair's
-`polyvector.Transition` keeps on the atlas (`ChartedSpace._moves`). It must
+`polyvector.pushforward` moves each term once, by one `Transition.move`
+call, and multiplies it by the kept images of its frame, which each
+ordered pair's `polyvector.Transition` keeps on the atlas
+(`ChartedSpace._moves`). It must
 agree, term for term and in the same order, with `_parent_pushforward`,
 the path it replaced (the signed Jacobian products of every coefficient,
 then one substitution per target index tuple), and with
@@ -697,24 +698,31 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     atoms (bound 7: 120 exponents for each of 3 index pairs) is moved along
     the 3 tree edges, and each of the 36 normal root atoms along the 2 edges
     between the charts the hyperplane meets. Every edge leaves the root
-    chart, where an atom is one term, so each edge is one move: 360 * 3 +
-    36 * 2 = 1,152 moves, and no representative is transported on top (1,323
-    when the 57 ambient atoms in a kernel vector's support were transported
-    again as cochains). Outside the search the command pushes forward at
-    most 9 ambient chunks (252 when every section atom went through
-    `pushforward`)."""
-    calls, moves, work, pushes = [], [], {}, []
+    chart, where an atom is one entry, so 360 * 3 + 36 * 2 = 1,152 entries
+    are moved, and no representative is transported on top (1,323 when the
+    57 ambient atoms in a kernel vector's support were transported again as
+    cochains). Outside the search the command pushes forward at most 9
+    ambient chunks (252 when every section atom went through
+    `pushforward`).
+
+    `Transition.move` adds every moved term where it lands, and the
+    differential's rules add every product where it lands, so the command
+    calls `symbolic._product` exactly 284 times: 72 for the normal atoms'
+    first-order matrix, the rest in `LaurentPoly` products (2,763 when each
+    moved entry and each rule product built its own product dict)."""
+    calls, moves, work, pushes, products = [], [], {}, [], []
     substitute_, move = polyvector.substitute, Transition.move
     search = complexes._sections_and_next_dimension
     pushforward = ChartedSpace.pushforward
+    product_ = poissondef.symbolic._product
 
     def count_substitute(*args, **kwargs):
         calls.append(None)
         return substitute_(*args, **kwargs)
 
-    def count_move(self, idx, f_terms):
-        moves.append(self.mono is not None)
-        return move(self, idx, f_terms)
+    def count_move(self, entries):
+        moves.extend([self.mono is not None] * len(entries))
+        return move(self, entries)
 
     def count_search(descriptor, part, bound, moved):
         start = len(moves)
@@ -726,19 +734,28 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
         pushes.append(None)
         return pushforward(self, a, src, dst)
 
+    def count_product(a, b):
+        products.append(None)
+        return product_(a, b)
+
     monkeypatch.setattr(polyvector, "substitute", count_substitute)
     monkeypatch.setattr(Transition, "move", count_move)
     monkeypatch.setattr(complexes, "_sections_and_next_dimension",
                         count_search)
     monkeypatch.setattr(ChartedSpace, "pushforward", count_pushforward)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("poissondef")
+                and getattr(module, "_product", None) is product_):
+            monkeypatch.setattr(module, "_product", count_product)
     code, _ = run_command(["h0", f"{EXAMPLES}/p3_hyperplane.pdef",
                            "--complex", "extended", "--bound", "6"])
     assert code == 0
     assert calls == []
     assert moves and all(moves)
-    # (moves, moved atoms) per part
+    # (moved entries, moved atoms) per part
     assert work == {"amb": (360 * 3, 360), "nor": (36 * 2, 36)}
     assert len(pushes) <= 9
+    assert len(products) == 284
 
 
 def test_alternating_section_searches_agree():

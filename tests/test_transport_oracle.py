@@ -1,0 +1,526 @@
+"""The entry-level transport loop and the rules' in-place products against
+the paths they replaced.
+
+`Transition.move` moves a chunk's entries {head + (idx, e): c} in one call
+and adds every term of every image where it lands; `pushforward` and
+`complexes._move_entries` each call it once per chunk, and the normal
+slots are restricted by `symbolic._set_zero`. `complexes._ruled` adds each
+rule product where it lands, through `symbolic._add_product`. The replaced
+per-entry `Transition.move`, with the `MonomialMap.terms` body it read, and
+`pushforward`, `_move_entries`, `_ruled` and `LaurentPoly.set_zero` are
+kept below verbatim as `parent_*`. The new paths must give their values,
+their term order at both dict levels and the int or Fraction type of every
+coefficient, or raise the same error with the same message, and must leave
+their inputs untouched.
+
+`pushforward` differs from its parent in term order, never in value or
+type, in two cases, which `test_pushforward_keeps_values_and_types` names:
+a target index whose sum cancels and which a later term fills again keeps
+its first place (the parent deleted it and appended it again), and on a
+transition that is not monomial a coefficient's terms are converted one by
+one, not summed first. In both it gives, in order, the parent entry
+mover's terms with the emptied indices left out.
+
+The draws cover every shipped atlas with more than one chart (`P1`..`P3`,
+`Fm(0)`..`Fm(5)`, with the shipped submanifolds for normal slots), a
+product atlas, the
+non-monomial `shear` transition of `test_transport`, a shear whose frame
+images have two terms and a plane bundle whose first-order matrix has a
+two-term entry; one-term and multi-term coefficients, ints and Fractions,
+and negative normal powers.
+"""
+
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import poissondef
+from poissondef import polyvector
+from poissondef.complexes import (_bracket_rule, _move_entries, _ruled,
+                                  _wedge_rule)
+from poissondef.dsl import parse
+from poissondef.errors import NegativePowerAtZero, NonInvertibleSubstitution
+from poissondef.geometry import hirzebruch, product, projective_space
+from poissondef.polyvector import Polyvector, pushforward
+from poissondef.symbolic import LaurentPoly, _derivative, _product
+from test_transport import NON_MONOMIAL, _second_line
+
+EXAMPLES = Path(poissondef.__file__).parent / "examples"
+
+
+# ----------------------------------------------------------------------
+# The replaced paths, verbatim
+# ----------------------------------------------------------------------
+
+def parent_mono_terms(self, p_terms):
+    """The substituted terms of the polynomial with terms `p_terms`
+    {exponent tuple: coefficient} on the source variables."""
+    images = self.images
+    n = len(self.target_vars)
+    terms: dict = {}
+    for e, c in p_terms.items():
+        moved = [0] * n
+        for i, entries, cv in images:
+            k = e[i]
+            if k:
+                for j, y in entries:
+                    moved[j] += k * y
+                if cv is not None:
+                    c = c * (cv ** k if k > 0 else Fraction(cv) ** k)
+        exps = tuple(moved)
+        s = terms.get(exps, 0) + c
+        if s:
+            terms[exps] = s
+        elif exps in terms:
+            del terms[exps]
+    return terms
+
+
+def parent_move(self, idx, f_terms):
+    """phi_*(f d_idx) for the function f on the source variables with
+    terms `f_terms` {exponent tuple: coefficient}: per image of d_idx,
+    in order, its target index tuple and the terms of f moved to the
+    target variables times the image. A compiled `mono` moves f's
+    exponent vectors through its images; otherwise f goes through
+    `convert`."""
+    if self.mono is None:
+        moved = self.convert(
+            LaurentPoly._valid(self.source_vars, f_terms)).terms
+    else:
+        moved = parent_mono_terms(self.mono, f_terms)
+    return [(tidx, _product(moved, image.terms))
+            for tidx, image in self[idx]]
+
+
+# the target indices whose sums `parent_pushforward` deleted
+CANCELLED = []
+
+
+def _acc(out_terms: dict, idx: tuple, coeff: LaurentPoly):
+    """`polyvector._acc`, unchanged, recording an index whose sum cancels."""
+    had = idx in out_terms
+    polyvector._acc(out_terms, idx, coeff)
+    if had and idx not in out_terms:
+        CANCELLED.append(idx)
+
+
+def parent_pushforward(a, move):
+    """Re-express a polyvector on the target chart of `move`, in its
+    coordinates and frame; `a` is first brought to the source variables.
+
+    Each term is moved by `move.move` and its pieces are summed in order.
+    """
+    if a.vars != move.source_vars:
+        a = a.with_vars(move.source_vars)
+    target_vars = move.target_vars
+    terms: dict = {}
+    for idx, coeff in a.terms.items():
+        for tidx, piece in parent_move(move, idx, coeff.terms):
+            _acc(terms, tidx, LaurentPoly._valid(target_vars, piece))
+    return Polyvector._valid(target_vars, a.degree, terms)
+
+
+def _add_into(acc: dict, items, s=1):
+    """acc += s * the (key, value) pairs `items`, in place, dropping the
+    entries that cancel."""
+    for key, val in items:
+        v = acc.get(key, 0) + s * val
+        if v:
+            acc[key] = v
+        elif key in acc:
+            del acc[key]
+
+
+def parent_moved(move, entries):
+    """The first loop of `parent_move_entries`: the entries moved, per
+    head and target index tuple."""
+    moved = {}
+    for key, val in entries.items():
+        for tidx, piece in parent_move(move, key[-2], {key[-1]: val}):
+            _add_into(moved.setdefault(key[:-2] + (tidx,), {}), piece.items())
+    return moved
+
+
+def parent_move_entries(space, S, entries: dict, src: str, dst: str) -> dict:
+    """The `chunk_entries` entries of a chart-src chunk, moved to chart dst.
+
+    Each entry moves by the edge's `Transition.move`. An ambient chunk's
+    moved terms are its entries. A normal tuple's are summed per slot b and
+    index tuple, restricted to the submanifold by `set_zero`, which raises
+    NegativePowerAtZero on a negative normal power, and multiplied by the
+    first-order matrix F = S.moved_first_order(dst, src): slot a on dst is
+    sum_b F[a][b] times slot b moved."""
+    move = space._moves[(src, dst)]
+    moved = {}
+    for key, val in entries.items():
+        for tidx, piece in parent_move(move, key[-2], {key[-1]: val}):
+            _add_into(moved.setdefault(key[:-2] + (tidx,), {}), piece.items())
+    if not moved or len(next(iter(moved))) == 1:  # ambient keys (tidx,)
+        return {(tidx, e): c for (tidx,), terms in moved.items()
+                for e, c in terms.items()}
+    w, F, out = S.normal[dst], S.moved_first_order(dst, src), {}
+    for (b, tidx), terms in moved.items():
+        restricted = parent_set_zero(LaurentPoly._valid(move.target_vars,
+                                                        terms), w).terms
+        for a, row in enumerate(F):
+            _add_into(out, (((a, tidx, e), c) for e, c in
+                            _product(row[b].terms, restricted).items()))
+    return out
+
+
+def _sum_into(acc: dict, idx: tuple, terms: dict):
+    """acc[idx] += terms, for {index tuple: terms} dicts, as
+    `polyvector._acc` adds a coefficient: a zero addend is skipped, a sum is
+    kept in place and an index whose sum cancels is deleted."""
+    if terms:
+        old = acc.get(idx)
+        if old is None:
+            acc[idx] = terms
+        else:
+            _add_into(old, terms.items())
+            if not old:
+                del acc[idx]
+
+
+def parent_ruled(pv: Polyvector, rules: dict, key, build) -> dict:
+    """{index tuple: terms} of an index rule applied to pv's terms, in their
+    order. The rule of (key, idx), built by build(idx) on first use and
+    kept in rules, lists (output index, None, terms) for the product of the
+    term's coefficient f with terms, and (output index, j, terms) for terms
+    times d f / d v_j. The products are summed in the rule's order."""
+    acc = {}
+    for idx, f in pv.terms.items():
+        rule = rules.get((key, idx))
+        if rule is None:
+            rule = rules[(key, idx)] = build(idx)
+        for oidx, j, g in rule:
+            _sum_into(acc, oidx, _product(f.terms, g) if j is None
+                      else _product(g, _derivative(f.terms, j)))
+    return acc
+
+
+def parent_set_zero(self, names):
+    """Evaluate the given variables at 0 (variable tuple unchanged)."""
+    idx = [self.vars.index(n) for n in names]
+    terms = {}
+    for e, c in self.terms.items():
+        kept = True
+        for i in idx:
+            if e[i] < 0:
+                raise NegativePowerAtZero(
+                    f"cannot set {names} to zero in {self}")
+            if e[i]:
+                kept = False
+        if kept:
+            terms[e] = c
+    return LaurentPoly._valid(self.vars, terms)
+
+
+# ----------------------------------------------------------------------
+# Atlases and comparisons
+# ----------------------------------------------------------------------
+
+# a shear whose frame images have two terms: dv/dx = 2x + 3x^2
+SHEAR3 = """
+manifold shear3;
+chart U0 vars x y;
+chart U1 vars u v;
+transition U0 -> U1: x = u, y = v - u^2 - u^3;
+transition U1 -> U0: u = x, v = y + x^2 + x^3;
+submanifold normal U0: [x];
+submanifold normal U1: [u];
+"""
+
+# a plane bundle over P1 whose first-order matrices have the two-term
+# entries y^-1 + y and -(x + x^-1)
+SHEARED_PLANE2 = """
+manifold sheared_plane_bundle2;
+chart A vars x p q;
+chart B vars y u v;
+transition A -> B: x = y^-1, p = u, q = y^-1 * u + y * u + v;
+transition B -> A: y = x^-1, u = p, v = q - x * p - x^-1 * p;
+submanifold normal A: [p, q];
+submanifold normal B: [u, v];
+"""
+
+# one shipped file per shipped atlas with more than one chart, for the
+# submanifold its normal slots move on
+SHIPPED = ("f0_extended", "f1_extended", "f2_instability", "f3_extended",
+           "f4_extended", "f5_extended", "p2_extended", "p3_hyperplane",
+           "p3_line")
+
+
+@cache
+def cases() -> dict:
+    """name -> (atlas, submanifold or None)."""
+    out = {"P1": (projective_space(1), None),
+           **{f"F{m}": (hirzebruch(m), None) for m in range(6)},
+           "P1xP1": (product(projective_space(1), _second_line()), None)}
+    for name in SHIPPED:
+        S = parse((EXAMPLES / f"{name}.pdef").read_text()).submanifold()
+        out[name] = (S.space, S)
+    for name, text in (("shear", NON_MONOMIAL), ("shear3", SHEAR3),
+                       ("sheared_plane2", SHEARED_PLANE2)):
+        S = parse(text).submanifold()
+        out[name] = (S.space, S)
+    return out
+
+
+def _typed(terms: dict) -> list:
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+def _nested(moved: dict) -> list:
+    """Both dict levels of {key: {exponent: coefficient}}, in order, with
+    the type of every coefficient."""
+    return [(key, _typed(terms)) for key, terms in moved.items()]
+
+
+def _pv(pv: Polyvector) -> tuple:
+    return (pv.vars, pv.degree,
+            [(idx, pv.terms[idx].vars, _typed(pv.terms[idx].terms))
+             for idx in pv.terms])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raised: a
+    negative normal power left on the submanifold, or a negative power of
+    a sum on a non-monomial atlas."""
+    try:
+        return f(*args)
+    except (NegativePowerAtZero, NonInvertibleSubstitution) as e:
+        return type(e).__name__, str(e)
+
+
+scalars = st.one_of(st.integers(-3, 3).filter(bool),
+                    st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                              st.integers(2, 3)))
+
+
+@st.composite
+def moves(draw, ambient=False):
+    """An atlas, a part, an edge and a chunk's entries on its source chart:
+    exponents from -2 (-1 on a variable whose value on the target has more
+    than one term), normal ones mostly 0 and sometimes -1; index tuples of
+    degree 0..3 with one to four terms each. In half of the draws the
+    exponents lie in -1..1 and the coefficients are 1 or -1, so that moved
+    terms often meet and cancel."""
+    space, S = cases()[draw(st.sampled_from(sorted(cases())))]
+    part = draw(st.sampled_from(("amb", "nor") if S and not ambient
+                                else ("amb",)))
+    src, dst = draw(st.sampled_from(sorted(
+        S.first_order if part == "nor" else space.overlap_pairs())))
+    cvars = space.chart(src).vars
+    normal = S.normal[src] if part == "nor" else ()
+    forward = space.transitions[(src, dst)]
+    narrow = draw(st.booleans())
+    exps = st.tuples(*[
+        st.sampled_from((0, 0, 1, -1) if narrow else (0, 0, 0, 1, 2, -1))
+        if v in normal else
+        st.integers(-1, 1) if narrow else
+        st.integers(-2 if len(forward[v].terms) == 1 else -1, 2)
+        for v in cvars])
+    values = st.sampled_from((1, -1)) if narrow else scalars
+    degree = draw(st.integers(0, min(3, len(cvars))))
+    frames = list(combinations(range(len(cvars)), degree))
+    entries = {}
+    for head in ([(a,) for a in range(S.codim)] if part == "nor" else [()]):
+        for idx in draw(st.lists(st.sampled_from(frames), max_size=4,
+                                 unique=True)):
+            for e, c in draw(st.dictionaries(exps, values, min_size=1,
+                                             max_size=4)).items():
+                entries[head + (idx, e)] = c
+    return space, S if part == "nor" else None, src, dst, degree, entries
+
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.data_too_large])
+
+
+@SETTINGS
+@given(moves())
+def test_one_call_moves_a_chunk_as_each_entry_was_moved(drawn):
+    """`move` and `_move_entries` against the per-entry parent loop, there
+    and back: on the way back the chain rule's cross terms meet and
+    cancel."""
+    space, S, src, dst, degree, entries = drawn
+    for _ in range(2):
+        before = list(entries.items())
+        move = space._moves[(src, dst)]
+        got = _outcome(move.move, entries)
+        want = _outcome(parent_moved, move, entries)
+        assert (got if isinstance(got, tuple) else _nested(got)) == \
+            (want if isinstance(want, tuple) else _nested(want))
+        got = _outcome(_move_entries, space, S, entries, src, dst)
+        want = _outcome(parent_move_entries, space, S, entries, src, dst)
+        assert (got if isinstance(got, tuple) else _typed(got)) == \
+            (want if isinstance(want, tuple) else _typed(want))
+        assert list(entries.items()) == before
+        if isinstance(got, tuple):
+            return
+        entries, src, dst = got, dst, src
+
+
+def _as_dict(pv: Polyvector) -> dict:
+    return {idx: {e: (c, type(c)) for e, c in coeff.terms.items()}
+            for idx, coeff in pv.terms.items()}
+
+
+@SETTINGS
+@given(moves(ambient=True))
+def test_pushforward_keeps_values_and_types(drawn):
+    """The parent's values and types always; its term order on a monomial
+    transition where no target index cancels; the parent entry mover's
+    order with the emptied indices left out always."""
+    space, _, src, dst, degree, entries = drawn
+    move = space._moves[(src, dst)]
+    coeffs = {}
+    for (idx, e), c in entries.items():
+        coeffs.setdefault(idx, {})[e] = c
+    cvars = space.chart(src).vars
+    a = Polyvector(cvars, degree, {idx: LaurentPoly(cvars, terms)
+                                   for idx, terms in coeffs.items()})
+    kept = _pv(a)
+    CANCELLED.clear()
+    got = _outcome(pushforward, a, move)
+    want = _outcome(parent_pushforward, a, move)
+    assert _pv(a) == kept
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert _as_dict(got) == _as_dict(want)
+    if move.mono is not None and not CANCELLED:
+        assert _pv(got) == _pv(want)
+    moved = parent_moved(move, {(idx, e): c for idx, coeff in a.terms.items()
+                                for e, c in coeff.terms.items()})
+    assert _pv(got) == _pv(Polyvector._valid(move.target_vars, degree, {
+        tidx: LaurentPoly._valid(move.target_vars, terms)
+        for (tidx,), terms in moved.items() if terms}))
+
+
+def test_a_refilled_target_index_keeps_its_first_place():
+    """On P3, from U0 to U2: z1^-1*z3 * d/z2 ^ d/z3 fills the target
+    indices (0, 2) and (1, 2), -d/z1 ^ d/z2 cancels (1, 2) and fills
+    (0, 1), and the two terms on d/z1 ^ d/z3 fill (1, 2) again."""
+    space = projective_space(3)
+    cvars = space.chart("U0").vars
+    a = Polyvector(cvars, 2, {
+        (1, 2): LaurentPoly(cvars, {(-1, 0, 1): 1}),
+        (0, 1): LaurentPoly(cvars, {(0, 0, 0): -1}),
+        (0, 2): LaurentPoly(cvars, {(1, -1, 1): 1, (-1, -1, 1): 1})})
+    move = space._moves[("U0", "U2")]
+    CANCELLED.clear()
+    got, want = pushforward(a, move), parent_pushforward(a, move)
+    assert CANCELLED == [(1, 2)]
+    assert got == want
+    assert list(got.terms) == [(0, 2), (1, 2), (0, 1)]
+    assert list(want.terms) == [(0, 2), (0, 1), (1, 2)]
+
+
+def test_the_draws_reach_every_branch():
+    """The atlases hold compiled and uncompiled transitions, frame images
+    of one and of two terms, and first-order matrices with one-term and
+    two-term entries."""
+    mono, images, entries = set(), set(), set()
+    for space, S in cases().values():
+        for (src, dst), move in space._moves.items():
+            mono.add(move.mono is not None)
+            for degree in range(len(move.source_vars) + 1):
+                for idx in combinations(range(len(move.source_vars)),
+                                        degree):
+                    images.update(len(image.terms) for _, image in move[idx])
+        for src, dst in (S.first_order if S else ()):
+            for row in S.moved_first_order(dst, src):
+                entries.update(len(f.terms) for f in row)
+    assert mono == {True, False}
+    assert {1, 2} <= images
+    assert {0, 1, 2} <= entries
+
+
+@st.composite
+def rules(draw):
+    """A chart of an atlas, a polyvector of degree 0..2 on it with one- to
+    three-term coefficients, and an index rule: the bracket with the
+    shipped structure or with a random bivector, or the wedge with a
+    random polyvector of degree 0..2."""
+    space, S = cases()[draw(st.sampled_from(sorted(cases())))]
+    name = draw(st.sampled_from(space.chart_names))
+    cvars = space.chart(name).vars
+    exps = st.tuples(*(st.integers(-1, 2) for _ in cvars))
+
+    def polyvector(degree, max_terms):
+        frames = list(combinations(range(len(cvars)), degree))
+        terms = draw(st.dictionaries(
+            st.sampled_from(frames),
+            st.dictionaries(exps, scalars, min_size=1, max_size=max_terms),
+            max_size=3))
+        return Polyvector(cvars, degree, {
+            idx: LaurentPoly(cvars, mono) for idx, mono in terms.items()})
+
+    pv = polyvector(draw(st.integers(0, min(2, len(cvars)))), 3)
+    s = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("bracket", "structure", "wedge")))
+    if kind == "wedge":
+        t = polyvector(draw(st.integers(0, min(2, len(cvars)))), 3)
+        return pv, lambda idx: _wedge_rule(idx, t, s)
+    if kind == "structure" and S is not None and name in S.manifold.bivectors:
+        lam = S.manifold.bivector(name)
+    else:
+        lam = polyvector(min(2, len(cvars)), 3)
+    return pv, lambda idx: _bracket_rule(lam, idx, s)
+
+
+def _rules_shape(kept: dict) -> list:
+    return [(key, [(oidx, j, _typed(g)) for oidx, j, g in rule])
+            for key, rule in kept.items()]
+
+
+@SETTINGS
+@given(rules())
+def test_rule_products_land_as_the_summed_products_did(drawn):
+    """Applied twice, building the rules and then reading them kept."""
+    pv, build = drawn
+    before = _pv(pv)
+    new_rules, old_rules = {}, {}
+    for _ in range(2):
+        got = _ruled(pv, new_rules, None, build)
+        assert _nested(got) == _nested(parent_ruled(pv, old_rules, None,
+                                                    build))
+        assert all(got.values())
+    assert _pv(pv) == before
+    assert _rules_shape(new_rules) == _rules_shape(old_rules)
+
+
+@SETTINGS
+@given(st.data())
+def test_set_zero_keeps_its_terms_and_message(data):
+    cvars = ("z1", "z2", "z3")
+    p = LaurentPoly(cvars, data.draw(st.dictionaries(
+        st.tuples(*(st.integers(-1, 2) for _ in cvars)), scalars,
+        max_size=4)))
+    names = tuple(data.draw(st.lists(st.sampled_from(cvars), max_size=2,
+                                     unique=True)))
+    got = _outcome(LaurentPoly.set_zero, p, names)
+    want = _outcome(parent_set_zero, p, names)
+    assert (got if isinstance(got, tuple) else (got.vars, _typed(got.terms))
+            ) == (want if isinstance(want, tuple)
+                  else (want.vars, _typed(want.terms)))
+
+
+def test_a_negative_normal_power_is_refused_with_the_same_message():
+    p = LaurentPoly(("z1", "z2", "z3"), {(2, 0, -1): 6})
+    assert _outcome(LaurentPoly.set_zero, p, ("z3",)) == (
+        "NegativePowerAtZero", "cannot set ('z3',) to zero in 6*z1^2*z3^-1")
+    space, S = cases()["p3_hyperplane"]
+    src, dst = min(S.first_order)
+    cvars = space.chart(src).vars
+    e = [2] * len(cvars)
+    e[cvars.index(S.normal[src][0])] = -1
+    entries = {(0, (), tuple(e)): Fraction(3, 2), (0, (), (0,) * 3): 1}
+    got = _outcome(_move_entries, space, S, entries, src, dst)
+    assert got[0] == "NegativePowerAtZero"
+    assert got == _outcome(parent_move_entries, space, S, entries, src, dst)
