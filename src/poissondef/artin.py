@@ -15,9 +15,10 @@ closedness certificates are `complexes.total_closedness`.
 The class lifts when it is the total coboundary of bounded-degree monomial
 unknowns (`complexes.monomial_atoms`). That is one exact linear solve of a
 `complexes.CoboundarySystem` under `ARTIN_ROWS`, the system the solver's
-order step solves under its own labels; its columns are built once per
-call. A different choice of lifting data must move the class by exactly the
-total coboundary of that choice, linearised by the same system.
+order step solves under its own labels; its columns, `complexes.atom_rows`
+of each atom, are built once per call. A different choice of lifting data
+must move the class by exactly the total coboundary of that choice,
+linearised by the same system.
 
 Three functors are covered:
 
@@ -274,7 +275,7 @@ ARTIN_ROWS = {("amb", "chart"): "amb", ("nor", "chart"): "nabla",
 
 def _decide_liftable(atoms, system, total):
     """Solve total_coboundary(unknowns) = total over the monomial unknowns
-    `atoms`, whose cochains are the unknowns of `system`."""
+    `atoms`, the unknowns of `system`."""
     sol, unreached, witness = system.solve(total)
     if unreached is not None:
         return False, f"no unknown reaches equation row {unreached}", None
@@ -348,8 +349,7 @@ def artin_obstruction(kind: str, *, state: DeformationState | None = None,
     desc = _descriptor(kind, S, M)
     cls = _canonical_class(kind, desc, phi, lam_map, m)
     atoms = _unknowns(desc, bound, amb_bound)
-    system = CoboundarySystem(
-        desc, [atom_cochain(desc, 0, atom) for atom in atoms], ARTIN_ROWS)
+    system = CoboundarySystem(desc, atoms, ARTIN_ROWS)
     liftable, witness, solution = _decide_liftable(atoms, system,
                                                    cls.totals[(m + 1,)])
     invariance = None

@@ -25,6 +25,8 @@ descriptor: per input index tuple, the output index, sign and Λ terms of
 each product of the bracket, and the output index, sign and twist terms of
 each wedge. The rules add their products in the order in which `schouten`,
 `restrict` and `wedge` would, so every result equals theirs term by term.
+`differential_terms` returns d as raw term dicts, and `differential` builds
+them into polyvectors.
 `twist(part, chart)` gives:
 
     part  kind               twist[a][b]
@@ -45,8 +47,10 @@ linearisations (`cochain_vector_entries`, `total_rows`) go through them.
 `_move_entries` moves a chunk's entries across one chart edge by one call of
 the edge's `Transition.move`, the one transport loop. A normal tuple is then
 restricted to the submanifold and multiplied by the first-order normal
-transition matrix; that rule is written there only. `transport_nor_tuple`, the section search and the
-truncated estimate all move normal chunks through it.
+transition matrix, read through the edge's kept
+`SubmanifoldData.transport_plan`; that rule is written there only.
+`transport_nor_tuple`, `atom_rows`, the section search and the truncated
+estimate all move normal chunks through it.
 
 The Cech total complex of a descriptor is written once, here:
 `total_coboundary` maps a degree-zero cochain to its chart part d(c) and its
@@ -66,8 +70,13 @@ ask one question, whether a degree-one total cochain is the total coboundary
 of such unknowns, and one `CoboundarySystem` answers it for both: it builds
 each unknown's column once, `total_rows` of its total coboundary under the
 caller's row labels, and solves for any total cochain linearised the same
-way. The graded engine's columns are the same linearisation,
-`cochain_vector_entries` of an atom's image, keyed by the out-atoms.
+way. An atom's column is built from its entries by `atom_rows`, with no
+cochain in between: d from the raw terms of `differential_terms`, the
+moves by `_move_entries`. The few other unknowns (the order step's ambient
+sections) go through `total_coboundary`, and the unknowns as cochains are
+built only when read. The graded engine's columns are the same
+linearisation, `cochain_vector_entries` of an atom's image, keyed by the
+out-atoms.
 
 The section search moves each root-chart atom of either part along a
 spanning tree once, as entries, by `_move_entries`. An atom's column is its
@@ -124,6 +133,17 @@ def chunk_entries(part: str, chunk):
                 yield head + (idx, e), val
 
 
+def _put_entries(out: dict, head: tuple, part: str, vals: list):
+    """out[head + ((slot,) idx, e)] = value for the entries of one chart's
+    chunk given by its raw terms [{idx: terms}] per slot, as
+    `differential_terms` gives them, in `chunk_entries`' order."""
+    for slot, val in enumerate(vals):
+        at = head + (slot,) if part == "nor" else head
+        for idx, terms in val.items():
+            for e, c in terms.items():
+                out[at + (idx, e)] = c
+
+
 def _chunk(cvars: tuple, degree: int, codim: int | None, entries: dict):
     """The chunk whose `chunk_entries` are `entries`, on the chart variables
     cvars: codim polyvectors of the given degree, or one when codim is None.
@@ -159,19 +179,31 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
     slot b and index tuple; each is restricted to the submanifold by
     `_zeroed`, which raises NegativePowerAtZero on a negative normal power,
     and multiplied by the first-order matrix F = S.moved_first_order(dst,
-    src): slot a on dst is sum_b F[a][b] times slot b moved."""
+    src): slot a on dst is sum_b F[a][b] times slot b moved. The edge's
+    `SubmanifoldData.transport_plan` lists the non-zero F[a][b] per b; a
+    one-term entry's products are added where they land, in place, and any
+    other entry's through `_product`, as `_product` would sum them."""
     move = space._moves[(src, dst)]
     moved = move.move(entries)
     if not moved or len(next(iter(moved))) == 1:  # ambient keys (tidx,)
         return {(tidx, e): c for (tidx,), terms in moved.items()
                 for e, c in terms.items()}
     cvars, w, out = move.target_vars, S.normal[dst], {}
-    F, pos = S.moved_first_order(dst, src), [cvars.index(v) for v in w]
+    pos, plan = S.transport_plan(dst, src)
     for (b, tidx), terms in moved.items():
         restricted = _zeroed(cvars, w, pos, terms)
-        for a, row in enumerate(F):
-            _add_into(out, (((a, tidx, e), c) for e, c in
-                            _product(row[b].terms, restricted).items()))
+        for a, fe, fc in plan[b]:
+            if fe is None:
+                _add_into(out, (((a, tidx, e), c) for e, c in
+                                _product(fc, restricted).items()))
+                continue
+            for e, c in restricted.items():
+                k = (a, tidx, tuple(map(add, fe, e)))
+                v = out.get(k, 0) + fc * c
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
     return out
 
 
@@ -226,10 +258,10 @@ def _ruled(pv: Polyvector, rules: dict, key, build) -> dict:
     return acc
 
 
-def _restricted(cvars: tuple, w: tuple, acc: dict, s) -> dict:
-    """s times the {index tuple: terms} dict acc with the normal variables w
-    set to zero by `_zeroed`, as `restrict` gives it."""
-    out, pos = {}, [cvars.index(v) for v in w]
+def _restricted(cvars: tuple, w: tuple, pos: tuple, acc: dict, s) -> dict:
+    """s times the {index tuple: terms} dict acc with the normal variables w,
+    at positions pos, set to zero by `_zeroed`, as `restrict` gives it."""
+    out = {}
     for idx, terms in acc.items():
         kept = _zeroed(cvars, w, pos, terms)
         if kept:
@@ -401,24 +433,29 @@ class ComplexDescriptor:
     def _rules(self, part: str, name: str, p: int) -> tuple:
         """The index rules of d on one part of a degree-p cochain on one
         chart, kept per (part, chart, p): the chart variables, the normal
-        variables (normal part only), the sign (-1)^p, the twist rows, and
-        the rules of `_ruled` under key None for the bracket, (a, b) for the
-        wedge with twist[a][b] and a for the coupling through w_a."""
+        variables and their positions among them (normal part only), the
+        sign (-1)^p, the twist rows, and the rules of `_ruled` under key
+        None for the bracket, (a, b) for the wedge with twist[a][b] and a
+        for the coupling through w_a."""
         rules = self._compiled.get((part, name, p))
         if rules is None:
             cvars = self.space.chart(name).vars
             w = self.submanifold.normal[name] if part == "nor" else ()
             rules = self._compiled[(part, name, p)] = (
-                cvars, w, -1 if p % 2 else 1, self.twist(part, name), {})
+                cvars, w, tuple(cvars.index(v) for v in w),
+                -1 if p % 2 else 1, self.twist(part, name), {})
         return rules
 
-    def differential(self, cochain: dict, p: int) -> dict:
+    def differential_terms(self, cochain: dict, p: int) -> dict:
         """d of a degree-p cochain, by the one formula of the module
         docstring, applied through the index rules of `_rules` in the term
-        order of `schouten`, `restrict` and `wedge`. A cochain with no
-        normal part starts from zero normal outputs on every present chart;
-        one whose normal part leaves out a present chart that its ambient
-        part holds starts that chart from zero before the coupling."""
+        order of `schouten`, `restrict` and `wedge`, as raw terms: {part:
+        {chart: [{index tuple: terms}]}}, one dict per normal slot and one
+        for the ambient part, with no index whose terms are empty. A
+        cochain with no normal part starts from zero normal outputs on
+        every present chart; one whose normal part leaves out a present
+        chart that its ambient part holds starts that chart from zero
+        before the coupling."""
         if self.kind not in KINDS:
             raise InconsistentData(f"unknown complex kind {self.kind!r}")
         S, parts = self.submanifold, self.parts
@@ -427,11 +464,11 @@ class ComplexDescriptor:
             if part not in parts:
                 continue
             given = cochain.get(part, {})
-            res = {} if given or part == "amb" else {
+            res = out[part] = {} if given or part == "amb" else {
                 name: [{} for _ in range(S.codim)]
                 for name in S.present_charts()}
             for name, chunk in given.items():
-                cvars, w, sign, twist, rules = self._rules(part, name, p)
+                cvars, w, pos, sign, twist, rules = self._rules(part, name, p)
                 lam = self.manifold.bivector(name)
                 pvs = chunk if part == "nor" else (chunk,)
                 res[name] = vals = []
@@ -439,7 +476,7 @@ class ComplexDescriptor:
                     val = _ruled(pv, rules, None, lambda idx: _bracket_rule(
                         lam, idx, 1 if part == "nor" else -1))
                     if part == "nor":
-                        val = _restricted(cvars, w, val, -1)
+                        val = _restricted(cvars, w, pos, val, -1)
                     for b, pb in enumerate(pvs if twist else ()):
                         for oidx, terms in _ruled(
                                 pb, rules, (a, b), lambda idx: _wedge_rule(
@@ -450,23 +487,29 @@ class ComplexDescriptor:
                 for name, pv in cochain.get("amb", {}).items():
                     if not S.normal[name]:
                         continue
-                    cvars, w, sign, _, rules = self._rules(part, name, p)
+                    cvars, w, pos, sign, _, rules = self._rules(part, name, p)
                     vals = res.setdefault(name, [{} for _ in range(S.codim)])
                     for a, wv in enumerate(w):
                         coupling = _ruled(pv, rules, a, lambda idx: (
                             _bracket_rule(Polyvector.from_function(
                                 LaurentPoly.variable(cvars, wv)), idx, 1)))
-                        for oidx, terms in _restricted(cvars, w, coupling,
+                        for oidx, terms in _restricted(cvars, w, pos, coupling,
                                                        sign).items():
                             _sum_into(vals[a], oidx, terms)
+        return out
+
+    def differential(self, cochain: dict, p: int) -> dict:
+        """d of a degree-p cochain: `differential_terms` built into chunks
+        of polyvectors, in the cochain's layout."""
+        out = self.differential_terms(cochain, p)
+        for part, res in out.items():
             degree = self.term_degree(part, p) + 1
-            out[part] = {}
             for name, vals in res.items():
                 cvars = self.space.chart(name).vars
                 pvs = [Polyvector._valid(cvars, degree, {
                     idx: LaurentPoly._valid(cvars, terms)
                     for idx, terms in val.items()}) for val in vals]
-                out[part][name] = pvs if part == "nor" else pvs[0]
+                res[name] = pvs if part == "nor" else pvs[0]
         return out
 
     # ---- probes --------------------------------------------------------
@@ -720,22 +763,75 @@ def total_rows(chart: dict, overlap: dict, labels: dict) -> dict:
     return rows
 
 
+def atom_rows(descriptor: ComplexDescriptor, atom, labels: dict) -> dict:
+    """`total_rows` of the total coboundary of `atom_cochain(descriptor, 0,
+    atom)`, built from the atom's entries: the same keys in the same order,
+    and the same values and scalar types.
+
+    The chart part is read from the raw terms of `differential_terms`. On
+    each overlap (i, k) of the atom's part that holds its chart, the atom
+    enters as itself when i is its chart and as its entry moved to chart i
+    by `_move_entries`, negated, when k is. A degree-zero entry moves into
+    `chunk_entries`' order as it is: a normal one has the one index tuple
+    (), so its moved entries come slot by slot, and an ambient one's come
+    index tuple by index tuple. The overlaps are taken first, as
+    `total_coboundary` takes them, so a negative normal power raises the
+    same NegativePowerAtZero."""
+    part, name, key = atom[0], atom[1], atom[2:]
+    space, S = descriptor.space, descriptor.submanifold
+    charts = S.present_charts() if part == "nor" else space.chart_names
+    label, overlap = labels[(part, "overlap")], {}
+    for (i, k) in space.overlap_pairs():
+        if i == k or name not in (i, k) or i not in charts or k not in charts:
+            continue
+        if i == name:
+            overlap[(label, i, k) + key] = 1
+        else:
+            for e, c in _move_entries(space, S, {key: 1}, k, i).items():
+                overlap[(label, i, k) + e] = -c
+    rows = {}
+    for q, res in descriptor.differential_terms(
+            atom_cochain(descriptor, 0, atom), 0).items():
+        for at, vals in res.items():
+            _put_entries(rows, (labels[(q, "chart")], at), q, vals)
+    rows.update(overlap)
+    return rows
+
+
 class CoboundarySystem:
     """Whether a degree-one total cochain is the total coboundary of a
-    combination of fixed degree-zero unknowns.
+    combination of fixed degree-zero unknowns: the monomial atoms `atoms`,
+    then the cochains `others`.
 
-    Each unknown's column, `total_rows` of its total coboundary under the
-    row labels `labels`, is built once, here; `rows` linearises any total
-    cochain under the same labels and `solve` answers the question for one.
+    Each unknown's column is built once, here: `atom_rows` of an atom, and
+    `total_rows` of another unknown's total coboundary, under the row labels
+    `labels`; `rows` linearises any total cochain under the same labels and
+    `solve` answers the question for one. `unknowns`, the unknowns as
+    cochains, the atoms' by `atom_cochain`, is built when first read.
     """
 
-    def __init__(self, descriptor: ComplexDescriptor, unknowns: list,
-                 labels: dict):
-        self.unknowns = unknowns
+    __slots__ = ("descriptor", "atoms", "others", "labels", "columns",
+                 "_reached", "_unknowns")
+
+    def __init__(self, descriptor: ComplexDescriptor, atoms: list,
+                 labels: dict, others: list = ()):
+        self.descriptor = descriptor
+        self.atoms = atoms
+        self.others = list(others)
         self.labels = labels
-        self.columns = [self.rows(total_coboundary(descriptor, cochain))
-                        for cochain in unknowns]
+        self.columns = [atom_rows(descriptor, atom, labels) for atom in atoms]
+        self.columns += [self.rows(total_coboundary(descriptor, cochain))
+                         for cochain in self.others]
         self._reached = set().union(*self.columns)
+        self._unknowns = None
+
+    @property
+    def unknowns(self) -> list:
+        """The unknowns as degree-zero cochains, in column order."""
+        if self._unknowns is None:
+            self._unknowns = [atom_cochain(self.descriptor, 0, atom)
+                              for atom in self.atoms] + self.others
+        return self._unknowns
 
     def rows(self, total: tuple) -> dict:
         """`total_rows` of a total cochain (chart part, overlap part)."""
@@ -1153,9 +1249,10 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
     @cache
     def d_chunk(cname, atom):
         """The entries of the differential of a degree-0 chart-cname atom."""
-        d = descriptor.differential(
-            atom_cochain(descriptor, 0, (part, cname) + atom), 0)
-        return dict(chunk_entries(part, d[part][cname]))
+        d, out = descriptor.differential_terms(
+            atom_cochain(descriptor, 0, (part, cname) + atom), 0), {}
+        _put_entries(out, (), part, d[part][cname])
+        return out
 
     def layout(slots):
         """(row offset, atom index) of each (chart, term degree) slot, by

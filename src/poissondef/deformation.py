@@ -47,10 +47,12 @@ states that changes nothing, since their ideal residual carries no normal
 variable. The step's system is a `complexes.CoboundarySystem`, the one the
 small-ring liftability solves too, under its own row labels: its unknowns
 are the monomial atoms (`complexes.monomial_atoms`), then the ambient
-sections, and each column is `complexes.total_rows` of an unknown's total
-coboundary over every ordered overlap, the same overlaps the cocycle
-carries. The columns depend only on the problem, the degree bound and the
-sections, so `run_solver` builds the system once for every step.
+sections, and each column is the rows of an unknown's total coboundary over
+every ordered overlap, the same overlaps the cocycle carries: an atom's
+built from its entries by `complexes.atom_rows`, a section's by
+`complexes.total_rows` of `complexes.total_coboundary`. The columns
+depend only on the problem, the degree bound and the sections, so
+`run_solver` builds the system once for every step.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from typing import Mapping
 from .complexes import (
     CoboundarySystem,
     CohomologyReport,
-    atom_cochain,
     build_complex,
     cochain_is_zero,
     cochain_lincomb,
@@ -529,9 +530,8 @@ def _step_system(problem, degree, amb_basis) -> CoboundarySystem:
     present = problem.submanifold.present_charts()
     descriptor = _step_descriptor(problem)
     atoms = monomial_atoms(descriptor, "nor", 0, present, degree)
-    unknowns = [atom_cochain(descriptor, 0, atom) for atom in atoms]
-    unknowns += [{"amb": sec["amb"]} for sec in amb_basis]
-    return CoboundarySystem(descriptor, unknowns, STEP_ROWS)
+    return CoboundarySystem(descriptor, atoms, STEP_ROWS,
+                            [{"amb": sec["amb"]} for sec in amb_basis])
 
 
 def _solve_step(cocycle, system: CoboundarySystem):
@@ -572,7 +572,7 @@ def solve_order(state: DeformationState, *,
     infeasible at the requested polynomial degree bound but becomes
     feasible one or two degrees higher, DegreeBoundTooSmall is raised
     instead of declaring an obstruction; those retries read the ambient
-    sections back from the system's unknowns (the ones with an "amb" part).
+    sections back from the system's non-atom unknowns (`others`).
     `system` is the problem's `_step_system` at its degree bound, built here
     when not given.
     """
@@ -584,10 +584,9 @@ def solve_order(state: DeformationState, *,
     solutions, witness = _solve_step(cocycle, system)
     if solutions is None:
         tested = {D: "infeasible"}
-        amb_basis = [c for c in system.unknowns if "amb" in c]
         for bump in (D + 1, D + 2):
             got, _ = _solve_step(cocycle, _step_system(problem, bump,
-                                                       amb_basis))
+                                                       system.others))
             tested[bump] = "feasible" if got is not None else "infeasible"
         if any(v == "feasible" for v in tested.values()):
             raise DegreeBoundTooSmall(

@@ -378,15 +378,15 @@ class SubmanifoldData:
     """A submanifold cut out chartwise by normal coordinates, plus the
     tensors extracted from the Poisson structure along it.
 
-    Two derived tables are built on first use and kept: each present chart's
-    structure fields restricted to the submanifold (immutable rows, read by
-    the complexes' differential, the tensor certificates and the `tensors`
-    report), and each overlap's first-order matrix moved to its target
-    chart."""
+    Three derived tables are built on first use and kept: each present
+    chart's structure fields restricted to the submanifold (immutable rows,
+    read by the complexes' differential, the tensor certificates and the
+    `tensors` report), each overlap's first-order matrix moved to its target
+    chart, and each overlap's transport plan, which reads that matrix."""
 
     __slots__ = ("manifold", "normal", "tangential", "codim", "first_order",
                  "structure_fields", "checks", "_moved_first_order",
-                 "_restricted_fields")
+                 "_restricted_fields", "_transport_plans")
 
     def __init__(self, manifold: PoissonManifold, normal: dict,
                  tangential: dict, codim: int, first_order: dict = None,
@@ -400,10 +400,12 @@ class SubmanifoldData:
         self.structure_fields = ({} if structure_fields is None
                                  else structure_fields)
         self.checks = {} if checks is None else checks
-        # (dst, src) -> first_order[(dst, src)] moved to chart dst, and
-        # chart -> structure_fields[chart] restricted, both on first use
+        # (dst, src) -> first_order[(dst, src)] moved to chart dst, chart ->
+        # structure_fields[chart] restricted, and (dst, src) -> the plan of
+        # `transport_plan`, each on first use
         self._moved_first_order = {}
         self._restricted_fields = {}
+        self._transport_plans = {}
 
     @property
     def space(self) -> ChartedSpace:
@@ -446,6 +448,26 @@ class SubmanifoldData:
                 [self.substitute_tangential(f, src, dst) for f in row]
                 for row in self.first_order[(dst, src)]]
         return moved
+
+    def transport_plan(self, dst: str, src: str) -> tuple:
+        """How a chart-src normal tuple, moved to chart dst and restricted,
+        becomes a chart-dst tuple, built on first use and kept: the
+        positions of the normal variables among the chart-dst variables,
+        and per slot b the non-zero entries F[a][b] of `moved_first_order`
+        in row order, each as (a, exponent, coefficient) when it has one
+        term and as (a, None, its terms) otherwise."""
+        plan = self._transport_plans.get((dst, src))
+        if plan is None:
+            cvars = self.space.chart(dst).vars
+            F = self.moved_first_order(dst, src)
+            rows = tuple(tuple(
+                (a, *next(iter(f.terms.items()))) if len(f.terms) == 1
+                else (a, None, f.terms)
+                for a, f in enumerate(row[b] for row in F) if f.terms)
+                for b in range(self.codim))
+            plan = self._transport_plans[(dst, src)] = (
+                tuple(cvars.index(v) for v in self.normal[dst]), rows)
+        return plan
 
     def push_restrict(self, a: Polyvector, src: str, dst: str) -> Polyvector:
         """Pushforward a chart-src polyvector with coefficients along the

@@ -269,7 +269,7 @@ def test_each_atom_is_moved_and_differentiated_once(descriptor_family,
                                                     monkeypatch):
     desc = descriptor_family["p3_hyperplane_normal"]
     moves, diffs = [], []
-    differential = ComplexDescriptor.differential
+    differential = ComplexDescriptor.differential_terms
 
     def counted_move(space, S, entries, src, dst):
         moves.append((src, dst, tuple(entries.items())))
@@ -281,7 +281,7 @@ def test_each_atom_is_moved_and_differentiated_once(descriptor_family,
         return differential(self, cochain, p)
 
     monkeypatch.setattr(complexes, "_move_entries", counted_move)
-    monkeypatch.setattr(ComplexDescriptor, "differential",
+    monkeypatch.setattr(ComplexDescriptor, "differential_terms",
                         counted_differential)
     rep = atlas_hyper_truncated(desc, 5)
     assert rep.dimension == 97

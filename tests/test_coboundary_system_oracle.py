@@ -11,22 +11,34 @@ overlap pairs. The new code must build the same columns, keys in the same
 order, and give the same solutions and the same failures; the graded
 engine must give the same columns up to the names of its rows, and the
 same kernels and ranks.
+
+A monomial unknown's column is now `complexes.atom_rows`, built from the
+atom's entries; it must equal, key for key, in order and with the same
+scalar types, `total_rows` of the total coboundary of its atom cochain, or
+raise the same error with the same message. The system builds its
+unknowns as cochains only when they are read: the lazy list must equal the
+parent's eager one, a corrected family must come out the same, and the
+retry path must not read it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import poissondef
 from conftest import build_c3, prescribed_instability
+from test_transport_oracle import _outcome, _typed, cases
 from poissondef import artin, complexes, deformation
 from poissondef.artin import ARTIN_ROWS
 from poissondef.cli import run_command
 from poissondef.complexes import (CoboundarySystem, _minus, _transport,
                                   _weight_atoms, affine_hyper, atom_cochain,
-                                  build_complex, cochain_lincomb,
+                                  atom_rows, build_complex, cochain_lincomb,
                                   cochain_vector_entries, monomial_atoms,
                                   semiregularity_image_rank, total_rows)
 from poissondef.deformation import (STEP_ROWS, DeformationProblem,
@@ -212,15 +224,24 @@ def _semiregularity_image_rank(lb_descriptor, nor_descriptor, weight) -> int:
 
 
 # ----------------------------------------------------------------------
-# Recording the systems the new code builds
+# Comparing the systems the new code builds
 # ----------------------------------------------------------------------
 
-class _Recorded(CoboundarySystem):
-    """A `CoboundarySystem` that remembers its descriptor."""
+def _entry_rows(desc, atom, labels=STEP_ROWS):
+    return _typed(atom_rows(desc, atom, labels))
 
-    def __init__(self, descriptor, unknowns, labels):
-        super().__init__(descriptor, unknowns, labels)
-        self.descriptor = descriptor
+
+def _cochain_rows(desc, atom, labels=STEP_ROWS):
+    return _typed(total_rows(*complexes.total_coboundary(
+        desc, atom_cochain(desc, 0, atom)), labels))
+
+
+def _assert_atom_rows(desc, atoms, labels):
+    """`atom_rows` of each atom has the keys, in order, the values and the
+    scalar types of `total_rows` of its atom cochain's total coboundary."""
+    for atom in atoms:
+        assert _entry_rows(desc, atom, labels) == \
+            _cochain_rows(desc, atom, labels), atom
 
 
 def _ordered(columns):
@@ -252,10 +273,13 @@ def test_step_columns_match_the_parent(name, seed, order):
         old = _assemble_step_matrix(problem, degree, amb)
         new = deformation._step_system(problem, degree, amb)
         assert new.labels is STEP_ROWS
-        assert new.unknowns == old.cochains
         assert _ordered(new.columns) == _ordered(old.columns)
-        assert [c for c in new.unknowns if "amb" in c] == [
-            {"amb": sec["amb"]} for sec in amb]
+        _assert_atom_rows(new.descriptor, new.atoms, STEP_ROWS)
+        assert new.others == [{"amb": sec["amb"]} for sec in amb]
+        # the unknowns are built when first read, as the parent built them
+        assert new._unknowns is None
+        assert new.unknowns == old.cochains
+        assert new.unknowns is new.unknowns
 
 
 def _steep_prescribed_problem(degree):
@@ -306,7 +330,6 @@ def _run_recording_steps(monkeypatch, problem):
         got = original_solve(cocycle, system)
         calls.append((cocycle, system, made[id(system)], got))
         return got
-    monkeypatch.setattr(deformation, "CoboundarySystem", _Recorded)
     monkeypatch.setattr(deformation, "_step_system", step_system)
     monkeypatch.setattr(deformation, "_solve_step", solve_step)
     try:
@@ -384,7 +407,6 @@ def test_artin_columns_and_verdicts_match_the_parent(monkeypatch, name):
         got = original(atoms, system, total)
         calls.append((atoms, system, total, got))
         return got
-    monkeypatch.setattr(artin, "CoboundarySystem", _Recorded)
     monkeypatch.setattr(artin, "_decide_liftable", decide)
     path = str(EXAMPLES / f"{name}.pdef")
     for functor in artin.FUNCTORS:
@@ -394,9 +416,11 @@ def test_artin_columns_and_verdicts_match_the_parent(monkeypatch, name):
     for atoms, system, total, got in calls:
         desc = system.descriptor
         assert system.labels is ARTIN_ROWS
+        assert system.atoms == atoms and system.others == []
         assert system.unknowns == [atom_cochain(desc, 0, a) for a in atoms]
         old = _artin_columns(desc, atoms, desc.space.overlap_pairs())
         assert _ordered(system.columns) == _ordered(old)
+        _assert_atom_rows(desc, atoms, ARTIN_ROWS)
         rows = total_rows(*total, ARTIN_ROWS)
         assert system.rows(total) == rows
         assert got == _decide_liftable(atoms, old, rows)
@@ -442,6 +466,131 @@ def test_perturbation_identity_matches_the_parent_rows():
         new = system.rows(complexes.total_coboundary(desc, shift))
         assert new and new == total_rows(*total_coboundary(
             desc, shift, desc.space.overlap_pairs()), ARTIN_ROWS)
+
+
+# ----------------------------------------------------------------------
+# Atom columns from entries, and the unknowns built when read
+# ----------------------------------------------------------------------
+
+@cache
+def _descriptor(name, kind):
+    """One descriptor per atlas of `test_transport_oracle` and kind."""
+    S = cases()[name][1]
+    if kind == "bivector":
+        return build_complex(kind, manifold=S.manifold)
+    return build_complex(kind, submanifold=S)
+
+
+@st.composite
+def drawn_atoms(draw):
+    """A normal, extended or bivector descriptor on an atlas with a
+    submanifold, among them the non-monomial `shear` of `test_transport`
+    and the plane bundle whose first-order matrix has two-term entries, and
+    a degree-zero atom of one of its parts: exponents from -1 to 2, normal
+    ones of a normal atom mostly 0 and sometimes -1."""
+    name = draw(st.sampled_from(sorted(n for n, (_, S) in cases().items()
+                                       if S)))
+    desc = _descriptor(name, draw(st.sampled_from(
+        ("normal", "extended", "bivector"))))
+    part = draw(st.sampled_from(desc.parts))
+    chart = draw(st.sampled_from(desc.part_charts(part)))
+    cvars = desc.space.chart(chart).vars
+    normal = desc.submanifold.normal[chart] if part == "nor" else ()
+    e = tuple(draw(st.sampled_from((0, 0, 0, -1)) if v in normal else
+                   st.integers(-1, 2)) for v in cvars)
+    idx = draw(st.sampled_from(list(combinations(
+        range(len(cvars)), desc.term_degree(part, 0)))))
+    head = (draw(st.integers(0, desc.submanifold.codim - 1)),) \
+        if part == "nor" else ()
+    return desc, (part, chart) + head + (idx, e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_atoms())
+def test_atom_rows_match_the_cochain_rows_on_drawn_atoms(drawn):
+    desc, atom = drawn
+    assert _outcome(_entry_rows, desc, atom) == \
+        _outcome(_cochain_rows, desc, atom)
+
+
+@pytest.mark.parametrize("kind", ["normal", "extended", "bivector"])
+def test_atom_rows_on_the_non_monomial_shear(kind):
+    desc = _descriptor("shear", kind)
+    for part in desc.parts:
+        _assert_atom_rows(desc, monomial_atoms(
+            desc, part, 0, desc.part_charts(part), 3), STEP_ROWS)
+
+
+def test_a_negative_normal_power_raises_as_the_cochain_path_does(
+        p3_hyperplane_sub):
+    """On `p3_hyperplane` the moved atom raises first; on the single chart
+    of `c3_line` the differential does."""
+    _, c3_sub = build_c3()
+    for S in (p3_hyperplane_sub, c3_sub):
+        chart = S.present_charts()[0]
+        cvars = S.space.chart(chart).vars
+        e = [2] * len(cvars)
+        e[cvars.index(S.normal[chart][0])] = -1
+        for kind in ("normal", "extended"):
+            desc = build_complex(kind, submanifold=S)
+            for idx in ((), (0,)):
+                atom = ("nor", chart, 0, idx, tuple(e))
+                got = _outcome(_entry_rows, desc, atom)
+                assert got[0] == "NegativePowerAtZero"
+                assert got[1].startswith("cannot set")
+                assert got == _outcome(_cochain_rows, desc, atom)
+
+
+@pytest.mark.parametrize("seed", [(0, 14), (1, 11)])
+def test_a_corrected_family_is_the_one_eager_unknowns_give(monkeypatch,
+                                                          p3_hyperplane_sub,
+                                                          seed):
+    """These extended hyperplane families are corrected at order two, so
+    the step reads the unknowns as cochains; the family is the one the
+    parent's eagerly built unknowns give."""
+    def problem():
+        return DeformationProblem(p3_hyperplane_sub, ("t1", "t2"), order=3,
+                                  degree=2, mode="extended", seed=seed)
+    made = []
+    original = deformation._step_system
+
+    def recorded(problem, degree, amb_basis):
+        made.append(original(problem, degree, amb_basis))
+        return made[-1]
+    monkeypatch.setattr(deformation, "_step_system", recorded)
+    lazy = run_solver(problem())
+    assert lazy.ok and made and all(s._unknowns is not None for s in made)
+
+    def eager(problem, degree, amb_basis):
+        system = original(problem, degree, amb_basis)
+        system._unknowns = _assemble_step_matrix(
+            problem, degree, amb_basis).cochains
+        return system
+    monkeypatch.setattr(deformation, "_step_system", eager)
+    parent = run_solver(problem())
+    assert parent.ok
+    assert lazy.state.phi == parent.state.phi
+    assert lazy.state.lam == parent.state.lam
+
+
+def test_the_retry_path_reads_no_unknown(monkeypatch):
+    """An obstructed step retries one and two degrees higher with the
+    sections the system holds apart; nothing builds the atoms' cochains."""
+    reads, made = [], []
+    original = deformation._step_system
+
+    def recorded(problem, degree, amb_basis):
+        made.append(degree)
+        return original(problem, degree, amb_basis)
+    monkeypatch.setattr(deformation, "_step_system", recorded)
+    monkeypatch.setattr(CoboundarySystem, "unknowns",
+                        property(lambda self: reads.append(self)))
+    for name in ("f0_instability", "f2_instability"):
+        made.clear()
+        result = run_solver(_file_problem(name, degree=0))
+        assert not result.ok and made == [0, 1, 2]
+    assert reads == []
 
 
 # ----------------------------------------------------------------------

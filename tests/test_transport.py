@@ -705,11 +705,13 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     ambient chunks (252 when every section atom went through
     `pushforward`).
 
-    `Transition.move` adds every moved term where it lands, and the
-    differential's rules add every product where it lands, so the command
-    calls `symbolic._product` exactly 284 times: 72 for the normal atoms'
-    first-order matrix, the rest in `LaurentPoly` products (2,763 when each
-    moved entry and each rule product built its own product dict)."""
+    `Transition.move` adds every moved term where it lands, the
+    differential's rules add every product where it lands, and a normal
+    move adds each product with a one-term first-order entry where it
+    lands, so the command calls `symbolic._product` exactly 212 times, all
+    in `LaurentPoly` products (2,763 when each moved entry and each rule
+    product built its own product dict, 284 when the normal atoms' 72
+    first-order products still went through it)."""
     calls, moves, work, pushes, products = [], [], {}, [], []
     substitute_, move = polyvector.substitute, Transition.move
     search = complexes._sections_and_next_dimension
@@ -755,7 +757,7 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     # (moved entries, moved atoms) per part
     assert work == {"amb": (360 * 3, 360), "nor": (36 * 2, 36)}
     assert len(pushes) <= 9
-    assert len(products) == 284
+    assert len(products) == 212
 
 
 def test_alternating_section_searches_agree():
