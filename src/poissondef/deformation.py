@@ -52,7 +52,11 @@ every ordered overlap, the same overlaps the cocycle carries: an atom's
 built from its entries by `complexes.atom_rows`, a section's by
 `complexes.total_rows` of `complexes.total_coboundary`. The columns
 depend only on the problem, the degree bound and the sections, so
-`run_solver` builds the system once for every step.
+`run_solver` builds one system for all of a run's steps, and only once a
+step's cocycle is non-empty: a step with an empty cocycle adds nothing, and
+an unchanged family's residuals already tell at which order its cocycle is
+next non-empty (`_first_obstructed_order`), so the family moves straight
+there.
 """
 
 from __future__ import annotations
@@ -173,7 +177,7 @@ MODES = ("fixed", "extended", "prescribed")
 class DeformationProblem:
     # plain classes on purpose: `dataclasses` costs about 14 ms a launch
     __slots__ = ("submanifold", "params", "order", "degree", "mode",
-                 "prescribed", "seed", "directions", "bound")
+                 "prescribed", "seed", "directions", "bound", "_descriptor")
 
     def __init__(self, submanifold: SubmanifoldData, params: tuple,
                  order: int, degree: int, mode: str = "fixed",
@@ -192,6 +196,7 @@ class DeformationProblem:
         self.seed = seed              # indices into the degree-zero basis
         self.directions = directions  # explicit degree-zero cochains instead
         self.bound = bound            # section degree bound override
+        self._descriptor = None       # `_step_descriptor`, on first use
 
     @property
     def space(self):
@@ -247,12 +252,15 @@ class DeformationState:
                 per[at].append(None if low is None else low - 1)
         return orders
 
-    def next_order(self, phi: dict, lam: dict) -> DeformationState:
-        """The family (phi, lam) at order m+1. When phi and lam are this
-        state's own series, the family is unchanged and the new state
-        shares this state's residuals and their vanishing orders instead of
-        computing them again."""
-        new = DeformationState(self.problem, self.order + 1, phi, lam)
+    def next_order(self, phi: dict, lam: dict,
+                   order: int | None = None) -> DeformationState:
+        """The family (phi, lam) at order m+1, or at `order` when given.
+        When phi and lam are this state's own series, the family is
+        unchanged and the new state shares this state's residuals and their
+        vanishing orders instead of computing them again."""
+        new = DeformationState(self.problem,
+                               self.order + 1 if order is None else order,
+                               phi, lam)
         if phi is self.phi and lam is self.lam:
             vars(new)["residuals"] = self.residuals
             vars(new)["residual_orders"] = self.residual_orders
@@ -434,20 +442,44 @@ def obstruction_cocycle(state: DeformationState) -> ObstructionCocycle:
     problem = state.problem
     m1 = state.order + 1
     res, orders = state.residuals, state.residual_orders
-    keys = ("gluing", "ideal") + (
-        ("jacobi", "lambda_gluing") if problem.mode == "extended" else ())
-    monomials = sorted({te for key in keys
+    monomials = sorted({te for key in _cocycle_keys(problem)
                         for at, a, ser in residual_series(res[key])
                         if (o := orders[key][at][a]) is not None and o < m1
                         for te in ser.homogeneous(m1)})
     return certify_cocycle(_step_descriptor(problem), res, m1, monomials)
 
 
+def _cocycle_keys(problem: DeformationProblem) -> tuple:
+    """The residuals whose coefficients make up the obstruction cocycle:
+    "gluing" and "ideal", and in extended mode "jacobi" and
+    "lambda_gluing"."""
+    return ("gluing", "ideal") + (
+        ("jacobi", "lambda_gluing") if problem.mode == "extended" else ())
+
+
+def _first_obstructed_order(state: DeformationState) -> int:
+    """The smallest vanishing order (`residual_orders`) of a residual of
+    `_cocycle_keys`, capped at the target order M. On a state that verifies
+    at its own order m, that order T is at least m; the steps at m, ...,
+    T-1 have an empty cocycle, since no such series has a coefficient in
+    degrees m+1, ..., T, and when T < M the step at T has a non-empty
+    one."""
+    orders = state.residual_orders
+    return min([state.problem.order] + [
+        o for key in _cocycle_keys(state.problem)
+        for per in orders[key].values() for o in per if o is not None])
+
+
 def _step_descriptor(problem: DeformationProblem):
     """The complex whose total complex carries the order steps: the paired
-    complex in extended mode, the restricted-tuple one otherwise."""
-    kind = "extended" if problem.mode == "extended" else "normal"
-    return build_complex(kind, submanifold=problem.submanifold)
+    complex in extended mode, the restricted-tuple one otherwise. Built on
+    first use and kept on the problem, so that its seeding, cocycles,
+    systems and characteristic map share one set of compiled rules."""
+    if problem._descriptor is None:
+        kind = "extended" if problem.mode == "extended" else "normal"
+        problem._descriptor = build_complex(kind,
+                                            submanifold=problem.submanifold)
+    return problem._descriptor
 
 
 def residual_total(descriptor, residuals: dict, te) -> tuple:
@@ -573,13 +605,13 @@ def solve_order(state: DeformationState, *,
     feasible one or two degrees higher, DegreeBoundTooSmall is raised
     instead of declaring an obstruction; those retries read the ambient
     sections back from the system's non-atom unknowns (`others`).
-    `system` is the problem's `_step_system` at its degree bound, built here
-    when not given.
+    `system` is the problem's `_step_system` at its degree bound; when it is
+    not given, it is built here if the cocycle is non-empty.
     """
     problem = state.problem
     D = problem.degree
     cocycle = obstruction_cocycle(state)
-    if system is None:
+    if system is None and cocycle.totals:
         system = _step_system(problem, D, _ambient_basis(problem))
     solutions, witness = _solve_step(cocycle, system)
     if solutions is None:
@@ -598,12 +630,17 @@ def solve_order(state: DeformationState, *,
         if any(sol):
             phi, lam = add_direction(phi, lam, te,
                                      cochain_lincomb(sol, system.unknowns))
-    new_state = state.next_order(phi, lam)
-    check = verify_family(new_state, new_state.order)
+    return _verified(state.next_order(phi, lam))
+
+
+def _verified(state: DeformationState) -> DeformationState:
+    """The state an order step made, after `verify_family` at its order;
+    InconsistentData when it fails."""
+    check = verify_family(state, state.order)
     if not check["pass"]:
         raise InconsistentData(
             f"order step produced an invalid family: {check}")
-    return new_state
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -634,7 +671,14 @@ class SolverResult:
 
 def run_solver(problem: DeformationProblem) -> SolverResult:
     """Seed from the degree-zero basis (fixed/extended) or from the given
-    ambient family (prescribed), then extend order by order to the target."""
+    ambient family (prescribed), then extend order by order to the target.
+
+    Only the orders whose cocycle is non-empty run `solve_order`, on one
+    step system built for the first of them. From any other order the
+    unchanged family moves straight to the next such order
+    (`_first_obstructed_order`) or to the target, keeping its residuals,
+    and is verified there as the last skipped step would have verified it:
+    a family that verifies at an order verifies at every lower one."""
     S = problem.submanifold
     space = problem.space
     M = problem.order
@@ -696,9 +740,15 @@ def run_solver(problem: DeformationProblem) -> SolverResult:
             raise InvalidDeformation(
                 "central fibre of the prescribed family does not contain "
                 "the submanifold as a Poisson submanifold")
-    system = (_step_system(problem, problem.degree, _ambient_basis(problem))
-              if state.order < M else None)
+    system = None
     while state.order < M:
+        target = _first_obstructed_order(state)
+        if target > state.order:
+            state = _verified(state.next_order(state.phi, state.lam, target))
+            continue
+        if system is None:
+            system = _step_system(problem, problem.degree,
+                                  _ambient_basis(problem))
         nxt = solve_order(state, system=system)
         if isinstance(nxt, Obstructed):
             return SolverResult(problem, state, nxt, h0, chosen, None, None)
@@ -756,8 +806,11 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
             for name in space.chart_names} if problem.ambient_varies else {}
         return phi, lam
 
+    stale = True    # whether h changed since `mismatch` last ran
     for step in range(1, M + 1):
-        phi, lam = mismatch()
+        if stale:
+            phi, lam = mismatch()
+            stale = False
         smonos = sorted({te for ser in sum(phi.values(), []) + list(
                          lam.values()) for te in ser.homogeneous(step)},
                         key=lambda e: (sum(e), e))
@@ -790,9 +843,11 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
             for rho, val in enumerate(sol):
                 if val:
                     h[rho] = h[rho] + TruncatedSeries(s_params, M, {te: val})
+                    stale = True
         report["orders"][step] = {str(te): [str(v) for v in sol]
                                   for te, sol in coeffs_per_mono.items()}
-    phi, lam = mismatch()
+    if stale:
+        phi, lam = mismatch()
     for rows, message in (
             (sum(phi.values(), []),
              "substituted family still disagrees after matching"),

@@ -32,6 +32,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import poissondef
 from conftest import build_c3, prescribed_instability
+from test_deformation import CORRECTED_SEEDS
 from test_transport_oracle import _outcome, _typed, cases
 from poissondef import artin, complexes, deformation
 from poissondef.artin import ARTIN_ROWS
@@ -299,9 +300,18 @@ def _steep_prescribed_problem(degree):
                               mode="prescribed", prescribed=pres)
 
 
+def _corrected_hyperplane(seed):
+    """An extended two-parameter hyperplane family whose order-two step
+    makes a non-zero correction, for a seed of `CORRECTED_SEEDS`."""
+    sub = _file_problem("p3_hyperplane").submanifold
+    return DeformationProblem(sub, ("t1", "t2"), order=4, degree=2,
+                              mode="extended", seed=seed)
+
+
 # Solver problems whose steps succeed, meet an unreached row, or retry one
 # and two degrees higher: the workload's solves at low orders, the
-# obstructed files at degrees 0 and 1, and the prescribed instabilities.
+# obstructed files at degrees 0 and 1, the prescribed instabilities and two
+# corrected families.
 STEP_PROBLEMS = (
     [(name, lambda n=name, s=seed: _file_problem(n, s, 4))
      for name, seed, _ in SOLVER_RUNS]
@@ -311,7 +321,14 @@ STEP_PROBLEMS = (
     + [(f"instability{m}-d{d}", lambda m=m, d=d: prescribed_instability(m, d))
        for m in (0, 2) for d in (0, 1, 2)]
     + [(f"steep-d{d}", lambda d=d: _steep_prescribed_problem(d))
-       for d in (0, 1)])
+       for d in (0, 1)]
+    + [(f"corrected{seed}", lambda s=seed: _corrected_hyperplane(s))
+       for seed in CORRECTED_SEEDS])
+
+# The problems among them whose every order step has an empty cocycle, so
+# that the solver builds and solves no step system.
+NO_STEP_PROBLEMS = {name for name, _, _ in SOLVER_RUNS} | {
+    "p3_hyperplane-d0", "p3_hyperplane-d1"}
 
 
 def _run_recording_steps(monkeypatch, problem):
@@ -340,11 +357,12 @@ def _run_recording_steps(monkeypatch, problem):
 
 
 def test_step_solutions_match_the_parent(monkeypatch):
-    kinds = set()
+    kinds, no_step = set(), set()
     for label, make in STEP_PROBLEMS:
         problem = make()
         calls = _run_recording_steps(monkeypatch, problem)
-        assert calls, label
+        if not calls:
+            no_step.add(label)
         for cocycle, system, (degree, amb_basis), got in calls:
             old = _assemble_step_matrix(problem, degree, amb_basis)
             assert _ordered(system.columns) == _ordered(old.columns), label
@@ -354,6 +372,7 @@ def test_step_solutions_match_the_parent(monkeypatch):
                 assert system.solve(total) == solve_total(
                     old.columns, total_rows(*total, STEP_ROWS)), label
             kinds.add(_kind(got[1]))
+    assert no_step == NO_STEP_PROBLEMS
     assert kinds == {"ok", "unreached"}
 
 

@@ -378,42 +378,58 @@ def _structure(x):
     return x
 
 
-def _solve_checking_residuals(monkeypatch, prob):
-    """Run the solver with every order step checked: the new state's
-    residuals equal, value for value and in the same order, those a state
-    built from copies of its series computes from nothing. Returns the
-    solver result and, per step, whether the step handed the residuals on."""
-    carried = []
-    original = deformation.solve_order
+def _fresh(state):
+    """A state with copies of the series of `state`, computing its
+    residuals from nothing."""
+    return DeformationState(state.problem, state.order, dict(state.phi),
+                            dict(state.lam))
+
+
+def _solve_checking_states(monkeypatch, prob, check):
+    """Run the solver with `check(state, new)` called on every state it
+    makes from another, by an order step or by a skip to a later order
+    (`DeformationState.next_order`). Returns the solver result and, per
+    state made, (its source's order, its order, whether it took over the
+    source's residuals and vanishing orders)."""
+    made = []
+    original = DeformationState.next_order
 
     def checked(state, *args, **kwargs):
         new = original(state, *args, **kwargs)
-        if isinstance(new, DeformationState):
-            fresh = DeformationState(new.problem, new.order, dict(new.phi),
-                                     dict(new.lam))
-            assert _structure(new.residuals) == _structure(fresh.residuals)
-            carried.append(new.residuals is state.residuals)
+        check(state, new)
+        made.append((state.order, new.order,
+                     new.residuals is state.residuals
+                     and new.residual_orders is state.residual_orders))
         return new
-    monkeypatch.setattr(deformation, "solve_order", checked)
-    return run_solver(prob), carried
+    monkeypatch.setattr(DeformationState, "next_order", checked)
+    return run_solver(prob), made
+
+
+def _residuals_equal_fresh_ones(state, new):
+    assert _structure(new.residuals) == _structure(_fresh(new).residuals)
 
 
 @pytest.mark.parametrize("name, seed, order", SOLVER_RUNS)
 def test_carried_residuals_equal_fresh_ones(monkeypatch, name, seed, order):
-    res, carried = _solve_checking_residuals(
-        monkeypatch, _file_problem(name, seed, order))
+    res, made = _solve_checking_states(
+        monkeypatch, _file_problem(name, seed, order),
+        _residuals_equal_fresh_ones)
     assert res.ok and res.state.order == order
-    assert carried == [True] * (order - 1)
+    # no step has a cocycle: the seeded family goes straight to the target
+    assert made == [(1, order, True)]
 
 
 @pytest.mark.parametrize("seed", CORRECTED_SEEDS)
 def test_carried_residuals_equal_fresh_ones_after_a_correction(
         monkeypatch, p3_hyperplane_sub, seed):
-    res, carried = _solve_checking_residuals(
-        monkeypatch, _extended_hyperplane(p3_hyperplane_sub, seed, 6))
+    res, made = _solve_checking_states(
+        monkeypatch, _extended_hyperplane(p3_hyperplane_sub, seed, 6),
+        _residuals_equal_fresh_ones)
     assert res.ok and res.state.order == 6
     assert res.verify["pass"] and res.char_map_identity
-    assert carried == [False, True, True, True, True]
+    # the order-two step corrects the family; the corrected one goes
+    # straight to the target
+    assert made == [(1, 2, False), (2, 6, True)]
 
 
 @pytest.mark.parametrize("name, seed, order", SOLVER_RUNS)
@@ -462,39 +478,25 @@ def _cocycle_monomials(state):
                    for te in ser.homogeneous(state.order + 1)})
 
 
-def _solve_checking_verify(monkeypatch, prob):
-    """Run the solver with every state an order step reads or makes
-    checked: `verify_family` at the state's order and at the target order,
-    and the step's cocycle monomials, equal those computed from nothing on
-    a state built from copies of its series. Returns the solver result and,
-    per step, whether the new state took over the vanishing orders."""
-    carried = []
-    original = deformation.solve_order
-
-    def fresh(state):
-        return DeformationState(state.problem, state.order, dict(state.phi),
-                                dict(state.lam))
-
-    def checked(state, *args, **kwargs):
-        assert sorted(obstruction_cocycle(state).totals) == \
-            _cocycle_monomials(fresh(state))
-        new = original(state, *args, **kwargs)
-        if isinstance(new, DeformationState):
-            for cap in (new.order, prob.order):
-                assert verify_family(new, cap) == \
-                    _verify_from_scratch(fresh(new), cap)
-            carried.append(new.residual_orders is state.residual_orders)
-        return new
-    monkeypatch.setattr(deformation, "solve_order", checked)
-    return run_solver(prob), carried
+def _verify_and_cocycle_as_a_fresh_scan(state, new):
+    """`verify_family` at the new state's order and at the target order,
+    and the cocycle monomials of both states, equal those computed from
+    nothing on states built from copies of their series."""
+    for cap in (new.order, new.problem.order):
+        assert verify_family(new, cap) == _verify_from_scratch(_fresh(new),
+                                                               cap)
+    for st in (state, new):
+        assert sorted(obstruction_cocycle(st).totals) == \
+            _cocycle_monomials(_fresh(st))
 
 
 @pytest.mark.parametrize("name, seed, order", SOLVER_RUNS)
 def test_kept_vanishing_orders_verify_as_a_fresh_scan(monkeypatch, name,
                                                       seed, order):
     prob = _file_problem(name, seed, order)
-    res, carried = _solve_checking_verify(monkeypatch, prob)
-    assert res.ok and carried == [True] * (order - 1)
+    res, made = _solve_checking_states(monkeypatch, prob,
+                                       _verify_and_cocycle_as_a_fresh_scan)
+    assert res.ok and made == [(1, order, True)]
     assert res.verify == _verify_from_scratch(
         DeformationState(prob, order, dict(res.state.phi),
                          dict(res.state.lam)), order)
@@ -503,14 +505,16 @@ def test_kept_vanishing_orders_verify_as_a_fresh_scan(monkeypatch, name,
 @pytest.mark.parametrize("seed", CORRECTED_SEEDS)
 def test_kept_vanishing_orders_verify_as_a_fresh_scan_after_a_correction(
         monkeypatch, p3_hyperplane_sub, seed):
-    res, carried = _solve_checking_verify(
-        monkeypatch, _extended_hyperplane(p3_hyperplane_sub, seed, 6))
+    res, made = _solve_checking_states(
+        monkeypatch, _extended_hyperplane(p3_hyperplane_sub, seed, 6),
+        _verify_and_cocycle_as_a_fresh_scan)
     assert res.ok and res.verify["pass"]
-    assert carried == [False, True, True, True, True]
+    assert made == [(1, 2, False), (2, 6, True)]
 
 
-def _count_residual_calls(monkeypatch):
-    calls = {"gluing_mismatch": 0, "ideal_residual": 0}
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named functions of `deformation`."""
+    calls = dict.fromkeys(names, 0)
     for fname in calls:
         original = getattr(deformation, fname)
 
@@ -522,21 +526,57 @@ def _count_residual_calls(monkeypatch):
 
 
 def test_solve_computes_residuals_once_per_family(monkeypatch):
-    calls = _count_residual_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "gluing_mismatch", "ideal_residual")
     code, _ = run_command(["solve", str(EXAMPLES / "p3_hyperplane.pdef"),
                            "--order", "10"])
     assert code == 0
-    # the seeded family; its nine order steps add nothing
+    # the seeded family, which goes straight to order 10
     assert calls == {"gluing_mismatch": 1, "ideal_residual": 1}
 
 
 def test_a_corrected_family_computes_its_residuals_again(monkeypatch,
                                                          p3_hyperplane_sub):
-    calls = _count_residual_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "gluing_mismatch", "ideal_residual")
     res = run_solver(_extended_hyperplane(p3_hyperplane_sub, (0, 14), 4))
     assert res.ok and res.state.order == 4
     # the seeded family and the one the order-two step corrects
     assert calls == {"gluing_mismatch": 2, "ideal_residual": 2}
+
+
+# the step systems built, the ambient sections computed and the systems
+# solved
+STEP_CALLS = ("CoboundarySystem", "global_sections", "_solve_step")
+
+
+def test_an_uncorrected_solve_builds_no_step_system(monkeypatch):
+    calls = _count_calls(monkeypatch, *STEP_CALLS)
+    code, _ = run_command(["solve", str(EXAMPLES / "p3_hyperplane.pdef"),
+                           "--order", "40"])
+    assert code == 0
+    assert calls == {"CoboundarySystem": 0, "global_sections": 0,
+                     "_solve_step": 0}
+
+
+def test_an_empty_order_step_builds_no_step_system(monkeypatch,
+                                                   hyperplane_result):
+    calls = _count_calls(monkeypatch, *STEP_CALLS)
+    state = truncate_state(hyperplane_result.state, 1)
+    step = solve_order(state)
+    assert isinstance(step, DeformationState) and step.order == 2
+    assert step.phi is state.phi and step.lam is state.lam
+    assert calls == {"CoboundarySystem": 0, "global_sections": 0,
+                     "_solve_step": 1}
+
+
+@pytest.mark.parametrize("seed", CORRECTED_SEEDS)
+def test_a_corrected_family_builds_one_step_system(monkeypatch,
+                                                   p3_hyperplane_sub, seed):
+    calls = _count_calls(monkeypatch, *STEP_CALLS)
+    res = run_solver(_extended_hyperplane(p3_hyperplane_sub, seed, 6))
+    assert res.ok and res.state.order == 6
+    # the order-two step, on the ambient sections of the extended mode
+    assert calls == {"CoboundarySystem": 1, "global_sections": 1,
+                     "_solve_step": 1}
 
 
 def test_initial_state_shape(p3_hyperplane_sub):
