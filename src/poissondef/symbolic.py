@@ -8,6 +8,18 @@ normalise through `_as_scalar`; sums and products need no normalising, as
 int with int stays int, and a Fraction result that happens to be integral
 compares, hashes and prints like the int. Every division and negative
 power goes through Fraction.
+
+A sum is kept where its key already is and a sum that cancels is dropped;
+the order in which sums are formed fixes every report's term order and
+scalar types. That update is written in `_add_into` for scalar terms, in
+`_product_into`, the one product loop, and in `polyvector._acc` for
+polyvector coefficients. Four hot copies stay inline, each measured
+against a shared helper: `Transition.move`'s monomial branch and
+`complexes._move_entries`' one-term branch (through `_add_product` and
+`_add_into` the `sections` benchmark ran 4-7% slower), and
+`TruncatedSeries.__add__` and `combine`, the solver's innermost loops
+(a shared series update measured from no change to 4% slower on `solver`,
+and adds a call and a zero test per term).
 """
 
 from __future__ import annotations
@@ -36,36 +48,22 @@ def _as_scalar(c):
     raise TypeError(f"expected exact scalar, got {type(c).__name__}")
 
 
-def _product(a: Mapping, b: Mapping) -> dict:
-    """The terms of the product of two polynomials given by their terms
-    {exponent tuple: coefficient}: a's terms outer, b's inner, each sum
-    kept in place and a sum that cancels dropped."""
-    terms: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = terms.get(e, 0) + c1 * c2
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-    return terms
+def _add_into(acc: dict, items) -> dict:
+    """acc, with the (key, value) pairs `items` added in place: each sum
+    kept where it is and a sum that cancels dropped."""
+    for key, val in items:
+        v = acc.get(key, 0) + val
+        if v:
+            acc[key] = v
+        elif key in acc:
+            del acc[key]
+    return acc
 
 
-def _add_product(acc: dict, a: Mapping, b: Mapping):
-    """acc += the product of the polynomials with terms a and b, in place,
-    as adding `_product(a, b)` term by term would leave it: each sum kept
-    where it is and a sum that cancels dropped. With a one-term factor
-    every product term has its own exponent, so each is added where it
-    lands, without building the product."""
-    if len(a) != 1 and len(b) != 1:
-        for e, c in _product(a, b).items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        return
+def _product_into(acc: dict, a: Mapping, b: Mapping) -> dict:
+    """acc, with each term of the product of the polynomials with terms a
+    and b {exponent tuple: coefficient} added where it lands, a's terms
+    outer and b's inner: the one product loop."""
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
@@ -74,6 +72,23 @@ def _add_product(acc: dict, a: Mapping, b: Mapping):
                 acc[e] = s
             elif e in acc:
                 del acc[e]
+    return acc
+
+
+def _product(a: Mapping, b: Mapping) -> dict:
+    """The terms of the product of two polynomials given by their terms."""
+    return _product_into({}, a, b)
+
+
+def _add_product(acc: dict, a: Mapping, b: Mapping):
+    """acc += the product of the polynomials with terms a and b, in place,
+    as adding `_product(a, b)` term by term would leave it. With a one-term
+    factor every product term has its own exponent, so each is added where
+    it lands, without building the product."""
+    if len(a) != 1 and len(b) != 1:
+        _add_into(acc, _product(a, b).items())
+    else:
+        _product_into(acc, a, b)
 
 
 def _derivative(terms: Mapping, i: int) -> dict:
@@ -199,14 +214,8 @@ class LaurentPoly:
                 return NotImplemented
             other = LaurentPoly.const(self.vars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return LaurentPoly._valid(self.vars, terms)
+        return LaurentPoly._valid(
+            self.vars, _add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -439,6 +448,7 @@ class TruncatedSeries:
         self._check(other)
         cutoff = min(self.cutoff, other.cutoff)
         terms = {e: c for e, c in self.terms.items() if sum(e) <= cutoff}
+        # inline, as in `combine`: a hot loop of the solver (module docstring)
         for e, c in other.terms.items():
             if sum(e) > cutoff:
                 continue
@@ -478,8 +488,7 @@ class TruncatedSeries:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise NonInvertibleSubstitution(
-                "negative powers of series go through substitute()")
+            return _series_inverse(self) ** (-n)
         result = None
         for _ in range(n):
             result = self if result is None else result * self
@@ -537,6 +546,7 @@ def combine(a: TruncatedSeries, b: TruncatedSeries, mul: Callable) -> TruncatedS
                 continue
             e = tuple(x + y for x, y in zip(e1, e2))
             prod = mul(c1, c2)
+            # inline: a hot loop of the solver (module docstring)
             if e in terms:
                 s = terms[e] + prod
                 if _coeff_is_zero(s):
@@ -560,12 +570,9 @@ def _series_inverse(s: TruncatedSeries) -> TruncatedSeries:
             "series inverse requires an invertible order-zero part")
     inv0 = s0.inverse()
     # s = s0 (1 + n) with n of positive parameter order; expand geometrically.
-    one = LaurentPoly.const(s0.vars, 1)
-    n = TruncatedSeries(s.params, s.cutoff,
-                        {e: inv0 * c for e, c in s.terms.items()}) \
-        - TruncatedSeries.const(s.params, s.cutoff, one)
-    result = TruncatedSeries.const(s.params, s.cutoff, one)
-    power = TruncatedSeries.const(s.params, s.cutoff, one)
+    result = power = TruncatedSeries.const(
+        s.params, s.cutoff, LaurentPoly.const(s0.vars, 1))
+    n = s.map(lambda c: inv0 * c) - result
     sign = 1
     for _ in range(s.cutoff):
         power = power * n
@@ -574,16 +581,6 @@ def _series_inverse(s: TruncatedSeries) -> TruncatedSeries:
             break
         result = result + power.scale(sign)
     return result.map(lambda c: inv0 * c)
-
-
-def _series_pow(s: TruncatedSeries, n: int, one: LaurentPoly) -> TruncatedSeries:
-    if n == 0:
-        return TruncatedSeries.const(s.params, s.cutoff, one)
-    base = s if n > 0 else _series_inverse(s)
-    result = base
-    for _ in range(abs(n) - 1):
-        result = result * base
-    return result
 
 
 class MonomialMap:
@@ -630,16 +627,7 @@ class MonomialMap:
     def terms(self, p_terms: Mapping) -> dict:
         """The substituted terms of the polynomial with terms `p_terms`
         {exponent tuple: coefficient} on the source variables."""
-        image = self.image
-        terms: dict = {}
-        for e, c in p_terms.items():
-            exps, c = image(e, c)
-            s = terms.get(exps, 0) + c
-            if s:
-                terms[exps] = s
-            elif exps in terms:
-                del terms[exps]
-        return terms
+        return _add_into({}, map(self.image, p_terms.keys(), p_terms.values()))
 
 
 def monomial_map(assignment: Mapping[str, object], source_vars: Iterable[str],
@@ -701,42 +689,24 @@ def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
     if target_vars is None:
         target_vars = ()
 
-    if series_sig is None:
-        # plain Laurent substitution
-        vals = {}
-        for v in used:
-            val = assignment[v]
-            if isinstance(val, (int, Fraction)):
-                val = LaurentPoly.const(target_vars, val)
-            vals[v] = val
-        if all(len(val.terms) == 1 for val in vals.values()):
-            return MonomialMap(vals, p.vars, target_vars)(p)
-        out = LaurentPoly.zero(target_vars)
-        for e, c in p.terms.items():
-            term = LaurentPoly.const(target_vars, c)
-            for i, v in enumerate(p.vars):
-                if e[i]:
-                    term = term * (vals[v] ** e[i])
-            out = out + term
-        return out
-
-    params, cutoff = series_sig
-    one = LaurentPoly.const(target_vars, 1)
-    svals = {}
-    for v in used:
-        val = assignment[v]
+    def lift(val):
+        """A scalar, value or coefficient on the result's carrier."""
         if isinstance(val, (int, Fraction)):
             val = LaurentPoly.const(target_vars, val)
-        if isinstance(val, LaurentPoly):
-            val = TruncatedSeries.const(params, cutoff, val)
-        svals[v] = val
-    out = TruncatedSeries.zero(params, cutoff)
+        if series_sig is not None and isinstance(val, LaurentPoly):
+            val = TruncatedSeries.const(*series_sig, val)
+        return val
+
+    vals = {v: lift(assignment[v]) for v in used}
+    if series_sig is None and all(len(val.terms) == 1
+                                  for val in vals.values()):
+        return MonomialMap(vals, p.vars, target_vars)(p)
+    out = lift(0)
     for e, c in p.terms.items():
-        term = TruncatedSeries.const(params, cutoff,
-                                     LaurentPoly.const(target_vars, c))
+        term = lift(c)
         for i, v in enumerate(p.vars):
             if e[i]:
-                term = term * _series_pow(svals[v], e[i], one)
+                term = term * vals[v] ** e[i]
         out = out + term
     return out
 

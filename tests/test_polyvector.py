@@ -379,3 +379,14 @@ def test_pushforward_identity_map_fixes_polyvector():
              for v in VARS}
     a = _random_pv(rng, 2)
     assert pushforward(a, Transition(ident, ident, VARS, VARS)) == a
+
+
+def test_monomial_takes_indices_once():
+    """The indices may be a one-shot iterable: a repeated index gives the
+    zero polyvector of the degree it was asked for."""
+    for indices in ((0, 0), [0, 0], (i for i in (0, 0))):
+        zero = Polyvector.monomial(VARS, indices, X)
+        assert zero.is_zero() and zero.degree == 2
+    got = Polyvector.monomial(VARS, (i for i in (2, 0)), X)
+    assert got == Polyvector.monomial(VARS, (2, 0), X)
+    assert got.terms == {(0, 2): -X}

@@ -6,7 +6,11 @@ path it bypasses, kept verbatim as the oracle. The exponent maps are
 compiled (`symbolic.MonomialMap`), once per ordered pair on an atlas whose
 transitions are monomial; they must agree with `_substitute_monomials`,
 the uncompiled body they replaced, kept verbatim, down to the int or
-Fraction type of every coefficient.
+Fraction type of every coefficient. `substitute` now evaluates plain and
+series values in one loop, and `TruncatedSeries.__pow__` takes negative
+powers itself; the oracle keeps its series powers in its own verbatim
+`_series_pow` and `_series_inverse`, and is compared on single-term,
+polynomial and series values under positive and negative powers.
 
 `polyvector.pushforward` moves each term once, by one `Transition.move`
 call, and multiplies it by the kept images of its frame, which each
@@ -42,7 +46,7 @@ from poissondef.geometry import (Chart, ChartedSpace, hirzebruch, product,
 from poissondef.polyvector import (Polyvector, Transition, _acc, _sort_sign,
                                    pushforward)
 from poissondef.symbolic import (LaurentPoly, MonomialMap, TruncatedSeries,
-                                 _series_pow, monomial_map, substitute)
+                                 monomial_map, substitute)
 
 EXAMPLES = Path(poissondef.__file__).parent / "examples"
 
@@ -50,6 +54,40 @@ EXAMPLES = Path(poissondef.__file__).parent / "examples"
 # ----------------------------------------------------------------------
 # Oracles: the general paths, as they were before the fast paths
 # ----------------------------------------------------------------------
+
+def _series_inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """Inverse of a series whose order-zero coefficient is a monomial unit."""
+    s0 = s.order_zero()
+    if s0 is None or not (isinstance(s0, LaurentPoly) and s0.is_monomial_unit()):
+        raise NonInvertibleSubstitution(
+            "series inverse requires an invertible order-zero part")
+    inv0 = s0.inverse()
+    # s = s0 (1 + n) with n of positive parameter order; expand geometrically.
+    one = LaurentPoly.const(s0.vars, 1)
+    n = TruncatedSeries(s.params, s.cutoff,
+                        {e: inv0 * c for e, c in s.terms.items()}) \
+        - TruncatedSeries.const(s.params, s.cutoff, one)
+    result = TruncatedSeries.const(s.params, s.cutoff, one)
+    power = TruncatedSeries.const(s.params, s.cutoff, one)
+    sign = 1
+    for _ in range(s.cutoff):
+        power = power * n
+        sign = -sign
+        if power.is_zero():
+            break
+        result = result + power.scale(sign)
+    return result.map(lambda c: inv0 * c)
+
+
+def _series_pow(s: TruncatedSeries, n: int, one: LaurentPoly) -> TruncatedSeries:
+    if n == 0:
+        return TruncatedSeries.const(s.params, s.cutoff, one)
+    base = s if n > 0 else _series_inverse(s)
+    result = base
+    for _ in range(abs(n) - 1):
+        result = result * base
+    return result
+
 
 def _substitute_oracle(p: LaurentPoly, assignment):
     used = [v for i, v in enumerate(p.vars)
@@ -332,6 +370,109 @@ def test_monomial_substitution_merges_cancels_and_raises():
             substitute(q, {"a": zero, "b": y})
         with pytest.raises(NonInvertibleSubstitution):
             _substitute_oracle(q, {"a": zero, "b": y})
+
+
+# ----------------------------------------------------------------------
+# Substitution of polynomial and series values
+# ----------------------------------------------------------------------
+
+def _typed_value(x):
+    """Values, insertion orders and scalar types of a polynomial or of a
+    series of polynomials or scalars."""
+    if isinstance(x, TruncatedSeries):
+        return (x.params, x.cutoff,
+                [(e, _typed_value(c)) for e, c in x.terms.items()])
+    if isinstance(x, LaurentPoly):
+        return (x.vars, [(e, c, type(c)) for e, c in x.terms.items()])
+    return x, type(x)
+
+
+def _typed_outcome(f, *args):
+    try:
+        return _typed_value(f(*args))
+    except (NonInvertibleSubstitution, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def _check_substitution(p, assignment):
+    """`substitute` against the oracle: values, orders and errors, and scalar
+    types too where a variable p uses has a value of more than one term.
+    Where every such value is one term, `substitute` takes the monomial
+    path, whose types the oracle's expansion loop does not keep (see
+    `_check_compiled`)."""
+    used = [v for i, v in enumerate(p.vars) if any(e[i] for e in p.terms)]
+    if all(not isinstance(assignment[v], (LaurentPoly, TruncatedSeries))
+           or isinstance(assignment[v], LaurentPoly)
+           and len(assignment[v].terms) == 1 for v in used):
+        assert _outcome(substitute, p, assignment) == \
+            _outcome(_substitute_oracle, p, assignment)
+    else:
+        assert _typed_outcome(substitute, p, assignment) == \
+            _typed_outcome(_substitute_oracle, p, assignment)
+
+
+PARAMS = ("t",)
+polynomials = st.builds(
+    lambda a, b, c: LaurentPoly(TARGET, {a: c, b: -c}),
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (-1, 1)]),
+    st.sampled_from([(1, 1), (0, -1), (2, 0)]),
+    st.sampled_from([1, Fraction(1, 2), Fraction(-3)]))
+series_coefficients = st.one_of(monomials, polynomials,
+                                st.just(LaurentPoly.zero(TARGET)))
+# an order-zero part that is a single term, so that negative powers exist,
+# or one that is not
+series = st.builds(
+    lambda c0, c1, c2: TruncatedSeries(PARAMS, 3,
+                                       {(0,): c0, (1,): c1, (2,): c2}),
+    st.one_of(monomials, polynomials), series_coefficients,
+    series_coefficients)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(source_polys,
+       st.tuples(*(st.one_of(polynomials, monomials, st.integers(-2, 2))
+                   for _ in SOURCE)))
+def test_polynomial_substitution_matches_general_path(p, vals):
+    """Values that are not single terms, under positive and negative
+    powers: values, orders, scalar types and errors."""
+    _check_substitution(p, dict(zip(SOURCE, vals)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(source_polys.filter(lambda p: p.terms),
+       st.tuples(*(st.one_of(series, st.one_of(
+           polynomials, monomials, st.integers(-2, 2))) for _ in SOURCE)))
+def test_series_substitution_matches_general_path(p, vals):
+    """Series values next to polynomial and scalar ones, under positive and
+    negative powers."""
+    _check_substitution(p, dict(zip(SOURCE, vals)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(series, st.integers(-3, 3).filter(bool))
+def test_series_power_matches_series_pow(s, n):
+    """`TruncatedSeries.__pow__` takes a negative power through the series
+    inverse, as the oracle's `_series_pow` does."""
+    one = LaurentPoly.const(TARGET, 1)
+    assert _typed_outcome(pow, s, n) == \
+        _typed_outcome(_series_pow, s, n, one)
+
+
+def test_series_power_zero_and_non_invertible_raise():
+    x = LaurentPoly.variable(TARGET, "x")
+    s = TruncatedSeries.const(PARAMS, 3, x) + TruncatedSeries(
+        PARAMS, 3, {(1,): x * x})
+    assert s ** -1 * s == TruncatedSeries.const(
+        PARAMS, 3, LaurentPoly.const(TARGET, 1))
+    with pytest.raises(ValueError, match="series\\*\\*0"):
+        s ** 0
+    for bad in (TruncatedSeries(PARAMS, 3, {(0,): x + 1, (1,): x}),
+                TruncatedSeries(PARAMS, 3, {(1,): x}),
+                TruncatedSeries.const(PARAMS, 3, 2)):
+        with pytest.raises(NonInvertibleSubstitution,
+                           match="invertible order-zero part"):
+            bad ** -1
+        assert bad ** 2 == bad * bad
 
 
 # ----------------------------------------------------------------------
