@@ -15,10 +15,11 @@ closedness certificates are `complexes.total_closedness`.
 The class lifts when it is the total coboundary of bounded-degree monomial
 unknowns (`complexes.monomial_atoms`). That is one exact linear solve of a
 `complexes.CoboundarySystem` under `ARTIN_ROWS`, the system the solver's
-order step solves under its own labels; its columns, `complexes.atom_rows`
-of each atom, are built once per call. A different choice of lifting data
-must move the class by exactly the total coboundary of that choice,
-linearised by the same system.
+order step solves under its own labels. A zero class lifts by the zero
+lifting, and its system builds no column; a non-empty one builds its
+columns, `complexes.atom_rows` of each atom, once. A different choice of
+lifting data must move the class by exactly the total coboundary of that
+choice, linearised by the same system.
 
 Three functors are covered:
 
@@ -49,8 +50,8 @@ linearisation is provided for cross-checking the cohomology engines.
 
 from __future__ import annotations
 
-from .complexes import (CoboundarySystem, atom_cochain, build_complex,
-                         chunk_entries, h0_complex, monomial_atoms,
+from .complexes import (CoboundarySystem, atom_cochain, chunk_entries,
+                         h0_complex, kept_complex, monomial_atoms,
                          total_coboundary)
 from .deformation import (DeformationProblem, DeformationState,
                           ObstructionCocycle, add_direction, certify_cocycle,
@@ -105,11 +106,12 @@ def artin_first_order(kind: str, *, manifold: PoissonManifold | None = None,
 
 
 def _descriptor(kind, S, manifold):
-    """The controlling complex of a functor."""
+    """The controlling complex of a functor, kept on the manifold (def) or
+    the submanifold (hilb, exthilb) it is built over, so that one family's
+    tangent space and obstruction share it."""
     if kind == "def":
-        return build_complex("bivector", manifold=manifold)
-    return build_complex("normal" if kind == "hilb" else "extended",
-                         submanifold=S)
+        return kept_complex("bivector", manifold)
+    return kept_complex("normal" if kind == "hilb" else "extended", S)
 
 
 def _unknowns(desc, bound: int, amb_bound: int) -> list:

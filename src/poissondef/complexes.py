@@ -68,11 +68,12 @@ search, the graded engine, the square-zero probes, the solver's order step
 and the small-ring liftability all draw their unknowns from it. The last two
 ask one question, whether a degree-one total cochain is the total coboundary
 of such unknowns, and one `CoboundarySystem` answers it for both: it builds
-each unknown's column once, `total_rows` of its total coboundary under the
-caller's row labels, and solves for any total cochain linearised the same
-way. An atom's column is built from its entries by `atom_rows`, with no
-cochain in between: d from the raw terms of `differential_terms`, the
-moves by `_move_entries`. The few other unknowns (the order step's ambient
+each unknown's column at most once, `total_rows` of its total coboundary
+under the caller's row labels, and only when a non-empty total cochain,
+linearised the same way, is solved for; a zero one is solved by zero. An
+atom's column is built from its entries by `atom_rows`, with no cochain in
+between: d from the raw terms of `differential_terms`, the moves by
+`_move_entries`. The few other unknowns (the order step's ambient
 sections) go through `total_coboundary`, and the unknowns as cochains are
 built only when read. The graded engine's columns are the same
 linearisation, `cochain_vector_entries` of an atom's image, keyed by the
@@ -540,6 +541,19 @@ def build_complex(kind: str, *, manifold: PoissonManifold | None = None,
     return ComplexDescriptor(kind, manifold, submanifold, linebundle)
 
 
+def kept_complex(kind: str, over) -> ComplexDescriptor:
+    """The bivector complex over a manifold, or the normal or extended one
+    over a submanifold, built on first use and kept on that object, so that
+    its users share one set of compiled rules: within a command, the parsed
+    file keeps the one manifold and submanifold (`dsl.ProblemFile`)."""
+    made = over._complexes.get(kind)
+    if made is None:
+        made = over._complexes[kind] = (
+            build_complex(kind, manifold=over) if kind == "bivector"
+            else build_complex(kind, submanifold=over))
+    return made
+
+
 # ----------------------------------------------------------------------
 # Global sections over an atlas
 # ----------------------------------------------------------------------
@@ -791,14 +805,16 @@ class CoboundarySystem:
     combination of fixed degree-zero unknowns: the monomial atoms `atoms`,
     then the cochains `others`.
 
-    Each unknown's column is built once, here: `atom_rows` of an atom, and
-    `total_rows` of another unknown's total coboundary, under the row labels
-    `labels`; `rows` linearises any total cochain under the same labels and
-    `solve` answers the question for one. `unknowns`, the unknowns as
-    cochains, the atoms' by `atom_cochain`, is built when first read.
+    `rows` linearises any total cochain under the row labels `labels`, and
+    `solve` answers the question for one. Each unknown's column, `atom_rows`
+    of an atom and `total_rows` of another unknown's total coboundary, is
+    built at most once, with the set of rows they reach, when `columns` is
+    first read: by the first `solve` of a non-empty right-hand side, which
+    is the only one that needs them. `unknowns`, the unknowns as cochains,
+    the atoms' by `atom_cochain`, is likewise built when first read.
     """
 
-    __slots__ = ("descriptor", "atoms", "others", "labels", "columns",
+    __slots__ = ("descriptor", "atoms", "others", "labels", "_columns",
                  "_reached", "_unknowns")
 
     def __init__(self, descriptor: ComplexDescriptor, atoms: list,
@@ -807,11 +823,22 @@ class CoboundarySystem:
         self.atoms = atoms
         self.others = list(others)
         self.labels = labels
-        self.columns = [atom_rows(descriptor, atom, labels) for atom in atoms]
-        self.columns += [self.rows(total_coboundary(descriptor, cochain))
-                         for cochain in self.others]
-        self._reached = set().union(*self.columns)
+        self._columns = None
+        self._reached = None
         self._unknowns = None
+
+    @property
+    def columns(self) -> list:
+        """One sparse column {row key: value} per unknown, in unknown order,
+        built on first read."""
+        if self._columns is None:
+            columns = [atom_rows(self.descriptor, atom, self.labels)
+                       for atom in self.atoms]
+            columns += [self.rows(total_coboundary(self.descriptor, cochain))
+                        for cochain in self.others]
+            self._reached = set().union(*columns)
+            self._columns = columns
+        return self._columns
 
     @property
     def unknowns(self) -> list:
@@ -829,13 +856,26 @@ class CoboundarySystem:
         """Solve sum_j x_j columns[j] = rows(total) exactly. Returns (x, None,
         None) with `solve_min`'s solution; (None, row, None) with the
         smallest row that no column reaches; or (None, None, witness) with
-        `solve_min`'s witness row."""
+        `solve_min`'s witness row.
+
+        An empty right-hand side gives the zero solution, a plain int 0 per
+        unknown, and reads no column. That is what the columns would give:
+        no row is unreached, and in `solve_min` no row of the augmented
+        matrix holds the right-hand-side column, since the right-hand side
+        has no entry and elimination only combines rows. So that column is
+        never a pivot, no inconsistency is found, every free variable is
+        0, and every pivot variable is its reduced row's right-hand-side
+        entry, which is absent, so 0.
+        """
         rhs = self.rows(total)
+        if not rhs:
+            return [0] * (len(self.atoms) + len(self.others)), None, None
+        columns = self.columns
         unreached = min((k for k in rhs if k not in self._reached),
                         default=None)
         if unreached is not None:
             return None, unreached, None
-        x, witness = solve_min(self.columns, rhs)
+        x, witness = solve_min(columns, rhs)
         return x, None, witness
 
 

@@ -78,6 +78,7 @@ from .complexes import (
     global_sections,
     gluing_failure,
     h0_complex,
+    kept_complex,
     monomial_atoms,
     total_closedness,
     total_coboundary,
@@ -177,7 +178,7 @@ MODES = ("fixed", "extended", "prescribed")
 class DeformationProblem:
     # plain classes on purpose: `dataclasses` costs about 14 ms a launch
     __slots__ = ("submanifold", "params", "order", "degree", "mode",
-                 "prescribed", "seed", "directions", "bound", "_descriptor")
+                 "prescribed", "seed", "directions", "bound")
 
     def __init__(self, submanifold: SubmanifoldData, params: tuple,
                  order: int, degree: int, mode: str = "fixed",
@@ -196,7 +197,6 @@ class DeformationProblem:
         self.seed = seed              # indices into the degree-zero basis
         self.directions = directions  # explicit degree-zero cochains instead
         self.bound = bound            # section degree bound override
-        self._descriptor = None       # `_step_descriptor`, on first use
 
     @property
     def space(self):
@@ -472,14 +472,12 @@ def _first_obstructed_order(state: DeformationState) -> int:
 
 def _step_descriptor(problem: DeformationProblem):
     """The complex whose total complex carries the order steps: the paired
-    complex in extended mode, the restricted-tuple one otherwise. Built on
-    first use and kept on the problem, so that its seeding, cocycles,
-    systems and characteristic map share one set of compiled rules."""
-    if problem._descriptor is None:
-        kind = "extended" if problem.mode == "extended" else "normal"
-        problem._descriptor = build_complex(kind,
-                                            submanifold=problem.submanifold)
-    return problem._descriptor
+    complex in extended mode, the restricted-tuple one otherwise. Kept on
+    the submanifold (`complexes.kept_complex`), so that its seeding,
+    cocycles, systems and characteristic map share one set of compiled
+    rules."""
+    return kept_complex("extended" if problem.mode == "extended"
+                        else "normal", problem.submanifold)
 
 
 def residual_total(descriptor, residuals: dict, te) -> tuple:
@@ -789,8 +787,8 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
             "codimension than the model")
     s_params = observed.params
     basis = first_order_directions(family_t)
-    descriptor = build_complex(
-        "extended" if problem.ambient_varies else "normal", submanifold=S)
+    descriptor = kept_complex(
+        "extended" if problem.ambient_varies else "normal", S)
     h = [TruncatedSeries.zero(s_params, M) for _ in problem.params]
     report = {"orders": {}}
 

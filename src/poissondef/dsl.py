@@ -99,7 +99,8 @@ class ProblemFile:
     A plain class on purpose: `dataclasses` costs about 14 ms a launch."""
     __slots__ = ("name", "builtin", "charts", "transitions", "poisson",
                  "normal_spec", "params", "order", "degree", "mode", "family",
-                 "lam", "artin", "warnings", "_space")
+                 "lam", "artin", "warnings", "_space", "_manifold",
+                 "_submanifold")
 
     def __init__(self, name: str | None = None, builtin: tuple | None = None,
                  charts: list = None, transitions: dict = None,
@@ -125,6 +126,9 @@ class ProblemFile:
         self.artin = artin
         self.warnings = [] if warnings is None else warnings
         self._space = _space
+        # `manifold()` and `submanifold()`, each built on first use
+        self._manifold = None
+        self._submanifold = None
 
     # ---- engine builders ----------------------------------------------
     @property
@@ -138,20 +142,28 @@ class ProblemFile:
         return self._space
 
     def manifold(self) -> PoissonManifold:
-        if not self.poisson:
-            return PoissonManifold(self.space, {})
-        return PoissonManifold.from_chart_data(self.space, dict(self.poisson))
+        """The Poisson structure, built on first use and kept, so that one
+        command builds it once."""
+        if self._manifold is None:
+            self._manifold = (PoissonManifold.from_chart_data(
+                self.space, dict(self.poisson)) if self.poisson
+                else PoissonManifold(self.space, {}))
+        return self._manifold
 
     def submanifold(self):
-        if not self.normal_spec:
-            raise InconsistentData("problem file declares no submanifold")
-        spec = {}
-        for name in self.space.chart_names:
-            if name not in self.normal_spec:
-                raise InconsistentData(
-                    f"no submanifold statement for chart {name}")
-            spec[name] = self.normal_spec[name]
-        return extract_submanifold(self.manifold(), spec)
+        """The submanifold extracted from `manifold()`, built on first use
+        and kept, so that one command extracts and certifies it once."""
+        if self._submanifold is None:
+            if not self.normal_spec:
+                raise InconsistentData("problem file declares no submanifold")
+            spec = {}
+            for name in self.space.chart_names:
+                if name not in self.normal_spec:
+                    raise InconsistentData(
+                        f"no submanifold statement for chart {name}")
+                spec[name] = self.normal_spec[name]
+            self._submanifold = extract_submanifold(self.manifold(), spec)
+        return self._submanifold
 
     def lambda_family(self, cutoff: int | None = None) -> dict:
         """Per-chart ambient family; charts without a statement receive it

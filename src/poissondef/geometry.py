@@ -327,6 +327,8 @@ class PoissonManifold:
                 raise ChartMismatch(
                     f"bivector on {name} uses {b.vars}, chart has {chart.vars}")
             self.bivectors[name] = b
+        # complex kind -> `complexes.kept_complex` over this structure
+        self._complexes = {}
 
     def bivector(self, chart: str) -> Polyvector:
         return self.bivectors[chart]
@@ -382,11 +384,12 @@ class SubmanifoldData:
     chart's structure fields restricted to the submanifold (immutable rows,
     read by the complexes' differential, the tensor certificates and the
     `tensors` report), each overlap's first-order matrix moved to its target
-    chart, and each overlap's transport plan, which reads that matrix."""
+    chart, and each overlap's transport plan, which reads that matrix. So
+    are the complexes over the submanifold (`complexes.kept_complex`)."""
 
     __slots__ = ("manifold", "normal", "tangential", "codim", "first_order",
                  "structure_fields", "checks", "_moved_first_order",
-                 "_restricted_fields", "_transport_plans")
+                 "_restricted_fields", "_transport_plans", "_complexes")
 
     def __init__(self, manifold: PoissonManifold, normal: dict,
                  tangential: dict, codim: int, first_order: dict = None,
@@ -406,6 +409,8 @@ class SubmanifoldData:
         self._moved_first_order = {}
         self._restricted_fields = {}
         self._transport_plans = {}
+        # complex kind -> `complexes.kept_complex` over this submanifold
+        self._complexes = {}
 
     @property
     def space(self) -> ChartedSpace:

@@ -5,6 +5,8 @@ The matrix is
 - every shipped example under every variant of `VARIANTS`;
 - the `linebundle` variants, which end with the same usage line on every
   file, on one file;
+- `solve --seed` on the two extended files the `solver` benchmark workload
+  seeds, and a seed that does not parse;
 - the (model, observed) pairs of the witness snapshot under `match`;
 - the malformed inputs of `test_dsl_cli` under `MALFORMED_COMMANDS`,
 
@@ -73,6 +75,11 @@ ONE_FILE = (
     ("h0", "c3_line.pdef", "--complex", "bogus"),
     ("solve", "c3_line.pdef", "--mode", "bogus"),
     ("artin", "c3_line.pdef", "--functor", "bogus"),
+)
+SEED_COMMANDS = (
+    ("solve", "p2_extended.pdef", "--seed", "0,1"),
+    ("solve", "p2_extended_t.pdef", "--seed", "0"),
+    ("solve", "p2_extended.pdef", "--seed", "0,x"),
 )
 
 # the malformed problem files of test_dsl_cli, then one input per
@@ -155,7 +162,7 @@ def commands():
         for variant in VARIANTS:
             for fmt in FORMATS:
                 yield [variant[0], name, *variant[1:], *fmt]
-    for argv in ONE_FILE:
+    for argv in ONE_FILE + SEED_COMMANDS:
         for fmt in FORMATS:
             yield [*argv, *fmt]
     for model, observed in MATCH_PAIRS:

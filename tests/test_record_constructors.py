@@ -111,7 +111,7 @@ def test_the_caches_are_not_parameters_and_start_empty():
     caches = {complexes.ComplexDescriptor: ("_compiled",),
               geometry.SubmanifoldData: ("_moved_first_order",
                                          "_restricted_fields",
-                                         "_transport_plans")}
+                                         "_transport_plans", "_complexes")}
     for cls, names in caches.items():
         first, second = _build(cls)
         for name in names:

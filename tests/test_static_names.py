@@ -4,6 +4,9 @@
   imports, and a line marked `# noqa: F401` keeps a name on purpose.
 - Every private module-level name of the package is used somewhere in the
   package outside its own definition.
+- `artin` and `cli` call every package function they import, from a
+  definition the package exports or uses: `atom_cochain` and
+  `total_coboundary` in `artin`, say, each keep such a caller.
 
 A merge that leaves a helper behind, or an import of one that moved, fails
 here.
@@ -12,6 +15,8 @@ here.
 import ast
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import poissondef
 
@@ -90,3 +95,44 @@ def test_every_private_name_is_used():
               if _is_private(name)
               and loaded[name] <= _loaded(node, True)[name]]
     assert unused == []
+
+
+def _package_functions_imported(tree):
+    """Each function a module imports from the package, by bound name."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            source = MODULES[f"{node.module}.py"]
+            functions = {d.name for d in source.body
+                         if isinstance(d, ast.FunctionDef)}
+            for alias in node.names:
+                if alias.name in functions:
+                    yield alias.asname or alias.name
+
+
+def _callers(tree) -> dict:
+    """{called name: the module-level definitions whose bodies call it}."""
+    out = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)):
+                    out.setdefault(node.func.id, set()).add(top)
+    return out
+
+
+@pytest.mark.parametrize("module", ["artin.py", "cli.py"])
+def test_every_imported_function_has_a_live_caller(module):
+    """`artin` and `cli` call each package function they import, from a
+    definition that the package exports or uses itself: an import whose
+    last caller is dropped, or left with no caller of its own, fails."""
+    loaded = sum((_loaded(tree, True) for tree in MODULES.values()),
+                 Counter())
+
+    def live(top):
+        return (top.name in poissondef.__all__
+                or loaded[top.name] > _loaded(top, True)[top.name])
+    callers = _callers(MODULES[module])
+    dead = [name for name in _package_functions_imported(MODULES[module])
+            if not any(live(top) for top in callers.get(name, ()))]
+    assert dead == []
