@@ -486,7 +486,7 @@ def _cmd_artin(args):
         raise _UsageError("no functor: add an `artin` statement to the file "
                           "or pass --functor")
     man = doc.manifold()
-    sub = doc.submanifold() if doc.normal_spec else None
+    sub = doc.submanifold() if doc.normal_spec and kind != "def" else None
     if kind in ("hilb", "exthilb") and sub is None:
         raise _UsageError(f"functor {kind!r} needs a submanifold statement")
     rep = _report_header("artin", doc)

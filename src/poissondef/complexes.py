@@ -9,8 +9,7 @@ Four complex kinds are supported:
 - "linebundle": single-chart scalar-slot complex (graded affine engine only).
 - "bivector":   ambient polyvectors of degree p+2.
 
-Cochains are plain dicts: {"nor": {chart: [Polyvector]*r}} and/or
-{"amb": {chart: Polyvector}}. Every linear computation is exact over Q.
+Every linear computation is exact over Q.
 
 All four share one differential, the bracket with the structure Λ twisted
 by structure fields. Slot a of a degree-p chunk x on a chart becomes
@@ -25,8 +24,7 @@ descriptor: per input index tuple, the output index, sign and Λ terms of
 each product of the bracket, and the output index, sign and twist terms of
 each wedge. The rules add their products in the order in which `schouten`,
 `restrict` and `wedge` would, so every result equals theirs term by term.
-`differential_terms` returns d as raw term dicts, and `differential` builds
-them into polyvectors.
+`differential` is `differential_terms` on chunks.
 `twist(part, chart)` gives:
 
     part  kind               twist[a][b]
@@ -34,15 +32,22 @@ them into polyvectors.
     amb   linebundle         the unrestricted structure field (one slot)
     amb   bivector, extended none
 
-One chart's entry of a part is its chunk: r polyvectors for the normal part,
-one for the ambient part. `ComplexDescriptor.chunk` builds a chunk from its
-entries, and `zero_chunk` and `atom_cochain` build through it; every other
-function reads chunks through three helpers and never asks which layout it
-holds. `_slots` gives a chunk's (slot, polyvector) pairs, slot None for an
-ambient chunk; `_chunk_map` applies a function slot by slot and keeps the
-shape; `chunk_entries` yields each entry as ((slot,) idx, e), value, and
-`chunk` is its inverse. Sums, scalings and zero tests of cochains and their
-linearisations (`cochain_vector_entries`, `total_rows`) go through them.
+A cochain takes one of three forms:
+
+- chunks, {"nor": {chart: [Polyvector]*r}} and/or {"amb": {chart:
+  Polyvector}}: one chart's chunk is r polyvectors for the normal part and
+  one for the ambient part. Reports and library callers read chunks.
+- raw terms: each slot's polyvector as its terms {idx: {e: c}}, in a list
+  of one dict per slot (one for the ambient part). d reads and writes them.
+- entries: one chart's chunk as {((slot,) idx, e): c}, the slot left out
+  for an ambient chunk. Transport and linearisation read them.
+
+Each conversion is one function: `_raw` gives a cochain's raw terms (views,
+not copies), `_chunk` builds a chunk from raw terms, `chunk_entries` and
+`_raw_entries` give the entries of a chunk or of its raw terms, and
+`_grouped` groups entries into raw terms. Other functions read chunks
+through `_slots`, a chunk's (slot, polyvector) pairs, slot None for an
+ambient chunk, and `_chunk_map`, which applies a function slot by slot.
 
 `_move_entries` moves a chunk's entries across one chart edge by one call of
 the edge's `Transition.move`, the one transport loop. A normal tuple is then
@@ -62,27 +67,25 @@ gluing checks all go through these two functions; in that complex the
 ambient part couples into the normal part with the sign (-1)^p.
 
 Bounded-degree monomial unknowns are enumerated once, by `monomial_atoms`:
-an atom is the coordinate key of the single entry of its cochain
-(`atom_cochain`), and its exponents come in graded-lex order. The section
-search, the graded engine, the square-zero probes, the solver's order step
-and the small-ring liftability all draw their unknowns from it. The last two
-ask one question, whether a degree-one total cochain is the total coboundary
-of such unknowns, and one `CoboundarySystem` answers it for both: it builds
+an atom is the coordinate key of the single entry of its cochain, and its
+exponents come in graded-lex order. The section search, the graded engine,
+the square-zero probes, the solver's order step and the small-ring
+liftability all draw their unknowns from it. The last two ask one
+question, whether a degree-one total cochain is the total coboundary of
+such unknowns, and one `CoboundarySystem` answers it for both: it builds
 each unknown's column at most once, `total_rows` of its total coboundary
 under the caller's row labels, and only when a non-empty total cochain,
 linearised the same way, is solved for; a zero one is solved by zero. An
-atom's column is built from its entries by `atom_rows`, with no cochain in
-between: d from the raw terms of `differential_terms`, the moves by
-`_move_entries`. The few other unknowns (the order step's ambient
-sections) go through `total_coboundary`, and the unknowns as cochains are
-built only when read. The graded engine's columns are the same
-linearisation, `cochain_vector_entries` of an atom's image, keyed by the
-out-atoms.
+atom enters d as raw terms (`_atom_terms`) and leaves as entries, so its
+column (`atom_rows`), its graded image and its piece of the truncated
+estimate make no polyvector. The few other unknowns (the order step's
+ambient sections) go through `total_coboundary`.
 
 The section search moves each root-chart atom of either part along a
 spanning tree once, as entries, by `_move_entries`. An atom's column is its
 negative-exponent entries on every chart, and a section is the sum of its
-kernel vector's atoms' entries, built into chunks by `chunk`.
+kernel vector's atoms' entries, built into chunks once. `h0_complex` takes
+d of the sections as raw terms.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 # hold it
 from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
 from .polyvector import Polyvector, _sort_sign, restrict
-from .symbolic import (LaurentPoly, _add_into, _add_product, _derivative,
-                       _product, _set_zero, _simplex)
+from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
+                       _derivative, _product, _set_zero, _simplex)
 
 
 # ----------------------------------------------------------------------
@@ -134,28 +137,41 @@ def chunk_entries(part: str, chunk):
                 yield head + (idx, e), val
 
 
-def _put_entries(out: dict, head: tuple, part: str, vals: list):
-    """out[head + ((slot,) idx, e)] = value for the entries of one chart's
-    chunk given by its raw terms [{idx: terms}] per slot, as
-    `differential_terms` gives them, in `chunk_entries`' order."""
+def _raw_entries(part: str, vals: list, head: tuple = ()):
+    """The entries head + ((slot,) idx, e), value of one chart's chunk of a
+    part given by its raw terms [{idx: terms}] per slot, in `chunk_entries`'
+    order."""
     for slot, val in enumerate(vals):
         at = head + (slot,) if part == "nor" else head
         for idx, terms in val.items():
             for e, c in terms.items():
-                out[at + (idx, e)] = c
+                yield at + (idx, e), c
 
 
-def _chunk(cvars: tuple, degree: int, codim: int | None, entries: dict):
-    """The chunk whose `chunk_entries` are `entries`, on the chart variables
-    cvars: codim polyvectors of the given degree, or one when codim is None.
-    The values must be non-zero, as `chunk_entries` and `_move_entries` give
-    them."""
-    pvs = [{} for _ in range(1 if codim is None else codim)]
+def _grouped(codim: int | None, entries: dict) -> list:
+    """The raw terms [{idx: terms}] per slot, codim slots or one when codim
+    is None, of the chunk whose `chunk_entries` are the non-zero `entries`."""
+    vals = [{} for _ in range(1 if codim is None else codim)]
     for key, val in entries.items():
-        pvs[0 if codim is None else key[0]].setdefault(
+        vals[0 if codim is None else key[0]].setdefault(
             key[-2], {})[key[-1]] = val
-    out = [Polyvector._from_raw(cvars, degree, pv.items()) for pv in pvs]
-    return out[0] if codim is None else out
+    return vals
+
+
+def _chunk(part: str, cvars: tuple, degree: int, vals: list):
+    """The chunk of one part, on the chart variables cvars, whose degree
+    polyvectors have the raw terms vals, kept as they are, not copied."""
+    pvs = [Polyvector._from_raw(cvars, degree, val.items()) for val in vals]
+    return pvs if part == "nor" else pvs[0]
+
+
+def _raw(cochain: dict) -> dict:
+    """The raw terms of a cochain of chunks, as `differential_terms` reads
+    them: views of its polyvectors' coefficient terms, not copies."""
+    return {part: {name: [{idx: f.terms for idx, f in pv.terms.items()}
+                          for _, pv in _slots(part, chunk)]
+                   for name, chunk in chunks.items()}
+            for part, chunks in cochain.items()}
 
 
 def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
@@ -222,16 +238,16 @@ def _sum_into(acc: dict, idx: tuple, terms: dict):
                 del acc[idx]
 
 
-def _ruled(pv: Polyvector, rules: dict, key, build) -> dict:
-    """{index tuple: terms} of an index rule applied to pv's terms, in their
-    order. The rule of (key, idx), built by build(idx) on first use and
-    kept in rules, lists (output index, None, terms) for the product of the
-    term's coefficient f with terms, and (output index, j, terms) for terms
-    times d f / d v_j. Each product is added where it lands, by
+def _ruled(raw: dict, rules: dict, key, build) -> dict:
+    """{index tuple: terms} of an index rule applied to one slot's raw terms,
+    in their order. The rule of (key, idx), built by build(idx) on first
+    use and kept in rules, lists (output index, None, terms) for the
+    product of idx's coefficient f with terms, and (output index, j, terms)
+    for terms times d f / d v_j. Each product is added where it lands, by
     `symbolic._add_product`, in the rule's order, and an index whose terms
     cancel is deleted, as `polyvector._acc` deletes it."""
     acc = {}
-    for idx, f in pv.terms.items():
+    for idx, f in raw.items():
         rule = rules.get((key, idx))
         if rule is None:
             rule = rules[(key, idx)] = build(idx)
@@ -240,9 +256,9 @@ def _ruled(pv: Polyvector, rules: dict, key, build) -> dict:
             if terms is None:
                 terms = acc[oidx] = {}
             if j is None:
-                _add_product(terms, f.terms, g)
+                _add_product(terms, f, g)
             else:
-                _add_product(terms, g, _derivative(f.terms, j))
+                _add_product(terms, g, _derivative(f, j))
             if not terms:
                 del acc[oidx]
     return acc
@@ -289,39 +305,31 @@ def _wedge_rule(idx: tuple, t: Polyvector, s) -> list:
             for out, sign in (_sort_sign(idx + J),) if sign]
 
 
-def _same(pv):
-    return pv
-
-
-def cochain_add(a: dict, b: dict) -> dict:
-    out = {}
-    for part in ("amb", "nor"):
-        if part in a or part in b:
-            x, y = a.get(part, {}), b.get(part, {})
-            out[part] = {c: _chunk_map(part, add, x[c], y[c])
-                         if c in x and c in y else
-                         _chunk_map(part, _same, x[c] if c in x else y[c])
-                         for c in {**x, **y}}
-    return out
-
-
-def cochain_scale(a: dict, s) -> dict:
-    return {part: {c: _chunk_map(part, lambda v: v * s, chunk)
-                   for c, chunk in a[part].items()}
-            for part in ("amb", "nor") if part in a}
-
-
 def cochain_lincomb(coeffs: Iterable[Fraction], cochains: Iterable[dict]) -> dict:
-    acc = None
-    for s, c in zip(coeffs, cochains):
-        if not s:
-            continue
-        piece = cochain_scale(c, s)
-        acc = piece if acc is None else cochain_add(acc, piece)
-    if acc is not None:
-        return acc
-    first = next(iter(cochains), None)
-    return cochain_scale(first, 0) if first else {}
+    """sum_j coeffs[j] * cochains[j] on the parts and charts of the terms
+    with a non-zero coefficient, or zero on the first cochain's. Raw terms
+    are scaled and summed slot by slot by `_sum_into`, in the order and
+    scalar types of `Polyvector.__mul__` and `__add__`; chunks built once."""
+    scaled = [(_as_scalar(s), c) for s, c in zip(coeffs, cochains) if s]
+    if not scaled:
+        first = next(iter(cochains), None)
+        scaled = [(0, first)] if first else []
+    sums = {}
+    for s, cochain in scaled:
+        for part in ("amb", "nor"):
+            per = sums.setdefault(part, {}) if part in cochain else None
+            for name, chunk in cochain.get(part, {}).items():
+                slots = list(_slots(part, chunk))
+                if name not in per:
+                    pv = slots[0][1]
+                    per[name] = (pv.vars, pv.degree, [{} for _ in slots])
+                for (_, pv), acc in zip(slots, per[name][2] if s else ()):
+                    for idx, f in pv.terms.items():
+                        _sum_into(acc, idx, {e: c * s
+                                             for e, c in f.terms.items()})
+    return {part: {name: _chunk(part, *held) for name, held in
+                   sums[part].items()}
+            for part in ("amb", "nor") if part in sums}
 
 
 def cochain_is_zero(a: dict) -> bool:
@@ -329,13 +337,17 @@ def cochain_is_zero(a: dict) -> bool:
                for chunk in a.get(part, {}).values())
 
 
+def _vector(raw: dict) -> dict:
+    """The linearisation of a cochain given by its raw terms, chart by chart
+    in sorted order: key (part, chart) followed by the entry's key."""
+    return {key: val for part in ("amb", "nor")
+            for c in sorted(raw.get(part, {}))
+            for key, val in _raw_entries(part, raw[part][c], (part, c))}
+
+
 def cochain_vector_entries(a: dict):
-    """(key, value) stream for linearization, chart by chart in sorted order:
-    key (part, chart) followed by the entry's `chunk_entries` key."""
-    for part in ("amb", "nor"):
-        for c in sorted(a.get(part, {})):
-            for key, val in chunk_entries(part, a[part][c]):
-                yield (part, c) + key, val
+    """(key, value) pairs of the linearisation `_vector` of a cochain."""
+    return _vector(_raw(a)).items()
 
 
 def coordinates(basis: list, cochain: dict):
@@ -397,9 +409,9 @@ class ComplexDescriptor:
         """The chunk of one part of a degree-p cochain on one chart whose
         `chunk_entries` are `entries`: r polyvectors for the normal part,
         one for the ambient part."""
-        return _chunk(self.space.chart(name).vars, self.term_degree(part, p),
-                      self.submanifold.codim if part == "nor" else None,
-                      entries)
+        codim = self.submanifold.codim if part == "nor" else None
+        return _chunk(part, self.space.chart(name).vars,
+                      self.term_degree(part, p), _grouped(codim, entries))
 
     def zero_chunk(self, part: str, name: str, p: int):
         """The zero chunk of one part of a degree-p cochain on one chart."""
@@ -437,15 +449,15 @@ class ComplexDescriptor:
         return rules
 
     def differential_terms(self, cochain: dict, p: int) -> dict:
-        """d of a degree-p cochain, by the one formula of the module
-        docstring, applied through the index rules of `_rules` in the term
-        order of `schouten`, `restrict` and `wedge`, as raw terms: {part:
-        {chart: [{index tuple: terms}]}}, one dict per normal slot and one
-        for the ambient part, with no index whose terms are empty. A
-        cochain with no normal part starts from zero normal outputs on
-        every present chart; one whose normal part leaves out a present
-        chart that its ambient part holds starts that chart from zero
-        before the coupling."""
+        """d of a degree-p cochain given by its raw terms, by the one
+        formula of the module docstring, applied through the index rules of
+        `_rules` in the term order of `schouten`, `restrict` and `wedge`, as
+        raw terms: {part: {chart: [{index tuple: terms}]}}, one dict per
+        normal slot and one for the ambient part, with no index whose terms
+        are empty. A cochain with no normal part starts from zero normal
+        outputs on every present chart; one whose normal part leaves out a
+        present chart that its ambient part holds starts that chart from
+        zero before the coupling."""
         if self.kind not in KINDS:
             raise InconsistentData(f"unknown complex kind {self.kind!r}")
         S, parts = self.submanifold, self.parts
@@ -457,30 +469,29 @@ class ComplexDescriptor:
             res = out[part] = {} if given or part == "amb" else {
                 name: [{} for _ in range(S.codim)]
                 for name in S.present_charts()}
-            for name, chunk in given.items():
+            for name, raw in given.items():
                 cvars, w, pos, sign, twist, rules = self._rules(part, name, p)
                 lam = self.manifold.bivector(name)
-                pvs = chunk if part == "nor" else (chunk,)
                 res[name] = vals = []
-                for a, pv in enumerate(pvs):
-                    val = _ruled(pv, rules, None, lambda idx: _bracket_rule(
+                for a, ra in enumerate(raw):
+                    val = _ruled(ra, rules, None, lambda idx: _bracket_rule(
                         lam, idx, 1 if part == "nor" else -1))
                     if part == "nor":
                         val = _restricted(cvars, w, pos, val, -1)
-                    for b, pb in enumerate(pvs if twist else ()):
+                    for b, pb in enumerate(raw if twist else ()):
                         for oidx, terms in _ruled(
                                 pb, rules, (a, b), lambda idx: _wedge_rule(
                                     idx, twist[a][b], sign)).items():
                             _sum_into(val, oidx, terms)
                     vals.append(val)
             if part == "nor" and "amb" in parts:
-                for name, pv in cochain.get("amb", {}).items():
+                for name, (ra,) in cochain.get("amb", {}).items():
                     if not S.normal[name]:
                         continue
                     cvars, w, pos, sign, _, rules = self._rules(part, name, p)
                     vals = res.setdefault(name, [{} for _ in range(S.codim)])
                     for a, wv in enumerate(w):
-                        coupling = _ruled(pv, rules, a, lambda idx: (
+                        coupling = _ruled(ra, rules, a, lambda idx: (
                             _bracket_rule(Polyvector.from_function(
                                 LaurentPoly.variable(cvars, wv)), idx, 1)))
                         for oidx, terms in _restricted(cvars, w, pos, coupling,
@@ -489,16 +500,14 @@ class ComplexDescriptor:
         return out
 
     def differential(self, cochain: dict, p: int) -> dict:
-        """d of a degree-p cochain: `differential_terms` built into chunks
-        of polyvectors, in the cochain's layout."""
-        out = self.differential_terms(cochain, p)
+        """d of a degree-p cochain of chunks: `differential_terms` of its
+        raw terms, built into chunks."""
+        out = self.differential_terms(_raw(cochain), p)
         for part, res in out.items():
             degree = self.term_degree(part, p) + 1
             for name, vals in res.items():
-                cvars = self.space.chart(name).vars
-                pvs = [Polyvector._from_raw(cvars, degree, val.items())
-                       for val in vals]
-                res[name] = pvs if part == "nor" else pvs[0]
+                res[name] = _chunk(part, self.space.chart(name).vars, degree,
+                                   vals)
         return out
 
     # ---- probes --------------------------------------------------------
@@ -569,10 +578,6 @@ class SectionSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def coordinates_of(self, cochain: dict):
-        """Exact coordinates of a cochain in this basis; None if outside."""
-        return coordinates(self.basis, cochain)[0]
-
 
 def suggested_bound(space) -> int:
     worst = 0
@@ -588,7 +593,8 @@ def transport_nor_tuple(S: SubmanifoldData, tup, src: str, dst: str):
     `_move_entries`, gathered into a tuple again."""
     moved = _move_entries(S.space, S, dict(chunk_entries("nor", tup)), src,
                           dst)
-    return _chunk(S.space.chart(dst).vars, tup[0].degree, S.codim, moved)
+    return _chunk("nor", S.space.chart(dst).vars, tup[0].degree,
+                  _grouped(S.codim, moved))
 
 
 # ----------------------------------------------------------------------
@@ -742,6 +748,12 @@ def atom_cochain(descriptor: ComplexDescriptor, p: int, atom) -> dict:
     return {part: {name: descriptor.chunk(part, name, p, {atom[2:]: 1})}}
 
 
+def _atom_terms(descriptor: ComplexDescriptor, atom) -> dict:
+    """The raw terms of `atom_cochain`'s cochain."""
+    codim = descriptor.submanifold.codim if atom[0] == "nor" else None
+    return {atom[0]: {atom[1]: _grouped(codim, {atom[2:]: 1})}}
+
+
 def _padded(descriptor: ComplexDescriptor, p: int, atom) -> dict:
     """`atom_cochain` with every other chart and part present as zero."""
     z = descriptor.zero_cochain(p)
@@ -770,7 +782,7 @@ def atom_rows(descriptor: ComplexDescriptor, atom, labels: dict) -> dict:
     atom)`, built from the atom's entries: the same keys in the same order,
     and the same values and scalar types.
 
-    The chart part is read from the raw terms of `differential_terms`. On
+    The chart part is d of the atom's raw terms, read as entries. On
     each overlap (i, k) of the atom's part that holds its chart, the atom
     enters as itself when i is its chart and as its entry moved to chart i
     by `_move_entries`, negated, when k is. A degree-zero entry moves into
@@ -793,9 +805,9 @@ def atom_rows(descriptor: ComplexDescriptor, atom, labels: dict) -> dict:
                 overlap[(label, i, k) + e] = -c
     rows = {}
     for q, res in descriptor.differential_terms(
-            atom_cochain(descriptor, 0, atom), 0).items():
+            _atom_terms(descriptor, atom), 0).items():
         for at, vals in res.items():
-            _put_entries(rows, (labels[(q, "chart")], at), q, vals)
+            rows.update(_raw_entries(q, vals, (labels[(q, "chart")], at)))
     rows.update(overlap)
     return rows
 
@@ -953,24 +965,18 @@ def global_sections(descriptor: ComplexDescriptor, bound: int | None = None,
                                  descriptor.part_charts(part), b)], b)
     moved = {part: {} for part in parts}
     while True:
-        dims = {}
-        per_part = {}
-        d_next = 0
+        basis, d_next = [], 0
         for part in parts:
-            per_part[part], d = _sections_and_next_dimension(
+            sections, d = _sections_and_next_dimension(
                 descriptor, part, b, moved[part])
+            basis += sections
             d_next += d
-        d_b = sum(len(v) for v in per_part.values())
-        dims[b], dims[b + 1] = d_b, d_next
-        if d_b == d_next:
-            basis = []
-            for part in parts:
-                basis.extend(per_part[part])
+        if len(basis) == d_next:
             return SectionSpace(basis, b)
         if b + 1 >= max_bound:
             raise UnstableAnsatz(
                 f"section dimension still changing at degree bound {b + 1}: "
-                f"{dims}")
+                f"{ {b: len(basis), b + 1: d_next} }")
         b += 1
 
 
@@ -1004,11 +1010,8 @@ def h0_complex(descriptor: ComplexDescriptor,
                bound: int | None = None) -> CohomologyReport:
     """Kernel of the first differential on global sections."""
     space = global_sections(descriptor, bound)
-    if not space.basis:
-        return CohomologyReport(descriptor.kind, "atlas", 0, [],
-                                space.degree_bound, True, 0)
-    kernel = nullspace([dict(cochain_vector_entries(
-        descriptor.differential(s, 0))) for s in space.basis])
+    kernel = nullspace([_vector(descriptor.differential_terms(_raw(s), 0))
+                        for s in space.basis])
     basis = [cochain_lincomb(vec, space.basis) for vec in kernel]
     return CohomologyReport(descriptor.kind, "atlas", len(basis), basis,
                             space.degree_bound, True, space.dimension)
@@ -1059,8 +1062,8 @@ def _weight_matrix(descriptor, p, w_in, w_out):
     out_atoms = set(_weight_atoms(descriptor, p + 1, w_out))
     cols = []
     for atom in in_atoms:
-        col = dict(cochain_vector_entries(descriptor.differential(
-            atom_cochain(descriptor, p, atom), p)))
+        col = _vector(descriptor.differential_terms(
+            _atom_terms(descriptor, atom), p))
         if any(val and key not in out_atoms for key, val in col.items()):
             raise InconsistentData(
                 "differential left the graded window; structure is not "
@@ -1084,23 +1087,21 @@ def affine_hyper(descriptor: ComplexDescriptor, weights: Iterable[int],
         "structure not weight-homogeneous: graded answers are the top "
         "filtration layer only",)
     weights = list(weights)
-    report = CohomologyReport(descriptor.kind, "affine-graded", None, [],
+    report = CohomologyReport(descriptor.kind, "affine-graded", None, {},
                               truncated=not homogeneous, notes=notes)
-    h0_basis = {}
     for w in weights:
         m0, in0, _ = _weight_matrix(descriptor, 0, w, w + shift)
         if 0 in degrees:
             kern = nullspace(m0)
             basis = [cochain_lincomb(vec, [_padded(descriptor, 0, a)
                                            for a in in0]) for vec in kern]
-            h0_basis[w] = basis
+            report.basis[w] = basis
             report.weights.setdefault("H0", {})[w] = len(basis)
         if 1 in degrees:
             m1, in1, _ = _weight_matrix(descriptor, 1, w, w + shift)
             mprev, _, _ = _weight_matrix(descriptor, 0, w - shift, w)
             report.weights.setdefault("H1", {})[w] = (
                 len(in1) - rank(m1) - rank(mprev))
-    report.basis = h0_basis
     if "H0" in report.weights:
         report.dimension = sum(report.weights["H0"].values())
     return report
@@ -1278,10 +1279,8 @@ def atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Cohomolo
     @cache
     def d_chunk(cname, atom):
         """The entries of the differential of a degree-0 chart-cname atom."""
-        d, out = descriptor.differential_terms(
-            atom_cochain(descriptor, 0, (part, cname) + atom), 0), {}
-        _put_entries(out, (), part, d[part][cname])
-        return out
+        return dict(_raw_entries(part, descriptor.differential_terms(
+            _atom_terms(descriptor, (part, cname) + atom), 0)[part][cname]))
 
     def layout(slots):
         """(row offset, atom index) of each (chart, term degree) slot, by

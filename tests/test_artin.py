@@ -9,7 +9,7 @@ from poissondef.deformation import (DeformationProblem, DeformationState,
                                     Obstructed, initial_state,
                                     obstruction_cocycle, run_solver,
                                     solve_order, verify_family)
-from poissondef.cli import _render_class
+from poissondef.cli import _render_class, run_command
 from poissondef.errors import InconsistentData, InvalidDeformation
 from poissondef.geometry import (ABSENT, PoissonManifold, affine_space,
                                  extract_submanifold, projective_space)
@@ -366,3 +366,27 @@ def test_class_values_are_pinned(transverse_line, plane_curve):
     }
     assert {label: _render_class(cls) for label, cls in got.items()} == (
         PINNED_CLASSES)
+
+
+# the plane's structure d/z1 ^ d/z2 does not keep the curve z1 = 0 Poisson
+NOT_POISSON_CURVE = """
+builtin P2;
+poisson on U0: d/z1 ^ d/z2;
+submanifold normal U0: [z1];
+submanifold normal U1: absent;
+submanifold normal U2: absent;
+"""
+
+
+def test_def_reads_no_submanifold(tmp_path):
+    """The ambient functor reads only the manifold and its bivector family,
+    so a submanifold that is not Poisson stops hilb and exthilb, not def."""
+    path = tmp_path / "not_poisson_curve.pdef"
+    path.write_text(NOT_POISSON_CURVE)
+    code, text = run_command(["artin", str(path), "--functor", "def"])
+    assert code == 0
+    assert "functor: def" in text and "first_order_dimension:" in text
+    for functor in ("hilb", "exthilb"):
+        code, text = run_command(["artin", str(path), "--functor", functor])
+        assert code == 2
+        assert "error: not-poisson-submanifold" in text

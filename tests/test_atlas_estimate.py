@@ -259,10 +259,11 @@ def test_other_kinds_raise_as_before(p3_hyperplane_sub, c2):
 # ----------------------------------------------------------------------
 
 def _key(chunk):
-    """Hashable value of a normal tuple."""
-    return tuple(tuple((idx, tuple(sorted(coeff.terms.items())))
-                       for idx, coeff in sorted(pv.terms.items()))
-                 for pv in chunk)
+    """Hashable value of a normal tuple given by its raw terms per slot, as
+    `differential_terms` reads it."""
+    return tuple(tuple((idx, tuple(sorted(terms.items())))
+                       for idx, terms in sorted(slot.items()))
+                 for slot in chunk)
 
 
 def test_each_atom_is_moved_and_differentiated_once(descriptor_family,

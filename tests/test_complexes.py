@@ -7,10 +7,9 @@ import pytest
 from conftest import oracle_dim
 from poissondef.complexes import (CohomologyReport, _padded, affine_hyper,
                                   atlas_hyper_truncated, atom_cochain,
-                                  build_complex,
-                                  characteristic_map, cochain_add,
+                                  build_complex, characteristic_map,
                                   cochain_is_zero, cochain_lincomb,
-                                  cochain_scale, cochain_vector_entries,
+                                  cochain_vector_entries,
                                   coordinates, global_sections,
                                   gluing_failure, h0_complex, monomial_atoms,
                                   semiregularity_image_rank,
@@ -127,8 +126,8 @@ def test_cochain_arithmetic(h0_reports):
     assert len(basis) == 2
     a, b = basis
     combo = cochain_lincomb([Fraction(2), Fraction(-1)], [a, b])
-    same = cochain_add(cochain_scale(a, Fraction(2)), cochain_scale(b, Fraction(-1)))
-    assert cochain_is_zero(cochain_add(combo, cochain_scale(same, Fraction(-1))))
+    assert cochain_is_zero(cochain_lincomb(
+        [Fraction(1), Fraction(-2), Fraction(1)], [combo, a, b]))
     ea, eb, ecombo = (dict(cochain_vector_entries(c)) for c in (a, b, combo))
     for key in set(ea) | set(eb) | set(ecombo):
         assert ecombo.get(key, 0) == 2 * ea.get(key, 0) - eb.get(key, 0)
@@ -204,14 +203,14 @@ def test_kernel_elements_are_closed(descriptor_family, h0_reports):
 def test_section_space_coordinates(descriptor_family):
     desc = descriptor_family["c3_normal"]
     space = global_sections(desc)
-    e0 = space.coordinates_of(space.basis[0])
+    e0 = coordinates(space.basis, space.basis[0])[0]
     assert e0 is not None
     assert e0[0] == 1 and all(x == 0 for x in e0[1:])
     vars = desc.space.chart("U").vars
     high = LaurentPoly.monomial(vars, (0, 0, space.degree_bound + 1))
     outside = {"nor": {"U": (Polyvector.from_function(high),
                              Polyvector.zero(vars, 0))}}
-    assert space.coordinates_of(outside) is None
+    assert coordinates(space.basis, outside)[0] is None
     # the violated row is the monomial no basis element reaches, reported
     # by its position among the sorted coordinate keys
     sol, bad = coordinates(space.basis, outside)
@@ -229,7 +228,7 @@ def test_gluing_failure_names_part_and_overlap(descriptor_family, h0_reports):
     desc = descriptor_family["p3_hyperplane_normal"]
     basis = h0_reports["p3_hyperplane_normal"].basis
     assert all(_gluing_failure(desc, c) is None for c in basis)
-    broken = cochain_scale(basis[0], Fraction(1))
+    broken = cochain_lincomb([Fraction(1)], [basis[0]])
     broken["nor"]["U1"] = [Polyvector.zero(desc.space.chart("U1").vars, 0)]
     part, k, i = _gluing_failure(desc, broken)
     assert part == "nor" and "U1" in (k, i)
@@ -240,7 +239,7 @@ def test_gluing_failure_names_part_and_overlap(descriptor_family, h0_reports):
     section = next(c for c in basis
                    if any(not pv.is_zero() for pv in c["amb"].values()))
     chart = next(n for n, pv in section["amb"].items() if not pv.is_zero())
-    broken = cochain_scale(section, Fraction(1))
+    broken = cochain_lincomb([Fraction(1)], [section])
     broken["amb"][chart] = section["amb"][chart] * 2
     part, k, i = _gluing_failure(desc, broken)
     assert part == "amb" and chart in (k, i)

@@ -847,12 +847,14 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     `pushforward`).
 
     `Transition.move` adds every moved term where it lands, the
-    differential's rules add every product where it lands, and a normal
-    move adds each product with a one-term first-order entry where it
-    lands, so the command calls `symbolic._product` exactly 212 times, all
-    in `LaurentPoly` products (2,763 when each moved entry and each rule
-    product built its own product dict, 284 when the normal atoms' 72
-    first-order products still went through it)."""
+    differential's rules add every product where it lands, a normal move
+    adds each product with a one-term first-order entry where it lands,
+    and `cochain_lincomb` multiplies the sections' raw terms by its scalars
+    directly, so the command calls `symbolic._product` exactly 65 times,
+    all in `LaurentPoly` products (2,763 when each moved entry and each
+    rule product built its own product dict, 284 when the normal atoms' 72
+    first-order products still went through it, 212 when `cochain_lincomb`
+    scaled each polyvector by a constant `LaurentPoly`)."""
     calls, moves, work, pushes, products = [], [], {}, [], []
     substitute_, move = polyvector.substitute, Transition.move
     search = complexes._sections_and_next_dimension
@@ -898,7 +900,7 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     # (moved entries, moved atoms) per part
     assert work == {"amb": (360 * 3, 360), "nor": (36 * 2, 36)}
     assert len(pushes) <= 9
-    assert len(products) == 212
+    assert len(products) == 65
 
 
 def test_alternating_section_searches_agree():

@@ -5,7 +5,9 @@ the paths they replaced.
 and adds every term of every image where it lands; `pushforward` and
 `complexes._move_entries` each call it once per chunk, and the normal
 slots are restricted by `symbolic._set_zero`. `complexes._ruled` adds each
-rule product where it lands, through `symbolic._add_product`. The replaced
+rule product where it lands, through `symbolic._add_product`, and reads a
+slot's raw terms {idx: terms}, which its parent read as a polyvector. The
+replaced
 per-entry `Transition.move`, with the `MonomialMap.terms` body it read, and
 `pushforward`, `_move_entries`, `_ruled` and `LaurentPoly.set_zero` are
 kept below verbatim as `parent_*`. The new paths must give their values,
@@ -487,7 +489,8 @@ def test_rule_products_land_as_the_summed_products_did(drawn):
     before = _pv(pv)
     new_rules, old_rules = {}, {}
     for _ in range(2):
-        got = _ruled(pv, new_rules, None, build)
+        raw = {idx: f.terms for idx, f in pv.terms.items()}
+        got = _ruled(raw, new_rules, None, build)
         assert _nested(got) == _nested(parent_ruled(pv, old_rules, None,
                                                     build))
         assert all(got.values())
