@@ -104,7 +104,7 @@ from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
 from .polyvector import Polyvector, _sort_sign, restrict
 from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
-                       _derivative, _product, _set_zero, _simplex)
+                       _derivative, _product, _simplex, _zeroed)
 
 
 # ----------------------------------------------------------------------
@@ -213,17 +213,6 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
     return out
 
 
-def _zeroed(cvars: tuple, w: tuple, pos: list, terms: dict) -> dict:
-    """The terms of a polynomial on cvars with the normal variables w, at
-    positions pos, set to zero by `_set_zero`. A negative normal power
-    raises NegativePowerAtZero through `LaurentPoly.set_zero`, with its
-    message."""
-    kept = _set_zero(terms, pos)
-    if kept is None:
-        LaurentPoly._valid(cvars, terms).set_zero(w)
-    return kept
-
-
 def _sum_into(acc: dict, idx: tuple, terms: dict):
     """acc[idx] += terms, for {index tuple: terms} dicts, as `polyvector._acc`
     adds a coefficient: a zero addend is skipped, the terms are added by
@@ -275,16 +264,18 @@ def _restricted(cvars: tuple, w: tuple, pos: tuple, acc: dict, s) -> dict:
     return out
 
 
-def _bracket_rule(lam: Polyvector, idx: tuple, s) -> list:
-    """The index rule of s * [f d_idx, lam] for `_ruled`, in the order in
-    which `schouten` adds its products, each sign folded into its terms. At
-    degree 0 `schouten` takes [lam, f]: the l-terms with the other sign."""
+def _bracket_rule(lam: dict, idx: tuple, s) -> list:
+    """The index rule of s * [f d_idx, lam] for `_ruled`, lam given by its
+    raw terms {J: terms}, in the order in which `schouten` adds its
+    products, each sign folded into its terms. At degree 0 `schouten` takes
+    [lam, f]: the l-terms with the other sign, so that the rule at idx ()
+    with s = 1 is [lam, f] term by term."""
     rule, t = [], s if idx else -s
-    for J, g in lam.terms.items():
+    for J, g in lam.items():
         # the bracket with a function has no prefactor (-1)^(p-1)
         pref = s if len(idx) % 2 or not J else -s
         for k, j in enumerate(idx):
-            dg = _derivative(g.terms, j)
+            dg = _derivative(g, j)
             out, sign = _sort_sign(idx[:k] + idx[k + 1:] + J)
             if dg and sign:
                 sign *= -pref if k % 2 else pref
@@ -293,7 +284,7 @@ def _bracket_rule(lam: Polyvector, idx: tuple, s) -> list:
             out, sign = _sort_sign(idx + J[:k] + J[k + 1:])
             if sign:
                 sign *= t if k % 2 else -t
-                rule.append((out, j, {e: c * sign for e, c in g.terms.items()}))
+                rule.append((out, j, {e: c * sign for e, c in g.items()}))
     return rule
 
 
@@ -436,17 +427,30 @@ class ComplexDescriptor:
         """The index rules of d on one part of a degree-p cochain on one
         chart, kept per (part, chart, p): the chart variables, the normal
         variables and their positions among them (normal part only), the
-        sign (-1)^p, the twist rows, and the rules of `_ruled` under key
-        None for the bracket, (a, b) for the wedge with twist[a][b] and a
-        for the coupling through w_a."""
+        sign (-1)^p, the twist rows, the rules of `_ruled` under key None
+        for the bracket, (a, b) for the wedge with twist[a][b] and a for
+        the coupling through w_a, and the builder of the bracket's rules."""
         rules = self._compiled.get((part, name, p))
         if rules is None:
             cvars = self.space.chart(name).vars
             w = self.submanifold.normal[name] if part == "nor" else ()
+            lam = {J: g.terms
+                   for J, g in self.manifold.bivector(name).terms.items()}
+            s = 1 if part == "nor" else -1
             rules = self._compiled[(part, name, p)] = (
                 cvars, w, tuple(cvars.index(v) for v in w),
-                -1 if p % 2 else 1, self.twist(part, name), {})
+                -1 if p % 2 else 1, self.twist(part, name), {},
+                lambda idx: _bracket_rule(lam, idx, s))
         return rules
+
+    def bracket_terms(self, part: str, name: str, p: int, raw: dict) -> dict:
+        """s [x, Λ] as {index tuple: terms}, for one slot x of one part of a
+        degree-p cochain on one chart given by its raw terms, s = 1 on the
+        normal part and -1 on the ambient part, through the rules kept
+        under key None. On a degree-0 slot of the normal part it is
+        [Λ, x], term by term as `schouten` gives it."""
+        rules, bracket = self._rules(part, name, p)[-2:]
+        return _ruled(raw, rules, None, bracket)
 
     def differential_terms(self, cochain: dict, p: int) -> dict:
         """d of a degree-p cochain given by its raw terms, by the one
@@ -470,12 +474,11 @@ class ComplexDescriptor:
                 name: [{} for _ in range(S.codim)]
                 for name in S.present_charts()}
             for name, raw in given.items():
-                cvars, w, pos, sign, twist, rules = self._rules(part, name, p)
-                lam = self.manifold.bivector(name)
+                cvars, w, pos, sign, twist, rules, bracket = self._rules(
+                    part, name, p)
                 res[name] = vals = []
                 for a, ra in enumerate(raw):
-                    val = _ruled(ra, rules, None, lambda idx: _bracket_rule(
-                        lam, idx, 1 if part == "nor" else -1))
+                    val = _ruled(ra, rules, None, bracket)
                     if part == "nor":
                         val = _restricted(cvars, w, pos, val, -1)
                     for b, pb in enumerate(raw if twist else ()):
@@ -488,12 +491,15 @@ class ComplexDescriptor:
                 for name, (ra,) in cochain.get("amb", {}).items():
                     if not S.normal[name]:
                         continue
-                    cvars, w, pos, sign, _, rules = self._rules(part, name, p)
+                    cvars, w, pos, sign, _, rules, _ = self._rules(part, name,
+                                                                   p)
                     vals = res.setdefault(name, [{} for _ in range(S.codim)])
-                    for a, wv in enumerate(w):
+                    for a, wpos in enumerate(pos):
+                        # w_a as raw terms {(): {e: 1}}, e its unit exponent
+                        w_a = {(): {tuple(int(j == wpos)
+                                          for j in range(len(cvars))): 1}}
                         coupling = _ruled(ra, rules, a, lambda idx: (
-                            _bracket_rule(Polyvector.from_function(
-                                LaurentPoly.variable(cvars, wv)), idx, 1)))
+                            _bracket_rule(w_a, idx, 1)))
                         for oidx, terms in _restricted(cvars, w, pos, coupling,
                                                        sign).items():
                             _sum_into(vals[a], oidx, terms)

@@ -45,6 +45,8 @@ from .geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
 from .polyvector import Polyvector, _sort_sign
 from .symbolic import LaurentPoly, TruncatedSeries
 
+# `bad` catches any character no token starts with, so that every position
+# matches and one `finditer` pass reads the whole text
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
@@ -54,7 +56,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<sym>[;:,=^*+\-()\[\]])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class _Token:
@@ -68,25 +71,26 @@ class _Token:
 
 
 def _tokenize(text: str):
+    """The tokens of `text`, each with its line and column, both from 1,
+    ending with an "eof" token; whitespace and comments are dropped. A
+    column is counted from the start of its line, the character after the
+    last newline before it."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "ws":
+            value = m.group()
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                start = m.start() + value.rfind("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line,
+                             m.start() - start + 1)
+        elif kind != "comment":
+            tokens.append(_Token(kind, m.group(), line, m.start() - start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 

@@ -5,12 +5,22 @@ expression of every chart-i variable in chart-k coordinates (Laurent, since
 the standard atlases invert coordinates). Atlases are two-way: every pair's
 inverse is declared too. Each ordered pair is one `polyvector.Transition`,
 which moves functions and polyvectors along it; a transition sending every
-variable to one term c * y^a, as all of the builtin atlases' do, is compiled
-there into a `symbolic.MonomialMap`, and any other goes through
-`symbolic.substitute`. Submanifold extraction computes the restriction
-tensors: the first-order normal transition matrices and the structure vector
-fields appearing in the bracket of the structure with each normal variable,
-and certifies the compatibility identities they satisfy.
+variable to one term c * y^a is compiled there into a
+`symbolic.MonomialMap`, and any other goes through `symbolic.substitute`.
+The builtin atlases send each variable to a monomial y^a: they are given by
+their exponent vectors a, from which `_monomial_atlas` makes each value and
+compiles each map.
+
+Submanifold extraction computes the restriction tensors: the first-order
+normal transition matrices and the structure vector fields appearing in the
+bracket of the structure with each normal variable, and certifies the
+compatibility identities they satisfy. Each stage works on the exact core's
+raw terms {idx: {e: c}} and builds each polyvector once: the division rule
+sorts the terms of [Λ, w_a] straight into the structure fields, and the
+chart identity is closedness at p = 1 in the normal complex
+(`verify_submanifold_tensors`). None calls `schouten`, `wedge` or
+`restrict`, but to raise the error of a pole along the normal locus as
+they raise it.
 
 The records here are plain classes on purpose, as in `complexes`,
 `deformation`, `dsl` and `artin`: `dataclasses` costs about 14 ms a launch.
@@ -23,13 +33,14 @@ from typing import Iterable, Mapping
 from .errors import (
     ChartMismatch,
     InconsistentData,
+    NegativePowerAtZero,
     NonAdaptedTransition,
     NotPoissonSubmanifold,
     WrongCodimension,
 )
-from .polyvector import (Polyvector, Transition, pushforward, restrict,
-                         schouten, wedge)
-from .symbolic import LaurentPoly
+from .polyvector import Polyvector, Transition, pushforward, restrict, schouten
+from .symbolic import (LaurentPoly, MonomialMap, _add_into, _add_product,
+                       _as_scalar, _derivative, _set_zero, _zeroed)
 
 
 class Chart:
@@ -59,7 +70,10 @@ class ChartedSpace:
     images, built on the first pushforward that needs them."""
 
     def __init__(self, name: str, charts: Iterable[Chart],
-                 transitions: Mapping[tuple, Mapping[str, LaurentPoly]]):
+                 transitions: Mapping[tuple, Mapping[str, LaurentPoly]],
+                 monos: Mapping[tuple, MonomialMap] | None = None):
+        """`monos`, when given, holds each pair's compiled
+        `symbolic.MonomialMap`, as `_monomial_atlas` builds them."""
         self.name = name
         self.charts = tuple(charts)
         self._by_name = {c.name: c for c in self.charts}
@@ -86,7 +100,7 @@ class ChartedSpace:
                     f"transition {i}->{k} has no inverse {k}->{i}")
             self._moves[(i, k)] = Transition(
                 tmap, self.transitions[(k, i)], self.chart(i).vars,
-                self.chart(k).vars)
+                self.chart(k).vars, None if monos is None else monos[(i, k)])
 
     def chart(self, name: str) -> Chart:
         try:
@@ -197,6 +211,21 @@ def affine_space(n: int, names: Iterable[str] | None = None) -> ChartedSpace:
     return ChartedSpace(f"Affine({n})", [Chart("U", names)], {})
 
 
+def _monomial_atlas(name: str, charts: list, vectors: dict) -> ChartedSpace:
+    """The atlas whose transition (i, k) sends the j-th variable of chart i
+    to y^(vectors[(i, k)][j]) in the coordinates y of chart k, with
+    coefficient 1: each value a one-term `LaurentPoly._valid` and each
+    pair's `MonomialMap` compiled from its vectors."""
+    by_name = {c.name: c for c in charts}
+    transitions, monos = {}, {}
+    for (i, k), rows in vectors.items():
+        kvars = by_name[k].vars
+        transitions[(i, k)] = {v: LaurentPoly._valid(kvars, {e: 1})
+                               for v, e in zip(by_name[i].vars, rows)}
+        monos[(i, k)] = MonomialMap._of_vectors(rows, kvars)
+    return ChartedSpace(name, charts, transitions, monos)
+
+
 def projective_space(n: int) -> ChartedSpace:
     """n-dimensional projective space, n+1 standard charts U0..Un.
 
@@ -208,22 +237,22 @@ def projective_space(n: int) -> ChartedSpace:
     charts = [Chart(f"U{i}", tuple(f"z{j+1}" for j in range(n)))
               for i in range(n + 1)]
     hom = {i: [a for a in range(n + 1) if a != i] for i in range(n + 1)}
-    transitions = {}
+    vectors = {}
     for i in range(n + 1):
         for k in range(n + 1):
             if i == k:
                 continue
-            tmap = {}
-            for j, a in enumerate(hom[i]):
+            rows = []
+            for a in hom[i]:
                 # a/i = (a/k) / (i/k): the variable of a on Uk (none when
                 # a = k) over the variable of i
                 e = [0] * n
                 e[hom[k].index(i)] = -1
                 if a != k:
                     e[hom[k].index(a)] = 1
-                tmap[f"z{j+1}"] = LaurentPoly.monomial(charts[k].vars, e)
-            transitions[(f"U{i}", f"U{k}")] = tmap
-    return ChartedSpace(f"P{n}", charts, transitions)
+                rows.append(tuple(e))
+            vectors[(f"U{i}", f"U{k}")] = rows
+    return _monomial_atlas(f"P{n}", charts, vectors)
 
 
 def hirzebruch(m: int) -> ChartedSpace:
@@ -235,28 +264,17 @@ def hirzebruch(m: int) -> ChartedSpace:
     """
     if m < 0:
         raise InconsistentData("ruled-surface index must be >= 0")
-    U1 = Chart("U1", ("z", "xi"))
-    U2 = Chart("U2", ("zp", "xip"))
-    U3 = Chart("U3", ("z", "eta"))
-    U4 = Chart("U4", ("zp", "etap"))
-
-    def mono(vars, exps):
-        return LaurentPoly.monomial(vars, exps)
-
-    t = {}
-    t[("U1", "U2")] = {"z": mono(U2.vars, (-1, 0)), "xi": mono(U2.vars, (m, 1))}
-    t[("U2", "U1")] = {"zp": mono(U1.vars, (-1, 0)), "xip": mono(U1.vars, (m, 1))}
-    t[("U1", "U3")] = {"z": mono(U3.vars, (1, 0)), "xi": mono(U3.vars, (0, -1))}
-    t[("U3", "U1")] = {"z": mono(U1.vars, (1, 0)), "eta": mono(U1.vars, (0, -1))}
-    t[("U2", "U4")] = {"zp": mono(U4.vars, (1, 0)), "xip": mono(U4.vars, (0, -1))}
-    t[("U4", "U2")] = {"zp": mono(U2.vars, (1, 0)), "etap": mono(U2.vars, (0, -1))}
-    t[("U3", "U4")] = {"z": mono(U4.vars, (-1, 0)), "eta": mono(U4.vars, (-m, 1))}
-    t[("U4", "U3")] = {"zp": mono(U3.vars, (-1, 0)), "etap": mono(U3.vars, (-m, 1))}
-    t[("U1", "U4")] = {"z": mono(U4.vars, (-1, 0)), "xi": mono(U4.vars, (m, -1))}
-    t[("U4", "U1")] = {"zp": mono(U1.vars, (-1, 0)), "etap": mono(U1.vars, (-m, -1))}
-    t[("U2", "U3")] = {"zp": mono(U3.vars, (-1, 0)), "xip": mono(U3.vars, (m, -1))}
-    t[("U3", "U2")] = {"z": mono(U2.vars, (-1, 0)), "eta": mono(U2.vars, (-m, -1))}
-    return ChartedSpace(f"F{m}", [U1, U2, U3, U4], t)
+    charts = [Chart("U1", ("z", "xi")), Chart("U2", ("zp", "xip")),
+              Chart("U3", ("z", "eta")), Chart("U4", ("zp", "etap"))]
+    # per ordered pair, each source variable's exponents on the target
+    return _monomial_atlas(f"F{m}", charts, {
+        ("U1", "U2"): ((-1, 0), (m, 1)), ("U2", "U1"): ((-1, 0), (m, 1)),
+        ("U1", "U3"): ((1, 0), (0, -1)), ("U3", "U1"): ((1, 0), (0, -1)),
+        ("U2", "U4"): ((1, 0), (0, -1)), ("U4", "U2"): ((1, 0), (0, -1)),
+        ("U3", "U4"): ((-1, 0), (-m, 1)), ("U4", "U3"): ((-1, 0), (-m, 1)),
+        ("U1", "U4"): ((-1, 0), (m, -1)), ("U4", "U1"): ((-1, 0), (-m, -1)),
+        ("U2", "U3"): ((-1, 0), (m, -1)), ("U3", "U2"): ((-1, 0), (-m, -1)),
+    })
 
 
 def product(a: ChartedSpace, b: ChartedSpace, name: str | None = None) -> ChartedSpace:
@@ -425,9 +443,13 @@ class SubmanifoldData:
         tuple of tuples."""
         rows = self._restricted_fields.get(chart)
         if rows is None:
-            w = self.normal[chart]
+            cvars, w = self.space.chart(chart).vars, self.normal[chart]
+            pos = tuple(cvars.index(v) for v in w)
             rows = self._restricted_fields[chart] = tuple(
-                tuple(restrict(entry, w) for entry in row)
+                tuple(Polyvector._from_raw(cvars, 1, (
+                    (idx, kept) for idx, f in entry.terms.items()
+                    for kept in (_zeroed(cvars, w, pos, f.terms),) if kept))
+                    for entry in row)
                 for row in self.structure_fields[chart])
         return rows
 
@@ -529,6 +551,8 @@ def extract_submanifold(M: PoissonManifold,
         if i not in present or k not in present:
             continue
         wk = normal[k]
+        kvars = space.chart(k).vars
+        pos = tuple(kvars.index(v) for v in wk)
         tmap = space.transitions[(i, k)]
         for v in space.chart(i).vars:
             if tmap[v].has_negative_exponent(wk):
@@ -537,51 +561,54 @@ def extract_submanifold(M: PoissonManifold,
                     f"the target normal locus")
         for a, wv in enumerate(normal[i]):
             expr = tmap[wv]
-            if not expr.set_zero(wk).is_zero():
+            if _set_zero(expr.terms, pos):
                 raise NonAdaptedTransition(
                     f"transition {i}->{k} sends normal variable {wv} to "
                     f"{expr}, which does not vanish on the target normal locus")
-        mat = []
-        for a, wv in enumerate(normal[i]):
-            row = []
-            for b, wvk in enumerate(wk):
-                row.append(space.transitions[(i, k)][wv]
-                           .derivative(wvk).set_zero(wk))
-            mat.append(row)
-        data.first_order[(i, k)] = mat
+        # no negative power of a target normal variable is left to set to
+        # zero
+        data.first_order[(i, k)] = [
+            [LaurentPoly._valid(kvars, _set_zero(
+                _derivative(tmap[wv].terms, j), pos)) for j in pos]
+            for wv in normal[i]]
 
-    # structure vector fields via the division rule
+    # structure vector fields via the division rule: [Λ, w_a] is the sum of
+    # (-1)^k Λ_J d_(J without w_a) over the index tuples J holding w_a at
+    # place k, and each of its terms c * x^e goes to T[a][β] as
+    # c * x^e / w_β, β the first normal variable with a positive power in
+    # e, or to the residual when there is none. No two terms land on one
+    # key.
     for name in present:
-        chart = space.chart(name)
+        cvars = space.chart(name).vars
         w = normal[name]
-        widx = {v: chart.vars.index(v) for v in w}
-        r = len(w)
-        T = [[Polyvector.zero(chart.vars, 1) for _ in range(r)] for _ in range(r)]
+        pos = tuple(cvars.index(v) for v in w)
+        T = []
         for a, wv in enumerate(w):
-            ham = schouten(M.bivectors[name],
-                           Polyvector.from_function(
-                               LaurentPoly.variable(chart.vars, wv)))
-            residual = Polyvector.zero(chart.vars, 1)
-            for idx, coeff in ham.terms.items():
-                for e, c in coeff.terms.items():
-                    beta = None
-                    for b, wb in enumerate(w):
-                        if e[widx[wb]] > 0:
-                            beta = b
-                            break
-                    mono = LaurentPoly.monomial(chart.vars, e, c)
+            rows = [{} for _ in w]
+            residual = {}
+            for J, f in M.bivectors[name].terms.items():
+                if pos[a] not in J:
+                    continue
+                k = J.index(pos[a])
+                idx = J[:k] + J[k + 1:]
+                for e, c in f.terms.items():
+                    # stored as an int when integral, as a new term is
+                    c = _as_scalar(-c if k % 2 else c)
+                    beta = next((b for b, j in enumerate(pos) if e[j] > 0),
+                                None)
                     if beta is None:
-                        residual = residual + Polyvector(chart.vars, 1, {idx: mono})
+                        residual.setdefault(idx, {})[e] = c
                     else:
                         shifted = list(e)
-                        shifted[widx[w[beta]]] -= 1
-                        T[a][beta] = T[a][beta] + Polyvector(
-                            chart.vars, 1,
-                            {idx: LaurentPoly.monomial(chart.vars, shifted, c)})
-            if not residual.is_zero():
+                        shifted[pos[beta]] -= 1
+                        rows[beta].setdefault(idx, {})[tuple(shifted)] = c
+            if residual:
                 raise NotPoissonSubmanifold(
                     f"bracket with {wv} on chart {name} leaves residual "
-                    f"{residual} outside the normal ideal")
+                    f"{Polyvector._from_raw(cvars, 1, residual.items())} "
+                    f"outside the normal ideal")
+            T.append([Polyvector._from_raw(cvars, 1, row.items())
+                      for row in rows])
         data.structure_fields[name] = T
 
     data.checks = verify_submanifold_tensors(data)
@@ -589,50 +616,93 @@ def extract_submanifold(M: PoissonManifold,
 
 
 def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
-    """Exact certification of the tensor identities along the submanifold.
+    """Exact certification of the tensor identities along the submanifold,
+    on raw terms.
 
     Per chart: the bracket of the structure with each restricted structure
-    field matches the quadratic wedge of structure fields. Per overlap: the
-    first-order normal matrix intertwines the two charts' structure fields up
-    to the bracket of the structure with the matrix entries.
+    field matches the quadratic wedge of structure fields,
+    restrict([Λ, T0[a][b]]) = Σ_g T0[g][b] ∧ T0[a][g]. That is closedness
+    at p = 1 in the normal complex: its d, through the index rules it
+    keeps, vanishes on each column (T0[0][b], ..., T0[r-1][b]).
+
+    Per overlap (i, k): the first-order normal matrix F intertwines the two
+    charts' structure fields up to the bracket of the structure with the
+    matrix entries, Σ_b F[b][g] T0_i[a][b] = restrict([Λ_k, F[a][g]]) +
+    Σ_b F[a][b] T0_k[b][g], with T0_i moved to chart k by one
+    `Transition.move` and restricted, the bracket taken by the normal
+    complex's rule at index tuple () and every product added by
+    `symbolic._add_product`.
+
+    A negative power of a normal variable raises NegativePowerAtZero where
+    restricting polyvector by polyvector (`restrict`) raises it, with its
+    message.
     """
-    M = data.manifold
+    # complexes imports this module. The complex is not kept on `data`: it
+    # would hold `data` in a reference cycle, which only the garbage
+    # collector frees
+    from .complexes import build_complex
+    space, r = data.space, data.codim
+    normal_complex = build_complex("normal", submanifold=data)
     report = {"chart_identity": {}, "overlap_identity": {}, "pass": True}
     for name in data.present_charts():
-        w = data.normal[name]
-        r = data.codim
         T0 = data.structure_fields_restricted(name)
-        ok = True
-        for a in range(r):
-            for b in range(r):
-                lhs = restrict(schouten(M.bivectors[name], T0[a][b]), w)
-                quad = Polyvector.zero(M.space.chart(name).vars, 2)
-                for g in range(r):
-                    quad = quad + wedge(T0[g][b], T0[a][g])
-                if not (lhs - quad).is_zero():
-                    ok = False
+        columns = [[{idx: f.terms for idx, f in row[b].terms.items()}
+                    for row in T0] for b in range(r)]
+        try:
+            # d of every column, not up to the first that fails: a later
+            # one may raise
+            ok = not any([any(normal_complex.differential_terms(
+                {"nor": {name: column}}, 1)["nor"][name])
+                for column in columns])
+        except NegativePowerAtZero:
+            # raise at the entry, and with the coefficient, that restricting
+            # each bracket in turn first meets
+            lam = data.manifold.bivectors[name]
+            for row in T0:
+                for entry in row:
+                    restrict(schouten(lam, entry), data.normal[name])
+            raise
         report["chart_identity"][name] = ok
         report["pass"] &= ok
     for (i, k) in sorted(data.first_order):
-        r = data.codim
-        wk = data.normal[k]
+        kvars, wk = space.chart(k).vars, data.normal[k]
+        pos = tuple(kvars.index(v) for v in wk)
         F = data.first_order[(i, k)]
         T0k = data.structure_fields_restricted(k)
-        Ti_on_k = [[data.push_restrict(entry, i, k) for entry in row]
-                   for row in data.structure_fields_restricted(i)]
+        # T0_i on chart k, restricted: (a, b) -> [(index tuple, terms)]
+        moved = {}
+        for (a, b, idx), terms in space._moves[(i, k)].move({
+                (a, b, idx, e): c
+                for a, row in enumerate(data.structure_fields_restricted(i))
+                for b, entry in enumerate(row)
+                for idx, f in entry.terms.items()
+                for e, c in f.terms.items()}).items():
+            kept = _zeroed(kvars, wk, pos, terms)
+            if kept:
+                moved.setdefault((a, b), []).append((idx, kept))
+        minus_F = [[{e: -c for e, c in f.terms.items()} for f in row]
+                   for row in F]
         ok = True
         for a in range(r):
             for g in range(r):
-                lhs = Polyvector.zero(M.space.chart(k).vars, 1)
+                # lhs - rhs, per index tuple; [Λ_k, f] is zero for a
+                # constant f
+                acc = {}
                 for b in range(r):
-                    lhs = lhs + F[b][g] * Ti_on_k[a][b]
-                rhs = restrict(
-                    schouten(M.bivectors[k],
-                             Polyvector.from_function(F[a][g])), wk)
-                for b in range(r):
-                    rhs = rhs + F[a][b] * T0k[b][g]
-                if not (lhs - rhs).is_zero():
-                    ok = False
+                    for idx, terms in moved.get((a, b), ()):
+                        _add_product(acc.setdefault(idx, {}),
+                                     F[b][g].terms, terms)
+                    for idx, f in T0k[b][g].terms.items():
+                        _add_product(acc.setdefault(idx, {}), minus_F[a][b],
+                                     f.terms)
+                f = F[a][g].terms
+                if any(map(any, f)):
+                    for idx, terms in normal_complex.bracket_terms(
+                            "nor", k, 0, {(): f}).items():
+                        _add_into(acc.setdefault(idx, {}), (
+                            (e, -c) for e, c in
+                            _zeroed(kvars, wk, pos, terms).items()))
+                ok &= not any(acc.values())
         report["overlap_identity"][f"{i}->{k}"] = ok
         report["pass"] &= ok
     if not report["pass"]:

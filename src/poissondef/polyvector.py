@@ -22,12 +22,21 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import LaurentPoly, _add_product, monomial_map, substitute
+from .symbolic import (LaurentPoly, MonomialMap, _add_product, _derivative,
+                       _product, monomial_map, substitute)
 
 
 def _sort_sign(indices: Iterable[int]):
     """Sort wedge indices, returning (tuple, sign); sign 0 on repeats."""
-    idx = list(indices)
+    idx = tuple(indices)
+    if len(idx) < 3:
+        # most tuples are short: at most one swap
+        if len(idx) < 2 or idx[0] < idx[1]:
+            return idx, 1
+        if idx[0] > idx[1]:
+            return (idx[1], idx[0]), -1
+        return None, 0
+    idx = list(idx)
     sign = 1
     for i in range(1, len(idx)):
         j = i
@@ -322,7 +331,13 @@ class Transition:
     d(target_b)/d(source_s) (from `inverse`), one for each s in I, taken in
     `itertools.product` order, the sorted target index tuple of the b's and
     the signed product of the entries in target coordinates. The Jacobian
-    and each list are built on their first use and kept.
+    and each list are built on their first use and kept, on raw terms: when
+    `mono` exists and every inverse value is one term, as the builtin
+    atlases' are, each image is one term, built by exponent arithmetic and
+    `MonomialMap.image`; otherwise the entries are multiplied by
+    `symbolic._product` and moved by `convert`. Either way each image
+    equals, term by term, the product of the entries as `LaurentPoly`
+    moved by `convert`.
 
     `move` is the one transport loop: it moves a chunk's entries, the terms
     c * x^e d_I keyed by (I, e) under a head, and adds every term of every
@@ -337,12 +352,16 @@ class Transition:
 
     def __init__(self, forward: Mapping[str, LaurentPoly],
                  inverse: Mapping[str, LaurentPoly],
-                 source_vars: Iterable[str], target_vars: Iterable[str]):
+                 source_vars: Iterable[str], target_vars: Iterable[str],
+                 mono: MonomialMap | None = None):
+        """`mono`, when given, is the compiled map of `forward`, as an atlas
+        built from exponent vectors has it; otherwise it is compiled here."""
         self.source_vars = tuple(source_vars)
         self.target_vars = tuple(target_vars)
         self.forward = forward
         self.inverse = inverse
-        self.mono = monomial_map(forward, self.source_vars, self.target_vars)
+        self.mono = (monomial_map(forward, self.source_vars, self.target_vars)
+                     if mono is None else mono)
         self._columns = None
         self._images: dict = {}
 
@@ -395,39 +414,53 @@ class Transition:
             images = self._images[idx] = self._build(idx)
         return images
 
-    def _jacobian(self) -> list:
+    def _jacobian(self) -> tuple:
         """The non-zero entries of d(target)/d(source), one list per source
-        index s of pairs (b, d(target_b)/d(source_s)) in target order."""
+        index s of pairs (b, the terms of d(target_b)/d(source_s)) in
+        target order, and whether every inverse value is one term."""
         exprs = []
         for tv in self.target_vars:
             expr = self.inverse[tv]
             if expr.vars != self.source_vars:
                 expr = expr.with_vars(self.source_vars)
-            exprs.append(expr)
+            exprs.append(expr.terms)
         columns = []
-        for sv in self.source_vars:
+        for s in range(len(self.source_vars)):
             column = []
-            for b, expr in enumerate(exprs):
-                entry = expr.derivative(sv)
-                if not entry.is_zero():
+            for b, terms in enumerate(exprs):
+                entry = _derivative(terms, s)
+                if entry:
                     column.append((b, entry))
             columns.append(column)
-        return columns
+        return columns, all(len(terms) == 1 for terms in exprs)
 
     def _build(self, idx: tuple) -> list:
         if self._columns is None:
             self._columns = self._jacobian()
+        columns, single = self._columns
+        mono, one = self.mono, (0,) * len(self.source_vars)
         images = []
-        for choice in _cartesian(*(self._columns[s] for s in idx)):
+        for choice in _cartesian(*(columns[s] for s in idx)):
             tidx, sign = _sort_sign(b for b, _ in choice)
             if sign == 0:
                 continue
-            prod = LaurentPoly.const(self.source_vars, sign)
+            if mono is not None and single:
+                # one term: the product's exponent is the sum of the
+                # entries' and its coefficient their product, in order
+                e, c = one, sign
+                for _, entry in choice:
+                    ((d, dc),) = entry.items()
+                    e, c = tuple(map(add, e, d)), c * dc
+                te, tc = mono.image(e, c)
+                images.append((tidx, LaurentPoly._valid(self.target_vars,
+                                                        {te: tc})))
+                continue
+            terms = {one: sign}
             for _, entry in choice:
-                prod = prod * entry
+                terms = _product(terms, entry)
             # a function's empty frame goes to 1, with nothing to substitute
-            image = (self.convert(prod) if choice
-                     else LaurentPoly.const(self.target_vars, sign))
+            image = (self.convert(LaurentPoly._valid(self.source_vars, terms))
+                     if choice else LaurentPoly.const(self.target_vars, sign))
             if not image.is_zero():
                 images.append((tidx, image))
         return images

@@ -199,32 +199,34 @@ def test_section_search_restricts_each_structure_field_once(monkeypatch):
     """`h0 p3_hyperplane --complex extended --bound 6` differentiates every
     section, and the tensor certificates and the differential all read the
     restricted structure rows: each present chart's rows are built once, so
-    each structure field is restricted exactly once."""
+    each coefficient of each structure field is restricted exactly once, by
+    `symbolic._zeroed` on its terms."""
     subs, restricted = [], []
-    restrict_ = geometry.restrict
+    zeroed_ = geometry._zeroed
     rows_ = SubmanifoldData.structure_fields_restricted
 
-    def record_restrict(a, names):
-        restricted.append(a)
-        return restrict_(a, names)
+    def record_zeroed(vars, names, pos, terms):
+        restricted.append(terms)
+        return zeroed_(vars, names, pos, terms)
 
     def record_rows(self, chart):
         subs.append(self)
         return rows_(self, chart)
 
-    monkeypatch.setattr(geometry, "restrict", record_restrict)
+    monkeypatch.setattr(geometry, "_zeroed", record_zeroed)
     monkeypatch.setattr(SubmanifoldData, "structure_fields_restricted",
                         record_rows)
     code, _ = run_command(["h0", example("p3_hyperplane.pdef"), "--complex",
                            "extended", "--bound", "6"])
     assert code == 0
-    entries = {id(S): [entry for name in S.present_charts()
-                       for row in S.structure_fields[name] for entry in row]
-               for S in subs}
-    assert sum(map(len, entries.values())) >= 3
-    for field_entries in entries.values():
-        for entry in field_entries:
-            assert sum(a is entry for a in restricted) == 1
+    coefficients = {id(S): [f.terms for name in S.present_charts()
+                            for row in S.structure_fields[name]
+                            for entry in row for f in entry.terms.values()]
+                    for S in subs}
+    assert sum(map(len, coefficients.values())) >= 2
+    for field_coefficients in coefficients.values():
+        for terms in field_coefficients:
+            assert sum(t is terms for t in restricted) == 1
 
 
 def test_not_poisson_submanifold_raises():

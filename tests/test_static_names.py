@@ -4,9 +4,9 @@
   imports, and a line marked `# noqa: F401` keeps a name on purpose.
 - Every private module-level name of the package is used somewhere in the
   package outside its own definition.
-- `artin` and `cli` call every package function they import, from a
-  definition the package exports or uses: `atom_cochain` and
-  `total_coboundary` in `artin`, say, each keep such a caller.
+- `artin`, `cli`, `dsl` and `geometry` call every package function they
+  import, from a definition the package exports or uses: `atom_cochain`
+  and `total_coboundary` in `artin`, say, each keep such a caller.
 
 A merge that leaves a helper behind, or an import of one that moved, fails
 here.
@@ -121,11 +121,13 @@ def _callers(tree) -> dict:
     return out
 
 
-@pytest.mark.parametrize("module", ["artin.py", "cli.py"])
+@pytest.mark.parametrize("module",
+                         ["artin.py", "cli.py", "dsl.py", "geometry.py"])
 def test_every_imported_function_has_a_live_caller(module):
-    """`artin` and `cli` call each package function they import, from a
-    definition that the package exports or uses itself: an import whose
-    last caller is dropped, or left with no caller of its own, fails."""
+    """`artin`, `cli`, `dsl` and `geometry` call each package function they
+    import, from a definition that the package exports or uses itself: an
+    import whose last caller is dropped, or left with no caller of its
+    own, fails."""
     loaded = sum((_loaded(tree, True) for tree in MODULES.values()),
                  Counter())
 

@@ -850,11 +850,15 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     differential's rules add every product where it lands, a normal move
     adds each product with a one-term first-order entry where it lands,
     and `cochain_lincomb` multiplies the sections' raw terms by its scalars
-    directly, so the command calls `symbolic._product` exactly 65 times,
-    all in `LaurentPoly` products (2,763 when each moved entry and each
-    rule product built its own product dict, 284 when the normal atoms' 72
-    first-order products still went through it, 212 when `cochain_lincomb`
-    scaled each polyvector by a constant `LaurentPoly`)."""
+    directly. The frame images of a monomial transition are built by
+    exponent arithmetic, and the tensor certificates add their products in
+    place, so the command calls `symbolic._product` exactly 3 times, all
+    in the parser's `LaurentPoly` products (2,763 when each moved entry and
+    each rule product built its own product dict, 284 when the normal
+    atoms' 72 first-order products still went through it, 212 when
+    `cochain_lincomb` scaled each polyvector by a constant `LaurentPoly`,
+    65 when the frame images and the certificates multiplied
+    `LaurentPoly`s)."""
     calls, moves, work, pushes, products = [], [], {}, [], []
     substitute_, move = polyvector.substitute, Transition.move
     search = complexes._sections_and_next_dimension
@@ -900,7 +904,7 @@ def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):
     # (moved entries, moved atoms) per part
     assert work == {"amb": (360 * 3, 360), "nor": (36 * 2, 36)}
     assert len(pushes) <= 9
-    assert len(products) == 65
+    assert len(products) == 3
 
 
 def test_alternating_section_searches_agree():

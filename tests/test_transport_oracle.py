@@ -473,7 +473,8 @@ def rules(draw):
         lam = S.manifold.bivector(name)
     else:
         lam = polyvector(min(2, len(cvars)), 3)
-    return pv, lambda idx: _bracket_rule(lam, idx, s)
+    raw_lam = {J: g.terms for J, g in lam.terms.items()}
+    return pv, lambda idx: _bracket_rule(raw_lam, idx, s)
 
 
 def _rules_shape(kept: dict) -> list:
