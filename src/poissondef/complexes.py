@@ -268,8 +268,7 @@ def _bracket_rule(lam: dict, idx: tuple, s) -> list:
     """The index rule of s * [f d_idx, lam] for `_ruled`, lam given by its
     raw terms {J: terms}, in the order in which `schouten` adds its
     products, each sign folded into its terms. At degree 0 `schouten` takes
-    [lam, f]: the l-terms with the other sign, so that the rule at idx ()
-    with s = 1 is [lam, f] term by term."""
+    [lam, f]: the l-terms with the other sign."""
     rule, t = [], s if idx else -s
     for J, g in lam.items():
         # the bracket with a function has no prefactor (-1)^(p-1)
@@ -442,15 +441,6 @@ class ComplexDescriptor:
                 -1 if p % 2 else 1, self.twist(part, name), {},
                 lambda idx: _bracket_rule(lam, idx, s))
         return rules
-
-    def bracket_terms(self, part: str, name: str, p: int, raw: dict) -> dict:
-        """s [x, Λ] as {index tuple: terms}, for one slot x of one part of a
-        degree-p cochain on one chart given by its raw terms, s = 1 on the
-        normal part and -1 on the ambient part, through the rules kept
-        under key None. On a degree-0 slot of the normal part it is
-        [Λ, x], term by term as `schouten` gives it."""
-        rules, bracket = self._rules(part, name, p)[-2:]
-        return _ruled(raw, rules, None, bracket)
 
     def differential_terms(self, cochain: dict, p: int) -> dict:
         """d of a degree-p cochain given by its raw terms, by the one

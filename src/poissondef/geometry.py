@@ -8,8 +8,7 @@ which moves functions and polyvectors along it; a transition sending every
 variable to one term c * y^a is compiled there into a
 `symbolic.MonomialMap`, and any other goes through `symbolic.substitute`.
 The builtin atlases send each variable to a monomial y^a: they are given by
-their exponent vectors a, from which `_monomial_atlas` makes each value and
-compiles each map.
+their exponent vectors a, from which `_monomial_atlas` makes each value.
 
 Submanifold extraction computes the restriction tensors: the first-order
 normal transition matrices and the structure vector fields appearing in the
@@ -17,10 +16,10 @@ bracket of the structure with each normal variable, and certifies the
 compatibility identities they satisfy. Each stage works on the exact core's
 raw terms {idx: {e: c}} and builds each polyvector once: the division rule
 sorts the terms of [Λ, w_a] straight into the structure fields, and the
-chart identity is closedness at p = 1 in the normal complex
-(`verify_submanifold_tensors`). None calls `schouten`, `wedge` or
-`restrict`, but to raise the error of a pole along the normal locus as
-they raise it.
+certificates take their brackets by `_bracket` and add their products in
+place (`verify_submanifold_tensors`): none calls `schouten`, `wedge` or
+`restrict`. The chart identity is closedness at p = 1 in the normal
+complex of `complexes`, checked here directly.
 
 The records here are plain classes on purpose, as in `complexes`,
 `deformation`, `dsl` and `artin`: `dataclasses` costs about 14 ms a launch.
@@ -33,14 +32,14 @@ from typing import Iterable, Mapping
 from .errors import (
     ChartMismatch,
     InconsistentData,
-    NegativePowerAtZero,
     NonAdaptedTransition,
     NotPoissonSubmanifold,
     WrongCodimension,
 )
-from .polyvector import Polyvector, Transition, pushforward, restrict, schouten
-from .symbolic import (LaurentPoly, MonomialMap, _add_into, _add_product,
-                       _as_scalar, _derivative, _set_zero, _zeroed)
+from .polyvector import (Polyvector, Transition, _sort_sign, pushforward,
+                         restrict, schouten)
+from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
+                       _derivative, _set_zero, _zeroed)
 
 
 class Chart:
@@ -70,10 +69,7 @@ class ChartedSpace:
     images, built on the first pushforward that needs them."""
 
     def __init__(self, name: str, charts: Iterable[Chart],
-                 transitions: Mapping[tuple, Mapping[str, LaurentPoly]],
-                 monos: Mapping[tuple, MonomialMap] | None = None):
-        """`monos`, when given, holds each pair's compiled
-        `symbolic.MonomialMap`, as `_monomial_atlas` builds them."""
+                 transitions: Mapping[tuple, Mapping[str, LaurentPoly]]):
         self.name = name
         self.charts = tuple(charts)
         self._by_name = {c.name: c for c in self.charts}
@@ -100,7 +96,7 @@ class ChartedSpace:
                     f"transition {i}->{k} has no inverse {k}->{i}")
             self._moves[(i, k)] = Transition(
                 tmap, self.transitions[(k, i)], self.chart(i).vars,
-                self.chart(k).vars, None if monos is None else monos[(i, k)])
+                self.chart(k).vars)
 
     def chart(self, name: str) -> Chart:
         try:
@@ -214,16 +210,14 @@ def affine_space(n: int, names: Iterable[str] | None = None) -> ChartedSpace:
 def _monomial_atlas(name: str, charts: list, vectors: dict) -> ChartedSpace:
     """The atlas whose transition (i, k) sends the j-th variable of chart i
     to y^(vectors[(i, k)][j]) in the coordinates y of chart k, with
-    coefficient 1: each value a one-term `LaurentPoly._valid` and each
-    pair's `MonomialMap` compiled from its vectors."""
+    coefficient 1, each value made as a one-term `LaurentPoly._valid`."""
     by_name = {c.name: c for c in charts}
-    transitions, monos = {}, {}
+    transitions = {}
     for (i, k), rows in vectors.items():
         kvars = by_name[k].vars
         transitions[(i, k)] = {v: LaurentPoly._valid(kvars, {e: 1})
                                for v, e in zip(by_name[i].vars, rows)}
-        monos[(i, k)] = MonomialMap._of_vectors(rows, kvars)
-    return ChartedSpace(name, charts, transitions, monos)
+    return ChartedSpace(name, charts, transitions)
 
 
 def projective_space(n: int) -> ChartedSpace:
@@ -615,6 +609,40 @@ def extract_submanifold(M: PoissonManifold,
     return data
 
 
+def _bracket(lam: dict, x: dict) -> dict:
+    """[Λ, x] as {index tuple: terms}, for a bivector Λ and a function or a
+    vector field x given by their raw terms {idx: terms}: the products of
+    `schouten`, in its order, each added by `symbolic._add_product`, and an
+    index whose terms cancel deleted, as `polyvector._acc` deletes it. So
+    the index tuples come in `schouten`'s order, and restricting them in
+    turn meets a pole where `restrict` meets it."""
+    acc = {}
+
+    def add(idx, a, b, sign):
+        terms = acc.get(idx)
+        if terms is None:
+            terms = acc[idx] = {}
+        _add_product(terms, a, {e: c * sign for e, c in b.items()})
+        if not terms:
+            del acc[idx]
+
+    for J, f in lam.items():
+        for I, g in x.items():
+            # the bracket with a function has no prefactor (-1)^(p-1)
+            pref = -1 if I else 1
+            for k, j in enumerate(J):
+                dg = _derivative(g, j)
+                idx, sign = _sort_sign(J[:k] + J[k + 1:] + I)
+                if dg and sign:
+                    add(idx, f, dg, -pref * sign if k % 2 else pref * sign)
+            for k, j in enumerate(I):
+                df = _derivative(f, j)
+                idx, sign = _sort_sign(J + I[:k] + I[k + 1:])
+                if df and sign:
+                    add(idx, g, df, sign if k % 2 else -sign)
+    return acc
+
+
 def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
     """Exact certification of the tensor identities along the submanifold,
     on raw terms.
@@ -622,51 +650,54 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
     Per chart: the bracket of the structure with each restricted structure
     field matches the quadratic wedge of structure fields,
     restrict([Λ, T0[a][b]]) = Σ_g T0[g][b] ∧ T0[a][g]. That is closedness
-    at p = 1 in the normal complex: its d, through the index rules it
-    keeps, vanishes on each column (T0[0][b], ..., T0[r-1][b]).
+    at p = 1 in the normal complex: d vanishes on each column
+    (T0[0][b], ..., T0[r-1][b]).
 
     Per overlap (i, k): the first-order normal matrix F intertwines the two
     charts' structure fields up to the bracket of the structure with the
     matrix entries, Σ_b F[b][g] T0_i[a][b] = restrict([Λ_k, F[a][g]]) +
     Σ_b F[a][b] T0_k[b][g], with T0_i moved to chart k by one
-    `Transition.move` and restricted, the bracket taken by the normal
-    complex's rule at index tuple () and every product added by
-    `symbolic._add_product`.
+    `Transition.move` and restricted.
 
-    A negative power of a normal variable raises NegativePowerAtZero where
-    restricting polyvector by polyvector (`restrict`) raises it, with its
-    message.
+    Brackets are taken by `_bracket` and every product is added by
+    `symbolic._add_product`. A negative power of a normal variable raises
+    NegativePowerAtZero where restricting polyvector by polyvector
+    (`restrict`) raises it, with its message.
     """
-    # complexes imports this module. The complex is not kept on `data`: it
-    # would hold `data` in a reference cycle, which only the garbage
-    # collector frees
-    from .complexes import build_complex
     space, r = data.space, data.codim
-    normal_complex = build_complex("normal", submanifold=data)
     report = {"chart_identity": {}, "overlap_identity": {}, "pass": True}
     for name in data.present_charts():
-        T0 = data.structure_fields_restricted(name)
-        columns = [[{idx: f.terms for idx, f in row[b].terms.items()}
-                    for row in T0] for b in range(r)]
-        try:
-            # d of every column, not up to the first that fails: a later
-            # one may raise
-            ok = not any([any(normal_complex.differential_terms(
-                {"nor": {name: column}}, 1)["nor"][name])
-                for column in columns])
-        except NegativePowerAtZero:
-            # raise at the entry, and with the coefficient, that restricting
-            # each bracket in turn first meets
-            lam = data.manifold.bivectors[name]
-            for row in T0:
-                for entry in row:
-                    restrict(schouten(lam, entry), data.normal[name])
-            raise
+        cvars, w = space.chart(name).vars, data.normal[name]
+        pos = tuple(cvars.index(v) for v in w)
+        lam = {J: f.terms
+               for J, f in data.manifold.bivectors[name].terms.items()}
+        T0 = [[{idx: f.terms for idx, f in entry.terms.items()}
+               for entry in row]
+              for row in data.structure_fields_restricted(name)]
+        ok = True
+        for a in range(r):
+            for b in range(r):
+                # lhs - rhs, per index tuple; every bracket is restricted,
+                # also after a failure: a later one may raise
+                acc = {}
+                for idx, terms in _bracket(lam, T0[a][b]).items():
+                    kept = _zeroed(cvars, w, pos, terms)
+                    if kept:
+                        acc[idx] = kept
+                for g in range(r):
+                    for I, f in T0[g][b].items():
+                        for J, h in T0[a][g].items():
+                            idx, sign = _sort_sign(I + J)
+                            if sign:
+                                _add_product(acc.setdefault(idx, {}), f, {
+                                    e: -c * sign for e, c in h.items()})
+                ok &= not any(acc.values())
         report["chart_identity"][name] = ok
         report["pass"] &= ok
     for (i, k) in sorted(data.first_order):
         kvars, wk = space.chart(k).vars, data.normal[k]
         pos = tuple(kvars.index(v) for v in wk)
+        lam = {J: f.terms for J, f in data.manifold.bivectors[k].terms.items()}
         F = data.first_order[(i, k)]
         T0k = data.structure_fields_restricted(k)
         # T0_i on chart k, restricted: (a, b) -> [(index tuple, terms)]
@@ -685,8 +716,7 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
         ok = True
         for a in range(r):
             for g in range(r):
-                # lhs - rhs, per index tuple; [Λ_k, f] is zero for a
-                # constant f
+                # lhs - rhs, per index tuple
                 acc = {}
                 for b in range(r):
                     for idx, terms in moved.get((a, b), ()):
@@ -695,13 +725,10 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
                     for idx, f in T0k[b][g].terms.items():
                         _add_product(acc.setdefault(idx, {}), minus_F[a][b],
                                      f.terms)
-                f = F[a][g].terms
-                if any(map(any, f)):
-                    for idx, terms in normal_complex.bracket_terms(
-                            "nor", k, 0, {(): f}).items():
-                        _add_into(acc.setdefault(idx, {}), (
-                            (e, -c) for e, c in
-                            _zeroed(kvars, wk, pos, terms).items()))
+                for idx, terms in _bracket(lam, {(): F[a][g].terms}).items():
+                    _add_into(acc.setdefault(idx, {}), (
+                        (e, -c) for e, c in
+                        _zeroed(kvars, wk, pos, terms).items()))
                 ok &= not any(acc.values())
         report["overlap_identity"][f"{i}->{k}"] = ok
         report["pass"] &= ok

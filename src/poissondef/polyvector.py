@@ -22,8 +22,8 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import (LaurentPoly, MonomialMap, _add_product, _derivative,
-                       _product, monomial_map, substitute)
+from .symbolic import (LaurentPoly, _add_product, _derivative, _product,
+                       monomial_map, substitute)
 
 
 def _sort_sign(indices: Iterable[int]):
@@ -352,16 +352,12 @@ class Transition:
 
     def __init__(self, forward: Mapping[str, LaurentPoly],
                  inverse: Mapping[str, LaurentPoly],
-                 source_vars: Iterable[str], target_vars: Iterable[str],
-                 mono: MonomialMap | None = None):
-        """`mono`, when given, is the compiled map of `forward`, as an atlas
-        built from exponent vectors has it; otherwise it is compiled here."""
+                 source_vars: Iterable[str], target_vars: Iterable[str]):
         self.source_vars = tuple(source_vars)
         self.target_vars = tuple(target_vars)
         self.forward = forward
         self.inverse = inverse
-        self.mono = (monomial_map(forward, self.source_vars, self.target_vars)
-                     if mono is None else mono)
+        self.mono = monomial_map(forward, self.source_vars, self.target_vars)
         self._columns = None
         self._images: dict = {}
 

@@ -605,8 +605,7 @@ class MonomialMap:
     Calling the map on a LaurentPoly over the source variables substitutes,
     summing the images in p's order, as the general path of `substitute`
     sums them; `terms` does the same on a polynomial given by its terms
-    alone. `_of_vectors` compiles a map whose coefficients are all 1 from
-    its exponent vectors alone, as the builtin atlases give them."""
+    alone."""
 
     __slots__ = ("images", "target_vars")
 
@@ -620,18 +619,6 @@ class MonomialMap:
                 images.append((i, entries, None if cv == 1 else cv))
         self.images = tuple(images)
         self.target_vars = target_vars
-
-    @staticmethod
-    def _of_vectors(vectors, target_vars: tuple) -> "MonomialMap":
-        """The map sending the i-th source variable to y^(vectors[i]), with
-        coefficient 1; `vectors` holds one exponent tuple on `target_vars`
-        per source variable."""
-        out = MonomialMap.__new__(MonomialMap)
-        out.images = tuple([
-            (i, tuple([(j, y) for j, y in enumerate(a) if y]), None)
-            for i, a in enumerate(vectors)])
-        out.target_vars = target_vars
-        return out
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._valid(self.target_vars, self.terms(p.terms))

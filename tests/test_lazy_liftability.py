@@ -237,27 +237,18 @@ def test_a_non_empty_class_builds_one_column_set(monkeypatch):
 
 def _count_builds(monkeypatch):
     """Counters of the descriptors built, by complex kind, of the
-    submanifold extractions and of the manifolds built. An extraction
-    certifies its structure fields through a normal complex of its own
-    (`geometry.verify_submanifold_tensors`), which it drops when done: that
-    descriptor counts as part of the extraction, not as a complex built
-    for the command."""
-    kinds, made, extracting = Counter(), Counter(), []
+    submanifold extractions and of the manifolds built."""
+    kinds, made = Counter(), Counter()
     init = ComplexDescriptor.__init__
 
     def descriptor(self, kind, *args, **kwargs):
-        if not extracting:
-            kinds[kind] += 1
+        kinds[kind] += 1
         init(self, kind, *args, **kwargs)
     extract = dsl.extract_submanifold
 
     def extracted(*args):
         made["submanifold"] += 1
-        extracting.append(True)
-        try:
-            return extract(*args)
-        finally:
-            extracting.pop()
+        return extract(*args)
     manifold = PoissonManifold.__init__
 
     def structure(self, *args):
