@@ -8,7 +8,10 @@ The matrix is
 - `solve --seed` on the two extended files the `solver` benchmark workload
   seeds, and a seed that does not parse;
 - the (model, observed) pairs of the witness snapshot under `match`;
-- the malformed inputs of `test_dsl_cli` under `MALFORMED_COMMANDS`,
+- the malformed inputs of `test_dsl_cli` under `MALFORMED_COMMANDS`;
+- `PARSER_COMMANDS`, command lines that `argparse` reads (usage errors,
+  abbreviations, `--flag=value`, an option before the file, a value that
+  starts with `-`) and one with a repeated option,
 
 each with and without --json. `data/report_digests.json` keeps, per argv,
 the exit code, the byte count and the SHA-256 of the report text; the
@@ -80,6 +83,24 @@ SEED_COMMANDS = (
     ("solve", "p2_extended.pdef", "--seed", "0,1"),
     ("solve", "p2_extended_t.pdef", "--seed", "0"),
     ("solve", "p2_extended.pdef", "--seed", "0,x"),
+)
+
+# usage errors, an abbreviation, --flag=value, an option before the file,
+# --json before the subcommand, a missing value, a value that starts with
+# "-", and a repeated option (the last one wins)
+PARSER_COMMANDS = (
+    (),
+    ("nonsense",),
+    ("h0", "p3_hyperplane.pdef", "--bo", "3"),
+    ("solve", "p3_hyperplane.pdef", "--order=2"),
+    ("verify", "--order", "3", "p3_hyperplane.pdef"),
+    ("h0",),
+    ("validate", "p3_hyperplane.pdef", "extra"),
+    ("match", "p3_hyperplane.pdef"),
+    ("--json", "h0", "p3_hyperplane.pdef"),
+    ("h0", "p3_hyperplane.pdef", "--weights"),
+    ("solve", "p3_hyperplane.pdef", "--seed", "-1"),
+    ("solve", "p3_hyperplane.pdef", "--order", "1", "--order", "2"),
 )
 
 # the malformed problem files of test_dsl_cli, then one input per
@@ -162,7 +183,7 @@ def commands():
         for variant in VARIANTS:
             for fmt in FORMATS:
                 yield [variant[0], name, *variant[1:], *fmt]
-    for argv in ONE_FILE + SEED_COMMANDS:
+    for argv in ONE_FILE + SEED_COMMANDS + PARSER_COMMANDS:
         for fmt in FORMATS:
             yield [*argv, *fmt]
     for model, observed in MATCH_PAIRS:
