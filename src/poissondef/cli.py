@@ -15,6 +15,17 @@ artin      small-extension obstruction report for the selected functor
 Exit codes: 0 success, 2 verified mathematical negative (obstructed family,
 non-Poisson submanifold, impossible match, failed verification), 1 usage or
 parse errors.
+
+Reading a command line
+----------------------
+Each subcommand's help, files and options are defined once, in
+`_SUBCOMMANDS`. A canonical command line (the subcommand, its files, then
+exact options, each with its value) is read straight from that table by
+`_fast_args`; any other, help and usage errors included, goes to an
+`argparse` parser built from the same table for that one call, so -h/--help
+still prints argparse's help and raises SystemExit(0), and every usage
+error keeps argparse's message. The help text is this docstring up to this
+section.
 """
 
 from __future__ import annotations
@@ -46,26 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _Subcommand:
-    """A subcommand's parser as argparse's subparser action uses it:
-    `add_argument` records each call, and the first parse builds the
-    `_Parser` and adds them in their order. A command line reaches one
-    subcommand, so the parsers of the others are never built."""
-
-    def __init__(self, **kwargs):
-        self._kwargs, self._calls, self._parser = kwargs, [], None
-
-    def add_argument(self, *args, **kwargs):
-        self._calls.append((args, kwargs))
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._parser is None:
-            self._parser = _Parser(**self._kwargs)
-            for a, kw in self._calls:
-                self._parser.add_argument(*a, **kw)
-        return self._parser.parse_known_args(args, namespace)
-
-
 def _count(text: str) -> int:
     """Type of every --order, --degree and --bound: an integer >= 0."""
     try:
@@ -77,64 +68,104 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="poissondef", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
+_FILE = (("file", "problem file"),)
+_COMPLEX = ("--complex", "complex_kind", None, KINDS, "normal", None)
+_WEIGHTS = ("--weights", "weights", None, None, None,
+            "weight range a..b (single-chart only)")
 
-    def add(name, help, files=1):
+# Per subcommand: its help, its file positionals as (dest, help), and its
+# options as (flag, dest, type, choices, default, help), in the order of
+# the help text. Every subcommand also takes --json (dest `as_json`).
+_SUBCOMMANDS = {
+    "validate": ("check atlas, structure and submanifold consistency",
+                 _FILE, ()),
+    "tensors": ("print the submanifold structure tensors", _FILE, ()),
+    "h0": ("degree-zero cohomology of a controlling complex", _FILE, (
+        _COMPLEX, _WEIGHTS,
+        ("--bound", "bound", _count, None, None, "section degree bound"))),
+    "hyper": ("degree-one cohomology data", _FILE, (
+        _COMPLEX, _WEIGHTS,
+        ("--bound", "bound", _count, None, 4,
+         "Laurent window bound for the atlas estimate"))),
+    "solve": ("construct a family order by order", _FILE, (
+        ("--order", "order", _count, None, None, "target order override"),
+        ("--degree", "degree", _count, None, None, "degree bound override"),
+        ("--mode", "mode", None, MODES, None, "mode override"),
+        ("--seed", "seed", None, None, None,
+         "comma-separated degree-zero basis indices"),
+        ("--bound", "bound", _count, None, None,
+         "section degree bound override"))),
+    "verify": ("re-verify the family written in the file", _FILE, (
+        ("--order", "order", _count, None, None,
+         "verification order override"),)),
+    "match": ("match a model family to an observed one",
+              (("model", "model problem file"),
+               ("observed", "observed family file")), (
+        ("--order", "order", _count, None, None, "matching order override"),
+        ("--seed", "seed", None, None, None,
+         "comma-separated degree-zero basis indices for the model solve"))),
+    "artin": ("small-extension obstruction report", _FILE, (
+        ("--functor", "functor", None, FUNCTORS, None,
+         "functor override (defaults to the file's artin statement)"),
+        ("--order", "order", _count, None, 0,
+         "extension step: class at the next order"),
+        ("--bound", "bound", _count, None, 3,
+         "degree bound for sections and lifts"))),
+}
+
+
+def build_parser() -> _Parser:
+    description = __doc__.partition("\nReading a command line\n")[0]
+    parser = _Parser(prog="poissondef", description=description,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, files, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help)
-        if files == 1:
-            p.add_argument("file", help="problem file")
-        else:
-            p.add_argument("model", help="model problem file")
-            p.add_argument("observed", help="observed family file")
+        for dest, file_help in files:
+            p.add_argument(dest, help=file_help)
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="machine-readable report")
-        return p
-
-    add("validate", "check atlas, structure and submanifold consistency")
-    add("tensors", "print the submanifold structure tensors")
-
-    p = add("h0", "degree-zero cohomology of a controlling complex")
-    p.add_argument("--complex", default="normal", dest="complex_kind",
-                   choices=KINDS)
-    p.add_argument("--weights", help="weight range a..b (single-chart only)")
-    p.add_argument("--bound", type=_count, help="section degree bound")
-
-    p = add("hyper", "degree-one cohomology data")
-    p.add_argument("--complex", default="normal", dest="complex_kind",
-                   choices=KINDS)
-    p.add_argument("--weights", help="weight range a..b (single-chart only)")
-    p.add_argument("--bound", type=_count, default=4,
-                   help="Laurent window bound for the atlas estimate")
-
-    p = add("solve", "construct a family order by order")
-    p.add_argument("--order", type=_count, help="target order override")
-    p.add_argument("--degree", type=_count, help="degree bound override")
-    p.add_argument("--mode", choices=MODES, help="mode override")
-    p.add_argument("--seed", help="comma-separated degree-zero basis indices")
-    p.add_argument("--bound", type=_count,
-                   help="section degree bound override")
-
-    p = add("verify", "re-verify the family written in the file")
-    p.add_argument("--order", type=_count, help="verification order override")
-
-    p = add("match", "match a model family to an observed one", files=2)
-    p.add_argument("--order", type=_count, help="matching order override")
-    p.add_argument("--seed", help="comma-separated degree-zero basis indices "
-                                  "for the model solve")
-
-    p = add("artin", "small-extension obstruction report")
-    p.add_argument("--functor", choices=FUNCTORS,
-                   help="functor override (defaults to the file's artin "
-                        "statement)")
-    p.add_argument("--order", type=_count, default=0,
-                   help="extension step: class at the next order")
-    p.add_argument("--bound", type=_count, default=3,
-                   help="degree bound for sections and lifts")
+        for flag, dest, type, choices, default, option_help in options:
+            p.add_argument(flag, dest=dest, type=type, choices=choices,
+                           default=default, help=option_help)
     return parser
+
+
+def _fast_args(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, for a
+    canonical command line: the subcommand, its files, then its exact
+    flags, each either --json or followed by a value that does not start
+    with "-" and passes the flag's type and choices; a repeated flag keeps
+    its last value. None for any other argv, which `argparse` reads."""
+    spec = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, files, options = spec
+    n = len(files) + 1
+    if len(argv) < n or any(a[:1] == "-" for a in argv[1:n]):
+        return None
+    values = {"command": argv[0], "as_json": False}
+    values.update((dest, a) for (dest, _), a in zip(files, argv[1:]))
+    values.update((dest, default) for _, dest, _, _, default, _ in options)
+    rest = iter(argv[n:])
+    for flag in rest:
+        if flag == "--json":
+            values["as_json"] = True
+            continue
+        option = next((o for o in options if o[0] == flag), None)
+        value = next(rest, "-")  # "-": no value left
+        if option is None or value[:1] == "-":
+            return None
+        _, dest, type, choices, _, _ = option
+        if type is not None:
+            try:
+                value = type(value)
+            except argparse.ArgumentTypeError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
 
 
 # ----------------------------------------------------------------------
@@ -529,12 +560,18 @@ _COMMANDS = {
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Run one command; returns (exit code, report text)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        return 1, f"usage error: {e}\n"
+    """Run one command; returns (exit code, report text).
+
+    A canonical command line is read by `_fast_args` from `_SUBCOMMANDS`
+    alone; any other (help, abbreviations, --flag=value, options before
+    the files, usage errors) by an `argparse` parser built for this call,
+    so -h/--help still prints argparse's help and raises SystemExit(0)."""
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except _UsageError as e:
+            return 1, f"usage error: {e}\n"
     try:
         rep, code = _COMMANDS[args.command](args)
     except _UsageError as e:

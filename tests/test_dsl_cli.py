@@ -7,6 +7,7 @@ drive every subcommand in-process through ``run_command`` against the bundled
 problem corpus, pinning report fields, exit codes, and byte determinism.
 """
 
+import argparse
 import json
 import os
 import re
@@ -31,6 +32,11 @@ from poissondef.errors import InconsistentData, ParseError
 from poissondef.geometry import ChartedSpace
 from poissondef.polyvector import Polyvector
 from poissondef.symbolic import LaurentPoly, TruncatedSeries
+
+from report_contract import commands as contract_commands
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import commands as workload_commands  # noqa: E402
 
 EXAMPLES = Path(poissondef.__file__).parent / "examples"
 CORPUS = sorted(p.name for p in EXAMPLES.glob("*.pdef"))
@@ -724,40 +730,132 @@ PARSER_ARGVS = (
     + [[name, "f", "g"][:3 if name == "match" else 2] for name in SUBCOMMANDS])
 
 
-def _parse_outcome(parser, argv, capsys):
-    try:
-        return "args", vars(parser.parse_args(argv))
-    except cli._UsageError as e:
-        return "usage error", str(e)
-    except SystemExit as e:
-        return "exit", e.code, capsys.readouterr()
-    finally:
-        assert capsys.readouterr() == ("", "")
+def _argparse_args(argv, parser=None):
+    """vars() of the namespace an argparse parser built from
+    `cli._SUBCOMMANDS` gives for argv."""
+    return vars((parser or cli.build_parser()).parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
-def test_subcommand_parsers_built_on_first_parse_parse_as_eager_ones(
-        argv, capsys, monkeypatch):
-    """Each subcommand's parser is built when the command line reaches it.
-    The namespace, usage error or help text is the one a parser with every
-    subcommand built up front gives."""
-    outcome = _parse_outcome(cli.build_parser(), argv, capsys)
-    monkeypatch.setattr(cli, "_Subcommand", cli._Parser)
-    assert outcome == _parse_outcome(cli.build_parser(), argv, capsys)
+def test_fast_args_read_a_parser_argv_as_argparse_does(argv):
+    """`_fast_args` leaves an argv to argparse or reads it as argparse
+    does."""
+    fast = cli._fast_args(argv)
+    assert fast is None or vars(fast) == _argparse_args(argv)
 
 
-def test_a_command_builds_the_parser_of_its_subcommand_alone(monkeypatch):
+def test_fast_args_read_every_contract_argv_as_argparse_does():
+    parser = cli.build_parser()
+    for argv in contract_commands():
+        fast = cli._fast_args(argv)
+        assert fast is None or vars(fast) == _argparse_args(argv, parser), argv
+
+
+_OPTIONS = [o for _, _, options in cli._SUBCOMMANDS.values() for o in options]
+FLAGS = sorted({o[0] for o in _OPTIONS} | {"--json"})
+CHOICES = sorted({c for o in _OPTIONS for c in o[3] or ()})
+TOKENS = (*SUBCOMMANDS, *FLAGS, *CHOICES, "--bo", "--ord", "--js", "--c",
+          "--order=2", "--json=1", "--complex=extended", "--", "-", "-h",
+          "--help", "-1", "x", "", "0", "3", "0,1", "0..3", "f.pdef",
+          "g.pdef")
+VALUES = ("0", "3", "0,1", "0..3", "x", "", *CHOICES)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, its files, then its flags, each but --json with a
+    value; one part in eight is any token of the alphabet instead."""
+    def pick(tokens):
+        return draw(st.sampled_from(
+            TOKENS if draw(st.integers(0, 7)) == 0 else tokens))
+
+    sub = pick(SUBCOMMANDS)
+    _, files, options = cli._SUBCOMMANDS.get(sub, (None, (), ()))
+    argv = [sub, *(pick(("f.pdef", "g.pdef")) for _ in files)]
+    for _ in range(draw(st.integers(0, 4))):
+        argv.append(pick(("--json", *(o[0] for o in options))))
+        if argv[-1] != "--json":
+            argv.append(pick(VALUES))
+    return argv
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.one_of(command_lines(), st.lists(st.sampled_from(TOKENS),
+                                           max_size=8)))
+def test_fast_args_read_drawn_command_lines_as_argparse_does(argv):
+    fast = cli._fast_args(argv)
+    assert fast is None or vars(fast) == _argparse_args(argv)
+
+
+def _parsers_built(monkeypatch, argv):
+    """The prog of every argparse parser that `run_command(argv)` builds,
+    and its exit code."""
     built = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
-    def record(self, **kwargs):
+    def record(self, *args, **kwargs):
         built.append(kwargs["prog"])
-        init(self, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", record)
-    code, _ = run_command(["validate", corpus_path("p3_line.pdef")])
-    assert code == 0
-    assert built == ["poissondef", "poissondef validate"]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+    code, _ = run_command(argv)
+    return built, code
+
+
+def test_a_well_formed_command_builds_no_parser(monkeypatch):
+    argv = ["validate", corpus_path("p3_line.pdef")]
+    assert _parsers_built(monkeypatch, argv) == ([], 0)
+
+
+@pytest.mark.parametrize("argv", [["h0", "p3_line.pdef", "--bo", "3"],
+                                  ["nonsense"]], ids=" ".join)
+def test_a_malformed_command_builds_every_parser(argv, monkeypatch):
+    argv = [corpus_path(a) if a.endswith(".pdef") else a for a in argv]
+    built, _ = _parsers_built(monkeypatch, argv)
+    assert built == ["poissondef",
+                     *(f"poissondef {name}" for name in SUBCOMMANDS)]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["h0", "-h"]], ids=" ".join)
+def test_help_is_argparses_and_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        run_command(argv)
+    assert raised.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: poissondef", *argv[:-1]]))
+    assert err == ""
+
+
+@pytest.mark.parametrize("workload", ["sections", "solver", "corpus"])
+def test_every_workload_argv_takes_the_fast_path(workload):
+    argvs = workload_commands(workload)
+    assert argvs
+    assert [a for a in argvs if cli._fast_args(a) is None] == []
+
+
+# contract argvs that argparse reads without an error but that are not
+# canonical: an abbreviation, --flag=value, an option before the file and
+# a value that starts with "-"
+ARGPARSE_ONLY = (
+    ("h0", "p3_hyperplane.pdef", "--bo", "3"),
+    ("solve", "p3_hyperplane.pdef", "--order=2"),
+    ("verify", "--order", "3", "p3_hyperplane.pdef"),
+    ("solve", "p3_hyperplane.pdef", "--seed", "-1"),
+)
+
+
+def test_every_well_formed_contract_argv_takes_the_fast_path():
+    parser = cli.build_parser()
+    left = set()
+    for argv in contract_commands():
+        try:
+            parser.parse_args(argv)
+        except cli._UsageError:
+            continue
+        if cli._fast_args(argv) is None:
+            left.add(tuple(argv))
+    assert left == {(*argv, *fmt) for argv in ARGPARSE_ONLY
+                    for fmt in ((), ("--json",))}
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
