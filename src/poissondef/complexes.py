@@ -22,9 +22,11 @@ in the extended kind's normal part only. d is applied to a chunk's raw term
 dicts through index rules compiled once per (part, chart, p) and kept on the
 descriptor: per input index tuple, the output index, sign and Λ terms of
 each product of the bracket, and the output index, sign and twist terms of
-each wedge. The rules add their products in the order in which `schouten`,
-`restrict` and `wedge` would, so every result equals theirs term by term.
-`differential` is `differential_terms` on chunks.
+each wedge. The rules are `polyvector._bracket_rule` and `_wedge_rule`,
+applied by `polyvector._ruled`: the bracket's rule is the body of
+`schouten`, and the wedge's adds its products in `wedge`'s order, so every
+result equals theirs term by term. `differential` is `differential_terms`
+on chunks.
 `twist(part, chart)` gives:
 
     part  kind               twist[a][b]
@@ -102,9 +104,10 @@ from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 # rref is not called here; perfbench's tracing tests expect this module to
 # hold it
 from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
-from .polyvector import Polyvector, _sort_sign, restrict
-from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
-                       _derivative, _product, _simplex, _zeroed)
+from .polyvector import (Polyvector, _bracket_rule, _ruled, _wedge_rule,
+                         restrict)
+from .symbolic import (LaurentPoly, _add_into, _as_scalar, _product, _simplex,
+                       _zeroed)
 
 
 # ----------------------------------------------------------------------
@@ -227,32 +230,6 @@ def _sum_into(acc: dict, idx: tuple, terms: dict):
                 del acc[idx]
 
 
-def _ruled(raw: dict, rules: dict, key, build) -> dict:
-    """{index tuple: terms} of an index rule applied to one slot's raw terms,
-    in their order. The rule of (key, idx), built by build(idx) on first
-    use and kept in rules, lists (output index, None, terms) for the
-    product of idx's coefficient f with terms, and (output index, j, terms)
-    for terms times d f / d v_j. Each product is added where it lands, by
-    `symbolic._add_product`, in the rule's order, and an index whose terms
-    cancel is deleted, as `polyvector._acc` deletes it."""
-    acc = {}
-    for idx, f in raw.items():
-        rule = rules.get((key, idx))
-        if rule is None:
-            rule = rules[(key, idx)] = build(idx)
-        for oidx, j, g in rule:
-            terms = acc.get(oidx)
-            if terms is None:
-                terms = acc[oidx] = {}
-            if j is None:
-                _add_product(terms, f, g)
-            else:
-                _add_product(terms, g, _derivative(f, j))
-            if not terms:
-                del acc[oidx]
-    return acc
-
-
 def _restricted(cvars: tuple, w: tuple, pos: tuple, acc: dict, s) -> dict:
     """s times the {index tuple: terms} dict acc with the normal variables w,
     at positions pos, set to zero by `_zeroed`, as `restrict` gives it."""
@@ -262,37 +239,6 @@ def _restricted(cvars: tuple, w: tuple, pos: tuple, acc: dict, s) -> dict:
         if kept:
             out[idx] = {e: c * s for e, c in kept.items()}
     return out
-
-
-def _bracket_rule(lam: dict, idx: tuple, s) -> list:
-    """The index rule of s * [f d_idx, lam] for `_ruled`, lam given by its
-    raw terms {J: terms}, in the order in which `schouten` adds its
-    products, each sign folded into its terms. At degree 0 `schouten` takes
-    [lam, f]: the l-terms with the other sign."""
-    rule, t = [], s if idx else -s
-    for J, g in lam.items():
-        # the bracket with a function has no prefactor (-1)^(p-1)
-        pref = s if len(idx) % 2 or not J else -s
-        for k, j in enumerate(idx):
-            dg = _derivative(g, j)
-            out, sign = _sort_sign(idx[:k] + idx[k + 1:] + J)
-            if dg and sign:
-                sign *= -pref if k % 2 else pref
-                rule.append((out, None, {e: c * sign for e, c in dg.items()}))
-        for k, j in enumerate(J):
-            out, sign = _sort_sign(idx + J[:k] + J[k + 1:])
-            if sign:
-                sign *= t if k % 2 else -t
-                rule.append((out, j, {e: c * sign for e, c in g.items()}))
-    return rule
-
-
-def _wedge_rule(idx: tuple, t: Polyvector, s) -> list:
-    """The index rule of s * (f d_idx) ^ t for `_ruled`, in `wedge`'s
-    order."""
-    return [(out, None, {e: c * sign * s for e, c in g.terms.items()})
-            for J, g in t.terms.items()
-            for out, sign in (_sort_sign(idx + J),) if sign]
 
 
 def cochain_lincomb(coeffs: Iterable[Fraction], cochains: Iterable[dict]) -> dict:

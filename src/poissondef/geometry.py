@@ -16,8 +16,9 @@ bracket of the structure with each normal variable, and certifies the
 compatibility identities they satisfy. Each stage works on the exact core's
 raw terms {idx: {e: c}} and builds each polyvector once: the division rule
 sorts the terms of [Λ, w_a] straight into the structure fields, and the
-certificates take their brackets by `_bracket` and add their products in
-place (`verify_submanifold_tensors`): none calls `schouten`, `wedge` or
+certificates take their brackets by `polyvector._raw_bracket`, the one
+rule of `schouten` on raw terms, and add their products in place
+(`verify_submanifold_tensors`): none calls `schouten`, `wedge` or
 `restrict`. The chart identity is closedness at p = 1 in the normal
 complex of `complexes`, checked here directly.
 
@@ -36,8 +37,8 @@ from .errors import (
     NotPoissonSubmanifold,
     WrongCodimension,
 )
-from .polyvector import (Polyvector, Transition, _sort_sign, pushforward,
-                         restrict, schouten)
+from .polyvector import (Polyvector, Transition, _raw_bracket, _sort_sign,
+                         pushforward, restrict, schouten)
 from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
                        _derivative, _set_zero, _zeroed)
 
@@ -609,40 +610,6 @@ def extract_submanifold(M: PoissonManifold,
     return data
 
 
-def _bracket(lam: dict, x: dict) -> dict:
-    """[Λ, x] as {index tuple: terms}, for a bivector Λ and a function or a
-    vector field x given by their raw terms {idx: terms}: the products of
-    `schouten`, in its order, each added by `symbolic._add_product`, and an
-    index whose terms cancel deleted, as `polyvector._acc` deletes it. So
-    the index tuples come in `schouten`'s order, and restricting them in
-    turn meets a pole where `restrict` meets it."""
-    acc = {}
-
-    def add(idx, a, b, sign):
-        terms = acc.get(idx)
-        if terms is None:
-            terms = acc[idx] = {}
-        _add_product(terms, a, {e: c * sign for e, c in b.items()})
-        if not terms:
-            del acc[idx]
-
-    for J, f in lam.items():
-        for I, g in x.items():
-            # the bracket with a function has no prefactor (-1)^(p-1)
-            pref = -1 if I else 1
-            for k, j in enumerate(J):
-                dg = _derivative(g, j)
-                idx, sign = _sort_sign(J[:k] + J[k + 1:] + I)
-                if dg and sign:
-                    add(idx, f, dg, -pref * sign if k % 2 else pref * sign)
-            for k, j in enumerate(I):
-                df = _derivative(f, j)
-                idx, sign = _sort_sign(J + I[:k] + I[k + 1:])
-                if df and sign:
-                    add(idx, g, df, sign if k % 2 else -sign)
-    return acc
-
-
 def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
     """Exact certification of the tensor identities along the submanifold,
     on raw terms.
@@ -659,9 +626,9 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
     Σ_b F[a][b] T0_k[b][g], with T0_i moved to chart k by one
     `Transition.move` and restricted.
 
-    Brackets are taken by `_bracket` and every product is added by
-    `symbolic._add_product`. A negative power of a normal variable raises
-    NegativePowerAtZero where restricting polyvector by polyvector
+    Brackets are taken by `polyvector._raw_bracket` and every product is
+    added by `symbolic._add_product`. A negative power of a normal variable
+    raises NegativePowerAtZero where restricting polyvector by polyvector
     (`restrict`) raises it, with its message.
     """
     space, r = data.space, data.codim
@@ -680,7 +647,7 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
                 # lhs - rhs, per index tuple; every bracket is restricted,
                 # also after a failure: a later one may raise
                 acc = {}
-                for idx, terms in _bracket(lam, T0[a][b]).items():
+                for idx, terms in _raw_bracket(lam, T0[a][b]).items():
                     kept = _zeroed(cvars, w, pos, terms)
                     if kept:
                         acc[idx] = kept
@@ -725,7 +692,8 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
                     for idx, f in T0k[b][g].terms.items():
                         _add_product(acc.setdefault(idx, {}), minus_F[a][b],
                                      f.terms)
-                for idx, terms in _bracket(lam, {(): F[a][g].terms}).items():
+                for idx, terms in _raw_bracket(
+                        lam, {(): F[a][g].terms}).items():
                     _add_into(acc.setdefault(idx, {}), (
                         (e, -c) for e, c in
                         _zeroed(kvars, wk, pos, terms).items()))

@@ -12,6 +12,12 @@ convention in which, on decomposables with p, q >= 1,
 while for a function g (q = 0) the first sum applies without the
 (-1)^(p-1) prefactor, and the p = 0 case is defined through graded
 antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].
+
+That convention is written once, as the index rule `_bracket_rule`, which
+`_ruled` applies to raw terms {idx: {e: c}}. `schouten` is that rule on
+polyvectors, through `_raw_bracket`; the submanifold tensor certificate of
+`geometry` calls `_raw_bracket` on raw terms, and the differential of
+`complexes` applies the rule, with `_wedge_rule`, through rules it keeps.
 """
 
 from __future__ import annotations
@@ -221,6 +227,14 @@ def wedge(a: Polyvector, b: Polyvector) -> Polyvector:
     return Polyvector(a.vars, a.degree + b.degree, out_terms)
 
 
+def _wedge_rule(idx: tuple, t: Polyvector, s) -> list:
+    """The index rule of s * (f d_idx) ^ t for `_ruled`, in `wedge`'s
+    order."""
+    return [(out, None, {e: c * sign * s for e, c in g.terms.items()})
+            for J, g in t.terms.items()
+            for out, sign in (_sort_sign(idx + J),) if sign]
+
+
 def _acc(out_terms: dict, idx: tuple, coeff: LaurentPoly):
     """out_terms[idx] += coeff, in place: a zero addend is skipped, a sum is
     kept where it is and an index whose sum cancels is deleted. The one
@@ -237,54 +251,76 @@ def _acc(out_terms: dict, idx: tuple, coeff: LaurentPoly):
         out_terms[idx] = coeff
 
 
+def _ruled(raw: dict, rules: dict, key, build) -> dict:
+    """{index tuple: terms} of an index rule applied to one slot's raw terms,
+    in their order. The rule of (key, idx), built by build(idx) on first
+    use and kept in rules, lists (output index, None, terms) for the
+    product of idx's coefficient f with terms, and (output index, j, terms)
+    for terms times d f / d v_j. Each product is added where it lands, by
+    `symbolic._add_product`, in the rule's order, and an index whose terms
+    cancel is deleted, as `_acc` deletes it."""
+    acc = {}
+    for idx, f in raw.items():
+        rule = rules.get((key, idx))
+        if rule is None:
+            rule = rules[(key, idx)] = build(idx)
+        for oidx, j, g in rule:
+            terms = acc.get(oidx)
+            if terms is None:
+                terms = acc[oidx] = {}
+            if j is None:
+                _add_product(terms, f, g)
+            else:
+                _add_product(terms, g, _derivative(f, j))
+            if not terms:
+                del acc[oidx]
+    return acc
+
+
+def _bracket_rule(lam: dict, idx: tuple, s) -> list:
+    """The index rule of s * [f d_idx, lam] for `_ruled`, lam given by its
+    raw terms {J: terms}: the k-terms, then the l-terms, of the module
+    docstring's formula per term of lam, each sign folded into its terms.
+    The one place the bracket's signs are written. At degree 0 the rule
+    gives s * [lam, f] (the l-terms with the other sign), which is
+    s * [f, lam] for an even lam."""
+    rule, t = [], s if idx else -s
+    for J, g in lam.items():
+        # the bracket with a function has no prefactor (-1)^(p-1)
+        pref = s if len(idx) % 2 or not J else -s
+        for k, j in enumerate(idx):
+            dg = _derivative(g, j)
+            out, sign = _sort_sign(idx[:k] + idx[k + 1:] + J)
+            if dg and sign:
+                sign *= -pref if k % 2 else pref
+                rule.append((out, None, {e: c * sign for e, c in dg.items()}))
+        for k, j in enumerate(J):
+            out, sign = _sort_sign(idx + J[:k] + J[k + 1:])
+            if sign:
+                sign *= t if k % 2 else -t
+                rule.append((out, j, {e: c * sign for e, c in g.items()}))
+    return rule
+
+
+def _raw_bracket(a: dict, b: dict, s=1) -> dict:
+    """s * [a, b] as {index tuple: terms}, for a and b given by their raw
+    terms {idx: terms}, or s * [b, a] for a function a: `_bracket_rule` of
+    b applied to a by `_ruled`."""
+    return _ruled(a, {}, None, lambda idx: _bracket_rule(b, idx, s))
+
+
 def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
-    """Graded bracket of multivector fields (convention in module docstring)."""
+    """Graded bracket of multivector fields (convention in module docstring):
+    `_raw_bracket` of their raw terms, with s = -1 for a function a and an
+    odd b, since at degree 0 the rule takes [b, a]."""
     a._check(b, same_degree=False)
     p, q = a.degree, b.degree
     if p == 0 and q == 0:
         return Polyvector.zero(a.vars, 0)
-    if p == 0:
-        # [f, Q] = -(-1)^((0-1)(q-1)) [Q, f] = (-1)^q [Q, f]
-        res = schouten(b, a)
-        return res if q % 2 == 0 else -res
-    vars = a.vars
-    out_terms: dict = {}
-    if q == 0:
-        for ia, f in a.terms.items():
-            g = b.terms.get((), None)
-            if g is None:
-                continue
-            for kpos, ik in enumerate(ia):
-                dg = g.derivative(vars[ik])
-                if dg.is_zero():
-                    continue
-                coeff = f * dg
-                if kpos % 2:
-                    coeff = -coeff
-                _acc(out_terms, ia[:kpos] + ia[kpos + 1:], coeff)
-        return Polyvector._valid(vars, p - 1, out_terms)
-    pref = -1 if (p - 1) % 2 else 1
-    for ia, f in a.terms.items():
-        for ib, g in b.terms.items():
-            for kpos, ik in enumerate(ia):
-                dg = g.derivative(vars[ik])
-                if dg.is_zero():
-                    continue
-                idx, sign = _sort_sign(ia[:kpos] + ia[kpos + 1:] + ib)
-                if sign == 0:
-                    continue
-                s = pref * sign * (-1 if kpos % 2 else 1)
-                _acc(out_terms, idx, f * dg * s)
-            for lpos, jl in enumerate(ib):
-                df = f.derivative(vars[jl])
-                if df.is_zero():
-                    continue
-                idx, sign = _sort_sign(ia + ib[:lpos] + ib[lpos + 1:])
-                if sign == 0:
-                    continue
-                s = sign * (1 if lpos % 2 else -1)
-                _acc(out_terms, idx, g * df * s)
-    return Polyvector._valid(vars, p + q - 1, out_terms)
+    return Polyvector._from_raw(a.vars, p + q - 1, _raw_bracket(
+        {I: f.terms for I, f in a.terms.items()},
+        {J: g.terms for J, g in b.terms.items()},
+        -1 if p == 0 and q % 2 else 1).items())
 
 
 def hamiltonian(bivector: Polyvector, f) -> Polyvector:
@@ -304,7 +340,9 @@ def hamiltonian(bivector: Polyvector, f) -> Polyvector:
 
 def restrict(a: Polyvector, names: Iterable[str]) -> Polyvector:
     """Evaluate the listed variables at zero in every coefficient, keeping all
-    frame components (including those along the zeroed directions)."""
+    frame components (including those along the zeroed directions). Its
+    callers are `semiregularity_image_rank`, `deformation.residual_total`
+    and `SubmanifoldData.push_restrict`."""
     names = tuple(names)
     terms = {}
     for i, c in a.terms.items():

@@ -9,8 +9,10 @@ the new ones on random cochains of every descriptor kind.
 `cochain_vector_entries` is compared as a dict: its stream order within a
 chunk may change, its keys and values may not. `cochain_add` and
 `cochain_scale` are gone: `cochain_lincomb` now sums raw terms itself and
-is compared here with the oldest lincomb, built from them, while the old
-add and scale still build the zero test's cochains.
+is compared here with the oldest lincomb, built from them, chart order
+included, while the old add and scale still build the zero test's
+cochains. The old add takes a part's charts in first-seen order, as
+`cochain_lincomb` does, not in the set order that followed string hashing.
 `tests/test_raw_cochain_forms.py` compares it with the parent's lincomb,
 term order and scalar types included.
 
@@ -49,12 +51,12 @@ def old_cochain_add(a: dict, b: dict) -> dict:
     out = {}
     if "amb" in a or "amb" in b:
         out["amb"] = {}
-        for c in set(a.get("amb", {})) | set(b.get("amb", {})):
+        for c in dict.fromkeys([*a.get("amb", {}), *b.get("amb", {})]):
             x, y = a.get("amb", {}).get(c), b.get("amb", {}).get(c)
             out["amb"][c] = x + y if (x is not None and y is not None) else (x if y is None else y)
     if "nor" in a or "nor" in b:
         out["nor"] = {}
-        for c in set(a.get("nor", {})) | set(b.get("nor", {})):
+        for c in dict.fromkeys([*a.get("nor", {}), *b.get("nor", {})]):
             x, y = a.get("nor", {}).get(c), b.get("nor", {}).get(c)
             if x is None:
                 out["nor"][c] = list(y)
@@ -214,7 +216,10 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 def test_lincomb_matches_the_replaced_helper(descriptors, data):
     cochains = _draw(data, descriptors, 3)
     vec = data.draw(st.lists(coeffs, min_size=3, max_size=3))
-    assert cochain_lincomb(vec, cochains) == old_cochain_lincomb(vec, cochains)
+    new, old = cochain_lincomb(vec, cochains), old_cochain_lincomb(vec, cochains)
+    assert new == old
+    assert [(part, list(new[part])) for part in new] == [
+        (part, list(old[part])) for part in old]
 
 
 @SETTINGS
