@@ -14,12 +14,12 @@ Submanifold extraction computes the restriction tensors: the first-order
 normal transition matrices and the structure vector fields appearing in the
 bracket of the structure with each normal variable, and certifies the
 compatibility identities they satisfy. Each stage works on the exact core's
-raw terms {idx: {e: c}} and builds each polyvector once: the division rule
-sorts the terms of [Λ, w_a] straight into the structure fields, and the
-certificates take their brackets by `polyvector._raw_bracket`, the one
-rule of `schouten` on raw terms, and add their products in place
-(`verify_submanifold_tensors`): none calls `schouten`, `wedge` or
-`restrict`. The chart identity is closedness at p = 1 in the normal
+raw terms {idx: {e: c}} and builds each polyvector once. The division
+rule and the certificates (`verify_submanifold_tensors`) take their
+brackets by `polyvector._raw_bracket`, the one rule of `schouten` on raw
+terms: the division rule sorts the terms of [Λ, w_a] straight into the
+structure fields, and the certificates add their products in place. None
+calls `schouten`, `wedge` or `restrict`. The chart identity is closedness at p = 1 in the normal
 complex of `complexes`, checked here directly.
 
 The records here are plain classes on purpose, as in `complexes`,
@@ -567,28 +567,24 @@ def extract_submanifold(M: PoissonManifold,
                 _derivative(tmap[wv].terms, j), pos)) for j in pos]
             for wv in normal[i]]
 
-    # structure vector fields via the division rule: [Λ, w_a] is the sum of
-    # (-1)^k Λ_J d_(J without w_a) over the index tuples J holding w_a at
-    # place k, and each of its terms c * x^e goes to T[a][β] as
-    # c * x^e / w_β, β the first normal variable with a positive power in
-    # e, or to the residual when there is none. No two terms land on one
-    # key.
+    # structure vector fields via the division rule: each term c * x^e of
+    # [Λ, w_a] goes to T[a][β] as c * x^e / w_β, β the first normal
+    # variable with a positive power in e, or to the residual when there is
+    # none. No two terms land on one key.
     for name in present:
         cvars = space.chart(name).vars
         w = normal[name]
         pos = tuple(cvars.index(v) for v in w)
+        lam = {J: f.terms for J, f in M.bivectors[name].terms.items()}
         T = []
         for a, wv in enumerate(w):
             rows = [{} for _ in w]
             residual = {}
-            for J, f in M.bivectors[name].terms.items():
-                if pos[a] not in J:
-                    continue
-                k = J.index(pos[a])
-                idx = J[:k] + J[k + 1:]
-                for e, c in f.terms.items():
+            unit = tuple(int(j == pos[a]) for j in range(len(cvars)))
+            for idx, terms in _raw_bracket(lam, {(): {unit: 1}}).items():
+                for e, c in terms.items():
                     # stored as an int when integral, as a new term is
-                    c = _as_scalar(-c if k % 2 else c)
+                    c = _as_scalar(c)
                     beta = next((b for b, j in enumerate(pos) if e[j] > 0),
                                 None)
                     if beta is None:

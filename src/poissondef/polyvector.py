@@ -15,8 +15,8 @@ antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].
 
 That convention is written once, as the index rule `_bracket_rule`, which
 `_ruled` applies to raw terms {idx: {e: c}}. `schouten` is that rule on
-polyvectors, through `_raw_bracket`; the submanifold tensor certificate of
-`geometry` calls `_raw_bracket` on raw terms, and the differential of
+polyvectors, through `_raw_bracket`; `geometry`'s division rule and tensor
+certificate call `_raw_bracket` on raw terms, and the differential of
 `complexes` applies the rule, with `_wedge_rule`, through rules it keeps.
 """
 

@@ -2,9 +2,9 @@
 
 The bracket's signs are written once, in `polyvector._bracket_rule`, which
 `polyvector._ruled` applies to raw terms. `schouten` is that rule on
-polyvectors, and the submanifold tensor certificate takes its brackets on
-raw terms by `polyvector._raw_bracket`. Kept here
-as they were before, verbatim but for their names:
+polyvectors, and submanifold extraction's division rule and tensor
+certificate take their brackets on raw terms by `polyvector._raw_bracket`.
+Kept here as they were before, verbatim but for their names:
 
 - `schouten`, which wrote the bracket's product loop over `LaurentPoly`
   coefficients itself, and took a function against a polyvector through
@@ -23,8 +23,9 @@ Jacobi bracket of every chart's structure and the certificate's brackets
 of every shipped submanifold.
 
 The count test checks that the Jacobi check, `deformation.series_schouten`,
-the tensor certificate and the differential each reach
-`polyvector._bracket_rule`, so no second body can come back unnoticed.
+the tensor certificate, the division rule of `extract_submanifold` and the
+differential each reach `polyvector._bracket_rule`, so no second body can
+come back unnoticed.
 """
 
 from collections import Counter
@@ -37,7 +38,8 @@ from hypothesis import given, settings, strategies as st
 from poissondef.complexes import build_complex
 from poissondef.deformation import jacobi_residual
 from poissondef.dsl import parse
-from poissondef.geometry import (check_poisson_manifold,
+from poissondef import geometry
+from poissondef.geometry import (check_poisson_manifold, extract_submanifold,
                                  verify_submanifold_tensors)
 from poissondef.polyvector import (Polyvector, _acc, _raw_bracket,
                                    _sort_sign, schouten)
@@ -228,9 +230,9 @@ def test_shipped_brackets_match_the_parent_bodies():
 
 def test_every_bracket_reaches_the_one_rule(monkeypatch):
     """The Jacobi check, the series bracket of the solver's residuals, the
-    tensor certificate and the differential each call
-    `polyvector._bracket_rule`, wrapped in every package module that binds
-    it."""
+    tensor certificate, extraction's division rule (with the certificate
+    stubbed out) and the differential each call `polyvector._bracket_rule`,
+    wrapped in every package module that binds it."""
     calls, caller = Counter(), [None]
 
     def wrapper(original):
@@ -248,9 +250,13 @@ def test_every_bracket_reaches_the_one_rule(monkeypatch):
     jacobi_residual(lam)
     caller[0] = "certificate"
     assert verify_submanifold_tensors(S)["pass"]
+    caller[0] = "division rule"
+    monkeypatch.setattr(geometry, "verify_submanifold_tensors",
+                        lambda data: {"pass": True})
+    extract_submanifold(M, doc.normal_spec)
     caller[0] = "differential"
     desc = build_complex("extended", manifold=M, submanifold=S)
     for probe in desc.monomial_probes(0, 1):
         desc.differential(probe, 0)
     assert set(calls) == {"jacobi", "series_schouten", "certificate",
-                          "differential"}
+                          "division rule", "differential"}
