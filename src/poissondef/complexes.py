@@ -52,10 +52,11 @@ through `_slots`, a chunk's (slot, polyvector) pairs, slot None for an
 ambient chunk, and `_chunk_map`, which applies a function slot by slot.
 
 `_move_entries` moves a chunk's entries across one chart edge by one call of
-the edge's `Transition.move`, the one transport loop. A normal tuple is then
-restricted to the submanifold and multiplied by the first-order normal
-transition matrix, read through the edge's kept
-`SubmanifoldData.transport_plan`; that rule is written there only.
+the edge's `Transition.move`, the one transport loop, into entries, the one
+moved form. A normal tuple's are restricted to the submanifold and
+multiplied by the first-order normal transition matrix entry by entry,
+read through the edge's kept `SubmanifoldData.transport_plan`; that rule
+is written there only.
 `transport_nor_tuple`, `atom_rows`, the section search and the truncated
 estimate all move normal chunks through it.
 
@@ -104,9 +105,9 @@ from .geometry import PoissonLineBundle, PoissonManifold, SubmanifoldData
 # rref is not called here; perfbench's tracing tests expect this module to
 # hold it
 from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
-from .polyvector import (Polyvector, _bracket_rule, _ruled, _wedge_rule,
-                         restrict)
-from .symbolic import (LaurentPoly, _add_into, _as_scalar, _product, _simplex,
+from .polyvector import (Polyvector, _bracket_rule, _landed, _ruled,
+                         _wedge_rule, restrict)
+from .symbolic import (LaurentPoly, _add_into, _as_scalar, _simplex,
                        _zeroed)
 
 
@@ -181,38 +182,43 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
                   dst: str) -> dict:
     """The `chunk_entries` entries of a chart-src chunk, moved to chart dst.
 
-    The entries move by one call of the edge's `Transition.move`. An
-    ambient chunk's moved terms are its entries. A normal tuple's come per
-    slot b and index tuple; each is restricted to the submanifold by
-    `_zeroed`, which raises NegativePowerAtZero on a negative normal power,
-    and multiplied by the first-order matrix F = S.moved_first_order(dst,
-    src): slot a on dst is sum_b F[a][b] times slot b moved. The edge's
-    `SubmanifoldData.transport_plan` lists the non-zero F[a][b] per b; a
-    one-term entry's products are added where they land, in place, and any
-    other entry's product is built by `_product` and added by
-    `symbolic._add_into`, as `symbolic._add_product` adds it."""
+    The entries move by one call of the edge's `Transition.move`, which
+    gives an ambient chunk's result. A normal tuple's moved entries ((b,
+    tidx, e), c) are restricted to the submanifold (dropped on a positive
+    normal power) and multiplied by the first-order matrix F =
+    S.moved_first_order(dst, src) entry by entry: slot a on dst is sum_b
+    F[a][b] times slot b moved, the non-zero F[a][b] listed per b by the
+    edge's `SubmanifoldData.transport_plan`. A negative normal power raises
+    NegativePowerAtZero by `_zeroed` on the first (b, tidx) group of
+    `polyvector._landed` that holds one, with that group's message."""
     move = space._moves[(src, dst)]
     moved = move.move(entries)
-    if not moved or len(next(iter(moved))) == 1:  # ambient keys (tidx,)
-        return {(tidx, e): c for (tidx,), terms in moved.items()
-                for e, c in terms.items()}
-    cvars, w, out = move.target_vars, S.normal[dst], {}
+    if not moved or len(next(iter(moved))) == 2:  # ambient keys (tidx, e)
+        return moved
+    out = {}
     pos, plan = S.transport_plan(dst, src)
-    for (b, tidx), terms in moved.items():
-        restricted = _zeroed(cvars, w, pos, terms)
+    for (b, tidx, e), c in moved.items():
+        kept = True
+        for i in pos:
+            if e[i]:
+                if e[i] < 0:
+                    for terms in _landed(move, entries).values():
+                        _zeroed(move.target_vars, S.normal[dst], pos, terms)
+                kept = False
+        if not kept:
+            continue
         for a, fe, fc in plan[b]:
             if fe is None:
-                _add_into(out, (((a, tidx, e), c) for e, c in
-                                _product(fc, restricted).items()))
+                _add_into(out, (((a, tidx, tuple(map(add, d, e))), dc * c)
+                                for d, dc in fc.items()))
                 continue
             # inline: through `_add_into`, `sections` ran 4-7% slower
-            for e, c in restricted.items():
-                k = (a, tidx, tuple(map(add, fe, e)))
-                v = out.get(k, 0) + fc * c
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+            k = (a, tidx, tuple(map(add, fe, e)))
+            v = out.get(k, 0) + fc * c
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
     return out
 
 
@@ -860,7 +866,8 @@ def _sections_and_next_dimension(descriptor, part, bound, moved):
     moved along the spanning tree once, as entries, and `moved` (atom to
     {chart: entries}) carries them from one bound to the next. A column is
     an atom's negative-exponent entries, and a section the sum of its
-    kernel vector's atoms' entries.
+    kernel vector's atoms' entries. The root chart holds the atom itself,
+    never negative, so a column is read from the tree's other charts only.
     """
     charts, tree = _section_tree(descriptor, part)
     space, S = descriptor.space, descriptor.submanifold
@@ -872,9 +879,9 @@ def _sections_and_next_dimension(descriptor, part, bound, moved):
                 on[child] = _move_entries(space, S, on[parent], parent, child)
     below = [atom for atom in atoms if sum(atom[-1]) <= bound]
     above = [atom for atom in atoms if sum(atom[-1]) > bound]
-    kernel = nullspace([{(cname,) + key: val
-                         for cname, entries in moved[atom].items()
-                         for key, val in entries.items() if min(key[-1]) < 0}
+    kernel = nullspace([{(cname,) + key: val for _, cname in tree
+                         for key, val in moved[atom][cname].items()
+                         if min(key[-1]) < 0}
                         for atom in below + above])
     sections = []
     for vec in kernel:

@@ -37,8 +37,8 @@ from .errors import (
     NotPoissonSubmanifold,
     WrongCodimension,
 )
-from .polyvector import (Polyvector, Transition, _raw_bracket, _sort_sign,
-                         pushforward, restrict, schouten)
+from .polyvector import (Polyvector, Transition, _landed, _raw_bracket,
+                         _sort_sign, pushforward, restrict, schouten)
 from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
                        _derivative, _set_zero, _zeroed)
 
@@ -620,7 +620,7 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
     charts' structure fields up to the bracket of the structure with the
     matrix entries, Σ_b F[b][g] T0_i[a][b] = restrict([Λ_k, F[a][g]]) +
     Σ_b F[a][b] T0_k[b][g], with T0_i moved to chart k by one
-    `Transition.move` and restricted.
+    `Transition.move`, grouped by `polyvector._landed` and restricted.
 
     Brackets are taken by `polyvector._raw_bracket` and every product is
     added by `symbolic._add_product`. A negative power of a normal variable
@@ -665,7 +665,7 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
         T0k = data.structure_fields_restricted(k)
         # T0_i on chart k, restricted: (a, b) -> [(index tuple, terms)]
         moved = {}
-        for (a, b, idx), terms in space._moves[(i, k)].move({
+        for (a, b, idx), terms in _landed(space._moves[(i, k)], {
                 (a, b, idx, e): c
                 for a, row in enumerate(data.structure_fields_restricted(i))
                 for b, entry in enumerate(row)

@@ -118,20 +118,20 @@ def nullspace(columns: Sequence[dict]):
     """Deterministic basis of the right kernel.
 
     One basis vector per free column, in column order, with that free column
-    set to 1 and the other free columns to 0.
+    set to 1 and the other free columns to 0: each reduced row puts -row[fc]
+    at its pivot in the vector of each free column fc it holds.
     """
     ncols = len(columns)
     red, pivots = rref(_sparse_rows(columns))
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
+    basis = {fc: [0] * ncols for fc in range(ncols) if fc not in pivot_set}
+    for fc, vec in basis.items():
         vec[fc] = 1
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row.get(fc, 0)
-        basis.append(vec)
-    return basis
+    for row, pc in zip(red, pivots):
+        for col, val in row.items():
+            if col in basis:
+                basis[col][pc] = -val
+    return list(basis.values())
 
 
 def solve_min(columns: Sequence[dict], rhs: dict):

@@ -28,8 +28,8 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import (LaurentPoly, _add_product, _derivative, _product,
-                       monomial_map, substitute)
+from .symbolic import (LaurentPoly, _add_into, _add_product, _derivative,
+                       _product, monomial_map, substitute)
 
 
 def _sort_sign(indices: Iterable[int]):
@@ -373,16 +373,15 @@ class Transition:
     `mono` exists and every inverse value is one term, as the builtin
     atlases' are, each image is one term, built by exponent arithmetic and
     `MonomialMap.image`; otherwise the entries are multiplied by
-    `symbolic._product` and moved by `convert`. Either way each image
-    equals, term by term, the product of the entries as `LaurentPoly`
-    moved by `convert`.
+    `symbolic._product` and moved by `convert`. A row (tidx, e, c) holds an
+    image's term; without `mono` a row (tidx, None, terms) holds a whole
+    image, which a moved entry, a polynomial there, multiplies whole.
 
     `move` is the one transport loop: it moves a chunk's entries, the terms
     c * x^e d_I keyed by (I, e) under a head, and adds every term of every
-    image where it lands: through `symbolic._add_product` when there is no
-    `mono`, and otherwise by the update of `symbolic._add_into` written
-    inline (see the `symbolic` module docstring). `pushforward` and
-    `complexes._move_entries` each call it once per chunk.
+    image where it lands, as entries again, keyed by (tidx, e) under the
+    head. `pushforward`, `complexes._move_entries` and the tensor
+    certificate of `geometry` each call it once per chunk.
     """
 
     __slots__ = ("source_vars", "target_vars", "forward", "inverse", "mono",
@@ -410,12 +409,13 @@ class Transition:
 
     def move(self, entries: Mapping) -> dict:
         """phi_* of a chunk's entries {head + (idx, e): c}, each the term
-        c * x^e d_idx, as {head + (tidx,): terms}. Each entry, in order, is
-        moved to the target variables once (by `MonomialMap.image`, or by
-        `convert` when there is no `mono`), and each term of its product
-        with each image of d_idx, in order, is added where it lands: a sum
-        is kept in place and a sum that cancels is dropped. A target index
-        whose terms all cancel keeps its place, with no terms."""
+        c * x^e d_idx, as entries {head + (tidx, e): c}. Each entry, in
+        order, is moved to the target variables once (by
+        `MonomialMap.image`, or by `convert` when there is no `mono`), and
+        each term of its product with each image of d_idx, in order, is
+        added where it lands: a sum is kept in place and a sum that cancels
+        is dropped; without `mono` the product is formed first, by
+        `_product`, as `symbolic._add_product` forms it."""
         mono = self.mono
         out: dict = {}
         for key, c in entries.items():
@@ -423,23 +423,20 @@ class Transition:
             if mono is None:
                 moved = self.convert(LaurentPoly._valid(
                     self.source_vars, {key[-1]: c})).terms
-            else:
-                e, c = mono.image(key[-1], c)
-            for tidx, image in self[key[-2]]:
-                terms = out.get(head + (tidx,))
-                if terms is None:
-                    terms = out[head + (tidx,)] = {}
-                if mono is None:
-                    _add_product(terms, moved, image.terms)
-                else:
-                    # inline: through `_add_product`, `sections` ran 4-7% slower
-                    for ei, ci in image.terms.items():
-                        k = tuple(map(add, e, ei))
-                        s = terms.get(k, 0) + c * ci
-                        if s:
-                            terms[k] = s
-                        elif k in terms:
-                            del terms[k]
+                for tidx, _, image in self[key[-2]]:
+                    _add_into(out, ((head + (tidx, e), v) for e, v in
+                                    _product(moved, image).items()))
+                continue
+            e, c = mono.image(key[-1], c)
+            for tidx, ei, ci in self[key[-2]]:
+                # inline: through `_add_into`, an in-process `sections`
+                # pass ran 2-13% slower
+                k = head + (tidx, tuple(map(add, e, ei)))
+                s = out.get(k, 0) + c * ci
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
         return out
 
     def __getitem__(self, idx: tuple) -> list:
@@ -473,7 +470,7 @@ class Transition:
             self._columns = self._jacobian()
         columns, single = self._columns
         mono, one = self.mono, (0,) * len(self.source_vars)
-        images = []
+        rows = []
         for choice in _cartesian(*(columns[s] for s in idx)):
             tidx, sign = _sort_sign(b for b, _ in choice)
             if sign == 0:
@@ -485,9 +482,7 @@ class Transition:
                 for _, entry in choice:
                     ((d, dc),) = entry.items()
                     e, c = tuple(map(add, e, d)), c * dc
-                te, tc = mono.image(e, c)
-                images.append((tidx, LaurentPoly._valid(self.target_vars,
-                                                        {te: tc})))
+                rows.append((tidx, *mono.image(e, c)))
                 continue
             terms = {one: sign}
             for _, entry in choice:
@@ -495,21 +490,37 @@ class Transition:
             # a function's empty frame goes to 1, with nothing to substitute
             image = (self.convert(LaurentPoly._valid(self.source_vars, terms))
                      if choice else LaurentPoly.const(self.target_vars, sign))
-            if not image.is_zero():
-                images.append((tidx, image))
-        return images
+            if mono is not None:
+                rows.extend((tidx, e, c) for e, c in image.terms.items())
+            elif image.terms:
+                rows.append((tidx, None, image.terms))
+        return rows
 
 
 def pushforward(a: Polyvector, move: Transition) -> Polyvector:
     """Re-express a polyvector on the target chart of `move`, in its
     coordinates and frame; `a` is first brought to the source variables.
 
-    Its terms are moved as entries, by one `move.move` call; a target
-    index whose terms cancel is left out.
+    Its terms are moved as entries, by one `move.move` call, and grouped by
+    target index tuple in the order of the moved entries.
     """
     if a.vars != move.source_vars:
         a = a.with_vars(move.source_vars)
-    moved = move.move({(idx, e): c for idx, coeff in a.terms.items()
-                       for e, c in coeff.terms.items()})
-    return Polyvector._from_raw(move.target_vars, a.degree, (
-        (tidx, terms) for (tidx,), terms in moved.items() if terms))
+    raw: dict = {}
+    for (tidx, e), c in move.move({(idx, e): c
+                                   for idx, coeff in a.terms.items()
+                                   for e, c in coeff.terms.items()}).items():
+        raw.setdefault(tidx, {})[e] = c
+    return Polyvector._from_raw(move.target_vars, a.degree, raw.items())
+
+
+def _landed(move: Transition, entries: Mapping) -> dict:
+    """The entries of `move.move(entries)` as {head + (tidx,): {e: c}}: the
+    groups in the order the entries first land in them, whatever order
+    their sums left the entries in, and a group whose terms all cancel
+    kept empty."""
+    groups = {key[:-2] + (row[0],): {} for key in entries
+              for row in move[key[-2]]}
+    for key, c in move.move(entries).items():
+        groups[key[:-1]][key[-1]] = c
+    return groups

@@ -15,8 +15,8 @@ scalar types. That update is written in `_add_into` for scalar terms, in
 `_product_into`, the one product loop, and in `polyvector._acc` for
 polyvector coefficients. Four hot copies stay inline, each measured
 against a shared helper: `Transition.move`'s monomial branch and
-`complexes._move_entries`' one-term branch (through `_add_product` and
-`_add_into` the `sections` benchmark ran 4-7% slower), and
+`complexes._move_entries`' one-term branch (through `_add_into` the
+`sections` benchmark ran 4-7% slower), and
 `TruncatedSeries.__add__` and `combine`, the solver's innermost loops
 (a shared series update measured from no change to 4% slower on `solver`,
 and adds a call and a zero test per term).

@@ -369,6 +369,24 @@ def _lp(x: LaurentPoly):
     return (x.vars, [(e, c, type(c)) for e, c in x.terms.items()])
 
 
+def _rows(rows: list) -> list:
+    """A kept image list with the int or Fraction type of each scalar: a
+    compiled transition's rows (tidx, e, c), an uncompiled one's (tidx,
+    None, terms)."""
+    return [(tidx, e, v, type(v)) if e is not None
+            else (tidx, None, [(k, c, type(c)) for k, c in v.items()])
+            for tidx, e, v in rows]
+
+
+def _flat(move, images: list) -> list:
+    """The parent's images [(tidx, LaurentPoly)] laid out as `_rows` lays
+    out the kept list: term by term with `mono`, whole without."""
+    if move.mono is None:
+        return [(tidx, None, _lp(image)[1]) for tidx, image in images]
+    return [(tidx, e, c, type(c)) for tidx, image in images
+            for e, c in image.terms.items()]
+
+
 def _pv(x: Polyvector):
     return (x.vars, x.degree, [(idx, _lp(c)) for idx, c in x.terms.items()])
 
@@ -536,9 +554,8 @@ def test_frame_images_match_parent(name):
         n = len(move.source_vars)
         for degree in range(n + 1):
             for idx in combinations(range(n), degree):
-                got = [(tidx, _lp(image)) for tidx, image in move[idx]]
-                want = [(tidx, _lp(image))
-                        for tidx, image in parent_build(move, idx)]
+                got = _rows(move[idx])
+                want = _flat(move, parent_build(move, idx))
                 assert got == want, (idx, move.source_vars, move.target_vars)
                 seen += 1
     assert seen or not space._moves
@@ -557,8 +574,7 @@ def test_frame_images_keep_fraction_coefficients():
                for c in space.transitions[("U", "V")]["y"].terms.values())
     for move in space._moves.values():
         for idx in [(), (0,), (1,), (0, 1)]:
-            assert ([(t, _lp(i)) for t, i in move[idx]]
-                    == [(t, _lp(i)) for t, i in parent_build(move, idx)])
+            assert _rows(move[idx]) == _flat(move, parent_build(move, idx))
 
 
 # ----------------------------------------------------------------------

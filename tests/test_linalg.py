@@ -14,7 +14,8 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from poissondef.linalg import _divided, nullspace, rank, rref, solve_min
+from poissondef.linalg import (_divided, _sparse_rows, nullspace, rank, rref,
+                               solve_min)
 from poissondef.symbolic import _as_scalar
 
 
@@ -401,6 +402,42 @@ def test_entry_points_match_their_parent_forms(system):
     assert exact_equal(nullspace(cols), parent_nullspace(cols))
     assert exact_equal(solve_min(cols, rhs), parent_solve_min(cols, rhs))
     assert ([dict(c) for c in cols], dict(rhs)) == before  # input untouched
+
+
+def row_read_nullspace(columns):
+    """`nullspace` as it was before its basis was scattered from the
+    reduced rows, verbatim but for its name: each free column read every
+    reduced row."""
+    ncols = len(columns)
+    red, pivots = rref(_sparse_rows(columns))
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row.get(fc, 0)
+        basis.append(vec)
+    return basis
+
+
+# wide and sparse: many free columns, each reached by few reduced rows
+sparse_columns = st.lists(st.dictionaries(st.integers(0, 12), scalars,
+                                          max_size=3), max_size=16)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(keyed_systems().map(lambda system: system[0]),
+                 sparse_columns))
+def test_nullspace_scatters_the_basis_the_row_reads_built(cols):
+    """The same vectors, in the same order, with the int or Fraction type
+    of every entry."""
+    before = [dict(c) for c in cols]
+    got, want = nullspace(cols), row_read_nullspace(cols)
+    assert [[(x, type(x)) for x in v] for v in got] == \
+        [[(x, type(x)) for x in v] for v in want]
+    assert [dict(c) for c in cols] == before
 
 
 def test_the_empty_matrix_matches_its_parent_form():

@@ -773,7 +773,9 @@ def test_pushforward_matches_the_parent_path(name, data):
 
 def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
     """A polyvector whose variable tuple orders the chart's names otherwise
-    is brought to the chart's tuple first: same result, no new image."""
+    is brought to the chart's tuple first: same result, no new image. The
+    kept lists are flat, one row (tidx, e, c) per image term, and the
+    second move reads the same list objects."""
     space = projective_space(2)
     rng = random.Random(3)
     a = _random_pv(rng, ("z1", "z2"), 1, -1)
@@ -783,6 +785,12 @@ def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
     kept = {pair: dict(m._images) for pair, m in space._moves.items()}
     assert _layout(space.pushforward(swapped, "U0", "U1")) == want
     assert {pair: m._images for pair, m in space._moves.items()} == kept
+    move = space._moves[("U0", "U1")]
+    assert move._images
+    for idx, rows in move._images.items():
+        assert rows is kept[("U0", "U1")][idx]
+        assert all(len(row) == 3 and len(row[1]) == len(move.target_vars)
+                   and row[2] for row in rows)
     with pytest.raises(ChartMismatch):
         Polyvector.monomial(("z1", "q"), (1,), LaurentPoly.const(
             ("z1", "q"), 1)).with_vars(("z1", "z2"))
@@ -794,8 +802,8 @@ def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
 
 def test_section_search_builds_each_frame_image_once(monkeypatch):
     """`h0 p3_hyperplane --complex extended --bound 6` moves about 1,300
-    terms. Every frame image it needs is built once, on a table its atlas
-    keeps, and polyvector's substitutions stay at one per moved coefficient
+    terms. Every frame image list it needs is built once, on a table its
+    atlas keeps, and never rebuilt by a later `move`; and polyvector's substitutions stay at one per moved coefficient
     plus one per image: at most 1,182 (1,885 when each target index tuple
     was substituted on every call; none since the atlas's maps are
     compiled)."""
@@ -827,6 +835,13 @@ def test_section_search_builds_each_frame_image_once(monkeypatch):
     keys = [(id(table), idx) for table, idx in builds]
     assert len(keys) == len(set(keys))
     assert len(calls) <= 1182
+    # moving through a built index again reads its kept list
+    lists = {(id(table), idx): table._images[idx] for table, idx in builds}
+    for table, idx in builds:
+        table.move({(idx, (0,) * len(table.source_vars)): 1})
+    assert len(builds) == len(keys)
+    assert all(table._images[idx] is lists[(id(table), idx)]
+               for table, idx in builds)
 
 
 def test_section_search_moves_no_coefficient_through_substitute(monkeypatch):

@@ -2,26 +2,32 @@
 the paths they replaced.
 
 `Transition.move` moves a chunk's entries {head + (idx, e): c} in one call
-and adds every term of every image where it lands; `pushforward` and
-`complexes._move_entries` each call it once per chunk, and the normal
-slots are restricted by `symbolic._set_zero`. `complexes._ruled` adds each
+and adds every term of every image where it lands, keyed as entries again,
+{head + (tidx, e): c}; `pushforward`, `complexes._move_entries` and the
+tensor certificate each call it once per chunk, and `_move_entries`
+restricts the normal slots entry by entry. `complexes._ruled` adds each
 rule product where it lands, through `symbolic._add_product`, and reads a
-slot's raw terms {idx: terms}, which its parent read as a polyvector. The
-replaced
-per-entry `Transition.move`, with the `MonomialMap.terms` body it read, and
-`pushforward`, `_move_entries`, `_ruled` and `LaurentPoly.set_zero` are
-kept below verbatim as `parent_*`. The new paths must give their values,
-their term order at both dict levels and the int or Fraction type of every
-coefficient, or raise the same error with the same message, and must leave
-their inputs untouched.
+slot's raw terms {idx: terms}, which its parent read as a polyvector.
 
-`pushforward` differs from its parent in term order, never in value or
-type, in two cases, which `test_pushforward_keeps_values_and_types` names:
-a target index whose sum cancels and which a later term fills again keeps
-its first place (the parent deleted it and appended it again), and on a
+Two generations of replaced paths are kept below verbatim:
+- the per-entry `Transition.move`, with the `MonomialMap.terms` body it
+  read, and `pushforward`, `_move_entries`, `_ruled` and
+  `LaurentPoly.set_zero`, as `parent_*`;
+- the grouped transport that the flat one replaced, whose `move` returned
+  {head + (tidx,): terms} and whose `_move_entries` re-keyed and
+  restricted the groups, as `grouped_*`.
+The new paths must give their values and the int or Fraction type of
+every coefficient, each group's terms in their order, or raise the same
+error with the same message, and must leave their inputs untouched.
+
+`pushforward` orders its target index tuples as their moved entries first
+stand. So a target index whose sum cancels and which a later term fills
+again stands after the indices filled in between, as in the per-entry
+parent, which deleted it and appended it again; the grouped move kept it
+in its first place. Per target index it gives, in order, the terms of the
+parent entry mover's group, with the emptied indices left out: on a
 transition that is not monomial a coefficient's terms are converted one by
-one, not summed first. In both it gives, in order, the parent entry
-mover's terms with the emptied indices left out.
+one, not summed first as the per-entry parent summed them.
 
 The draws cover every shipped atlas with more than one chart (`P1`..`P3`,
 `Fm(0)`..`Fm(5)`, with the shipped submanifolds for normal slots), a
@@ -34,7 +40,8 @@ and negative normal powers.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product as _cartesian
+from operator import add
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -46,8 +53,9 @@ from poissondef.complexes import (_bracket_rule, _move_entries, _ruled,
 from poissondef.dsl import parse
 from poissondef.errors import NegativePowerAtZero, NonInvertibleSubstitution
 from poissondef.geometry import hirzebruch, product, projective_space
-from poissondef.polyvector import Polyvector, pushforward
-from poissondef.symbolic import LaurentPoly, _derivative, _product
+from poissondef.polyvector import Polyvector, _sort_sign, pushforward
+from poissondef.symbolic import (LaurentPoly, _add_product, _derivative,
+                                 _product, _zeroed)
 from test_transport import NON_MONOMIAL, _second_line
 
 EXAMPLES = Path(poissondef.__file__).parent / "examples"
@@ -94,7 +102,7 @@ def parent_move(self, idx, f_terms):
     else:
         moved = parent_mono_terms(self.mono, f_terms)
     return [(tidx, _product(moved, image.terms))
-            for tidx, image in self[idx]]
+            for tidx, image in grouped_images(self, idx)]
 
 
 # the target indices whose sums `parent_pushforward` deleted
@@ -222,6 +230,149 @@ def parent_set_zero(self, names):
 
 
 # ----------------------------------------------------------------------
+# The grouped transport that the flat one replaced, verbatim
+# ----------------------------------------------------------------------
+# `Transition._build` listed each image whole, as a `LaurentPoly`, and
+# `Transition.move` returned the moved terms grouped, {head + (tidx,):
+# terms}; `_move_entries` re-keyed an ambient chunk's groups into entries
+# and restricted a normal chunk's group by group. Kept as
+# `grouped_build`, `grouped_move` and `grouped_move_entries`; the images
+# are kept per (transition, index tuple) by `grouped_images`, which
+# `grouped_move` reads where the parent read `self[idx]`.
+
+_GROUPED_IMAGES = {}
+
+
+def grouped_images(move, idx):
+    """`grouped_build(move, idx)`, built once and kept."""
+    images = _GROUPED_IMAGES.get((move, idx))
+    if images is None:
+        images = _GROUPED_IMAGES[(move, idx)] = grouped_build(move, idx)
+    return images
+
+
+def grouped_build(self, idx: tuple) -> list:
+    if self._columns is None:
+        self._columns = self._jacobian()
+    columns, single = self._columns
+    mono, one = self.mono, (0,) * len(self.source_vars)
+    images = []
+    for choice in _cartesian(*(columns[s] for s in idx)):
+        tidx, sign = _sort_sign(b for b, _ in choice)
+        if sign == 0:
+            continue
+        if mono is not None and single:
+            # one term: the product's exponent is the sum of the
+            # entries' and its coefficient their product, in order
+            e, c = one, sign
+            for _, entry in choice:
+                ((d, dc),) = entry.items()
+                e, c = tuple(map(add, e, d)), c * dc
+            te, tc = mono.image(e, c)
+            images.append((tidx, LaurentPoly._valid(self.target_vars,
+                                                    {te: tc})))
+            continue
+        terms = {one: sign}
+        for _, entry in choice:
+            terms = _product(terms, entry)
+        # a function's empty frame goes to 1, with nothing to substitute
+        image = (self.convert(LaurentPoly._valid(self.source_vars, terms))
+                 if choice else LaurentPoly.const(self.target_vars, sign))
+        if not image.is_zero():
+            images.append((tidx, image))
+    return images
+
+
+def grouped_move(self, entries) -> dict:
+    """phi_* of a chunk's entries {head + (idx, e): c}, each the term
+    c * x^e d_idx, as {head + (tidx,): terms}. Each entry, in order, is
+    moved to the target variables once (by `MonomialMap.image`, or by
+    `convert` when there is no `mono`), and each term of its product
+    with each image of d_idx, in order, is added where it lands: a sum
+    is kept in place and a sum that cancels is dropped. A target index
+    whose terms all cancel keeps its place, with no terms."""
+    mono = self.mono
+    out: dict = {}
+    for key, c in entries.items():
+        head = key[:-2]
+        if mono is None:
+            moved = self.convert(LaurentPoly._valid(
+                self.source_vars, {key[-1]: c})).terms
+        else:
+            e, c = mono.image(key[-1], c)
+        for tidx, image in grouped_images(self, key[-2]):
+            terms = out.get(head + (tidx,))
+            if terms is None:
+                terms = out[head + (tidx,)] = {}
+            if mono is None:
+                _add_product(terms, moved, image.terms)
+            else:
+                # inline: through `_add_product`, `sections` ran 4-7% slower
+                for ei, ci in image.terms.items():
+                    k = tuple(map(add, e, ei))
+                    s = terms.get(k, 0) + c * ci
+                    if s:
+                        terms[k] = s
+                    elif k in terms:
+                        del terms[k]
+    return out
+
+
+def grouped_pushforward(a, move):
+    """Re-express a polyvector on the target chart of `move`, in its
+    coordinates and frame; `a` is first brought to the source variables.
+
+    Its terms are moved as entries, by one `move.move` call; a target
+    index whose terms cancel is left out.
+    """
+    if a.vars != move.source_vars:
+        a = a.with_vars(move.source_vars)
+    moved = grouped_move(move, {(idx, e): c for idx, coeff in a.terms.items()
+                                for e, c in coeff.terms.items()})
+    return Polyvector._from_raw(move.target_vars, a.degree, (
+        (tidx, terms) for (tidx,), terms in moved.items() if terms))
+
+
+def grouped_move_entries(space, S, entries: dict, src: str,
+                         dst: str) -> dict:
+    """The `chunk_entries` entries of a chart-src chunk, moved to chart dst.
+
+    The entries move by one call of the edge's `Transition.move`. An
+    ambient chunk's moved terms are its entries. A normal tuple's come per
+    slot b and index tuple; each is restricted to the submanifold by
+    `_zeroed`, which raises NegativePowerAtZero on a negative normal power,
+    and multiplied by the first-order matrix F = S.moved_first_order(dst,
+    src): slot a on dst is sum_b F[a][b] times slot b moved. The edge's
+    `SubmanifoldData.transport_plan` lists the non-zero F[a][b] per b; a
+    one-term entry's products are added where they land, in place, and any
+    other entry's product is built by `_product` and added by
+    `symbolic._add_into`, as `symbolic._add_product` adds it."""
+    move = space._moves[(src, dst)]
+    moved = grouped_move(move, entries)
+    if not moved or len(next(iter(moved))) == 1:  # ambient keys (tidx,)
+        return {(tidx, e): c for (tidx,), terms in moved.items()
+                for e, c in terms.items()}
+    cvars, w, out = move.target_vars, S.normal[dst], {}
+    pos, plan = S.transport_plan(dst, src)
+    for (b, tidx), terms in moved.items():
+        restricted = _zeroed(cvars, w, pos, terms)
+        for a, fe, fc in plan[b]:
+            if fe is None:
+                _add_into(out, (((a, tidx, e), c) for e, c in
+                                _product(fc, restricted).items()))
+                continue
+            # inline: through `_add_into`, `sections` ran 4-7% slower
+            for e, c in restricted.items():
+                k = (a, tidx, tuple(map(add, fe, e)))
+                v = out.get(k, 0) + fc * c
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+    return out
+
+
+# ----------------------------------------------------------------------
 # Atlases and comparisons
 # ----------------------------------------------------------------------
 
@@ -343,24 +494,47 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                                            HealthCheck.data_too_large])
 
 
+def _groups(moved: dict) -> dict:
+    """Moved entries {head + (tidx, e): c} per group head + (tidx,): the
+    group's terms in their order, with the type of every coefficient."""
+    out = {}
+    for key, c in moved.items():
+        out.setdefault(key[:-1], []).append((key[-1], c, type(c)))
+    return out
+
+
+def _flattened(grouped: dict) -> dict:
+    """A grouped move's {head + (tidx,): terms} laid out as `_groups` lays
+    out entries: a group whose terms all cancelled holds no entry."""
+    return {key: _typed(terms) for key, terms in grouped.items() if terms}
+
+
+def _values(entries: dict) -> dict:
+    return {key: (c, type(c)) for key, c in entries.items()}
+
+
 @SETTINGS
 @given(moves())
 def test_one_call_moves_a_chunk_as_each_entry_was_moved(drawn):
-    """`move` and `_move_entries` against the per-entry parent loop, there
-    and back: on the way back the chain rule's cross terms meet and
-    cancel."""
+    """`move` and `_move_entries` against the grouped parents, there and
+    back: on the way back the chain rule's cross terms meet and cancel.
+    `move`'s entries are the grouped parent's non-empty groups flattened,
+    each group's terms in its order, and so the per-entry loop's before
+    it; `_move_entries` gives the grouped parent's keys, values and types,
+    or raises its error with its message."""
     space, S, src, dst, degree, entries = drawn
     for _ in range(2):
         before = list(entries.items())
         move = space._moves[(src, dst)]
         got = _outcome(move.move, entries)
-        want = _outcome(parent_moved, move, entries)
-        assert (got if isinstance(got, tuple) else _nested(got)) == \
-            (want if isinstance(want, tuple) else _nested(want))
+        for parent in (grouped_move, parent_moved):
+            want = _outcome(parent, move, entries)
+            assert (got if isinstance(got, tuple) else _groups(got)) == \
+                (want if isinstance(want, tuple) else _flattened(want))
         got = _outcome(_move_entries, space, S, entries, src, dst)
-        want = _outcome(parent_move_entries, space, S, entries, src, dst)
-        assert (got if isinstance(got, tuple) else _typed(got)) == \
-            (want if isinstance(want, tuple) else _typed(want))
+        want = _outcome(grouped_move_entries, space, S, entries, src, dst)
+        assert (got if isinstance(got, tuple) else _values(got)) == \
+            (want if isinstance(want, tuple) else _values(want))
         assert list(entries.items()) == before
         if isinstance(got, tuple):
             return
@@ -375,9 +549,10 @@ def _as_dict(pv: Polyvector) -> dict:
 @SETTINGS
 @given(moves(ambient=True))
 def test_pushforward_keeps_values_and_types(drawn):
-    """The parent's values and types always; its term order on a monomial
-    transition where no target index cancels; the parent entry mover's
-    order with the emptied indices left out always."""
+    """The parent's values and types always; each target index tuple's
+    terms in the order of the parent entry mover's group, and the grouped
+    parent's, with the emptied indices left out; the index tuples in the
+    order in which their entries first stand among the moved entries."""
     space, _, src, dst, degree, entries = drawn
     move = space._moves[(src, dst)]
     coeffs = {}
@@ -387,7 +562,6 @@ def test_pushforward_keeps_values_and_types(drawn):
     a = Polyvector(cvars, degree, {idx: LaurentPoly(cvars, terms)
                                    for idx, terms in coeffs.items()})
     kept = _pv(a)
-    CANCELLED.clear()
     got = _outcome(pushforward, a, move)
     want = _outcome(parent_pushforward, a, move)
     assert _pv(a) == kept
@@ -395,19 +569,23 @@ def test_pushforward_keeps_values_and_types(drawn):
         assert got == want
         return
     assert _as_dict(got) == _as_dict(want)
-    if move.mono is not None and not CANCELLED:
-        assert _pv(got) == _pv(want)
-    moved = parent_moved(move, {(idx, e): c for idx, coeff in a.terms.items()
-                                for e, c in coeff.terms.items()})
-    assert _pv(got) == _pv(Polyvector._valid(move.target_vars, degree, {
-        tidx: LaurentPoly._valid(move.target_vars, terms)
-        for (tidx,), terms in moved.items() if terms}))
+    entries = {(idx, e): c for idx, coeff in a.terms.items()
+               for e, c in coeff.terms.items()}
+    per_index = {idx: _typed(f.terms) for idx, f in got.terms.items()}
+    for moved in (parent_moved(move, entries), grouped_move(move, entries)):
+        assert per_index == {tidx: _typed(terms)
+                             for (tidx,), terms in moved.items() if terms}
+    assert list(got.terms) == list(dict.fromkeys(
+        tidx for tidx, _ in move.move(entries)))
 
 
-def test_a_refilled_target_index_keeps_its_first_place():
+def test_a_refilled_target_index_follows_its_entries():
     """On P3, from U0 to U2: z1^-1*z3 * d/z2 ^ d/z3 fills the target
     indices (0, 2) and (1, 2), -d/z1 ^ d/z2 cancels (1, 2) and fills
-    (0, 1), and the two terms on d/z1 ^ d/z3 fill (1, 2) again."""
+    (0, 1), and the two terms on d/z1 ^ d/z3 fill (1, 2) again. The flat
+    move's entries on (1, 2) land again after those on (0, 1), so
+    `pushforward` has the per-entry parent's order; the grouped move kept
+    the emptied group in its first place."""
     space = projective_space(3)
     cvars = space.chart("U0").vars
     a = Polyvector(cvars, 2, {
@@ -417,10 +595,12 @@ def test_a_refilled_target_index_keeps_its_first_place():
     move = space._moves[("U0", "U2")]
     CANCELLED.clear()
     got, want = pushforward(a, move), parent_pushforward(a, move)
+    grouped = grouped_pushforward(a, move)
     assert CANCELLED == [(1, 2)]
-    assert got == want
-    assert list(got.terms) == [(0, 2), (1, 2), (0, 1)]
+    assert got == want == grouped
+    assert list(got.terms) == [(0, 2), (0, 1), (1, 2)]
     assert list(want.terms) == [(0, 2), (0, 1), (1, 2)]
+    assert list(grouped.terms) == [(0, 2), (1, 2), (0, 1)]
 
 
 def test_the_draws_reach_every_branch():
@@ -434,7 +614,8 @@ def test_the_draws_reach_every_branch():
             for degree in range(len(move.source_vars) + 1):
                 for idx in combinations(range(len(move.source_vars)),
                                         degree):
-                    images.update(len(image.terms) for _, image in move[idx])
+                    images.update(len(image.terms) for _, image in
+                                  grouped_images(move, idx))
         for src, dst in (S.first_order if S else ()):
             for row in S.moved_first_order(dst, src):
                 entries.update(len(f.terms) for f in row)
@@ -528,3 +709,25 @@ def test_a_negative_normal_power_is_refused_with_the_same_message():
     got = _outcome(_move_entries, space, S, entries, src, dst)
     assert got[0] == "NegativePowerAtZero"
     assert got == _outcome(parent_move_entries, space, S, entries, src, dst)
+
+
+def test_the_first_group_to_land_names_the_negative_power():
+    """On the P3 line, from U0 to U2, slot 1 of d/z1 + z3^-1 * d/z2 lands
+    on the index tuples (1,), (0,) and (2,), and both (1,) and (0,) hold a
+    negative power of the normal z3. The first such moved entry stands on
+    (0,), yet the error names the polynomial on (1,), the group that
+    landed first, as restricting group by group named it."""
+    space, S = cases()["p3_line"]
+    move = space._moves[("U0", "U2")]
+    entries = {(1, (0,), (0, 0, 0)): 1, (1, (1,), (0, 0, -1)): 1}
+    assert list(grouped_move(move, entries)) == [(1, (1,)), (1, (0,)),
+                                                 (1, (2,))]
+    first = next(key for key in move.move(entries) if key[-1][2] < 0)
+    assert first[:2] == (1, (0,))
+    got = _outcome(_move_entries, space, S, entries, "U0", "U2")
+    assert got == ("NegativePowerAtZero",
+                   "cannot set ('z2', 'z3') to zero in z1 - z1^2*z2*z3^-1")
+    assert got == _outcome(grouped_move_entries, space, S, entries, "U0",
+                           "U2")
+    assert got == _outcome(parent_move_entries, space, S, entries, "U0",
+                           "U2")
