@@ -108,7 +108,7 @@ from .linalg import nullspace, rank, rref, solve_min  # noqa: F401
 from .polyvector import (Polyvector, _bracket_rule, _landed, _ruled,
                          _wedge_rule, restrict)
 from .symbolic import (LaurentPoly, _add_into, _as_scalar, _simplex,
-                       _zeroed)
+                       _zero_power, _zeroed)
 
 
 # ----------------------------------------------------------------------
@@ -184,13 +184,14 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
 
     The entries move by one call of the edge's `Transition.move`, which
     gives an ambient chunk's result. A normal tuple's moved entries ((b,
-    tidx, e), c) are restricted to the submanifold (dropped on a positive
-    normal power) and multiplied by the first-order matrix F =
-    S.moved_first_order(dst, src) entry by entry: slot a on dst is sum_b
-    F[a][b] times slot b moved, the non-zero F[a][b] listed per b by the
-    edge's `SubmanifoldData.transport_plan`. A negative normal power raises
-    NegativePowerAtZero by `_zeroed` on the first (b, tidx) group of
-    `polyvector._landed` that holds one, with that group's message."""
+    tidx, e), c) are taken in their order, restricted to the submanifold
+    by `symbolic._zero_power`, `_set_zero`'s rule, and multiplied by the
+    first-order matrix F = S.moved_first_order(dst, src) entry by entry:
+    slot a on dst is sum_b F[a][b] times slot b moved, the non-zero
+    F[a][b] listed per b by the edge's `SubmanifoldData.transport_plan`.
+    A negative normal power raises NegativePowerAtZero by `_zeroed` on
+    the first (b, tidx) group of `polyvector._landed` that holds one,
+    with that group's message."""
     move = space._moves[(src, dst)]
     moved = move.move(entries)
     if not moved or len(next(iter(moved))) == 2:  # ambient keys (tidx, e)
@@ -198,14 +199,11 @@ def _move_entries(space, S: SubmanifoldData | None, entries: dict, src: str,
     out = {}
     pos, plan = S.transport_plan(dst, src)
     for (b, tidx, e), c in moved.items():
-        kept = True
-        for i in pos:
-            if e[i]:
-                if e[i] < 0:
-                    for terms in _landed(move, entries).values():
-                        _zeroed(move.target_vars, S.normal[dst], pos, terms)
-                kept = False
-        if not kept:
+        z = _zero_power(e, pos)
+        if z:
+            if z < 0:
+                for terms in _landed(move, entries).values():
+                    _zeroed(move.target_vars, S.normal[dst], pos, terms)
             continue
         for a, fe, fc in plan[b]:
             if fe is None:

@@ -28,8 +28,8 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatch
-from .symbolic import (LaurentPoly, _add_into, _add_product, _derivative,
-                       _product, monomial_map, substitute)
+from .symbolic import (LaurentPoly, _add_product, _derivative, _product,
+                       monomial_map, substitute)
 
 
 def _sort_sign(indices: Iterable[int]):
@@ -373,15 +373,15 @@ class Transition:
     `mono` exists and every inverse value is one term, as the builtin
     atlases' are, each image is one term, built by exponent arithmetic and
     `MonomialMap.image`; otherwise the entries are multiplied by
-    `symbolic._product` and moved by `convert`. A row (tidx, e, c) holds an
-    image's term; without `mono` a row (tidx, None, terms) holds a whole
-    image, which a moved entry, a polynomial there, multiplies whole.
+    `symbolic._product` and moved by `convert`. Either way the list holds
+    one row (tidx, e, c) per term of each image, in order.
 
     `move` is the one transport loop: it moves a chunk's entries, the terms
     c * x^e d_I keyed by (I, e) under a head, and adds every term of every
     image where it lands, as entries again, keyed by (tidx, e) under the
-    head. `pushforward`, `complexes._move_entries` and the tensor
-    certificate of `geometry` each call it once per chunk.
+    head. `pushforward` and `complexes._move_entries` call it once per
+    chunk, and the tensor certificate of `geometry` through `_landed`,
+    which groups its entries by target index where they first land.
     """
 
     __slots__ = ("source_vars", "target_vars", "forward", "inverse", "mono",
@@ -412,31 +412,28 @@ class Transition:
         c * x^e d_idx, as entries {head + (tidx, e): c}. Each entry, in
         order, is moved to the target variables once (by
         `MonomialMap.image`, or by `convert` when there is no `mono`), and
-        each term of its product with each image of d_idx, in order, is
-        added where it lands: a sum is kept in place and a sum that cancels
-        is dropped; without `mono` the product is formed first, by
-        `_product`, as `symbolic._add_product` forms it."""
+        each image term of d_idx, in order, times each of its moved terms,
+        in order, is added where it lands: a sum is kept in place and a sum
+        that cancels is dropped, so no key is left without a term."""
         mono = self.mono
         out: dict = {}
         for key, c in entries.items():
             head = key[:-2]
             if mono is None:
                 moved = self.convert(LaurentPoly._valid(
-                    self.source_vars, {key[-1]: c})).terms
-                for tidx, _, image in self[key[-2]]:
-                    _add_into(out, ((head + (tidx, e), v) for e, v in
-                                    _product(moved, image).items()))
-                continue
-            e, c = mono.image(key[-1], c)
+                    self.source_vars, {key[-1]: c})).terms.items()
+            else:
+                moved = (mono.image(key[-1], c),)
             for tidx, ei, ci in self[key[-2]]:
-                # inline: through `_add_into`, an in-process `sections`
-                # pass ran 2-13% slower
-                k = head + (tidx, tuple(map(add, e, ei)))
-                s = out.get(k, 0) + c * ci
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+                for e, c in moved:
+                    # inline: through `_add_into`, an in-process `sections`
+                    # pass ran 2-13% slower
+                    k = head + (tidx, tuple(map(add, e, ei)))
+                    s = out.get(k, 0) + c * ci
+                    if s:
+                        out[k] = s
+                    elif k in out:
+                        del out[k]
         return out
 
     def __getitem__(self, idx: tuple) -> list:
@@ -490,10 +487,7 @@ class Transition:
             # a function's empty frame goes to 1, with nothing to substitute
             image = (self.convert(LaurentPoly._valid(self.source_vars, terms))
                      if choice else LaurentPoly.const(self.target_vars, sign))
-            if mono is not None:
-                rows.extend((tidx, e, c) for e, c in image.terms.items())
-            elif image.terms:
-                rows.append((tidx, None, image.terms))
+            rows.extend((tidx, e, c) for e, c in image.terms.items())
         return rows
 
 
@@ -502,7 +496,10 @@ def pushforward(a: Polyvector, move: Transition) -> Polyvector:
     coordinates and frame; `a` is first brought to the source variables.
 
     Its terms are moved as entries, by one `move.move` call, and grouped by
-    target index tuple in the order of the moved entries.
+    target index tuple in the order of the entries, the order in which
+    `complexes._move_entries` gives an ambient chunk's: an index stands
+    where its first remaining term stands, and an index whose terms all
+    cancel is left out.
     """
     if a.vars != move.source_vars:
         a = a.with_vars(move.source_vars)
@@ -517,8 +514,11 @@ def pushforward(a: Polyvector, move: Transition) -> Polyvector:
 def _landed(move: Transition, entries: Mapping) -> dict:
     """The entries of `move.move(entries)` as {head + (tidx,): {e: c}}: the
     groups in the order the entries first land in them, whatever order
-    their sums left the entries in, and a group whose terms all cancel
-    kept empty."""
+    their sums left the entries in, each group's terms in their order, and
+    a group whose terms all cancel kept empty: the groups of the grouped
+    transport that `move` replaced, which the tensor certificate of
+    `geometry` and the NegativePowerAtZero message of
+    `complexes._move_entries` read."""
     groups = {key[:-2] + (row[0],): {} for key in entries
               for row in move[key[-2]]}
     for key, c in move.move(entries).items():

@@ -14,7 +14,7 @@ the order in which sums are formed fixes every report's term order and
 scalar types. That update is written in `_add_into` for scalar terms, in
 `_product_into`, the one product loop, and in `polyvector._acc` for
 polyvector coefficients. Four hot copies stay inline, each measured
-against a shared helper: `Transition.move`'s monomial branch and
+against a shared helper: `Transition.move`'s loop and
 `complexes._move_entries`' one-term branch (through `_add_into` the
 `sections` benchmark ran 4-7% slower), and
 `TruncatedSeries.__add__` and `combine`, the solver's innermost loops
@@ -109,15 +109,24 @@ def _set_zero(terms: Mapping, positions) -> dict | None:
     None when a term has a negative power of one of them."""
     out = {}
     for e, c in terms.items():
-        kept = True
-        for i in positions:
-            if e[i]:
-                if e[i] < 0:
-                    return None
-                kept = False
-        if kept:
+        z = _zero_power(e, positions)
+        if z < 0:
+            return None
+        if not z:
             out[e] = c
     return out
+
+
+def _zero_power(e: tuple, positions) -> int:
+    """Setting the variables at `positions` to zero keeps a term with
+    exponent tuple e (0), drops it (1) or fails on a negative power (-1)."""
+    z = 0
+    for i in positions:
+        if e[i]:
+            if e[i] < 0:
+                return -1
+            z = 1
+    return z
 
 
 def _zeroed(vars: tuple, names: tuple, pos, terms: Mapping) -> dict:

@@ -28,7 +28,7 @@ from poissondef.polyvector import (Polyvector, Transition, _sort_sign,
                                    pushforward, wedge)
 from poissondef.symbolic import (LaurentPoly, MonomialMap, _add_into,
                                  _add_product, _product)
-from test_transport_oracle import grouped_move
+from test_transport_oracle import _model_exact, flat_model, grouped_move
 
 
 # ----------------------------------------------------------------------
@@ -422,8 +422,8 @@ _SHEAR = Transition(
 @given(st.data())
 def test_pushforward_build_matches_parent(data):
     """The grouped parent's values, types and term order per index tuple;
-    the index tuples in the order in which their moved entries first
-    stand."""
+    the index tuples in the order of their first term among the entries
+    of `flat_model`, which is exact on these transitions."""
     spaces = [projective_space(2), hirzebruch(1)]
     moves = [_SHEAR] + [space._moves[pair] for space in spaces
                         for pair in space.overlap_pairs()]
@@ -436,13 +436,13 @@ def test_pushforward_build_matches_parent(data):
         if isinstance(want[0], str):
             assert got == want
             continue
-        assert (got[0], got[1], dict(got[2])) == \
-            (want[0], want[1], dict(want[2]))
-        # an index emptied and filled again stands where its entries land
-        assert [idx for idx, _ in got[2]] == list(dict.fromkeys(
-            tidx for tidx, _ in move.move({
-                (idx, e): c for idx, f in x.terms.items()
-                for e, c in f.terms.items()})))
+        entries = {(idx, e): c for idx, f in x.terms.items()
+                   for e, c in f.terms.items()}
+        assert _model_exact(move, entries)
+        order = list(dict.fromkeys(
+            tidx for tidx, _ in flat_model(move, entries)))
+        assert got == (want[0], want[1],
+                       sorted(want[2], key=lambda t: order.index(t[0])))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -370,19 +370,14 @@ def _lp(x: LaurentPoly):
 
 
 def _rows(rows: list) -> list:
-    """A kept image list with the int or Fraction type of each scalar: a
-    compiled transition's rows (tidx, e, c), an uncompiled one's (tidx,
-    None, terms)."""
-    return [(tidx, e, v, type(v)) if e is not None
-            else (tidx, None, [(k, c, type(c)) for k, c in v.items()])
-            for tidx, e, v in rows]
+    """A kept image list, one row (tidx, e, c) per image term, with the int
+    or Fraction type of each scalar."""
+    return [(tidx, e, c, type(c)) for tidx, e, c in rows]
 
 
-def _flat(move, images: list) -> list:
-    """The parent's images [(tidx, LaurentPoly)] laid out as `_rows` lays
-    out the kept list: term by term with `mono`, whole without."""
-    if move.mono is None:
-        return [(tidx, None, _lp(image)[1]) for tidx, image in images]
+def _flat(images: list) -> list:
+    """The parent's images [(tidx, LaurentPoly)] laid out term by term, as
+    `_rows` lays out the kept list."""
     return [(tidx, e, c, type(c)) for tidx, image in images
             for e, c in image.terms.items()]
 
@@ -555,7 +550,7 @@ def test_frame_images_match_parent(name):
         for degree in range(n + 1):
             for idx in combinations(range(n), degree):
                 got = _rows(move[idx])
-                want = _flat(move, parent_build(move, idx))
+                want = _flat(parent_build(move, idx))
                 assert got == want, (idx, move.source_vars, move.target_vars)
                 seen += 1
     assert seen or not space._moves
@@ -574,7 +569,7 @@ def test_frame_images_keep_fraction_coefficients():
                for c in space.transitions[("U", "V")]["y"].terms.values())
     for move in space._moves.values():
         for idx in [(), (0,), (1,), (0, 1)]:
-            assert _rows(move[idx]) == _flat(move, parent_build(move, idx))
+            assert _rows(move[idx]) == _flat(parent_build(move, idx))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ the paths they replaced.
 and adds every term of every image where it lands, keyed as entries again,
 {head + (tidx, e): c}; `pushforward`, `complexes._move_entries` and the
 tensor certificate each call it once per chunk, and `_move_entries`
-restricts the normal slots entry by entry. `complexes._ruled` adds each
+restricts the normal slots entry by entry, by `symbolic._zero_power`. `complexes._ruled` adds each
 rule product where it lands, through `symbolic._add_product`, and reads a
 slot's raw terms {idx: terms}, which its parent read as a polyvector.
 
@@ -16,18 +16,33 @@ Two generations of replaced paths are kept below verbatim:
 - the grouped transport that the flat one replaced, whose `move` returned
   {head + (tidx,): terms} and whose `_move_entries` re-keyed and
   restricted the groups, as `grouped_*`.
-The new paths must give their values and the int or Fraction type of
-every coefficient, each group's terms in their order, or raise the same
-error with the same message, and must leave their inputs untouched.
+The new paths must give their values, their term order at both dict
+levels and the int or Fraction type of every coefficient, or raise the
+same error with the same message, and must leave their inputs untouched.
+`move`'s entries are compared in order with `flat_model`, which adds the
+per-entry parent's image products term by term where they land, and,
+grouped by `polyvector._landed`, with both parents' groups.
 
-`pushforward` orders its target index tuples as their moved entries first
-stand. So a target index whose sum cancels and which a later term fills
-again stands after the indices filled in between, as in the per-entry
-parent, which deleted it and appended it again; the grouped move kept it
-in its first place. Per target index it gives, in order, the terms of the
-parent entry mover's group, with the emptied indices left out: on a
-transition that is not monomial a coefficient's terms are converted one by
-one, not summed first as the per-entry parent summed them.
+These orders differ, never a value or a type, and the tests that meet
+them say so:
+- the flat entries of a target index whose first term cancels stand
+  after those of the indices filled since. `pushforward` groups the
+  entries in their order, so such an index stands where its first
+  remaining term stands; the grouped move kept it where it was filled
+  first, and so did the per-entry parent unless its sum cancelled;
+- on a transition that is not monomial a coefficient's terms are
+  converted one by one, not summed first as the per-entry parent summed
+  them;
+- on a transition without `mono` whose images and moved coefficient
+  both have several terms, each product term is added where it lands,
+  where the parents summed each image's product first, so a group's
+  terms may stand in another order (`_model_exact`); no shipped file or
+  builtin atlas has a transition without `mono`;
+- `_move_entries` gives an ambient chunk's flat entries, which stand in
+  the grouped parent's order once stably regrouped by target index, and
+  restricts a normal chunk entry by entry, in `move`'s order, so its
+  output keeps the grouped parent's order only where the terms are met
+  in that order (`_in_grouped_order`).
 
 The draws cover every shipped atlas with more than one chart (`P1`..`P3`,
 `Fm(0)`..`Fm(5)`, with the shipped submanifolds for normal slots), a
@@ -53,7 +68,8 @@ from poissondef.complexes import (_bracket_rule, _move_entries, _ruled,
 from poissondef.dsl import parse
 from poissondef.errors import NegativePowerAtZero, NonInvertibleSubstitution
 from poissondef.geometry import hirzebruch, product, projective_space
-from poissondef.polyvector import Polyvector, _sort_sign, pushforward
+from poissondef.polyvector import (Polyvector, _landed, _sort_sign,
+                                   pushforward)
 from poissondef.symbolic import (LaurentPoly, _add_product, _derivative,
                                  _product, _zeroed)
 from test_transport import NON_MONOMIAL, _second_line
@@ -372,6 +388,30 @@ def grouped_move_entries(space, S, entries: dict, src: str,
     return out
 
 
+def flat_model(move, entries) -> dict:
+    """The entries the flat `move` must give, from the per-entry parent:
+    each entry, in order, moved by `parent_move`, and each term of each of
+    its image products, in order, added where it lands, keyed head +
+    (tidx, e). Where each image of an index has one term, or `mono`
+    exists, `move` adds the same terms in the same order
+    (`_model_exact`)."""
+    out: dict = {}
+    for key, c in entries.items():
+        for tidx, terms in parent_move(move, key[-2], {key[-1]: c}):
+            _add_into(out, ((key[:-2] + (tidx, e), v)
+                            for e, v in terms.items()))
+    return out
+
+
+def _model_exact(move, entries) -> bool:
+    """Whether `flat_model` gives `move`'s order on these entries: a
+    product of a several-term moved coefficient and a several-term image
+    summed its terms first, where `move` adds each where it lands."""
+    return move.mono is not None or all(
+        len(image.terms) == 1 for key in entries
+        for _, image in grouped_images(move, key[-2]))
+
+
 # ----------------------------------------------------------------------
 # Atlases and comparisons
 # ----------------------------------------------------------------------
@@ -494,51 +534,133 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                                            HealthCheck.data_too_large])
 
 
-def _groups(moved: dict) -> dict:
-    """Moved entries {head + (tidx, e): c} per group head + (tidx,): the
-    group's terms in their order, with the type of every coefficient."""
-    out = {}
-    for key, c in moved.items():
-        out.setdefault(key[:-1], []).append((key[-1], c, type(c)))
-    return out
+def _values(entries: dict) -> dict:
+    return {key: (c, type(c)) for key, c in entries.items()}
 
 
 def _flattened(grouped: dict) -> dict:
-    """A grouped move's {head + (tidx,): terms} laid out as `_groups` lays
-    out entries: a group whose terms all cancelled holds no entry."""
-    return {key: _typed(terms) for key, terms in grouped.items() if terms}
+    """A grouped move's {head + (tidx,): terms} as entries {head + (tidx,
+    e): c}, group by group, each group's terms in their order."""
+    return {key + (e,): c for key, terms in grouped.items()
+            for e, c in terms.items()}
 
 
-def _values(entries: dict) -> dict:
-    return {key: (c, type(c)) for key, c in entries.items()}
+def _regrouped(entries: dict, grouped: dict) -> dict:
+    """Entries {head + (tidx, e): c} stably sorted by the place of their
+    group head + (tidx,) among a grouped move's groups."""
+    place = {key: n for n, key in enumerate(grouped)}
+    return dict(sorted(entries.items(), key=lambda kv: place[kv[0][:-1]]))
+
+
+def _grouped_layout(grouped: dict, ordered: bool) -> list:
+    """A grouped move's groups, in order, each with its terms and their
+    types: in their order, or as a dict when `ordered` is false."""
+    return [(key, _typed(terms) if ordered else _values(terms))
+            for key, terms in grouped.items()]
+
+
+def _in_grouped_order(S, src, dst, moved: dict, grouped: dict) -> bool:
+    """Whether restricting a normal chunk entry by entry meets its terms in
+    the order in which restricting group by group met them: the moved
+    entries stand group by group, in the groups' order, and a group with
+    two or more terms kept on the submanifold has a slot whose
+    first-order row is at most one one-term entry. Restricting group by
+    group took a group's kept terms once per entry of its row, and a
+    several-term entry's products summed before they were added."""
+    if list(moved) != list(_flattened(grouped)):
+        return False
+    pos, plan = S.transport_plan(dst, src)
+    return all(len(plan[b]) <= 1 and all(fe is not None for _, fe, _ in
+                                         plan[b])
+               for (b, _), terms in grouped.items()
+               if sum(not any(e[i] for i in pos) for e in terms) > 1)
 
 
 @SETTINGS
 @given(moves())
 def test_one_call_moves_a_chunk_as_each_entry_was_moved(drawn):
-    """`move` and `_move_entries` against the grouped parents, there and
-    back: on the way back the chain rule's cross terms meet and cancel.
-    `move`'s entries are the grouped parent's non-empty groups flattened,
-    each group's terms in its order, and so the per-entry loop's before
-    it; `_move_entries` gives the grouped parent's keys, values and types,
-    or raises its error with its message."""
+    """`move` and `_move_entries` against the grouped and the per-entry
+    parents, there and back: on the way back the chain rule's cross terms
+    meet and cancel.
+
+    `move`'s entries are `flat_model`'s, in order, with their types, and
+    grouped by `polyvector._landed` they are both parents' groups at both
+    dict levels, in order, the emptied groups included. Where the model
+    is not exact (`_model_exact`) a group's terms are compared as a dict.
+    `_move_entries` gives the grouped parent's keys, values and types, or
+    raises its error with its message. An ambient chunk's entries are
+    `move`'s, so they stand in the parent's order once stably regrouped in
+    the grouped move's group order. A normal chunk's stand in the parent's
+    order whenever its terms are met in the parent's order
+    (`_in_grouped_order`)."""
     space, S, src, dst, degree, entries = drawn
     for _ in range(2):
         before = list(entries.items())
         move = space._moves[(src, dst)]
-        got = _outcome(move.move, entries)
+        ordered = _model_exact(move, entries)
+        flat = _outcome(move.move, entries)
+        want = _outcome(flat_model, move, entries)
+        assert (flat if isinstance(flat, tuple) else
+                _typed(flat) if ordered else _values(flat)) == \
+            (want if isinstance(want, tuple) else
+             _typed(want) if ordered else _values(want))
+        got = _outcome(_landed, move, entries)
         for parent in (grouped_move, parent_moved):
             want = _outcome(parent, move, entries)
-            assert (got if isinstance(got, tuple) else _groups(got)) == \
-                (want if isinstance(want, tuple) else _flattened(want))
+            assert (got if isinstance(got, tuple)
+                    else _grouped_layout(got, ordered)) == \
+                (want if isinstance(want, tuple)
+                 else _grouped_layout(want, ordered))
+        grouped = _outcome(grouped_move, move, entries)
         got = _outcome(_move_entries, space, S, entries, src, dst)
         want = _outcome(grouped_move_entries, space, S, entries, src, dst)
         assert (got if isinstance(got, tuple) else _values(got)) == \
             (want if isinstance(want, tuple) else _values(want))
+        if isinstance(got, tuple) or not ordered:
+            pass
+        elif S is None:
+            assert _typed(got) == _typed(flat)
+            assert _typed(_regrouped(got, grouped)) == _typed(want)
+        elif _in_grouped_order(S, src, dst, flat, grouped):
+            assert _typed(got) == _typed(want)
         assert list(entries.items()) == before
         if isinstance(got, tuple):
             return
         entries, src, dst = got, dst, src
+
+
+def test_a_normal_chunk_keeps_the_parent_order_where_its_terms_do():
+    """On every first-order edge of every shipped submanifold, and of the
+    two shears of the draws, the normal chunk with one entry per slot and
+    index tuple of degree 0 or 1, at x^0, and the one with a second entry
+    at the product of the chart's other variables. Their terms are met in
+    the grouped parent's order on some edges, where `_move_entries` gives
+    the parent's order with several entries, and not on others, where
+    some outputs stand in another order."""
+    met, other = [], []
+    for name in SHIPPED + ("shear3", "sheared_plane2"):
+        space, S = cases()[name]
+        for src, dst in sorted(S.first_order):
+            cvars = space.chart(src).vars
+            zero = (0,) * len(cvars)
+            linear = tuple(int(v not in S.normal[src]) for v in cvars)
+            move = space._moves[(src, dst)]
+            for exps in ((zero,), (zero, linear)):
+                entries = {(b, idx, e): b + 1 for b in range(S.codim)
+                           for degree in range(2)
+                           for idx in combinations(range(len(cvars)), degree)
+                           for e in exps}
+                got = _move_entries(space, S, entries, src, dst)
+                want = grouped_move_entries(space, S, entries, src, dst)
+                assert _values(got) == _values(want)
+                if _in_grouped_order(S, src, dst, move.move(entries),
+                                     grouped_move(move, entries)):
+                    assert _typed(got) == _typed(want)
+                    met.append(len(got))
+                else:
+                    other.append(_typed(got) == _typed(want))
+    assert max(met) > 1
+    assert not all(other)
 
 
 def _as_dict(pv: Polyvector) -> dict:
@@ -546,19 +668,27 @@ def _as_dict(pv: Polyvector) -> dict:
             for idx, coeff in pv.terms.items()}
 
 
+def _in_order(pv: Polyvector, order: list) -> tuple:
+    """`_pv` of a polyvector with its index tuples in the order `order`."""
+    return (pv.vars, pv.degree,
+            [(idx, pv.terms[idx].vars, _typed(pv.terms[idx].terms))
+             for idx in order if idx in pv.terms])
+
+
 @SETTINGS
 @given(moves(ambient=True))
 def test_pushforward_keeps_values_and_types(drawn):
-    """The parent's values and types always; each target index tuple's
-    terms in the order of the parent entry mover's group, and the grouped
-    parent's, with the emptied indices left out; the index tuples in the
-    order in which their entries first stand among the moved entries."""
+    """The parent's values and types always. Where `flat_model` is exact,
+    the terms of the per-entry parent's and of the grouped parent's
+    indices, with the emptied indices left out, in their order, and the
+    index tuples in the order of their first term among the model's
+    entries; elsewhere each index's terms compared as a dict."""
     space, _, src, dst, degree, entries = drawn
     move = space._moves[(src, dst)]
     coeffs = {}
     for (idx, e), c in entries.items():
         coeffs.setdefault(idx, {})[e] = c
-    cvars = space.chart(src).vars
+    cvars = move.source_vars
     a = Polyvector(cvars, degree, {idx: LaurentPoly(cvars, terms)
                                    for idx, terms in coeffs.items()})
     kept = _pv(a)
@@ -571,12 +701,15 @@ def test_pushforward_keeps_values_and_types(drawn):
     assert _as_dict(got) == _as_dict(want)
     entries = {(idx, e): c for idx, coeff in a.terms.items()
                for e, c in coeff.terms.items()}
-    per_index = {idx: _typed(f.terms) for idx, f in got.terms.items()}
-    for moved in (parent_moved(move, entries), grouped_move(move, entries)):
-        assert per_index == {tidx: _typed(terms)
-                             for (tidx,), terms in moved.items() if terms}
-    assert list(got.terms) == list(dict.fromkeys(
-        tidx for tidx, _ in move.move(entries)))
+    moved = parent_moved(move, entries)
+    for parent in (Polyvector._valid(move.target_vars, degree, {
+            tidx: LaurentPoly._valid(move.target_vars, terms)
+            for (tidx,), terms in moved.items() if terms}),
+            grouped_pushforward(a, move)):
+        assert _as_dict(got) == _as_dict(parent)
+        if _model_exact(move, entries):
+            assert _pv(got) == _in_order(parent, list(dict.fromkeys(
+                tidx for tidx, _ in flat_model(move, entries))))
 
 
 def test_a_refilled_target_index_follows_its_entries():
@@ -601,6 +734,51 @@ def test_a_refilled_target_index_follows_its_entries():
     assert list(got.terms) == [(0, 2), (0, 1), (1, 2)]
     assert list(want.terms) == [(0, 2), (0, 1), (1, 2)]
     assert list(grouped.terms) == [(0, 2), (1, 2), (0, 1)]
+
+
+def test_an_index_whose_first_term_cancels_follows_its_entries():
+    """On P2, from U0 to U1: -d/z2 fills the target index (1,) with -z1,
+    -d/z1 fills (0,) and adds z1*z2 to (1,), and -z1*z2^-1 * d/z1 cancels
+    (1,)'s first term, which leaves z1*z2 there. The flat entries on (0,)
+    then stand first, and `pushforward` puts (0,) first; both parents kept
+    (1,) first, where it was filled first."""
+    space = projective_space(2)
+    cvars = space.chart("U0").vars
+    a = Polyvector(cvars, 1, {
+        (1,): LaurentPoly(cvars, {(0, 0): -1}),
+        (0,): LaurentPoly(cvars, {(0, 0): -1, (1, -1): -1})})
+    move = space._moves[("U0", "U1")]
+    CANCELLED.clear()
+    got, want = pushforward(a, move), parent_pushforward(a, move)
+    grouped = grouped_pushforward(a, move)
+    assert CANCELLED == []
+    assert got == want == grouped
+    assert _as_dict(got) == _as_dict(want) == _as_dict(grouped)
+    assert list(got.terms) == [(0,), (1,)]
+    assert list(want.terms) == list(grouped.terms) == [(1,), (0,)]
+
+
+def test_an_uncompiled_image_is_added_term_by_term():
+    """On the shear whose frame images have two terms, d/x moves to d/u
+    plus a two-term multiple of d/v. Each image term times each moved
+    term of a coefficient is added where it lands, where the grouped move
+    added each image's product, summed first: the same terms, values and
+    types on each index tuple, some in another order. Every shipped file
+    and builtin atlas has a compiled `mono` on every edge, so no shipped
+    report moves."""
+    space, _ = cases()["shear3"]
+    move = space._moves[("U0", "U1")]
+    entries = {((0,), (0, 2)): -1, ((0,), (1, 2)): 1, ((0,), (2, 1)): -1}
+    assert move.mono is None and not _model_exact(move, entries)
+    got, want = _landed(move, entries), grouped_move(move, entries)
+    assert _grouped_layout(got, False) == _grouped_layout(want, False)
+    assert _nested(got) != _nested(want)
+    atlases = [projective_space(n) for n in (1, 2, 3)]
+    atlases += [hirzebruch(m) for m in range(6)]
+    atlases += [parse(path.read_text()).space
+                for path in sorted(EXAMPLES.glob("*.pdef"))]
+    assert all(m.mono is not None for space in atlases
+               for m in space._moves.values())
 
 
 def test_the_draws_reach_every_branch():
