@@ -4,8 +4,7 @@ existence and obstruction analysis, family verification and matching, and
 small-extension obstruction calculus — all over exact rational arithmetic.
 """
 
-from .artin import (ArtinReport, artin_first_order, artin_obstruction,
-                    first_order_by_enumeration)
+from .artin import ArtinReport, artin_first_order, artin_obstruction
 from .complexes import (CohomologyReport, PoissonLineBundle, affine_hyper,
                         atlas_hyper_truncated, build_complex,
                         characteristic_map, h0_complex,
@@ -25,8 +24,7 @@ from .geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
                        SubmanifoldData, affine_space, builtin_space,
                        extract_submanifold, hirzebruch, product,
                        projective_space)
-from .polyvector import (Polyvector, hamiltonian, pushforward, restrict,
-                         schouten, wedge)
+from .polyvector import Polyvector, pushforward, restrict, schouten
 from .symbolic import LaurentPoly, MajorantSeries, TruncatedSeries, dominates
 
 __version__ = "0.1.0"
@@ -44,9 +42,8 @@ __all__ = [
     "affine_hyper", "affine_space", "artin_first_order", "artin_obstruction",
     "atlas_hyper_truncated", "build_complex", "builtin_space",
     "characteristic_map", "dominates", "extract_submanifold",
-    "first_order_by_enumeration", "h0_complex", "hamiltonian", "hirzebruch",
-    "initial_state", "match_families", "obstruction_cocycle", "parse",
-    "product", "projective_space", "pushforward", "render", "restrict",
-    "run_solver", "schouten", "semiregularity_image_rank", "solve_order",
-    "verify_family", "wedge",
+    "h0_complex", "hirzebruch", "initial_state", "match_families",
+    "obstruction_cocycle", "parse", "product", "projective_space",
+    "pushforward", "render", "restrict", "run_solver", "schouten",
+    "semiregularity_image_rank", "solve_order", "verify_family",
 ]

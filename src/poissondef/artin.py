@@ -43,16 +43,12 @@ exthilb.
                      moved ideals to agree, moved to chart i (a tuple of
                      functions along the submanifold, as degree-zero
                      polyvectors).
-
-An independent first-order tangent-space computation by direct epsilon
-linearisation is provided for cross-checking the cohomology engines.
 """
 
 from __future__ import annotations
 
-from .complexes import (CoboundarySystem, atom_cochain, chunk_entries,
-                         h0_complex, kept_complex, monomial_atoms,
-                         total_coboundary)
+from .complexes import (CoboundarySystem, h0_complex, kept_complex,
+                         monomial_atoms, total_coboundary)
 from .deformation import (DeformationProblem, DeformationState,
                           ObstructionCocycle, add_direction, certify_cocycle,
                           jacobi_residual, lambda_gluing_mismatch,
@@ -60,7 +56,6 @@ from .deformation import (DeformationProblem, DeformationState,
 from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
                      ParameterMismatch)
 from .geometry import PoissonManifold, SubmanifoldData
-from .linalg import nullspace
 from .polyvector import Polyvector
 from .symbolic import LaurentPoly, TruncatedSeries
 
@@ -120,59 +115,6 @@ def _unknowns(desc, bound: int, amb_bound: int) -> list:
     return [atom for part in desc.parts for atom in monomial_atoms(
         desc, part, 0, desc.part_charts(part),
         bound if part == "nor" else amb_bound)]
-
-
-# ----------------------------------------------------------------------
-# First order: independent epsilon-linearisation path
-# ----------------------------------------------------------------------
-
-_EPS = ("_eps",)
-
-
-def first_order_by_enumeration(kind: str, *,
-                               manifold: PoissonManifold | None = None,
-                               submanifold: SubmanifoldData | None = None,
-                               bound: int = 2, amb_bound: int | None = None):
-    """Tangent space by brute linearisation, independent of the cohomology
-    engines: enumerate bounded-degree monomial directions, impose first-order
-    validity of the perturbed family, and return the kernel. Each
-    direction's family is built with `add_direction`, and its equations are
-    the order-one coefficients of the family's residuals, read directly.
-
-    Works coefficient-exactly with a nilpotent square-zero parameter; the
-    reported dimension equals the engine's once the degree bound covers the
-    engine basis.
-    """
-    if kind not in FUNCTORS:
-        raise InconsistentData(f"unknown functor kind {kind!r}")
-    if kind != "def" and submanifold is None:
-        raise InconsistentData(f"functor {kind!r} needs the submanifold")
-    if manifold is None:
-        if submanifold is None:
-            raise InconsistentData("ambient functor needs the manifold")
-        manifold = submanifold.manifold
-    if amb_bound is None:
-        amb_bound = bound + 2
-    desc = _descriptor(kind, submanifold, manifold)
-    atoms = _unknowns(desc, bound, amb_bound)
-    phi = {} if submanifold is None else {
-        name: [TruncatedSeries.zero(_EPS, 1)] * submanifold.codim
-        for name in submanifold.present_charts()}
-    lam = {name: TruncatedSeries.const(_EPS, 1, manifold.bivector(name))
-           for name in manifold.space.chart_names}
-    columns = []
-    for atom in atoms:
-        residuals = _residuals(kind, submanifold, manifold, *add_direction(
-            phi, lam, (1,), atom_cochain(desc, 0, atom)), 0)
-        columns.append({(key, at, a) + sub: c
-                        for key, per in residuals.items()
-                        for at, a, ser in residual_series(per)
-                        for coeff in ser.homogeneous(1).values()
-                        for sub, c in chunk_entries("amb", coeff if isinstance(
-                            coeff, Polyvector) else Polyvector.from_function(
-                                coeff))})
-    kernel = nullspace(columns)
-    return {"dimension": len(kernel), "atoms": atoms, "kernel": kernel}
 
 
 # ----------------------------------------------------------------------

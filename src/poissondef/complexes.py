@@ -24,9 +24,9 @@ descriptor: per input index tuple, the output index, sign and Λ terms of
 each product of the bracket, and the output index, sign and twist terms of
 each wedge. The rules are `polyvector._bracket_rule` and `_wedge_rule`,
 applied by `polyvector._ruled`: the bracket's rule is the body of
-`schouten`, and the wedge's adds its products in `wedge`'s order, so every
-result equals theirs term by term. `differential` is `differential_terms`
-on chunks.
+`schouten`, and the wedge's is the one wedge, which the tensor certificate
+of `geometry` applies too. `differential` is `differential_terms` on
+chunks.
 `twist(part, chart)` gives:
 
     part  kind               twist[a][b]
@@ -72,8 +72,8 @@ ambient part couples into the normal part with the sign (-1)^p.
 Bounded-degree monomial unknowns are enumerated once, by `monomial_atoms`:
 an atom is the coordinate key of the single entry of its cochain, and its
 exponents come in graded-lex order. The section search, the graded engine,
-the square-zero probes, the solver's order step and the small-ring
-liftability all draw their unknowns from it. The last two ask one
+the solver's order step and the small-ring liftability all draw their
+unknowns from it. The last two ask one
 question, whether a degree-one total cochain is the total coboundary of
 such unknowns, and one `CoboundarySystem` answers it for both: it builds
 each unknown's column at most once, `total_rows` of its total coboundary
@@ -376,9 +376,10 @@ class ComplexDescriptor:
         """The index rules of d on one part of a degree-p cochain on one
         chart, kept per (part, chart, p): the chart variables, the normal
         variables and their positions among them (normal part only), the
-        sign (-1)^p, the twist rows, the rules of `_ruled` under key None
-        for the bracket, (a, b) for the wedge with twist[a][b] and a for
-        the coupling through w_a, and the builder of the bracket's rules."""
+        sign (-1)^p, the twist rows as raw terms (None where the part has no
+        twist), the rules of `_ruled` under key None for the bracket, (a, b)
+        for the wedge with twist[a][b] and a for the coupling through w_a,
+        and the builder of the bracket's rules."""
         rules = self._compiled.get((part, name, p))
         if rules is None:
             cvars = self.space.chart(name).vars
@@ -386,17 +387,20 @@ class ComplexDescriptor:
             lam = {J: g.terms
                    for J, g in self.manifold.bivector(name).terms.items()}
             s = 1 if part == "nor" else -1
+            twist = self.twist(part, name)
             rules = self._compiled[(part, name, p)] = (
                 cvars, w, tuple(cvars.index(v) for v in w),
-                -1 if p % 2 else 1, self.twist(part, name), {},
+                -1 if p % 2 else 1, twist and [
+                    [{J: g.terms for J, g in pv.terms.items()} for pv in row]
+                    for row in twist], {},
                 lambda idx: _bracket_rule(lam, idx, s))
         return rules
 
     def differential_terms(self, cochain: dict, p: int) -> dict:
         """d of a degree-p cochain given by its raw terms, by the one
         formula of the module docstring, applied through the index rules of
-        `_rules` in the term order of `schouten`, `restrict` and `wedge`, as
-        raw terms: {part: {chart: [{index tuple: terms}]}}, one dict per
+        `_rules` in the term order of `schouten` and `restrict`, as raw
+        terms: {part: {chart: [{index tuple: terms}]}}, one dict per
         normal slot and one for the ambient part, with no index whose terms
         are empty. A cochain with no normal part starts from zero normal
         outputs on every present chart; one whose normal part leaves out a
@@ -455,22 +459,6 @@ class ComplexDescriptor:
                 res[name] = _chunk(part, self.space.chart(name).vars, degree,
                                    vals)
         return out
-
-    # ---- probes --------------------------------------------------------
-    def monomial_probes(self, p: int, degree: int):
-        """Single-monomial cochains of coefficient degree <= degree, zero on
-        every other chart, as `total_closedness` reads every chart."""
-        for part in self.parts:
-            for atom in monomial_atoms(self, part, p, self.part_charts(part),
-                                       degree):
-                yield _padded(self, p, atom)
-
-    def assert_square_zero(self, p: int, degree: int):
-        for probe in self.monomial_probes(p, degree):
-            twice = self.differential(self.differential(probe, p), p + 1)
-            if not cochain_is_zero(twice):
-                raise InconsistentData(
-                    f"differential does not square to zero on probe {probe}")
 
 
 def build_complex(kind: str, *, manifold: PoissonManifold | None = None,

@@ -18,8 +18,10 @@ raw terms {idx: {e: c}} and builds each polyvector once. The division
 rule and the certificates (`verify_submanifold_tensors`) take their
 brackets by `polyvector._raw_bracket`, the one rule of `schouten` on raw
 terms: the division rule sorts the terms of [Λ, w_a] straight into the
-structure fields, and the certificates add their products in place. None
-calls `schouten`, `wedge` or `restrict`. The chart identity is closedness at p = 1 in the normal
+structure fields, and the certificates add their products in place. The
+chart identity's wedges are `polyvector._wedge_rule`, the differential's
+wedge, applied by `polyvector._ruled`. None calls `schouten` or
+`restrict`. The chart identity is closedness at p = 1 in the normal
 complex of `complexes`, checked here directly.
 
 The records here are plain classes on purpose, as in `complexes`,
@@ -38,7 +40,7 @@ from .errors import (
     WrongCodimension,
 )
 from .polyvector import (Polyvector, Transition, _landed, _raw_bracket,
-                         _sort_sign, pushforward, restrict, schouten)
+                         _ruled, _wedge_rule, pushforward, schouten)
 from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
                        _derivative, _set_zero, _zeroed)
 
@@ -491,12 +493,6 @@ class SubmanifoldData:
                 tuple(cvars.index(v) for v in self.normal[dst]), rows)
         return plan
 
-    def push_restrict(self, a: Polyvector, src: str, dst: str) -> Polyvector:
-        """Pushforward a chart-src polyvector with coefficients along the
-        submanifold to chart dst, restricting again afterwards."""
-        moved = self.space.pushforward(a, src, dst)
-        return restrict(moved, self.normal[dst])
-
 
 def extract_submanifold(M: PoissonManifold,
                         normal_spec: Mapping[str, object]) -> SubmanifoldData:
@@ -622,10 +618,11 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
     Σ_b F[a][b] T0_k[b][g], with T0_i moved to chart k by one
     `Transition.move`, grouped by `polyvector._landed` and restricted.
 
-    Brackets are taken by `polyvector._raw_bracket` and every product is
-    added by `symbolic._add_product`. A negative power of a normal variable
-    raises NegativePowerAtZero where restricting polyvector by polyvector
-    (`restrict`) raises it, with its message.
+    Brackets are taken by `polyvector._raw_bracket`, the wedges by
+    `polyvector._wedge_rule` applied by `polyvector._ruled`, and every
+    other product is added by `symbolic._add_product`. A negative power of
+    a normal variable raises NegativePowerAtZero where restricting
+    polyvector by polyvector (`restrict`) raises it, with its message.
     """
     space, r = data.space, data.codim
     report = {"chart_identity": {}, "overlap_identity": {}, "pass": True}
@@ -648,12 +645,9 @@ def verify_submanifold_tensors(data: SubmanifoldData) -> dict:
                     if kept:
                         acc[idx] = kept
                 for g in range(r):
-                    for I, f in T0[g][b].items():
-                        for J, h in T0[a][g].items():
-                            idx, sign = _sort_sign(I + J)
-                            if sign:
-                                _add_product(acc.setdefault(idx, {}), f, {
-                                    e: -c * sign for e, c in h.items()})
+                    for idx, terms in _ruled(T0[g][b], {}, None, lambda I: (
+                            _wedge_rule(I, T0[a][g], -1))).items():
+                        _add_into(acc.setdefault(idx, {}), terms.items())
                 ok &= not any(acc.values())
         report["chart_identity"][name] = ok
         report["pass"] &= ok

@@ -17,7 +17,9 @@ That convention is written once, as the index rule `_bracket_rule`, which
 `_ruled` applies to raw terms {idx: {e: c}}. `schouten` is that rule on
 polyvectors, through `_raw_bracket`; `geometry`'s division rule and tensor
 certificate call `_raw_bracket` on raw terms, and the differential of
-`complexes` applies the rule, with `_wedge_rule`, through rules it keeps.
+`complexes` applies the rule through rules it keeps. The wedge's signs are
+written once too, as the index rule `_wedge_rule`, which the differential
+and the tensor certificate apply by `_ruled`.
 """
 
 from __future__ import annotations
@@ -216,22 +218,13 @@ class Polyvector:
 # Wedge and bracket
 # ----------------------------------------------------------------------
 
-def wedge(a: Polyvector, b: Polyvector) -> Polyvector:
-    a._check(b, same_degree=False)
-    out_terms: dict = {}
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            idx, sign = _sort_sign(ia + ib)
-            if sign:
-                _acc(out_terms, idx, ca * cb * sign)
-    return Polyvector(a.vars, a.degree + b.degree, out_terms)
-
-
-def _wedge_rule(idx: tuple, t: Polyvector, s) -> list:
-    """The index rule of s * (f d_idx) ^ t for `_ruled`, in `wedge`'s
-    order."""
-    return [(out, None, {e: c * sign * s for e, c in g.terms.items()})
-            for J, g in t.terms.items()
+def _wedge_rule(idx: tuple, t: dict, s) -> list:
+    """The index rule of s * (f d_idx) ^ t for `_ruled`, t given by its raw
+    terms {J: terms}: per term of t, in order, the sorted index of idx + J
+    and its terms times s and the sign of that sort. The one place the
+    wedge's signs are written."""
+    return [(out, None, {e: c * sign * s for e, c in g.items()})
+            for J, g in t.items()
             for out, sign in (_sort_sign(idx + J),) if sign]
 
 
@@ -323,17 +316,6 @@ def schouten(a: Polyvector, b: Polyvector) -> Polyvector:
         -1 if p == 0 and q % 2 else 1).items())
 
 
-def hamiltonian(bivector: Polyvector, f) -> Polyvector:
-    """Bracket of a bivector with a function: the associated vector field."""
-    if bivector.degree != 2:
-        raise ChartMismatch("hamiltonian expects a bivector")
-    if isinstance(f, LaurentPoly):
-        f = Polyvector.from_function(f)
-    if f.degree != 0:
-        raise ChartMismatch("hamiltonian expects a function argument")
-    return schouten(bivector, f)
-
-
 # ----------------------------------------------------------------------
 # Restriction and pushforward
 # ----------------------------------------------------------------------
@@ -341,8 +323,8 @@ def hamiltonian(bivector: Polyvector, f) -> Polyvector:
 def restrict(a: Polyvector, names: Iterable[str]) -> Polyvector:
     """Evaluate the listed variables at zero in every coefficient, keeping all
     frame components (including those along the zeroed directions). Its
-    callers are `semiregularity_image_rank`, `deformation.residual_total`
-    and `SubmanifoldData.push_restrict`."""
+    callers are `semiregularity_image_rank` and
+    `deformation.residual_total`."""
     names = tuple(names)
     terms = {}
     for i, c in a.terms.items():

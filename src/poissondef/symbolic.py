@@ -297,10 +297,6 @@ class LaurentPoly:
         return hash((self.vars, frozenset(self.terms.items())))
 
     # ---- calculus -----------------------------------------------------
-    def derivative(self, name: str) -> "LaurentPoly":
-        return LaurentPoly._valid(
-            self.vars, _derivative(self.terms, self.vars.index(name)))
-
     def set_zero(self, names: Iterable[str]) -> "LaurentPoly":
         """Evaluate the given variables at 0 (variable tuple unchanged)."""
         terms = _set_zero(self.terms, [self.vars.index(n) for n in names])

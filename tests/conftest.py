@@ -1,17 +1,24 @@
 """Shared fixtures: the standard worked geometries and the expensive solver
-runs, computed once per session and reused by unit and acceptance tests."""
+runs, computed once per session and reused by unit and acceptance tests;
+and the oracles the tests share."""
 
 import os
 
 import pytest
 
+from poissondef.artin import _descriptor, _residuals, _unknowns
+from poissondef.complexes import (_padded, atom_cochain, chunk_entries,
+                                  cochain_is_zero, monomial_atoms)
 from poissondef.deformation import (DeformationProblem, DeformationState,
+                                    add_direction, residual_series,
                                     run_solver, verify_family)
+from poissondef.errors import InconsistentData
 from poissondef.geometry import (ABSENT, PoissonManifold, affine_space,
                                  extract_submanifold, hirzebruch,
                                  projective_space)
-from poissondef.polyvector import Polyvector
-from poissondef.symbolic import LaurentPoly, TruncatedSeries
+from poissondef.linalg import nullspace
+from poissondef.polyvector import Polyvector, _ruled, _wedge_rule
+from poissondef.symbolic import LaurentPoly, TruncatedSeries, _derivative
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "src", "poissondef",
                         "examples")
@@ -117,6 +124,84 @@ def truncate_state(state: DeformationState, order: int) -> DeformationState:
                                   if sum(e) <= order})
            for name, s in state.lam.items()}
     return DeformationState(state.problem, order, phi, lam)
+
+
+# ----------------------------------------------------------------------
+# Shared oracles
+# ----------------------------------------------------------------------
+
+def derivative(f: LaurentPoly, name: str) -> LaurentPoly:
+    """d f / d name: `symbolic._derivative`, the derivative the core takes
+    of raw terms, on a polynomial."""
+    return LaurentPoly._valid(f.vars,
+                              _derivative(f.terms, f.vars.index(name)))
+
+
+def wedge(a: Polyvector, b: Polyvector) -> Polyvector:
+    """a ^ b: `polyvector._wedge_rule`, the one wedge of the differential
+    and the tensor certificate, applied to a's raw terms by `_ruled`."""
+    a._check(b, same_degree=False)
+    t = {J: g.terms for J, g in b.terms.items()}
+    return Polyvector._from_raw(a.vars, a.degree + b.degree, _ruled(
+        {I: f.terms for I, f in a.terms.items()}, {}, None,
+        lambda I: _wedge_rule(I, t, 1)).items())
+
+
+def monomial_probes(desc, p: int, degree: int):
+    """Single-monomial degree-p cochains of coefficient degree <= degree,
+    zero on every other chart, as `total_closedness` reads every chart."""
+    for part in desc.parts:
+        for atom in monomial_atoms(desc, part, p, desc.part_charts(part),
+                                   degree):
+            yield _padded(desc, p, atom)
+
+
+def assert_square_zero(desc, p: int, degree: int):
+    for probe in monomial_probes(desc, p, degree):
+        twice = desc.differential(desc.differential(probe, p), p + 1)
+        if not cochain_is_zero(twice):
+            raise InconsistentData(
+                f"differential does not square to zero on probe {probe}")
+
+
+_EPS = ("_eps",)
+
+
+def first_order_by_enumeration(kind: str, *, manifold=None, submanifold=None,
+                               bound: int = 2, amb_bound: int | None = None):
+    """Tangent space by brute linearisation, independent of the cohomology
+    engines: enumerate bounded-degree monomial directions, impose first-order
+    validity of the perturbed family, and return the kernel. Each
+    direction's family is built with `add_direction`, and its equations are
+    the order-one coefficients of the family's residuals, read directly.
+
+    Works coefficient-exactly with a nilpotent square-zero parameter; the
+    reported dimension equals the engine's once the degree bound covers the
+    engine basis.
+    """
+    manifold = manifold or submanifold.manifold
+    if amb_bound is None:
+        amb_bound = bound + 2
+    desc = _descriptor(kind, submanifold, manifold)
+    atoms = _unknowns(desc, bound, amb_bound)
+    phi = {} if submanifold is None else {
+        name: [TruncatedSeries.zero(_EPS, 1)] * submanifold.codim
+        for name in submanifold.present_charts()}
+    lam = {name: TruncatedSeries.const(_EPS, 1, manifold.bivector(name))
+           for name in manifold.space.chart_names}
+    columns = []
+    for atom in atoms:
+        residuals = _residuals(kind, submanifold, manifold, *add_direction(
+            phi, lam, (1,), atom_cochain(desc, 0, atom)), 0)
+        columns.append({(key, at, a) + sub: c
+                        for key, per in residuals.items()
+                        for at, a, ser in residual_series(per)
+                        for coeff in ser.homogeneous(1).values()
+                        for sub, c in chunk_entries("amb", coeff if isinstance(
+                            coeff, Polyvector) else Polyvector.from_function(
+                                coeff))})
+    kernel = nullspace(columns)
+    return {"dimension": len(kernel), "atoms": atoms, "kernel": kernel}
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,11 @@ no tolerances appear anywhere.
 import json
 from fractions import Fraction
 
-from conftest import oracle_dim, prescribed_instability, truncate_state
+from conftest import (assert_square_zero, first_order_by_enumeration,
+                      oracle_dim, prescribed_instability, truncate_state)
 from test_polyvector import run_bracket_property_suite
 
-from poissondef.artin import (artin_first_order, artin_obstruction,
-                              first_order_by_enumeration)
+from poissondef.artin import artin_first_order, artin_obstruction
 from poissondef.cli import run_command
 from poissondef.complexes import characteristic_map
 from poissondef.deformation import (DeformationProblem, DeformationState,
@@ -151,7 +151,7 @@ def test_criterion_08_internal_consistency(descriptor_family, h0_reports,
     assert run_bracket_property_suite(200) == 200
 
     for name, desc in sorted(descriptor_family.items()):
-        desc.assert_square_zero(0, 6)
+        assert_square_zero(desc, 0, 6)
 
     for res in (hyperplane_result, line_result):
         for k in range(1, res.problem.order):

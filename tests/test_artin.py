@@ -5,9 +5,8 @@ from pathlib import Path
 import pytest
 
 import poissondef
-from conftest import prescribed_instability
-from poissondef.artin import (FUNCTORS, artin_first_order, artin_obstruction,
-                              first_order_by_enumeration)
+from conftest import first_order_by_enumeration, prescribed_instability
+from poissondef.artin import FUNCTORS, artin_first_order, artin_obstruction
 from poissondef.complexes import cochain_vector_entries
 from poissondef.dsl import parse
 from poissondef.linalg import rank

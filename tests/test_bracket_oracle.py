@@ -22,10 +22,11 @@ so that products cancel; and the brackets the shipped files ask for: the
 Jacobi bracket of every chart's structure and the certificate's brackets
 of every shipped submanifold.
 
-The count test checks that the Jacobi check, `deformation.series_schouten`,
+The count tests check that the Jacobi check, `deformation.series_schouten`,
 the tensor certificate, the division rule of `extract_submanifold` and the
-differential each reach `polyvector._bracket_rule`, so no second body can
-come back unnoticed.
+differential each reach `polyvector._bracket_rule`, and that the tensor
+certificate and the differential each reach `polyvector._wedge_rule`, the
+one wedge, so no second body can come back unnoticed.
 """
 
 from collections import Counter
@@ -44,6 +45,7 @@ from poissondef.geometry import (check_poisson_manifold, extract_submanifold,
 from poissondef.polyvector import (Polyvector, _acc, _raw_bracket,
                                    _sort_sign, schouten)
 from poissondef.symbolic import LaurentPoly, _add_product, _derivative
+from conftest import derivative, monomial_probes
 from test_front_end_oracle import TEXTS, _patch_everywhere
 
 VARS = ("x", "y", "z")
@@ -71,7 +73,7 @@ def parent_schouten(a: Polyvector, b: Polyvector) -> Polyvector:
             if g is None:
                 continue
             for kpos, ik in enumerate(ia):
-                dg = g.derivative(vars[ik])
+                dg = derivative(g, vars[ik])
                 if dg.is_zero():
                     continue
                 coeff = f * dg
@@ -83,7 +85,7 @@ def parent_schouten(a: Polyvector, b: Polyvector) -> Polyvector:
     for ia, f in a.terms.items():
         for ib, g in b.terms.items():
             for kpos, ik in enumerate(ia):
-                dg = g.derivative(vars[ik])
+                dg = derivative(g, vars[ik])
                 if dg.is_zero():
                     continue
                 idx, sign = _sort_sign(ia[:kpos] + ia[kpos + 1:] + ib)
@@ -92,7 +94,7 @@ def parent_schouten(a: Polyvector, b: Polyvector) -> Polyvector:
                 s = pref * sign * (-1 if kpos % 2 else 1)
                 _acc(out_terms, idx, f * dg * s)
             for lpos, jl in enumerate(ib):
-                df = f.derivative(vars[jl])
+                df = derivative(f, vars[jl])
                 if df.is_zero():
                     continue
                 idx, sign = _sort_sign(ia + ib[:lpos] + ib[lpos + 1:])
@@ -225,14 +227,12 @@ def test_shipped_brackets_match_the_parent_bodies():
 
 
 # ----------------------------------------------------------------------
-# One rule behind every bracket
+# One rule behind every bracket and every wedge
 # ----------------------------------------------------------------------
 
-def test_every_bracket_reaches_the_one_rule(monkeypatch):
-    """The Jacobi check, the series bracket of the solver's residuals, the
-    tensor certificate, extraction's division rule (with the certificate
-    stubbed out) and the differential each call `polyvector._bracket_rule`,
-    wrapped in every package module that binds it."""
+def _counted(monkeypatch, name):
+    """The calls of the polyvector function `name` in every package module
+    that binds it, counted by the caller named in the returned list."""
     calls, caller = Counter(), [None]
 
     def wrapper(original):
@@ -241,9 +241,18 @@ def test_every_bracket_reaches_the_one_rule(monkeypatch):
             return original(*args)
         return counted
 
+    _patch_everywhere(monkeypatch, name, wrapper)
+    return calls, caller
+
+
+def test_every_bracket_reaches_the_one_rule(monkeypatch):
+    """The Jacobi check, the series bracket of the solver's residuals, the
+    tensor certificate, extraction's division rule (with the certificate
+    stubbed out) and the differential each call `polyvector._bracket_rule`,
+    wrapped in every package module that binds it."""
     doc = parse(TEXTS["p2_extended"])
     M, S, lam = doc.manifold(), doc.submanifold(), doc.lambda_family()
-    _patch_everywhere(monkeypatch, "_bracket_rule", wrapper)
+    calls, caller = _counted(monkeypatch, "_bracket_rule")
     caller[0] = "jacobi"
     assert check_poisson_manifold(M)["pass"]
     caller[0] = "series_schouten"
@@ -256,7 +265,21 @@ def test_every_bracket_reaches_the_one_rule(monkeypatch):
     extract_submanifold(M, doc.normal_spec)
     caller[0] = "differential"
     desc = build_complex("extended", manifold=M, submanifold=S)
-    for probe in desc.monomial_probes(0, 1):
+    for probe in monomial_probes(desc, 0, 1):
         desc.differential(probe, 0)
     assert set(calls) == {"jacobi", "series_schouten", "certificate",
                           "division rule", "differential"}
+
+
+def test_every_wedge_reaches_the_one_rule(monkeypatch):
+    """The tensor certificate's quadratic wedge and the differential's twist
+    each call `polyvector._wedge_rule`."""
+    S = parse(TEXTS["p2_extended"]).submanifold()
+    calls, caller = _counted(monkeypatch, "_wedge_rule")
+    caller[0] = "certificate"
+    assert verify_submanifold_tensors(S)["pass"]
+    caller[0] = "differential"
+    desc = build_complex("normal", submanifold=S)
+    for probe in monomial_probes(desc, 0, 1):
+        desc.differential(probe, 0)
+    assert set(calls) == {"certificate", "differential"}

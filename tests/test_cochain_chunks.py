@@ -19,7 +19,9 @@ term order and scalar types included.
 Normal tuples used to move by pushing each slot forward, restricting it and
 summing Polyvectors against the first-order matrix; they now move as
 entries through `_move_entries` and are rebuilt by `chunk`. The replaced
-`transport_nor_tuple` is kept verbatim too.
+`transport_nor_tuple` is kept verbatim too, with the body of the
+`SubmanifoldData.push_restrict` it called, which is gone, in place of the
+call.
 """
 
 from fractions import Fraction
@@ -38,7 +40,7 @@ from poissondef.dsl import parse
 from poissondef.errors import NegativePowerAtZero, NonInvertibleSubstitution
 from poissondef.geometry import codim1_line_bundle
 from poissondef.linalg import nullspace, rank
-from poissondef.polyvector import Polyvector
+from poissondef.polyvector import Polyvector, restrict
 from poissondef.symbolic import LaurentPoly
 from test_monomial_atoms import _atom_sections
 
@@ -117,7 +119,8 @@ def old_transport_nor_tuple(S, tup, src: str, dst: str):
     """Identify a chart-src normal tuple on chart dst (first-order matrix
     times the pushed-forward components)."""
     F = S.moved_first_order(dst, src)
-    moved = [S.push_restrict(pv, src, dst) for pv in tup]
+    moved = [restrict(S.space.pushforward(pv, src, dst), S.normal[dst])
+             for pv in tup]
     chart_vars = S.space.chart(dst).vars
     out = []
     for row in F:

@@ -15,6 +15,8 @@ The one body as it was before the index rules, through `schouten`,
 rules must match it the same way on every cochain: a normal part may leave
 out a chart that the ambient part holds, and a negative normal power must
 raise NegativePowerAtZero with the same message.
+Both take their wedges by `conftest.wedge`, the one wedge rule, which
+`test_exact_core_oracle.py` compares with the polyvector wedge as it was.
 """
 
 from fractions import Fraction
@@ -23,11 +25,12 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import monomial_probes, wedge
 from poissondef.complexes import (KINDS, ComplexDescriptor,
                                   _structure_weight, build_complex)
 from poissondef.errors import InconsistentData, NegativePowerAtZero
 from poissondef.geometry import codim1_line_bundle
-from poissondef.polyvector import Polyvector, restrict, schouten, wedge
+from poissondef.polyvector import Polyvector, restrict, schouten
 from poissondef.symbolic import LaurentPoly
 
 
@@ -371,7 +374,7 @@ def test_rules_are_kept_per_degree(descriptors):
         desc = ComplexDescriptor(kept.kind, kept.manifold, kept.submanifold,
                                  kept.linebundle)
         for p in (0, 1):
-            probes = {q: list(desc.monomial_probes(q, 2))[:6]
+            probes = {q: list(monomial_probes(desc, q, 2))[:6]
                       for q in (p, p + 1)}
             for q in (p, p + 1, p):
                 for probe in probes[q]:

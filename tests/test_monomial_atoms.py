@@ -9,7 +9,7 @@ one-monomial cochain, and compared with `monomial_atoms`:
   step (`_phi_atoms`), whose minimal solutions depend on column order;
 - the same fixed-weight sequence as the graded engine (`_weight_atoms`);
 - the same set as the small-ring enumeration (`_enumeration_atoms`) and the
-  square-zero probes (`monomial_probes`).
+  square-zero probes (`conftest.monomial_probes`).
 """
 
 from fractions import Fraction
@@ -17,6 +17,7 @@ from itertools import combinations
 
 import pytest
 
+import conftest
 from conftest import build_fm_section
 from poissondef import complexes
 from poissondef.complexes import (atom_cochain, build_complex,
@@ -318,7 +319,7 @@ def test_probes_match_the_square_zero_probes(subs):
                 for bound in BOUNDS:
                     old = [_only_key(z) for z in monomial_probes(desc, p,
                                                                  bound)]
-                    new = list(desc.monomial_probes(p, bound))
+                    new = list(conftest.monomial_probes(desc, p, bound))
                     assert len(new) == len(old)
                     assert set(map(_only_key, new)) == set(old)
                     assert all(sorted(z) == sorted(desc.zero_cochain(p))

@@ -40,8 +40,6 @@ _TERM_CLASS = ("reached only by tests: a term class's printing, ordering "
 
 # function -> why no argv of the contract calls it (ROADMAP item 17)
 UNREACHED = {
-    "artin.first_order_by_enumeration": _GATE + "; the first-order oracle "
-    "of item 22, to move into tests/",
     "artin._default_perturbation": _GATE + ", through artin_obstruction's "
     "perturb= path",
     "symbolic.MajorantSeries.__init__": _GATE + ": Kodaira's comparison "
@@ -53,16 +51,6 @@ UNREACHED = {
     "complexes.semiregularity_image_rank.<locals>.restrict_col": _ITEM_11,
     "geometry.codim1_line_bundle": _ITEM_11,
     "geometry.PoissonLineBundle.__init__": _ITEM_11,
-    "complexes.ComplexDescriptor.monomial_probes": "a test helper in src/: "
-    "the square-zero probes of tests/test_complexes.py",
-    "complexes.ComplexDescriptor.assert_square_zero": "a test helper in "
-    "src/: the square-zero check of tests/test_complexes.py",
-    "polyvector.wedge": "item 19's leftover: the differential applies its "
-    "rule, `_wedge_rule`; reached only by tests",
-    "polyvector.hamiltonian": "item 19's leftover, reached only by tests",
-    "geometry.SubmanifoldData.push_restrict": "called by nothing in src/; "
-    "perfbench/tracing.py wraps it as a trace target, so it goes with "
-    "that target",
     "cli.main": "the console script's entry, run by the subprocess test "
     "of tests/test_dsl_cli.py; the contract calls run_command",
     "cli._warn_list": "reached only by warnings that no shipped file "
@@ -75,8 +63,6 @@ UNREACHED = {
     "polyvector.Polyvector.coefficient": _TESTS,
     "symbolic.LaurentPoly.monomial": _TESTS,
     "symbolic.LaurentPoly.__rsub__": _TESTS,
-    "symbolic.LaurentPoly.derivative": _TESTS + "; the bracket and the "
-    "Jacobian take derivatives of raw terms by symbolic._derivative",
     "symbolic.TruncatedSeries.scale": _TESTS,
     "symbolic.TruncatedSeries.__eq__": _TESTS,
     "deformation.Obstructed.__bool__": _TESTS,

@@ -827,7 +827,8 @@ def rules(draw):
     kind = draw(st.sampled_from(("bracket", "structure", "wedge")))
     if kind == "wedge":
         t = polyvector(draw(st.integers(0, min(2, len(cvars)))), 3)
-        return pv, lambda idx: _wedge_rule(idx, t, s)
+        raw_t = {J: g.terms for J, g in t.terms.items()}
+        return pv, lambda idx: _wedge_rule(idx, raw_t, s)
     if kind == "structure" and S is not None and name in S.manifold.bivectors:
         lam = S.manifold.bivector(name)
     else:
