@@ -19,9 +19,8 @@ term order and scalar types included.
 Normal tuples used to move by pushing each slot forward, restricting it and
 summing Polyvectors against the first-order matrix; they now move as
 entries through `_move_entries` and are rebuilt by `chunk`. The replaced
-`transport_nor_tuple` is kept verbatim too, with the body of the
-`SubmanifoldData.push_restrict` it called, which is gone, in place of the
-call.
+`transport_nor_tuple` is kept verbatim too, but for the body of the
+deleted `SubmanifoldData.push_restrict` in place of its call.
 """
 
 from fractions import Fraction
