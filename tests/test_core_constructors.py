@@ -5,11 +5,12 @@ canonical and check nothing; `set_zero`, `restrict` and `schouten` build
 their results through them. Those three bodies as they were, building
 through the public, validating constructors, are kept here verbatim as the
 oracle, with the checked `LaurentPoly.derivative` that the oracle's
-`schouten` calls (the core takes derivatives of raw terms only). Under
-`checked_core` the oracle runs on its own `set_zero` throughout, and every
-result must equal the core's, values and insertion orders alike. User
-input keeps every check: the public constructors still reject what does
-not fit.
+`schouten` calls. The core takes derivatives of raw terms only, by
+`symbolic._derivative`; `conftest.derivative` applies it to a polynomial,
+and must equal the checked body. Under `checked_core` the oracle runs on
+its own `set_zero` throughout, and every result must equal the core's,
+values and insertion orders alike. User input keeps every check: the
+public constructors still reject what does not fit.
 """
 
 from contextlib import contextmanager
@@ -25,6 +26,7 @@ from poissondef.errors import ChartMismatch, NegativePowerAtZero
 from poissondef.polyvector import Polyvector, _acc, _sort_sign
 from poissondef.symbolic import LaurentPoly
 
+from conftest import derivative
 from test_transport import _layout
 
 
@@ -178,6 +180,13 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 # ----------------------------------------------------------------------
 # Tests
 # ----------------------------------------------------------------------
+
+@SETTINGS
+@given(polys, st.sampled_from(VARS))
+def test_derivative_matches_the_checked_body(p, name):
+    got, want = _both(derivative, _CheckedLaurentPoly.derivative, p, name)
+    assert got == want
+
 
 @SETTINGS
 @given(polys, names)
