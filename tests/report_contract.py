@@ -104,7 +104,8 @@ PARSER_COMMANDS = (
 )
 
 # the malformed problem files of test_dsl_cli, then one input per
-# statement-level parse error, by file name
+# statement-level parse error, then one that parses with a warning, by
+# file name
 MALFORMED = {
     "power.pdef": "builtin P2;\npoisson on U0: (z1 + 1)^-2 * d/z1 ^ d/z2;\n",
     "broken.pdef": "manifold x\nbuiltin P2;\n",
@@ -171,6 +172,8 @@ MALFORMED = {
     "transition_repeated.pdef":
         "chart A vars x y;\nchart B vars u v;\n"
         "transition A -> B: x = u, x = v;\n",
+    "degenerate_wedge.pdef":
+        "builtin P2;\npoisson on U0: z1 * d/z1 ^ d/z2 + d/z1 ^ d/z1;\n",
 }
 # read by the commands below, but never written
 ABSENT = "absent.pdef"

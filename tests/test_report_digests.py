@@ -53,8 +53,6 @@ UNREACHED = {
     "geometry.PoissonLineBundle.__init__": _ITEM_11,
     "cli.main": "the console script's entry, run by the subprocess test "
     "of tests/test_dsl_cli.py; the contract calls run_command",
-    "cli._warn_list": "reached only by warnings that no shipped file "
-    "raises",
     "dsl.render": _TESTS + ": the text round trip of item 7(b)",
     "geometry.product": _TESTS + ": the product atlas of the transport "
     "oracles",
