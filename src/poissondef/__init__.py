@@ -25,7 +25,7 @@ from .geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
                        extract_submanifold, hirzebruch, product,
                        projective_space)
 from .polyvector import Polyvector, pushforward, restrict, schouten
-from .symbolic import LaurentPoly, MajorantSeries, TruncatedSeries, dominates
+from .symbolic import LaurentPoly, TruncatedSeries
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "ABSENT", "ArtinReport", "Chart", "ChartMismatch", "ChartedSpace",
     "ClosednessViolation", "CohomologyReport", "DeformationProblem",
     "DeformationState", "DegreeBoundTooSmall", "InconsistentData",
-    "InvalidDeformation", "LaurentPoly", "MajorantSeries", "MatchFailure",
+    "InvalidDeformation", "LaurentPoly", "MatchFailure",
     "NegativePowerAtZero", "NonAdaptedTransition", "NonInvertibleSubstitution",
     "NotInKernel", "NotPoissonSubmanifold", "Obstructed", "ObstructionCocycle",
     "ParameterMismatch", "ParseError", "PoissonLineBundle", "PoissonManifold",
@@ -41,7 +41,7 @@ __all__ = [
     "ToolkitError", "TruncatedSeries", "UnstableAnsatz", "WrongCodimension",
     "affine_hyper", "affine_space", "artin_first_order", "artin_obstruction",
     "atlas_hyper_truncated", "build_complex", "builtin_space",
-    "characteristic_map", "dominates", "extract_submanifold",
+    "characteristic_map", "extract_submanifold",
     "h0_complex", "hirzebruch", "initial_state", "match_families",
     "obstruction_cocycle", "parse", "product", "projective_space",
     "pushforward", "render", "restrict", "run_solver", "schouten",

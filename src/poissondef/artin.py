@@ -18,8 +18,9 @@ unknowns (`complexes.monomial_atoms`). That is one exact linear solve of a
 order step solves under its own labels. A zero class lifts by the zero
 lifting, and its system builds no column; a non-empty one builds its
 columns, `complexes.atom_rows` of each atom, once. A different choice of
-lifting data must move the class by exactly the total coboundary of that
-choice, linearised by the same system.
+lifting data moves the class by exactly the total coboundary of that
+choice and keeps the verdict; `tests/conftest.py::shifted_obstruction`
+checks both on a shifted copy of the family.
 
 Three functors are covered:
 
@@ -48,37 +49,30 @@ exthilb.
 from __future__ import annotations
 
 from .complexes import (CoboundarySystem, h0_complex, kept_complex,
-                         monomial_atoms, total_coboundary)
+                         monomial_atoms)
 from .deformation import (DeformationProblem, DeformationState,
-                          ObstructionCocycle, add_direction, certify_cocycle,
+                          ObstructionCocycle, certify_cocycle,
                           jacobi_residual, lambda_gluing_mismatch,
                           residual_series)
-from .errors import (ClosednessViolation, InconsistentData, InvalidDeformation,
-                     ParameterMismatch)
+from .errors import InconsistentData, InvalidDeformation, ParameterMismatch
 from .geometry import PoissonManifold, SubmanifoldData
-from .polyvector import Polyvector
-from .symbolic import LaurentPoly, TruncatedSeries
+from .symbolic import TruncatedSeries
 
 FUNCTORS = ("def", "hilb", "exthilb")
 
 
 class ArtinReport:
     # a plain class on purpose: `dataclasses` costs about 14 ms a launch
-    __slots__ = ("kind", "order", "cls", "liftable", "witness", "solution",
-                 "invariance", "perturbed")
+    __slots__ = ("kind", "order", "cls", "liftable", "witness", "solution")
 
     def __init__(self, kind: str, order: int, cls: ObstructionCocycle,
-                 liftable: bool, witness: str | None, solution: dict | None,
-                 invariance: dict | None = None,
-                 perturbed: ObstructionCocycle | None = None):
+                 liftable: bool, witness: str | None, solution: dict | None):
         self.kind = kind
         self.order = order
         self.cls = cls
         self.liftable = liftable
         self.witness = witness
         self.solution = solution
-        self.invariance = invariance
-        self.perturbed = perturbed
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +187,7 @@ _BELOW_ORDER = (
 def _canonical_class(kind, desc, phi, lam, m):
     """Obstruction class of the canonical liftings of a degree-m family: the
     certified total cochain of the family's residuals at order m + 1
-    (`deformation.certify_cocycle`). The family itself carries any shift of
-    the ideal generators or bivectors (`artin_obstruction`)."""
+    (`deformation.certify_cocycle`)."""
     residuals = _residuals(kind, desc.submanifold, desc.manifold, phi, lam, m)
     for kinds, key, extra, message in _BELOW_ORDER:
         if kind not in kinds:
@@ -231,101 +224,28 @@ def _decide_liftable(atoms, system, total):
 
 
 # ----------------------------------------------------------------------
-# Lifting-choice independence
-# ----------------------------------------------------------------------
-
-def _default_perturbation(kind, S, manifold, seed: int):
-    """Deterministic nonzero shifts of every lifting choice."""
-    space = manifold.space
-    perturb = {}
-    if kind in ("hilb", "exthilb"):
-        A = {}
-        for ci, name in enumerate(S.present_charts()):
-            cvars = space.chart(name).vars
-            tang = S.tangential[name]
-            rows_A = []
-            for a in range(S.codim):
-                c = seed + 2 * ci + 3 * a + 1
-                if tang:
-                    base = LaurentPoly.variable(cvars, tang[0])
-                else:
-                    base = LaurentPoly.const(cvars, 1)
-                rows_A.append(base * LaurentPoly.const(cvars, c))
-            A[name] = rows_A
-        perturb["A"] = A
-    if kind in ("def", "exthilb"):
-        D = {}
-        for ci, name in enumerate(space.chart_names):
-            cvars = space.chart(name).vars
-            if len(cvars) < 2:
-                continue
-            c = seed + ci + 2
-            D[name] = Polyvector.monomial(
-                cvars, (0, 1), LaurentPoly.const(cvars, c))
-        perturb["D"] = D
-    return perturb
-
-
-# ----------------------------------------------------------------------
 # Top-level entry point
 # ----------------------------------------------------------------------
 
 def artin_obstruction(kind: str, *, state: DeformationState | None = None,
                       manifold: PoissonManifold | None = None,
                       lam: dict | None = None, order: int | None = None,
-                      bound: int = 2, amb_bound: int | None = None,
-                      perturb: int | None = None) -> ArtinReport:
+                      bound: int = 2) -> ArtinReport:
     """Canonical obstruction class of a one-parameter family at its next
     extension step, with exact closedness certificates and a bounded-degree
-    liftability decision.
+    liftability decision: normal unknowns of degree <= bound, ambient ones
+    of degree <= bound + 2.
 
     ``state`` supplies the family for the submanifold functors; ``manifold``,
-    ``lam`` and ``order`` supply it for the ambient one. When ``perturb`` is
-    an integer seed, every lifting choice is additionally shifted by explicit
-    nonzero data, the class is recomputed, and the difference is checked to be
-    exactly the coboundary of the shifts; the liftability verdicts must agree.
+    ``lam`` and ``order`` supply it for the ambient one.
     """
     if kind not in FUNCTORS:
         raise InconsistentData(f"unknown functor kind {kind!r}")
-    if amb_bound is None:
-        amb_bound = bound + 2
     S, M, phi, lam_map, m = _family_pieces(kind, state, manifold, lam, order)
     desc = _descriptor(kind, S, M)
     cls = _canonical_class(kind, desc, phi, lam_map, m)
-    atoms = _unknowns(desc, bound, amb_bound)
+    atoms = _unknowns(desc, bound, bound + 2)
     system = CoboundarySystem(desc, atoms, ARTIN_ROWS)
     liftable, witness, solution = _decide_liftable(atoms, system,
                                                    cls.totals[(m + 1,)])
-    invariance = None
-    perturbed = None
-    if perturb is not None:
-        shifts = _default_perturbation(kind, S, M, int(perturb))
-        # the liftings move by (D, -A), the class by its total coboundary
-        shift = {}
-        if "D" in shifts:
-            shift["amb"] = shifts["D"]
-        if "A" in shifts:
-            shift["nor"] = {name: [Polyvector.from_function(-f) for f in A]
-                            for name, A in shifts["A"].items()}
-        perturbed = _canonical_class(
-            kind, desc, *add_direction(phi, lam_map, (m + 1,), shift), m)
-        rows = system.rows(cls.totals[(m + 1,)])
-        p_rows = system.rows(perturbed.totals[(m + 1,)])
-        moved = {key: v for key in rows.keys() | p_rows.keys()
-                 if (v := rows.get(key, 0) - p_rows.get(key, 0))}
-        identities = moved == system.rows(total_coboundary(desc, shift))
-        p_liftable, _, _ = _decide_liftable(atoms, system,
-                                            perturbed.totals[(m + 1,)])
-        invariance = {
-            "identities": identities,
-            "certificates": perturbed.certificates,
-            "same_verdict": p_liftable == liftable,
-        }
-        if not identities:
-            raise ClosednessViolation(
-                "perturbed liftings moved the class by a non-coboundary")
-        if p_liftable != liftable:
-            raise InconsistentData(
-                "perturbed liftings changed the liftability verdict")
-    return ArtinReport(kind, m, cls, liftable, witness, solution, invariance,
-                       perturbed)
+    return ArtinReport(kind, m, cls, liftable, witness, solution)

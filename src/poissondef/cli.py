@@ -18,7 +18,7 @@ parse errors.
 
 Reading a command line
 ----------------------
-Each subcommand's help, files and options are defined once, in
+Each subcommand's handler, help, files and options are defined once, in
 `_SUBCOMMANDS`. A canonical command line (the subcommand, its files, then
 exact options, each with its value) is read straight from that table by
 `_fast_args`; any other, help and usage errors included, goes to an
@@ -68,58 +68,12 @@ def _count(text: str) -> int:
     return value
 
 
-_FILE = (("file", "problem file"),)
-_COMPLEX = ("--complex", "complex_kind", None, KINDS, "normal", None)
-_WEIGHTS = ("--weights", "weights", None, None, None,
-            "weight range a..b (single-chart only)")
-
-# Per subcommand: its help, its file positionals as (dest, help), and its
-# options as (flag, dest, type, choices, default, help), in the order of
-# the help text. Every subcommand also takes --json (dest `as_json`).
-_SUBCOMMANDS = {
-    "validate": ("check atlas, structure and submanifold consistency",
-                 _FILE, ()),
-    "tensors": ("print the submanifold structure tensors", _FILE, ()),
-    "h0": ("degree-zero cohomology of a controlling complex", _FILE, (
-        _COMPLEX, _WEIGHTS,
-        ("--bound", "bound", _count, None, None, "section degree bound"))),
-    "hyper": ("degree-one cohomology data", _FILE, (
-        _COMPLEX, _WEIGHTS,
-        ("--bound", "bound", _count, None, 4,
-         "Laurent window bound for the atlas estimate"))),
-    "solve": ("construct a family order by order", _FILE, (
-        ("--order", "order", _count, None, None, "target order override"),
-        ("--degree", "degree", _count, None, None, "degree bound override"),
-        ("--mode", "mode", None, MODES, None, "mode override"),
-        ("--seed", "seed", None, None, None,
-         "comma-separated degree-zero basis indices"),
-        ("--bound", "bound", _count, None, None,
-         "section degree bound override"))),
-    "verify": ("re-verify the family written in the file", _FILE, (
-        ("--order", "order", _count, None, None,
-         "verification order override"),)),
-    "match": ("match a model family to an observed one",
-              (("model", "model problem file"),
-               ("observed", "observed family file")), (
-        ("--order", "order", _count, None, None, "matching order override"),
-        ("--seed", "seed", None, None, None,
-         "comma-separated degree-zero basis indices for the model solve"))),
-    "artin": ("small-extension obstruction report", _FILE, (
-        ("--functor", "functor", None, FUNCTORS, None,
-         "functor override (defaults to the file's artin statement)"),
-        ("--order", "order", _count, None, 0,
-         "extension step: class at the next order"),
-        ("--bound", "bound", _count, None, 3,
-         "degree bound for sections and lifts"))),
-}
-
-
 def build_parser() -> _Parser:
     description = __doc__.partition("\nReading a command line\n")[0]
     parser = _Parser(prog="poissondef", description=description,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, files, options) in _SUBCOMMANDS.items():
+    for name, (_, help, files, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help)
         for dest, file_help in files:
             p.add_argument(dest, help=file_help)
@@ -140,7 +94,7 @@ def _fast_args(argv):
     spec = _SUBCOMMANDS.get(argv[0]) if argv else None
     if spec is None:
         return None
-    _, files, options = spec
+    _, _, files, options = spec
     n = len(files) + 1
     if len(argv) < n or any(a[:1] == "-" for a in argv[1:n]):
         return None
@@ -547,15 +501,54 @@ def _cmd_artin(args):
     return rep, (0 if report.liftable else 2)
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "tensors": _cmd_tensors,
-    "h0": _cmd_h0,
-    "hyper": _cmd_hyper,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "match": _cmd_match,
-    "artin": _cmd_artin,
+_FILE = (("file", "problem file"),)
+_COMPLEX = ("--complex", "complex_kind", None, KINDS, "normal", None)
+_WEIGHTS = ("--weights", "weights", None, None, None,
+            "weight range a..b (single-chart only)")
+
+# Per subcommand: its handler, its help, its file positionals as (dest,
+# help), and its options as (flag, dest, type, choices, default, help), in
+# the order of the help text. Every subcommand also takes --json (dest
+# `as_json`).
+_SUBCOMMANDS = {
+    "validate": (_cmd_validate,
+                 "check atlas, structure and submanifold consistency",
+                 _FILE, ()),
+    "tensors": (_cmd_tensors, "print the submanifold structure tensors",
+                _FILE, ()),
+    "h0": (_cmd_h0, "degree-zero cohomology of a controlling complex",
+           _FILE, (
+        _COMPLEX, _WEIGHTS,
+        ("--bound", "bound", _count, None, None, "section degree bound"))),
+    "hyper": (_cmd_hyper, "degree-one cohomology data", _FILE, (
+        _COMPLEX, _WEIGHTS,
+        ("--bound", "bound", _count, None, 4,
+         "Laurent window bound for the atlas estimate"))),
+    "solve": (_cmd_solve, "construct a family order by order", _FILE, (
+        ("--order", "order", _count, None, None, "target order override"),
+        ("--degree", "degree", _count, None, None, "degree bound override"),
+        ("--mode", "mode", None, MODES, None, "mode override"),
+        ("--seed", "seed", None, None, None,
+         "comma-separated degree-zero basis indices"),
+        ("--bound", "bound", _count, None, None,
+         "section degree bound override"))),
+    "verify": (_cmd_verify, "re-verify the family written in the file",
+               _FILE, (
+        ("--order", "order", _count, None, None,
+         "verification order override"),)),
+    "match": (_cmd_match, "match a model family to an observed one",
+              (("model", "model problem file"),
+               ("observed", "observed family file")), (
+        ("--order", "order", _count, None, None, "matching order override"),
+        ("--seed", "seed", None, None, None,
+         "comma-separated degree-zero basis indices for the model solve"))),
+    "artin": (_cmd_artin, "small-extension obstruction report", _FILE, (
+        ("--functor", "functor", None, FUNCTORS, None,
+         "functor override (defaults to the file's artin statement)"),
+        ("--order", "order", _count, None, 0,
+         "extension step: class at the next order"),
+        ("--bound", "bound", _count, None, 3,
+         "degree bound for sections and lifts"))),
 }
 
 
@@ -573,7 +566,7 @@ def run_command(argv) -> tuple[int, str]:
         except _UsageError as e:
             return 1, f"usage error: {e}\n"
     try:
-        rep, code = _COMMANDS[args.command](args)
+        rep, code = _SUBCOMMANDS[args.command][0](args)
     except _UsageError as e:
         return 1, f"usage error: {e}\n"
     except ParseError as e:

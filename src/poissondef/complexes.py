@@ -638,6 +638,25 @@ def gluing_failure(overlap: dict):
     return None
 
 
+def direction_coordinates(descriptor: ComplexDescriptor, basis: list,
+                          cochain: dict) -> tuple:
+    """Coordinates of a degree-zero cochain in the span of `basis`, checked
+    in three steps: closed, glued (`gluing_failure`), then inside the span
+    (`coordinates`). Returns (coefficients, None, None), or (None, step, at)
+    for the first step that fails: "not-closed" (at None), "not-glued" (at
+    the (part, k, i) of `gluing_failure`) or "outside-span" (at the failing
+    row of `coordinates`)."""
+    chart, overlap = total_coboundary(descriptor, cochain)
+    if not cochain_is_zero(chart):
+        return None, "not-closed", None
+    at = gluing_failure(overlap)
+    if at is not None:
+        return None, "not-glued", at
+    sol, row = coordinates(basis, cochain)
+    return (sol, None, None) if sol is not None else (
+        None, "outside-span", row)
+
+
 # ----------------------------------------------------------------------
 # Monomial unknowns and the total-coboundary system
 # ----------------------------------------------------------------------
@@ -1114,21 +1133,19 @@ def characteristic_map(descriptor: ComplexDescriptor, basis: list, state) -> lis
     """
     out = []
     for pname, direction in zip(state.params, first_order_directions(state)):
-        chart, overlap = total_coboundary(descriptor, direction)
-        if not cochain_is_zero(chart):
+        sol, step, at = direction_coordinates(descriptor, basis, direction)
+        if step == "not-closed":
             raise NotInKernel(
                 f"first-order direction of {pname} is not closed")
-        failure = gluing_failure(overlap)
-        if failure is not None:
-            part, k, i = failure
+        if step == "not-glued":
+            part, k, i = at
             what = "direction" if part == "nor" else "bivector direction"
             raise NotInKernel(f"first-order {what} of {pname} does not glue "
                               f"between {k} and {i}")
-        sol, bad = coordinates(basis, direction)
-        if sol is None:
+        if step == "outside-span":
             raise InconsistentData(
                 f"direction of {pname} lies outside the provided basis "
-                f"(failing row {bad})")
+                f"(failing row {at})")
         out.append(sol)
     return out
 

@@ -73,15 +73,14 @@ from .complexes import (
     cochain_lincomb,
     characteristic_map,
     coordinates,
+    direction_coordinates,
     family_direction,
     first_order_directions,
     global_sections,
-    gluing_failure,
     h0_complex,
     kept_complex,
     monomial_atoms,
     total_closedness,
-    total_coboundary,
 )
 from .errors import (
     DegreeBoundTooSmall,
@@ -816,26 +815,20 @@ def match_families(problem: DeformationProblem, family_t: DeformationState,
         for te in smonos:
             cochain = family_direction(problem, phi, lam, te)
             # closedness preconditions -> MatchFailure, never an internal error
-            chart, overlap = total_coboundary(descriptor, cochain)
-            if not cochain_is_zero(chart):
-                raise MatchFailure(
-                    f"order-{step} mismatch is not tangent to the moduli "
-                    f"problem (fails the kernel condition)",
-                    residual=cochain, reason="not-closed")
-            failure = gluing_failure(overlap)
-            if failure is not None:
-                part, k, i = failure
-                raise MatchFailure(
-                    f"order-{step} mismatch does not glue between {k} and {i}"
-                    if part == "nor" else
-                    f"order-{step} ambient mismatch does not glue",
-                    residual=cochain, reason="not-glued")
-            sol, bad = coordinates(basis, cochain)
-            if sol is None:
-                raise MatchFailure(
-                    f"order-{step} mismatch lies outside the span of the "
-                    f"solver family's directions (row {bad})",
-                    residual=cochain, reason="outside-span")
+            sol, reason, at = direction_coordinates(descriptor, basis, cochain)
+            if reason == "not-closed":
+                message = (f"order-{step} mismatch is not tangent to the "
+                           f"moduli problem (fails the kernel condition)")
+            elif reason == "not-glued":
+                part, k, i = at
+                message = (f"order-{step} mismatch does not glue between {k} "
+                           f"and {i}" if part == "nor" else
+                           f"order-{step} ambient mismatch does not glue")
+            elif reason == "outside-span":
+                message = (f"order-{step} mismatch lies outside the span of "
+                           f"the solver family's directions (row {at})")
+            if reason is not None:
+                raise MatchFailure(message, residual=cochain, reason=reason)
             coeffs_per_mono[te] = sol
         for te, sol in coeffs_per_mono.items():
             for rho, val in enumerate(sol):

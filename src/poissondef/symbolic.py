@@ -1,6 +1,5 @@
-"""Exact sparse symbolic core: Laurent polynomials over Q, truncated
-multi-parameter series with pluggable coefficient carriers, and comparison
-(majorant) series for convergence-style domination checks.
+"""Exact sparse symbolic core: Laurent polynomials over Q, and truncated
+multi-parameter series with pluggable coefficient carriers.
 
 All arithmetic is exact. A coefficient is an int when it is integral and a
 fractions.Fraction otherwise, never a float or a bool. Constructors
@@ -24,7 +23,6 @@ and adds a call and a zero test per term).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping
@@ -727,54 +725,6 @@ def substitute(p: LaurentPoly, assignment: Mapping[str, object]):
     return out
 
 
-# ----------------------------------------------------------------------
-# Majorant (comparison) series
-# ----------------------------------------------------------------------
-
-class MajorantSeries:
-    """The classical comparison power series
-
-        A(t) = (a/16b) * sum_{n>=1} b^n (t_1+...+t_l)^n / n^2
-
-    used to dominate order-by-order constructions. Coefficients are exact:
-    the t^h coefficient for |h| = n >= 1 is (a/16b) * b^n * multinomial(n; h) / n^2.
-    """
-
-    __slots__ = ("a", "b", "nparams")
-
-    def __init__(self, a, b, nparams: int):
-        self.a = _as_scalar(a)
-        self.b = _as_scalar(b)
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("majorant parameters must be positive")
-        self.nparams = int(nparams)
-
-    def coefficient(self, exps: tuple) -> Fraction:
-        exps = tuple(exps)
-        if len(exps) != self.nparams:
-            raise ParameterMismatch(
-                f"exponent tuple {exps} does not fit {self.nparams} parameters")
-        n = sum(exps)
-        if n == 0:
-            return Fraction(0)
-        multi = math.factorial(n)
-        for h in exps:
-            multi //= math.factorial(h)
-        return (Fraction(self.a) / (16 * self.b)) * self.b ** n * Fraction(multi, n * n)
-
-    def as_series(self, params: Iterable[str], cutoff: int) -> TruncatedSeries:
-        params = tuple(params)
-        if len(params) != self.nparams:
-            raise ParameterMismatch(
-                f"{len(params)} parameter names for {self.nparams} parameters")
-        terms = {}
-        for e in _simplex(self.nparams, cutoff):
-            c = self.coefficient(e)
-            if c:
-                terms[e] = c
-        return TruncatedSeries(params, cutoff, terms)
-
-
 def _simplex(nvars: int, bound: int):
     """All exponent tuples of length nvars with total degree <= bound."""
     if nvars == 0:
@@ -783,23 +733,3 @@ def _simplex(nvars: int, bound: int):
     for head in range(bound + 1):
         for tail in _simplex(nvars - 1, bound - head):
             yield (head,) + tail
-
-
-def dominates(p: TruncatedSeries, major: MajorantSeries, c=1) -> bool:
-    """True when |p_h| < c * A_h for every parameter exponent h up to p's
-    cutoff. The constant term of A vanishes, so a nonzero constant term of p
-    always fails; the h = 0 comparison is skipped when p has none.
-    """
-    c = _as_scalar(c)
-    const = p.order_zero()
-    if const is not None and not _coeff_is_zero(const):
-        return False
-    for e in _simplex(len(p.params), p.cutoff):
-        if sum(e) == 0:
-            continue
-        coeff = p.terms.get(e, 0)
-        if not isinstance(coeff, (int, Fraction)):
-            raise TypeError("domination applies to scalar-coefficient series")
-        if not abs(coeff) < c * major.coefficient(e):
-            return False
-    return True

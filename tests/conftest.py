@@ -6,9 +6,11 @@ import os
 
 import pytest
 
-from poissondef.artin import _descriptor, _residuals, _unknowns
+from poissondef.artin import (ARTIN_ROWS, _descriptor, _residuals, _unknowns,
+                              artin_obstruction)
 from poissondef.complexes import (_padded, atom_cochain, chunk_entries,
-                                  cochain_is_zero, monomial_atoms)
+                                  cochain_is_zero, monomial_atoms,
+                                  total_coboundary, total_rows)
 from poissondef.deformation import (DeformationProblem, DeformationState,
                                     add_direction, residual_series,
                                     run_solver, verify_family)
@@ -202,6 +204,70 @@ def first_order_by_enumeration(kind: str, *, manifold=None, submanifold=None,
                                 coeff))})
     kernel = nullspace(columns)
     return {"dimension": len(kernel), "atoms": atoms, "kernel": kernel}
+
+
+def lifting_shift(kind: str, S, manifold, seed: int) -> dict:
+    """Deterministic non-zero shifts of every lifting choice, as a
+    degree-zero cochain of the functor's complex. For hilb and exthilb,
+    normal slot a of the ci-th present chart of S moves by -c times its
+    first tangential variable (1 where it has none), c = seed + 2 ci + 3 a
+    + 1; for def and exthilb, the bivector of the ci-th chart with two or
+    more variables by (seed + ci + 2) d/x1 ^ d/x2."""
+    space = manifold.space
+    shift = {}
+    if kind != "def":
+        shift["nor"] = {}
+        for ci, name in enumerate(S.present_charts()):
+            cvars = space.chart(name).vars
+            tang = S.tangential[name]
+            base = (LaurentPoly.variable(cvars, tang[0]) if tang
+                    else LaurentPoly.const(cvars, 1))
+            shift["nor"][name] = [Polyvector.from_function(-(
+                base * LaurentPoly.const(cvars, seed + 2 * ci + 3 * a + 1)))
+                for a in range(S.codim)]
+    if kind != "hilb":
+        shift["amb"] = {}
+        for ci, name in enumerate(space.chart_names):
+            cvars = space.chart(name).vars
+            if len(cvars) >= 2:
+                shift["amb"][name] = Polyvector.monomial(
+                    cvars, (0, 1), LaurentPoly.const(cvars, seed + ci + 2))
+    return shift
+
+
+def shifted_obstruction(kind: str, seed: int, *, state=None, manifold=None,
+                        lam=None, order=None, bound: int = 2) -> tuple:
+    """`artin_obstruction` of a family and of the same family with its
+    lifting choices shifted by `lifting_shift` at the new order, built by
+    `add_direction`. Lifting-choice invariance is asserted: the class moves
+    by exactly the total coboundary of the shift, read as rows under
+    `ARTIN_ROWS`, and the liftability verdict stays. Returns both
+    reports."""
+    report = artin_obstruction(kind, state=state, manifold=manifold, lam=lam,
+                               order=order, bound=bound)
+    m = report.order
+    if kind == "def":
+        S, phi = None, {}
+    else:
+        S = state.problem.submanifold
+        manifold = S.manifold
+        phi, lam = state.phi, state.lam
+    shift = lifting_shift(kind, S, manifold, seed)
+    phi, lam = add_direction(phi, lam, (m + 1,), shift)
+    if kind == "def":
+        shifted = artin_obstruction(kind, manifold=manifold, lam=lam,
+                                    order=m, bound=bound)
+    else:
+        shifted = artin_obstruction(kind, state=DeformationState(
+            state.problem, m, phi, lam), bound=bound)
+    rows = total_rows(*report.cls.totals[(m + 1,)], ARTIN_ROWS)
+    new = total_rows(*shifted.cls.totals[(m + 1,)], ARTIN_ROWS)
+    moved = {key: v for key in rows.keys() | new.keys()
+             if (v := rows.get(key, 0) - new.get(key, 0))}
+    assert moved == total_rows(*total_coboundary(
+        _descriptor(kind, S, manifold), shift), ARTIN_ROWS)
+    assert shifted.liftable == report.liftable
+    return report, shifted
 
 
 # ----------------------------------------------------------------------

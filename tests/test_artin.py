@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import poissondef
-from conftest import first_order_by_enumeration, prescribed_instability
+from conftest import (first_order_by_enumeration, prescribed_instability,
+                      shifted_obstruction)
 from poissondef.artin import FUNCTORS, artin_first_order, artin_obstruction
 from poissondef.complexes import cochain_vector_entries
 from poissondef.dsl import parse
@@ -128,13 +129,11 @@ def test_trivial_extension_lifts(transverse_line):
     M, S = transverse_line
     state = _trivial_extension_state(M, S)
     assert verify_family(state, 1)["pass"]
-    report = artin_obstruction("hilb", state=state, bound=3, perturb=7)
+    report, _ = shifted_obstruction("hilb", 7, state=state, bound=3)
     assert report.kind == "hilb"
     assert report.cls.is_zero()
     assert report.liftable
     assert all(report.cls.certificates.values())
-    assert report.invariance["identities"]
-    assert report.invariance["same_verdict"]
     step = solve_order(state)
     assert not isinstance(step, Obstructed)
 
@@ -144,12 +143,10 @@ def test_trivial_extension_lifts(transverse_line):
 def test_prescribed_instability_class(instability_setup=None):
     prob = prescribed_instability(0, 2)
     state = initial_state(prob)
-    report = artin_obstruction("hilb", state=state, bound=4, perturb=5)
+    report, _ = shifted_obstruction("hilb", 5, state=state, bound=4)
     assert not report.cls.is_zero()
     assert not report.liftable
     assert "equation row" in report.witness
-    assert report.invariance["identities"]
-    assert report.invariance["same_verdict"]
 
     cocycle = obstruction_cocycle(state)
     assert cocycle.totals == report.cls.totals
@@ -184,14 +181,12 @@ def test_coupled_functor_on_worked_curve(plane_curve):
     M, S = plane_curve
     prob, state = _order_one_curve_state(M, S)
     assert verify_family(state, 1)["pass"]
-    report = artin_obstruction("exthilb", state=state, bound=2, perturb=3)
+    report, _ = shifted_obstruction("exthilb", 3, state=state, bound=2)
     assert sorted(report.cls.certificates) == [
         "ambient-closed", "ambient-step", "ambient-triple",
         "normal-closed", "normal-step", "normal-triple"]
     assert all(report.cls.certificates.values())
     assert report.liftable
-    assert report.invariance["identities"]
-    assert report.invariance["same_verdict"]
 
     cocycle = obstruction_cocycle(state)
     if (2,) in cocycle.totals:
@@ -216,13 +211,47 @@ def _plane_direction_family(M):
 def test_ambient_functor_on_plane(plane_curve):
     M, _ = plane_curve
     lam = _plane_direction_family(M)
-    report = artin_obstruction("def", manifold=M, lam=lam, order=1,
-                               bound=2, amb_bound=3, perturb=2)
+    report, _ = shifted_obstruction("def", 2, manifold=M, lam=lam, order=1,
+                                    bound=2)
     assert report.kind == "def"
     assert report.cls.is_zero()
     assert report.liftable
-    assert report.invariance["identities"]
-    assert report.invariance["same_verdict"]
+
+
+def _shipped_families():
+    """(file stem, functor, keywords of `artin_obstruction`) for every
+    shipped file with a one-parameter family, under every functor it
+    accepts: def where it declares an ambient family, hilb and exthilb
+    where it declares a submanifold. Each is built as `cli._cmd_artin`
+    builds it at --order 0."""
+    examples = Path(poissondef.__file__).parent / "examples"
+    for path in sorted(examples.glob("*.pdef")):
+        doc = parse(path.read_text(encoding="utf-8"))
+        if not (doc.family or doc.lam) or len(doc.params) != 1:
+            continue
+        for kind in FUNCTORS:
+            if kind == "def" and doc.lam:
+                yield path.stem, kind, {"manifold": doc.manifold(),
+                                        "lam": doc.lambda_family(),
+                                        "order": 0}
+            elif kind != "def" and doc.normal_spec:
+                prob = doc.problem()
+                fam = doc.family_state(prob)
+                yield path.stem, kind, {"state": DeformationState(
+                    prob, 0, fam.phi, fam.lam)}
+
+
+def test_lifting_choices_do_not_move_the_verdict_on_shipped_families():
+    """Every shipped one-parameter family under each functor it accepts, at
+    bounds 1 and 3 (40 runs): shifting the liftings moves the class by the
+    total coboundary of the shift and keeps the verdict
+    (`shifted_obstruction`)."""
+    runs = []
+    for seed, (stem, kind, family) in enumerate(_shipped_families()):
+        for bound in (1, 3):
+            shifted_obstruction(kind, seed, bound=bound, **family)
+            runs.append((stem, kind, bound))
+    assert len(runs) == 40
 
 
 # — argument validation ------------------------------------------------------
@@ -342,7 +371,7 @@ def test_invalid_family_messages(transverse_line, plane_curve, build,
     assert str(info.value) == message
 
 
-# — class values: the perturbed classes and one obstructed ambient family ----
+# — class values: the shifted classes and one obstructed ambient family ------
 
 # `cli._render_class` of each class. No shipped file yields a class with a
 # non-zero ambient, ambient_cech or normal_cech part; these do.
@@ -391,18 +420,18 @@ def test_class_values_are_pinned(transverse_line, plane_curve):
     line_M, line_S = transverse_line
     plane_M, plane_S = plane_curve
     got = {
-        "hilb-trivial-perturbed": artin_obstruction(
-            "hilb", state=_trivial_extension_state(line_M, line_S), bound=3,
-            perturb=7).perturbed,
-        "hilb-instability-perturbed": artin_obstruction(
-            "hilb", state=initial_state(prescribed_instability(0, 2)),
-            bound=4, perturb=5).perturbed,
-        "exthilb-curve-perturbed": artin_obstruction(
-            "exthilb", state=_order_one_curve_state(plane_M, plane_S)[1],
-            bound=2, perturb=3).perturbed,
-        "def-plane-perturbed": artin_obstruction(
-            "def", manifold=plane_M, lam=_plane_direction_family(plane_M),
-            order=1, bound=2, amb_bound=3, perturb=2).perturbed,
+        "hilb-trivial-perturbed": shifted_obstruction(
+            "hilb", 7, state=_trivial_extension_state(line_M, line_S),
+            bound=3)[1].cls,
+        "hilb-instability-perturbed": shifted_obstruction(
+            "hilb", 5, state=initial_state(prescribed_instability(0, 2)),
+            bound=4)[1].cls,
+        "exthilb-curve-perturbed": shifted_obstruction(
+            "exthilb", 3, state=_order_one_curve_state(plane_M, plane_S)[1],
+            bound=2)[1].cls,
+        "def-plane-perturbed": shifted_obstruction(
+            "def", 2, manifold=plane_M, lam=_plane_direction_family(plane_M),
+            order=1, bound=2)[1].cls,
         "def-jacobi-class": artin_obstruction(
             "def", manifold=line_M, lam=_shifted(line_M, _jacobi_breaker(
                 line_M)), order=0, bound=2).cls,

@@ -31,7 +31,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import poissondef
-from conftest import build_c3, prescribed_instability
+from conftest import (build_c3, lifting_shift, prescribed_instability,
+                      shifted_obstruction)
 from test_deformation import CORRECTED_SEEDS
 from test_transport_oracle import _outcome, _typed, cases
 from poissondef import artin, complexes, deformation
@@ -464,23 +465,18 @@ def test_artin_reaches_every_outcome(monkeypatch):
 
 
 def test_perturbation_identity_matches_the_parent_rows():
-    """The perturbed class moves by the total coboundary of the shift, read
-    through the liftability system's rows as the parent read it."""
+    """The shifted family's class moves by the total coboundary of the
+    shift (`conftest.shifted_obstruction`), whose rows read through the
+    liftability system are those of the parent's `total_coboundary`."""
     prob = _file_problem("p3_hyperplane")
     doc = parse((EXAMPLES / "p3_hyperplane.pdef").read_text())
     fam = doc.family_state(prob)
     state = DeformationState(prob, 0, fam.phi, fam.lam)
     S = prob.submanifold
     for kind in ("hilb", "exthilb"):
-        report = artin.artin_obstruction(kind, state=state, bound=1,
-                                         perturb=3)
-        assert report.invariance["identities"]
+        shifted_obstruction(kind, 3, state=state, bound=1)
         desc = artin._descriptor(kind, S, None)
-        shifts = artin._default_perturbation(kind, S, S.manifold, 3)
-        shift = {"nor": {name: [Polyvector.from_function(-f) for f in A]
-                         for name, A in shifts["A"].items()}}
-        if "D" in shifts:
-            shift["amb"] = shifts["D"]
+        shift = lifting_shift(kind, S, S.manifold, 3)
         system = CoboundarySystem(desc, [], ARTIN_ROWS)
         new = system.rows(complexes.total_coboundary(desc, shift))
         assert new and new == total_rows(*total_coboundary(

@@ -751,7 +751,7 @@ def test_fast_args_read_every_contract_argv_as_argparse_does():
         assert fast is None or vars(fast) == _argparse_args(argv, parser), argv
 
 
-_OPTIONS = [o for _, _, options in cli._SUBCOMMANDS.values() for o in options]
+_OPTIONS = [o for *_, options in cli._SUBCOMMANDS.values() for o in options]
 FLAGS = sorted({o[0] for o in _OPTIONS} | {"--json"})
 CHOICES = sorted({c for o in _OPTIONS for c in o[3] or ()})
 TOKENS = (*SUBCOMMANDS, *FLAGS, *CHOICES, "--bo", "--ord", "--js", "--c",
@@ -770,7 +770,7 @@ def command_lines(draw):
             TOKENS if draw(st.integers(0, 7)) == 0 else tokens))
 
     sub = pick(SUBCOMMANDS)
-    _, files, options = cli._SUBCOMMANDS.get(sub, (None, (), ()))
+    *_, files, options = cli._SUBCOMMANDS.get(sub, (None, (), ()))
     argv = [sub, *(pick(("f.pdef", "g.pdef")) for _ in files)]
     for _ in range(draw(st.integers(0, 4))):
         argv.append(pick(("--json", *(o[0] for o in options))))

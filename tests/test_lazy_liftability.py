@@ -5,8 +5,8 @@ manifold and submanifold per command.
 and solves an empty right-hand side by zero without reading them. The
 system it replaced built every column in `__init__`; that `__init__` and
 its `solve` are kept here verbatim as an oracle. On every `artin` argv of
-the behaviour contract and on the `perturb=` cases of `test_artin`, each
-liftability solve must give the oracle's verdict, witness, unreached row
+the behaviour contract and on the shifted-family cases of `test_artin`
+(`conftest.shifted_obstruction`), each liftability solve must give the oracle's verdict, witness, unreached row
 and solution, and the oracle's column build must raise nothing where the
 class is zero, so that skipping it cannot turn an error into a report.
 
@@ -25,9 +25,8 @@ from report_contract import commands, run, scratch_directory
 from test_artin import (_order_one_curve_state, _plane_direction_family,
                         _trivial_extension_state)
 from test_artin import plane_curve, transverse_line  # noqa: F401 (fixtures)
-from conftest import prescribed_instability
+from conftest import prescribed_instability, shifted_obstruction
 from poissondef import artin, complexes, dsl
-from poissondef.artin import artin_obstruction
 from poissondef.cli import run_command
 from poissondef.complexes import (CoboundarySystem, ComplexDescriptor,
                                   atom_rows, total_coboundary, total_rows)
@@ -160,18 +159,18 @@ def test_contract_artin_solves_match_the_eager_system(monkeypatch):
     assert seen["zero"] >= 40 and seen["non-empty"] >= 20
 
 
+# the family, then the same family with its liftings shifted
 PERTURBED = {
-    "hilb-trivial": lambda line, plane: artin_obstruction(
-        "hilb", state=_trivial_extension_state(*line), bound=3, perturb=7),
-    "hilb-instability": lambda line, plane: artin_obstruction(
-        "hilb", state=initial_state(prescribed_instability(0, 2)),
-        bound=4, perturb=5),
-    "exthilb-curve": lambda line, plane: artin_obstruction(
-        "exthilb", state=_order_one_curve_state(*plane)[1], bound=2,
-        perturb=3),
-    "def-plane": lambda line, plane: artin_obstruction(
-        "def", manifold=plane[0], lam=_plane_direction_family(plane[0]),
-        order=1, bound=2, amb_bound=3, perturb=2),
+    "hilb-trivial": lambda line, plane: shifted_obstruction(
+        "hilb", 7, state=_trivial_extension_state(*line), bound=3),
+    "hilb-instability": lambda line, plane: shifted_obstruction(
+        "hilb", 5, state=initial_state(prescribed_instability(0, 2)),
+        bound=4),
+    "exthilb-curve": lambda line, plane: shifted_obstruction(
+        "exthilb", 3, state=_order_one_curve_state(*plane)[1], bound=2),
+    "def-plane": lambda line, plane: shifted_obstruction(
+        "def", 2, manifold=plane[0], lam=_plane_direction_family(plane[0]),
+        order=1, bound=2),
 }
 
 
@@ -180,17 +179,14 @@ def test_perturbed_solves_match_the_eager_system(monkeypatch, label,
                                                  transverse_line,
                                                  plane_curve):
     calls = _record_liftability(monkeypatch)
-    report = PERTURBED[label](transverse_line, plane_curve)
-    assert report.invariance["same_verdict"]
-    (_, system, _, before, _, _), (_, again, _, _, _, _) = calls
-    # the class, then the perturbed class, on one system
-    assert again is system and not before
+    reports = PERTURBED[label](transverse_line, plane_curve)
+    assert not any(before for _, _, _, before, _, _ in calls)
     seen = _check_against_eager(calls)
     assert sum(seen.values()) == 2
-    # a zero class builds nothing; a non-empty perturbed one builds the
-    # columns on its own solve
-    zero = report.cls.is_zero()
-    assert (system._columns is None) == (zero and report.perturbed.is_zero())
+    # a zero class builds nothing; a non-empty one builds the columns on
+    # its solve
+    for (_, system, _, _, _, _), report in zip(calls, reports, strict=True):
+        assert (system._columns is None) == report.cls.is_zero()
 
 
 # ----------------------------------------------------------------------

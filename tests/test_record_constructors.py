@@ -31,7 +31,7 @@ SIGNATURES = {
     artin.ArtinReport: [
         ("kind", REQUIRED), ("order", REQUIRED), ("cls", REQUIRED),
         ("liftable", REQUIRED), ("witness", REQUIRED),
-        ("solution", REQUIRED), ("invariance", None), ("perturbed", None)],
+        ("solution", REQUIRED)],
     complexes.ComplexDescriptor: [
         ("kind", REQUIRED), ("manifold", REQUIRED), ("submanifold", None),
         ("linebundle", None)],

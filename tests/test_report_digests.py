@@ -31,7 +31,6 @@ from report_contract import commands, recorded, run, scratch_directory
 
 PACKAGE = Path(poissondef.__file__).resolve().parent
 
-_GATE = "imported by the acceptance gate, tests/test_acceptance.py"
 _ITEM_11 = ("the semi-regularity map of ROADMAP item 11, which no command "
             "exposes yet")
 _TESTS = "reached only by tests"
@@ -40,13 +39,6 @@ _TERM_CLASS = ("reached only by tests: a term class's printing, ordering "
 
 # function -> why no argv of the contract calls it (ROADMAP item 17)
 UNREACHED = {
-    "artin._default_perturbation": _GATE + ", through artin_obstruction's "
-    "perturb= path",
-    "symbolic.MajorantSeries.__init__": _GATE + ": Kodaira's comparison "
-    "series",
-    "symbolic.MajorantSeries.coefficient": _GATE,
-    "symbolic.MajorantSeries.as_series": _GATE,
-    "symbolic.dominates": _GATE,
     "complexes.semiregularity_image_rank": _ITEM_11,
     "complexes.semiregularity_image_rank.<locals>.restrict_col": _ITEM_11,
     "geometry.codim1_line_bundle": _ITEM_11,

@@ -5,8 +5,8 @@
 - Every private module-level name of the package is used somewhere in the
   package outside its own definition.
 - `artin`, `cli`, `dsl` and `geometry` call every package function they
-  import, from a definition the package exports or uses: `atom_cochain`
-  and `total_coboundary` in `artin`, say, each keep such a caller.
+  import, from a definition the package exports or uses: `certify_cocycle`
+  and `monomial_atoms` in `artin`, say, each keep such a caller.
 
 A merge that leaves a helper behind, or an import of one that moved, fails
 here.

@@ -1,8 +1,7 @@
-"""Ring laws, series arithmetic, and the comparison-series machinery."""
+"""Ring laws, series arithmetic, and the exact scalar storage."""
 
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +10,8 @@ from conftest import derivative
 from poissondef import symbolic
 from poissondef.errors import (NegativePowerAtZero, NonInvertibleSubstitution,
                                ParameterMismatch)
-from poissondef.symbolic import (LaurentPoly, MajorantSeries, MonomialMap,
-                                 TruncatedSeries, combine, dominates,
-                                 substitute)
+from poissondef.symbolic import (LaurentPoly, MonomialMap, TruncatedSeries,
+                                 combine, substitute)
 
 VARS = ("x", "y")
 
@@ -96,43 +94,6 @@ def test_series_parameter_mismatch():
     b = TruncatedSeries(("s",), 2, {})
     with pytest.raises(ParameterMismatch):
         a + b
-
-
-def _simplex(nvars, bound):
-    return (e for e in product(range(bound + 1), repeat=nvars)
-            if sum(e) <= bound)
-
-
-def _materialize(major: MajorantSeries, params, cutoff):
-    return TruncatedSeries(params, cutoff,
-                           {e: major.coefficient(e)
-                            for e in _simplex(len(params), cutoff)
-                            if sum(e) > 0})
-
-
-@pytest.mark.parametrize("nparams", [1, 2])
-@pytest.mark.parametrize("v", [2, 3, 4])
-def test_majorant_power_law(nparams, v):
-    """The v-th power of the comparison series is dominated by the series
-    itself scaled by (a/b)^(v-1), computed exactly through cutoff 12."""
-    a, b = Fraction(5), Fraction(7)
-    params = tuple(f"t{i}" for i in range(nparams))
-    cutoff = 12 if nparams == 1 else 8
-    major = MajorantSeries(a, b, nparams)
-    ser = _materialize(major, params, cutoff)
-    power = ser
-    for _ in range(v - 1):
-        power = power * ser
-    assert dominates(power, major, (a / b) ** (v - 1))
-
-
-def test_dominates_is_sharp():
-    major = MajorantSeries(1, 1, 1)
-    ser = _materialize(major, ("t",), 6)
-    assert dominates(ser, major, 2)
-    assert not dominates(ser, major, 1)  # strict comparison with itself
-    too_big = ser + TruncatedSeries(("t",), 6, {(6,): Fraction(100)})
-    assert not dominates(too_big, major, 2)
 
 
 def test_negative_power_at_zero_guard():
@@ -361,18 +322,6 @@ def test_series_scale_matches_fraction_oracle(dser, dp, s):
         .scale(s))
 
 
-positive_exact = st.one_of(st.integers(min_value=1, max_value=5),
-                           st.fractions(min_value=Fraction(1, 3), max_value=4,
-                                        max_denominator=3))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(positive_exact, positive_exact)
-def test_majorant_coefficients_match_fraction_oracle(a, b):
-    for e in _simplex(2, 4):
-        assert_matches_oracle(lambda: MajorantSeries(a, b, 2).coefficient(e))
-
-
 def test_bool_is_stored_as_int():
     one = (0, 0)
     for p in (LaurentPoly.const(VARS, True), LaurentPoly(VARS, {one: True}),
@@ -383,8 +332,6 @@ def test_bool_is_stored_as_int():
     assert scaled.terms == {one: 2} and type(scaled.terms[one]) is int
     series = TruncatedSeries(("t",), 1, {(1,): 3}).scale(True)
     assert series.terms == {(1,): 3} and type(series.terms[(1,)]) is int
-    major = MajorantSeries(True, True, 1)
-    assert type(major.a) is int and type(major.b) is int
 
 
 # ----------------------------------------------------------------------
