@@ -6,9 +6,10 @@ and solves an empty right-hand side by zero without reading them. The
 system it replaced built every column in `__init__`; that `__init__` and
 its `solve` are kept here verbatim as an oracle. On every `artin` argv of
 the behaviour contract and on the shifted-family cases of `test_artin`
-(`conftest.shifted_obstruction`), each liftability solve must give the oracle's verdict, witness, unreached row
-and solution, and the oracle's column build must raise nothing where the
-class is zero, so that skipping it cannot turn an error into a report.
+(`conftest.shifted_obstruction`), each liftability solve must give the
+oracle's verdict, witness, unreached row and solution, and the oracle's
+column build must raise nothing where the class is zero, so that skipping
+it cannot turn an error into a report.
 
 The count tests pin the work one command does: no column for a zero class,
 one column set for a non-empty one, one descriptor per complex kind, one
