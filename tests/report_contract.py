@@ -174,6 +174,9 @@ MALFORMED = {
         "transition A -> B: x = u, x = v;\n",
     "degenerate_wedge.pdef":
         "builtin P2;\npoisson on U0: z1 * d/z1 ^ d/z2 + d/z1 ^ d/z1;\n",
+    "not_poisson.pdef":
+        "builtin Affine(2);\npoisson on U: d/x1 ^ d/x2;\n"
+        "submanifold normal U: [x1];\n",
 }
 # read by the commands below, but never written
 ABSENT = "absent.pdef"

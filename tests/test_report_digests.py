@@ -59,8 +59,6 @@ UNREACHED = {
     "geometry.Chart.__eq__": _TERM_CLASS,
     "geometry.Chart.__hash__": _TERM_CLASS,
     "polyvector.Polyvector.__hash__": _TERM_CLASS,
-    "polyvector.Polyvector.__str__": _TERM_CLASS,
-    "polyvector.Polyvector.sorted_terms": _TERM_CLASS,
     "symbolic.LaurentPoly.__hash__": _TERM_CLASS,
     "symbolic.TruncatedSeries.__str__": _TERM_CLASS,
     "symbolic.TruncatedSeries.sorted_terms": _TERM_CLASS,
