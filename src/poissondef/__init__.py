@@ -13,7 +13,7 @@ from .deformation import (DeformationProblem, DeformationState, Obstructed,
                           ObstructionCocycle, SolverResult, initial_state,
                           match_families, obstruction_cocycle, run_solver,
                           solve_order, verify_family)
-from .dsl import ProblemFile, parse, render
+from .dsl import ProblemFile, parse
 from .errors import (ChartMismatch, ClosednessViolation, DegreeBoundTooSmall,
                      InconsistentData, InvalidDeformation, MatchFailure,
                      NegativePowerAtZero, NonAdaptedTransition,
@@ -22,8 +22,7 @@ from .errors import (ChartMismatch, ClosednessViolation, DegreeBoundTooSmall,
                      ToolkitError, UnstableAnsatz, WrongCodimension)
 from .geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
                        SubmanifoldData, affine_space, builtin_space,
-                       extract_submanifold, hirzebruch, product,
-                       projective_space)
+                       extract_submanifold, hirzebruch, projective_space)
 from .polyvector import Polyvector, pushforward, restrict, schouten
 from .symbolic import LaurentPoly, TruncatedSeries
 
@@ -43,7 +42,7 @@ __all__ = [
     "atlas_hyper_truncated", "build_complex", "builtin_space",
     "characteristic_map", "extract_submanifold",
     "h0_complex", "hirzebruch", "initial_state", "match_families",
-    "obstruction_cocycle", "parse", "product", "projective_space",
-    "pushforward", "render", "restrict", "run_solver", "schouten",
-    "semiregularity_image_rank", "solve_order", "verify_family",
+    "obstruction_cocycle", "parse", "projective_space", "pushforward",
+    "restrict", "run_solver", "schouten", "semiregularity_image_rank",
+    "solve_order", "verify_family",
 ]

@@ -541,9 +541,6 @@ class Obstructed:
         self.witness = witness
         self.tested_degrees = tested_degrees
 
-    def __bool__(self):
-        return False
-
 
 # Row labels of the order-step system, by (cochain part, chart or overlap).
 STEP_ROWS = {("nor", "chart"): "G", ("amb", "chart"): "Pi",

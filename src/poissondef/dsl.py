@@ -27,8 +27,7 @@ Scalar expressions use rationals, chart variables, parameters and
 multiply a scalar prefix into a wedge of frame atoms written ``d/v ^ d/w``.
 A degenerate wedge collapses to zero with a recorded warning. Parsing is
 position-annotated; a second pass rejects unknown variables and series terms
-beyond the declared order. ``render`` prints the canonical form, and
-parse-render round trips are the identity on it.
+beyond the declared order.
 """
 
 from __future__ import annotations
@@ -730,57 +729,3 @@ def format_param_series(ser: TruncatedSeries) -> str:
         else:
             parts.append(f"{c}*{mono}")
     return _join_terms(parts)
-
-
-def render(doc: ProblemFile) -> str:
-    """Canonical problem-file text; parse(render(doc)) reproduces doc."""
-    lines = []
-    if doc.name:
-        lines.append(f"manifold {doc.name};")
-    if doc.builtin is not None:
-        name, args = doc.builtin
-        if args:
-            lines.append(f"builtin {name}({', '.join(str(a) for a in args)});")
-        else:
-            lines.append(f"builtin {name};")
-    else:
-        for chart in doc.charts:
-            lines.append(f"chart {chart.name} vars {' '.join(chart.vars)};")
-        for (i, k) in sorted(doc.transitions):
-            tmap = doc.transitions[(i, k)]
-            body = ", ".join(f"{v} = {format_poly(tmap[v])}"
-                             for v in doc.space.chart(i).vars if v in tmap)
-            lines.append(f"transition {i} -> {k}: {body};")
-    space = doc.space if (doc.builtin or doc.charts) else None
-    for name in (space.chart_names if space else []):
-        if name in doc.poisson:
-            lines.append(f"poisson on {name}: "
-                         f"{format_polyvector(doc.poisson[name])};")
-    for name in (space.chart_names if space else []):
-        if name in doc.normal_spec:
-            spec = doc.normal_spec[name]
-            if spec == ABSENT:
-                lines.append(f"submanifold normal {name}: absent;")
-            else:
-                lines.append(f"submanifold normal {name}: "
-                             f"[{', '.join(spec)}];")
-    if doc.params:
-        lines.append(f"params {' '.join(doc.params)} order {doc.order} "
-                     f"degree {doc.degree};")
-    if doc.mode != "fixed":
-        lines.append(f"mode {doc.mode};")
-    for name in (space.chart_names if space else []):
-        if name in doc.family:
-            cvars = space.chart(name).vars
-            block = doc.family[name]
-            body = ", ".join(f"{v} = {format_series(block[v], cvars)}"
-                             for v in cvars if v in block)
-            lines.append(f"family {name}: {body};")
-    for name in (space.chart_names if space else []):
-        if name in doc.lam:
-            body = format_pv_series(doc.lam[name], space.chart(name).vars,
-                                    doc.params)
-            lines.append(f"lambda {name}: {body};")
-    if doc.artin:
-        lines.append(f"artin {doc.artin};")
-    return "\n".join(lines) + "\n"

@@ -274,40 +274,6 @@ def hirzebruch(m: int) -> ChartedSpace:
     })
 
 
-def product(a: ChartedSpace, b: ChartedSpace, name: str | None = None) -> ChartedSpace:
-    """Product atlas: one chart per chart pair, transitions componentwise."""
-    charts = []
-    for ca in a.charts:
-        for cb in b.charts:
-            if set(ca.vars) & set(cb.vars):
-                raise InconsistentData(
-                    f"variable clash between factors: {ca.vars} vs {cb.vars}")
-            charts.append(Chart(f"{ca.name}x{cb.name}", ca.vars + cb.vars))
-    transitions = {}
-    for ca in a.charts:
-        for cb in b.charts:
-            for da in a.charts:
-                for db in b.charts:
-                    if (ca.name, cb.name) == (da.name, db.name):
-                        continue
-                    if ca.name != da.name and (ca.name, da.name) not in a.transitions:
-                        continue
-                    if cb.name != db.name and (cb.name, db.name) not in b.transitions:
-                        continue
-                    dst_vars = da.vars + db.vars
-                    tmap = {}
-                    for v in ca.vars:
-                        expr = (LaurentPoly.variable(da.vars, v) if ca.name == da.name
-                                else a.transitions[(ca.name, da.name)][v])
-                        tmap[v] = expr.with_vars(dst_vars)
-                    for v in cb.vars:
-                        expr = (LaurentPoly.variable(db.vars, v) if cb.name == db.name
-                                else b.transitions[(cb.name, db.name)][v])
-                        tmap[v] = expr.with_vars(dst_vars)
-                    transitions[(f"{ca.name}x{cb.name}", f"{da.name}x{db.name}")] = tmap
-    return ChartedSpace(name or f"{a.name}x{b.name}", charts, transitions)
-
-
 def builtin_space(name: str, args: tuple = ()) -> ChartedSpace:
     key = name.lower()
     if key in ("p1", "p2", "p3"):

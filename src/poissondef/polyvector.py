@@ -112,42 +112,14 @@ class Polyvector:
     def from_function(cls, f: LaurentPoly) -> "Polyvector":
         return cls(f.vars, 0, {(): f})
 
-    @classmethod
-    def monomial(cls, vars, indices: Iterable[int], coeff: LaurentPoly) -> "Polyvector":
-        """coeff * d/v_{i1} ^ ... with arbitrary index order (sign folded in)."""
-        indices = tuple(indices)
-        idx, sign = _sort_sign(indices)
-        if sign == 0:
-            return cls(vars, len(indices))
-        return cls(vars, len(idx), {idx: coeff * sign})
-
     # ---- predicates / access ------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, indices: tuple) -> LaurentPoly:
-        return self.terms.get(tuple(indices), LaurentPoly.zero(self.vars))
 
     def as_function(self) -> LaurentPoly:
         if self.degree != 0:
             raise ChartMismatch("only a degree-0 polyvector is a function")
         return self.terms.get((), LaurentPoly.zero(self.vars))
-
-    def with_vars(self, vars: Iterable[str]) -> "Polyvector":
-        """Re-express over another variable tuple (matching by name): the
-        frame indices follow their variables, and no frame or coefficient
-        may use a variable absent from the new tuple."""
-        vars = tuple(vars)
-        pos = {v: j for j, v in enumerate(vars)}
-        terms = {}
-        for idx, c in self.terms.items():
-            absent = [self.vars[i] for i in idx if self.vars[i] not in pos]
-            if absent:
-                raise ChartMismatch(
-                    f"frame along {absent} is absent from {vars}")
-            new_idx, sign = _sort_sign(pos[self.vars[i]] for i in idx)
-            terms[new_idx] = c.with_vars(vars) * sign
-        return Polyvector(vars, self.degree, terms)
 
     def _check(self, other: "Polyvector", same_degree=True):
         if self.vars != other.vars:
@@ -474,8 +446,8 @@ class Transition:
 
 
 def pushforward(a: Polyvector, move: Transition) -> Polyvector:
-    """Re-express a polyvector on the target chart of `move`, in its
-    coordinates and frame; `a` is first brought to the source variables.
+    """Re-express a polyvector on the source chart of `move` on its target
+    chart, in its coordinates and frame.
 
     Its terms are moved as entries, by one `move.move` call, and grouped by
     target index tuple in the order of the entries, the order in which
@@ -484,7 +456,7 @@ def pushforward(a: Polyvector, move: Transition) -> Polyvector:
     cancel is left out.
     """
     if a.vars != move.source_vars:
-        a = a.with_vars(move.source_vars)
+        raise ChartMismatch(f"charts differ: {a.vars} vs {move.source_vars}")
     raw: dict = {}
     for (tidx, e), c in move.move({(idx, e): c
                                    for idx, coeff in a.terms.items()

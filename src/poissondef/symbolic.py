@@ -199,10 +199,6 @@ class LaurentPoly:
         e = tuple(1 if v == name else 0 for v in vars)
         return cls(vars, {e: 1})
 
-    @classmethod
-    def monomial(cls, vars: Iterable[str], exps: Iterable[int], coeff=1) -> "LaurentPoly":
-        return cls(vars, {tuple(exps): _as_scalar(coeff)})
-
     # ---- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -246,9 +242,6 @@ class LaurentPoly:
                 and isinstance(other, (int, Fraction))):
             other = LaurentPoly.const(self.vars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -371,9 +364,9 @@ class TruncatedSeries:
     """Series in parameters, truncated at a total-degree cutoff.
 
     Coefficients may be exact scalars, LaurentPoly or polyvectors:
-    anything supporting +, unary -, scaling by an exact scalar and an
-    is_zero test. Multiplication is only defined when the carriers support
-    `*` themselves; heterogeneous bilinear combinations go through `combine`.
+    anything supporting +, unary - and an is_zero test. Multiplication is
+    only defined when the carriers support `*` themselves; heterogeneous
+    bilinear combinations go through `combine`.
     """
 
     __slots__ = ("params", "cutoff", "terms")
@@ -484,18 +477,8 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, s) -> "TruncatedSeries":
-        s = _as_scalar(s)
-        if not s:
-            return TruncatedSeries._valid(self.params, self.cutoff, {})
-        return TruncatedSeries._valid(
-            self.params, self.cutoff,
-            {e: c * s for e, c in self.terms.items()})
-
     # ---- multiplicative structure -------------------------------------
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return combine(self, other, lambda a, b: a * b)
 
     __rmul__ = __mul__
@@ -509,24 +492,6 @@ class TruncatedSeries:
         if result is None:
             raise ValueError("series**0 needs a carrier unit; use const()")
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.params != other.params:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        for e in keys:
-            a, b = self.terms.get(e), other.terms.get(e)
-            if a is None:
-                if not _coeff_is_zero(b):
-                    return False
-            elif b is None:
-                if not _coeff_is_zero(a):
-                    return False
-            elif not _coeff_is_zero(a + (-b)):
-                return False
-        return True
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: grlex_key(ec[0]))
@@ -583,17 +548,16 @@ def _series_inverse(s: TruncatedSeries) -> TruncatedSeries:
         raise NonInvertibleSubstitution(
             "series inverse requires an invertible order-zero part")
     inv0 = s0.inverse()
-    # s = s0 (1 + n) with n of positive parameter order; expand geometrically.
+    # s = s0 (1 + n) with n of positive parameter order; expand geometrically
+    # in -n.
     result = power = TruncatedSeries.const(
         s.params, s.cutoff, LaurentPoly.const(s0.vars, 1))
-    n = s.map(lambda c: inv0 * c) - result
-    sign = 1
+    minus_n = result - s.map(lambda c: inv0 * c)
     for _ in range(s.cutoff):
-        power = power * n
-        sign = -sign
+        power = power * minus_n
         if power.is_zero():
             break
-        result = result + power.scale(sign)
+        result = result + power
     return result.map(lambda c: inv0 * c)
 
 

@@ -15,11 +15,11 @@ from poissondef.deformation import (DeformationProblem, DeformationState,
                                     add_direction, residual_series,
                                     run_solver, verify_family)
 from poissondef.errors import InconsistentData
-from poissondef.geometry import (ABSENT, PoissonManifold, affine_space,
-                                 extract_submanifold, hirzebruch,
-                                 projective_space)
+from poissondef.geometry import (ABSENT, Chart, ChartedSpace, PoissonManifold,
+                                 affine_space, extract_submanifold,
+                                 hirzebruch, projective_space)
 from poissondef.linalg import nullspace
-from poissondef.polyvector import Polyvector, _ruled, _wedge_rule
+from poissondef.polyvector import Polyvector, _ruled, _sort_sign, _wedge_rule
 from poissondef.symbolic import LaurentPoly, TruncatedSeries, _derivative
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "src", "poissondef",
@@ -38,7 +38,7 @@ def build_c3():
     """Affine 3-space with structure x1*x3 d/x1^d/x2; line x1 = x2 = 0."""
     space = affine_space(3)
     v = space.chart("U").vars
-    lam = Polyvector.monomial(
+    lam = pv_monomial(
         v, (0, 1),
         LaurentPoly.variable(v, "x1") * LaurentPoly.variable(v, "x3"))
     man = PoissonManifold.from_chart_data(space, {"U": lam})
@@ -50,7 +50,7 @@ def build_c2():
     """Affine plane with structure x1 d/x1^d/x2; divisor x1 = 0."""
     space = affine_space(2)
     v = space.chart("U").vars
-    lam = Polyvector.monomial(v, (0, 1), LaurentPoly.variable(v, "x1"))
+    lam = pv_monomial(v, (0, 1), LaurentPoly.variable(v, "x1"))
     man = PoissonManifold.from_chart_data(space, {"U": lam})
     sub = extract_submanifold(man, {"U": ["x1"]})
     return man, sub
@@ -59,14 +59,14 @@ def build_c2():
 def build_p3():
     space = projective_space(3)
     v = space.chart("U0").vars
-    lam = Polyvector.monomial(v, (0, 1), LaurentPoly.variable(v, "z1"))
+    lam = pv_monomial(v, (0, 1), LaurentPoly.variable(v, "z1"))
     return PoissonManifold.from_chart_data(space, {"U0": lam})
 
 
 def build_p2():
     space = projective_space(2)
     v = space.chart("U0").vars
-    lam = Polyvector.monomial(v, (0, 1), LaurentPoly.variable(v, "z1"))
+    lam = pv_monomial(v, (0, 1), LaurentPoly.variable(v, "z1"))
     return PoissonManifold.from_chart_data(space, {"U0": lam})
 
 
@@ -76,7 +76,7 @@ def build_fm_section(m: int, structured: bool):
     space = hirzebruch(m)
     if structured:
         v = space.chart("U1").vars
-        lam = Polyvector.monomial(v, (0, 1), LaurentPoly.variable(v, "xi"))
+        lam = pv_monomial(v, (0, 1), LaurentPoly.variable(v, "xi"))
         man = PoissonManifold.from_chart_data(space, {"U1": lam})
     else:
         man = PoissonManifold(space, {})
@@ -99,11 +99,11 @@ def prescribed_instability(m: int, degree: int) -> DeformationProblem:
         base, bump = z * z * xi, z
     else:
         raise ValueError(m)
-    lam0 = Polyvector.monomial(v, (0, 1), base)
+    lam0 = pv_monomial(v, (0, 1), base)
     man = PoissonManifold.from_chart_data(space, {"U1": lam0})
     sub = extract_submanifold(man, {"U1": ["xi"], "U2": ["xip"],
                                     "U3": ABSENT, "U4": ABSENT})
-    lam1 = Polyvector.monomial(v, (0, 1), bump)
+    lam1 = pv_monomial(v, (0, 1), bump)
     pres = {}
     for name in space.chart_names:
         pres[name] = (TruncatedSeries.const(("t",), 3, man.bivector(name))
@@ -131,6 +131,56 @@ def truncate_state(state: DeformationState, order: int) -> DeformationState:
 # ----------------------------------------------------------------------
 # Shared oracles
 # ----------------------------------------------------------------------
+
+def pv_monomial(vars, indices, coeff: LaurentPoly) -> Polyvector:
+    """coeff * d/v_{i1} ^ ... with arbitrary index order (sign folded in)."""
+    indices = tuple(indices)
+    idx, sign = _sort_sign(indices)
+    if sign == 0:
+        return Polyvector(vars, len(indices))
+    return Polyvector(vars, len(idx), {idx: coeff * sign})
+
+
+def series_value(s: TruncatedSeries) -> tuple:
+    """A series as a value to compare: its parameters and terms. A series
+    stores no zero coefficient, so equal values are equal series."""
+    return s.params, s.terms
+
+
+def product(a: ChartedSpace, b: ChartedSpace, name: str | None = None) -> ChartedSpace:
+    """Product atlas: one chart per chart pair, transitions componentwise.
+    The transport oracles' atlas with several variables per chart."""
+    charts = []
+    for ca in a.charts:
+        for cb in b.charts:
+            if set(ca.vars) & set(cb.vars):
+                raise InconsistentData(
+                    f"variable clash between factors: {ca.vars} vs {cb.vars}")
+            charts.append(Chart(f"{ca.name}x{cb.name}", ca.vars + cb.vars))
+    transitions = {}
+    for ca in a.charts:
+        for cb in b.charts:
+            for da in a.charts:
+                for db in b.charts:
+                    if (ca.name, cb.name) == (da.name, db.name):
+                        continue
+                    if ca.name != da.name and (ca.name, da.name) not in a.transitions:
+                        continue
+                    if cb.name != db.name and (cb.name, db.name) not in b.transitions:
+                        continue
+                    dst_vars = da.vars + db.vars
+                    tmap = {}
+                    for v in ca.vars:
+                        expr = (LaurentPoly.variable(da.vars, v) if ca.name == da.name
+                                else a.transitions[(ca.name, da.name)][v])
+                        tmap[v] = expr.with_vars(dst_vars)
+                    for v in cb.vars:
+                        expr = (LaurentPoly.variable(db.vars, v) if cb.name == db.name
+                                else b.transitions[(cb.name, db.name)][v])
+                        tmap[v] = expr.with_vars(dst_vars)
+                    transitions[(f"{ca.name}x{cb.name}", f"{da.name}x{db.name}")] = tmap
+    return ChartedSpace(name or f"{a.name}x{b.name}", charts, transitions)
+
 
 def derivative(f: LaurentPoly, name: str) -> LaurentPoly:
     """d f / d name: `symbolic._derivative`, the derivative the core takes
@@ -230,7 +280,7 @@ def lifting_shift(kind: str, S, manifold, seed: int) -> dict:
         for ci, name in enumerate(space.chart_names):
             cvars = space.chart(name).vars
             if len(cvars) >= 2:
-                shift["amb"][name] = Polyvector.monomial(
+                shift["amb"][name] = pv_monomial(
                     cvars, (0, 1), LaurentPoly.const(cvars, seed + ci + 2))
     return shift
 
@@ -347,8 +397,8 @@ def p2_worked(p2_manifold, p2_curve_sub):
                                {(1, 0): -LaurentPoly.const(U2, 1),
                                 (0, 1): -LaurentPoly.variable(U2, "z1")})],
     }
-    dir1 = Polyvector.monomial(U0, (0, 1), z2)
-    dir2 = Polyvector.monomial(U0, (0, 1), one0)
+    dir1 = pv_monomial(U0, (0, 1), z2)
+    dir2 = pv_monomial(U0, (0, 1), one0)
     lam = {}
     for name in space.chart_names:
         lam[name] = (TruncatedSeries.const(params, 3,

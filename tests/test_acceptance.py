@@ -15,8 +15,8 @@ from itertools import product
 import pytest
 
 from conftest import (assert_square_zero, first_order_by_enumeration,
-                      oracle_dim, prescribed_instability, shifted_obstruction,
-                      truncate_state)
+                      oracle_dim, prescribed_instability, pv_monomial,
+                      shifted_obstruction, truncate_state)
 from test_polyvector import run_bracket_property_suite
 
 from poissondef.artin import artin_first_order
@@ -29,7 +29,6 @@ from poissondef.deformation import (DeformationProblem, DeformationState,
                                     run_solver, solve_order, verify_family)
 from poissondef.geometry import (ABSENT, PoissonManifold, affine_space,
                                  extract_submanifold, projective_space)
-from poissondef.polyvector import Polyvector
 from poissondef.symbolic import LaurentPoly, TruncatedSeries
 
 EXAMPLES = "src/poissondef/examples"
@@ -264,8 +263,8 @@ def test_criterion_09_small_parameter_obstruction_calculus():
     liftability matches the order-by-order solver in both directions."""
     space3 = affine_space(3, ("w1", "w2", "z"))
     v3 = space3.chart("U").vars
-    lam3 = Polyvector.monomial(v3, (0, 1), LaurentPoly.variable(v3, "w1")
-                               * LaurentPoly.variable(v3, "z"))
+    lam3 = pv_monomial(v3, (0, 1), LaurentPoly.variable(v3, "w1")
+                       * LaurentPoly.variable(v3, "z"))
     man3 = PoissonManifold.from_chart_data(space3, {"U": lam3})
     sub3 = extract_submanifold(man3, {"U": ["w1", "w2"]})
     assert artin_first_order("hilb", submanifold=sub3, bound=3).dimension \
@@ -274,7 +273,7 @@ def test_criterion_09_small_parameter_obstruction_calculus():
 
     space2 = affine_space(2, ("x", "y"))
     v2 = space2.chart("U").vars
-    lam2 = Polyvector.monomial(v2, (0, 1), LaurentPoly.variable(v2, "x"))
+    lam2 = pv_monomial(v2, (0, 1), LaurentPoly.variable(v2, "x"))
     man2 = PoissonManifold.from_chart_data(space2, {"U": lam2})
     assert artin_first_order("def", manifold=man2, bound=2).dimension \
         == first_order_by_enumeration("def", manifold=man2,
@@ -282,7 +281,7 @@ def test_criterion_09_small_parameter_obstruction_calculus():
 
     p2 = projective_space(2)
     vp = p2.chart("U0").vars
-    lamp = Polyvector.monomial(vp, (0, 1), LaurentPoly.variable(vp, "z1"))
+    lamp = pv_monomial(vp, (0, 1), LaurentPoly.variable(vp, "z1"))
     manp = PoissonManifold.from_chart_data(p2, {"U0": lamp})
     subp = extract_submanifold(manp, {"U0": ["z1"], "U1": ABSENT,
                                       "U2": ["z2"]})

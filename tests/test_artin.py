@@ -6,7 +6,7 @@ import pytest
 
 import poissondef
 from conftest import (first_order_by_enumeration, prescribed_instability,
-                      shifted_obstruction)
+                      pv_monomial, shifted_obstruction)
 from poissondef.artin import FUNCTORS, artin_first_order, artin_obstruction
 from poissondef.complexes import cochain_vector_entries
 from poissondef.dsl import parse
@@ -29,9 +29,9 @@ def transverse_line():
     z-axis as submanifold."""
     space = affine_space(3, ("w1", "w2", "z"))
     vars = space.chart("U").vars
-    lam = Polyvector.monomial(vars, (0, 1),
-                              LaurentPoly.variable(vars, "w1")
-                              * LaurentPoly.variable(vars, "z"))
+    lam = pv_monomial(vars, (0, 1),
+                      LaurentPoly.variable(vars, "w1")
+                      * LaurentPoly.variable(vars, "z"))
     M = PoissonManifold.from_chart_data(space, {"U": lam})
     S = extract_submanifold(M, {"U": ["w1", "w2"]})
     return M, S
@@ -41,7 +41,7 @@ def transverse_line():
 def plane_curve():
     space = projective_space(2)
     vars = space.chart("U0").vars
-    lam = Polyvector.monomial(vars, (0, 1), LaurentPoly.variable(vars, "z1"))
+    lam = pv_monomial(vars, (0, 1), LaurentPoly.variable(vars, "z1"))
     M = PoissonManifold.from_chart_data(space, {"U0": lam})
     S = extract_submanifold(M, {"U0": ["z1"], "U1": ABSENT, "U2": ["z2"]})
     return M, S
@@ -59,7 +59,7 @@ def test_first_order_submanifold_functor(transverse_line):
 def test_first_order_ambient_functor():
     space = affine_space(2, ("x", "y"))
     vars = space.chart("U").vars
-    lam = Polyvector.monomial(vars, (0, 1), LaurentPoly.variable(vars, "x"))
+    lam = pv_monomial(vars, (0, 1), LaurentPoly.variable(vars, "x"))
     M = PoissonManifold.from_chart_data(space, {"U": lam})
     engine = artin_first_order("def", manifold=M, bound=2)
     enum = first_order_by_enumeration("def", manifold=M, amb_bound=2)
@@ -162,8 +162,8 @@ def test_prescribed_instability_class(instability_setup=None):
 def _order_one_curve_state(M, S):
     vars0 = M.space.chart("U0").vars
     vars2 = M.space.chart("U2").vars
-    direction = Polyvector.monomial(vars0, (0, 1),
-                                    LaurentPoly.variable(vars0, "z2"))
+    direction = pv_monomial(vars0, (0, 1),
+                            LaurentPoly.variable(vars0, "z2"))
     phi = {"U0": [TruncatedSeries(("t",), 2,
                                   {(1,): -LaurentPoly.variable(vars0, "z2")})],
            "U2": [TruncatedSeries(("t",), 2,
@@ -200,7 +200,7 @@ def test_coupled_functor_on_worked_curve(plane_curve):
 def _plane_direction_family(M):
     """Lambda + t * d/z1^d/z2 on every chart of the plane."""
     vars0 = M.space.chart("U0").vars
-    direction = Polyvector.monomial(vars0, (0, 1), LaurentPoly.const(vars0, 1))
+    direction = pv_monomial(vars0, (0, 1), LaurentPoly.const(vars0, 1))
     return {name: (TruncatedSeries.const(("t",), 2, M.bivector(name))
                    + TruncatedSeries(("t",), 2,
                                      {(1,): M.space.pushforward(
@@ -286,15 +286,15 @@ def _curve_motion(S, cutoff=2, **motions):
 def _jacobi_breaker(M):
     """d/w1^d/z on the transverse line's space: [Lambda, it] != 0."""
     vars = M.space.chart("U").vars
-    return {"U": Polyvector.monomial(vars, (0, 2), LaurentPoly.const(vars, 1))}
+    return {"U": pv_monomial(vars, (0, 2), LaurentPoly.const(vars, 1))}
 
 
 def _plane_breaker(M):
     """d/z1^d/z2 on chart U0 only: a Poisson cocycle there that fails to
     glue with the unmoved other charts."""
     vars0 = M.space.chart("U0").vars
-    return {"U0": Polyvector.monomial(vars0, (0, 1),
-                                      LaurentPoly.const(vars0, 1))}
+    return {"U0": pv_monomial(vars0, (0, 1),
+                              LaurentPoly.const(vars0, 1))}
 
 
 def _invalid_jacobi(line, plane):

@@ -118,7 +118,7 @@ def old_atlas_hyper_truncated(descriptor: ComplexDescriptor, bound: int) -> Coho
         chart = space.chart(cname)
         a, idx, e = atom
         pv = Polyvector(chart.vars, p if is_nor else p + 2,
-                        {idx: LaurentPoly.monomial(chart.vars, e)})
+                        {idx: LaurentPoly(chart.vars, {e: 1})})
         chunk = zero_chunk(cname, p)
         if is_nor:
             chunk[a] = pv

@@ -247,9 +247,9 @@ def test_chunk_entries_key_normal_and_ambient_chunks(descriptors):
     desc = descriptors["p2_extended"]
     nor = desc.zero_chunk("nor", "U0", 0)
     cvars = desc.space.chart("U0").vars
-    nor[0] = Polyvector.from_function(LaurentPoly.monomial(cvars, (0, 2), 3))
+    nor[0] = Polyvector.from_function(LaurentPoly(cvars, {(0, 2): 3}))
     assert list(chunk_entries("nor", nor)) == [((0, (), (0, 2)), 3)]
-    amb = Polyvector(cvars, 2, {(0, 1): LaurentPoly.monomial(cvars, (1, -1))})
+    amb = Polyvector(cvars, 2, {(0, 1): LaurentPoly(cvars, {(1, -1): 1})})
     assert list(chunk_entries("amb", amb)) == [(((0, 1), (1, -1)), 1)]
 
 
@@ -391,7 +391,7 @@ def test_normal_transport_raises_as_the_replaced_one(transport_subs):
     cvars = S.space.chart(src).vars
     e = [1] * len(cvars)
     e[cvars.index(S.normal[src][0])] = -1
-    tup = [Polyvector.from_function(LaurentPoly.monomial(cvars, e)),
+    tup = [Polyvector.from_function(LaurentPoly(cvars, {tuple(e): 1})),
            Polyvector.zero(cvars, 0)]
     new = _outcome(transport_nor_tuple, S, tup, src, dst)
     assert new[0] == "NegativePowerAtZero"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_square_zero, monomial_probes, oracle_dim
+from conftest import (assert_square_zero, monomial_probes, oracle_dim,
+                      pv_monomial)
 from poissondef.complexes import (CohomologyReport, _padded, affine_hyper,
                                   atlas_hyper_truncated, atom_cochain,
                                   build_complex, characteristic_map,
@@ -103,7 +104,7 @@ def test_total_coboundary_is_closed(descriptor_family):
     name = desc.submanifold.present_charts()[0]
     chart, overlap = total_coboundary(desc, probes[0])
     vars = desc.space.chart(name).vars
-    chart["nor"][name] = [pv + Polyvector.monomial(
+    chart["nor"][name] = [pv + pv_monomial(
         vars, (0,), LaurentPoly.const(vars, 1)) for pv in chart["nor"][name]]
     with pytest.raises(ClosednessViolation, match="normal-step"):
         total_closedness(desc, chart, overlap)
@@ -149,7 +150,7 @@ def test_affine_engine_on_transverse_line(descriptor_family):
         first, second = cochain["nor"]["U"]
         assert first.is_zero()
         assert second == Polyvector.from_function(
-            LaurentPoly.monomial(vars, (0, 0, w)))
+            LaurentPoly(vars, {(0, 0, w): 1}))
 
 
 def test_affine_engine_rejects_atlases(descriptor_family):
@@ -207,7 +208,7 @@ def test_section_space_coordinates(descriptor_family):
     assert e0 is not None
     assert e0[0] == 1 and all(x == 0 for x in e0[1:])
     vars = desc.space.chart("U").vars
-    high = LaurentPoly.monomial(vars, (0, 0, space.degree_bound + 1))
+    high = LaurentPoly(vars, {(0, 0, space.degree_bound + 1): 1})
     outside = {"nor": {"U": (Polyvector.from_function(high),
                              Polyvector.zero(vars, 0))}}
     assert coordinates(space.basis, outside)[0] is None

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import poissondef
-from conftest import build_fm_section, prescribed_instability, truncate_state
+from conftest import (build_fm_section, prescribed_instability, pv_monomial,
+                      truncate_state)
 from poissondef import deformation
 from poissondef.cli import run_command
 from poissondef.complexes import (build_complex, cochain_is_zero, h0_complex,
@@ -195,12 +196,12 @@ def _steep_prescribed_problem(degree):
     coefficient on the root chart."""
     space = affine_space(3)
     vars = space.chart("U").vars
-    lam0 = Polyvector.monomial(vars, (0, 1),
-                               LaurentPoly(vars, {(1, 0, 1): Fraction(1)}))
+    lam0 = pv_monomial(vars, (0, 1),
+                       LaurentPoly(vars, {(1, 0, 1): Fraction(1)}))
     M = PoissonManifold(space, {"U": lam0})
     S = extract_submanifold(M, {"U": ["x1", "x2"]})
-    bump = Polyvector.monomial(vars, (0, 1),
-                               LaurentPoly(vars, {(0, 0, 2): Fraction(1)}))
+    bump = pv_monomial(vars, (0, 1),
+                       LaurentPoly(vars, {(0, 0, 2): Fraction(1)}))
     pres = {"U": TruncatedSeries.const(("t",), 2, lam0)
             + TruncatedSeries(("t",), 2, {(1,): bump})}
     return DeformationProblem(S, ("t",), order=2, degree=degree,

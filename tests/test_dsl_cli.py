@@ -27,9 +27,9 @@ from poissondef.deformation import run_solver, verify_family
 from poissondef.dsl import (_fmt_monomial, _join_terms, format_param_monomial,
                             format_param_series, format_poly,
                             format_polyvector, format_pv_series,
-                            format_series, parse, render)
+                            format_series, parse)
 from poissondef.errors import InconsistentData, ParseError
-from poissondef.geometry import ChartedSpace
+from poissondef.geometry import ABSENT, ChartedSpace
 from poissondef.polyvector import Polyvector
 from poissondef.symbolic import LaurentPoly, TruncatedSeries
 
@@ -133,9 +133,8 @@ def test_hyperplane_document_fields():
     assert doc.degree == 2
     man = doc.manifold()
     u0_vars = man.space.chart("U0").vars
-    assert man.bivector("U0").coefficient((0, 1)) == LaurentPoly.variable(
-        u0_vars, "z1"
-    )
+    assert man.bivector("U0").terms[(0, 1)] == LaurentPoly.variable(
+        u0_vars, "z1")
     sub = doc.submanifold()
     assert sub.codim == 1
     assert set(sub.present_charts()) == {"U0", "U1", "U2"}
@@ -185,6 +184,61 @@ def test_explicit_atlas_document():
     assert validation["pass"], validation
     transition = doc.transitions[("U0", "U1")]
     assert transition["z"].terms == {(-1, 0): Fraction(1)}
+
+
+def render(doc) -> str:
+    """Canonical problem-file text; parse(render(doc)) reproduces doc. It is
+    the round trip's oracle, which no command prints."""
+    lines = []
+    if doc.name:
+        lines.append(f"manifold {doc.name};")
+    if doc.builtin is not None:
+        name, args = doc.builtin
+        if args:
+            lines.append(f"builtin {name}({', '.join(str(a) for a in args)});")
+        else:
+            lines.append(f"builtin {name};")
+    else:
+        for chart in doc.charts:
+            lines.append(f"chart {chart.name} vars {' '.join(chart.vars)};")
+        for (i, k) in sorted(doc.transitions):
+            tmap = doc.transitions[(i, k)]
+            body = ", ".join(f"{v} = {format_poly(tmap[v])}"
+                             for v in doc.space.chart(i).vars if v in tmap)
+            lines.append(f"transition {i} -> {k}: {body};")
+    space = doc.space if (doc.builtin or doc.charts) else None
+    for name in (space.chart_names if space else []):
+        if name in doc.poisson:
+            lines.append(f"poisson on {name}: "
+                         f"{format_polyvector(doc.poisson[name])};")
+    for name in (space.chart_names if space else []):
+        if name in doc.normal_spec:
+            spec = doc.normal_spec[name]
+            if spec == ABSENT:
+                lines.append(f"submanifold normal {name}: absent;")
+            else:
+                lines.append(f"submanifold normal {name}: "
+                             f"[{', '.join(spec)}];")
+    if doc.params:
+        lines.append(f"params {' '.join(doc.params)} order {doc.order} "
+                     f"degree {doc.degree};")
+    if doc.mode != "fixed":
+        lines.append(f"mode {doc.mode};")
+    for name in (space.chart_names if space else []):
+        if name in doc.family:
+            cvars = space.chart(name).vars
+            block = doc.family[name]
+            body = ", ".join(f"{v} = {format_series(block[v], cvars)}"
+                             for v in cvars if v in block)
+            lines.append(f"family {name}: {body};")
+    for name in (space.chart_names if space else []):
+        if name in doc.lam:
+            body = format_pv_series(doc.lam[name], space.chart(name).vars,
+                                    doc.params)
+            lines.append(f"lambda {name}: {body};")
+    if doc.artin:
+        lines.append(f"artin {doc.artin};")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(

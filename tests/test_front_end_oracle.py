@@ -43,7 +43,7 @@ import pytest
 from hypothesis import given, settings
 
 import poissondef
-from conftest import derivative, wedge
+from conftest import derivative, product, wedge
 from poissondef import dsl, geometry
 from poissondef.cli import run_command
 from poissondef.dsl import _tokenize, parse
@@ -51,7 +51,7 @@ from poissondef.errors import (InconsistentData, NonAdaptedTransition,
                                NotPoissonSubmanifold, ParseError)
 from poissondef.geometry import (Chart, ChartedSpace, PoissonManifold,
                                  SubmanifoldData, affine_space,
-                                 extract_submanifold, hirzebruch, product,
+                                 extract_submanifold, hirzebruch,
                                  projective_space, verify_submanifold_tensors)
 from poissondef.polyvector import Polyvector, _sort_sign, restrict, schouten
 from poissondef.symbolic import LaurentPoly
@@ -137,7 +137,7 @@ def parent_projective_space(n: int) -> ChartedSpace:
                 e[hom[k].index(i)] = -1
                 if a != k:
                     e[hom[k].index(a)] = 1
-                tmap[f"z{j+1}"] = LaurentPoly.monomial(charts[k].vars, e)
+                tmap[f"z{j+1}"] = LaurentPoly(charts[k].vars, {tuple(e): 1})
             transitions[(f"U{i}", f"U{k}")] = tmap
     return ChartedSpace(f"P{n}", charts, transitions)
 
@@ -151,7 +151,7 @@ def parent_hirzebruch(m: int) -> ChartedSpace:
     U4 = Chart("U4", ("zp", "etap"))
 
     def mono(vars, exps):
-        return LaurentPoly.monomial(vars, exps)
+        return LaurentPoly(vars, {exps: 1})
 
     t = {}
     t[("U1", "U2")] = {"z": mono(U2.vars, (-1, 0)), "xi": mono(U2.vars, (m, 1))}
@@ -295,7 +295,7 @@ def parent_extract_submanifold(M, normal_spec) -> SubmanifoldData:
                         if e[widx[wb]] > 0:
                             beta = b
                             break
-                    mono = LaurentPoly.monomial(chart.vars, e, c)
+                    mono = LaurentPoly(chart.vars, {e: c})
                     if beta is None:
                         residual = residual + Polyvector(chart.vars, 1, {idx: mono})
                     else:
@@ -303,7 +303,7 @@ def parent_extract_submanifold(M, normal_spec) -> SubmanifoldData:
                         shifted[widx[w[beta]]] -= 1
                         T[a][beta] = T[a][beta] + Polyvector(
                             chart.vars, 1,
-                            {idx: LaurentPoly.monomial(chart.vars, shifted, c)})
+                            {idx: LaurentPoly(chart.vars, {tuple(shifted): c})})
             if not residual.is_zero():
                 raise NotPoissonSubmanifold(
                     f"bracket with {wv} on chart {name} leaves residual "

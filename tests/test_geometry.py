@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import example
+from conftest import example, product, pv_monomial
 from poissondef import geometry
 from poissondef.cli import run_command
 from poissondef.errors import (ChartMismatch, InconsistentData,
@@ -13,14 +13,13 @@ from poissondef.errors import (ChartMismatch, InconsistentData,
 from poissondef.geometry import (Chart, ChartedSpace, PoissonManifold,
                                  SubmanifoldData, affine_space, builtin_space,
                                  check_poisson_manifold, codim1_line_bundle,
-                                 extract_submanifold, hirzebruch, product,
+                                 extract_submanifold, hirzebruch,
                                  projective_space, verify_submanifold_tensors)
-from poissondef.polyvector import Polyvector
 from poissondef.symbolic import LaurentPoly
 
 
 def _mono(vars, idx, exps, coeff=1):
-    return Polyvector.monomial(vars, idx, LaurentPoly(vars, {exps: Fraction(coeff)}))
+    return pv_monomial(vars, idx, LaurentPoly(vars, {exps: Fraction(coeff)}))
 
 
 # — atlases ------------------------------------------------------------------
@@ -165,8 +164,8 @@ def test_hyperplane_extraction(p3_hyperplane_sub):
     assert data.tangential["U0"] == ("z1", "z2")
     assert data.checks["pass"]
     vars = data.space.chart("U0").vars
-    inv1 = LaurentPoly.monomial(vars, (-1, 0, 0))
-    inv2 = LaurentPoly.monomial(vars, (0, -1, 0))
+    inv1 = LaurentPoly(vars, {(-1, 0, 0): 1})
+    inv2 = LaurentPoly(vars, {(0, -1, 0): 1})
     expected = {("U0", "U1"): inv1, ("U0", "U2"): inv1, ("U1", "U0"): inv1,
                 ("U1", "U2"): inv2, ("U2", "U0"): inv2, ("U2", "U1"): inv2}
     got = {pair: mat[0][0] for pair, mat in data.first_order.items()}
@@ -264,8 +263,8 @@ def test_line_bundle_on_affine_curve(c2):
     bundle = codim1_line_bundle(data)
     assert bundle.invariants["pass"]
     vars = data.space.chart("U").vars
-    assert bundle.fields["U"] == Polyvector.monomial(vars, (1,),
-                                                     LaurentPoly.const(vars, 1))
+    assert bundle.fields["U"] == pv_monomial(vars, (1,),
+                                             LaurentPoly.const(vars, 1))
 
 
 def test_line_bundle_on_hyperplane(p3_hyperplane_sub):

@@ -58,7 +58,7 @@ def _atom_sections(descriptor, part: str, p: int, bound: int):
         for (a, idx, e) in atoms:
             tup = [Polyvector.zero(chart.vars, p) for _ in range(S.codim)]
             tup[a] = Polyvector(chart.vars, p,
-                                {idx: LaurentPoly.monomial(chart.vars, e)})
+                                {idx: LaurentPoly(chart.vars, {e: 1})})
             rep = {root: tup}
             for (parent, child) in tree:
                 rep[child] = transport_nor_tuple(S, rep[parent], parent, child)
@@ -78,7 +78,7 @@ def _atom_sections(descriptor, part: str, p: int, bound: int):
     reps = []
     for (_, idx, e) in atoms:
         pv = Polyvector(chart.vars, deg,
-                        {idx: LaurentPoly.monomial(chart.vars, e)})
+                        {idx: LaurentPoly(chart.vars, {e: 1})})
         rep = {root: pv}
         for (parent, child) in tree:
             rep[child] = space.pushforward(rep[parent], parent, child)
@@ -170,7 +170,7 @@ def monomial_probes(self, p: int, degree: int):
                         for pos, x in zip(tidx, e_t):
                             e[pos] = x
                         pv = Polyvector(chart.vars, p, {
-                            idx: LaurentPoly.monomial(chart.vars, e)})
+                            idx: LaurentPoly(chart.vars, {tuple(e): 1})})
                         z = self.zero_cochain(p)
                         z["nor"][name][a] = pv
                         yield z
@@ -183,7 +183,7 @@ def monomial_probes(self, p: int, degree: int):
             for idx in combinations(range(n), deg):
                 for e in _simplex(n, degree):
                     pv = Polyvector(chart.vars, deg, {
-                        idx: LaurentPoly.monomial(chart.vars, e)})
+                        idx: LaurentPoly(chart.vars, {e: 1})})
                     z = self.zero_cochain(p)
                     z["amb"][chart.name] = pv
                     yield z

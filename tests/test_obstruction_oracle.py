@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poissondef
-from conftest import build_p3, truncate_state
+from conftest import build_p3, pv_monomial, truncate_state
 from poissondef.artin import (FUNCTORS, _descriptor, _family_pieces,
                               _residuals, artin_obstruction)
 from poissondef.cli import _render_class, _render_cocycle
@@ -353,7 +353,7 @@ def extended_obstruction():
     """Bivectors that gain t1^2 z3 d/z1^d/z2 on U3: the order-two Jacobi
     coefficient is non-zero there and the bivectors do not glue, so the
     order step is obstructed."""
-    return _extended_state(lambda M, v: Polyvector.monomial(
+    return _extended_state(lambda M, v: pv_monomial(
         v, (0, 1), LaurentPoly.variable(v, "z3")))
 
 

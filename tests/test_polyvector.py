@@ -14,7 +14,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import derivative, wedge
+from conftest import derivative, pv_monomial, wedge
 from poissondef.geometry import projective_space
 from poissondef.polyvector import (Polyvector, Transition, pushforward,
                                    restrict, schouten)
@@ -42,7 +42,7 @@ def pv_strategy(degree):
 def _assemble(degree, pairs):
     out = Polyvector.zero(VARS, degree)
     for idx, coeff in pairs:
-        out = out + Polyvector.monomial(VARS, idx, coeff)
+        out = out + pv_monomial(VARS, idx, coeff)
     return out
 
 
@@ -58,7 +58,7 @@ def _random_pv(rng, degree):
     out = Polyvector.zero(VARS, degree)
     for idx in combinations(range(len(VARS)), degree):
         if rng.random() < 0.8:
-            out = out + Polyvector.monomial(VARS, idx, _random_poly(rng))
+            out = out + pv_monomial(VARS, idx, _random_poly(rng))
     return out
 
 
@@ -237,9 +237,9 @@ def test_bivector_function_slot_is_interior_product():
         f = _random_poly(rng, max_terms=2)
         expected = Polyvector.zero(VARS, 1)
         for (i, j), coeff in lam.terms.items():
-            expected = expected + Polyvector.monomial(
+            expected = expected + pv_monomial(
                 VARS, (j,), coeff * derivative(f, VARS[i]))
-            expected = expected - Polyvector.monomial(
+            expected = expected - pv_monomial(
                 VARS, (i,), coeff * derivative(f, VARS[j]))
         assert schouten(lam, Polyvector.from_function(f)) == expected
 
@@ -277,7 +277,7 @@ def test_bivector_self_bracket_measures_jacobiator():
     assert seen_nonzero == 10
 
     # zero-locus equivalence on coordinate triples for a structured sample
-    flat = Polyvector.monomial(VARS, (0, 1), X * Z)
+    flat = pv_monomial(VARS, (0, 1), X * Z)
     assert schouten(flat, flat).is_zero()
     jac = (_poisson_bracket(flat, _poisson_bracket(flat, X, Y), Z)
            + _poisson_bracket(flat, _poisson_bracket(flat, Y, Z), X)
@@ -315,9 +315,9 @@ def test_wedge_odd_square_zero():
 
 
 def test_restrict_zeroes_named_variables():
-    lam = Polyvector.monomial(VARS, (0, 1), X * Z + Y)
+    lam = pv_monomial(VARS, (0, 1), X * Z + Y)
     cut = restrict(lam, ["x"])
-    assert cut == Polyvector.monomial(VARS, (0, 1), Y)
+    assert cut == pv_monomial(VARS, (0, 1), Y)
     assert restrict(lam, ["x", "y"]).is_zero()
 
 
@@ -335,7 +335,7 @@ def _p2_pv(rng, vars, degree):
     out = Polyvector.zero(vars, degree)
     for idx in combinations(range(len(vars)), degree):
         if rng.random() < 0.85:
-            out = out + Polyvector.monomial(vars, idx, _p2_poly(rng, vars))
+            out = out + pv_monomial(vars, idx, _p2_poly(rng, vars))
     return out
 
 
@@ -380,11 +380,12 @@ def test_pushforward_identity_map_fixes_polyvector():
 
 
 def test_monomial_takes_indices_once():
-    """The indices may be a one-shot iterable: a repeated index gives the
-    zero polyvector of the degree it was asked for."""
+    """`pv_monomial`, the tests' builder, folds the permutation sign in, and
+    the indices may be a one-shot iterable: a repeated index gives the zero
+    polyvector of the degree it was asked for."""
     for indices in ((0, 0), [0, 0], (i for i in (0, 0))):
-        zero = Polyvector.monomial(VARS, indices, X)
+        zero = pv_monomial(VARS, indices, X)
         assert zero.is_zero() and zero.degree == 2
-    got = Polyvector.monomial(VARS, (i for i in (2, 0)), X)
-    assert got == Polyvector.monomial(VARS, (2, 0), X)
+    got = pv_monomial(VARS, (i for i in (2, 0)), X)
+    assert got == pv_monomial(VARS, (2, 0), X)
     assert got.terms == {(0, 2): -X}

@@ -33,7 +33,6 @@ PACKAGE = Path(poissondef.__file__).resolve().parent
 
 _ITEM_11 = ("the semi-regularity map of ROADMAP item 11, which no command "
             "exposes yet")
-_TESTS = "reached only by tests"
 _TERM_CLASS = ("reached only by tests: a term class's printing, ordering "
                "or hashing")
 
@@ -45,17 +44,6 @@ UNREACHED = {
     "geometry.PoissonLineBundle.__init__": _ITEM_11,
     "cli.main": "the console script's entry, run by the subprocess test "
     "of tests/test_dsl_cli.py; the contract calls run_command",
-    "dsl.render": _TESTS + ": the text round trip of item 7(b)",
-    "geometry.product": _TESTS + ": the product atlas of the transport "
-    "oracles",
-    "polyvector.Polyvector.with_vars": _TESTS,
-    "polyvector.Polyvector.monomial": _TESTS,
-    "polyvector.Polyvector.coefficient": _TESTS,
-    "symbolic.LaurentPoly.monomial": _TESTS,
-    "symbolic.LaurentPoly.__rsub__": _TESTS,
-    "symbolic.TruncatedSeries.scale": _TESTS,
-    "symbolic.TruncatedSeries.__eq__": _TESTS,
-    "deformation.Obstructed.__bool__": _TESTS,
     "geometry.Chart.__eq__": _TERM_CLASS,
     "geometry.Chart.__hash__": _TERM_CLASS,
     "polyvector.Polyvector.__hash__": _TERM_CLASS,

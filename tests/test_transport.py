@@ -36,13 +36,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poissondef
-from conftest import derivative
+from conftest import derivative, product, series_value
 from poissondef.cli import run_command
 from poissondef.dsl import parse
 from poissondef.errors import (ChartMismatch, NonInvertibleSubstitution,
                                ParameterMismatch)
 from poissondef import complexes, polyvector
-from poissondef.geometry import (Chart, ChartedSpace, hirzebruch, product,
+from poissondef.geometry import (Chart, ChartedSpace, hirzebruch,
                                  projective_space)
 from poissondef.polyvector import (Polyvector, Transition, _acc, _sort_sign,
                                    pushforward)
@@ -76,7 +76,8 @@ def _series_inverse(s: TruncatedSeries) -> TruncatedSeries:
         sign = -sign
         if power.is_zero():
             break
-        result = result + power.scale(sign)
+        # `scale(sign)`, which the library no longer has
+        result = result + (power if sign > 0 else -power)
     return result.map(lambda c: inv0 * c)
 
 
@@ -463,8 +464,8 @@ def test_series_power_zero_and_non_invertible_raise():
     x = LaurentPoly.variable(TARGET, "x")
     s = TruncatedSeries.const(PARAMS, 3, x) + TruncatedSeries(
         PARAMS, 3, {(1,): x * x})
-    assert s ** -1 * s == TruncatedSeries.const(
-        PARAMS, 3, LaurentPoly.const(TARGET, 1))
+    assert series_value(s ** -1 * s) == series_value(TruncatedSeries.const(
+        PARAMS, 3, LaurentPoly.const(TARGET, 1)))
     with pytest.raises(ValueError, match="series\\*\\*0"):
         s ** 0
     for bad in (TruncatedSeries(PARAMS, 3, {(0,): x + 1, (1,): x}),
@@ -473,7 +474,7 @@ def test_series_power_zero_and_non_invertible_raise():
         with pytest.raises(NonInvertibleSubstitution,
                            match="invertible order-zero part"):
             bad ** -1
-        assert bad ** 2 == bad * bad
+        assert series_value(bad ** 2) == series_value(bad * bad)
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +483,7 @@ def test_series_power_zero_and_non_invertible_raise():
 
 def _second_line():
     """P1 with charts V0, V1 and variable w, to multiply with `Pn(1)`."""
-    w_inv = LaurentPoly.monomial(("w",), (-1,))
+    w_inv = LaurentPoly(("w",), {(-1,): 1})
     return ChartedSpace("P1w", [Chart("V0", ("w",)), Chart("V1", ("w",))],
                         {("V0", "V1"): {"w": w_inv},
                          ("V1", "V0"): {"w": w_inv}})
@@ -772,19 +773,17 @@ def test_pushforward_matches_the_parent_path(name, data):
             _layout(got)
 
 
-def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
-    """A polyvector whose variable tuple orders the chart's names otherwise
-    is brought to the chart's tuple first: same result, no new image. The
-    kept lists are flat, one row (tidx, e, c) per image term, and the
-    second move reads the same list objects."""
+def test_a_second_move_reads_the_kept_table():
+    """A second pushforward of a polyvector gives the same result and no new
+    image: the kept lists are flat, one row (tidx, e, c) per image term, and
+    the second move reads the same list objects. A polyvector whose variable
+    tuple orders the chart's names otherwise is refused."""
     space = projective_space(2)
     rng = random.Random(3)
     a = _random_pv(rng, ("z1", "z2"), 1, -1)
-    swapped = a.with_vars(("z2", "z1"))
-    assert swapped.with_vars(("z1", "z2")) == a
     want = _layout(space.pushforward(a, "U0", "U1"))
     kept = {pair: dict(m._images) for pair, m in space._moves.items()}
-    assert _layout(space.pushforward(swapped, "U0", "U1")) == want
+    assert _layout(space.pushforward(a, "U0", "U1")) == want
     assert {pair: m._images for pair, m in space._moves.items()} == kept
     move = space._moves[("U0", "U1")]
     assert move._images
@@ -792,9 +791,11 @@ def test_a_polyvector_on_other_vars_is_moved_through_the_kept_table():
         assert rows is kept[("U0", "U1")][idx]
         assert all(len(row) == 3 and len(row[1]) == len(move.target_vars)
                    and row[2] for row in rows)
-    with pytest.raises(ChartMismatch):
-        Polyvector.monomial(("z1", "q"), (1,), LaurentPoly.const(
-            ("z1", "q"), 1)).with_vars(("z1", "z2"))
+    # the same field on ("z2", "z1"), where d/z1 is index 1
+    swapped = Polyvector(("z2", "z1"), 1,
+                         {(1 - i,): c for (i,), c in a.terms.items()})
+    with pytest.raises(ChartMismatch, match="charts differ"):
+        space.pushforward(swapped, "U0", "U1")
 
 
 # ----------------------------------------------------------------------

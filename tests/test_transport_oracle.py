@@ -62,12 +62,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import poissondef
+from conftest import product
 from poissondef import polyvector
 from poissondef.complexes import (_bracket_rule, _move_entries, _ruled,
                                   _wedge_rule)
 from poissondef.dsl import parse
 from poissondef.errors import NegativePowerAtZero, NonInvertibleSubstitution
-from poissondef.geometry import hirzebruch, product, projective_space
+from poissondef.geometry import hirzebruch, projective_space
 from poissondef.polyvector import (Polyvector, _landed, _sort_sign,
                                    pushforward)
 from poissondef.symbolic import (LaurentPoly, _add_product, _derivative,
