@@ -46,20 +46,12 @@ from .symbolic import (LaurentPoly, _add_into, _add_product, _as_scalar,
 
 
 class Chart:
-    """A chart's name and its coordinate names; equal and hashed as the
-    value (name, vars)."""
+    """A chart's name and its coordinate names."""
     __slots__ = ("name", "vars")
 
     def __init__(self, name: str, vars: tuple):
         self.name = name
         self.vars = vars
-
-    def __eq__(self, other):
-        return (isinstance(other, Chart) and self.name == other.name
-                and self.vars == other.vars)
-
-    def __hash__(self):
-        return hash((self.name, self.vars))
 
 
 class ChartedSpace:

@@ -163,10 +163,6 @@ class Polyvector:
         return (self.vars == other.vars and self.degree == other.degree
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.vars, self.degree,
-                     frozenset((i, hash(c)) for i, c in self.terms.items())))
-
     # ---- display ------------------------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items())

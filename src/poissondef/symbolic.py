@@ -284,9 +284,6 @@ class LaurentPoly:
             other = LaurentPoly.const(self.vars, other)
         return self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     # ---- calculus -----------------------------------------------------
     def set_zero(self, names: Iterable[str]) -> "LaurentPoly":
         """Evaluate the given variables at 0 (variable tuple unchanged)."""
@@ -492,25 +489,6 @@ class TruncatedSeries:
         if result is None:
             raise ValueError("series**0 needs a carrier unit; use const()")
         return result
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda ec: grlex_key(ec[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                (p if x == 1 else f"{p}^{x}")
-                for p, x in zip(self.params, e) if x)
-            body = str(c)
-            if mono:
-                body = f"({body})*{mono}" if ("+" in body or "-" in body[1:] or " " in body) else f"{body}*{mono}"
-            parts.append(body)
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def combine(a: TruncatedSeries, b: TruncatedSeries, mul: Callable) -> TruncatedSeries:

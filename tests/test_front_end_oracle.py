@@ -525,7 +525,9 @@ def test_sort_sign_matches_parent():
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_builtin_atlases_match_parent(build, parent, arg):
     new, old = build(arg), parent(arg)
-    assert new.name == old.name and new.charts == old.charts
+    assert new.name == old.name
+    assert [(c.name, c.vars) for c in new.charts] == \
+        [(c.name, c.vars) for c in old.charts]
     assert _ordered(new.transitions) == _ordered(old.transitions)
     assert list(new._moves) == list(old._moves)
     for pair, move in new._moves.items():

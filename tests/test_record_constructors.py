@@ -17,7 +17,6 @@ import pytest
 
 from poissondef import artin, complexes, deformation, dsl, geometry
 from poissondef.errors import InconsistentData
-from poissondef.geometry import Chart
 
 REQUIRED = inspect.Parameter.empty
 
@@ -130,11 +129,3 @@ def test_the_problem_checks_its_mode_and_keeps_params_a_tuple():
     prescribed = deformation.DeformationProblem(None, ("t",), 2, 1,
                                                 "prescribed", {})
     assert prescribed.prescribed == {}
-
-
-def test_a_chart_is_a_value():
-    assert Chart("U0", ("z1",)) == Chart("U0", ("z1",))
-    assert hash(Chart("U0", ("z1",))) == hash(Chart("U0", ("z1",)))
-    assert Chart("U0", ("z1",)) != Chart("U0", ("z2",))
-    assert Chart("U0", ("z1",)) != Chart("U1", ("z1",))
-    assert len({Chart("U0", ("z1",)), Chart("U0", ("z1",))}) == 1

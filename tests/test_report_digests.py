@@ -33,8 +33,6 @@ PACKAGE = Path(poissondef.__file__).resolve().parent
 
 _ITEM_11 = ("the semi-regularity map of ROADMAP item 11, which no command "
             "exposes yet")
-_TERM_CLASS = ("reached only by tests: a term class's printing, ordering "
-               "or hashing")
 
 # function -> why no argv of the contract calls it (ROADMAP item 17)
 UNREACHED = {
@@ -44,12 +42,6 @@ UNREACHED = {
     "geometry.PoissonLineBundle.__init__": _ITEM_11,
     "cli.main": "the console script's entry, run by the subprocess test "
     "of tests/test_dsl_cli.py; the contract calls run_command",
-    "geometry.Chart.__eq__": _TERM_CLASS,
-    "geometry.Chart.__hash__": _TERM_CLASS,
-    "polyvector.Polyvector.__hash__": _TERM_CLASS,
-    "symbolic.LaurentPoly.__hash__": _TERM_CLASS,
-    "symbolic.TruncatedSeries.__str__": _TERM_CLASS,
-    "symbolic.TruncatedSeries.sorted_terms": _TERM_CLASS,
 }
 
 
