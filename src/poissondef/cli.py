@@ -315,8 +315,6 @@ def _cmd_h0(args):
         rep["dimension"] = report.dimension
         rep["basis"] = {str(w): [_render_cochain(c) for c in report.basis[w]]
                         for w in weights}
-        if report.notes:
-            rep["notes"] = list(report.notes)
         return rep, 0
     report = h0_complex(desc, args.bound)
     rep["engine"] = report.engine
@@ -341,8 +339,6 @@ def _cmd_hyper(args):
         rep["engine"] = report.engine
         rep["h0"] = {str(w): report.weights["H0"][w] for w in weights}
         rep["h1"] = {str(w): report.weights["H1"][w] for w in weights}
-        if report.notes:
-            rep["notes"] = list(report.notes)
         return rep, 0
     report = atlas_hyper_truncated(desc, args.bound)
     rep["engine"] = report.engine

@@ -975,9 +975,11 @@ def h0_complex(descriptor: ComplexDescriptor,
 # Affine graded engine
 # ----------------------------------------------------------------------
 
-def _structure_weight(descriptor: ComplexDescriptor):
+def _structure_weight(descriptor: ComplexDescriptor) -> int:
     """Common weight (coefficient degree minus frame degree) of the structure
-    terms; None when the structure is not weight-homogeneous."""
+    terms, by which the differential shifts weight; InconsistentData when
+    the structure is not weight-homogeneous, as no graded answer is then
+    certified."""
     weights = set()
     for name in descriptor.space.chart_names:
         pv = descriptor.manifold.bivector(name)
@@ -989,11 +991,11 @@ def _structure_weight(descriptor: ComplexDescriptor):
                 for pv in row:
                     for coeff in pv.terms.values():
                         weights.update(sum(e) - 1 for e in coeff.terms)
-    if not weights:
-        return 0, True
-    if len(weights) == 1:
-        return weights.pop(), True
-    return max(weights), False
+    if len(weights) > 1:
+        raise InconsistentData(
+            "differential left the graded window; structure is not "
+            "weight-homogeneous")
+    return weights.pop() if weights else 0
 
 
 def _weight_atoms(descriptor: ComplexDescriptor, p: int, weight: int):
@@ -1030,19 +1032,14 @@ def affine_hyper(descriptor: ComplexDescriptor, weights: Iterable[int],
                  degrees: tuple = (0, 1)) -> CohomologyReport:
     """Per-weight exact cohomology in degrees 0 and/or 1 on a single chart.
 
-    With a weight-homogeneous structure the differential shifts weight by a
-    fixed amount and the per-weight answers are exact; otherwise the top
-    filtration weight is used and the report carries a truncation note.
+    The structure must be weight-homogeneous: the differential then shifts
+    weight by a fixed amount and the per-weight answers are exact.
     """
     if descriptor.space.transitions:
         raise InconsistentData("the graded engine needs a single-chart space")
-    shift, homogeneous = _structure_weight(descriptor)
-    notes = () if homogeneous else (
-        "structure not weight-homogeneous: graded answers are the top "
-        "filtration layer only",)
+    shift = _structure_weight(descriptor)
     weights = list(weights)
-    report = CohomologyReport(descriptor.kind, "affine-graded", None, {},
-                              truncated=not homogeneous, notes=notes)
+    report = CohomologyReport(descriptor.kind, "affine-graded", None, {})
     for w in weights:
         m0, in0, _ = _weight_matrix(descriptor, 0, w, w + shift)
         if 0 in degrees:
@@ -1074,7 +1071,7 @@ def semiregularity_image_rank(lb_descriptor: ComplexDescriptor,
     S = nor_descriptor.submanifold
     chart = nor_descriptor.space.charts[0]
     w_names = S.normal[chart.name]
-    shift, _ = _structure_weight(nor_descriptor)
+    shift = _structure_weight(nor_descriptor)
     # cocycles upstairs
     m1, in1, _ = _weight_matrix(lb_descriptor, 1, weight, weight + shift)
     cocycles = nullspace(m1)

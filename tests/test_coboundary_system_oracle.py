@@ -201,7 +201,7 @@ def _semiregularity_image_rank(lb_descriptor, nor_descriptor, weight) -> int:
     S = nor_descriptor.submanifold
     chart = nor_descriptor.space.charts[0]
     w_names = S.normal[chart.name]
-    shift, _ = complexes._structure_weight(nor_descriptor)
+    shift = complexes._structure_weight(nor_descriptor)
     # cocycles upstairs
     m1, in1, _ = _weight_matrix(lb_descriptor, 1, weight, weight + shift)
     cocycles = nullspace(m1)
@@ -650,7 +650,7 @@ def test_weight_columns_match_the_parent(w):
     """Same atoms, the same columns once positions are named by their
     out-atoms, and the same kernels and ranks."""
     for desc in _graded_descriptors():
-        shift, _ = complexes._structure_weight(desc)
+        shift = complexes._structure_weight(desc)
         for p, w_in in ((0, w), (1, w), (0, w - shift)):
             try:
                 old, old_in, old_out = _weight_matrix(desc, p, w_in,

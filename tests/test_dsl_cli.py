@@ -491,6 +491,22 @@ def test_h0_affine_weight_window():
     assert report["basis"]["3"][0]["normal"]["U"] == ["0", "x3^3"]
 
 
+def test_graded_engine_refuses_a_structure_that_is_not_weight_homogeneous(
+        tmp_path):
+    """(x1 + x1*x3) d/x1 ^ d/x2 has terms of weights 0 and 1, so no graded
+    answer is certified: h0 and hyper exit 1 with one line, on a window
+    that the differential would not leave as well."""
+    path = tmp_path / "mixed.pdef"
+    path.write_text("builtin Affine(3);\n"
+                    "poisson on U: (x1 + x1*x3) * d/x1 ^ d/x2;\n"
+                    "submanifold normal U: [x1, x2];\n")
+    for command in ("h0", "hyper"):
+        for window in ("--weights=-1..-1", "--weights=0..3"):
+            assert run(command, str(path), window) == (
+                1, "error: InconsistentData: differential left the graded "
+                   "window; structure is not weight-homogeneous\n")
+
+
 def test_h0_atlas_dimensions():
     code, report = jrun("h0", corpus_path("p3_hyperplane.pdef"))
     assert code == 0 and report["dimension"] == 1
