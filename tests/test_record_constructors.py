@@ -17,6 +17,7 @@ import pytest
 
 from poissondef import artin, complexes, deformation, dsl, geometry
 from poissondef.errors import InconsistentData
+from poissondef.geometry import Chart, ChartedSpace
 
 REQUIRED = inspect.Parameter.empty
 
@@ -129,3 +130,13 @@ def test_the_problem_checks_its_mode_and_keeps_params_a_tuple():
     prescribed = deformation.DeformationProblem(None, ("t",), 2, 1,
                                                 "prescribed", {})
     assert prescribed.prescribed == {}
+
+
+def test_a_chart_is_a_value():
+    """A chart is its name and its variable tuple and holds nothing else;
+    an atlas hands back the chart it was given."""
+    chart = Chart("U0", ("z1",))
+    assert (chart.name, chart.vars) == ("U0", ("z1",))
+    with pytest.raises(AttributeError):
+        chart.extra = None
+    assert ChartedSpace("A", [chart], {}).chart("U0") is chart

@@ -76,6 +76,20 @@ def test_series_arithmetic():
     assert a.min_order() == 1
 
 
+def test_series_equality_compares_every_term():
+    params = ("t1", "t2")
+    x = LaurentPoly.variable(VARS, "x")
+    a = TruncatedSeries(params, 3, {(1, 0): x, (0, 1): x * x})
+    same = TruncatedSeries(params, 3, {(0, 1): x * x, (1, 0): x})
+    other = TruncatedSeries(params, 3, {(1, 0): x, (0, 1): x * x + x})
+    assert series_value(a) == series_value(same)
+    assert series_value(a) != series_value(other)
+    # a stored zero coefficient equals an absent term
+    padded = TruncatedSeries(params, 3, {(1, 0): x, (0, 1): x * x,
+                                         (1, 1): LaurentPoly.zero(VARS)})
+    assert series_value(padded) == series_value(a)
+
+
 def test_series_parameter_mismatch():
     a = TruncatedSeries(("t",), 2, {})
     b = TruncatedSeries(("s",), 2, {})
@@ -298,6 +312,17 @@ def test_series_substitute_matches_fraction_oracle(dp, mx, dq):
         return substitute(LaurentPoly(VARS, dp), {"x": x, "y": y})
 
     assert_matches_oracle(build)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw_polys, raw_polys, st.one_of(exact, st.booleans()))
+def test_series_scale_matches_fraction_oracle(dp, dq, s):
+    """A series is scaled by its product with a constant series."""
+    params = ("t1", "t2")
+    assert_matches_oracle(
+        lambda: TruncatedSeries(params, 3, {(1, 0): LaurentPoly(TARGET, dp),
+                                            (0, 1): LaurentPoly(TARGET, dq)})
+        * TruncatedSeries.const(params, 3, LaurentPoly.const(TARGET, s)))
 
 
 def test_bool_is_stored_as_int():
